@@ -131,8 +131,9 @@ pub const PANIC_CONTRACT_PREFIXES: [&str; 1] = ["crates/analyze/src/"];
 /// The linalg/ml hot-path files (R6). `crates/linalg/src/kernels.rs`
 /// is the documented home for sequential reductions and is therefore
 /// *not* scanned: `dot_seq`/`sum_seq` live there.
-pub const FLOAT_FOLD_FILES: [&str; 3] = [
+pub const FLOAT_FOLD_FILES: [&str; 4] = [
     "crates/ml/src/dataset.rs",
+    "crates/ml/src/grouped.rs",
     "crates/ml/src/logistic.rs",
     "crates/ml/src/scorecard.rs",
 ];

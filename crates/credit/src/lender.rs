@@ -20,6 +20,7 @@ use eqimpact_core::checkpoint::ModelCheckpoint;
 use eqimpact_core::closed_loop::{AiSystem, Feedback};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::shard::{ColsView, ShardableAi};
+use eqimpact_ml::grouped::GroupedTable;
 use eqimpact_ml::logistic::{LogisticModel, LogisticRegression};
 use eqimpact_ml::scorecard::Scorecard;
 
@@ -41,10 +42,9 @@ pub struct ScorecardLender {
     fitter: LogisticRegression,
     /// `ADR_i(k−1)` as known to the lender (from the last feedback).
     prev_adr: Vec<f64>,
-    /// Accumulated training rows `(adr_prev, income_code)`, stored flat.
-    train_rows: FeatureMatrix,
-    /// Accumulated labels `y_i(j)` (offered users only).
-    train_labels: Vec<f64>,
+    /// Accumulated training observations `(adr_prev, income_code) →
+    /// y_i(j)` (offered users only), pooled by feature vector.
+    training: GroupedTable,
     /// The current model, if fitted.
     model: Option<LogisticModel>,
     /// Refits performed.
@@ -65,8 +65,7 @@ impl ScorecardLender {
             multiple,
             fitter: LogisticRegression::default(),
             prev_adr: Vec::new(),
-            train_rows: FeatureMatrix::new(2),
-            train_labels: Vec::new(),
+            training: GroupedTable::new(),
             model: None,
             refits: 0,
         }
@@ -89,9 +88,9 @@ impl ScorecardLender {
         self.refits
     }
 
-    /// Accumulated training-set size.
+    /// Accumulated training-set size, in observations.
     pub fn training_size(&self) -> usize {
-        self.train_labels.len()
+        self.training.len()
     }
 }
 
@@ -115,24 +114,20 @@ impl AiSystem for ScorecardLender {
         let code = feedback.visible.col(VISIBLE_INCOME_CODE);
         for (i, &action) in feedback.actions.iter().enumerate() {
             if feedback.signals[i] > 0.0 {
-                self.train_rows.push_row(&[self.prev_adr[i], code[i]]);
-                self.train_labels.push(action);
+                // The table rejects a malformed row (non-finite history,
+                // non-binary outcome); the refit runs on the rest.
+                let _ = self.training.push(&[self.prev_adr[i], code[i]], action);
             }
         }
         // The filter's per-user output is ADR_i up to the feedback step —
         // which is exactly ADR_i(k−1) at the next decision.
         self.prev_adr.clone_from(&feedback.per_user);
 
-        if !self.train_labels.is_empty() {
-            let data = eqimpact_ml::Dataset::from_columns(
-                &self.train_rows.col_slices(),
-                &self.train_labels,
-            )
-            .expect("rows built consistently");
-            if let Ok(model) = self.fitter.fit(&data) {
-                self.model = Some(model);
-                self.refits += 1;
-            }
+        // Fitting an empty table is an error, so nothing is refitted
+        // before the first offer.
+        if let Ok(model) = self.training.fit(&self.fitter) {
+            self.model = Some(model);
+            self.refits += 1;
         }
     }
 
@@ -372,6 +367,22 @@ mod tests {
             "income coef = {}",
             model.coefficients[1]
         );
+        // The pooled fit is the row fit over the same 400 rows, whose
+        // history is the fresh lender's ADR of 0.
+        let rows: Vec<Vec<f64>> = visible
+            .col(VISIBLE_INCOME_CODE)
+            .iter()
+            .map(|&code| vec![0.0, code])
+            .collect();
+        let by_rows = LogisticRegression::default()
+            .fit(&eqimpact_ml::Dataset::new(&rows, &feedback.actions).unwrap())
+            .unwrap();
+        assert_eq!(model.iterations, by_rows.iterations);
+        assert_eq!(model.converged, by_rows.converged);
+        assert!((model.intercept - by_rows.intercept).abs() < 1e-9);
+        for (a, b) in model.coefficients.iter().zip(&by_rows.coefficients) {
+            assert!((a - b).abs() < 1e-9, "pooled {a} vs rows {b}");
+        }
 
         // Decisions at k >= warmup use the scorecard: a defaulted low-income
         // user is denied, a clean high-income user approved.
@@ -381,6 +392,34 @@ mod tests {
         // The scorecard table renders.
         let card = lender.scorecard().unwrap();
         assert!(card.to_table().contains("History"));
+    }
+
+    #[test]
+    fn scorecard_lender_skips_malformed_rows_and_still_refits() {
+        let mut lender = ScorecardLender::paper_default();
+        let visible = visible_matrix(&[10.0, 60.0, 10.0, 60.0]);
+        let feedback = |per_user: Vec<f64>, actions: Vec<f64>| Feedback {
+            step: 0,
+            per_user,
+            aggregate: 0.0,
+            visible: visible.clone(),
+            signals: vec![35.0, 210.0, 35.0, 210.0],
+            actions,
+        };
+        // User 0's filter output is NaN, so its next row has a NaN history.
+        lender.retrain(
+            0,
+            &feedback(vec![f64::NAN, 0.0, 1.0, 0.0], vec![0.0, 1.0, 0.0, 1.0]),
+        );
+        assert_eq!(lender.training_size(), 4);
+        // User 1's outcome of 0.5 is not a label either.
+        lender.retrain(
+            1,
+            &feedback(vec![0.0, 0.0, 1.0, 0.0], vec![1.0, 0.5, 0.0, 1.0]),
+        );
+        assert_eq!(lender.training_size(), 6);
+        assert_eq!(lender.refits(), 2);
+        assert!(lender.model().is_some());
     }
 
     #[test]

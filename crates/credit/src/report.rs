@@ -7,6 +7,7 @@ use eqimpact_ml::scorecard::Scorecard;
 use eqimpact_stats::describe::Summary;
 use eqimpact_stats::hist::Histogram2D;
 use eqimpact_stats::{Json, ToJson};
+use std::fmt::Write;
 
 /// The paper's Table I reference values: `(history, income)` points.
 pub const TABLE1_PAPER_REFERENCE: (f64, f64) = (-8.17, 5.77);
@@ -151,19 +152,17 @@ pub fn fig2_income_distribution(table: &IncomeTable, year: u32) -> Vec<(String, 
         .collect()
 }
 
+// The CSV renderers below append straight into their output `String`;
+// writing into a `String` cannot fail, so the `fmt::Result`s are dropped.
+
 /// Renders the Fig. 3 series as CSV:
 /// `year,race,mean,std`.
 pub fn fig3_csv(summaries: &[RaceAdrSummary], first_year: u32) -> String {
     let mut csv = String::from("year,race,mean_adr,std_adr\n");
     for s in summaries {
         for (k, (m, sd)) in s.mean.iter().zip(&s.std).enumerate() {
-            csv.push_str(&format!(
-                "{},{},{:.6},{:.6}\n",
-                first_year + k as u32,
-                s.race,
-                m,
-                sd
-            ));
+            let year = first_year + k as u32;
+            let _ = writeln!(csv, "{year},{},{m:.6},{sd:.6}", s.race);
         }
     }
     csv
@@ -174,13 +173,8 @@ pub fn fig4_csv(series: &[(String, Vec<f64>)], first_year: u32) -> String {
     let mut csv = String::from("series_id,race,year,adr\n");
     for (id, (race, traj)) in series.iter().enumerate() {
         for (k, adr) in traj.iter().enumerate() {
-            csv.push_str(&format!(
-                "{},{},{},{:.6}\n",
-                id,
-                race,
-                first_year + k as u32,
-                adr
-            ));
+            let year = first_year + k as u32;
+            let _ = writeln!(csv, "{id},{race},{year},{adr:.6}");
         }
     }
     csv
@@ -191,12 +185,13 @@ pub fn fig5_csv(hist: &Histogram2D, first_year: u32) -> String {
     let mut csv = String::from("year,adr,density\n");
     for x in 0..hist.x_len() {
         for b in 0..hist.y_bins() {
-            csv.push_str(&format!(
-                "{},{:.4},{:.6}\n",
+            let _ = writeln!(
+                csv,
+                "{},{:.4},{:.6}",
                 first_year + x as u32,
                 hist.y_bin_center(b),
                 hist.col_density(x, b)
-            ));
+            );
         }
     }
     csv
@@ -205,11 +200,8 @@ pub fn fig5_csv(hist: &Histogram2D, first_year: u32) -> String {
 /// Renders the Fig. 2 distribution as CSV: `bracket,black,white,asian`.
 pub fn fig2_csv(rows: &[(String, [f64; 3])]) -> String {
     let mut csv = String::from("bracket,black_alone,white_alone,asian_alone\n");
-    for (label, shares) in rows {
-        csv.push_str(&format!(
-            "{},{:.4},{:.4},{:.4}\n",
-            label, shares[0], shares[1], shares[2]
-        ));
+    for (label, [black, white, asian]) in rows {
+        let _ = writeln!(csv, "{label},{black:.4},{white:.4},{asian:.4}");
     }
     csv
 }
@@ -250,19 +242,11 @@ pub fn approval_rates_by_race(outcomes: &[CreditOutcome]) -> Vec<Vec<f64>> {
 
 /// Renders the approval series as CSV: `year,race,approval_rate`.
 pub fn approval_csv(rates: &[Vec<f64>], first_year: u32) -> String {
-    let mut csv = String::from(
-        "year,race,approval_rate
-",
-    );
+    let mut csv = String::from("year,race,approval_rate\n");
     for (race, series) in Race::ALL.iter().zip(rates) {
         for (k, r) in series.iter().enumerate() {
-            csv.push_str(&format!(
-                "{},{},{:.6}
-",
-                first_year + k as u32,
-                race.label(),
-                r
-            ));
+            let year = first_year + k as u32;
+            let _ = writeln!(csv, "{year},{},{r:.6}", race.label());
         }
     }
     csv

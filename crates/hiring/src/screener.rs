@@ -19,6 +19,7 @@ use eqimpact_core::checkpoint::ModelCheckpoint;
 use eqimpact_core::closed_loop::{AiSystem, Feedback};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::shard::{ColsView, ShardableAi};
+use eqimpact_ml::grouped::GroupedTable;
 use eqimpact_ml::logistic::{LogisticModel, LogisticRegression};
 
 /// The default warmup: rounds during which everyone is hired before the
@@ -36,10 +37,9 @@ pub struct AdaptiveScreener {
     /// `track_record_i(k−1)` as known to the screener (from the last
     /// feedback); `1.0` (clean record) for applicants never seen.
     prev_track: Vec<f64>,
-    /// Accumulated training rows `(track_record, credential)`, flat.
-    train_rows: FeatureMatrix,
-    /// Accumulated labels `y_i(j)` (hired applicants only).
-    train_labels: Vec<f64>,
+    /// Accumulated training observations `(track_record, credential) →
+    /// y_i(j)` (hired applicants only), pooled by feature vector.
+    training: GroupedTable,
     model: Option<LogisticModel>,
     refits: usize,
 }
@@ -57,8 +57,7 @@ impl AdaptiveScreener {
             cutoff,
             fitter: LogisticRegression::default(),
             prev_track: Vec::new(),
-            train_rows: FeatureMatrix::new(2),
-            train_labels: Vec::new(),
+            training: GroupedTable::new(),
             model: None,
             refits: 0,
         }
@@ -74,9 +73,9 @@ impl AdaptiveScreener {
         self.refits
     }
 
-    /// Accumulated training-set size.
+    /// Accumulated training-set size, in observations.
     pub fn training_size(&self) -> usize {
-        self.train_labels.len()
+        self.training.len()
     }
 }
 
@@ -104,22 +103,18 @@ impl AiSystem for AdaptiveScreener {
         let cred = feedback.visible.col(VISIBLE_CREDENTIAL);
         for (i, &action) in feedback.actions.iter().enumerate() {
             if feedback.signals[i] > 0.0 {
-                self.train_rows.push_row(&[self.prev_track[i], cred[i]]);
-                self.train_labels.push(action);
+                // The table rejects a malformed row (non-finite track
+                // record, non-binary outcome); the refit runs on the rest.
+                let _ = self.training.push(&[self.prev_track[i], cred[i]], action);
             }
         }
         self.prev_track.clone_from(&feedback.per_user);
 
-        if !self.train_labels.is_empty() {
-            let data = eqimpact_ml::Dataset::from_columns(
-                &self.train_rows.col_slices(),
-                &self.train_labels,
-            )
-            .expect("rows built consistently");
-            if let Ok(model) = self.fitter.fit(&data) {
-                self.model = Some(model);
-                self.refits += 1;
-            }
+        // Fitting an empty table is an error, so nothing is refitted
+        // before the first hire.
+        if let Ok(model) = self.training.fit(&self.fitter) {
+            self.model = Some(model);
+            self.refits += 1;
         }
     }
 
@@ -259,11 +254,56 @@ mod tests {
             "credential coef = {}",
             model.coefficients[1]
         );
+        // The pooled fit is the row fit over the same 400 rows, whose
+        // track record is the fresh screener's clean 1.0.
+        let rows: Vec<Vec<f64>> = visible
+            .col(VISIBLE_CREDENTIAL)
+            .iter()
+            .map(|&cred| vec![1.0, cred])
+            .collect();
+        let by_rows = LogisticRegression::default()
+            .fit(&eqimpact_ml::Dataset::new(&rows, &feedback.actions).unwrap())
+            .unwrap();
+        assert_eq!(model.iterations, by_rows.iterations);
+        assert_eq!(model.converged, by_rows.converged);
+        assert!((model.intercept - by_rows.intercept).abs() < 1e-9);
+        for (a, b) in model.coefficients.iter().zip(&by_rows.coefficients) {
+            assert!((a - b).abs() < 1e-9, "pooled {a} vs rows {b}");
+        }
         // Past warmup, the failed uncredentialed applicant is rejected and
         // the successful credentialed one hired.
         let decisions = s.signals(2, &visible);
         assert_eq!(decisions[0], 0.0);
         assert_eq!(decisions[1], 1.0);
+    }
+
+    #[test]
+    fn adaptive_skips_malformed_rows_and_still_refits() {
+        let mut s = AdaptiveScreener::default_config();
+        let visible = visible_matrix(&[(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]);
+        let feedback = |per_user: Vec<f64>, actions: Vec<f64>| Feedback {
+            step: 0,
+            per_user,
+            aggregate: 0.0,
+            visible: visible.clone(),
+            signals: vec![1.0; 4],
+            actions,
+        };
+        // Applicant 0's filter output is NaN, so its next row has a NaN
+        // track record.
+        s.retrain(
+            0,
+            &feedback(vec![f64::NAN, 1.0, 0.0, 1.0], vec![0.0, 1.0, 0.0, 1.0]),
+        );
+        assert_eq!(s.training_size(), 4);
+        // Applicant 1's outcome of 0.5 is not a label either.
+        s.retrain(
+            1,
+            &feedback(vec![1.0, 1.0, 0.0, 1.0], vec![1.0, 0.5, 0.0, 1.0]),
+        );
+        assert_eq!(s.training_size(), 6);
+        assert_eq!(s.refits(), 2);
+        assert!(s.model().is_some());
     }
 
     #[test]

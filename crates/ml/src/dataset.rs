@@ -3,10 +3,9 @@
 //! Since the columnar feature-plane redesign the dataset keeps one flat
 //! buffer per feature column (struct-of-arrays) instead of a row-major
 //! [`eqimpact_linalg::Matrix`]. Training and scoring walk whole columns
-//! through the `eqimpact_linalg::kernels` batch primitives, and the hot
-//! retrain paths build datasets straight from
-//! `eqimpact_core::features::FeatureMatrix` column slices with
-//! [`Dataset::from_columns`] — no transpose, no per-row gather.
+//! through the `eqimpact_linalg::kernels` batch primitives. Learners that
+//! accumulate observations across retrains keep them in a
+//! [`crate::grouped::GroupedTable`] instead.
 
 use eqimpact_linalg::{kernels, Vector};
 use std::fmt;
@@ -97,36 +96,6 @@ impl Dataset {
         Self::from_flat_buffer(width, flat.to_vec(), labels)
     }
 
-    /// Builds a dataset straight from per-feature column slices — the
-    /// zero-transpose constructor for columnar callers such as
-    /// `FeatureMatrix::col_slices()`. Each column must have
-    /// `labels.len()` entries.
-    pub fn from_columns(cols: &[&[f64]], labels: &[f64]) -> Result<Self, DatasetError> {
-        if labels.is_empty() {
-            return Err(DatasetError::Empty);
-        }
-        for col in cols {
-            if col.len() != labels.len() {
-                return Err(DatasetError::LengthMismatch {
-                    rows: col.len(),
-                    labels: labels.len(),
-                });
-            }
-        }
-        for i in 0..labels.len() {
-            for (j, col) in cols.iter().enumerate() {
-                if !col[i].is_finite() {
-                    return Err(DatasetError::NonFiniteFeature { row: i, col: j });
-                }
-            }
-        }
-        validate_labels(labels)?;
-        Ok(Dataset {
-            cols: cols.iter().map(|c| c.to_vec()).collect(),
-            y: Vector::from_slice(labels),
-        })
-    }
-
     /// All cell and label validation for the row-major constructors lives
     /// here; the validated buffer is then transposed once into the
     /// column-major storage.
@@ -205,31 +174,6 @@ impl Dataset {
         self.cols.iter().map(|c| c[i]).collect()
     }
 
-    /// Fraction of positive labels.
-    pub fn positive_rate(&self) -> f64 {
-        kernels::sum_seq(self.y.as_slice()) / self.y.len() as f64
-    }
-
-    /// Concatenates another dataset with the same width below this one —
-    /// the "accumulating the training data" filter of Fig. 1. Column-major
-    /// storage makes this a per-column `extend_from_slice`.
-    ///
-    /// # Panics
-    /// Panics when widths differ.
-    pub fn extend(&mut self, other: &Dataset) {
-        assert_eq!(
-            self.feature_count(),
-            other.feature_count(),
-            "Dataset::extend: width mismatch"
-        );
-        for (col, oc) in self.cols.iter_mut().zip(&other.cols) {
-            col.extend_from_slice(oc);
-        }
-        let mut labels: Vec<f64> = self.y.as_slice().to_vec();
-        labels.extend_from_slice(other.y.as_slice());
-        self.y = Vector::from_slice(&labels);
-    }
-
     /// Per-column mean and standard deviation (population), used for
     /// standardization. Degenerate columns (zero spread) report sd = 1 so
     /// that standardization is a no-op on them. Accumulation runs over each
@@ -301,7 +245,6 @@ mod tests {
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.feature_count(), 2);
         assert_eq!(ds.row(1), &[3.0, 4.0]);
-        assert!((ds.positive_rate() - 2.0 / 3.0).abs() < 1e-15);
         assert!(!ds.is_empty());
     }
 
@@ -313,34 +256,6 @@ mod tests {
         let cols = ds.feature_columns();
         assert_eq!(cols.len(), 2);
         assert_eq!(cols[1], &[2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn from_columns_matches_row_constructor() {
-        let by_rows = toy();
-        let by_cols =
-            Dataset::from_columns(&[&[1.0, 3.0, 5.0], &[2.0, 4.0, 6.0]], &[0.0, 1.0, 1.0]).unwrap();
-        assert_eq!(by_rows, by_cols);
-    }
-
-    #[test]
-    fn from_columns_rejects_invalid_inputs() {
-        assert_eq!(
-            Dataset::from_columns(&[], &[]).unwrap_err(),
-            DatasetError::Empty
-        );
-        assert!(matches!(
-            Dataset::from_columns(&[&[1.0, 2.0][..]], &[0.0]).unwrap_err(),
-            DatasetError::LengthMismatch { rows: 2, labels: 1 }
-        ));
-        assert!(matches!(
-            Dataset::from_columns(&[&[0.0][..], &[f64::NAN][..]], &[0.0]).unwrap_err(),
-            DatasetError::NonFiniteFeature { row: 0, col: 1 }
-        ));
-        assert!(matches!(
-            Dataset::from_columns(&[&[1.0][..]], &[0.25]).unwrap_err(),
-            DatasetError::NonBinaryLabel { index: 0 }
-        ));
     }
 
     #[test]
@@ -362,25 +277,6 @@ mod tests {
             Dataset::new(&[vec![f64::NAN]], &[0.0]).unwrap_err(),
             DatasetError::NonFiniteFeature { row: 0, col: 0 }
         ));
-    }
-
-    #[test]
-    fn extend_accumulates() {
-        let mut a = toy();
-        let b = Dataset::new(&[vec![7.0, 8.0]], &[0.0]).unwrap();
-        a.extend(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.row(3), &[7.0, 8.0]);
-        assert_eq!(a.feature_col(0), &[1.0, 3.0, 5.0, 7.0]);
-        assert_eq!(a.labels()[3], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn extend_rejects_width_mismatch() {
-        let mut a = toy();
-        let b = Dataset::new(&[vec![1.0]], &[0.0]).unwrap();
-        a.extend(&b);
     }
 
     #[test]

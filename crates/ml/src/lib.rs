@@ -9,11 +9,12 @@
 //! * [`dataset`] — design matrices with labels, standardization;
 //! * [`logistic`] — binomial GLM with logit link, fitted by IRLS (Newton)
 //!   with an L2 ridge and a gradient-descent fallback;
+//! * [`grouped`] — the grouped-binomial training table behind the
+//!   retrained learners: every observation so far, pooled by feature
+//!   vector, so a refit costs one IRLS row per distinct vector;
 //! * [`scorecard`] — coefficient-to-scorecard conversion, cut-off
 //!   decisions, Table I rendering;
-//! * [`metrics`] — accuracy, AUC, log-loss, calibration;
-//! * [`retrain`] — the accumulating retraining pipeline of Fig. 1 (concept
-//!   drift made explicit).
+//! * [`metrics`] — accuracy, AUC, log-loss, calibration.
 
 //! # Example
 //!
@@ -36,13 +37,13 @@
 
 pub mod counterfactual;
 pub mod dataset;
+pub mod grouped;
 pub mod logistic;
 pub mod metrics;
-pub mod retrain;
 pub mod scorecard;
 
 pub use counterfactual::{minimal_counterfactual, Counterfactual, FeatureBounds};
 pub use dataset::Dataset;
+pub use grouped::GroupedTable;
 pub use logistic::{LogisticModel, LogisticRegression, TrainError};
-pub use retrain::RetrainingPipeline;
 pub use scorecard::{CreditDecision, Scorecard};

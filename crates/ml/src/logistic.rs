@@ -9,11 +9,14 @@
 use crate::dataset::Dataset;
 use eqimpact_linalg::cholesky::solve_spd_with_ridge;
 use eqimpact_linalg::{kernels, Matrix, Vector};
+use eqimpact_telemetry::metrics as tm;
 use std::fmt;
 
 /// Training-time failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrainError {
+    /// There are no observations to fit.
+    Empty,
     /// All labels identical: the MLE does not exist without regularization.
     DegenerateLabels,
     /// The optimizer failed to make progress (should not happen with the
@@ -27,6 +30,7 @@ pub enum TrainError {
 impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TrainError::Empty => write!(f, "no observations to fit"),
             TrainError::DegenerateLabels => {
                 write!(f, "all labels identical; add regularization or more data")
             }
@@ -176,19 +180,42 @@ impl LogisticRegression {
     /// identical **and** no ridge is configured; with a positive ridge the
     /// penalized MLE exists and is returned instead.
     pub fn fit(&self, data: &Dataset) -> Result<LogisticModel, TrainError> {
-        let n = data.len();
-        let d = data.feature_count();
-        let pos = data.positive_rate();
+        // Every row is one observation. A count of 1.0 multiplies exactly
+        // and sums exactly to `n`, so this is the row-by-row IRLS bit for
+        // bit.
+        let ones = vec![1.0; data.len()];
+        self.fit_grouped(&data.feature_columns(), data.labels().as_slice(), &ones)
+    }
+
+    /// The IRLS core over grouped-binomial rows: row `i` has features
+    /// `cols[·][i]` and stands for `counts[i]` observations, `positives[i]`
+    /// of them labeled 1. The grouped likelihood
+    /// `Σᵢ sᵢ ln pᵢ + (cᵢ − sᵢ) ln(1 − pᵢ)` equals the likelihood of the
+    /// rows expanded one per observation, so the fit is the same model
+    /// for the price of one row per distinct feature vector.
+    ///
+    /// Returns [`TrainError::Empty`] when the counts sum to zero.
+    pub(crate) fn fit_grouped(
+        &self,
+        cols: &[&[f64]],
+        positives: &[f64],
+        counts: &[f64],
+    ) -> Result<LogisticModel, TrainError> {
+        let n = counts.len();
+        let d = cols.len();
+        let observations = kernels::sum_seq(counts);
+        if observations == 0.0 {
+            return Err(TrainError::Empty);
+        }
+        let pos = kernels::sum_seq(positives) / observations;
         if (pos == 0.0 || pos == 1.0) && self.ridge == 0.0 {
             return Err(TrainError::DegenerateLabels);
         }
 
         // The design matrix stays implicit: the intercept column is all
-        // ones, and the feature columns come straight from the columnar
-        // dataset storage.
-        let cols = data.feature_columns();
+        // ones, and the feature columns come straight from the caller's
+        // columnar storage.
         let xat = |i: usize, j: usize| if j == 0 { 1.0 } else { cols[j - 1][i] };
-        let y = data.labels();
 
         let mut beta = Vector::zeros(d + 1);
         // Warm start the intercept at the log-odds of the base rate.
@@ -211,13 +238,13 @@ impl LogisticRegression {
             for (j, col) in cols.iter().enumerate() {
                 kernels::axpy(&mut eta, beta[j + 1], col);
             }
-            // p = σ(X β); W = diag(p (1 - p)).
+            // p = σ(X β); W = diag(c p (1 - p)); residual s − c p.
             for i in 0..n {
                 p[i] = sigmoid(eta[i]);
-                w[i] = (p[i] * (1.0 - p[i])).max(1e-10);
-                resid[i] = y[i] - p[i];
+                w[i] = counts[i] * (p[i] * (1.0 - p[i])).max(1e-10);
+                resid[i] = positives[i] - counts[i] * p[i];
             }
-            // Gradient of penalized log-likelihood: Xᵀ(y − p) − λβ.
+            // Gradient of penalized log-likelihood: Xᵀ(s − c p) − λβ.
             // Accumulates over rows in ascending order with a skip on
             // zero residuals, exactly like the row-major transpose
             // mat-vec it replaces (skipping vs adding a signed zero can
@@ -283,6 +310,9 @@ impl LogisticRegression {
             }
         }
 
+        tm::IRLS_FITS.incr();
+        tm::IRLS_ITERATIONS.add(iterations as u64);
+        tm::IRLS_ROWS.add(n as u64);
         Ok(LogisticModel {
             intercept: beta[0],
             coefficients: beta.as_slice()[1..].to_vec(),

@@ -1,11 +1,49 @@
 //! Property-based tests for the ML crate.
 
 use eqimpact_ml::counterfactual::{minimal_counterfactual, CounterfactualError, FeatureBounds};
-use eqimpact_ml::logistic::{sigmoid, LogisticRegression};
+use eqimpact_ml::logistic::{sigmoid, LogisticModel, LogisticRegression};
 use eqimpact_ml::scorecard::{CreditDecision, Scorecard, ScorecardRow};
-use eqimpact_ml::Dataset;
+use eqimpact_ml::{Dataset, GroupedTable};
 use eqimpact_stats::SimRng;
 use proptest::prelude::*;
+
+/// `n` labeled rows on a small feature grid, so rows repeat the way the
+/// learners' do: a history on ratios of small counts and a binary code,
+/// labels drawn from a fixed logistic model.
+fn grid_rows(seed: u64, n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
+    const HISTORY: [f64; 6] = [0.0, 0.2, 0.25, 1.0 / 3.0, 0.5, 1.0];
+    let mut rng = SimRng::new(seed);
+    let rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| vec![HISTORY[rng.index(HISTORY.len())], rng.index(2) as f64])
+        .collect();
+    let labels = rows
+        .iter()
+        .map(|x| {
+            if rng.bernoulli(sigmoid(1.0 - 4.0 * x[0] + 2.0 * x[1])) {
+                1.0
+            } else {
+                0.0
+            }
+        })
+        .collect();
+    (rows, labels)
+}
+
+/// The table fitted after pushing `rows[order[0]], rows[order[1]], …`.
+fn table_fit(rows: &[Vec<f64>], labels: &[f64], order: &[usize]) -> LogisticModel {
+    let mut table = GroupedTable::new();
+    for &i in order {
+        table.push(&rows[i], labels[i]).unwrap();
+    }
+    table.fit(&LogisticRegression::default()).unwrap()
+}
+
+fn model_bits(m: &LogisticModel) -> Vec<u64> {
+    std::iter::once(m.intercept)
+        .chain(m.coefficients.iter().copied())
+        .map(f64::to_bits)
+        .collect()
+}
 
 fn arb_scorecard() -> impl Strategy<Value = Scorecard> {
     (
@@ -122,6 +160,60 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&p));
         }
         prop_assert!(model.log_loss(&data).is_finite());
+    }
+
+    /// The grouped fit is the row fit up to fold order: the same Newton
+    /// path, coefficients within 1e-9.
+    #[test]
+    fn grouped_fit_matches_the_row_fit(seed in 0u64..1_000_000, n in 1usize..400) {
+        let (rows, labels) = grid_rows(seed, n);
+        let by_rows = LogisticRegression::default()
+            .fit(&Dataset::new(&rows, &labels).unwrap())
+            .unwrap();
+        let order: Vec<usize> = (0..n).collect();
+        let by_cells = table_fit(&rows, &labels, &order);
+        prop_assert_eq!(by_cells.iterations, by_rows.iterations);
+        prop_assert_eq!(by_cells.converged, by_rows.converged);
+        let gap = (by_cells.intercept - by_rows.intercept).abs().max(
+            by_cells
+                .coefficients
+                .iter()
+                .zip(&by_rows.coefficients)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max),
+        );
+        prop_assert!(gap <= 1e-9, "∞-norm gap {gap:e} over {n} rows");
+    }
+
+    /// Arrival order never moves a bit of the grouped fit.
+    #[test]
+    fn grouped_fit_ignores_arrival_order(seed in 0u64..1_000_000, n in 1usize..400) {
+        let (rows, labels) = grid_rows(seed, n);
+        let order: Vec<usize> = (0..n).collect();
+        let mut shuffled = order.clone();
+        SimRng::new(seed).split(1).shuffle(&mut shuffled);
+        prop_assert_eq!(
+            model_bits(&table_fit(&rows, &labels, &shuffled)),
+            model_bits(&table_fit(&rows, &labels, &order))
+        );
+    }
+
+    /// A row the table rejects leaves no trace in the fit.
+    #[test]
+    fn grouped_fit_ignores_rejected_rows(seed in 0u64..1_000_000, n in 1usize..400) {
+        let (rows, labels) = grid_rows(seed, n);
+        let order: Vec<usize> = (0..n).collect();
+        let mut table = GroupedTable::new();
+        for (x, &y) in rows.iter().zip(&labels) {
+            prop_assert!(table.push(&[x[0], f64::NAN], y).is_err());
+            prop_assert!(table.push(x, 0.5).is_err());
+            table.push(x, y).unwrap();
+        }
+        prop_assert_eq!(table.len(), n);
+        prop_assert_eq!(
+            model_bits(&table.fit(&LogisticRegression::default()).unwrap()),
+            model_bits(&table_fit(&rows, &labels, &order))
+        );
     }
 
     #[test]

@@ -28,6 +28,16 @@ pub static LOOP_RECORD: PhaseSpan = PhaseSpan::new("loop.record");
 /// The retrain phase: delay-line pop, retrain and checkpointing.
 pub static LOOP_RETRAIN: PhaseSpan = PhaseSpan::new("loop.retrain");
 
+// --- irls plane (ml::logistic) -------------------------------------------
+
+/// Logistic fits completed by the IRLS core.
+pub static IRLS_FITS: Counter = Counter::new("irls.fits", Section::Deterministic);
+/// IRLS iterations summed over fits.
+pub static IRLS_ITERATIONS: Counter = Counter::new("irls.iterations", Section::Deterministic);
+/// Rows the IRLS core swept, summed over fits: one per distinct feature
+/// vector for a grouped table, one per observation for a plain dataset.
+pub static IRLS_ROWS: Counter = Counter::new("irls.rows", Section::Deterministic);
+
 // --- pool plane (core::pool) — scheduling-dependent, all wall-clock -----
 
 /// Budget leases taken.
@@ -109,8 +119,11 @@ pub static BENCH_SAMPLE: PhaseSpan = PhaseSpan::wall_clock("bench.sample");
 pub static CLI_COMMAND: PhaseSpan = PhaseSpan::wall_clock("cli.command");
 
 /// Every counter, in render order.
-pub static COUNTERS: [&Counter; 21] = [
+pub static COUNTERS: [&Counter; 24] = [
     &LOOP_STEPS,
+    &IRLS_FITS,
+    &IRLS_ITERATIONS,
+    &IRLS_ROWS,
     &POOL_LEASES,
     &POOL_LANES_REQUESTED,
     &POOL_LANES_GRANTED,

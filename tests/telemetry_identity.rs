@@ -121,4 +121,10 @@ fn deterministic_section_is_byte_identical_across_lane_counts() {
         one.contains("loop.steps"),
         "deterministic section should report loop.steps: {one}"
     );
+    // The scorecard lender refits through the IRLS core, whose work
+    // counters must land in the compared section, and be non-zero.
+    assert!(
+        one.contains("\"irls.fits\": ") && !one.contains("\"irls.fits\": 0,"),
+        "deterministic section should count irls.fits: {one}"
+    );
 }
