@@ -123,6 +123,8 @@ impl GroupedTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logistic::sigmoid;
+    use eqimpact_stats::SimRng;
 
     #[test]
     fn push_pools_repeated_rows_into_cells() {
@@ -137,10 +139,48 @@ mod tests {
     }
 
     #[test]
-    fn push_rejects_malformed_rows() {
+    fn refit_covers_every_round_pushed() {
+        // A slope-2 response on a 17-point grid, pushed in two rounds:
+        // each fit sees every observation so far, pooled into 17 cells.
+        let fitter = LogisticRegression::default();
+        let mut rng = SimRng::new(1);
+        let mut round = |t: &mut GroupedTable| {
+            for _ in 0..2000 {
+                let x = rng.index(17) as f64 / 4.0 - 2.0;
+                let y = if rng.bernoulli(sigmoid(2.0 * x)) {
+                    1.0
+                } else {
+                    0.0
+                };
+                t.push(&[x], y).unwrap();
+            }
+        };
+        let mut t = GroupedTable::new();
+        round(&mut t);
+        let first = t.fit(&fitter).unwrap();
+        assert!(first.coefficients[0] > 1.0);
+        assert_eq!((t.len(), t.cell_count()), (2000, 17));
+
+        round(&mut t);
+        let second = t.fit(&fitter).unwrap();
+        assert!(second.coefficients[0] > 1.0);
+        assert_eq!((t.len(), t.cell_count()), (4000, 17));
+        assert_ne!(first, second);
+    }
+
+    #[test]
+    fn push_rejects_ragged_rows() {
         let mut t = GroupedTable::new();
         t.push(&[0.0, 1.0], 1.0).unwrap();
         assert_eq!(t.push(&[0.0], 1.0), Err(DatasetError::RaggedRows));
+        assert_eq!(t.push(&[0.0, 1.0, 2.0], 0.0), Err(DatasetError::RaggedRows));
+        assert_eq!((t.len(), t.cell_count()), (1, 1));
+    }
+
+    #[test]
+    fn push_rejects_non_finite_features() {
+        let mut t = GroupedTable::new();
+        t.push(&[0.0, 1.0], 1.0).unwrap();
         assert_eq!(
             t.push(&[0.0, f64::NAN], 1.0),
             Err(DatasetError::NonFiniteFeature { row: 1, col: 1 })
@@ -149,12 +189,17 @@ mod tests {
             t.push(&[f64::INFINITY, 0.0], 0.0),
             Err(DatasetError::NonFiniteFeature { row: 1, col: 0 })
         );
-        assert_eq!(
-            t.push(&[0.0, 1.0], 0.5),
-            Err(DatasetError::NonBinaryLabel { index: 1 })
-        );
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.cell_count(), 1);
+        assert_eq!((t.len(), t.cell_count()), (1, 1));
+    }
+
+    #[test]
+    fn push_rejects_non_binary_labels() {
+        let mut t = GroupedTable::new();
+        t.push(&[0.0, 1.0], 1.0).unwrap();
+        let err = t.push(&[0.0, 1.0], 0.5).unwrap_err();
+        assert_eq!(err, DatasetError::NonBinaryLabel { index: 1 });
+        assert!(err.to_string().contains("not 0/1"));
+        assert_eq!((t.len(), t.cell_count()), (1, 1));
     }
 
     #[test]
