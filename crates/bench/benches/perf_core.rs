@@ -1,4 +1,4 @@
-//! P0-P8: performance microbenchmarks of the building blocks (not paper
+//! Performance microbenchmarks of the building blocks (not paper
 //! artifacts): loop step throughput, intra-trial sharding speedup, the
 //! trace store, the counterfactual lab, the columnar feature plane, IRLS
 //! fitting, Markov operator application, and invariant-measure
@@ -24,18 +24,10 @@
 //! bench (P8) writes
 //! `BENCH_columnar.json` (`BENCH_COLUMNAR_OUT`): batched column-kernel
 //! scoring versus a row-gathering baseline replicating the pre-redesign
-//! row-major hot path, on the same loop at the same scale. The
-//! observability bench (P10) writes `BENCH_obs.json` (`BENCH_OBS_OUT`):
-//! the instrumented `LoopRunner` with the telemetry recorder disabled
-//! and enabled against a hand-rolled uninstrumented twin of the same
-//! loop, asserting the disabled-recorder overhead stays within
-//! measurement noise of the twin.
+//! row-major hot path, on the same loop at the same scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eqimpact_core::closed_loop::{
-    AiSystem, DynLoopRunner, Feedback, FeedbackFilter, LoopBuilder, LoopRunner, MeanFilter,
-    UserPopulation,
-};
+use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::recorder::RecordPolicy;
 use eqimpact_core::shard::{
@@ -50,148 +42,6 @@ use eqimpact_ml::Dataset;
 use eqimpact_stats::SimRng;
 use std::ops::Range;
 use std::time::Instant;
-
-/// Synthetic AI block implementing the in-place hook (zero allocation).
-struct ThresholdAi;
-
-impl AiSystem for ThresholdAi {
-    fn signals_into(&mut self, _k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            visible
-                .col(0)
-                .iter()
-                .map(|&v| if v > 0.5 { 1.0 } else { 0.3 }),
-        );
-    }
-    fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
-}
-
-/// The same AI through the owned-return path (allocates per step), as the
-/// pre-redesign boxed runner did.
-struct ThresholdAiAlloc;
-
-impl AiSystem for ThresholdAiAlloc {
-    fn signals(&mut self, _k: usize, visible: &FeatureMatrix) -> Vec<f64> {
-        visible
-            .col(0)
-            .iter()
-            .map(|&v| if v > 0.5 { 1.0 } else { 0.3 })
-            .collect()
-    }
-    fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
-}
-
-/// Synthetic width-2 population with in-place hooks.
-struct SyntheticUsers {
-    n: usize,
-}
-
-impl SyntheticUsers {
-    fn feature(&self, k: usize, i: usize, j: usize) -> f64 {
-        ((i * 31 + k * 17 + j * 7) % 100) as f64 / 100.0
-    }
-}
-
-impl UserPopulation for SyntheticUsers {
-    fn user_count(&self) -> usize {
-        self.n
-    }
-    fn observe_into(&mut self, k: usize, _rng: &mut SimRng, out: &mut FeatureMatrix) {
-        out.reshape(self.n, 2);
-        let (c0, c1) = out.cols_pair_mut(0, 1);
-        for i in 0..self.n {
-            c0[i] = self.feature(k, i, 0);
-            c1[i] = self.feature(k, i, 1);
-        }
-    }
-    fn respond_into(&mut self, _k: usize, signals: &[f64], rng: &mut SimRng, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(signals.iter().map(|&s| {
-            if rng.bernoulli(0.2 + 0.6 * s) {
-                1.0
-            } else {
-                0.0
-            }
-        }));
-    }
-}
-
-/// [`MeanFilter`] forced through the owned-return path: only `apply` is
-/// implemented, so the runner's defaulted `apply_into` replaces the whole
-/// recycled [`Feedback`] with a freshly allocated one every step — the
-/// pre-redesign filter cost (per-step per_user/visible/signals/actions
-/// allocations).
-struct MeanFilterAlloc(MeanFilter);
-
-impl FeedbackFilter for MeanFilterAlloc {
-    fn apply(
-        &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
-        signals: &[f64],
-        actions: &[f64],
-    ) -> Feedback {
-        self.0.apply(k, visible, signals, actions)
-    }
-}
-
-/// The same population through the owned-return path (allocates per step).
-struct SyntheticUsersAlloc {
-    inner: SyntheticUsers,
-}
-
-impl UserPopulation for SyntheticUsersAlloc {
-    fn user_count(&self) -> usize {
-        self.inner.n
-    }
-    fn observe(&mut self, k: usize, rng: &mut SimRng) -> FeatureMatrix {
-        let mut out = FeatureMatrix::default();
-        self.inner.observe_into(k, rng, &mut out);
-        out
-    }
-    fn respond(&mut self, k: usize, signals: &[f64], rng: &mut SimRng) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.inner.respond_into(k, signals, rng, &mut out);
-        out
-    }
-}
-
-/// P0: the API-redesign headline — generic in-place runner vs the fully
-/// boxed owned-return runner (the pre-redesign shape) on the same
-/// synthetic loop.
-fn bench_loop_api(c: &mut Criterion) {
-    let mut group = c.benchmark_group("perf/loop_api");
-    group.sample_size(20);
-    for &(users, steps) in &[(1_000usize, 200usize), (10_000, 50)] {
-        let label = format!("{users}users_{steps}steps");
-        group.bench_function(BenchmarkId::new("generic_inplace", &label), |b| {
-            b.iter(|| {
-                let mut runner = LoopBuilder::new(ThresholdAi, SyntheticUsers { n: users })
-                    .filter(MeanFilter::default())
-                    .delay(1)
-                    .record(RecordPolicy::Thin)
-                    .build();
-                runner.run(steps, &mut SimRng::new(42))
-            })
-        });
-        group.bench_function(BenchmarkId::new("dyn_boxed_alloc", &label), |b| {
-            b.iter(|| {
-                let mut runner: DynLoopRunner = LoopRunner::new(
-                    Box::new(ThresholdAiAlloc),
-                    Box::new(SyntheticUsersAlloc {
-                        inner: SyntheticUsers { n: users },
-                    }),
-                    Box::new(MeanFilterAlloc(MeanFilter::default())),
-                    1,
-                );
-                runner.set_record_policy(RecordPolicy::Thin);
-                runner.run(steps, &mut SimRng::new(42))
-            })
-        });
-    }
-    group.finish();
-}
 
 /// Shard-invariant synthetic population for the sharding bench: the
 /// per-user work (an index-keyed stream, a resample-like draw, a
@@ -760,171 +610,6 @@ fn bench_columnar(_c: &mut Criterion) {
     println!("perf/columnar: wrote {path}");
 }
 
-/// A hand-rolled uninstrumented twin of [`LoopRunner::run`]: the same
-/// hooks in the same order with the same buffer recycling, but with no
-/// telemetry statements compiled in at all — the baseline the
-/// disabled-recorder overhead is measured against. Kept bit-identical to
-/// the real runner (asserted in [`bench_observability`] before timing).
-fn uninstrumented_twin(users: usize, steps: usize) -> eqimpact_core::recorder::LoopRecord {
-    use std::collections::VecDeque;
-
-    let mut ai = ThresholdAi;
-    let mut population = SyntheticUsers { n: users };
-    let mut filter = MeanFilter::default();
-    let delay = 1usize;
-    let mut rng = SimRng::new(42);
-    let n = population.user_count();
-    let mut record = eqimpact_core::recorder::LoopRecord::with_policy(n, RecordPolicy::Thin);
-    record.reserve(steps);
-    let mut pending: VecDeque<Feedback> = VecDeque::new();
-    let mut spare: Vec<Feedback> = Vec::new();
-    let mut visible = FeatureMatrix::default();
-    let mut signals = Vec::new();
-    let mut actions = Vec::new();
-    for k in 0..steps {
-        population.observe_into(k, &mut rng, &mut visible);
-        ai.signals_into(k, &visible, &mut signals);
-        population.respond_into(k, &signals, &mut rng, &mut actions);
-        let mut feedback = spare.pop().unwrap_or_default();
-        filter.apply_into(k, &visible, &signals, &actions, &mut feedback);
-        record.push_step(&signals, &actions, &feedback.per_user);
-        pending.push_back(feedback);
-        if pending.len() > delay {
-            let due = pending.pop_front().expect("non-empty by check");
-            ai.retrain(k, &due);
-            spare.push(due);
-        }
-    }
-    record
-}
-
-/// One timed run of the observability bench. Arm 0 is the uninstrumented
-/// twin, arm 1 the instrumented [`LoopRunner`] with no recorder
-/// installed, arm 2 the same runner with the recorder enabled.
-fn time_obs_run(users: usize, steps: usize, arm: usize) -> f64 {
-    if arm == 0 {
-        let start = Instant::now();
-        let record = uninstrumented_twin(users, steps);
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(record.steps(), steps);
-        return elapsed;
-    }
-    if arm == 2 {
-        eqimpact_telemetry::Recorder::install();
-    }
-    let mut runner = LoopBuilder::new(ThresholdAi, SyntheticUsers { n: users })
-        .filter(MeanFilter::default())
-        .delay(1)
-        .record(RecordPolicy::Thin)
-        .build();
-    let start = Instant::now();
-    let record = runner.run(steps, &mut SimRng::new(42));
-    let elapsed = start.elapsed().as_secs_f64() * 1e3;
-    if arm == 2 {
-        eqimpact_telemetry::Recorder::uninstall();
-    }
-    assert_eq!(record.steps(), steps);
-    elapsed
-}
-
-/// P10: the telemetry plane's overhead contract. The instrumented loop
-/// with the recorder **disabled** must stay within measurement noise of
-/// a hand-rolled uninstrumented twin (the disabled path is one relaxed
-/// atomic load per instrument site); the **enabled** cost is recorded
-/// for information, not asserted. Samples rotate round-robin as in P5
-/// and the medians land in `BENCH_obs.json` (`BENCH_OBS_OUT`).
-fn bench_observability(_c: &mut Criterion) {
-    use eqimpact_stats::json::{Json, ToJson};
-
-    let quick = criterion::is_quick();
-    let (users, steps) = (100_000usize, 50usize);
-    let reps = if quick { 2 } else { 10 };
-
-    println!("\n-- group: perf/observability ({users} users x {steps} steps) --");
-
-    // The twin and the real runner are the same computation — proven
-    // here (records compare bit-for-bit), so the timing compares equal
-    // work and the twin cannot silently drift as the runner evolves.
-    {
-        let _t = eqimpact_telemetry::test_guard();
-        let mut runner = LoopBuilder::new(ThresholdAi, SyntheticUsers { n: 1_000 })
-            .filter(MeanFilter::default())
-            .delay(1)
-            .record(RecordPolicy::Thin)
-            .build();
-        assert_eq!(
-            uninstrumented_twin(1_000, 20),
-            runner.run(20, &mut SimRng::new(42)),
-            "uninstrumented twin diverged from the instrumented LoopRunner"
-        );
-    }
-
-    let _t = eqimpact_telemetry::test_guard();
-    let mut samples: Vec<Vec<f64>> = (0..3).map(|_| Vec::with_capacity(reps)).collect();
-    time_obs_run(users, steps, 1); // warm-up
-    for rep in 0..reps {
-        for j in 0..3 {
-            let c = (j + rep) % 3;
-            samples[c].push(time_obs_run(users, steps, c));
-        }
-    }
-
-    let baseline_ms = median(&mut samples[0]);
-    let disabled_ms = median(&mut samples[1]);
-    let enabled_ms = median(&mut samples[2]);
-    println!("perf/observability/uninstrumented_twin            median {baseline_ms:>10.2} ms");
-    println!(
-        "perf/observability/recorder_disabled               median {disabled_ms:>10.2} ms  overhead x{:.3}",
-        disabled_ms / baseline_ms
-    );
-    println!(
-        "perf/observability/recorder_enabled                median {enabled_ms:>10.2} ms  overhead x{:.3}",
-        enabled_ms / baseline_ms
-    );
-
-    // The hardware-independent invariant the whole plane is built on:
-    // while no recorder is installed the instruments are a guaranteed
-    // no-op, so the instrumented runner must match the uninstrumented
-    // twin modulo measurement noise.
-    assert!(
-        disabled_ms <= baseline_ms * 1.10 + 5.0,
-        "disabled-recorder loop ({disabled_ms:.2} ms) regressed vs the \
-         uninstrumented twin ({baseline_ms:.2} ms)"
-    );
-
-    let doc = Json::obj([
-        ("users", users.to_json()),
-        ("steps", steps.to_json()),
-        ("record_policy", "thin".to_json()),
-        ("reps", reps.to_json()),
-        (
-            "note",
-            "same loop, same record (bit-identical, asserted): the twin \
-             is LoopRunner::run with every telemetry statement removed; \
-             disabled = instrumented runner with no recorder installed \
-             (one relaxed atomic load per site); enabled = recorder \
-             installed, phase spans and counters live."
-                .to_json(),
-        ),
-        ("uninstrumented_twin_ms", baseline_ms.to_json()),
-        ("recorder_disabled_ms", disabled_ms.to_json()),
-        ("recorder_enabled_ms", enabled_ms.to_json()),
-        (
-            "disabled_overhead_ratio",
-            (disabled_ms / baseline_ms).to_json(),
-        ),
-        (
-            "enabled_overhead_ratio",
-            (enabled_ms / baseline_ms).to_json(),
-        ),
-    ]);
-    let path = std::env::var("BENCH_OBS_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json").to_string()
-    });
-    std::fs::write(&path, doc.render_pretty()).expect("write BENCH_obs.json");
-    println!("perf/observability: wrote {path}");
-}
-
 fn bench_loop_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/credit_loop");
     group.sample_size(10);
@@ -1021,13 +706,11 @@ fn bench_invariant_measure(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_loop_api,
     bench_sharded_loop,
     bench_trace_store,
     bench_sweep,
     bench_certify,
     bench_columnar,
-    bench_observability,
     bench_loop_step,
     bench_irls,
     bench_markov_operator,

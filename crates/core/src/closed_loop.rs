@@ -1,18 +1,14 @@
 //! The closed loop of Fig. 1: AI system, user population, feedback filter
 //! and delay, wired by the statically dispatched [`LoopRunner`].
 //!
-//! Each block is a trait with two entry points: an owned-return method
-//! (`signals`, `observe`, `respond`, `apply`) that is convenient to
-//! implement, and an in-place `*_into` twin that writes into a reusable
-//! buffer. Each has a default in terms of the other, so an implementor
-//! provides whichever is natural; the runner always calls the `*_into`
-//! form, which makes the steady-state step **allocation-free** whenever
-//! the blocks override it.
+//! Each block operation is one in-place method (`signals_into`,
+//! `observe_into`, `respond_into`, `apply_into`) that writes into a
+//! reusable buffer, so a steady-state step is **allocation-free**.
 //!
-//! [`LoopRunner<S, P, F>`] is generic over its blocks (static dispatch on
-//! the hot path); [`DynLoopRunner`] is the type-erased form for callers
-//! that choose blocks at runtime, and produces bit-identical records for
-//! the same seed.
+//! The tail of a step — filter, record, delay line, retrain or restore,
+//! checkpoint capture — is the one [`StepTail`] that every loop driver
+//! shares: [`LoopRunner`], the sharded runner, and the trace crate's
+//! replay and off-policy evaluator.
 
 use crate::checkpoint::ModelCheckpoint;
 use crate::features::FeatureMatrix;
@@ -20,6 +16,7 @@ use crate::recorder::{LoopRecord, RecordPolicy, StepSink};
 use eqimpact_stats::SimRng;
 use eqimpact_telemetry::metrics as tm;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
 /// The filtered feedback package delivered (after the delay) to the AI
 /// system for retraining.
@@ -43,26 +40,21 @@ pub struct Feedback {
 /// The AI system block: produces per-user signals, retrains on delayed
 /// feedback.
 ///
-/// Implement `signals` (owned return) **or** `signals_into` (in-place);
-/// each defaults to the other, and the runner calls `signals_into`.
+/// Signals are written in place, and `signals_into` has no default, so
+/// an implementation without it does not compile:
 ///
-/// # Warning
-/// Implementing **neither** compiles (both have defaults) but recurses
-/// infinitely on first use — always override at least one.
+/// ```compile_fail,E0046
+/// use eqimpact_core::closed_loop::{AiSystem, Feedback};
+///
+/// struct Silent;
+/// impl AiSystem for Silent {
+///     fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
+/// }
+/// ```
 pub trait AiSystem {
-    /// Produces `π(k, i)` for every user given their visible features.
-    fn signals(&mut self, k: usize, visible: &FeatureMatrix) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.signals_into(k, visible, &mut out);
-        out
-    }
-
-    /// Writes `π(k, i)` into `out` (cleared first), reusing its capacity.
-    fn signals_into(&mut self, k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>) {
-        let signals = self.signals(k, visible);
-        out.clear();
-        out.extend_from_slice(&signals);
-    }
+    /// Writes `π(k, i)` for every user into `out` (cleared first),
+    /// reusing its capacity.
+    fn signals_into(&mut self, k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>);
 
     /// Absorbs one (delayed, filtered) feedback package — the retraining
     /// edge of Fig. 1.
@@ -97,75 +89,56 @@ pub trait AiSystem {
 /// The user population block: holds private states `x_i`, responds
 /// stochastically to signals.
 ///
-/// Implement the owned-return methods **or** their `*_into` twins; each
-/// defaults to the other, and the runner calls the `*_into` forms.
+/// Both operations are written in place and both are required:
 ///
-/// # Warning
-/// For each pair (`observe`/`observe_into`, `respond`/`respond_into`),
-/// implementing **neither** compiles but recurses infinitely on first
-/// use — always override at least one of each pair.
+/// ```compile_fail,E0046
+/// use eqimpact_core::closed_loop::UserPopulation;
+/// use eqimpact_core::features::FeatureMatrix;
+/// use eqimpact_stats::SimRng;
+///
+/// struct Mute;
+/// impl UserPopulation for Mute {
+///     fn user_count(&self) -> usize {
+///         1
+///     }
+///     fn observe_into(&mut self, _k: usize, _rng: &mut SimRng, out: &mut FeatureMatrix) {
+///         out.reshape(1, 0);
+///     }
+/// }
+/// ```
 pub trait UserPopulation {
     /// Number of users `N`.
     fn user_count(&self) -> usize;
 
     /// Advances private states to step `k` (e.g. income resampling) and
-    /// returns the per-user features visible to the AI system.
-    fn observe(&mut self, k: usize, rng: &mut SimRng) -> FeatureMatrix {
-        let mut out = FeatureMatrix::default();
-        self.observe_into(k, rng, &mut out);
-        out
-    }
+    /// writes the per-user features visible to the AI system into `out`,
+    /// reusing its allocation.
+    fn observe_into(&mut self, k: usize, rng: &mut SimRng, out: &mut FeatureMatrix);
 
-    /// Writes the visible features into `out`, reusing its allocation.
-    fn observe_into(&mut self, k: usize, rng: &mut SimRng, out: &mut FeatureMatrix) {
-        let visible = self.observe(k, rng);
-        out.fill_from(&visible);
-    }
-
-    /// Responds to the broadcast signals with actions `y_i(k)`.
-    fn respond(&mut self, k: usize, signals: &[f64], rng: &mut SimRng) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.respond_into(k, signals, rng, &mut out);
-        out
-    }
-
-    /// Writes the actions into `out` (cleared first), reusing its capacity.
-    fn respond_into(&mut self, k: usize, signals: &[f64], rng: &mut SimRng, out: &mut Vec<f64>) {
-        let actions = self.respond(k, signals, rng);
-        out.clear();
-        out.extend_from_slice(&actions);
-    }
+    /// Responds to the broadcast signals, writing the actions `y_i(k)`
+    /// into `out` (cleared first), reusing its capacity.
+    fn respond_into(&mut self, k: usize, signals: &[f64], rng: &mut SimRng, out: &mut Vec<f64>);
 }
 
 /// The filter block on the feedback path.
 ///
-/// Implement `apply` (owned return) **or** `apply_into` (in-place); each
-/// defaults to the other, and the runner calls `apply_into` with a
-/// recycled [`Feedback`] package.
+/// The feedback package is written in place into a package the
+/// [`StepTail`] recycles; an implementation without `apply_into` does
+/// not compile:
 ///
-/// # Warning
-/// Implementing **neither** compiles (both have defaults) but recurses
-/// infinitely on first use — always override at least one.
+/// ```compile_fail,E0046
+/// use eqimpact_core::closed_loop::FeedbackFilter;
+///
+/// struct Dropped;
+/// impl FeedbackFilter for Dropped {}
+/// ```
 pub trait FeedbackFilter {
-    /// Produces the feedback package for step `k` from the raw
-    /// observations.
-    fn apply(
-        &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
-        signals: &[f64],
-        actions: &[f64],
-    ) -> Feedback {
-        let mut out = Feedback::default();
-        self.apply_into(k, visible, signals, actions, &mut out);
-        out
-    }
-
-    /// Writes the feedback package into `out`, reusing its buffers.
+    /// Writes the feedback package for step `k`, computed from the raw
+    /// observations, into `out`, reusing its buffers.
     ///
-    /// `out` arrives holding a **previous step's contents** (the runner
-    /// recycles packages through the delay line): an override must assign
-    /// every field, not just the ones it computes, or stale
+    /// `out` arrives holding a **previous step's contents** (the delay
+    /// line recycles packages): an implementation must assign every
+    /// field, not just the ones it computes, or stale
     /// `visible`/`signals`/`actions` leak into retraining.
     fn apply_into(
         &mut self,
@@ -174,9 +147,7 @@ pub trait FeedbackFilter {
         signals: &[f64],
         actions: &[f64],
         out: &mut Feedback,
-    ) {
-        *out = self.apply(k, visible, signals, actions);
-    }
+    );
 
     /// Captures the filter's accumulated state into `out` (append-only;
     /// by convention filter fields are prefixed `filter.`) and returns
@@ -196,13 +167,10 @@ pub trait FeedbackFilter {
     }
 }
 
-// Boxed adapters: a `Box<dyn Block>` is itself a block, so the generic
-// runner subsumes the old fully-boxed construction (see [`DynLoopRunner`]).
-
+/// A boxed AI system is itself one, so callers can pick the system at
+/// runtime (e.g. the policy a trace names) and still drive the generic
+/// loop drivers.
 impl<T: AiSystem + ?Sized> AiSystem for Box<T> {
-    fn signals(&mut self, k: usize, visible: &FeatureMatrix) -> Vec<f64> {
-        (**self).signals(k, visible)
-    }
     fn signals_into(&mut self, k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>) {
         (**self).signals_into(k, visible, out)
     }
@@ -217,52 +185,6 @@ impl<T: AiSystem + ?Sized> AiSystem for Box<T> {
     }
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         (**self).as_any()
-    }
-}
-
-impl<T: UserPopulation + ?Sized> UserPopulation for Box<T> {
-    fn user_count(&self) -> usize {
-        (**self).user_count()
-    }
-    fn observe(&mut self, k: usize, rng: &mut SimRng) -> FeatureMatrix {
-        (**self).observe(k, rng)
-    }
-    fn observe_into(&mut self, k: usize, rng: &mut SimRng, out: &mut FeatureMatrix) {
-        (**self).observe_into(k, rng, out)
-    }
-    fn respond(&mut self, k: usize, signals: &[f64], rng: &mut SimRng) -> Vec<f64> {
-        (**self).respond(k, signals, rng)
-    }
-    fn respond_into(&mut self, k: usize, signals: &[f64], rng: &mut SimRng, out: &mut Vec<f64>) {
-        (**self).respond_into(k, signals, rng, out)
-    }
-}
-
-impl<T: FeedbackFilter + ?Sized> FeedbackFilter for Box<T> {
-    fn apply(
-        &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
-        signals: &[f64],
-        actions: &[f64],
-    ) -> Feedback {
-        (**self).apply(k, visible, signals, actions)
-    }
-    fn apply_into(
-        &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
-        signals: &[f64],
-        actions: &[f64],
-        out: &mut Feedback,
-    ) {
-        (**self).apply_into(k, visible, signals, actions, out)
-    }
-    fn checkpoint_into(&self, out: &mut ModelCheckpoint) -> bool {
-        (**self).checkpoint_into(out)
-    }
-    fn restore_checkpoint(&mut self, checkpoint: &ModelCheckpoint) -> bool {
-        (**self).restore_checkpoint(checkpoint)
     }
 }
 
@@ -313,33 +235,149 @@ impl FeedbackFilter for MeanFilter {
     }
 }
 
+/// One step's buffers at the step barrier, as a loop driver hands them
+/// to the [`StepTail`]: what the AI saw, what it broadcast, and how the
+/// users acted.
+#[derive(Debug, Clone, Copy)]
+pub struct StepView<'a> {
+    /// The step index `k`.
+    pub k: usize,
+    /// The visible features of every user.
+    pub visible: &'a FeatureMatrix,
+    /// The broadcast signals `π(k, ·)`.
+    pub signals: &'a [f64],
+    /// The actions `y(k)`.
+    pub actions: &'a [f64],
+}
+
+/// The restore source of a live run: no recorded checkpoints, so every
+/// due package is retrained on.
+pub(crate) fn retrain_always(_: &mut ModelCheckpoint) -> Result<bool, Infallible> {
+    Ok(false)
+}
+
+/// The tail of a loop step — the feedback half of Fig. 1 — shared by
+/// every loop driver: the two runners, and the trace crate's replay and
+/// off-policy evaluator. A driver produces a step's buffers its own way
+/// (simulating, sharding, or reading a trace) and hands them to
+/// [`Self::step`].
+///
+/// The tail owns the delay line: the packages waiting out the delay, the
+/// spare packages whose buffers the next step's filter reuses, and the
+/// checkpoint buffer. A steady-state step therefore allocates nothing.
+#[derive(Debug, Default)]
+pub struct StepTail {
+    delay: usize,
+    pending: VecDeque<Feedback>,
+    spare: Vec<Feedback>,
+    checkpoint: ModelCheckpoint,
+}
+
+impl StepTail {
+    /// An empty delay line of `delay` steps: `0` retrains on the same
+    /// step's feedback, `1` on the previous step's.
+    pub fn new(delay: usize) -> Self {
+        StepTail {
+            delay,
+            ..StepTail::default()
+        }
+    }
+
+    /// The configured delay.
+    pub fn delay(&self) -> usize {
+        self.delay
+    }
+
+    /// Runs the tail of one step, in this order:
+    ///
+    /// 1. **filter** — `filter` digests the step into a recycled
+    ///    [`Feedback`] package;
+    /// 2. **record** — `record` and `sink` see the step and the package's
+    ///    per-user output;
+    /// 3. **retrain or restore** — the package joins the delay line, and
+    ///    once more than `delay` packages wait the oldest is due. `restore`
+    ///    may load a recorded checkpoint for it; when it does and `ai`
+    ///    accepts it, the checkpoint replaces the retrain and `filter` is
+    ///    restored from it too. Otherwise `ai` retrains on the package;
+    /// 4. **capture** — when `sink` wants checkpoints, the retrained state
+    ///    of `ai` and `filter` goes to the sink.
+    ///
+    /// Returns whether a checkpoint replaced the retrain; an error of
+    /// `restore` ends the step there.
+    pub fn step<S, F, K, E>(
+        &mut self,
+        ai: &mut S,
+        filter: &mut F,
+        step: StepView<'_>,
+        record: &mut LoopRecord,
+        sink: &mut K,
+        restore: impl FnOnce(&mut ModelCheckpoint) -> Result<bool, E>,
+    ) -> Result<bool, E>
+    where
+        S: AiSystem,
+        F: FeedbackFilter,
+        K: StepSink + ?Sized,
+    {
+        let StepView {
+            k,
+            visible,
+            signals,
+            actions,
+        } = step;
+        let mut feedback = self.spare.pop().unwrap_or_default();
+        {
+            let _phase = tm::LOOP_FILTER.enter();
+            filter.apply_into(k, visible, signals, actions, &mut feedback);
+        }
+        {
+            let _phase = tm::LOOP_RECORD.enter();
+            record.push_step(signals, actions, &feedback.per_user);
+            sink.on_step(k, visible, signals, actions, &feedback.per_user);
+        }
+
+        self.pending.push_back(feedback);
+        if self.pending.len() <= self.delay {
+            return Ok(false);
+        }
+        let _phase = tm::LOOP_RETRAIN.enter();
+        let due = self.pending.pop_front().expect("non-empty by check");
+        let restored = restore(&mut self.checkpoint)? && ai.restore_checkpoint(&self.checkpoint);
+        if restored {
+            let _ = filter.restore_checkpoint(&self.checkpoint);
+        } else {
+            ai.retrain(k, &due);
+        }
+        // Recycle the package: its buffers become a later step's.
+        self.spare.push(due);
+        if sink.wants_checkpoints() {
+            self.checkpoint.reset(k);
+            if ai.checkpoint_into(&mut self.checkpoint) {
+                let _ = filter.checkpoint_into(&mut self.checkpoint);
+                sink.on_checkpoint(k, &self.checkpoint);
+            }
+        }
+        Ok(restored)
+    }
+}
+
 /// The loop runner: wires AI system, population, filter and a delay line
 /// of `delay` steps between observation and retraining. Generic over its
-/// blocks — the hot path is statically dispatched and, when the blocks
-/// implement their `*_into` hooks, allocation-free in steady state
-/// (observation, signal, action and feedback buffers are all recycled).
+/// blocks — the hot path is statically dispatched and allocation-free in
+/// steady state (observation, signal, action and feedback buffers are
+/// all recycled).
 ///
 /// Use [`LoopBuilder`] to construct one, or [`LoopRunner::new`] for the
-/// positional form. For runtime-chosen blocks, box them and use the
-/// [`DynLoopRunner`] alias — same runner, same record, dynamic dispatch.
+/// positional form.
 pub struct LoopRunner<S, P, F> {
     ai: S,
     population: P,
     filter: F,
-    delay: usize,
     policy: RecordPolicy,
-    pending: VecDeque<Feedback>,
-    spare: Vec<Feedback>,
+    tail: StepTail,
     visible: FeatureMatrix,
     signals: Vec<f64>,
     actions: Vec<f64>,
 }
-
-/// The fully type-erased runner: every block boxed, blocks chosen at
-/// runtime. Produces bit-identical [`LoopRecord`]s to the generic form
-/// for the same seed.
-pub type DynLoopRunner =
-    LoopRunner<Box<dyn AiSystem>, Box<dyn UserPopulation>, Box<dyn FeedbackFilter>>;
 
 impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
     /// Creates a runner. `delay = 0` retrains on the same step's feedback;
@@ -350,10 +388,8 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
             ai,
             population,
             filter,
-            delay,
             policy: RecordPolicy::Full,
-            pending: VecDeque::new(),
-            spare: Vec::new(),
+            tail: StepTail::new(delay),
             visible: FeatureMatrix::default(),
             signals: Vec::new(),
             actions: Vec::new(),
@@ -362,7 +398,7 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
 
     /// The configured delay.
     pub fn delay(&self) -> usize {
-        self.delay
+        self.tail.delay()
     }
 
     /// The configured record policy.
@@ -394,8 +430,6 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
         let n = self.population.user_count();
         let mut record = LoopRecord::with_policy(n, self.policy);
         record.reserve(steps);
-        let wants_checkpoints = sink.wants_checkpoints();
-        let mut checkpoint = ModelCheckpoint::new();
         eqimpact_telemetry::progress::add_goal(steps as u64);
 
         for k in 0..steps {
@@ -428,44 +462,20 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
                 "population must emit one action per user"
             );
 
-            let mut feedback = self.spare.pop().unwrap_or_default();
-            {
-                let _phase = tm::LOOP_FILTER.enter();
-                self.filter.apply_into(
-                    k,
-                    &self.visible,
-                    &self.signals,
-                    &self.actions,
-                    &mut feedback,
-                );
-            }
-            {
-                let _phase = tm::LOOP_RECORD.enter();
-                record.push_step(&self.signals, &self.actions, &feedback.per_user);
-                sink.on_step(
-                    k,
-                    &self.visible,
-                    &self.signals,
-                    &self.actions,
-                    &feedback.per_user,
-                );
-            }
-
-            self.pending.push_back(feedback);
-            if self.pending.len() > self.delay {
-                let _phase = tm::LOOP_RETRAIN.enter();
-                let due = self.pending.pop_front().expect("non-empty by check");
-                self.ai.retrain(k, &due);
-                // Recycle the package: its buffers become the next step's.
-                self.spare.push(due);
-                if wants_checkpoints {
-                    checkpoint.reset(k);
-                    if self.ai.checkpoint_into(&mut checkpoint) {
-                        let _ = self.filter.checkpoint_into(&mut checkpoint);
-                        sink.on_checkpoint(k, &checkpoint);
-                    }
-                }
-            }
+            let step = StepView {
+                k,
+                visible: &self.visible,
+                signals: &self.signals,
+                actions: &self.actions,
+            };
+            let Ok(_) = self.tail.step(
+                &mut self.ai,
+                &mut self.filter,
+                step,
+                &mut record,
+                sink,
+                retrain_always,
+            );
             tm::LOOP_STEPS.incr();
         }
         record
@@ -506,13 +516,19 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
 /// # use eqimpact_core::features::FeatureMatrix;
 /// # use eqimpact_stats::SimRng;
 /// # struct Ai; impl AiSystem for Ai {
-/// #     fn signals(&mut self, _k: usize, v: &FeatureMatrix) -> Vec<f64> { vec![0.0; v.row_count()] }
+/// #     fn signals_into(&mut self, _k: usize, v: &FeatureMatrix, out: &mut Vec<f64>) {
+/// #         out.clear();
+/// #         out.resize(v.row_count(), 0.0);
+/// #     }
 /// #     fn retrain(&mut self, _k: usize, _f: &Feedback) {}
 /// # }
 /// # struct Users; impl UserPopulation for Users {
 /// #     fn user_count(&self) -> usize { 3 }
-/// #     fn observe(&mut self, _k: usize, _rng: &mut SimRng) -> FeatureMatrix { FeatureMatrix::zeros(3, 0) }
-/// #     fn respond(&mut self, _k: usize, s: &[f64], _rng: &mut SimRng) -> Vec<f64> { s.to_vec() }
+/// #     fn observe_into(&mut self, _k: usize, _rng: &mut SimRng, out: &mut FeatureMatrix) { out.reshape(3, 0) }
+/// #     fn respond_into(&mut self, _k: usize, s: &[f64], _rng: &mut SimRng, out: &mut Vec<f64>) {
+/// #         out.clear();
+/// #         out.extend_from_slice(s);
+/// #     }
 /// # }
 /// let mut runner = LoopBuilder::new(Ai, Users)
 ///     .filter(MeanFilter::default())
@@ -640,8 +656,9 @@ mod tests {
     }
 
     impl AiSystem for CountingAi {
-        fn signals(&mut self, _k: usize, visible: &FeatureMatrix) -> Vec<f64> {
-            vec![self.level; visible.row_count()]
+        fn signals_into(&mut self, _k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>) {
+            out.clear();
+            out.resize(visible.row_count(), self.level);
         }
         fn retrain(&mut self, _k: usize, feedback: &Feedback) {
             self.retrain_steps.push(feedback.step);
@@ -710,15 +727,20 @@ mod tests {
         }
     }
 
+    fn apply(f: &mut MeanFilter, k: usize, visible: &FeatureMatrix, actions: &[f64]) -> Feedback {
+        let mut out = Feedback::default();
+        f.apply_into(k, visible, &vec![0.0; actions.len()], actions, &mut out);
+        out
+    }
+
     #[test]
     fn mean_filter_accumulates_per_user() {
         let mut f = MeanFilter::default();
         let visible = FeatureMatrix::zeros(2, 0);
-        let signals = vec![0.0, 0.0];
-        let f1 = f.apply(0, &visible, &signals, &[1.0, 0.0]);
+        let f1 = apply(&mut f, 0, &visible, &[1.0, 0.0]);
         assert_eq!(f1.per_user, vec![1.0, 0.0]);
         assert_eq!(f1.aggregate, 0.5);
-        let f2 = f.apply(1, &visible, &signals, &[0.0, 0.0]);
+        let f2 = apply(&mut f, 1, &visible, &[0.0, 0.0]);
         assert_eq!(f2.per_user, vec![0.5, 0.0]);
         assert_eq!(f2.aggregate, 0.0);
         assert_eq!(f2.step, 1);
@@ -737,23 +759,6 @@ mod tests {
                 assert!((record.actions(k)[i] - record.signals(k)[i] - 1.0).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn boxed_and_generic_runners_agree() {
-        let mut generic = runner_with_delay(2);
-        let mut boxed: DynLoopRunner = LoopRunner::new(
-            Box::new(CountingAi {
-                level: 0.0,
-                retrain_steps: Vec::new(),
-            }),
-            Box::new(DeterministicUsers { n: 3 }),
-            Box::new(MeanFilter::default()),
-            2,
-        );
-        let a = generic.run(25, &mut SimRng::new(11));
-        let b = boxed.run(25, &mut SimRng::new(11));
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -802,8 +807,9 @@ mod tests {
     fn mismatched_ai_is_caught() {
         struct BadAi;
         impl AiSystem for BadAi {
-            fn signals(&mut self, _k: usize, _visible: &FeatureMatrix) -> Vec<f64> {
-                vec![0.0] // wrong length
+            fn signals_into(&mut self, _k: usize, _visible: &FeatureMatrix, out: &mut Vec<f64>) {
+                out.clear();
+                out.push(0.0); // wrong length
             }
             fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
         }

@@ -13,13 +13,11 @@
 //! * [`closed_loop`] — the [`closed_loop::AiSystem`],
 //!   [`closed_loop::UserPopulation`] and [`closed_loop::FeedbackFilter`]
 //!   traits plus the generic [`closed_loop::LoopRunner`] that wires them
-//!   together with an explicit delay line. The runner is **statically
-//!   dispatched** over its three blocks and drives them through in-place
-//!   `*_into` hooks, so a steady-state step performs **zero allocations**
-//!   when the blocks implement them (every trait method has a defaulted
-//!   fallback, so owned-return implementations keep working). The
-//!   [`closed_loop::DynLoopRunner`] alias is the fully boxed form for
-//!   blocks chosen at runtime — bit-identical records, dynamic dispatch;
+//!   together. Each block operation is one required in-place `*_into`
+//!   method and the runner is **statically dispatched** over its three
+//!   blocks, so a steady-state step performs **zero allocations**. The
+//!   filter → record → delay → retrain tail of a step is one
+//!   [`closed_loop::StepTail`], shared by every loop driver;
 //! * [`features`] — [`features::FeatureMatrix`], the flat row-major
 //!   feature storage that replaces `Vec<Vec<f64>>` on the hot path;
 //! * [`recorder`] — the telemetry of a run ([`recorder::LoopRecord`],
@@ -54,9 +52,8 @@
 //!
 //! A one-dimensional toy loop, assembled with [`closed_loop::LoopBuilder`]:
 //! the AI system broadcasts the filtered average of past actions and users
-//! respond stochastically. The blocks implement the convenient
-//! owned-return methods; swap in the `*_into` twins for allocation-free
-//! stepping.
+//! respond stochastically. Every block writes into the buffer the runner
+//! hands it, so the loop allocates nothing once the buffers have grown.
 //!
 //! ```
 //! use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
@@ -67,8 +64,9 @@
 //!
 //! struct Broadcast(f64);
 //! impl AiSystem for Broadcast {
-//!     fn signals(&mut self, _k: usize, visible: &FeatureMatrix) -> Vec<f64> {
-//!         vec![self.0; visible.row_count()]
+//!     fn signals_into(&mut self, _k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>) {
+//!         out.clear();
+//!         out.resize(visible.row_count(), self.0);
 //!     }
 //!     fn retrain(&mut self, _k: usize, feedback: &Feedback) {
 //!         self.0 = 0.5 * self.0 + 0.5 * feedback.aggregate;
@@ -78,11 +76,12 @@
 //! struct Coins(usize);
 //! impl UserPopulation for Coins {
 //!     fn user_count(&self) -> usize { self.0 }
-//!     fn observe(&mut self, _k: usize, _rng: &mut SimRng) -> FeatureMatrix {
-//!         FeatureMatrix::zeros(self.0, 0)
+//!     fn observe_into(&mut self, _k: usize, _rng: &mut SimRng, out: &mut FeatureMatrix) {
+//!         out.reshape(self.0, 0);
 //!     }
-//!     fn respond(&mut self, _k: usize, signals: &[f64], rng: &mut SimRng) -> Vec<f64> {
-//!         signals.iter().map(|&s| if rng.bernoulli(0.2 + 0.6 * s.clamp(0.0, 1.0)) { 1.0 } else { 0.0 }).collect()
+//!     fn respond_into(&mut self, _k: usize, signals: &[f64], rng: &mut SimRng, out: &mut Vec<f64>) {
+//!         out.clear();
+//!         out.extend(signals.iter().map(|&s| if rng.bernoulli(0.2 + 0.6 * s.clamp(0.0, 1.0)) { 1.0 } else { 0.0 }));
 //!     }
 //! }
 //!
@@ -95,11 +94,6 @@
 //! let report = equal_impact_report(&record, 0.2, 0.1);
 //! assert!(report.all_coincide);
 //! ```
-//!
-//! Boxed blocks still work — `LoopRunner::new(Box::new(ai) as Box<dyn
-//! AiSystem>, ...)` builds a [`closed_loop::DynLoopRunner`] whose records
-//! are bit-identical to the generic runner's for the same seed (a property
-//! the test suite checks).
 
 #![warn(missing_docs)]
 
@@ -117,8 +111,7 @@ pub mod trials;
 
 pub use checkpoint::ModelCheckpoint;
 pub use closed_loop::{
-    AiSystem, DynLoopRunner, Feedback, FeedbackFilter, LoopBuilder, LoopRunner, MeanFilter,
-    UserPopulation,
+    AiSystem, Feedback, FeedbackFilter, LoopBuilder, LoopRunner, MeanFilter, UserPopulation,
 };
 pub use fairness::{demographic_parity, equal_opportunity, individual_fairness};
 pub use features::FeatureMatrix;

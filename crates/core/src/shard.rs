@@ -9,7 +9,7 @@
 //! of a per-run [`WorkerPool`] (leased from the process-wide
 //! [`ThreadBudget`]), and re-joins at a per-step barrier where the
 //! [`FeedbackFilter`], the [`LoopRecord`] and retraining run sequentially
-//! on the merged buffers — byte-for-byte the same tail as
+//! on the merged buffers — the same [`StepTail`] as
 //! [`LoopRunner`](crate::closed_loop::LoopRunner).
 //!
 //! # The determinism contract
@@ -42,14 +42,14 @@
 //! everywhere the sequential runner is used; sharding simply requires the
 //! extra impls.
 
-use crate::checkpoint::ModelCheckpoint;
-use crate::closed_loop::{AiSystem, Feedback, FeedbackFilter, UserPopulation};
+use crate::closed_loop::{
+    retrain_always, AiSystem, FeedbackFilter, StepTail, StepView, UserPopulation,
+};
 use crate::features::FeatureMatrix;
 use crate::pool::{PoolJob, ThreadBudget, WorkerPool};
 use crate::recorder::{LoopRecord, RecordPolicy, StepSink};
 use eqimpact_stats::SimRng;
 use eqimpact_telemetry::metrics as tm;
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Phase label of the observation sweep (arbitrary fixed constant).
@@ -360,8 +360,8 @@ pub fn auto_shards_for(budget: &ThreadBudget) -> usize {
 /// rows, writing into disjoint sub-slices of the step buffers; at the
 /// step barrier the main thread applies the [`FeedbackFilter`] to the
 /// merged buffers, records the step, and retrains through the delay line
-/// — exactly the sequential tail, in the sequential order. See the module
-/// docs for the determinism contract.
+/// — the sequential runner's [`StepTail`]. See the module docs for the
+/// determinism contract.
 ///
 /// Cost model: one run leases its lanes from the [`ThreadBudget`] and
 /// spawns one [`WorkerPool`] (`lanes − 1` threads, zero when the budget
@@ -385,13 +385,11 @@ pub struct ShardedRunner<S, P: ShardablePopulation, F> {
     ai: S,
     shards: Vec<P::Shard>,
     filter: F,
-    delay: usize,
     policy: RecordPolicy,
     budget: &'static ThreadBudget,
     user_count: usize,
     width: usize,
-    pending: VecDeque<Feedback>,
-    spare: Vec<Feedback>,
+    tail: StepTail,
     visible: FeatureMatrix,
     signals: Vec<f64>,
     actions: Vec<f64>,
@@ -456,13 +454,11 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
             ai,
             shards,
             filter,
-            delay,
             policy: RecordPolicy::Full,
             budget,
             user_count,
             width,
-            pending: VecDeque::new(),
-            spare: Vec::new(),
+            tail: StepTail::new(delay),
             visible: FeatureMatrix::default(),
             signals: Vec::new(),
             actions: Vec::new(),
@@ -477,7 +473,7 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
 
     /// The configured delay.
     pub fn delay(&self) -> usize {
-        self.delay
+        self.tail.delay()
     }
 
     /// The configured record policy.
@@ -561,8 +557,6 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
         self.visible.reshape(n, w);
         self.signals.resize(n, 0.0);
         self.actions.resize(n, 0.0);
-        let wants_checkpoints = sink.wants_checkpoints();
-        let mut checkpoint = ModelCheckpoint::new();
         eqimpact_telemetry::progress::add_goal(steps as u64);
 
         for k in 0..steps {
@@ -618,45 +612,22 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
                 }
             }
 
-            // The step barrier: filter, record and retrain run on the
-            // merged buffers, in the sequential runner's exact order.
-            let mut feedback = self.spare.pop().unwrap_or_default();
-            {
-                let _phase = tm::LOOP_FILTER.enter();
-                self.filter.apply_into(
-                    k,
-                    &self.visible,
-                    &self.signals,
-                    &self.actions,
-                    &mut feedback,
-                );
-            }
-            {
-                let _phase = tm::LOOP_RECORD.enter();
-                record.push_step(&self.signals, &self.actions, &feedback.per_user);
-                sink.on_step(
-                    k,
-                    &self.visible,
-                    &self.signals,
-                    &self.actions,
-                    &feedback.per_user,
-                );
-            }
-
-            self.pending.push_back(feedback);
-            if self.pending.len() > self.delay {
-                let _phase = tm::LOOP_RETRAIN.enter();
-                let due = self.pending.pop_front().expect("non-empty by check");
-                self.ai.retrain(k, &due);
-                self.spare.push(due);
-                if wants_checkpoints {
-                    checkpoint.reset(k);
-                    if self.ai.checkpoint_into(&mut checkpoint) {
-                        let _ = self.filter.checkpoint_into(&mut checkpoint);
-                        sink.on_checkpoint(k, &checkpoint);
-                    }
-                }
-            }
+            // The step barrier: the sequential runner's tail, on the
+            // merged buffers.
+            let step = StepView {
+                k,
+                visible: &self.visible,
+                signals: &self.signals,
+                actions: &self.actions,
+            };
+            let Ok(_) = self.tail.step(
+                &mut self.ai,
+                &mut self.filter,
+                step,
+                &mut record,
+                sink,
+                retrain_always,
+            );
             tm::LOOP_STEPS.incr();
         }
         record
@@ -695,7 +666,7 @@ fn sweep_shard<S: ShardableAi, Sh: PopulationShard>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closed_loop::LoopBuilder;
+    use crate::closed_loop::{Feedback, LoopBuilder};
 
     /// Shard-invariant synthetic population: every cell and action of row
     /// `i` comes from `streams.for_row(i)`.

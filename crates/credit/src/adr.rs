@@ -177,6 +177,18 @@ impl FeedbackFilter for AdrFilter {
 mod tests {
     use super::*;
 
+    fn apply(
+        f: &mut impl FeedbackFilter,
+        k: usize,
+        v: &FeatureMatrix,
+        s: &[f64],
+        a: &[f64],
+    ) -> Feedback {
+        let mut out = Feedback::default();
+        f.apply_into(k, v, s, a, &mut out);
+        out
+    }
+
     #[test]
     fn tracker_counts_offers_and_defaults() {
         let mut t = AdrTracker::new(3);
@@ -211,14 +223,14 @@ mod tests {
         let mut f = AdrFilter::new();
         assert!(f.tracker().is_none());
         let visible = FeatureMatrix::from_nested(&[vec![1.0], vec![0.0]]);
-        let fb = f.apply(0, &visible, &[100.0, 100.0], &[1.0, 0.0]);
+        let fb = apply(&mut f, 0, &visible, &[100.0, 100.0], &[1.0, 0.0]);
         assert_eq!(fb.per_user, vec![0.0, 1.0]);
         assert_eq!(fb.aggregate, 0.5);
         assert_eq!(fb.step, 0);
         assert_eq!(fb.visible, visible);
 
         // Second step: user 1 denied; their ADR freezes at 1.0.
-        let fb2 = f.apply(1, &visible, &[100.0, 0.0], &[1.0, 0.0]);
+        let fb2 = apply(&mut f, 1, &visible, &[100.0, 0.0], &[1.0, 0.0]);
         assert_eq!(fb2.per_user, vec![0.0, 1.0]);
         assert_eq!(fb2.aggregate, 0.0);
         assert!(f.tracker().is_some());
@@ -227,7 +239,7 @@ mod tests {
     #[test]
     fn filter_aggregate_with_no_offers() {
         let mut f = AdrFilter::new();
-        let fb = f.apply(0, &FeatureMatrix::zeros(1, 0), &[0.0], &[0.0]);
+        let fb = apply(&mut f, 0, &FeatureMatrix::zeros(1, 0), &[0.0], &[0.0]);
         assert_eq!(fb.aggregate, 0.0);
         assert_eq!(fb.per_user, vec![0.0]);
     }

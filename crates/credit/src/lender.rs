@@ -310,6 +310,12 @@ impl ShardableAi for IncomeMultipleLender {
 mod tests {
     use super::*;
 
+    fn signals_of(ai: &mut impl AiSystem, k: usize, visible: &FeatureMatrix) -> Vec<f64> {
+        let mut out = Vec::new();
+        ai.signals_into(k, visible, &mut out);
+        out
+    }
+
     fn visible_row(income: f64) -> Vec<f64> {
         vec![model::income_code(income), income]
     }
@@ -323,9 +329,9 @@ mod tests {
     fn scorecard_lender_warmup_approves_everyone() {
         let mut lender = ScorecardLender::paper_default();
         let visible = visible_matrix(&[8.0, 60.0]);
-        let signals = lender.signals(0, &visible);
+        let signals = signals_of(&mut lender, 0, &visible);
         assert_eq!(signals, vec![28.0, 210.0]);
-        let signals1 = lender.signals(1, &visible);
+        let signals1 = signals_of(&mut lender, 1, &visible);
         assert_eq!(signals1.len(), 2);
         assert!(signals1.iter().all(|&l| l > 0.0));
         assert!(lender.model().is_none());
@@ -386,7 +392,7 @@ mod tests {
 
         // Decisions at k >= warmup use the scorecard: a defaulted low-income
         // user is denied, a clean high-income user approved.
-        let signals = lender.signals(2, &visible);
+        let signals = signals_of(&mut lender, 2, &visible);
         assert_eq!(signals[0], 0.0, "defaulted low-income user still approved");
         assert!(signals[1] > 0.0, "clean high-income user denied");
         // The scorecard table renders.
@@ -426,7 +432,7 @@ mod tests {
     fn uniform_lender_excludes_after_default() {
         let mut lender = UniformExclusionLender::paper_default();
         let visible = visible_matrix(&[12.0, 80.0]);
-        let s0 = lender.signals(0, &visible);
+        let s0 = signals_of(&mut lender, 0, &visible);
         assert_eq!(s0, vec![50.0, 50.0]);
         // User 0 defaults.
         let feedback = Feedback {
@@ -439,7 +445,7 @@ mod tests {
         };
         lender.retrain(0, &feedback);
         assert_eq!(lender.excluded_count(), 1);
-        let s1 = lender.signals(1, &visible);
+        let s1 = signals_of(&mut lender, 1, &visible);
         assert_eq!(s1, vec![0.0, 50.0]);
         // Exclusion is permanent: another clean round changes nothing.
         let feedback2 = Feedback {
@@ -451,14 +457,14 @@ mod tests {
             actions: vec![0.0, 1.0],
         };
         lender.retrain(1, &feedback2);
-        assert_eq!(lender.signals(2, &visible), vec![0.0, 50.0]);
+        assert_eq!(signals_of(&mut lender, 2, &visible), vec![0.0, 50.0]);
     }
 
     #[test]
     fn income_multiple_lender_always_approves() {
         let mut lender = IncomeMultipleLender::new(3.0);
         let visible = visible_matrix(&[10.0, 100.0]);
-        assert_eq!(lender.signals(0, &visible), vec![30.0, 300.0]);
+        assert_eq!(signals_of(&mut lender, 0, &visible), vec![30.0, 300.0]);
         // Retrain is a no-op.
         let feedback = Feedback {
             step: 0,
@@ -469,6 +475,6 @@ mod tests {
             actions: vec![1.0, 1.0],
         };
         lender.retrain(0, &feedback);
-        assert_eq!(lender.signals(5, &visible), vec![30.0, 300.0]);
+        assert_eq!(signals_of(&mut lender, 5, &visible), vec![30.0, 300.0]);
     }
 }

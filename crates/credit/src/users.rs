@@ -244,6 +244,17 @@ impl ShardablePopulation for CreditPopulation {
 mod tests {
     use super::*;
 
+    fn observe(pop: &mut impl UserPopulation, k: usize, rng: &mut SimRng) -> FeatureMatrix {
+        let mut out = FeatureMatrix::default();
+        pop.observe_into(k, rng, &mut out);
+        out
+    }
+    fn respond(pop: &mut impl UserPopulation, k: usize, s: &[f64], rng: &mut SimRng) -> Vec<f64> {
+        let mut out = Vec::new();
+        pop.respond_into(k, s, rng, &mut out);
+        out
+    }
+
     #[test]
     fn generation_and_race_access() {
         let mut rng = SimRng::new(1);
@@ -268,7 +279,7 @@ mod tests {
     fn observe_exposes_code_and_income() {
         let mut rng = SimRng::new(3);
         let mut pop = CreditPopulation::generate(50, &mut rng);
-        let visible = pop.observe(0, &mut rng);
+        let visible = observe(&mut pop, 0, &mut rng);
         assert_eq!(visible.row_count(), 50);
         assert_eq!(visible.width(), VISIBLE_WIDTH);
         for (&code, &income) in visible
@@ -285,8 +296,8 @@ mod tests {
     fn observe_resamples_after_step_zero() {
         let mut rng = SimRng::new(4);
         let mut pop = CreditPopulation::generate(100, &mut rng);
-        let v0 = pop.observe(0, &mut rng);
-        let v1 = pop.observe(1, &mut rng);
+        let v0 = observe(&mut pop, 0, &mut rng);
+        let v1 = observe(&mut pop, 1, &mut rng);
         let changed = v0
             .col(VISIBLE_INCOME_K)
             .iter()
@@ -300,10 +311,10 @@ mod tests {
     fn respond_follows_the_model() {
         let mut rng = SimRng::new(5);
         let mut pop = CreditPopulation::generate(200, &mut rng);
-        let visible = pop.observe(0, &mut rng);
+        let visible = observe(&mut pop, 0, &mut rng);
         // Denied users never repay.
         let denied = vec![0.0; 200];
-        let actions = pop.respond(0, &denied, &mut rng);
+        let actions = respond(&mut pop, 0, &denied, &mut rng);
         assert!(actions.iter().all(|&y| y == 0.0));
         // Generous incomes with the paper's sizing mostly repay.
         let loans: Vec<f64> = visible
@@ -311,7 +322,7 @@ mod tests {
             .iter()
             .map(|&v| model::income_multiple_loan(v))
             .collect();
-        let actions = pop.respond(0, &loans, &mut rng);
+        let actions = respond(&mut pop, 0, &loans, &mut rng);
         let repay_rate = actions.iter().sum::<f64>() / 200.0;
         assert!(repay_rate > 0.7, "repay rate = {repay_rate}");
     }
@@ -342,13 +353,13 @@ mod tests {
         let root = SimRng::new(40);
         for k in 0..4 {
             let mut seq_rng = root.clone();
-            let visible = pop.observe(k, &mut seq_rng);
+            let visible = observe(&mut pop, k, &mut seq_rng);
             let signals: Vec<f64> = visible
                 .col(VISIBLE_INCOME_K)
                 .iter()
                 .map(|&v| model::income_multiple_loan(v))
                 .collect();
-            let actions = pop.respond(k, &signals, &mut seq_rng);
+            let actions = respond(&mut pop, k, &signals, &mut seq_rng);
 
             let observe = RowStreams::observe(&root, k);
             let respond = RowStreams::respond(&root, k);

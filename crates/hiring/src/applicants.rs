@@ -273,6 +273,17 @@ impl ShardablePopulation for ApplicantPool {
 mod tests {
     use super::*;
 
+    fn observe(pop: &mut impl UserPopulation, k: usize, rng: &mut SimRng) -> FeatureMatrix {
+        let mut out = FeatureMatrix::default();
+        pop.observe_into(k, rng, &mut out);
+        out
+    }
+    fn respond(pop: &mut impl UserPopulation, k: usize, s: &[f64], rng: &mut SimRng) -> Vec<f64> {
+        let mut out = Vec::new();
+        pop.respond_into(k, s, rng, &mut out);
+        out
+    }
+
     #[test]
     fn generation_and_race_access() {
         let mut rng = SimRng::new(1);
@@ -297,7 +308,7 @@ mod tests {
     fn observe_exposes_credential_and_experience() {
         let mut rng = SimRng::new(3);
         let mut pool = ApplicantPool::generate(50, &mut rng);
-        let visible = pool.observe(0, &mut rng);
+        let visible = observe(&mut pool, 0, &mut rng);
         assert_eq!(visible.row_count(), 50);
         assert_eq!(visible.width(), VISIBLE_WIDTH);
         for (j, a) in pool.applicants().iter().enumerate() {
@@ -313,17 +324,17 @@ mod tests {
     fn successful_placements_accrue_experience() {
         let mut rng = SimRng::new(4);
         let mut pool = ApplicantPool::generate(200, &mut rng);
-        pool.observe(0, &mut rng);
+        observe(&mut pool, 0, &mut rng);
         // Hire everyone: the well-resourced mostly succeed.
         let hired = vec![1.0; 200];
-        let actions = pool.respond(0, &hired, &mut rng);
+        let actions = respond(&mut pool, 0, &hired, &mut rng);
         let successes: f64 = actions.iter().sum();
         assert!(successes > 50.0, "successes = {successes}");
         let accrued: f64 = pool.applicants().iter().map(|a| a.experience).sum();
         assert_eq!(accrued, successes);
         // Reject everyone: nothing accrues and every outcome is 0.
         let rejected = vec![0.0; 200];
-        let actions = pool.respond(1, &rejected, &mut rng);
+        let actions = respond(&mut pool, 1, &rejected, &mut rng);
         assert!(actions.iter().all(|&y| y == 0.0));
         let still: f64 = pool.applicants().iter().map(|a| a.experience).sum();
         assert_eq!(still, accrued);
@@ -353,9 +364,9 @@ mod tests {
         let root = SimRng::new(40);
         for k in 0..4 {
             let mut seq_rng = root.clone();
-            let visible = pool.observe(k, &mut seq_rng);
+            let visible = observe(&mut pool, k, &mut seq_rng);
             let signals: Vec<f64> = visible.col(VISIBLE_CREDENTIAL).to_vec();
-            let actions = pool.respond(k, &signals, &mut seq_rng);
+            let actions = respond(&mut pool, k, &signals, &mut seq_rng);
 
             let observe = RowStreams::observe(&root, k);
             let respond = RowStreams::respond(&root, k);

@@ -210,6 +210,12 @@ impl ShardableAi for CredentialScreener {
 mod tests {
     use super::*;
 
+    fn signals_of(ai: &mut impl AiSystem, k: usize, visible: &FeatureMatrix) -> Vec<f64> {
+        let mut out = Vec::new();
+        ai.signals_into(k, visible, &mut out);
+        out
+    }
+
     fn visible_matrix(rows: &[(f64, f64)]) -> FeatureMatrix {
         let nested: Vec<Vec<f64>> = rows.iter().map(|&(c, e)| vec![c, e]).collect();
         FeatureMatrix::from_nested(&nested)
@@ -219,8 +225,8 @@ mod tests {
     fn adaptive_warmup_hires_everyone() {
         let mut s = AdaptiveScreener::default_config();
         let visible = visible_matrix(&[(0.0, 0.0), (1.0, 0.0)]);
-        assert_eq!(s.signals(0, &visible), vec![1.0, 1.0]);
-        assert_eq!(s.signals(1, &visible), vec![1.0, 1.0]);
+        assert_eq!(signals_of(&mut s, 0, &visible), vec![1.0, 1.0]);
+        assert_eq!(signals_of(&mut s, 1, &visible), vec![1.0, 1.0]);
         assert!(s.model().is_none());
     }
 
@@ -272,7 +278,7 @@ mod tests {
         }
         // Past warmup, the failed uncredentialed applicant is rejected and
         // the successful credentialed one hired.
-        let decisions = s.signals(2, &visible);
+        let decisions = signals_of(&mut s, 2, &visible);
         assert_eq!(decisions[0], 0.0);
         assert_eq!(decisions[1], 1.0);
     }
@@ -311,7 +317,7 @@ mod tests {
         let mut s = CredentialScreener::new();
         let visible = visible_matrix(&[(1.0, 3.0), (0.0, 9.0)]);
         // Experience is visible but never consulted.
-        assert_eq!(s.signals(0, &visible), vec![1.0, 0.0]);
-        assert_eq!(s.signals(7, &visible), vec![1.0, 0.0]);
+        assert_eq!(signals_of(&mut s, 0, &visible), vec![1.0, 0.0]);
+        assert_eq!(signals_of(&mut s, 7, &visible), vec![1.0, 0.0]);
     }
 }

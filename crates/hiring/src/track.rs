@@ -150,11 +150,23 @@ impl FeedbackFilter for TrackRecordFilter {
 mod tests {
     use super::*;
 
+    fn apply(
+        f: &mut impl FeedbackFilter,
+        k: usize,
+        v: &FeatureMatrix,
+        s: &[f64],
+        a: &[f64],
+    ) -> Feedback {
+        let mut out = Feedback::default();
+        f.apply_into(k, v, s, a, &mut out);
+        out
+    }
+
     #[test]
     fn never_hired_carry_clean_records() {
         let mut f = TrackRecordFilter::new();
         let visible = FeatureMatrix::zeros(2, 0);
-        let fb = f.apply(0, &visible, &[0.0, 0.0], &[0.0, 0.0]);
+        let fb = apply(&mut f, 0, &visible, &[0.0, 0.0], &[0.0, 0.0]);
         assert_eq!(fb.per_user, vec![1.0, 1.0]);
         assert_eq!(fb.aggregate, 1.0, "no cohort yet: clean prior");
     }
@@ -164,11 +176,11 @@ mod tests {
         let mut f = TrackRecordFilter::new();
         let visible = FeatureMatrix::zeros(2, 0);
         // Round 0: both hired, only user 0 succeeds.
-        let fb = f.apply(0, &visible, &[1.0, 1.0], &[1.0, 0.0]);
+        let fb = apply(&mut f, 0, &visible, &[1.0, 1.0], &[1.0, 0.0]);
         assert_eq!(fb.per_user, vec![1.0, 0.0]);
         assert_eq!(fb.aggregate, 0.5);
         // Round 1: user 1 not hired; their record freezes.
-        let fb = f.apply(1, &visible, &[1.0, 0.0], &[0.0, 0.0]);
+        let fb = apply(&mut f, 1, &visible, &[1.0, 0.0], &[0.0, 0.0]);
         assert_eq!(fb.per_user, vec![0.5, 0.0]);
         assert_eq!(f.placements(0), 2);
         assert_eq!(f.placements(1), 1);
@@ -183,7 +195,7 @@ mod tests {
         // a previous step into retraining.
         let mut f = TrackRecordFilter::new();
         let v0 = FeatureMatrix::from_nested(&[vec![1.0], vec![0.0]]);
-        let mut fb = f.apply(0, &v0, &[1.0, 1.0], &[1.0, 1.0]);
+        let mut fb = apply(&mut f, 0, &v0, &[1.0, 1.0], &[1.0, 1.0]);
         let v1 = FeatureMatrix::from_nested(&[vec![0.0], vec![1.0]]);
         f.apply_into(1, &v1, &[0.0, 1.0], &[0.0, 0.0], &mut fb);
         assert_eq!(fb.step, 1);

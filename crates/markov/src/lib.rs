@@ -47,7 +47,6 @@ pub mod coupling;
 pub mod ergodic;
 pub mod ifs;
 pub mod invariant;
-pub mod linear;
 pub mod lyapunov;
 pub mod operator;
 pub mod system;
@@ -56,7 +55,6 @@ pub use contractivity::ContractivityReport;
 pub use ergodic::{ErgodicityVerdict, UniqueErgodicityReport};
 pub use ifs::Ifs;
 pub use invariant::FiniteChain;
-pub use linear::{AffineMode, SwitchedAffineSystem};
 pub use lyapunov::{lyapunov_exponent, LyapunovEstimate};
 pub use operator::ParticleMeasure;
 pub use system::{MarkovSystem, MarkovSystemError};

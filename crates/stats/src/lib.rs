@@ -13,7 +13,6 @@
 //! * [`hist`] — 1-D and 2-D histograms (Fig. 5's density panel);
 //! * [`converge`] — Kolmogorov-Smirnov and total-variation diagnostics used
 //!   to verify weak convergence to the invariant measure;
-//! * [`kde`] — Gaussian kernel density estimates for smooth density plots;
 //! * [`json`] — a self-contained JSON value/writer/parser, the workspace's
 //!   serialization layer (the build is offline; no serde);
 //! * [`codec`] — zigzag / varint / CRC-32 bit utilities shared with the
@@ -29,7 +28,6 @@ pub mod describe;
 pub mod dist;
 pub mod hist;
 pub mod json;
-pub mod kde;
 pub mod plot;
 pub mod rng;
 pub mod timeseries;

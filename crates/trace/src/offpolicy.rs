@@ -6,12 +6,12 @@
 //! its own signals; the recorded actions stand in for the population's
 //! responses (the classical logged-bandit reading: the log is the data,
 //! the candidate policy is the question), the alternative filter digests
-//! them, and the delayed feedback retrains the alternative AI — so the
-//! candidate adapts over the trajectory just as it would have in the
-//! live loop. The result is a pair of [`LoopRecord`]s over identical
-//! actions — recorded behaviour vs counterfactual decisions — which
-//! [`off_policy_report`] turns into fairness and impact deltas through
-//! [`eqimpact_core::fairness`].
+//! them, and the delayed feedback retrains the alternative AI through the
+//! same [`StepTail`] as the live loop — so the candidate adapts over the
+//! trajectory just as it would have there. The result is a pair of
+//! [`LoopRecord`]s over identical actions — recorded behaviour vs
+//! counterfactual decisions — which [`off_policy_report`] turns into
+//! fairness and impact deltas through [`eqimpact_core::fairness`].
 //!
 //! The one caveat of any off-policy read-out is confounding: the
 //! recorded actions were taken *under the behaviour policy's signals*,
@@ -20,15 +20,13 @@
 //! reason the report carries the decision-agreement rate as a validity
 //! measure alongside the deltas.
 
-use crate::store::{TraceGroups, TraceReader};
+use crate::store::{StepFrame, TraceGroups, TraceReader};
 use crate::TraceError;
-use eqimpact_core::checkpoint::ModelCheckpoint;
-use eqimpact_core::closed_loop::{AiSystem, Feedback, FeedbackFilter};
+use eqimpact_core::closed_loop::{AiSystem, FeedbackFilter, StepTail, StepView};
 use eqimpact_core::fairness::{demographic_parity, equal_opportunity};
 use eqimpact_core::recorder::{LoopRecord, RecordPolicy};
 use eqimpact_core::scenario::Scale;
 use eqimpact_stats::{Json, ToJson};
-use std::collections::VecDeque;
 use std::io::Read;
 
 /// The raw material of an off-policy evaluation: the recorded behaviour
@@ -52,7 +50,8 @@ pub struct OffPolicyOutcome {
 pub struct OffPolicyOptions {
     /// Replace the candidate's retrains with recorded model checkpoints
     /// wherever the candidate accepts them ([`AiSystem::restore_checkpoint`]
-    /// returns `true`). Only sound when the candidate shares the logged
+    /// returns `true`); the candidate filter is then restored from the
+    /// same checkpoint. Only sound when the candidate shares the logged
     /// policy's learner (e.g. threshold variants of the recorded
     /// scorecard) — a candidate that learns differently must keep
     /// retraining, which the per-checkpoint fallback guarantees.
@@ -88,14 +87,11 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
     decision_threshold: f64,
     options: OffPolicyOptions,
 ) -> Result<OffPolicyOutcome, TraceError> {
-    let delay = reader.header().delay;
-    let mut checkpoint = ModelCheckpoint::new();
-    let mut frame = crate::store::StepFrame::default();
+    let mut tail = StepTail::new(reader.header().delay);
+    let mut frame = StepFrame::default();
     let mut baseline: Option<LoopRecord> = None;
     let mut counterfactual: Option<LoopRecord> = None;
     let mut signals = Vec::new();
-    let mut pending: VecDeque<Feedback> = VecDeque::new();
-    let mut spare: Vec<Feedback> = Vec::new();
     let mut agree = 0usize;
     let mut total = 0usize;
 
@@ -122,22 +118,26 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
             }
         }
 
-        let mut feedback = spare.pop().unwrap_or_default();
-        alt_filter.apply_into(k, &frame.visible, &signals, &frame.actions, &mut feedback);
-        counterfactual.push_step(&signals, &frame.actions, &feedback.per_user);
-
-        pending.push_back(feedback);
-        if pending.len() > delay {
-            let due = pending.pop_front().expect("non-empty by check");
-            let mut restored = false;
-            if options.use_checkpoints && reader.next_checkpoint(&mut checkpoint)? {
-                restored = alt_ai.restore_checkpoint(&checkpoint);
-            }
-            if !restored {
-                alt_ai.retrain(k, &due);
-            }
-            spare.push(due);
-        }
+        let step = StepView {
+            k,
+            visible: &frame.visible,
+            signals: &signals,
+            actions: &frame.actions,
+        };
+        tail.step(
+            &mut alt_ai,
+            &mut alt_filter,
+            step,
+            counterfactual,
+            &mut (),
+            |checkpoint| {
+                if options.use_checkpoints {
+                    reader.next_checkpoint(checkpoint)
+                } else {
+                    Ok(false)
+                }
+            },
+        )?;
     }
 
     let users = reader.groups().map(|g| g.codes.len()).unwrap_or(0);
@@ -334,6 +334,7 @@ mod tests {
     use super::*;
     use crate::store::TraceHeader;
     use crate::TraceStepSink;
+    use eqimpact_core::closed_loop::Feedback;
     use eqimpact_core::features::FeatureMatrix;
     use eqimpact_core::recorder::StepSink;
     use eqimpact_core::scenario::TraceMeta;

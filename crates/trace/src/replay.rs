@@ -7,8 +7,8 @@
 //!   [`LoopRunner::run`](eqimpact_core::closed_loop::LoopRunner::run)'s
 //!   step order exactly — observe (from the trace) → signal (from the
 //!   replayed AI) → respond (from the trace) → filter → record → delayed
-//!   retrain — and, by default, **verifies** every recomputed signal and
-//!   filter output against the recorded bits, so a successful replay is
+//!   retrain — and **verifies** every recomputed signal and filter
+//!   output against the recorded bits, so a successful replay is
 //!   a proof of byte-identity, and a corrupt or foreign trace surfaces
 //!   as a named [`TraceError`] instead of bad data.
 //! * [`RecordedPopulation`] implements the core
@@ -18,18 +18,36 @@
 
 use crate::store::{StepFrame, TraceHeader, TraceReader};
 use crate::TraceError;
-use eqimpact_core::checkpoint::ModelCheckpoint;
-use eqimpact_core::closed_loop::{AiSystem, Feedback, FeedbackFilter, UserPopulation};
+use eqimpact_core::closed_loop::{AiSystem, FeedbackFilter, StepTail, StepView, UserPopulation};
 use eqimpact_core::features::FeatureMatrix;
-use eqimpact_core::recorder::LoopRecord;
+use eqimpact_core::recorder::{LoopRecord, StepSink};
 use eqimpact_stats::SimRng;
-use std::collections::VecDeque;
 use std::io::Read;
 
 /// Bitwise equality over float slices (NaN == NaN, +0 != -0): replay
 /// verification is about byte-identity, not numeric closeness.
 fn bits_equal(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The replay's step sink: checks each recomputed filter output against
+/// the one the trace recorded for the same step.
+struct FilteredCheck<'a> {
+    recorded: &'a [f64],
+    matches: bool,
+}
+
+impl StepSink for FilteredCheck<'_> {
+    fn on_step(
+        &mut self,
+        _k: usize,
+        _visible: &FeatureMatrix,
+        _signals: &[f64],
+        _actions: &[f64],
+        filtered: &[f64],
+    ) {
+        self.matches = bits_equal(filtered, self.recorded);
+    }
 }
 
 /// Re-drives a recorded loop against a freshly built AI system and
@@ -40,41 +58,29 @@ pub struct ReplayRunner<S, F, R: Read> {
     reader: TraceReader<R>,
     ai: S,
     filter: F,
-    verify: bool,
     use_checkpoints: bool,
     restored: usize,
-    checkpoint: ModelCheckpoint,
+    tail: StepTail,
     frame: StepFrame,
     signals: Vec<f64>,
-    pending: VecDeque<Feedback>,
-    spare: Vec<Feedback>,
 }
 
 impl<S: AiSystem, F: FeedbackFilter, R: Read> ReplayRunner<S, F, R> {
-    /// Wraps an opened trace with the blocks to replay it against.
-    /// Verification is on by default, and so is the checkpoint
-    /// fast-path (a no-op on checkpoint-free traces).
+    /// Wraps an opened trace with the blocks to replay it against. The
+    /// checkpoint fast-path is on by default (a no-op on checkpoint-free
+    /// traces).
     pub fn new(reader: TraceReader<R>, ai: S, filter: F) -> Self {
+        let tail = StepTail::new(reader.header().delay);
         ReplayRunner {
             reader,
             ai,
             filter,
-            verify: true,
             use_checkpoints: true,
             restored: 0,
-            checkpoint: ModelCheckpoint::new(),
+            tail,
             frame: StepFrame::default(),
             signals: Vec::new(),
-            pending: VecDeque::new(),
-            spare: Vec::new(),
         }
-    }
-
-    /// Enables or disables per-step verification of the recomputed
-    /// signals and filter outputs against the recorded ones.
-    pub fn verify(mut self, on: bool) -> Self {
-        self.verify = on;
-        self
     }
 
     /// Enables or disables the checkpoint fast-path: when on (the
@@ -100,61 +106,53 @@ impl<S: AiSystem, F: FeedbackFilter, R: Read> ReplayRunner<S, F, R> {
 
     /// Replays the whole trace, returning the reconstructed record.
     pub fn run(&mut self) -> Result<LoopRecord, TraceError> {
-        let delay = self.reader.header().delay;
         let policy = self.reader.header().policy;
         let mut record: Option<LoopRecord> = None;
         while self.reader.next_step(&mut self.frame)? {
             let k = self.frame.step;
             let record = record
                 .get_or_insert_with(|| LoopRecord::with_policy(self.frame.signals.len(), policy));
+            let mismatch = |channel| TraceError::ReplayMismatch { step: k, channel };
 
             self.ai
                 .signals_into(k, &self.frame.visible, &mut self.signals);
-            if self.verify && !bits_equal(&self.signals, &self.frame.signals) {
-                return Err(TraceError::ReplayMismatch {
-                    step: k,
-                    channel: "signals",
-                });
+            if !bits_equal(&self.signals, &self.frame.signals) {
+                return Err(mismatch("signals"));
             }
 
-            let mut feedback = self.spare.pop().unwrap_or_default();
-            self.filter.apply_into(
+            let step = StepView {
                 k,
-                &self.frame.visible,
-                &self.signals,
-                &self.frame.actions,
-                &mut feedback,
-            );
-            if self.verify && !bits_equal(&feedback.per_user, &self.frame.filtered) {
-                return Err(TraceError::ReplayMismatch {
-                    step: k,
-                    channel: "filtered",
-                });
-            }
-            record.push_step(&self.signals, &self.frame.actions, &feedback.per_user);
-
-            self.pending.push_back(feedback);
-            if self.pending.len() > delay {
-                let due = self.pending.pop_front().expect("non-empty by check");
-                // The checkpoint of step k's retrain sits directly after
-                // the step-k frame; restore it instead of retraining
-                // when present and accepted. A missing or rejected
-                // checkpoint falls back to the real retrain, so partial
-                // support degrades to correctness, not corruption.
-                let mut restored = false;
-                if self.use_checkpoints && self.reader.next_checkpoint(&mut self.checkpoint)? {
-                    restored = self.ai.restore_checkpoint(&self.checkpoint);
-                    if restored {
-                        let _ = self.filter.restore_checkpoint(&self.checkpoint);
+                visible: &self.frame.visible,
+                signals: &self.signals,
+                actions: &self.frame.actions,
+            };
+            let mut check = FilteredCheck {
+                recorded: &self.frame.filtered,
+                matches: false,
+            };
+            // The checkpoint of step k's retrain sits directly after the
+            // step-k frame; the tail restores it instead of retraining
+            // when present and accepted. A missing or rejected checkpoint
+            // falls back to the real retrain, so partial support degrades
+            // to correctness, not corruption.
+            let restored = self.tail.step(
+                &mut self.ai,
+                &mut self.filter,
+                step,
+                record,
+                &mut check,
+                |checkpoint| {
+                    if self.use_checkpoints {
+                        self.reader.next_checkpoint(checkpoint)
+                    } else {
+                        Ok(false)
                     }
-                }
-                if restored {
-                    self.restored += 1;
-                } else {
-                    self.ai.retrain(k, &due);
-                }
-                self.spare.push(due);
+                },
+            )?;
+            if !check.matches {
+                return Err(mismatch("filtered"));
             }
+            self.restored += usize::from(restored);
         }
         Ok(record.unwrap_or_else(|| {
             let users = self.reader.groups().map(|g| g.codes.len()).unwrap_or(0);

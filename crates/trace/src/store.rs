@@ -449,6 +449,9 @@ pub struct TraceReader<R: Read> {
     pending: Option<(u8, Vec<u8>)>,
     frame_index: usize,
     steps_read: usize,
+    /// The user count every step must carry, with its source: the
+    /// groups frame when present, else the first step.
+    users: Option<(usize, &'static str)>,
     done: bool,
     /// Reused scratch: frame payloads, decoded words, one gathered
     /// feature column.
@@ -489,6 +492,7 @@ impl<R: Read> TraceReader<R> {
             pending: None,
             frame_index,
             steps_read: 0,
+            users: None,
             done: false,
             payload: Vec::new(),
             words: Vec::new(),
@@ -497,6 +501,7 @@ impl<R: Read> TraceReader<R> {
         reader.pending = read_frame(&mut reader.input, &mut reader.frame_index)?;
         if let Some((KIND_GROUPS, payload)) = &reader.pending {
             let groups = decode_groups(payload)?;
+            reader.users = Some((groups.codes.len(), "the groups frame"));
             reader.groups = Some(groups);
             reader.pending = read_frame(&mut reader.input, &mut reader.frame_index)?;
         }
@@ -520,7 +525,9 @@ impl<R: Read> TraceReader<R> {
 
     /// Decodes the next step into `frame` (buffers reused). Returns
     /// `Ok(false)` once the footer is reached; a stream that ends
-    /// without a footer is a [`TraceError::Truncated`].
+    /// without a footer is a [`TraceError::Truncated`], and a step whose
+    /// user count differs from the groups frame's or the first step's is
+    /// [`TraceError::Corrupt`].
     pub fn next_step(&mut self, frame: &mut StepFrame) -> Result<bool, TraceError> {
         if self.done {
             return Ok(false);
@@ -544,6 +551,16 @@ impl<R: Read> TraceReader<R> {
                             what: format!(
                                 "step frame out of order: found step {}, expected {}",
                                 frame.step, self.steps_read
+                            ),
+                        });
+                    }
+                    let rows = frame.signals.len();
+                    let (users, source) = *self.users.get_or_insert((rows, "step 0"));
+                    if rows != users {
+                        return Err(TraceError::Corrupt {
+                            what: format!(
+                                "step {} has {rows} users but {source} has {users}",
+                                frame.step
                             ),
                         });
                     }

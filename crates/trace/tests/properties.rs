@@ -2,12 +2,13 @@
 //! random bit-pattern streams, end-to-end write→read equality, and the
 //! no-panic contract on corrupted or truncated inputs.
 
+use eqimpact_core::closed_loop::{AiSystem, Feedback, MeanFilter};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::recorder::RecordPolicy;
 use eqimpact_core::scenario::Scale;
 use eqimpact_trace::{
-    decode_column, encode_column, StepFrame, TraceError, TraceHeader, TraceReader, TraceWriter,
-    FORMAT_VERSION,
+    decode_column, encode_column, evaluate_off_policy, ReplayRunner, StepFrame, TraceError,
+    TraceHeader, TraceReader, TraceWriter, FORMAT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -178,6 +179,68 @@ proptest! {
             ) => {}
             other => prop_assert!(false, "truncation must be a named error, got {other:?}"),
         }
+    }
+}
+
+/// Echoes the first visible column as its signal: [`ragged_trace`]
+/// mirrors every recorded signal there, so replay verifies each step.
+struct EchoAi;
+
+impl AiSystem for EchoAi {
+    fn signals_into(&mut self, _k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend_from_slice(visible.col(0));
+    }
+    fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
+}
+
+/// A trace with `users[k]` users at step `k`, plus a groups frame of
+/// `groups` codes when given. Each step replays under [`EchoAi`] and a
+/// fresh [`MeanFilter`] (every action is 1, and so is its running mean).
+fn ragged_trace(groups: Option<usize>, users: &[usize]) -> Vec<u8> {
+    let mut writer = TraceWriter::new(Vec::new(), &header()).expect("header");
+    if let Some(groups) = groups {
+        let codes: Vec<u32> = (0..groups as u32).map(|i| i % 3).collect();
+        writer
+            .write_groups(&["a", "b", "c"], &codes)
+            .expect("groups");
+    }
+    for &n in users {
+        let signals: Vec<f64> = (0..n).map(|i| i as f64).collect();
+        let actions = vec![1.0; n];
+        let mut visible = FeatureMatrix::new(1);
+        for &s in &signals {
+            visible.push_row(&[s]);
+        }
+        writer
+            .write_step(&visible, &signals, &actions, &actions)
+            .expect("step");
+    }
+    writer.finish().expect("footer")
+}
+
+#[test]
+fn inconsistent_user_counts_are_corrupt_not_panics() {
+    // Steps of 3 users and then 2, and a groups frame of 5 codes over
+    // 3-user steps: the writer accepts both, and every reader entry
+    // point must name them as corrupt rather than panic downstream.
+    for bytes in [ragged_trace(None, &[3, 2]), ragged_trace(Some(5), &[3, 3])] {
+        let open = || TraceReader::new(&bytes[..]).expect("opens");
+        let corrupt = |what: &str, outcome: Result<(), TraceError>| match outcome {
+            Err(TraceError::Corrupt { what: why }) => assert!(why.contains("users"), "{why}"),
+            other => panic!("{what}: expected Corrupt, got {other:?}"),
+        };
+        corrupt("read_record", open().read_record().map(drop));
+        corrupt(
+            "replay",
+            ReplayRunner::new(open(), EchoAi, MeanFilter::default())
+                .run()
+                .map(drop),
+        );
+        corrupt(
+            "off-policy",
+            evaluate_off_policy(open(), EchoAi, MeanFilter::default(), 0.5).map(drop),
+        );
     }
 }
 

@@ -26,8 +26,7 @@ pub use eqimpact_trace as trace;
 /// The most common imports for building and running a closed loop.
 pub mod prelude {
     pub use eqimpact_core::closed_loop::{
-        AiSystem, DynLoopRunner, Feedback, FeedbackFilter, LoopBuilder, LoopRunner, MeanFilter,
-        UserPopulation,
+        AiSystem, Feedback, FeedbackFilter, LoopBuilder, LoopRunner, MeanFilter, UserPopulation,
     };
     pub use eqimpact_core::features::FeatureMatrix;
     pub use eqimpact_core::pool::{BudgetLease, ThreadBudget, WorkerPool};

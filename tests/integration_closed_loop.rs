@@ -26,20 +26,17 @@ impl UserPopulation for TwoClassUsers {
             *cell = c as f64;
         }
     }
-    fn respond(&mut self, _k: usize, signals: &[f64], rng: &mut SimRng) -> Vec<f64> {
-        self.classes
-            .iter()
-            .zip(signals)
-            .map(|(&c, &s)| {
-                let base = if c == 0 { 0.2 } else { 0.6 };
-                let p = (base * s.clamp(0.0, 2.0)).clamp(0.0, 1.0);
-                if rng.bernoulli(p) {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect()
+    fn respond_into(&mut self, _k: usize, signals: &[f64], rng: &mut SimRng, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.classes.iter().zip(signals).map(|(&c, &s)| {
+            let base = if c == 0 { 0.2 } else { 0.6 };
+            let p = (base * s.clamp(0.0, 2.0)).clamp(0.0, 1.0);
+            if rng.bernoulli(p) {
+                1.0
+            } else {
+                0.0
+            }
+        }));
     }
 }
 
@@ -47,8 +44,9 @@ impl UserPopulation for TwoClassUsers {
 struct ConstantAi(f64);
 
 impl AiSystem for ConstantAi {
-    fn signals(&mut self, _k: usize, visible: &FeatureMatrix) -> Vec<f64> {
-        vec![self.0; visible.row_count()]
+    fn signals_into(&mut self, _k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(visible.row_count(), self.0);
     }
     fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
 }
@@ -119,24 +117,25 @@ struct RobustAggregateFilter {
 }
 
 impl FeedbackFilter for RobustAggregateFilter {
-    fn apply(
+    fn apply_into(
         &mut self,
         k: usize,
         visible: &FeatureMatrix,
         signals: &[f64],
         actions: &[f64],
-    ) -> Feedback {
+        out: &mut Feedback,
+    ) {
         use eqimpact_control::filter::Filter as _;
         let raw = actions.iter().sum::<f64>() / actions.len().max(1) as f64;
         let filtered = self.inner.push(raw);
-        Feedback {
+        *out = Feedback {
             step: k,
             per_user: actions.to_vec(),
             aggregate: filtered,
             visible: visible.clone(),
             signals: signals.to_vec(),
             actions: actions.to_vec(),
-        }
+        };
     }
 }
 
