@@ -1,30 +1,19 @@
 //! Performance microbenchmarks of the building blocks (not paper
-//! artifacts): loop step throughput, intra-trial sharding speedup, the
-//! trace store, the counterfactual lab, the columnar feature plane, IRLS
-//! fitting, Markov operator application, and invariant-measure
-//! estimation.
+//! artifacts): the worker pool's sequential path, the columnar feature
+//! plane, the credit loop, IRLS fitting, Markov operator application,
+//! and invariant-measure estimation. They print their timings and write
+//! no file; the end-to-end and per-layer numbers of the closed loop come
+//! from the `loopbench` benchmark (`loopbench/README.md`, declared in
+//! `BENCHMARK.json`).
 //!
-//! The sharding bench (P5) additionally writes `BENCH_shard.json` (path
-//! overridable via `BENCH_SHARD_OUT`) with the measured wall-clock per
-//! shard count at the 100k-user x 50-step scale, so the speedup is
-//! recorded, not asserted — except for one invariant that must hold on
-//! any hardware: the pooled 1-shard `ShardedRunner` stays within noise
-//! of the sequential `LoopRunner` (the pool's submit/barrier overhead is
-//! per step, not per thread spawn, so it cannot regress the sequential
-//! path). The trace bench (P6) writes
-//! `BENCH_trace.json` (`BENCH_TRACE_OUT`): replay-vs-resimulate
-//! wall-clock of one credit trial plus the trace's on-disk bytes against
-//! the equivalent JSON dump. The counterfactual-lab bench (P7) writes
-//! `BENCH_sweep.json` (`BENCH_SWEEP_OUT`): checkpointed-replay vs
-//! re-simulate wall-clock plus the timing of a default-grid off-policy
-//! sweep over the recorded trace. The certification bench (P9) writes
-//! `BENCH_certify.json` (`BENCH_CERTIFY_OUT`): certification wall-time
-//! over one checkpointed credit trace, split into its
-//! streaming-extraction and theory-analysis halves. The columnar
-//! bench (P8) writes
-//! `BENCH_columnar.json` (`BENCH_COLUMNAR_OUT`): batched column-kernel
-//! scoring versus a row-gathering baseline replicating the pre-redesign
-//! row-major hot path, on the same loop at the same scale.
+//! Two arms assert an invariant that must hold on any hardware. The
+//! pool bench (P5) checks that the pooled 1-shard `ShardedRunner` stays
+//! within noise of the sequential `LoopRunner` (the pool's
+//! submit/barrier overhead is per step, not per thread spawn, so it
+//! cannot regress the sequential path). The columnar bench (P8) checks
+//! that batched column-kernel scoring does not lose to a row-gathering
+//! baseline replicating the pre-redesign row-major hot path, on the same
+//! loop at the same scale, after proving the two bit-identical.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
@@ -155,6 +144,16 @@ impl ShardableAi for ShardThresholdAi {
     }
 }
 
+/// Milliseconds taken by `run` (one full loop run returning the steps
+/// it recorded), checking that it recorded `steps`.
+fn timed_ms(steps: usize, run: impl FnOnce() -> usize) -> f64 {
+    let start = Instant::now();
+    let recorded = run();
+    let elapsed = start.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(recorded, steps);
+    elapsed
+}
+
 /// One timed sharded run (`shards == 0` times the sequential
 /// [`LoopRunner`] instead — the pre-sharding hot path).
 fn time_one_run(users: usize, steps: usize, shards: usize) -> f64 {
@@ -164,18 +163,10 @@ fn time_one_run(users: usize, steps: usize, shards: usize) -> f64 {
         .record(RecordPolicy::Thin);
     if shards == 0 {
         let mut runner = builder.build();
-        let start = Instant::now();
-        let record = runner.run(steps, &mut eqimpact_stats::SimRng::new(7));
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(record.steps(), steps);
-        elapsed
+        timed_ms(steps, || runner.run(steps, &mut SimRng::new(7)).steps())
     } else {
         let mut runner = builder.shards(shards).build_sharded();
-        let start = Instant::now();
-        let record = runner.run(steps, &mut eqimpact_stats::SimRng::new(7));
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(record.steps(), steps);
-        elapsed
+        timed_ms(steps, || runner.run(steps, &mut SimRng::new(7)).steps())
     }
 }
 
@@ -184,35 +175,22 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// P5: intra-trial sharding at the 100k-user scale. Self-timed (one full
-/// run per sample) and exported to `BENCH_shard.json`. Samples are taken
-/// **round-robin** over the configurations, with the starting
-/// configuration **rotated** every round, so neither slow phases of a
-/// shared host nor a fixed within-round position can bias a leg — the
-/// legs do identical work on a 1-lane budget, so any ordered-measurement
-/// difference is pure drift.
+/// P5: the worker pool at the 100k-user scale. Self-timed (one full run
+/// per sample). Samples are taken **round-robin** over the two legs,
+/// with the starting leg **rotated** every round, so neither slow phases
+/// of a shared host nor a fixed within-round position can bias a leg —
+/// the legs do identical work (one shard leases no worker), so any
+/// ordered-measurement difference is pure drift.
 fn bench_sharded_loop(_c: &mut Criterion) {
-    use eqimpact_stats::json::{Json, ToJson};
-
     let quick = criterion::is_quick();
     let (users, steps) = (100_000usize, 50usize);
     let reps = if quick { 2 } else { 10 };
-    let cores = eqimpact_core::pool::ThreadBudget::global().capacity();
-    let mut shard_counts: Vec<usize> = if quick {
-        vec![1, cores]
-    } else {
-        vec![1, 2, 4, 8, cores]
-    };
-    shard_counts.sort_unstable();
-    shard_counts.dedup();
 
-    println!("\n-- group: perf/sharded_loop ({users} users x {steps} steps, {cores} cores) --");
+    println!("\n-- group: perf/sharded_loop ({users} users x {steps} steps) --");
 
     // configs[0] is the sequential LoopRunner baseline (shards == 0
-    // sentinel); the rest are the sharded legs.
-    let configs: Vec<usize> = std::iter::once(0)
-        .chain(shard_counts.iter().copied())
-        .collect();
+    // sentinel); configs[1] drives one shard through the pooled runner.
+    let configs = [0usize, 1];
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); configs.len()];
     // One warm-up pass, then the recorded rotated round-robin passes.
     time_one_run(users, steps, 0);
@@ -224,25 +202,11 @@ fn bench_sharded_loop(_c: &mut Criterion) {
     }
 
     let baseline_ms = median(&mut samples[0]);
+    let single_shard_ms = median(&mut samples[1]);
     println!("perf/sharded_loop/loop_runner_sequential           median {baseline_ms:>10.2} ms");
-
-    let mut single_shard_ms = f64::NAN;
-    let mut rows = Vec::new();
-    for (c, &shards) in configs.iter().enumerate().skip(1) {
-        let ms = median(&mut samples[c]);
-        if shards == 1 {
-            single_shard_ms = ms;
-        }
-        let speedup = single_shard_ms / ms;
-        println!(
-            "perf/sharded_loop/shards={shards:<3}                        median {ms:>10.2} ms  speedup x{speedup:.2}"
-        );
-        rows.push(Json::obj([
-            ("shards", shards.to_json()),
-            ("median_ms", ms.to_json()),
-            ("speedup_vs_1_shard", speedup.to_json()),
-        ]));
-    }
+    println!(
+        "perf/sharded_loop/shards=1                         median {single_shard_ms:>10.2} ms"
+    );
 
     // The pool invariant (hardware-independent): driving 1 shard through
     // the pooled runner must stay within measurement noise of the plain
@@ -255,144 +219,6 @@ fn bench_sharded_loop(_c: &mut Criterion) {
         "pooled 1-shard ShardedRunner ({single_shard_ms:.2} ms) regressed \
          vs the sequential LoopRunner ({baseline_ms:.2} ms)"
     );
-
-    let doc = Json::obj([
-        ("users", users.to_json()),
-        ("steps", steps.to_json()),
-        ("record_policy", "thin".to_json()),
-        ("reps", reps.to_json()),
-        ("cores", cores.to_json()),
-        (
-            "note",
-            "worker-pool runner: one pool per run, parked workers per step. \
-             On a 1-lane budget (this container has 1 core) every shard count \
-             leases zero workers and sweeps inline, so ~1.0x is the expected \
-             ratio; multicore hosts record real scaling."
-                .to_json(),
-        ),
-        ("loop_runner_sequential_ms", baseline_ms.to_json()),
-        ("sharded", Json::Arr(rows)),
-    ]);
-    // Default to the workspace root (cargo bench runs with the package
-    // root as cwd), so CI uploads and repo diffs see one canonical path.
-    let path = std::env::var("BENCH_SHARD_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json").to_string()
-    });
-    std::fs::write(&path, doc.render_pretty()).expect("write BENCH_shard.json");
-    println!("perf/sharded_loop: wrote {path}");
-}
-
-/// P6: the trace store. Records one credit trial to an in-memory trace,
-/// then times verified replay against re-simulation and compares the
-/// trace's bytes with the equivalent JSON dump. Self-measured through
-/// `eqimpact_bench::perf_trace` and exported to `BENCH_trace.json`
-/// (path overridable via `BENCH_TRACE_OUT`).
-fn bench_trace_store(_c: &mut Criterion) {
-    use eqimpact_bench::perf_trace;
-    use eqimpact_core::scenario::Scale as ScenarioScale;
-    use eqimpact_stats::json::ToJson;
-
-    let quick = criterion::is_quick();
-    let scale = if quick {
-        ScenarioScale::Quick
-    } else {
-        ScenarioScale::Paper
-    };
-    println!("\n-- group: perf/trace_store ({scale:?} credit trial) --");
-    let r = perf_trace(scale, None).expect("perf_trace");
-    println!(
-        "perf/trace_store/resimulate                        median {:>10.2} ms",
-        r.resimulate_ms
-    );
-    println!(
-        "perf/trace_store/verified_replay                   median {:>10.2} ms  speedup x{:.2}",
-        r.replay_ms, r.replay_speedup
-    );
-    println!(
-        "perf/trace_store/bytes: trace {} vs pretty JSON {} (x{:.2}) vs compact JSON {} (x{:.2})",
-        r.trace_bytes, r.json_bytes, r.json_ratio, r.compact_json_bytes, r.compact_json_ratio
-    );
-    let path = std::env::var("BENCH_TRACE_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json").to_string()
-    });
-    std::fs::write(&path, r.to_json().render_pretty()).expect("write BENCH_trace.json");
-    println!("perf/trace_store: wrote {path}");
-}
-
-/// P7: the counterfactual lab. Records one **checkpointed** credit trial
-/// to an in-memory trace, then times checkpointed replay (model states
-/// restored at each retrain) against re-simulation, plus a default-grid
-/// off-policy sweep through the lab engine. Self-measured through
-/// `eqimpact_bench::perf_sweep` and exported to `BENCH_sweep.json`
-/// (path overridable via `BENCH_SWEEP_OUT`).
-fn bench_sweep(_c: &mut Criterion) {
-    use eqimpact_bench::perf_sweep;
-    use eqimpact_core::scenario::Scale as ScenarioScale;
-    use eqimpact_stats::json::ToJson;
-
-    let quick = criterion::is_quick();
-    let scale = if quick {
-        ScenarioScale::Quick
-    } else {
-        ScenarioScale::Paper
-    };
-    println!("\n-- group: perf/sweep ({scale:?} checkpointed credit trial) --");
-    let r = perf_sweep(scale, None).expect("perf_sweep");
-    println!(
-        "perf/sweep/resimulate                              median {:>10.2} ms",
-        r.resimulate_ms
-    );
-    println!(
-        "perf/sweep/checkpointed_replay                     median {:>10.2} ms  speedup x{:.2} ({} checkpoints)",
-        r.checkpointed_replay_ms, r.replay_speedup, r.checkpoints_restored
-    );
-    println!(
-        "perf/sweep/default_grid: {} candidates in {:.2} ms",
-        r.candidates, r.sweep_ms
-    );
-    let path = std::env::var("BENCH_SWEEP_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json").to_string()
-    });
-    std::fs::write(&path, r.to_json().render_pretty()).expect("write BENCH_sweep.json");
-    println!("perf/sweep: wrote {path}");
-}
-
-/// P9: the certification plane. Records one **checkpointed** credit
-/// trial to an in-memory trace, then times the plane over it: streaming
-/// extraction alone, the theory-analysis passes alone, and the full
-/// engine run. Self-measured through `eqimpact_bench::perf_certify` and
-/// exported to `BENCH_certify.json` (path overridable via
-/// `BENCH_CERTIFY_OUT`).
-fn bench_certify(_c: &mut Criterion) {
-    use eqimpact_bench::perf_certify;
-    use eqimpact_core::scenario::Scale as ScenarioScale;
-    use eqimpact_stats::json::ToJson;
-
-    let quick = criterion::is_quick();
-    let scale = if quick {
-        ScenarioScale::Quick
-    } else {
-        ScenarioScale::Paper
-    };
-    println!("\n-- group: perf/certify ({scale:?} checkpointed credit trial) --");
-    let r = perf_certify(scale, None).expect("perf_certify");
-    println!(
-        "perf/certify/extract                               median {:>10.2} ms  ({} states, {} transitions)",
-        r.extract_ms, r.states, r.transitions
-    );
-    println!(
-        "perf/certify/analyze                               median {:>10.2} ms  ({} checks)",
-        r.analyze_ms, r.checks
-    );
-    println!(
-        "perf/certify/full_engine: {} bytes certified in {:.2} ms",
-        r.trace_bytes, r.certify_ms
-    );
-    let path = std::env::var("BENCH_CERTIFY_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_certify.json").to_string()
-    });
-    std::fs::write(&path, r.to_json().render_pretty()).expect("write BENCH_certify.json");
-    println!("perf/certify: wrote {path}");
 }
 
 /// Feature width of the columnar bench population: wide enough that the
@@ -470,13 +296,6 @@ impl AiSystem for BatchScoredAi {
 
 /// One timed run of the columnar-vs-row loop (`columnar` picks the arm).
 fn time_columnar_run(users: usize, steps: usize, columnar: bool) -> f64 {
-    fn timed(mut runner: impl FnMut() -> usize, steps: usize) -> f64 {
-        let start = Instant::now();
-        let recorded = runner();
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(recorded, steps);
-        elapsed
-    }
     if columnar {
         let mut runner = LoopBuilder::new(
             BatchScoredAi {
@@ -488,7 +307,7 @@ fn time_columnar_run(users: usize, steps: usize, columnar: bool) -> f64 {
         .delay(1)
         .record(RecordPolicy::Thin)
         .build();
-        timed(|| runner.run(steps, &mut SimRng::new(11)).steps(), steps)
+        timed_ms(steps, || runner.run(steps, &mut SimRng::new(11)).steps())
     } else {
         let mut runner = LoopBuilder::new(
             RowScoredAi {
@@ -501,7 +320,7 @@ fn time_columnar_run(users: usize, steps: usize, columnar: bool) -> f64 {
         .delay(1)
         .record(RecordPolicy::Thin)
         .build();
-        timed(|| runner.run(steps, &mut SimRng::new(11)).steps(), steps)
+        timed_ms(steps, || runner.run(steps, &mut SimRng::new(11)).steps())
     }
 }
 
@@ -509,11 +328,8 @@ fn time_columnar_run(users: usize, steps: usize, columnar: bool) -> f64 {
 /// through a row-gathering AI replicating the pre-redesign row-major hot
 /// path, once through the batched column kernels — with the two paths
 /// proven bit-identical on a small run before anything is timed.
-/// Samples rotate round-robin as in P5 and the medians land in
-/// `BENCH_columnar.json` (path overridable via `BENCH_COLUMNAR_OUT`).
+/// Samples rotate round-robin as in P5.
 fn bench_columnar(_c: &mut Criterion) {
-    use eqimpact_stats::json::{Json, ToJson};
-
     let quick = criterion::is_quick();
     let (users, steps) = (100_000usize, 50usize);
     let reps = if quick { 2 } else { 10 };
@@ -563,7 +379,6 @@ fn bench_columnar(_c: &mut Criterion) {
     let row_ms = median(&mut samples[0]);
     let col_ms = median(&mut samples[1]);
     let speedup = row_ms / col_ms;
-    let throughput = |ms: f64| users as f64 * steps as f64 / (ms / 1e3);
     println!("perf/columnar/row_gather                           median {row_ms:>10.2} ms");
     println!(
         "perf/columnar/batch_kernels                        median {col_ms:>10.2} ms  speedup x{speedup:.2}"
@@ -577,37 +392,6 @@ fn bench_columnar(_c: &mut Criterion) {
         "columnar batch scoring ({col_ms:.2} ms) regressed vs the \
          row-gather baseline ({row_ms:.2} ms)"
     );
-
-    let doc = Json::obj([
-        ("users", users.to_json()),
-        ("steps", steps.to_json()),
-        ("feature_width", COLUMNAR_WIDTH.to_json()),
-        ("record_policy", "thin".to_json()),
-        ("reps", reps.to_json()),
-        (
-            "note",
-            "same loop, same logistic scores (bit-identical, asserted): \
-             row_gather replicates the pre-redesign row-major hot path \
-             (per-row gather + dot fold); batch_kernels is the columnar \
-             fill/axpy/offset sweep over the column slices."
-                .to_json(),
-        ),
-        ("row_gather_ms", row_ms.to_json()),
-        ("batch_kernels_ms", col_ms.to_json()),
-        ("row_gather_ms_per_step", (row_ms / steps as f64).to_json()),
-        (
-            "batch_kernels_ms_per_step",
-            (col_ms / steps as f64).to_json(),
-        ),
-        ("row_gather_rows_per_sec", throughput(row_ms).to_json()),
-        ("batch_kernels_rows_per_sec", throughput(col_ms).to_json()),
-        ("speedup", speedup.to_json()),
-    ]);
-    let path = std::env::var("BENCH_COLUMNAR_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_columnar.json").to_string()
-    });
-    std::fs::write(&path, doc.render_pretty()).expect("write BENCH_columnar.json");
-    println!("perf/columnar: wrote {path}");
 }
 
 fn bench_loop_step(c: &mut Criterion) {
@@ -707,9 +491,6 @@ fn bench_invariant_measure(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_sharded_loop,
-    bench_trace_store,
-    bench_sweep,
-    bench_certify,
     bench_columnar,
     bench_loop_step,
     bench_irls,

@@ -1111,15 +1111,15 @@ mod tests {
     }
 
     /// Writes a minimal empty-but-well-formed trace whose header names
-    /// `scenario`, so `replay` gets past parsing and hits the registry
-    /// gates exactly like a real recorded trace would.
-    fn write_stub_trace(scenario: &str) -> PathBuf {
+    /// `scenario` and `variant`, so `replay` gets past parsing and hits
+    /// the registry gates exactly like a real recorded trace would.
+    fn write_stub_trace(scenario: &str, variant: &str) -> PathBuf {
         use eqimpact_core::recorder::RecordPolicy;
         use eqimpact_core::scenario::{Scale, TraceMeta};
         use eqimpact_trace::{TraceHeader, TraceWriter};
         let header = TraceHeader::from_meta(&TraceMeta {
             scenario: scenario.to_string(),
-            variant: "stub".to_string(),
+            variant: variant.to_string(),
             trial: 0,
             scale: Scale::Quick,
             seed: 0,
@@ -1170,7 +1170,7 @@ mod tests {
 
         // `replay` reads the scenario name from the trace header instead
         // of argv, but must apply the same contract.
-        let unknown_trace = write_stub_trace("nope");
+        let unknown_trace = write_stub_trace("nope", "stub");
         let err = cmd_replay(&strings(&[unknown_trace.to_str().unwrap()])).unwrap_err();
         std::fs::remove_file(&unknown_trace).ok();
         assert_eq!(err.code, 2, "replay of unknown scenario: {}", err.message);
@@ -1180,7 +1180,7 @@ mod tests {
             err.message
         );
 
-        let unsup_trace = write_stub_trace("ablations");
+        let unsup_trace = write_stub_trace("ablations", "stub");
         let err = cmd_replay(&strings(&[unsup_trace.to_str().unwrap()])).unwrap_err();
         std::fs::remove_file(&unsup_trace).ok();
         assert_eq!(
@@ -1188,6 +1188,40 @@ mod tests {
             "replay of unsupported scenario: {}",
             err.message
         );
+    }
+
+    #[test]
+    fn replay_rejects_a_variant_that_would_write_outside_out() {
+        // The off-policy report is named after the header's variant, so
+        // `x/../../../escaped` would land two directories above `--out`
+        // once `out/offpolicy_credit_scorecard_vs_x/` exists. Reading the
+        // header must reject it before anything is evaluated or written.
+        fn files_under(dir: &Path) -> usize {
+            std::fs::read_dir(dir)
+                .unwrap()
+                .map(|entry| entry.unwrap().path())
+                .map(|path| if path.is_dir() { files_under(&path) } else { 1 })
+                .sum()
+        }
+        let root =
+            std::env::temp_dir().join(format!("eqimpact-replay-escape-{}", std::process::id()));
+        let out = root.join("a").join("b").join("out");
+        std::fs::create_dir_all(out.join("offpolicy_credit_scorecard_vs_x")).unwrap();
+        let trace = write_stub_trace("credit", "x/../../../escaped");
+        let err = cmd_replay(&strings(&[
+            trace.to_str().unwrap(),
+            "--policy",
+            "scorecard",
+            "--out",
+            out.to_str().unwrap(),
+        ]))
+        .unwrap_err();
+        std::fs::remove_file(&trace).ok();
+        let written = files_under(&root);
+        std::fs::remove_dir_all(&root).ok();
+        assert_eq!(err.code, 2, "{}", err.message);
+        assert!(err.message.contains("variant"), "{}", err.message);
+        assert_eq!(written, 0, "replay wrote a file");
     }
 
     #[test]

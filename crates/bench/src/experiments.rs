@@ -62,17 +62,7 @@ pub fn fig2_rows() -> Vec<(String, [f64; 3])> {
 
 /// The shared credit-loop run behind Figs. 3-5.
 pub fn credit_outcomes(scale: Scale) -> Vec<CreditOutcome> {
-    credit_outcomes_with(scale, 1)
-}
-
-/// [`credit_outcomes`] with an explicit intra-trial shard count (a pure
-/// perf knob: records are bit-identical for every value; `0` = auto).
-pub fn credit_outcomes_with(scale: Scale, shards: usize) -> Vec<CreditOutcome> {
-    let config = CreditConfig {
-        shards,
-        ..credit_config(scale, LenderKind::Scorecard)
-    };
-    run_trials_protocol(&config)
+    run_trials_protocol(&credit_config(scale, LenderKind::Scorecard))
 }
 
 /// F3: race-wise mean ± std ADR series.
@@ -511,583 +501,6 @@ pub fn ablate_filter(scale: Scale, seed: Option<u64>) -> FilterAblation {
         tracking_error,
         late_signal_swing,
     }
-}
-
-// ---------------------------------------------------------------------------
-// P-SH — intra-trial sharding at production scale
-// ---------------------------------------------------------------------------
-
-/// P-SH result: wall-clock of one production-scale credit trial,
-/// sequential vs sharded.
-#[derive(Debug, Clone)]
-pub struct PerfShardResult {
-    /// Users simulated (the 100k production scale).
-    pub users: usize,
-    /// Steps simulated.
-    pub steps: usize,
-    /// Capacity of the process thread budget (defaults to the OS core
-    /// count; capped by `--threads` / `EQIMPACT_THREADS`).
-    pub cores: usize,
-    /// Shard count of the sharded run.
-    pub shards: usize,
-    /// Median wall-clock of the sequential (1-shard) run, ms.
-    pub sequential_ms: f64,
-    /// Median wall-clock of the sharded run, ms.
-    pub sharded_ms: f64,
-    /// `sequential_ms / sharded_ms`.
-    pub speedup: f64,
-}
-
-impl ToJson for PerfShardResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("users", self.users.to_json()),
-            ("steps", self.steps.to_json()),
-            ("cores", self.cores.to_json()),
-            ("shards", self.shards.to_json()),
-            ("sequential_ms", self.sequential_ms.to_json()),
-            ("sharded_ms", self.sharded_ms.to_json()),
-            ("speedup", self.speedup.to_json()),
-        ])
-    }
-}
-
-/// P-SH: times the 100k-user x 50-step credit loop (income-multiple
-/// lender — cheap retrain, so the parallel user sweep dominates, as in a
-/// production serving loop; thin records) sequentially and with `shards`
-/// shards (`<= 1` = auto, one per budget lane). The records are bit-identical; only
-/// the wall-clock changes. `Scale::Quick` trims to 20k users.
-pub fn perf_shard(scale: Scale, shards: usize, seed: Option<u64>) -> PerfShardResult {
-    let users = match scale {
-        Scale::Paper => 100_000,
-        Scale::Quick => 20_000,
-    };
-    let steps = 50;
-    // A 1-shard "sharded leg" would time the sequential runner against
-    // itself, so anything <= 1 means auto (the thread budget's lanes).
-    let shards = if shards <= 1 {
-        eqimpact_core::shard::auto_shards()
-    } else {
-        shards
-    };
-    let config = CreditConfig {
-        users,
-        steps,
-        trials: 1,
-        seed: seed.unwrap_or(7),
-        lender: LenderKind::IncomeMultiple,
-        delay: 1,
-        shards: 1,
-        policy: eqimpact_core::recorder::RecordPolicy::Thin,
-    };
-    let time = |config: &CreditConfig| -> f64 {
-        let mut samples: Vec<f64> = (0..3)
-            .map(|_| {
-                let (outcome, ms) = eqimpact_telemetry::metrics::BENCH_SAMPLE
-                    .time_ms(|| eqimpact_credit::sim::run_trial(config, 0));
-                assert_eq!(outcome.record.steps(), steps);
-                ms
-            })
-            .collect();
-        samples.sort_by(|a, b| a.total_cmp(b));
-        samples[samples.len() / 2]
-    };
-    let sequential_ms = time(&config);
-    let sharded_ms = time(&CreditConfig { shards, ..config });
-    PerfShardResult {
-        users,
-        steps,
-        cores: eqimpact_core::pool::ThreadBudget::global().capacity(),
-        shards,
-        sequential_ms,
-        sharded_ms,
-        speedup: sequential_ms / sharded_ms,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// P-TR — trace store: replay vs re-simulate, bytes vs JSON
-// ---------------------------------------------------------------------------
-
-/// P-TR result: wall-clock of replay vs re-simulation of one credit
-/// trial, and the trace's size against the equivalent JSON dump.
-#[derive(Debug, Clone)]
-pub struct PerfTraceResult {
-    /// Users simulated.
-    pub users: usize,
-    /// Steps simulated.
-    pub steps: usize,
-    /// Median wall-clock of re-simulating the trial from scratch, ms.
-    pub resimulate_ms: f64,
-    /// Median wall-clock of verified replay from the trace, ms.
-    pub replay_ms: f64,
-    /// `resimulate_ms / replay_ms`.
-    pub replay_speedup: f64,
-    /// On-disk size of the trace, bytes.
-    pub trace_bytes: u64,
-    /// Size of the equivalent JSON dump (same header, groups and the
-    /// four per-step channels, pretty-rendered as the workspace's
-    /// artifact pipeline writes JSON), bytes.
-    pub json_bytes: u64,
-    /// The same dump compact-rendered (no indentation), bytes.
-    pub compact_json_bytes: u64,
-    /// `json_bytes / trace_bytes`.
-    pub json_ratio: f64,
-    /// `compact_json_bytes / trace_bytes`.
-    pub compact_json_ratio: f64,
-}
-
-impl ToJson for PerfTraceResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("users", self.users.to_json()),
-            ("steps", self.steps.to_json()),
-            ("resimulate_ms", self.resimulate_ms.to_json()),
-            ("replay_ms", self.replay_ms.to_json()),
-            ("replay_speedup", self.replay_speedup.to_json()),
-            ("trace_bytes", (self.trace_bytes as usize).to_json()),
-            ("json_bytes", (self.json_bytes as usize).to_json()),
-            (
-                "compact_json_bytes",
-                (self.compact_json_bytes as usize).to_json(),
-            ),
-            ("json_ratio", self.json_ratio.to_json()),
-            ("compact_json_ratio", self.compact_json_ratio.to_json()),
-        ])
-    }
-}
-
-/// Renders the exact information content of a trace as the JSON dump the
-/// artifact pipeline would otherwise persist: header fields, group
-/// codes, and the four per-step channels.
-fn trace_json_dump(bytes: &[u8]) -> Result<Json, String> {
-    use eqimpact_trace::{StepFrame, TraceReader};
-    let mut input: &[u8] = bytes;
-    let mut reader =
-        TraceReader::new(&mut input).map_err(|e| format!("perf-trace: trace reads back: {e}"))?;
-    let header = reader.header().clone();
-    let groups: Vec<Json> = reader
-        .groups()
-        .map(|g| g.codes.iter().map(|&c| (c as usize).to_json()).collect())
-        .unwrap_or_default();
-    let mut steps = Vec::new();
-    let mut frame = StepFrame::default();
-    while reader
-        .next_step(&mut frame)
-        .map_err(|e| format!("perf-trace: trace step read: {e}"))?
-    {
-        steps.push(Json::obj([
-            ("visible", frame.visible.to_row_major().to_json()),
-            ("signals", frame.signals.to_json()),
-            ("actions", frame.actions.to_json()),
-            ("filtered", frame.filtered.to_json()),
-        ]));
-    }
-    Ok(Json::obj([
-        ("scenario", header.scenario.as_str().to_json()),
-        ("variant", header.variant.as_str().to_json()),
-        ("seed", header.seed.to_string().as_str().to_json()),
-        ("groups", Json::Arr(groups)),
-        ("steps", Json::Arr(steps)),
-    ]))
-}
-
-/// Median of three timed samples. The sampled closure reports its own
-/// verification failures (replay mismatches, read errors) through the
-/// `Result` instead of panicking.
-fn median_ms(mut f: impl FnMut() -> Result<(), String>) -> Result<f64, String> {
-    let mut samples = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let (result, ms) = eqimpact_telemetry::metrics::BENCH_SAMPLE.time_ms(&mut f);
-        result?;
-        samples.push(ms);
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    Ok(samples[samples.len() / 2])
-}
-
-/// P-TR: records one paper-shape credit trial (N = 1000; 400 under
-/// `--quick`) to an in-memory trace, then measures (a) verified replay
-/// against re-simulating the trial from scratch and (b) the trace's
-/// bytes against the equivalent JSON dump. `seed` overrides the
-/// protocol's base seed. Trace I/O and verification failures surface
-/// as named errors.
-pub fn perf_trace(scale: Scale, seed: Option<u64>) -> Result<PerfTraceResult, String> {
-    use eqimpact_core::scenario::TraceMeta;
-    use eqimpact_credit::sim::run_trial_sunk;
-    use eqimpact_credit::CreditTracer;
-    use eqimpact_trace::TraceReplayer;
-    use eqimpact_trace::{TraceHeader, TraceReader, TraceStepSink};
-
-    let base = credit_config(scale, LenderKind::Scorecard);
-    let config = CreditConfig {
-        trials: 1,
-        seed: seed.unwrap_or(base.seed),
-        ..base
-    };
-    let header = TraceHeader::from_meta(&TraceMeta {
-        scenario: "credit".to_string(),
-        variant: eqimpact_credit::scenario::TRACE_VARIANT.to_string(),
-        trial: 0,
-        scale,
-        seed: config.seed,
-        shards: config.shards,
-        delay: config.delay,
-        policy: config.policy,
-    });
-    let mut sink = TraceStepSink::new(Vec::new(), &header)
-        .map_err(|e| format!("perf-trace: in-memory trace sink: {e}"))?;
-    let outcome = run_trial_sunk(&config, 0, &mut sink);
-    let bytes = sink
-        .finish()
-        .map_err(|e| format!("perf-trace: trace finish: {e}"))?;
-
-    let resimulate_ms = median_ms(|| {
-        let again = eqimpact_credit::sim::run_trial(&config, 0);
-        if again.record.steps() != config.steps {
-            return Err(format!(
-                "perf-trace: re-simulation produced {} steps, expected {}",
-                again.record.steps(),
-                config.steps
-            ));
-        }
-        Ok(())
-    })?;
-    let replay_ms = median_ms(|| {
-        let mut input: &[u8] = &bytes;
-        let reader = TraceReader::new(&mut input as &mut dyn std::io::Read)
-            .map_err(|e| format!("perf-trace: trace opens: {e}"))?;
-        let summary = CreditTracer
-            .replay(reader)
-            .map_err(|e| format!("perf-trace: verified replay: {e}"))?;
-        if summary.record != outcome.record {
-            return Err("perf-trace: replayed record differs from the live record".to_string());
-        }
-        Ok(())
-    })?;
-
-    let dump = trace_json_dump(&bytes)?;
-    let json_bytes = dump.render_pretty().len() as u64;
-    let compact_json_bytes = dump.render().len() as u64;
-    let trace_bytes = bytes.len() as u64;
-    Ok(PerfTraceResult {
-        users: config.users,
-        steps: config.steps,
-        resimulate_ms,
-        replay_ms,
-        replay_speedup: resimulate_ms / replay_ms,
-        trace_bytes,
-        json_bytes,
-        compact_json_bytes,
-        json_ratio: json_bytes as f64 / trace_bytes as f64,
-        compact_json_ratio: compact_json_bytes as f64 / trace_bytes as f64,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// P-SW — counterfactual lab: checkpointed replay vs re-simulate, sweep
-// ---------------------------------------------------------------------------
-
-/// P-SW result: wall-clock of checkpointed replay vs re-simulation of
-/// one credit trial, plus a default-grid off-policy sweep over the same
-/// trace through the lab engine.
-#[derive(Debug, Clone)]
-pub struct PerfSweepResult {
-    /// Users simulated.
-    pub users: usize,
-    /// Steps simulated.
-    pub steps: usize,
-    /// Median wall-clock of re-simulating the trial from scratch, ms.
-    pub resimulate_ms: f64,
-    /// Median wall-clock of verified **checkpointed** replay (model
-    /// states restored at each retrain instead of refit), ms.
-    pub checkpointed_replay_ms: f64,
-    /// `resimulate_ms / checkpointed_replay_ms`.
-    pub replay_speedup: f64,
-    /// Model checkpoints restored per replay (> 0, or the fast-path
-    /// never engaged).
-    pub checkpoints_restored: usize,
-    /// Candidates evaluated by the sweep leg.
-    pub candidates: usize,
-    /// Wall-clock of the default-grid sweep over the recorded trace, ms.
-    pub sweep_ms: f64,
-}
-
-impl ToJson for PerfSweepResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("users", self.users.to_json()),
-            ("steps", self.steps.to_json()),
-            ("resimulate_ms", self.resimulate_ms.to_json()),
-            (
-                "checkpointed_replay_ms",
-                self.checkpointed_replay_ms.to_json(),
-            ),
-            ("replay_speedup", self.replay_speedup.to_json()),
-            ("checkpoints_restored", self.checkpoints_restored.to_json()),
-            ("candidates", self.candidates.to_json()),
-            ("sweep_ms", self.sweep_ms.to_json()),
-        ])
-    }
-}
-
-/// P-SW: records one paper-shape credit trial (N = 1000; 400 under
-/// `--quick`) to an in-memory **checkpointed** trace, then measures
-/// (a) verified checkpointed replay against re-simulating the trial from
-/// scratch — the counterfactual lab's fast-path — and (b) a default-grid
-/// off-policy sweep over the recorded trace. `seed` overrides the
-/// protocol's base seed. Trace I/O, replay-verification and sweep
-/// failures surface as named errors.
-pub fn perf_sweep(scale: Scale, seed: Option<u64>) -> Result<PerfSweepResult, String> {
-    use eqimpact_core::pool::ThreadBudget;
-    use eqimpact_core::scenario::TraceMeta;
-    use eqimpact_credit::sim::run_trial_sunk;
-    use eqimpact_credit::{AdrFilter, CreditSweep, ScorecardLender};
-    use eqimpact_lab::{run_sweep, MemTrace, SweepConfig, SweepTarget, TraceSource};
-    use eqimpact_trace::{ReplayRunner, TraceHeader, TraceReader, TraceStepSink};
-
-    let base = credit_config(scale, LenderKind::Scorecard);
-    let config = CreditConfig {
-        trials: 1,
-        seed: seed.unwrap_or(base.seed),
-        ..base
-    };
-    let header = TraceHeader::from_meta(&TraceMeta {
-        scenario: "credit".to_string(),
-        variant: eqimpact_credit::scenario::TRACE_VARIANT.to_string(),
-        trial: 0,
-        scale,
-        seed: config.seed,
-        shards: config.shards,
-        delay: config.delay,
-        policy: config.policy,
-    })
-    .with_checkpoints();
-    let mut sink = TraceStepSink::new(Vec::new(), &header)
-        .map_err(|e| format!("perf-sweep: in-memory trace sink: {e}"))?;
-    let outcome = run_trial_sunk(&config, 0, &mut sink);
-    let bytes = sink
-        .finish()
-        .map_err(|e| format!("perf-sweep: trace finish: {e}"))?;
-
-    let resimulate_ms = median_ms(|| {
-        let again = eqimpact_credit::sim::run_trial(&config, 0);
-        if again.record.steps() != config.steps {
-            return Err(format!(
-                "perf-sweep: re-simulation produced {} steps, expected {}",
-                again.record.steps(),
-                config.steps
-            ));
-        }
-        Ok(())
-    })?;
-    let mut checkpoints_restored = 0;
-    let checkpointed_replay_ms = median_ms(|| {
-        let mut input: &[u8] = &bytes;
-        let reader = TraceReader::new(&mut input as &mut dyn std::io::Read)
-            .map_err(|e| format!("perf-sweep: trace opens: {e}"))?;
-        let mut runner =
-            ReplayRunner::new(reader, ScorecardLender::paper_default(), AdrFilter::new());
-        let record = runner
-            .run()
-            .map_err(|e| format!("perf-sweep: verified checkpointed replay: {e}"))?;
-        if record != outcome.record {
-            return Err("perf-sweep: replayed record differs from the live record".to_string());
-        }
-        checkpoints_restored = runner.checkpoints_restored();
-        if checkpoints_restored == 0 {
-            return Err("perf-sweep: checkpoint fast-path never engaged".to_string());
-        }
-        Ok(())
-    })?;
-
-    let trace = MemTrace::new("perf-sweep.eqtrace", bytes);
-    let sources: [&dyn TraceSource; 1] = [&trace];
-    let grid = CreditSweep.default_grid();
-    let candidates = grid.len();
-    let sweep_config = SweepConfig {
-        seed: config.seed,
-        ..SweepConfig::default()
-    };
-    let (sweep_result, sweep_ms) = eqimpact_telemetry::metrics::BENCH_SAMPLE.time_ms(|| {
-        run_sweep(
-            &CreditSweep,
-            &sources,
-            &grid,
-            &sweep_config,
-            ThreadBudget::global(),
-        )
-    });
-    let report = sweep_result.map_err(|e| format!("perf-sweep: sweep run: {e}"))?;
-    if report.ranked.len() != candidates {
-        return Err(format!(
-            "perf-sweep: sweep ranked {} candidates, expected {}",
-            report.ranked.len(),
-            candidates
-        ));
-    }
-
-    Ok(PerfSweepResult {
-        users: config.users,
-        steps: config.steps,
-        resimulate_ms,
-        checkpointed_replay_ms,
-        replay_speedup: resimulate_ms / checkpointed_replay_ms,
-        checkpoints_restored,
-        candidates,
-        sweep_ms,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// P9 — certification plane: extraction vs analysis wall-time
-// ---------------------------------------------------------------------------
-
-/// P9 result: wall-clock of certifying one paper-scale credit trace,
-/// split into its streaming-extraction and theory-analysis halves.
-#[derive(Debug, Clone)]
-pub struct PerfCertifyResult {
-    /// Users in the recorded trace.
-    pub users: usize,
-    /// Steps in the recorded trace.
-    pub steps: usize,
-    /// Recorded trace size, bytes.
-    pub trace_bytes: usize,
-    /// Occupied discrete states in the extracted chain.
-    pub states: usize,
-    /// Pooled transition samples in the extracted chain.
-    pub transitions: u64,
-    /// Median wall-clock of streaming extraction (one trace pass), ms.
-    pub extract_ms: f64,
-    /// Median wall-clock of the analysis passes over the extraction, ms.
-    pub analyze_ms: f64,
-    /// Wall-clock of the full `run_certification` over the trace, ms.
-    pub certify_ms: f64,
-    /// Checks rendered in the certificate (the five theory passes).
-    pub checks: usize,
-}
-
-impl ToJson for PerfCertifyResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("users", self.users.to_json()),
-            ("steps", self.steps.to_json()),
-            ("trace_bytes", self.trace_bytes.to_json()),
-            ("states", self.states.to_json()),
-            ("transitions", (self.transitions as usize).to_json()),
-            ("extract_ms", self.extract_ms.to_json()),
-            ("analyze_ms", self.analyze_ms.to_json()),
-            ("certify_ms", self.certify_ms.to_json()),
-            ("checks", self.checks.to_json()),
-        ])
-    }
-}
-
-/// P9: records one paper-shape credit trial (N = 1000; 400 under
-/// `--quick`) to an in-memory **checkpointed** trace, then measures the
-/// certification plane over it: streaming extraction alone, the theory
-/// analysis alone, and the full engine run. `seed` overrides the
-/// protocol's base seed. Trace I/O and certification failures surface
-/// as named errors.
-pub fn perf_certify(scale: Scale, seed: Option<u64>) -> Result<PerfCertifyResult, String> {
-    use eqimpact_certify::{
-        certificate_of, extract, run_certification, CertifyConfig, CertifyTarget,
-    };
-    use eqimpact_core::pool::ThreadBudget;
-    use eqimpact_core::scenario::TraceMeta;
-    use eqimpact_credit::sim::run_trial_sunk;
-    use eqimpact_credit::CreditCertify;
-    use eqimpact_lab::{MemTrace, TraceSource};
-    use eqimpact_trace::{TraceHeader, TraceStepSink};
-
-    let base = credit_config(scale, LenderKind::Scorecard);
-    let config = CreditConfig {
-        trials: 1,
-        seed: seed.unwrap_or(base.seed),
-        ..base
-    };
-    let header = TraceHeader::from_meta(&TraceMeta {
-        scenario: "credit".to_string(),
-        variant: eqimpact_credit::scenario::TRACE_VARIANT.to_string(),
-        trial: 0,
-        scale,
-        seed: config.seed,
-        shards: config.shards,
-        delay: config.delay,
-        policy: config.policy,
-    })
-    .with_checkpoints();
-    let mut sink = TraceStepSink::new(Vec::new(), &header)
-        .map_err(|e| format!("perf-certify: in-memory trace sink: {e}"))?;
-    run_trial_sunk(&config, 0, &mut sink);
-    let bytes = sink
-        .finish()
-        .map_err(|e| format!("perf-certify: trace finish: {e}"))?;
-    let trace_bytes = bytes.len();
-
-    let spec = CreditCertify.spec();
-    let extract_ms = median_ms(|| {
-        let mut input: &[u8] = &bytes;
-        let ex = extract(&spec, &mut input as &mut dyn std::io::Read)
-            .map_err(|e| format!("perf-certify: extraction: {e}"))?;
-        if ex.steps != config.steps {
-            return Err(format!(
-                "perf-certify: extraction saw {} steps, expected {}",
-                ex.steps, config.steps
-            ));
-        }
-        Ok(())
-    })?;
-    let mut input: &[u8] = &bytes;
-    let ex = extract(&spec, &mut input as &mut dyn std::io::Read)
-        .map_err(|e| format!("perf-certify: extraction: {e}"))?;
-
-    let certify_config = CertifyConfig {
-        seed: config.seed,
-        ..CertifyConfig::default()
-    };
-    let rng = SimRng::new(certify_config.seed).split(0);
-    let mut checks = 0;
-    let analyze_ms = median_ms(|| {
-        let cert = certificate_of("perf-certify.eqtrace", &ex, &certify_config, &rng);
-        checks = cert.checks.len();
-        if checks < 5 {
-            return Err(format!(
-                "perf-certify: certificate rendered {checks} checks, expected the 5 theory passes"
-            ));
-        }
-        Ok(())
-    })?;
-
-    let trace = MemTrace::new("credit-perf.eqtrace", bytes);
-    let sources: [&dyn TraceSource; 1] = [&trace];
-    let (certify_result, certify_ms) = eqimpact_telemetry::metrics::BENCH_SAMPLE.time_ms(|| {
-        run_certification(
-            &CreditCertify,
-            &sources,
-            &certify_config,
-            ThreadBudget::global(),
-        )
-    });
-    let report = certify_result.map_err(|e| format!("perf-certify: engine run: {e}"))?;
-    if report.certificates.len() != 1 {
-        return Err(format!(
-            "perf-certify: engine produced {} certificates, expected 1",
-            report.certificates.len()
-        ));
-    }
-
-    Ok(PerfCertifyResult {
-        users: config.users,
-        steps: config.steps,
-        trace_bytes,
-        states: ex.occupied_states(),
-        transitions: ex.transition_count(),
-        extract_ms,
-        analyze_ms,
-        certify_ms,
-        checks,
-    })
 }
 
 #[cfg(test)]

@@ -4,14 +4,13 @@
 //! [`DynScenario`](eqimpact_core::scenario::DynScenario) registered here:
 //! the closed-loop case studies ([`CreditScenario`], [`HiringScenario`])
 //! plug in through the typed `Scenario` trait, while the ablation suite
-//! and the sharding perf measurement implement the object-safe face
-//! directly (they are not trials-of-one-outcome workloads). Adding a
+//! implements the object-safe face directly (it is not a
+//! trials-of-one-outcome workload). Adding a
 //! scenario is one `impl` plus one line in [`scenarios`]; the CLI, the
 //! artifact validation and the CI smoke matrix pick it up automatically.
 
 use crate::experiments::{
-    ablate_delay, ablate_filter, ablate_integral, ablate_markov, ablate_policy, perf_shard,
-    perf_sweep, perf_trace,
+    ablate_delay, ablate_filter, ablate_integral, ablate_markov, ablate_policy,
 };
 use eqimpact_census::FIRST_YEAR;
 use eqimpact_certify::CertifyTarget;
@@ -189,191 +188,6 @@ impl DynScenario for AblationScenario {
     }
 }
 
-/// The intra-trial sharding speedup measurement as a registry scenario
-/// (production credit scale; [`ScenarioConfig::shards`] selects the
-/// sharded leg's count, `<= 1` meaning auto).
-pub struct PerfShardScenario;
-
-const PERF_ARTIFACTS: &[ArtifactSpec] = &[ArtifactSpec {
-    name: "perf-shard",
-    description: "sequential vs sharded wall-clock of one production-scale credit trial",
-}];
-
-impl DynScenario for PerfShardScenario {
-    fn name(&self) -> &'static str {
-        "perf-shard"
-    }
-
-    fn description(&self) -> &'static str {
-        "intra-trial sharding speedup at production credit scale (100k users; 20k under --quick)"
-    }
-
-    fn artifacts(&self) -> &'static [ArtifactSpec] {
-        PERF_ARTIFACTS
-    }
-
-    fn supports_sharding(&self) -> bool {
-        true
-    }
-
-    fn run(&self, config: &ScenarioConfig) -> Result<ScenarioReport, ScenarioError> {
-        validate_artifacts(DynScenario::name(self), self.artifacts(), config)?;
-        if config.trace.is_some() {
-            return Err(ScenarioError::TracingUnsupported {
-                scenario: DynScenario::name(self),
-            });
-        }
-        let r = perf_shard(config.scale, config.shards, config.seed);
-        let summary = vec![format!(
-            "{} users x {} steps on {} cores: sequential {:.2} ms, {} shards {:.2} ms, speedup x{:.2}",
-            r.users, r.steps, r.cores, r.sequential_ms, r.shards, r.sharded_ms, r.speedup
-        )];
-        Ok(ScenarioReport {
-            summary,
-            artifacts: vec![Artifact {
-                name: "perf-shard",
-                file: "perf_shard.json".to_string(),
-                contents: r.to_json().render_pretty(),
-            }],
-        })
-    }
-}
-
-/// The trace-store perf measurement as a registry scenario: records a
-/// paper-scale credit trial to an in-memory trace, then times verified
-/// replay against re-simulation and compares the trace's size against
-/// the equivalent JSON dump.
-pub struct PerfTraceScenario;
-
-const PERF_TRACE_ARTIFACTS: &[ArtifactSpec] = &[ArtifactSpec {
-    name: "perf-trace",
-    description: "replay vs re-simulate wall-clock and trace vs JSON size of one credit trial",
-}];
-
-impl DynScenario for PerfTraceScenario {
-    fn name(&self) -> &'static str {
-        "perf-trace"
-    }
-
-    fn description(&self) -> &'static str {
-        "trace-store perf: replay vs re-simulate, on-disk bytes vs the equivalent JSON dump"
-    }
-
-    fn artifacts(&self) -> &'static [ArtifactSpec] {
-        PERF_TRACE_ARTIFACTS
-    }
-
-    fn supports_sharding(&self) -> bool {
-        false
-    }
-
-    fn run(&self, config: &ScenarioConfig) -> Result<ScenarioReport, ScenarioError> {
-        validate_artifacts(DynScenario::name(self), self.artifacts(), config)?;
-        if config.shards != 1 {
-            return Err(ScenarioError::ShardingUnsupported {
-                scenario: DynScenario::name(self),
-            });
-        }
-        if config.trace.is_some() {
-            return Err(ScenarioError::TracingUnsupported {
-                scenario: DynScenario::name(self),
-            });
-        }
-        let r = perf_trace(config.scale, config.seed).map_err(|message| ScenarioError::Failed {
-            scenario: DynScenario::name(self),
-            message,
-        })?;
-        let summary = vec![
-            format!(
-                "{} users x {} steps: re-simulate {:.2} ms, verified replay {:.2} ms (x{:.2} faster)",
-                r.users, r.steps, r.resimulate_ms, r.replay_ms, r.replay_speedup
-            ),
-            format!(
-                "trace {} bytes vs JSON dump {} bytes (x{:.2} smaller; compact JSON x{:.2})",
-                r.trace_bytes, r.json_bytes, r.json_ratio, r.compact_json_ratio
-            ),
-        ];
-        Ok(ScenarioReport {
-            summary,
-            artifacts: vec![Artifact {
-                name: "perf-trace",
-                file: "perf_trace.json".to_string(),
-                contents: r.to_json().render_pretty(),
-            }],
-        })
-    }
-}
-
-/// The counterfactual-lab perf measurement as a registry scenario:
-/// records a checkpointed paper-scale credit trace in memory, then times
-/// checkpointed replay against re-simulation and a default-grid
-/// off-policy sweep over the recorded trace.
-pub struct PerfSweepScenario;
-
-const PERF_SWEEP_ARTIFACTS: &[ArtifactSpec] = &[ArtifactSpec {
-    name: "perf-sweep",
-    description: "checkpointed replay vs re-simulate wall-clock plus a default-grid sweep",
-}];
-
-impl DynScenario for PerfSweepScenario {
-    fn name(&self) -> &'static str {
-        "perf-sweep"
-    }
-
-    fn description(&self) -> &'static str {
-        "counterfactual-lab perf: checkpointed replay vs re-simulate, default-grid sweep timing"
-    }
-
-    fn artifacts(&self) -> &'static [ArtifactSpec] {
-        PERF_SWEEP_ARTIFACTS
-    }
-
-    fn supports_sharding(&self) -> bool {
-        false
-    }
-
-    fn run(&self, config: &ScenarioConfig) -> Result<ScenarioReport, ScenarioError> {
-        validate_artifacts(DynScenario::name(self), self.artifacts(), config)?;
-        if config.shards != 1 {
-            return Err(ScenarioError::ShardingUnsupported {
-                scenario: DynScenario::name(self),
-            });
-        }
-        if config.trace.is_some() {
-            return Err(ScenarioError::TracingUnsupported {
-                scenario: DynScenario::name(self),
-            });
-        }
-        let r = perf_sweep(config.scale, config.seed).map_err(|message| ScenarioError::Failed {
-            scenario: DynScenario::name(self),
-            message,
-        })?;
-        let summary = vec![
-            format!(
-                "{} users x {} steps: re-simulate {:.2} ms, checkpointed replay {:.2} ms (x{:.2} faster, {} checkpoints restored)",
-                r.users,
-                r.steps,
-                r.resimulate_ms,
-                r.checkpointed_replay_ms,
-                r.replay_speedup,
-                r.checkpoints_restored
-            ),
-            format!(
-                "default-grid sweep: {} candidates over the recorded trace in {:.2} ms",
-                r.candidates, r.sweep_ms
-            ),
-        ];
-        Ok(ScenarioReport {
-            summary,
-            artifacts: vec![Artifact {
-                name: "perf-sweep",
-                file: "perf_sweep.json".to_string(),
-                contents: r.to_json().render_pretty(),
-            }],
-        })
-    }
-}
-
 /// Rejects duplicate names in a registry listing — the invariant behind
 /// [`find`]'s "one name, one scenario" contract.
 fn validate_unique_names(names: &[&str]) -> Result<(), String> {
@@ -393,14 +207,7 @@ fn validate_unique_names(names: &[&str]) -> Result<(), String> {
 /// name — a duplicate would make [`find`] and the CLI ambiguous, so the
 /// registry refuses to construct.
 pub fn scenarios() -> &'static [&'static dyn DynScenario] {
-    static REGISTRY: [&dyn DynScenario; 6] = [
-        &CreditScenario,
-        &HiringScenario,
-        &AblationScenario,
-        &PerfShardScenario,
-        &PerfTraceScenario,
-        &PerfSweepScenario,
-    ];
+    static REGISTRY: [&dyn DynScenario; 3] = [&CreditScenario, &HiringScenario, &AblationScenario];
     static VALIDATED: std::sync::OnceLock<()> = std::sync::OnceLock::new();
     VALIDATED.get_or_init(|| {
         let names: Vec<&str> = REGISTRY.iter().map(|s| s.name()).collect();

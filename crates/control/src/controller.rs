@@ -73,175 +73,6 @@ impl Controller for IController {
     }
 }
 
-/// PI control: `u = bias + kp·e + ki·Σe`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PiController {
-    /// Proportional gain.
-    pub kp: f64,
-    /// Integral gain.
-    pub ki: f64,
-    /// Constant offset.
-    pub bias: f64,
-    integral: f64,
-}
-
-impl PiController {
-    /// Creates a PI controller.
-    pub fn new(kp: f64, ki: f64, bias: f64) -> Self {
-        PiController {
-            kp,
-            ki,
-            bias,
-            integral: 0.0,
-        }
-    }
-
-    /// Accumulated integral term.
-    pub fn integral(&self) -> f64 {
-        self.integral
-    }
-}
-
-impl Controller for PiController {
-    fn update(&mut self, error: f64) -> f64 {
-        self.integral += self.ki * error;
-        self.bias + self.kp * error + self.integral
-    }
-
-    fn reset(&mut self) {
-        self.integral = 0.0;
-    }
-}
-
-/// PI control with **conditional anti-windup**: the integrator only
-/// accumulates while the raw output is inside the saturation band, so the
-/// integral term cannot wind up during long saturated excursions. The
-/// stable-by-design controller recommended for the loop when some integral
-/// action is unavoidable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AntiWindupPi {
-    /// Proportional gain.
-    pub kp: f64,
-    /// Integral gain.
-    pub ki: f64,
-    /// Output lower limit.
-    pub lo: f64,
-    /// Output upper limit.
-    pub hi: f64,
-    integral: f64,
-}
-
-impl AntiWindupPi {
-    /// Creates the controller.
-    ///
-    /// # Panics
-    /// Panics when `lo > hi`.
-    pub fn new(kp: f64, ki: f64, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "AntiWindupPi: lo > hi");
-        AntiWindupPi {
-            kp,
-            ki,
-            lo,
-            hi,
-            integral: 0.0,
-        }
-    }
-
-    /// Current integral term.
-    pub fn integral(&self) -> f64 {
-        self.integral
-    }
-}
-
-impl Controller for AntiWindupPi {
-    fn update(&mut self, error: f64) -> f64 {
-        let raw = self.kp * error + self.integral + self.ki * error;
-        // Conditional integration: freeze the integrator when the update
-        // would push further into saturation.
-        let saturated_high = raw > self.hi && error > 0.0;
-        let saturated_low = raw < self.lo && error < 0.0;
-        if !saturated_high && !saturated_low {
-            self.integral += self.ki * error;
-        }
-        (self.kp * error + self.integral).clamp(self.lo, self.hi)
-    }
-
-    fn reset(&mut self) {
-        self.integral = 0.0;
-    }
-}
-
-/// Saturation wrapper clamping another controller's output to `[lo, hi]`,
-/// with conditional anti-windup: while saturated, inner integral state is
-/// frozen by re-running `reset` semantics only on overflow — here
-/// implemented as clamping only, leaving windup behaviour to the inner law.
-#[derive(Debug, Clone)]
-pub struct SaturatedController<C> {
-    inner: C,
-    lo: f64,
-    hi: f64,
-}
-
-impl<C: Controller> SaturatedController<C> {
-    /// Wraps `inner` with output limits `[lo, hi]`.
-    ///
-    /// # Panics
-    /// Panics when `lo > hi`.
-    pub fn new(inner: C, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi, "SaturatedController: lo > hi");
-        SaturatedController { inner, lo, hi }
-    }
-
-    /// The wrapped controller.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-}
-
-impl<C: Controller> Controller for SaturatedController<C> {
-    fn update(&mut self, error: f64) -> f64 {
-        self.inner.update(error).clamp(self.lo, self.hi)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
-/// Deadband wrapper: errors with `|e| <= width` are treated as zero,
-/// suppressing chatter around the reference.
-#[derive(Debug, Clone)]
-pub struct DeadbandController<C> {
-    inner: C,
-    width: f64,
-}
-
-impl<C: Controller> DeadbandController<C> {
-    /// Wraps `inner` with a symmetric deadband of the given width.
-    ///
-    /// # Panics
-    /// Panics when `width < 0`.
-    pub fn new(inner: C, width: f64) -> Self {
-        assert!(width >= 0.0, "DeadbandController: negative width");
-        DeadbandController { inner, width }
-    }
-}
-
-impl<C: Controller> Controller for DeadbandController<C> {
-    fn update(&mut self, error: f64) -> f64 {
-        let e = if error.abs() <= self.width {
-            0.0
-        } else {
-            error
-        };
-        self.inner.update(e)
-    }
-
-    fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,103 +95,5 @@ mod tests {
         c.reset();
         assert_eq!(c.state(), 1.0);
         assert_eq!(c.update(0.0), 1.0);
-    }
-
-    #[test]
-    fn pi_controller_combines_terms() {
-        let mut c = PiController::new(1.0, 0.1, 0.0);
-        // e = 1: integral = 0.1, u = 1 + 0.1 = 1.1.
-        assert!((c.update(1.0) - 1.1).abs() < 1e-15);
-        // e = 0: integral stays 0.1, u = 0.1.
-        assert!((c.update(0.0) - 0.1).abs() < 1e-15);
-        assert!((c.integral() - 0.1).abs() < 1e-15);
-        c.reset();
-        assert_eq!(c.integral(), 0.0);
-    }
-
-    #[test]
-    fn saturation_clamps() {
-        let mut c = SaturatedController::new(PController::new(10.0, 0.0), -1.0, 1.0);
-        assert_eq!(c.update(5.0), 1.0);
-        assert_eq!(c.update(-5.0), -1.0);
-        assert_eq!(c.update(0.05), 0.5);
-        assert_eq!(c.inner().kp, 10.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "lo > hi")]
-    fn saturation_rejects_inverted_bounds() {
-        SaturatedController::new(PController::new(1.0, 0.0), 1.0, -1.0);
-    }
-
-    #[test]
-    fn deadband_suppresses_small_errors() {
-        let mut c = DeadbandController::new(PController::new(1.0, 0.0), 0.1);
-        assert_eq!(c.update(0.05), 0.0);
-        assert_eq!(c.update(-0.1), 0.0);
-        assert_eq!(c.update(0.2), 0.2);
-    }
-
-    #[test]
-    fn deadband_preserves_integral_behaviour_outside_band() {
-        let mut c = DeadbandController::new(IController::new(1.0, 0.0), 0.5);
-        c.update(1.0); // accumulates 1.0
-        c.update(0.1); // within band, accumulates 0
-        assert_eq!(c.update(0.0), 1.0);
-        c.reset();
-        assert_eq!(c.update(0.0), 0.0);
-    }
-
-    #[test]
-    fn anti_windup_pi_does_not_wind_up() {
-        // Drive both a plain PI and the anti-windup PI with a long
-        // saturated excursion, then reverse the error: the anti-windup
-        // controller recovers immediately, the plain one lags.
-        let mut plain = SaturatedController::new(PiController::new(1.0, 0.5, 0.0), -1.0, 1.0);
-        let mut aw = AntiWindupPi::new(1.0, 0.5, -1.0, 1.0);
-        for _ in 0..100 {
-            plain.update(5.0);
-            aw.update(5.0);
-        }
-        // Anti-windup integral stays bounded near the band.
-        assert!(aw.integral() <= 1.5 + 1e-12, "integral = {}", aw.integral());
-        // After the error flips, the anti-windup output responds at once.
-        let aw_out = aw.update(-2.0);
-        assert!(aw_out < 1.0, "anti-windup stuck at {aw_out}");
-        // The plain PI's wound-up integral keeps it pinned at the top.
-        let plain_out = plain.update(-2.0);
-        assert_eq!(plain_out, 1.0);
-    }
-
-    #[test]
-    fn anti_windup_pi_tracks_like_pi_when_unsaturated() {
-        let mut aw = AntiWindupPi::new(0.5, 0.1, -100.0, 100.0);
-        let mut pi = PiController::new(0.5, 0.1, 0.0);
-        for e in [0.2, -0.1, 0.3, 0.0, -0.2] {
-            let a = aw.update(e);
-            let b = pi.update(e);
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        aw.reset();
-        assert_eq!(aw.integral(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "lo > hi")]
-    fn anti_windup_rejects_inverted_bounds() {
-        AntiWindupPi::new(1.0, 1.0, 1.0, -1.0);
-    }
-
-    #[test]
-    fn wrappers_compose() {
-        let mut c = SaturatedController::new(
-            DeadbandController::new(PiController::new(1.0, 1.0, 0.0), 0.01),
-            0.0,
-            1.0,
-        );
-        let u = c.update(10.0);
-        assert_eq!(u, 1.0);
-        c.reset();
-        assert_eq!(c.update(0.0), 0.0);
     }
 }

@@ -6,8 +6,8 @@
 //! population, and the *choice of controller* decides whether the closed
 //! loop keeps a unique attractive invariant measure.
 //!
-//! * [`controller`] — proportional / integral / PI laws with saturation and
-//!   deadband, behind a common [`controller::Controller`] trait;
+//! * [`controller`] — the proportional and integral laws the ensemble
+//!   testbed contrasts, behind a common [`controller::Controller`] trait;
 //! * [`filter`] — the feedback-path filters of Fig. 1 (accumulating mean,
 //!   sliding window, EWMA, anomaly-rejecting), behind [`filter::Filter`];
 //! * [`iss`] — numerical incremental input-to-state stability checks
@@ -40,9 +40,7 @@ pub mod ensemble;
 pub mod filter;
 pub mod iss;
 
-pub use controller::{
-    AntiWindupPi, Controller, DeadbandController, PiController, SaturatedController,
-};
+pub use controller::Controller;
 pub use ensemble::{EnsembleLoop, EnsembleOutcome};
 pub use filter::{
     AccumulatingFilter, AnomalyRejectingFilter, EwmaFilter, Filter, SlidingWindowFilter,

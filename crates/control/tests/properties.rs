@@ -1,8 +1,6 @@
 //! Property-based tests for controllers, filters and ensembles.
 
-use eqimpact_control::controller::{
-    Controller, DeadbandController, IController, PController, PiController, SaturatedController,
-};
+use eqimpact_control::controller::{Controller, IController, PController};
 use eqimpact_control::ensemble::AgentBehaviour;
 use eqimpact_control::filter::{
     AccumulatingFilter, AnomalyRejectingFilter, EwmaFilter, Filter, SlidingWindowFilter,
@@ -31,43 +29,6 @@ proptest! {
         prop_assert!((last - expected).abs() < 1e-9 * (1.0 + expected.abs()));
         c.reset();
         prop_assert_eq!(c.update(0.0), 0.0);
-    }
-
-    #[test]
-    fn pi_equals_p_plus_i(kp in 0.0f64..3.0, ki in 0.0f64..3.0, errors in prop::collection::vec(-1.0f64..1.0, 1..20)) {
-        let mut pi = PiController::new(kp, ki, 0.0);
-        let mut p = PController::new(kp, 0.0);
-        let mut i = IController::new(ki, 0.0);
-        for &e in &errors {
-            let u_pi = pi.update(e);
-            let u_sum = p.update(e) + i.update(e);
-            prop_assert!((u_pi - u_sum).abs() < 1e-9 * (1.0 + u_pi.abs()));
-        }
-    }
-
-    #[test]
-    fn saturation_bounds_output(
-        kp in -20.0f64..20.0,
-        lo in -5.0f64..0.0,
-        hi in 0.0f64..5.0,
-        errors in prop::collection::vec(-100.0f64..100.0, 1..20),
-    ) {
-        let mut c = SaturatedController::new(PController::new(kp, 0.0), lo, hi);
-        for &e in &errors {
-            let u = c.update(e);
-            prop_assert!((lo..=hi).contains(&u), "u = {u} outside [{lo}, {hi}]");
-        }
-    }
-
-    #[test]
-    fn deadband_zeroes_small_errors(width in 0.0f64..2.0, e in -5.0f64..5.0) {
-        let mut c = DeadbandController::new(PController::new(1.0, 0.0), width);
-        let u = c.update(e);
-        if e.abs() <= width {
-            prop_assert_eq!(u, 0.0);
-        } else {
-            prop_assert_eq!(u, e);
-        }
     }
 
     #[test]

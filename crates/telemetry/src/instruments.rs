@@ -385,14 +385,6 @@ impl PhaseSpan {
         }
     }
 
-    /// Times `f`, returning its result and the elapsed milliseconds.
-    /// Like [`Self::start_timer`], always measures; records if enabled.
-    pub fn time_ms<R>(&'static self, f: impl FnOnce() -> R) -> (R, f64) {
-        let timer = self.start_timer();
-        let result = f();
-        (result, timer.stop_ms())
-    }
-
     /// Scopes entered since the last reset.
     pub fn count(&self) -> u64 {
         self.hist.count()
@@ -605,16 +597,12 @@ mod tests {
             let _g = S.enter();
         }
         assert_eq!(S.count(), 1);
-        let (value, ms) = S.time_ms(|| 41 + 1);
-        assert_eq!(value, 42);
-        assert!(ms >= 0.0);
-        assert_eq!(S.count(), 2);
         Recorder::uninstall();
         // Manual timers still measure with telemetry off, without
         // recording.
         let timer = S.start_timer();
         assert!(timer.stop_ms() >= 0.0);
-        assert_eq!(S.count(), 2);
+        assert_eq!(S.count(), 1);
         Recorder::reset();
     }
 

@@ -111,10 +111,8 @@ pub static CERTIFY_CELLS: PhaseSpan = PhaseSpan::new("certify.cells");
 pub static CERTIFY_CELL_ERRORS: Counter =
     Counter::new("certify.cell_errors", Section::Deterministic);
 
-// --- harness plane (bench + CLI) -----------------------------------------
+// --- CLI -----------------------------------------------------------------
 
-/// One perf-harness sample (the bench crate's timed closures).
-pub static BENCH_SAMPLE: PhaseSpan = PhaseSpan::wall_clock("bench.sample");
 /// One CLI subcommand end to end (the timing footer's clock).
 pub static CLI_COMMAND: PhaseSpan = PhaseSpan::wall_clock("cli.command");
 
@@ -153,7 +151,7 @@ pub static GAUGES: [&Gauge; 1] = [&POOL_LANES_BUSY];
 pub static HISTOGRAMS: [&Histogram; 1] = [&TRACE_FRAME_BYTES];
 
 /// Every phase span, in render order.
-pub static SPANS: [&PhaseSpan; 11] = [
+pub static SPANS: [&PhaseSpan; 10] = [
     &LOOP_OBSERVE,
     &LOOP_SIGNAL,
     &LOOP_RESPOND,
@@ -163,7 +161,6 @@ pub static SPANS: [&PhaseSpan; 11] = [
     &SWEEP_CELLS,
     &CERTIFY_CELLS,
     &POOL_QUEUE_WAIT,
-    &BENCH_SAMPLE,
     &CLI_COMMAND,
 ];
 

@@ -86,9 +86,11 @@ const MAX_FRAME_CELLS: usize = 1 << 26;
 pub struct TraceHeader {
     /// Format version of the stream.
     pub version: u32,
-    /// Registry name of the recorded scenario.
+    /// Registry name of the recorded scenario. Readers accept only a
+    /// non-empty name of ASCII letters, digits, `-` and `_`.
     pub scenario: String,
-    /// Which of the scenario's loops was recorded (e.g. `scorecard`).
+    /// Which of the scenario's loops was recorded (e.g. `scorecard`);
+    /// the same character set as `scenario`.
     pub variant: String,
     /// Trial index within the recorded run.
     pub trial: usize,
@@ -187,6 +189,22 @@ impl TraceHeader {
                 .ok_or_else(|| corrupt(&format!("{name} is not a string")))?
                 .to_string())
         };
+        // Scenario and variant name output files (`experiments replay
+        // --policy` writes `offpolicy_<scenario>_<policy>_vs_<variant>_…`),
+        // so a separator or `..` in them would write outside `--out`.
+        let name = |field: &'static str| -> Result<String, TraceError> {
+            let value = text(field)?;
+            let valid = !value.is_empty()
+                && value
+                    .bytes()
+                    .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_');
+            if !valid {
+                return Err(corrupt(&format!(
+                    "{field} {value:?} must be non-empty and use only ASCII letters, digits, `-` and `_`"
+                )));
+            }
+            Ok(value)
+        };
         let version = int("version")? as u32;
         if version > FORMAT_VERSION {
             return Err(TraceError::UnsupportedVersion(version));
@@ -208,8 +226,8 @@ impl TraceHeader {
         let checkpoints = matches!(doc.get("checkpoints"), Some(Json::Bool(true)));
         Ok(TraceHeader {
             version,
-            scenario: text("scenario")?,
-            variant: text("variant")?,
+            scenario: name("scenario")?,
+            variant: name("variant")?,
             trial: int("trial")?,
             scale,
             seed,

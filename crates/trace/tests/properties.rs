@@ -377,6 +377,30 @@ fn checkpoint_free_headers_stay_base_version() {
 }
 
 #[test]
+fn unsafe_header_names_are_corrupt() {
+    // Scenario and variant name output files, so a path separator, a
+    // `..` or an empty name must not decode.
+    for bad in ["x/../../../escaped", "..", "", "a b", "a\\b"] {
+        for field in ["scenario", "variant"] {
+            let mut header = header();
+            match field {
+                "scenario" => header.scenario = bad.to_string(),
+                _ => header.variant = bad.to_string(),
+            }
+            let bytes = TraceWriter::new(Vec::new(), &header)
+                .unwrap()
+                .finish()
+                .unwrap();
+            let mut input: &[u8] = &bytes;
+            match TraceReader::new(&mut input) {
+                Err(TraceError::Corrupt { what }) => assert!(what.contains(field), "{what}"),
+                other => panic!("{field} {bad:?}: expected Corrupt, got {:?}", other.err()),
+            }
+        }
+    }
+}
+
+#[test]
 fn future_versions_are_rejected_by_name() {
     // A header frame claiming version 99: the writer stamps whatever
     // the header says, the reader rejects it by name.

@@ -3,12 +3,13 @@
 //! `LoopRecord`s AND EQTRACE1 bytes to disabled runs across shard counts
 //! (1, 4, 16) — checked as a property over seeds — and the snapshot's
 //! deterministic section is byte-identical across runs and thread-budget
-//! sizes for the same workload.
+//! sizes for the same workload, and across commits for the Quick-scale
+//! `credit` and `hiring` scenarios.
 
 use eqimpact_core::closed_loop::LoopBuilder;
 use eqimpact_core::pool::ThreadBudget;
 use eqimpact_core::recorder::{LoopRecord, RecordPolicy};
-use eqimpact_core::scenario::Scale;
+use eqimpact_core::scenario::{run_scenario, Scale, Scenario, ScenarioConfig};
 use eqimpact_core::shard::ShardedRunner;
 use eqimpact_credit::adr::AdrFilter;
 use eqimpact_credit::lender::ScorecardLender;
@@ -127,4 +128,44 @@ fn deterministic_section_is_byte_identical_across_lane_counts() {
         one.contains("\"irls.fits\": ") && !one.contains("\"irls.fits\": 0,"),
         "deterministic section should count irls.fits: {one}"
     );
+}
+
+/// Runs `scenario` at Quick scale with the recorder installed, returning
+/// the snapshot's deterministic section.
+fn quick_scenario_section<S: Scenario>(scenario: &S) -> String {
+    Recorder::install();
+    let report = run_scenario(scenario, &ScenarioConfig::new(Scale::Quick));
+    let section = Recorder::snapshot().deterministic_json();
+    Recorder::uninstall();
+    report.expect("scenario runs");
+    section
+}
+
+/// The deterministic work counters are pinned across commits: the
+/// committed sections are the `deterministic` object that `experiments
+/// run <scenario> --quick --telemetry` reports, so an algorithmic change
+/// that moves a counter (loop steps, IRLS fits, iterations or rows)
+/// fails here and must re-pin the file on purpose.
+#[test]
+fn quick_scenario_counters_match_the_committed_sections() {
+    let _t = test_guard();
+    let runs = [
+        (
+            "credit",
+            quick_scenario_section(&eqimpact_credit::CreditScenario),
+            include_str!("data/telemetry_credit_quick.json"),
+        ),
+        (
+            "hiring",
+            quick_scenario_section(&eqimpact_hiring::HiringScenario),
+            include_str!("data/telemetry_hiring_quick.json"),
+        ),
+    ];
+    for (name, section, pinned) in runs {
+        assert!(
+            section == pinned,
+            "{name} --quick deterministic telemetry moved; if on purpose, re-pin \
+             tests/data/telemetry_{name}_quick.json to:\n{section}"
+        );
+    }
 }
