@@ -1,5 +1,6 @@
 //! Registry-driven experiments CLI: lists, runs, records and replays the
-//! registered closed-loop scenarios (see `eqimpact_bench::registry`).
+//! registered closed-loop scenarios (one row each in
+//! `eqimpact_bench::registry::SCENARIOS`).
 //!
 //! ```text
 //! cargo run --release -p eqimpact-bench --bin experiments -- <COMMAND>
@@ -71,8 +72,15 @@
 //! Scenario names, artifact names, policies and flags are all validated:
 //! a typo like `--quikc` or `fig9` exits with status 2 and the list of
 //! known names instead of being silently ignored.
+//!
+//! The five scenario-taking commands share one skeleton: [`parse_args`]
+//! (each accepts exactly the flags its `*_FLAGS` text lists), [`resolve`]
+//! or [`find_scenario`] (exit 2 for an unknown scenario, 3 for one without
+//! the capability), [`set_up`] (the thread budget and [`CommandObs`]),
+//! the command's own work, and `main`'s mapping of [`CliError`] to the
+//! exit code. `tests/cli.rs` pins that contract from outside the process.
 
-use eqimpact_bench::registry;
+use eqimpact_bench::registry::{self, ScenarioEntry, Traced};
 use eqimpact_certify::{run_certification, CertifyConfig};
 use eqimpact_core::pool::ThreadBudget;
 use eqimpact_core::scenario::{write_artifacts, DynScenario, Scale, ScenarioConfig};
@@ -82,11 +90,14 @@ use eqimpact_telemetry::metrics as tm;
 use eqimpact_telemetry::progress::{start_heartbeat, Heartbeat};
 use eqimpact_telemetry::{ManualTimer, Recorder};
 use eqimpact_trace::{TraceDirFactory, TraceReader};
+use std::fs::File;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// Flags accepted by `run`, for the unknown-flag error message.
+/// Flags accepted by `run`. Each `*_FLAGS` text is both what
+/// [`parse_args`] accepts for its command and its unknown-flag message.
 const RUN_FLAGS: &str =
     "--all, --quick, --seed N, --shards N, --threads N, --out DIR, --telemetry, --progress";
 
@@ -151,17 +162,18 @@ fn main() -> ExitCode {
 
 fn real_main() -> Result<(), CliError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
         None | Some("help") | Some("--help") | Some("-h") => {
             print_usage();
             Ok(())
         }
-        Some("list") => cmd_list(&args[1..]),
-        Some("run") => cmd_run(&args[1..]),
-        Some("record") => cmd_record(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("sweep") => cmd_sweep(&args[1..]),
-        Some("certify") => cmd_certify(&args[1..]),
+        Some("list") => cmd_list(rest),
+        Some("run") => cmd_run(parse_args(rest, RUN_FLAGS)?),
+        Some("record") => cmd_record(parse_args(rest, RECORD_FLAGS)?),
+        Some("replay") => cmd_replay(parse_args(rest, REPLAY_FLAGS)?),
+        Some("sweep") => cmd_sweep(parse_args(rest, SWEEP_FLAGS)?),
+        Some("certify") => cmd_certify(parse_args(rest, CERTIFY_FLAGS)?),
         Some(other) => Err(CliError::usage(format!(
             "unknown command `{other}` (known commands: list, run, record, replay, sweep, certify, help)"
         ))),
@@ -202,7 +214,8 @@ fn print_usage() {
 
 fn print_scenarios() {
     println!("registered scenarios:");
-    for scenario in registry::scenarios() {
+    for entry in registry::SCENARIOS {
+        let scenario = entry.scenario;
         println!("  {:<11} {}", scenario.name(), scenario.description());
         for spec in scenario.artifacts() {
             println!("    - {:<16} {}", spec.name, spec.description);
@@ -210,29 +223,27 @@ fn print_scenarios() {
     }
     println!();
     println!("traceable scenarios (experiments record / replay):");
-    for tracer in registry::tracers() {
-        let policies: Vec<&str> = tracer.policies().iter().map(|p| p.name).collect();
-        println!("  {:<11} policies: {}", tracer.name(), policies.join(", "));
+    for (name, traced) in registry::traced() {
+        let policies: Vec<&str> = traced.replay.policies().iter().map(|p| p.name).collect();
+        println!("  {name:<11} policies: {}", policies.join(", "));
     }
     println!();
     println!("sweepable scenarios (experiments sweep):");
-    for sweep in registry::sweeps() {
-        let grid = sweep.default_grid();
+    for (name, traced) in registry::traced() {
+        let grid = traced.sweep.default_grid();
         println!(
-            "  {:<11} default grid: {} candidates (policies: {}; filters: {})",
-            sweep.name(),
+            "  {name:<11} default grid: {} candidates (policies: {}; filters: {})",
             grid.len(),
-            sweep.known_policies().join(", "),
-            sweep.known_filters().join(", ")
+            traced.sweep.known_policies().join(", "),
+            traced.sweep.known_filters().join(", ")
         );
     }
     println!();
     println!("certifiable scenarios (experiments certify):");
-    for target in registry::certifies() {
-        let spec = target.spec();
+    for (name, traced) in registry::traced() {
+        let spec = traced.certify.spec();
         println!(
-            "  {:<11} state range [{}, {}] in {} bins, model fields: {}",
-            target.name(),
+            "  {name:<11} state range [{}, {}] in {} bins, model fields: {}",
             spec.state_lo,
             spec.state_hi,
             spec.bins,
@@ -246,17 +257,19 @@ fn print_scenarios() {
 /// smoke matrix — can gate record/sweep/certify legs without hardcoding
 /// scenario knowledge.
 fn list_json() -> String {
-    let entries: Vec<String> = registry::sorted_names()
+    let mut entries: Vec<(&str, bool)> = registry::SCENARIOS
         .iter()
-        .map(|name| {
+        .map(|entry| (entry.scenario.name(), entry.traced.is_some()))
+        .collect();
+    entries.sort_unstable();
+    let entries: Vec<String> = entries
+        .iter()
+        .map(|(name, traced)| {
             // `telemetry` is a CLI-level capability — every scenario can
             // run under the recorder — but it is reported per entry so
             // CI legs gate on the payload alone, like the other flags.
             format!(
-                "{{\"name\":\"{name}\",\"trace\":{},\"sweep\":{},\"certify\":{},\"telemetry\":true}}",
-                registry::find_tracer(name).is_some(),
-                registry::find_sweep(name).is_some(),
-                registry::find_certify(name).is_some(),
+                "{{\"name\":\"{name}\",\"trace\":{traced},\"sweep\":{traced},\"certify\":{traced},\"telemetry\":true}}"
             )
         })
         .collect();
@@ -280,80 +293,84 @@ fn cmd_list(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// The flags shared by `run` and `record`.
+/// A command's parsed arguments. Each command's `*_FLAGS` text lists the
+/// flags it accepts; every other field keeps its default.
 #[derive(Default)]
-struct CommonFlags {
-    quick: bool,
+struct Args {
+    positionals: Vec<String>,
     all: bool,
+    quick: bool,
     seed: Option<u64>,
     shards: usize,
     threads: Option<usize>,
     out_dir: Option<PathBuf>,
+    traces_dir: Option<PathBuf>,
+    grid: Option<String>,
+    policy: Option<String>,
     telemetry: bool,
     progress: bool,
-    scenario: Option<String>,
-    positionals: Vec<String>,
 }
 
-fn parse_common(
-    args: &[String],
-    known_flags: &str,
-    allow_all: bool,
-) -> Result<CommonFlags, CliError> {
-    let mut flags = CommonFlags {
+/// Parses a command's arguments, accepting exactly the flags that
+/// `known_flags` (also the text of the unknown-flag error) names.
+fn parse_args(args: &[String], known_flags: &str) -> Result<Args, CliError> {
+    // The pre-redesign CLI swallowed unknown flags as artifact names, so
+    // a typo silently selected nothing. Reject them.
+    let unknown = |flag: &str| {
+        CliError::usage(format!(
+            "unknown flag `{flag}` (known flags: {known_flags})"
+        ))
+    };
+    let mut parsed = Args {
         shards: 1,
-        ..CommonFlags::default()
+        ..Args::default()
     };
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        let mut value = |missing: &str| iter.next().ok_or_else(|| CliError::usage(missing));
         match arg.as_str() {
-            "--quick" => flags.quick = true,
-            "--all" if allow_all => flags.all = true,
+            positional if !positional.starts_with("--") => parsed.positionals.push(arg.clone()),
+            flag if !known_flags
+                .split(", ")
+                .any(|known| known.split(' ').next() == Some(flag)) =>
+            {
+                return Err(unknown(flag));
+            }
+            "--all" => parsed.all = true,
+            "--quick" => parsed.quick = true,
+            "--telemetry" => parsed.telemetry = true,
+            "--progress" => parsed.progress = true,
             "--seed" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::usage("--seed requires a u64 value"))?;
-                flags.seed = Some(value.parse().map_err(|_| {
+                let value = value("--seed requires a u64 value")?;
+                parsed.seed = Some(value.parse().map_err(|_| {
                     CliError::usage(format!("--seed requires a u64, got `{value}`"))
                 })?);
             }
             "--shards" => {
-                let value = iter.next().ok_or_else(|| {
-                    CliError::usage("--shards requires a count (0 = auto, one per budget lane)")
-                })?;
-                flags.shards = value.parse().map_err(|_| {
+                let value = value("--shards requires a count (0 = auto, one per budget lane)")?;
+                parsed.shards = value.parse().map_err(|_| {
                     CliError::usage(format!("--shards requires an integer, got `{value}`"))
                 })?;
             }
             "--threads" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::usage("--threads requires a positive lane count"))?;
-                flags.threads = Some(parse_threads(value)?);
+                let value = value("--threads requires a positive lane count")?;
+                parsed.threads = Some(parse_threads(value)?);
             }
             "--out" => {
-                flags.out_dir = Some(PathBuf::from(
-                    iter.next()
-                        .ok_or_else(|| CliError::usage("--out requires a directory argument"))?
-                        .clone(),
-                ));
+                parsed.out_dir = Some(value("--out requires a directory argument")?.into());
             }
-            "--telemetry" => flags.telemetry = true,
-            "--progress" => flags.progress = true,
-            flag if flag.starts_with("--") => {
-                // The pre-redesign CLI swallowed unknown flags as artifact
-                // names, so a typo silently selected nothing. Reject them.
-                return Err(CliError::usage(format!(
-                    "unknown flag `{flag}` (known flags: {known_flags})"
-                )));
+            "--traces" => {
+                parsed.traces_dir = Some(value("--traces requires a directory argument")?.into());
             }
-            positional if flags.scenario.is_none() && !flags.all => {
-                flags.scenario = Some(positional.to_string());
+            "--grid" => {
+                let spec = value("--grid requires a spec like `policy=a,b;threshold=0,10`")?;
+                parsed.grid = Some(spec.clone());
             }
-            positional => flags.positionals.push(positional.to_string()),
+            "--policy" => parsed.policy = Some(value("--policy requires a policy name")?.clone()),
+            flag => return Err(unknown(flag)),
         }
     }
-    Ok(flags)
+    Ok(parsed)
 }
 
 /// Parses a `--threads` value. `0` is clamped to one lane with a
@@ -369,6 +386,81 @@ fn parse_threads(value: &str) -> Result<usize, CliError> {
         return Ok(1);
     }
     Ok(threads)
+}
+
+/// The one positional a command takes (`what` names it in the error for
+/// any more), if given.
+fn single_positional<'a>(
+    command: &str,
+    what: &str,
+    args: &'a Args,
+) -> Result<Option<&'a str>, CliError> {
+    match args.positionals.as_slice() {
+        [] => Ok(None),
+        [one] => Ok(Some(one)),
+        [_, extra @ ..] => Err(CliError::usage(format!(
+            "`{command}` takes one {what} (unexpected: {})",
+            extra.join(" ")
+        ))),
+    }
+}
+
+fn find_scenario(name: &str) -> Result<&'static ScenarioEntry, CliError> {
+    registry::find(name).ok_or_else(|| {
+        CliError::usage(format!(
+            "unknown scenario `{name}` (known scenarios: {})",
+            registry::names().join(", ")
+        ))
+    })
+}
+
+/// Resolves the scenario a trace-consuming command (`record`, `replay`,
+/// `sweep`, `certify`) works on: exit 2 when it names none or one the
+/// registry does not know, exit 3 when the scenario records no traces —
+/// the clean capability skip for CI legs.
+fn resolve(
+    command: &str,
+    name: Option<&str>,
+) -> Result<(&'static dyn DynScenario, &'static Traced), CliError> {
+    let traced: Vec<&str> = registry::traced().map(|(name, _)| name).collect();
+    let traced = traced.join(", ");
+    let (kind, capability) = match command {
+        "record" => ("traceable", "trace recording"),
+        "sweep" => ("sweepable", "sweeps"),
+        "certify" => ("certifiable", "certification"),
+        _ => ("replayable", "replay"),
+    };
+    let name = name.ok_or_else(|| {
+        CliError::usage(format!(
+            "`{command}` needs a scenario name ({kind} scenarios: {traced})"
+        ))
+    })?;
+    let entry = find_scenario(name)?;
+    match &entry.traced {
+        Some(faces) => Ok((entry.scenario, faces)),
+        None if command == "replay" => Err(CliError::unsupported(format!(
+            "trace was recorded by scenario `{name}`, which has no registered replayer \
+             ({kind} scenarios: {traced})"
+        ))),
+        None => Err(CliError::unsupported(format!(
+            "scenario `{name}` does not support {capability} ({kind} scenarios: {traced})"
+        ))),
+    }
+}
+
+/// Applies `--threads N` by fixing the process-wide [`ThreadBudget`]
+/// before anything leases from it (its capacity is set on first use),
+/// then starts the command's observability.
+fn set_up(args: &Args) -> Result<CommandObs, CliError> {
+    if let Some(threads) = args.threads {
+        ThreadBudget::init_global(threads).map_err(|existing| {
+            CliError::usage(format!(
+                "--threads {threads} rejected: the thread budget was already \
+                 fixed at {existing} lanes (set it before any parallel work)"
+            ))
+        })?;
+    }
+    Ok(CommandObs::start(args.telemetry, args.progress))
 }
 
 /// Per-command observability: installs the telemetry [`Recorder`] when
@@ -412,18 +504,35 @@ impl CommandObs {
                     tm::POOL_LEASES_CLAMPED.total()
                 );
             }
-            let snapshot = Recorder::snapshot();
-            std::fs::create_dir_all(out_dir).map_err(|e| {
-                CliError::usage(format!("cannot create {}: {e}", out_dir.display()))
-            })?;
-            let path = out_dir.join(format!("telemetry_{label}.json"));
-            std::fs::write(&path, snapshot.render_json())
-                .map_err(|e| CliError::usage(format!("cannot write {}: {e}", path.display())))?;
+            let snapshot = Recorder::snapshot().render_json();
+            let path = write_out(out_dir, &format!("telemetry_{label}.json"), &snapshot)?;
             println!("wrote {}", path.display());
         }
         println!("{command} completed in {ms:.1} ms");
         Ok(())
     }
+}
+
+/// Writes `contents` to `out_dir/file`, creating the directory first.
+fn write_out(out_dir: &Path, file: &str, contents: &str) -> Result<PathBuf, CliError> {
+    std::fs::create_dir_all(out_dir)
+        .map_err(|e| CliError::usage(format!("cannot create {}: {e}", out_dir.display())))?;
+    let path = out_dir.join(file);
+    std::fs::write(&path, contents)
+        .map_err(|e| CliError::usage(format!("cannot write {}: {e}", path.display())))?;
+    Ok(path)
+}
+
+/// Prints a sweep or certify report and writes it as `<stem>.json` and
+/// `<stem>.txt` under `out_dir`.
+fn write_report(out_dir: &Path, stem: &str, json: &str, text: &str) -> Result<(), CliError> {
+    println!();
+    print!("{text}");
+    let json_path = write_out(out_dir, &format!("{stem}.json"), json)?;
+    let text_path = write_out(out_dir, &format!("{stem}.txt"), text)?;
+    println!("wrote {}", json_path.display());
+    println!("wrote {}", text_path.display());
+    Ok(())
 }
 
 fn scale_of(quick: bool) -> Scale {
@@ -434,31 +543,16 @@ fn scale_of(quick: bool) -> Scale {
     }
 }
 
-fn base_config(flags: &CommonFlags) -> ScenarioConfig {
-    let mut config = ScenarioConfig::new(scale_of(flags.quick)).with_shards(flags.shards);
-    if let Some(seed) = flags.seed {
+fn base_config(args: &Args) -> ScenarioConfig {
+    let mut config = ScenarioConfig::new(scale_of(args.quick)).with_shards(args.shards);
+    if let Some(seed) = args.seed {
         config = config.with_seed(seed);
     }
     config
 }
 
-/// Applies `--threads N` by fixing the process-wide [`ThreadBudget`]
-/// before anything leases from it. The budget's capacity is set on first
-/// use, so this must run before the scenarios do.
-fn apply_thread_cap(flags: &CommonFlags) -> Result<(), CliError> {
-    if let Some(threads) = flags.threads {
-        ThreadBudget::init_global(threads).map_err(|existing| {
-            CliError::usage(format!(
-                "--threads {threads} rejected: the thread budget was already \
-                 fixed at {existing} lanes (set it before any parallel work)"
-            ))
-        })?;
-    }
-    Ok(())
-}
-
-fn thread_label(flags: &CommonFlags) -> String {
-    match flags.threads {
+fn thread_label(threads: Option<usize>) -> String {
+    match threads {
         Some(n) => n.to_string(),
         None => format!("{} (auto)", ThreadBudget::global().capacity()),
     }
@@ -469,57 +563,91 @@ fn seed_label(seed: Option<u64>) -> String {
         .unwrap_or_else(|| "scenario default".to_string())
 }
 
-fn find_scenario(name: &str) -> Result<&'static dyn DynScenario, CliError> {
-    registry::find(name).ok_or_else(|| {
-        CliError::usage(format!(
-            "unknown scenario `{name}` (known scenarios: {})",
-            registry::names().join(", ")
-        ))
-    })
+/// Every trace of scenario `name` under `--traces` (default `traces/`),
+/// that is every `<name>-*.eqtrace` file, in sorted-filename order — the
+/// order trace labels appear in the sweep and certify reports and their
+/// statistics fold over. A trace whose header names another scenario is
+/// rejected before any work; one whose header does not parse is kept, so
+/// the report shows its error.
+fn discover_traces(args: &Args, name: &str) -> Result<Vec<FileTrace>, CliError> {
+    let dir = args.traces_dir.as_deref().unwrap_or(Path::new("traces"));
+    let cannot_read =
+        |e: std::io::Error| CliError::usage(format!("cannot read {}: {e}", dir.display()));
+    let prefix = format!("{name}-");
+    let mut paths = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(cannot_read)? {
+        let path = entry.map_err(cannot_read)?.path();
+        let file_name = path.file_name().and_then(|f| f.to_str());
+        if path.extension().is_some_and(|ext| ext == "eqtrace")
+            && file_name.is_some_and(|f| f.starts_with(&prefix))
+        {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    if paths.is_empty() {
+        return Err(CliError::usage(format!(
+            "no `{name}-*.eqtrace` files under {} (record some with: experiments record {name})",
+            dir.display()
+        )));
+    }
+    for path in &paths {
+        let Ok(file) = File::open(path) else { continue };
+        if let Ok(reader) = TraceReader::new(BufReader::new(file)) {
+            let recorded = &reader.header().scenario;
+            if recorded != name {
+                return Err(CliError::usage(format!(
+                    "{}: recorded by scenario `{recorded}`, not `{name}`",
+                    path.display()
+                )));
+            }
+        }
+    }
+    Ok(paths.iter().map(FileTrace::new).collect())
 }
 
-fn cmd_run(args: &[String]) -> Result<(), CliError> {
-    let flags = parse_common(args, RUN_FLAGS, true)?;
-    apply_thread_cap(&flags)?;
-    let obs = CommandObs::start(flags.telemetry, flags.progress);
-    let out_dir = flags
+fn cmd_run(args: Args) -> Result<(), CliError> {
+    let (label, selected): (&str, Vec<&'static dyn DynScenario>) =
+        match (args.all, args.positionals.first()) {
+            (true, None) => (
+                "all",
+                registry::SCENARIOS.iter().map(|e| e.scenario).collect(),
+            ),
+            (true, Some(_)) => {
+                return Err(CliError::usage(
+                    "`run --all` runs every scenario in full; drop the scenario/artifact names",
+                ))
+            }
+            (false, Some(name)) => (name, vec![find_scenario(name)?.scenario]),
+            (false, None) => {
+                return Err(CliError::usage(format!(
+                    "`run` needs a scenario name or --all (known scenarios: {})",
+                    registry::names().join(", ")
+                )))
+            }
+        };
+    let artifacts = args.positionals.get(1..).unwrap_or_default();
+    let obs = set_up(&args)?;
+    let out_dir = args
         .out_dir
         .clone()
         .unwrap_or_else(|| PathBuf::from("results"));
-    let artifacts = &flags.positionals;
-
-    let selected: Vec<&'static dyn DynScenario> = if flags.all {
-        if flags.scenario.is_some() || !artifacts.is_empty() {
-            return Err(CliError::usage(
-                "`run --all` runs every scenario in full; drop the scenario/artifact names",
-            ));
-        }
-        registry::scenarios().to_vec()
-    } else {
-        let name = flags.scenario.clone().ok_or_else(|| {
-            CliError::usage(format!(
-                "`run` needs a scenario name or --all (known scenarios: {})",
-                registry::names().join(", ")
-            ))
-        })?;
-        vec![find_scenario(&name)?]
-    };
 
     println!(
         "eqimpact experiments — scale: {:?}, seed: {}, shards: {}, threads: {}, output: {}",
-        scale_of(flags.quick),
-        seed_label(flags.seed),
-        if flags.shards == 0 {
+        scale_of(args.quick),
+        seed_label(args.seed),
+        if args.shards == 0 {
             "auto".to_string()
         } else {
-            flags.shards.to_string()
+            args.shards.to_string()
         },
-        thread_label(&flags),
+        thread_label(args.threads),
         out_dir.display()
     );
 
     for scenario in selected {
-        let mut config = base_config(&flags);
+        let mut config = base_config(&args);
         if !artifacts.is_empty() {
             config = config.with_artifacts(artifacts.iter().cloned());
         }
@@ -530,7 +658,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         // untraceable scenario), so CI matrix legs can skip cleanly and
         // the incompatibility is never silent.
         if config.shards != 1 && !scenario.supports_sharding() {
-            if flags.all {
+            if args.all {
                 println!(
                     "\n(note: `{}` has no intra-trial sharding; running it sequentially)",
                     scenario.name()
@@ -556,64 +684,26 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         }
     }
     println!("\ndone.");
-    let label = if flags.all {
-        "all".to_string()
-    } else {
-        flags.scenario.clone().unwrap_or_default()
-    };
-    obs.finish("run", &label, &out_dir)
+    obs.finish("run", label, &out_dir)
 }
 
-fn cmd_record(args: &[String]) -> Result<(), CliError> {
-    let flags = parse_common(args, RECORD_FLAGS, false)?;
-    apply_thread_cap(&flags)?;
-    if !flags.positionals.is_empty() {
-        return Err(CliError::usage(format!(
-            "`record` takes one scenario name (unexpected: {})",
-            flags.positionals.join(" ")
-        )));
-    }
-    let name = flags.scenario.clone().ok_or_else(|| {
-        CliError::usage(format!(
-            "`record` needs a scenario name (traceable scenarios: {})",
-            registry::tracers()
-                .iter()
-                .map(|t| t.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))
-    })?;
-    let scenario = find_scenario(&name)?;
-    // Recording is gated on the scenario's own capability flag (the
-    // same one run_scenario enforces); a registered replayer is the
-    // second half of the workflow, so its absence is also a clean skip.
-    if !scenario.supports_tracing() {
-        return Err(CliError::unsupported(format!(
-            "scenario `{name}` does not support trace recording (traceable scenarios: {})",
-            registry::tracers()
-                .iter()
-                .map(|t| t.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        )));
-    }
-    if registry::find_tracer(&name).is_none() {
-        return Err(CliError::unsupported(format!(
-            "scenario `{name}` records traces but has no registered replayer \
-             (add it to registry::tracers())"
-        )));
-    }
+fn cmd_record(args: Args) -> Result<(), CliError> {
+    let (scenario, _) = resolve(
+        "record",
+        single_positional("record", "scenario name", &args)?,
+    )?;
+    let name = scenario.name();
     // Same exit-3 capability gate as `run`: a sharded record of a
     // scenario without intra-trial parallelism is a clean skip, not a
     // usage error.
-    if flags.shards != 1 && !scenario.supports_sharding() {
+    if args.shards != 1 && !scenario.supports_sharding() {
         return Err(CliError::unsupported(format!(
             "scenario `{name}` does not support intra-trial sharding \
              (record it with --shards 1)"
         )));
     }
-    let obs = CommandObs::start(flags.telemetry, flags.progress);
-    let out_dir = flags
+    let obs = set_up(&args)?;
+    let out_dir = args
         .out_dir
         .clone()
         .unwrap_or_else(|| PathBuf::from("traces"));
@@ -626,13 +716,13 @@ fn cmd_record(args: &[String]) -> Result<(), CliError> {
 
     println!(
         "eqimpact experiments — recording {name}: scale {:?}, seed {}, shards {}, threads {}, traces under {}",
-        scale_of(flags.quick),
-        seed_label(flags.seed),
-        flags.shards,
-        thread_label(&flags),
+        scale_of(args.quick),
+        seed_label(args.seed),
+        args.shards,
+        thread_label(args.threads),
         out_dir.display()
     );
-    let config = base_config(&flags).with_trace(factory.clone());
+    let config = base_config(&args).with_trace(factory.clone());
     let report = scenario.run(&config).map_err(|e| e.to_string())?;
     for line in &report.summary {
         println!("  {line}");
@@ -647,75 +737,27 @@ fn cmd_record(args: &[String]) -> Result<(), CliError> {
         println!("  recorded {}", path.display());
     }
     println!("\ndone. replay with: experiments replay <trace>");
-    obs.finish("record", &name, &out_dir)
+    obs.finish("record", name, &out_dir)
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), CliError> {
-    let mut trace_path: Option<PathBuf> = None;
-    let mut policy: Option<String> = None;
-    let mut out_dir = PathBuf::from("results");
-    let mut telemetry = false;
-    let mut progress = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--policy" => {
-                policy = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError::usage("--policy requires a policy name"))?
-                        .clone(),
-                );
-            }
-            "--out" => {
-                out_dir = PathBuf::from(
-                    iter.next()
-                        .ok_or_else(|| CliError::usage("--out requires a directory argument"))?
-                        .clone(),
-                );
-            }
-            "--telemetry" => telemetry = true,
-            "--progress" => progress = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!(
-                    "unknown flag `{flag}` (known flags: {REPLAY_FLAGS})"
-                )));
-            }
-            positional if trace_path.is_none() => trace_path = Some(PathBuf::from(positional)),
-            positional => {
-                return Err(CliError::usage(format!(
-                    "`replay` takes one trace file (unexpected: {positional})"
-                )));
-            }
-        }
-    }
-    let trace_path =
-        trace_path.ok_or_else(|| CliError::usage("`replay` needs a trace file path"))?;
-    let file = std::fs::File::open(&trace_path)
+fn cmd_replay(args: Args) -> Result<(), CliError> {
+    let trace_path = single_positional("replay", "trace file", &args)?
+        .map(PathBuf::from)
+        .ok_or_else(|| CliError::usage("`replay` needs a trace file path"))?;
+    let file = File::open(&trace_path)
         .map_err(|e| CliError::usage(format!("cannot open {}: {e}", trace_path.display())))?;
-    let mut input = std::io::BufReader::new(file);
+    let mut input = BufReader::new(file);
     let reader = TraceReader::new(&mut input as &mut dyn std::io::Read)
         .map_err(|e| CliError::usage(format!("{}: {e}", trace_path.display())))?;
     let header = reader.header().clone();
-    // Same exit-code contract as every scenario-taking command: a
-    // scenario name the registry has never heard of is exit 2 (the trace
-    // names something that does not exist here — a typo or a foreign
-    // trace), while a known scenario that simply lacks a replayer is
-    // exit 3, the clean capability skip for CI legs iterating recorded
-    // traces.
-    find_scenario(&header.scenario)?;
-    let tracer = registry::find_tracer(&header.scenario).ok_or_else(|| {
-        CliError::unsupported(format!(
-            "trace was recorded by scenario `{}`, which has no registered replayer \
-             (replayable scenarios: {})",
-            header.scenario,
-            registry::tracers()
-                .iter()
-                .map(|t| t.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ))
-    })?;
-    let obs = CommandObs::start(telemetry, progress);
+    // The trace names its scenario, so the same exit-code contract as
+    // every scenario-taking command applies to the header's name.
+    let (_, traced) = resolve("replay", Some(&header.scenario))?;
+    let obs = set_up(&args)?;
+    let out_dir = args
+        .out_dir
+        .clone()
+        .unwrap_or_else(|| PathBuf::from("results"));
     println!(
         "trace {}: scenario {}, variant {}, trial {}, scale {:?}, seed {}, shards {}, delay {}",
         trace_path.display(),
@@ -728,9 +770,10 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
         header.delay,
     );
 
-    match policy {
+    match &args.policy {
         None => {
-            let summary = tracer
+            let summary = traced
+                .replay
                 .replay(reader)
                 .map_err(|e| CliError::usage(format!("{}: {e}", trace_path.display())))?;
             println!(
@@ -741,8 +784,9 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
             );
         }
         Some(policy) => {
-            let report = tracer
-                .evaluate(reader, &policy)
+            let report = traced
+                .replay
+                .evaluate(reader, policy)
                 .map_err(|e| CliError::usage(format!("{}: {e}", trace_path.display())))?;
             println!(
                 "off-policy `{policy}` vs recorded `{}` over {} steps x {} users:",
@@ -762,120 +806,26 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
                 report.candidate.opportunity_gap,
                 report.opportunity_gap_delta
             );
-            std::fs::create_dir_all(&out_dir).map_err(|e| {
-                CliError::usage(format!("cannot create {}: {e}", out_dir.display()))
-            })?;
             // The variant is part of the identity: the same policy
             // evaluated against different recorded behaviours must not
             // overwrite itself.
-            let out_path = out_dir.join(format!(
+            let file = format!(
                 "offpolicy_{}_{}_vs_{}_trial{}.json",
                 report.scenario, policy, header.variant, header.trial
-            ));
-            std::fs::write(&out_path, report.to_json().render_pretty()).map_err(|e| {
-                CliError::usage(format!("cannot write {}: {e}", out_path.display()))
-            })?;
-            println!("  wrote {}", out_path.display());
+            );
+            let path = write_out(&out_dir, &file, &report.to_json().render_pretty())?;
+            println!("  wrote {}", path.display());
         }
     }
     obs.finish("replay", &header.scenario, &out_dir)
 }
 
-fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
-    let mut scenario: Option<String> = None;
-    let mut traces_dir = PathBuf::from("traces");
-    let mut grid_spec: Option<String> = None;
-    let mut quick = false;
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir = PathBuf::from("results");
-    let mut telemetry = false;
-    let mut progress = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--traces" => {
-                traces_dir = PathBuf::from(
-                    iter.next()
-                        .ok_or_else(|| CliError::usage("--traces requires a directory argument"))?
-                        .clone(),
-                );
-            }
-            "--grid" => {
-                grid_spec = Some(
-                    iter.next()
-                        .ok_or_else(|| {
-                            CliError::usage(
-                                "--grid requires a spec like `policy=a,b;threshold=0,10`",
-                            )
-                        })?
-                        .clone(),
-                );
-            }
-            "--quick" => quick = true,
-            "--seed" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::usage("--seed requires a u64 value"))?;
-                seed = Some(value.parse().map_err(|_| {
-                    CliError::usage(format!("--seed requires a u64, got `{value}`"))
-                })?);
-            }
-            "--threads" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::usage("--threads requires a positive lane count"))?;
-                threads = Some(parse_threads(value)?);
-            }
-            "--out" => {
-                out_dir = PathBuf::from(
-                    iter.next()
-                        .ok_or_else(|| CliError::usage("--out requires a directory argument"))?
-                        .clone(),
-                );
-            }
-            "--telemetry" => telemetry = true,
-            "--progress" => progress = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!(
-                    "unknown flag `{flag}` (known flags: {SWEEP_FLAGS})"
-                )));
-            }
-            positional if scenario.is_none() => scenario = Some(positional.to_string()),
-            positional => {
-                return Err(CliError::usage(format!(
-                    "`sweep` takes one scenario name (unexpected: {positional})"
-                )));
-            }
-        }
-    }
-    let sweep_names: Vec<&str> = registry::sweeps().iter().map(|s| s.name()).collect();
-    let name = scenario.ok_or_else(|| {
-        CliError::usage(format!(
-            "`sweep` needs a scenario name (sweepable scenarios: {})",
-            sweep_names.join(", ")
-        ))
-    })?;
-    // Unknown scenario is exit 2 (a typo); a known scenario without a
-    // sweep target is exit 3 (a clean capability skip for CI legs).
-    find_scenario(&name)?;
-    let target = registry::find_sweep(&name).ok_or_else(|| {
-        CliError::unsupported(format!(
-            "scenario `{name}` does not support sweeps (sweepable scenarios: {})",
-            sweep_names.join(", ")
-        ))
-    })?;
-    if let Some(threads) = threads {
-        ThreadBudget::init_global(threads).map_err(|existing| {
-            CliError::usage(format!(
-                "--threads {threads} rejected: the thread budget was already \
-                 fixed at {existing} lanes (set it before any parallel work)"
-            ))
-        })?;
-    }
-
-    let obs = CommandObs::start(telemetry, progress);
-    let grid = match &grid_spec {
+fn cmd_sweep(args: Args) -> Result<(), CliError> {
+    let (scenario, traced) = resolve("sweep", single_positional("sweep", "scenario name", &args)?)?;
+    let name = scenario.name();
+    let target = traced.sweep;
+    let obs = set_up(&args)?;
+    let grid = match &args.grid {
         None => target.default_grid(),
         Some(spec) => CandidateGrid::parse(spec, &target.default_grid())
             .map_err(|e| CliError::usage(format!("--grid: {e}")))?,
@@ -883,36 +833,14 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     if grid.is_empty() {
         return Err(CliError::usage("--grid selects no candidates"));
     }
-
-    // Every trace the scenario recorded under --traces, in deterministic
-    // (sorted-filename) order — the order trace labels appear in the
-    // report and per-candidate statistics pool over.
-    let mut trace_paths: Vec<PathBuf> = std::fs::read_dir(&traces_dir)
-        .map_err(|e| CliError::usage(format!("cannot read {}: {e}", traces_dir.display())))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| {
-            path.extension().is_some_and(|ext| ext == "eqtrace")
-                && path
-                    .file_name()
-                    .and_then(|f| f.to_str())
-                    .is_some_and(|f| f.starts_with(&format!("{name}-")))
-        })
-        .collect();
-    trace_paths.sort();
-    if trace_paths.is_empty() {
-        return Err(CliError::usage(format!(
-            "no `{name}-*.eqtrace` files under {} (record some with: experiments record {name})",
-            traces_dir.display()
-        )));
-    }
-    let traces: Vec<FileTrace> = trace_paths.iter().map(FileTrace::new).collect();
+    let traces = discover_traces(&args, name)?;
     let sources: Vec<&dyn TraceSource> = traces.iter().map(|t| t as &dyn TraceSource).collect();
 
     let config = SweepConfig {
-        seed: seed.unwrap_or(SweepConfig::default().seed),
+        seed: args.seed.unwrap_or(SweepConfig::default().seed),
         // --quick cuts the bootstrap work for CI smoke runs; the
         // rankings stay deterministic either way.
-        resamples: if quick {
+        resamples: if args.quick {
             50
         } else {
             SweepConfig::default().resamples
@@ -925,162 +853,50 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         sources.len(),
         config.seed,
         config.resamples,
-        match threads {
-            Some(n) => n.to_string(),
-            None => format!("{} (auto)", ThreadBudget::global().capacity()),
-        }
+        thread_label(args.threads)
     );
     let report = run_sweep(target, &sources, &grid, &config, ThreadBudget::global())
         .map_err(|e| CliError::usage(format!("sweep failed: {e}")))?;
-
-    println!();
-    print!("{}", report.render_text());
-    std::fs::create_dir_all(&out_dir)
-        .map_err(|e| CliError::usage(format!("cannot create {}: {e}", out_dir.display())))?;
-    let json_path = out_dir.join(format!("sweep_{name}.json"));
-    std::fs::write(&json_path, report.to_json().render_pretty())
-        .map_err(|e| CliError::usage(format!("cannot write {}: {e}", json_path.display())))?;
-    let text_path = out_dir.join(format!("sweep_{name}.txt"));
-    std::fs::write(&text_path, report.render_text())
-        .map_err(|e| CliError::usage(format!("cannot write {}: {e}", text_path.display())))?;
-    println!("wrote {}", json_path.display());
-    println!("wrote {}", text_path.display());
-    obs.finish("sweep", &name, &out_dir)
+    let out_dir = args.out_dir.unwrap_or_else(|| PathBuf::from("results"));
+    write_report(
+        &out_dir,
+        &format!("sweep_{name}"),
+        &report.to_json().render_pretty(),
+        &report.render_text(),
+    )?;
+    obs.finish("sweep", name, &out_dir)
 }
 
-fn cmd_certify(args: &[String]) -> Result<(), CliError> {
-    let mut scenario: Option<String> = None;
-    let mut traces_dir = PathBuf::from("traces");
-    let mut seed: Option<u64> = None;
-    let mut threads: Option<usize> = None;
-    let mut out_dir = PathBuf::from("results");
-    let mut telemetry = false;
-    let mut progress = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--traces" => {
-                traces_dir = PathBuf::from(
-                    iter.next()
-                        .ok_or_else(|| CliError::usage("--traces requires a directory argument"))?
-                        .clone(),
-                );
-            }
-            "--seed" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::usage("--seed requires a u64 value"))?;
-                seed = Some(value.parse().map_err(|_| {
-                    CliError::usage(format!("--seed requires a u64, got `{value}`"))
-                })?);
-            }
-            "--threads" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError::usage("--threads requires a positive lane count"))?;
-                threads = Some(parse_threads(value)?);
-            }
-            "--out" => {
-                out_dir = PathBuf::from(
-                    iter.next()
-                        .ok_or_else(|| CliError::usage("--out requires a directory argument"))?
-                        .clone(),
-                );
-            }
-            "--telemetry" => telemetry = true,
-            "--progress" => progress = true,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::usage(format!(
-                    "unknown flag `{flag}` (known flags: {CERTIFY_FLAGS})"
-                )));
-            }
-            positional if scenario.is_none() => scenario = Some(positional.to_string()),
-            positional => {
-                return Err(CliError::usage(format!(
-                    "`certify` takes one scenario name (unexpected: {positional})"
-                )));
-            }
-        }
-    }
-    let certify_names: Vec<&str> = registry::certifies().iter().map(|c| c.name()).collect();
-    let name = scenario.ok_or_else(|| {
-        CliError::usage(format!(
-            "`certify` needs a scenario name (certifiable scenarios: {})",
-            certify_names.join(", ")
-        ))
-    })?;
-    // Unknown scenario is exit 2 (a typo); a known scenario without a
-    // certification target is exit 3 (a clean capability skip for CI).
-    find_scenario(&name)?;
-    let target = registry::find_certify(&name).ok_or_else(|| {
-        CliError::unsupported(format!(
-            "scenario `{name}` does not support certification (certifiable scenarios: {})",
-            certify_names.join(", ")
-        ))
-    })?;
-    if let Some(threads) = threads {
-        ThreadBudget::init_global(threads).map_err(|existing| {
-            CliError::usage(format!(
-                "--threads {threads} rejected: the thread budget was already \
-                 fixed at {existing} lanes (set it before any parallel work)"
-            ))
-        })?;
-    }
-
-    let obs = CommandObs::start(telemetry, progress);
-    // Every trace the scenario recorded under --traces, in deterministic
-    // (sorted-filename) order — the order certificates appear in the
-    // report and per-check verdicts fold over.
-    let mut trace_paths: Vec<PathBuf> = std::fs::read_dir(&traces_dir)
-        .map_err(|e| CliError::usage(format!("cannot read {}: {e}", traces_dir.display())))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| {
-            path.extension().is_some_and(|ext| ext == "eqtrace")
-                && path
-                    .file_name()
-                    .and_then(|f| f.to_str())
-                    .is_some_and(|f| f.starts_with(&format!("{name}-")))
-        })
-        .collect();
-    trace_paths.sort();
-    if trace_paths.is_empty() {
-        return Err(CliError::usage(format!(
-            "no `{name}-*.eqtrace` files under {} (record some with: experiments record {name})",
-            traces_dir.display()
-        )));
-    }
-    let traces: Vec<FileTrace> = trace_paths.iter().map(FileTrace::new).collect();
+fn cmd_certify(args: Args) -> Result<(), CliError> {
+    let (scenario, traced) = resolve(
+        "certify",
+        single_positional("certify", "scenario name", &args)?,
+    )?;
+    let name = scenario.name();
+    let obs = set_up(&args)?;
+    let traces = discover_traces(&args, name)?;
     let sources: Vec<&dyn TraceSource> = traces.iter().map(|t| t as &dyn TraceSource).collect();
 
     let config = CertifyConfig {
-        seed: seed.unwrap_or(CertifyConfig::default().seed),
+        seed: args.seed.unwrap_or(CertifyConfig::default().seed),
         ..CertifyConfig::default()
     };
     println!(
         "eqimpact experiments — certifying {name}: {} traces, seed {}, threads {}",
         sources.len(),
         config.seed,
-        match threads {
-            Some(n) => n.to_string(),
-            None => format!("{} (auto)", ThreadBudget::global().capacity()),
-        }
+        thread_label(args.threads)
     );
-    let report = run_certification(target, &sources, &config, ThreadBudget::global())
+    let report = run_certification(traced.certify, &sources, &config, ThreadBudget::global())
         .map_err(|e| CliError::usage(format!("certification failed: {e}")))?;
-
-    println!();
-    print!("{}", report.render_text());
-    std::fs::create_dir_all(&out_dir)
-        .map_err(|e| CliError::usage(format!("cannot create {}: {e}", out_dir.display())))?;
-    let json_path = out_dir.join(format!("certify_{name}.json"));
-    std::fs::write(&json_path, report.to_json().render_pretty())
-        .map_err(|e| CliError::usage(format!("cannot write {}: {e}", json_path.display())))?;
-    let text_path = out_dir.join(format!("certify_{name}.txt"));
-    std::fs::write(&text_path, report.render_text())
-        .map_err(|e| CliError::usage(format!("cannot write {}: {e}", text_path.display())))?;
-    println!("wrote {}", json_path.display());
-    println!("wrote {}", text_path.display());
-    obs.finish("certify", &name, &out_dir)
+    let out_dir = args.out_dir.unwrap_or_else(|| PathBuf::from("results"));
+    write_report(
+        &out_dir,
+        &format!("certify_{name}"),
+        &report.to_json().render_pretty(),
+        &report.render_text(),
+    )?;
+    obs.finish("certify", name, &out_dir)
 }
 
 #[cfg(test)]
@@ -1091,15 +907,25 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Parses `args` against `known_flags` and runs `command` on them,
+    /// as `real_main` does.
+    fn run(
+        command: fn(Args) -> Result<(), CliError>,
+        known_flags: &str,
+        args: &[&str],
+    ) -> Result<(), CliError> {
+        command(parse_args(&strings(args), known_flags)?)
+    }
+
     #[test]
     fn threads_zero_clamps_to_one_lane_instead_of_erroring() {
         // The calling thread is always a lane, so `--threads 0` means
         // "the minimum budget", not a usage error (mirrors
         // EQIMPACT_THREADS=0 handling in the core pool).
         assert_eq!(parse_threads("0").unwrap(), 1);
-        let flags = parse_common(&strings(&["credit", "--threads", "0"]), RUN_FLAGS, true).unwrap();
-        assert_eq!(flags.threads, Some(1));
-        assert_eq!(flags.scenario.as_deref(), Some("credit"));
+        let args = parse_args(&strings(&["credit", "--threads", "0"]), RUN_FLAGS).unwrap();
+        assert_eq!(args.threads, Some(1));
+        assert_eq!(args.positionals, ["credit"]);
     }
 
     #[test]
@@ -1143,9 +969,9 @@ mod tests {
         // exit 2 = the name is not a registered scenario at all (and the
         // message lists the known names), exit 3 = the scenario exists
         // but lacks this capability (the clean CI matrix skip).
-        let unknown_record = cmd_record(&strings(&["nope"])).unwrap_err();
-        let unknown_sweep = cmd_sweep(&strings(&["nope"])).unwrap_err();
-        let unknown_certify = cmd_certify(&strings(&["nope"])).unwrap_err();
+        let unknown_record = run(cmd_record, RECORD_FLAGS, &["nope"]).unwrap_err();
+        let unknown_sweep = run(cmd_sweep, SWEEP_FLAGS, &["nope"]).unwrap_err();
+        let unknown_certify = run(cmd_certify, CERTIFY_FLAGS, &["nope"]).unwrap_err();
         for err in [&unknown_record, &unknown_sweep, &unknown_certify] {
             assert_eq!(err.code, 2, "unknown scenario must exit 2: {}", err.message);
             assert!(
@@ -1157,9 +983,9 @@ mod tests {
 
         // `ablations` is registered but records no traces, so every
         // trace-consuming capability is a clean unsupported skip.
-        let unsup_record = cmd_record(&strings(&["ablations"])).unwrap_err();
-        let unsup_sweep = cmd_sweep(&strings(&["ablations"])).unwrap_err();
-        let unsup_certify = cmd_certify(&strings(&["ablations"])).unwrap_err();
+        let unsup_record = run(cmd_record, RECORD_FLAGS, &["ablations"]).unwrap_err();
+        let unsup_sweep = run(cmd_sweep, SWEEP_FLAGS, &["ablations"]).unwrap_err();
+        let unsup_certify = run(cmd_certify, CERTIFY_FLAGS, &["ablations"]).unwrap_err();
         for err in [&unsup_record, &unsup_sweep, &unsup_certify] {
             assert_eq!(
                 err.code, 3,
@@ -1171,7 +997,7 @@ mod tests {
         // `replay` reads the scenario name from the trace header instead
         // of argv, but must apply the same contract.
         let unknown_trace = write_stub_trace("nope", "stub");
-        let err = cmd_replay(&strings(&[unknown_trace.to_str().unwrap()])).unwrap_err();
+        let err = run(cmd_replay, REPLAY_FLAGS, &[unknown_trace.to_str().unwrap()]).unwrap_err();
         std::fs::remove_file(&unknown_trace).ok();
         assert_eq!(err.code, 2, "replay of unknown scenario: {}", err.message);
         assert!(
@@ -1181,7 +1007,7 @@ mod tests {
         );
 
         let unsup_trace = write_stub_trace("ablations", "stub");
-        let err = cmd_replay(&strings(&[unsup_trace.to_str().unwrap()])).unwrap_err();
+        let err = run(cmd_replay, REPLAY_FLAGS, &[unsup_trace.to_str().unwrap()]).unwrap_err();
         std::fs::remove_file(&unsup_trace).ok();
         assert_eq!(
             err.code, 3,
@@ -1208,13 +1034,17 @@ mod tests {
         let out = root.join("a").join("b").join("out");
         std::fs::create_dir_all(out.join("offpolicy_credit_scorecard_vs_x")).unwrap();
         let trace = write_stub_trace("credit", "x/../../../escaped");
-        let err = cmd_replay(&strings(&[
-            trace.to_str().unwrap(),
-            "--policy",
-            "scorecard",
-            "--out",
-            out.to_str().unwrap(),
-        ]))
+        let err = run(
+            cmd_replay,
+            REPLAY_FLAGS,
+            &[
+                trace.to_str().unwrap(),
+                "--policy",
+                "scorecard",
+                "--out",
+                out.to_str().unwrap(),
+            ],
+        )
         .unwrap_err();
         std::fs::remove_file(&trace).ok();
         let written = files_under(&root);

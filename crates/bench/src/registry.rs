@@ -1,13 +1,13 @@
 //! The static scenario registry behind the `experiments` CLI.
 //!
-//! Every workload the binary can run is a
-//! [`DynScenario`](eqimpact_core::scenario::DynScenario) registered here:
-//! the closed-loop case studies ([`CreditScenario`], [`HiringScenario`])
-//! plug in through the typed `Scenario` trait, while the ablation suite
-//! implements the object-safe face directly (it is not a
-//! trials-of-one-outcome workload). Adding a
-//! scenario is one `impl` plus one line in [`scenarios`]; the CLI, the
-//! artifact validation and the CI smoke matrix pick it up automatically.
+//! Every workload the binary can run is one row of [`SCENARIOS`]: a
+//! [`DynScenario`] plus, when it records traces, the [`Traced`] faces
+//! that replay, sweep and certify them. The closed-loop case studies
+//! ([`CreditScenario`], [`HiringScenario`]) plug in through the typed
+//! `Scenario` trait, while the ablation suite implements the object-safe
+//! face directly (it is not a trials-of-one-outcome workload). Adding a
+//! scenario is one `impl` plus one row, which every CLI command, the
+//! `list --json` capability flags and the CI smoke matrix read.
 
 use crate::experiments::{
     ablate_delay, ablate_filter, ablate_integral, ablate_markov, ablate_policy,
@@ -188,89 +188,71 @@ impl DynScenario for AblationScenario {
     }
 }
 
-/// Rejects duplicate names in a registry listing — the invariant behind
-/// [`find`]'s "one name, one scenario" contract.
-fn validate_unique_names(names: &[&str]) -> Result<(), String> {
-    let mut seen = std::collections::BTreeSet::new();
-    for name in names {
-        if !seen.insert(*name) {
-            return Err(format!("duplicate scenario name `{name}` in the registry"));
-        }
-    }
-    Ok(())
+/// One registered scenario: what `list` shows and `run` runs, plus the
+/// faces that consume its traces when it records any.
+pub struct ScenarioEntry {
+    /// The scenario itself.
+    pub scenario: &'static dyn DynScenario,
+    /// The trace-consuming faces; `None` for a scenario that records no
+    /// traces. Matches [`DynScenario::supports_tracing`], which
+    /// `run_scenario` guards on.
+    pub traced: Option<Traced>,
 }
 
-/// Every registered scenario, in listing order.
-///
-/// # Panics
-/// Panics (once, at first use) when two registered scenarios share a
-/// name — a duplicate would make [`find`] and the CLI ambiguous, so the
-/// registry refuses to construct.
-pub fn scenarios() -> &'static [&'static dyn DynScenario] {
-    static REGISTRY: [&dyn DynScenario; 3] = [&CreditScenario, &HiringScenario, &AblationScenario];
-    static VALIDATED: std::sync::OnceLock<()> = std::sync::OnceLock::new();
-    VALIDATED.get_or_init(|| {
-        let names: Vec<&str> = REGISTRY.iter().map(|s| s.name()).collect();
-        validate_unique_names(&names).expect("scenario registry");
-    });
-    &REGISTRY
+/// The three faces of a scenario that records traces. They come as one
+/// value, so a scenario cannot be registered with some but not all.
+pub struct Traced {
+    /// Verified replay and off-policy evaluation (`experiments replay`).
+    pub replay: &'static dyn TraceReplayer,
+    /// The counterfactual lab's candidate grids (`experiments sweep`).
+    pub sweep: &'static dyn SweepTarget,
+    /// The certification plane's extraction spec (`experiments certify`).
+    pub certify: &'static dyn CertifyTarget,
 }
 
-/// Looks a scenario up by its registry name.
-pub fn find(name: &str) -> Option<&'static dyn DynScenario> {
-    scenarios().iter().copied().find(|s| s.name() == name)
+/// Every registered scenario, in listing order. Names must be distinct;
+/// a unit test checks that over this table.
+pub static SCENARIOS: &[ScenarioEntry] = &[
+    ScenarioEntry {
+        scenario: &CreditScenario,
+        traced: Some(Traced {
+            replay: &CreditTracer,
+            sweep: &CreditSweep,
+            certify: &CreditCertify,
+        }),
+    },
+    ScenarioEntry {
+        scenario: &HiringScenario,
+        traced: Some(Traced {
+            replay: &HiringTracer,
+            sweep: &HiringSweep,
+            certify: &HiringCertify,
+        }),
+    },
+    ScenarioEntry {
+        scenario: &AblationScenario,
+        traced: None,
+    },
+];
+
+/// Looks a scenario's row up by its registry name.
+pub fn find(name: &str) -> Option<&'static ScenarioEntry> {
+    SCENARIOS.iter().find(|entry| entry.scenario.name() == name)
 }
 
 /// The registered scenario names, in listing order.
 pub fn names() -> Vec<&'static str> {
-    scenarios().iter().map(|s| s.name()).collect()
+    SCENARIOS
+        .iter()
+        .map(|entry| entry.scenario.name())
+        .collect()
 }
 
-/// The registered scenario names, deterministically sorted — the
-/// `experiments list --json` order, so consumers (the CI matrix) see a
-/// stable listing regardless of registration order.
-pub fn sorted_names() -> Vec<&'static str> {
-    let mut names = names();
-    names.sort_unstable();
-    names
-}
-
-/// Every registered trace replayer (the scenarios that can re-drive and
-/// off-policy-evaluate their recorded traces), in listing order.
-pub fn tracers() -> &'static [&'static dyn TraceReplayer] {
-    static TRACERS: [&dyn TraceReplayer; 2] = [&CreditTracer, &HiringTracer];
-    &TRACERS
-}
-
-/// Looks a trace replayer up by its scenario name.
-pub fn find_tracer(name: &str) -> Option<&'static dyn TraceReplayer> {
-    tracers().iter().copied().find(|t| t.name() == name)
-}
-
-/// Every registered sweep target (the scenarios whose recorded traces
-/// the counterfactual lab can sweep candidate grids over), in listing
-/// order.
-pub fn sweeps() -> &'static [&'static dyn SweepTarget] {
-    static SWEEPS: [&dyn SweepTarget; 2] = [&CreditSweep, &HiringSweep];
-    &SWEEPS
-}
-
-/// Looks a sweep target up by its scenario name.
-pub fn find_sweep(name: &str) -> Option<&'static dyn SweepTarget> {
-    sweeps().iter().copied().find(|s| s.name() == name)
-}
-
-/// Every registered certification target (the scenarios whose recorded
-/// traces the certification plane can turn into verdict artifacts), in
-/// listing order.
-pub fn certifies() -> &'static [&'static dyn CertifyTarget] {
-    static CERTIFIES: [&dyn CertifyTarget; 2] = [&CreditCertify, &HiringCertify];
-    &CERTIFIES
-}
-
-/// Looks a certification target up by its scenario name.
-pub fn find_certify(name: &str) -> Option<&'static dyn CertifyTarget> {
-    certifies().iter().copied().find(|c| c.name() == name)
+/// The scenarios that record traces, with their faces, in listing order.
+pub fn traced() -> impl Iterator<Item = (&'static str, &'static Traced)> {
+    SCENARIOS
+        .iter()
+        .filter_map(|entry| Some((entry.scenario.name(), entry.traced.as_ref()?)))
 }
 
 #[cfg(test)]
@@ -287,113 +269,61 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), names.len(), "duplicate names: {names:?}");
         assert!(names.contains(&"credit") && names.contains(&"hiring"));
-        for s in scenarios() {
-            assert!(!s.description().is_empty());
-            assert!(!s.artifacts().is_empty());
+        for entry in SCENARIOS {
+            assert!(!entry.scenario.description().is_empty());
+            assert!(!entry.scenario.artifacts().is_empty());
         }
     }
 
     #[test]
     fn find_resolves_names_and_rejects_unknowns() {
-        assert_eq!(find("credit").unwrap().name(), "credit");
-        assert_eq!(find("hiring").unwrap().name(), "hiring");
+        assert_eq!(find("credit").unwrap().scenario.name(), "credit");
+        assert_eq!(find("hiring").unwrap().scenario.name(), "hiring");
         assert!(find("credits").is_none());
         assert!(find("").is_none());
     }
 
     #[test]
-    fn duplicate_names_are_rejected_at_construction() {
-        assert!(validate_unique_names(&["credit", "hiring"]).is_ok());
-        let err = validate_unique_names(&["credit", "hiring", "credit"]).unwrap_err();
-        assert!(err.contains("credit"), "{err}");
-        // And the live registry passes the same validation (forcing the
-        // construction-time check to have run).
-        let names = names();
-        let refs: Vec<&str> = names.to_vec();
-        assert!(validate_unique_names(&refs).is_ok());
-    }
-
-    #[test]
-    fn sorted_names_are_deterministically_ordered() {
-        let sorted = sorted_names();
-        let mut expected = names();
-        expected.sort_unstable();
-        assert_eq!(sorted, expected);
-        assert!(sorted.windows(2).all(|w| w[0] < w[1]), "{sorted:?}");
-    }
-
-    #[test]
     fn tracers_cover_the_closed_loop_scenarios() {
-        let names: Vec<&str> = tracers().iter().map(|t| t.name()).collect();
+        let names: Vec<&str> = traced().map(|(name, _)| name).collect();
         assert_eq!(names, vec!["credit", "hiring"]);
-        // Every tracer names a registered scenario and offers policies.
-        for tracer in tracers() {
-            assert!(find(tracer.name()).is_some(), "{}", tracer.name());
-            assert!(!tracer.policies().is_empty());
-        }
-        assert!(find_tracer("credit").is_some());
-        assert!(find_tracer("ablations").is_none());
-    }
-
-    #[test]
-    fn sweeps_mirror_the_tracer_registrations() {
-        // The counterfactual lab sweeps exactly the scenarios that
-        // record replayable traces — a sweep without a tracer could
-        // never get input, a tracer without a sweep would be a silent
-        // gap in `experiments sweep`.
-        let sweep_names: Vec<&str> = sweeps().iter().map(|s| s.name()).collect();
-        let tracer_names: Vec<&str> = tracers().iter().map(|t| t.name()).collect();
-        assert_eq!(sweep_names, tracer_names);
-        for sweep in sweeps() {
-            assert!(find(sweep.name()).is_some(), "{}", sweep.name());
-            assert!(!sweep.default_grid().is_empty(), "{}", sweep.name());
-            assert!(!sweep.known_policies().is_empty(), "{}", sweep.name());
-            assert!(!sweep.known_filters().is_empty(), "{}", sweep.name());
-            // The default grid stays within the declared axes.
+        // Each face answers to its row's name, and each is usable: the
+        // replayer offers policies, the default grid stays within the
+        // declared axes, the extraction spec is well-formed.
+        for (name, traced) in traced() {
+            assert_eq!(traced.replay.name(), name);
+            assert_eq!(traced.sweep.name(), name);
+            assert_eq!(traced.certify.name(), name);
+            assert!(!traced.replay.policies().is_empty(), "{name}");
+            let sweep = traced.sweep;
+            assert!(!sweep.known_policies().is_empty(), "{name}");
+            assert!(!sweep.known_filters().is_empty(), "{name}");
             let grid = sweep.default_grid();
+            assert!(!grid.is_empty(), "{name}");
             for policy in &grid.policies {
                 assert!(sweep.known_policies().contains(&policy.as_str()));
             }
             for filter in &grid.filters {
                 assert!(sweep.known_filters().contains(&filter.as_str()));
             }
+            let spec = traced.certify.spec();
+            assert!(spec.bins > 0, "{name}");
+            assert!(spec.state_lo < spec.state_hi, "{name}");
+            assert!(!spec.model_fields.is_empty(), "{name}");
         }
-        assert!(find_sweep("credit").is_some());
-        assert!(find_sweep("ablations").is_none());
-    }
-
-    #[test]
-    fn certifies_mirror_the_tracer_registrations() {
-        // The certification plane certifies exactly the scenarios that
-        // record replayable traces — a certify target without a tracer
-        // could never get input, a tracer without a certify target would
-        // be a silent gap in `experiments certify`.
-        let certify_names: Vec<&str> = certifies().iter().map(|c| c.name()).collect();
-        let tracer_names: Vec<&str> = tracers().iter().map(|t| t.name()).collect();
-        assert_eq!(certify_names, tracer_names);
-        for target in certifies() {
-            assert!(find(target.name()).is_some(), "{}", target.name());
-            let spec = target.spec();
-            assert!(spec.bins > 0, "{}", target.name());
-            assert!(spec.state_lo < spec.state_hi, "{}", target.name());
-            assert!(!spec.model_fields.is_empty(), "{}", target.name());
-        }
-        assert!(find_certify("credit").is_some());
-        assert!(find_certify("hiring").is_some());
-        assert!(find_certify("ablations").is_none());
     }
 
     #[test]
     fn trace_support_and_replayer_registration_agree() {
-        // One source of truth: a scenario records traces iff a replayer
-        // is registered for it — a mismatch would make `experiments
-        // record`'s exit-3 skip and run_scenario's gate disagree.
-        for scenario in scenarios() {
+        // A scenario records traces iff its row has the faces to consume
+        // them: a mismatch would make `experiments record`'s exit-3 skip
+        // and run_scenario's gate disagree.
+        for entry in SCENARIOS {
             assert_eq!(
-                scenario.supports_tracing(),
-                find_tracer(scenario.name()).is_some(),
-                "scenario `{}`: supports_tracing vs tracers() mismatch",
-                scenario.name()
+                entry.scenario.supports_tracing(),
+                entry.traced.is_some(),
+                "scenario `{}`: supports_tracing vs its row's trace faces",
+                entry.scenario.name()
             );
         }
     }
@@ -412,7 +342,7 @@ mod tests {
             }
         }
         let config = ScenarioConfig::new(Scale::Quick).with_trace(std::sync::Arc::new(NullFactory));
-        for scenario in scenarios() {
+        for scenario in SCENARIOS.iter().map(|entry| entry.scenario) {
             if scenario.supports_tracing() {
                 continue;
             }

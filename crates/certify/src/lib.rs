@@ -9,8 +9,8 @@
 //!
 //! Three layers:
 //!
-//! 1. **Extraction** ([`extract`]) streams each trace once, discretizing
-//!    the per-user filter state into an empirical transition matrix plus
+//! 1. **Extraction** ([`extract`](mod@extract)) streams each trace once,
+//!    discretizing the per-user filter state into an empirical transition matrix plus
 //!    sampled trajectories, checkpoint-to-checkpoint model states, and a
 //!    streaming filter-channel regression — bounded memory, the full
 //!    record is never materialized.
@@ -29,8 +29,8 @@
 //!    text), byte-identical across runs and thread counts.
 //!
 //! Workload crates opt in by implementing [`CertifyTarget`] and
-//! registering in the bench registry's `certifies()` table, which gives
-//! them the `experiments certify <scenario>` CLI path for free.
+//! registering it in their scenario's row of the bench registry, which
+//! gives them the `experiments certify <scenario>` CLI path for free.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +49,7 @@ pub use report::{CertificateReport, TraceCertificate};
 /// scenario and states how its traces map onto the certification state
 /// space.
 pub trait CertifyTarget: Sync {
-    /// Registry name of the scenario (matches its tracer registration).
+    /// Registry name of the scenario (matches its registry row).
     fn name(&self) -> &'static str;
 
     /// How to extract the certification structure from this scenario's

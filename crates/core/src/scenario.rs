@@ -10,8 +10,7 @@
 //! validation and writing — is implemented once, generically:
 //!
 //! * [`run_scenario`] drives a typed [`Scenario`] through
-//!   [`run_trials_with`](crate::trials::run_trials_with) and renders a
-//!   [`ScenarioReport`];
+//!   [`run_trials_with`] and renders a [`ScenarioReport`];
 //! * [`DynScenario`] is the object-safe form (blanket-implemented for
 //!   every [`Scenario`]), so heterogeneous scenarios can live side by
 //!   side in a static registry and behind a CLI;

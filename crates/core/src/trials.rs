@@ -2,10 +2,9 @@
 //! each with a fresh batch of users, run in parallel with deterministic
 //! per-trial seeds.
 //!
-//! The worker threads are leased from the process-wide
-//! [`ThreadBudget`](crate::pool::ThreadBudget) (trials are striped over
-//! the granted lanes), so trial parallelism composes with intra-trial
-//! sharding instead of multiplying with it — a
+//! The worker threads are leased from the process-wide [`ThreadBudget`]
+//! (trials are striped over the granted lanes), so trial parallelism
+//! composes with intra-trial sharding instead of multiplying with it — a
 //! [`ShardedRunner`](crate::shard::ShardedRunner) nested inside a trial
 //! worker finds the budget spent and sweeps sequentially on its own
 //! lane. A panic inside any trial is re-raised on the caller's thread
@@ -25,11 +24,11 @@ pub struct TrialSet {
 }
 
 /// Runs `trials` independent trials of any outcome type in parallel, on
-/// worker threads leased from the **global**
-/// [`ThreadBudget`](crate::pool::ThreadBudget). `factory(trial_index)`
-/// must build and run one complete trial; it receives the trial index so
-/// it can derive a deterministic seed (the convention is
-/// `base_seed + trial_index`). Results come back in trial order.
+/// worker threads leased from the **global** [`ThreadBudget`].
+/// `factory(trial_index)` must build and run one complete trial; it
+/// receives the trial index so it can derive a deterministic seed (the
+/// convention is `base_seed + trial_index`). Results come back in trial
+/// order.
 ///
 /// # Panics
 /// Panics when `trials == 0`, and re-raises the lowest-indexed per-trial

@@ -11,8 +11,8 @@
 use crate::trace::DECISION_THRESHOLD;
 use eqimpact_certify::{CertifyTarget, ExtractionSpec};
 
-/// The certification face of the credit scenario (registered next to
-/// [`CreditTracer`](crate::CreditTracer) in the certify registry).
+/// The certification face of the credit scenario, registered in the
+/// same registry row as [`CreditTracer`](crate::CreditTracer).
 pub struct CreditCertify;
 
 impl CertifyTarget for CreditCertify {

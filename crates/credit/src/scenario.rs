@@ -1,5 +1,4 @@
-//! The Sec. VII credit case study as a first-class
-//! [`Scenario`](eqimpact_core::scenario::Scenario).
+//! The Sec. VII credit case study as a first-class [`Scenario`].
 //!
 //! [`CreditScenario`] plugs the five-trial credit protocol
 //! ([`run_trial`]) into the generic scenario driver: trial striping,

@@ -17,8 +17,8 @@ use eqimpact_trace::scenario::unknown_policy;
 use eqimpact_trace::{evaluate_off_policy_with, OffPolicyOptions, TraceError, TraceReader};
 use std::io::Read;
 
-/// The sweep face of the credit scenario (registered next to
-/// [`CreditTracer`](crate::CreditTracer) in the sweep registry).
+/// The sweep face of the credit scenario, registered in the
+/// same registry row as [`CreditTracer`](crate::CreditTracer).
 pub struct CreditSweep;
 
 /// The lender policies a sweep can instantiate (the tracer's list).

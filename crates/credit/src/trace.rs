@@ -1,11 +1,10 @@
 //! Replay and off-policy evaluation of recorded credit traces.
 //!
-//! [`CreditTracer`] implements
-//! [`TraceReplayer`](eqimpact_trace::TraceReplayer): it rebuilds the
-//! lender named by a trace's `variant` header from its deterministic
-//! initial state (the paper's parameters) together with a fresh
-//! [`AdrFilter`], so a recorded credit trial replays **byte-identically**
-//! without touching the census population. For off-policy evaluation it
+//! [`CreditTracer`] implements [`TraceReplayer`]: it rebuilds the lender
+//! named by a trace's `variant` header from its deterministic initial
+//! state (the paper's parameters) together with a fresh [`AdrFilter`], so
+//! a recorded credit trial replays **byte-identically** without touching
+//! the census population. For off-policy evaluation it
 //! swaps in one of the introduction's baseline lenders and scores it
 //! against the recorded trajectory — "what access would the uniform-$50K
 //! policy have granted to the households the scorecard actually saw?".
@@ -23,8 +22,8 @@ use std::io::Read;
 /// amounts in $K, so any positive amount is an approval.
 pub const DECISION_THRESHOLD: f64 = 0.0;
 
-/// The replay face of the credit scenario (registered next to
-/// [`CreditScenario`](crate::CreditScenario) in the tracer registry).
+/// The replay face of the credit scenario, registered in the
+/// same registry row as [`CreditScenario`](crate::CreditScenario).
 pub struct CreditTracer;
 
 /// The alternative policies [`CreditTracer`] can evaluate.

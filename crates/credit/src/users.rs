@@ -5,10 +5,9 @@
 //! per-user, so the population partitions into contiguous
 //! [`CreditShard`]s that observe/respond concurrently. All randomness of
 //! household `i` at step `k` — the yearly income resample and the
-//! repayment draw — comes from the index-keyed
-//! [`RowStreams`](eqimpact_core::shard::RowStreams), which is what makes
-//! the loop's record bit-identical for any shard count (the sequential
-//! `*_into` methods route through the same per-row sweep).
+//! repayment draw — comes from the index-keyed [`RowStreams`], which is
+//! what makes the loop's record bit-identical for any shard count (the
+//! sequential `*_into` methods route through the same per-row sweep).
 
 use crate::lender::{VISIBLE_INCOME_CODE, VISIBLE_INCOME_K};
 use crate::model;

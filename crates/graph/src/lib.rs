@@ -40,7 +40,6 @@ pub mod condensation;
 pub mod digraph;
 pub mod period;
 pub mod primitivity;
-pub mod random;
 pub mod scc;
 
 pub use condensation::Condensation;

@@ -5,8 +5,8 @@
 //! [`ApplicantPool`] is **shardable** with the same contract as the
 //! credit population: all randomness of applicant `i` at round `k` (the
 //! yearly resource resample and the placement outcome) comes from the
-//! index-keyed [`RowStreams`](eqimpact_core::shard::RowStreams), so the
-//! loop's record is bit-identical for any shard count.
+//! index-keyed [`RowStreams`], so the loop's record is bit-identical for
+//! any shard count.
 
 use crate::model;
 use eqimpact_census::{HouseholdSampler, IncomeTable, Race, FIRST_YEAR, LAST_YEAR};

@@ -12,8 +12,8 @@
 use crate::trace::DECISION_THRESHOLD;
 use eqimpact_certify::{CertifyTarget, ExtractionSpec};
 
-/// The certification face of the hiring scenario (registered next to
-/// [`HiringTracer`](crate::HiringTracer) in the certify registry).
+/// The certification face of the hiring scenario, registered in the
+/// same registry row as [`HiringTracer`](crate::HiringTracer).
 pub struct HiringCertify;
 
 impl CertifyTarget for HiringCertify {

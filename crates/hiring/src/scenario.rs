@@ -1,5 +1,4 @@
-//! The hiring loop as a first-class
-//! [`Scenario`](eqimpact_core::scenario::Scenario).
+//! The hiring loop as a first-class [`Scenario`].
 //!
 //! Each trial runs **both** screeners over the same applicant pool — the
 //! retrained [`AdaptiveScreener`](crate::screener::AdaptiveScreener) and

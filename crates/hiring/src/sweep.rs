@@ -13,8 +13,8 @@ use eqimpact_trace::scenario::unknown_policy;
 use eqimpact_trace::{evaluate_off_policy_with, OffPolicyOptions, TraceError, TraceReader};
 use std::io::Read;
 
-/// The sweep face of the hiring scenario (registered next to
-/// [`HiringTracer`](crate::HiringTracer) in the sweep registry).
+/// The sweep face of the hiring scenario, registered in the
+/// same registry row as [`HiringTracer`](crate::HiringTracer).
 pub struct HiringSweep;
 
 /// The screener policies a sweep can instantiate (the tracer's list).

@@ -21,8 +21,8 @@ use std::io::Read;
 /// are hires.
 pub const DECISION_THRESHOLD: f64 = 0.0;
 
-/// The replay face of the hiring scenario (registered next to
-/// [`HiringScenario`](crate::HiringScenario) in the tracer registry).
+/// The replay face of the hiring scenario, registered in the
+/// same registry row as [`HiringScenario`](crate::HiringScenario).
 pub struct HiringTracer;
 
 /// The alternative policies [`HiringTracer`] can evaluate.

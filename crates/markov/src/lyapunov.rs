@@ -5,8 +5,8 @@
 //! `λ = lim (1/k) log ‖A_{σ(k-1)} ⋯ A_{σ(0)}‖` decides almost-sure
 //! stability: `λ < 0` means trajectories contract exponentially even when
 //! some individual modes are expanding — a strictly sharper criterion than
-//! the norm-based certificate of [`crate::linear`], and the log-scale
-//! analogue of the paper's average-contractivity condition.
+//! a bound on the mode norms, and the log-scale analogue of the paper's
+//! average-contractivity condition that [`crate::contractivity`] estimates.
 
 use eqimpact_linalg::{Matrix, Vector};
 use eqimpact_stats::SimRng;

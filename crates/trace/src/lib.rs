@@ -7,8 +7,8 @@
 //! scratch. This crate turns one trial into a compact, self-describing,
 //! replayable asset with three layers:
 //!
-//! * **Storage** ([`column`], [`store`]) — a dependency-free binary
-//!   columnar format for [`LoopRecord`](eqimpact_core::LoopRecord) /
+//! * **Storage** ([`column`](mod@column), [`store`]) — a dependency-free
+//!   binary columnar format for [`LoopRecord`](eqimpact_core::LoopRecord) /
 //!   [`FeatureMatrix`](eqimpact_core::FeatureMatrix) streams: per-column
 //!   delta + zigzag-varint encoding with optional run-length encoding,
 //!   CRC-32-checksummed length-framed blocks, and a versioned JSON header

@@ -37,8 +37,9 @@ pub struct ReplaySummary {
 
 /// A workload that can rebuild its loop blocks from a trace header, for
 /// verified replay and off-policy evaluation. Implemented by the
-/// traceable scenarios (credit, hiring) and registered in the bench
-/// crate's tracer registry, which `experiments replay` dispatches on.
+/// traceable scenarios (credit, hiring) and registered in their rows of
+/// the bench crate's scenario registry, which `experiments replay`
+/// dispatches on.
 pub trait TraceReplayer: Sync {
     /// The scenario name this replayer handles (matches both the
     /// scenario registry and trace headers' `scenario` field).

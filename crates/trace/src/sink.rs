@@ -1,13 +1,11 @@
 //! The bridge from the core scenario machinery to trace files on disk.
 //!
-//! [`TraceDirFactory`] implements
-//! [`TraceSinkFactory`](eqimpact_core::scenario::TraceSinkFactory): attach
-//! one to a [`ScenarioConfig`](eqimpact_core::ScenarioConfig) and every
-//! loop of every trial streams into
-//! `<dir>/<scenario>-<variant>-trial<t>.eqtrace`. Trials run on worker
-//! threads, so sinks are self-contained; I/O failures never panic a
-//! trial — they are collected in the factory and surfaced by
-//! `run_scenario` as a single `ScenarioError::Trace`.
+//! [`TraceDirFactory`] implements [`TraceSinkFactory`]: attach one to a
+//! [`ScenarioConfig`](eqimpact_core::ScenarioConfig) and every loop of
+//! every trial streams into `<dir>/<scenario>-<variant>-trial<t>.eqtrace`.
+//! Trials run on worker threads, so sinks are self-contained; I/O
+//! failures never panic a trial — they are collected in the factory and
+//! surfaced by `run_scenario` as a single `ScenarioError::Trace`.
 
 use crate::store::{TraceHeader, TraceWriter};
 use crate::TraceError;

@@ -254,7 +254,7 @@ pub mod prop {
     pub mod collection {
         use super::super::{Strategy, TestRng};
 
-        /// Length specification for [`vec`]: a fixed size or a range.
+        /// Length specification for [`vec()`]: a fixed size or a range.
         #[derive(Debug, Clone, Copy)]
         pub struct SizeRange {
             lo: usize,
