@@ -21,6 +21,12 @@
 //! | R5 | panic-contract | no `unwrap`/`expect`/`panic!` in CLI/artifact-I/O modules |
 //! | R6 | float-fold | no reassociating float folds outside `linalg::kernels` |
 //! | R7 | dependency-hygiene | Cargo manifests carry path/workspace deps only |
+//! | R8 | dead-surface | every library `pub` item is named by non-test code |
+//!
+//! R8 is the one cross-file rule: it counts every identifier outside test
+//! items and `pub use` re-exports in the crates, `examples/`,
+//! `crates/*/benches/` and `loopbench/src/` (see [`rules::Surface`]), so
+//! all of them are read before any finding is reported.
 //!
 //! Known-good exceptions are waived in-source with
 //! `// analyze::allow(R<n>): reason`; waivers are counted, listed in

@@ -12,7 +12,7 @@ use crate::rules::CATALOG;
 /// One rule violation at a source location.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`R0` ... `R7`).
+    /// Rule id (`R0` ... `R8`).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub file: String,

@@ -1,4 +1,4 @@
-//! The rule catalog (R1–R7) and per-file token matchers.
+//! The rule catalog (R1–R8) and per-file token matchers.
 //!
 //! Each rule has a stable id, a human name, and a fix hint; the
 //! catalog order is fixed so reports are byte-identical across runs.
@@ -6,12 +6,15 @@
 //! deterministic planes, the wall-clock modules, and the sanctioned
 //! kernel/pool homes are named here, in one place, as constants.
 
+use std::collections::BTreeMap;
+
+use crate::lexer::TokKind;
 use crate::report::Finding;
 use crate::scan::FileScan;
 
 /// One catalog entry.
 pub struct Rule {
-    /// Stable id (`R1` ... `R7`, plus `R0` for waiver hygiene).
+    /// Stable id (`R1` ... `R8`, plus `R0` for waiver hygiene).
     pub id: &'static str,
     /// Short kebab-case name.
     pub name: &'static str,
@@ -24,7 +27,7 @@ pub struct Rule {
 /// Fixed-order rule catalog. `R0` covers the waiver mechanism itself:
 /// malformed, reason-less, unknown-rule, or stale waivers are findings
 /// and cannot themselves be waived.
-pub const CATALOG: [Rule; 8] = [
+pub const CATALOG: [Rule; 9] = [
     Rule {
         id: "R0",
         name: "waiver-hygiene",
@@ -72,6 +75,12 @@ pub const CATALOG: [Rule; 8] = [
         name: "dependency-hygiene",
         summary: "Cargo.toml dependencies are path/workspace entries only — no registry or git deps",
         hint: "vendor an offline shim under shims/ and depend on it by path",
+    },
+    Rule {
+        id: "R8",
+        name: "dead-surface",
+        summary: "every pub item of a library crate is named by non-test code outside its declaration",
+        hint: "delete it, move it under #[cfg(test)], or waive it naming the test that needs it",
     },
 ];
 
@@ -431,6 +440,126 @@ pub fn check_manifest(path: &str, src: &str) -> Vec<Finding> {
     findings
 }
 
+// ---------------------------------------------------------------------------
+// R8: dead surface.
+// ---------------------------------------------------------------------------
+
+/// Keywords that introduce a `pub` item R8 tracks.
+const ITEM_KEYWORDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+
+/// Qualifiers that may stand between `pub` and the item keyword.
+const ITEM_QUALIFIERS: [&str; 3] = ["const", "unsafe", "async"];
+
+/// True for library source that declares R8 surface: the crates'
+/// `src/` trees and the facade's `src/`, binaries excluded.
+fn r8_declares(path: &str) -> bool {
+    ((path.starts_with("crates/") && path.contains("/src/")) || path.starts_with("src/"))
+        && !path.contains("src/bin/")
+}
+
+/// Workspace-wide name counts for R8 (dead-surface).
+///
+/// A *declaration* is a non-test `pub fn|struct|enum|trait|type|const|static`
+/// (optionally qualified `const`, `unsafe` or `async`) in a library
+/// source file; `pub(crate)`, `pub mod`, `pub use`, fields and variants
+/// are not. A *use* is any identifier outside `#[test]`/`#[cfg(test)]`
+/// items and outside `pub use` items, in any file added — the crates'
+/// sources (binaries included), the facade, `examples/`,
+/// `crates/*/benches/` and `loopbench/src/`. Integration tests and
+/// shims are never added, so they name nothing.
+///
+/// A name whose use count is no larger than its declaration count is
+/// named by nothing but its own declarations. Matching is by name
+/// alone, so the rule is conservative: a dead item that shares its
+/// name with a used one (every `new`, or a struct with an `impl`
+/// block) is not found.
+#[derive(Default)]
+pub struct Surface {
+    uses: BTreeMap<String, usize>,
+    decls: BTreeMap<String, usize>,
+}
+
+impl Surface {
+    /// Counts one file's uses and, for library source, its declarations.
+    pub fn add(&mut self, path: &str, fs: &FileScan) {
+        for (name, _) in pub_decls(path, fs) {
+            *self.decls.entry(name).or_default() += 1;
+        }
+        let mut p = 0;
+        while let Some(t) = fs.code_tok(p) {
+            if fs.code_in_test(p) {
+                // Test code names nothing.
+            } else if t.is_ident("pub") && next_is(fs, p, "use") {
+                // Neither does a re-export: skip it through its `;`.
+                while fs.code_tok(p).is_some_and(|t| !t.is_punct(";")) {
+                    p += 1;
+                }
+            } else if t.kind == TokKind::Ident {
+                *self.uses.entry(t.text.clone()).or_default() += 1;
+            }
+            p += 1;
+        }
+    }
+
+    /// The R8 findings of one file. Final only once every file of the
+    /// workspace has been added.
+    pub fn findings(&self, path: &str, fs: &FileScan) -> Vec<Finding> {
+        let hint = rule("R8").map(|r| r.hint).unwrap_or("");
+        pub_decls(path, fs)
+            .into_iter()
+            .filter(|(name, _)| self.uses.get(name) <= self.decls.get(name))
+            .map(|(name, line)| Finding {
+                rule: "R8".to_string(),
+                file: path.to_string(),
+                line,
+                message: format!("`pub` item `{name}` is named by no non-test code"),
+                hint: hint.to_string(),
+                waived: false,
+            })
+            .collect()
+    }
+}
+
+/// True when the code token after position `p` is the identifier `s`.
+fn next_is(fs: &FileScan, p: usize, s: &str) -> bool {
+    fs.code_tok(p + 1).is_some_and(|t| t.is_ident(s))
+}
+
+/// The non-test `pub` item declarations of one file, as (name, line of
+/// `pub`); empty outside R8's declaration scope.
+fn pub_decls(path: &str, fs: &FileScan) -> Vec<(String, u32)> {
+    let mut out = Vec::new();
+    if !r8_declares(path) {
+        return out;
+    }
+    let is_any = |p: usize, set: &[&str]| {
+        fs.code_tok(p)
+            .is_some_and(|t| set.iter().any(|k| t.is_ident(k)))
+    };
+    for p in 0..fs.code.len() {
+        let Some(t) = fs.code_tok(p) else { continue };
+        if fs.code_in_test(p) || !t.is_ident("pub") {
+            continue;
+        }
+        let mut q = p + 1;
+        while is_any(q, &ITEM_QUALIFIERS)
+            && (is_any(q + 1, &ITEM_KEYWORDS) || is_any(q + 1, &ITEM_QUALIFIERS))
+        {
+            q += 1;
+        }
+        if !is_any(q, &ITEM_KEYWORDS) {
+            continue;
+        }
+        if next_is(fs, q, "mut") {
+            q += 1;
+        }
+        if let Some(name) = fs.code_tok(q + 1).filter(|n| n.kind == TokKind::Ident) {
+            out.push((name.text.clone(), t.line));
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,5 +598,35 @@ mod tests {
         assert_eq!(f[0].rule, "R7");
         assert_eq!(f[0].line, 5);
         assert!(f[0].message.contains("serde"));
+    }
+
+    #[test]
+    fn pub_decls_take_items_and_skip_fields_modules_and_reexports() {
+        let src = "pub const fn a() {}\npub unsafe fn b() {}\npub static mut C: u8 = 0;\n\
+                   pub const D: u8 = 0;\npub struct E { pub field: u8 }\npub(crate) fn f() {}\n\
+                   pub mod g;\npub use g::h;\n#[cfg(test)]\npub fn i() {}\n";
+        let names: Vec<String> = pub_decls("crates/x/src/lib.rs", &FileScan::new(src))
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        assert_eq!(names, ["a", "b", "C", "D", "E"]);
+        assert!(pub_decls("crates/x/src/bin/main.rs", &FileScan::new(src)).is_empty());
+        assert!(pub_decls("examples/demo.rs", &FileScan::new(src)).is_empty());
+    }
+
+    #[test]
+    fn reexports_and_tests_are_not_uses() {
+        let lib = "pub fn used() {}\npub fn reexported() {}\npub fn tested() {}\n";
+        let caller =
+            "pub use lib::reexported;\nfn main() { used() }\n#[test]\nfn t() { tested() }\n";
+        let mut surface = Surface::default();
+        surface.add("crates/x/src/lib.rs", &FileScan::new(lib));
+        surface.add("examples/demo.rs", &FileScan::new(caller));
+        let dead: Vec<u32> = surface
+            .findings("crates/x/src/lib.rs", &FileScan::new(lib))
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(dead, [2, 3]);
     }
 }

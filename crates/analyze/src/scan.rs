@@ -14,7 +14,7 @@ use crate::lexer::{lex, Tok, TokKind};
 /// A parsed `// analyze::allow(rule-id): reason` comment.
 #[derive(Debug, Clone)]
 pub struct Waiver {
-    /// Rule id as written (`R1` ... `R7`); validated by the engine.
+    /// Rule id as written (`R1` ... `R8`); validated by the engine.
     pub rule: String,
     /// 1-based line of the waiver comment.
     pub line: u32,

@@ -5,8 +5,10 @@
 //! source file, the manifest rule over every `Cargo.toml` (shims
 //! included), applies waivers, and folds everything into a `Report`.
 //!
-//! Out of scope by construction: `tests/`, `benches/`, `examples/`
-//! directories (not part of the shipped record path) and the vendored
+//! `examples/`, `crates/*/benches/` and `loopbench/src/` are read only
+//! as R8 callers: their identifiers count as uses of a `pub` item, but
+//! no rule fires in them and they do not add to `files_scanned`.
+//! Out of scope by construction: `tests/` directories and the vendored
 //! `shims/*/src` stand-ins (scanned for R7 manifests only).
 
 use std::fs;
@@ -96,11 +98,21 @@ fn package_name(manifest: &str) -> Option<String> {
     None
 }
 
+/// What `discover` finds: the crates, the manifests, and the R8
+/// caller-only source files.
+struct Discovered {
+    crates: Vec<CrateSrc>,
+    manifests: Vec<String>,
+    callers: Vec<String>,
+}
+
 /// Discovers crates: every `crates/<dir>` with a manifest and a
 /// `src/lib.rs`, plus the root facade package when present.
-fn discover(root: &Path) -> Result<(Vec<CrateSrc>, Vec<String>), String> {
+fn discover(root: &Path) -> Result<Discovered, String> {
     let mut crates = Vec::new();
     let mut manifests = Vec::new();
+    let mut callers = rs_files(root, "examples");
+    callers.extend(rs_files(root, "loopbench/src"));
 
     let root_manifest = read(root, "Cargo.toml")?;
     manifests.push("Cargo.toml".to_string());
@@ -121,6 +133,7 @@ fn discover(root: &Path) -> Result<(Vec<CrateSrc>, Vec<String>), String> {
         if !root.join(&man_rel).is_file() {
             continue;
         }
+        callers.extend(rs_files(root, &format!("crates/{dir}/benches")));
         manifests.push(man_rel.clone());
         let manifest = read(root, &man_rel)?;
         let name = package_name(&manifest).unwrap_or_else(|| dir.clone());
@@ -145,7 +158,11 @@ fn discover(root: &Path) -> Result<(Vec<CrateSrc>, Vec<String>), String> {
 
     crates.sort_by(|a, b| a.name.cmp(&b.name));
     manifests.sort();
-    Ok((crates, manifests))
+    Ok(Discovered {
+        crates,
+        manifests,
+        callers,
+    })
 }
 
 /// Runs the full analysis over the workspace at `root`.
@@ -161,7 +178,28 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
         ));
     }
 
-    let (crates, manifests) = discover(&root)?;
+    let Discovered {
+        crates,
+        manifests,
+        callers,
+    } = discover(&root)?;
+
+    // R8 findings are final only once every caller has been counted,
+    // so every file is lexed before any rule runs.
+    let mut surface = rules::Surface::default();
+    let mut scans: Vec<Vec<FileScan>> = Vec::new();
+    for c in &crates {
+        let mut crate_scans = Vec::new();
+        for rel in &c.files {
+            let fs = FileScan::new(&read(&root, rel)?);
+            surface.add(rel, &fs);
+            crate_scans.push(fs);
+        }
+        scans.push(crate_scans);
+    }
+    for rel in &callers {
+        surface.add(rel, &FileScan::new(&read(&root, rel)?));
+    }
 
     let mut findings: Vec<Finding> = Vec::new();
     let mut waiver_entries: Vec<WaiverEntry> = Vec::new();
@@ -169,15 +207,14 @@ pub fn analyze(root: &Path) -> Result<Report, String> {
     let mut crate_audits: Vec<CrateAudit> = Vec::new();
     let mut files_scanned = 0usize;
 
-    for c in &crates {
+    for (c, crate_scans) in crates.iter().zip(&scans) {
         let mut crate_unsafe = 0usize;
         let mut forbids = false;
-        for rel in &c.files {
-            let src = read(&root, rel)?;
-            let fs = FileScan::new(&src);
+        for (rel, fs) in c.files.iter().zip(crate_scans) {
             files_scanned += 1;
 
-            let mut out = rules::check_file(rel, &fs);
+            let mut out = rules::check_file(rel, fs);
+            out.findings.append(&mut surface.findings(rel, fs));
 
             // Waiver application: a waiver covers findings of its rule
             // on its own line or the line directly below.

@@ -17,6 +17,7 @@ fn run() -> Report {
 
 /// The complete expected set of active findings, as (rule, file, line).
 const EXPECTED_ACTIVE: &[(&str, &str, u32)] = &[
+    ("R0", "crates/core/src/lib.rs", 51),
     ("R0", "crates/ml/src/logistic.rs", 14),
     ("R0", "crates/ml/src/logistic.rs", 19),
     ("R0", "crates/ml/src/logistic.rs", 24),
@@ -33,6 +34,8 @@ const EXPECTED_ACTIVE: &[(&str, &str, u32)] = &[
     ("R6", "crates/ml/src/logistic.rs", 25),
     ("R7", "Cargo.toml", 9),
     ("R7", "crates/bench/Cargo.toml", 8),
+    ("R8", "crates/core/src/lib.rs", 42),
+    ("R8", "crates/ml/src/logistic.rs", 28),
 ];
 
 #[test]
@@ -48,8 +51,8 @@ fn every_rule_fires_on_its_fixture_line() {
         .map(|&(r, f, l)| (r.to_string(), f.to_string(), l))
         .collect();
     assert_eq!(active, expected);
-    // Each of R0..R7 fires at least once.
-    for id in ["R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7"] {
+    // Each of R0..R8 fires at least once.
+    for id in ["R0", "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8"] {
         assert!(
             active.iter().any(|(r, _, _)| r == id),
             "{id} never fired on the fixtures"
@@ -81,20 +84,58 @@ fn near_misses_stay_silent() {
 #[test]
 fn valid_waiver_suppresses_and_is_listed() {
     let report = run();
-    // The waived R6 fold is present but inactive.
-    let waived: Vec<_> = report.findings.iter().filter(|f| f.waived).collect();
-    assert_eq!(waived.len(), 1);
-    assert_eq!(waived[0].rule, "R6");
-    assert_eq!(waived[0].file, "crates/ml/src/logistic.rs");
-    assert_eq!(waived[0].line, 10);
-    // Exactly one valid waiver, reason preserved.
-    assert_eq!(report.waivers.len(), 1);
-    assert_eq!(report.waivers[0].rule, "R6");
-    assert_eq!(report.waivers[0].line, 9);
+    // The waived R8 item and R6 fold are present but inactive.
+    let waived: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.waived)
+        .map(|f| (f.rule.as_str(), f.file.as_str(), f.line))
+        .collect();
     assert_eq!(
-        report.waivers[0].reason,
-        "fixture demonstrates a waived fold"
+        waived,
+        [
+            ("R8", "crates/bench/src/experiments.rs", 26),
+            ("R6", "crates/ml/src/logistic.rs", 10),
+        ]
     );
+    // Exactly those two valid waivers, reasons preserved.
+    let waivers: Vec<_> = report
+        .waivers
+        .iter()
+        .map(|w| (w.rule.as_str(), w.line, w.reason.as_str()))
+        .collect();
+    assert_eq!(
+        waivers,
+        [
+            ("R8", 25, "tests/harness.rs uses it as a fixture builder"),
+            ("R6", 9, "fixture demonstrates a waived fold"),
+        ]
+    );
+}
+
+#[test]
+fn dead_surface_counts_callers_outside_tests_and_reexports() {
+    let report = run();
+    let r8: Vec<_> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "R8" && !f.waived)
+        .map(|f| f.message.as_str())
+        .collect();
+    // The dead item and the item named only through `pub use` fire; the
+    // items only the fixture example names and the `#[cfg(test)]` item
+    // stay silent.
+    assert_eq!(
+        r8,
+        [
+            "`pub` item `dead_helper` is named by no non-test code",
+            "`pub` item `reexported` is named by no non-test code",
+        ]
+    );
+    // A stale R8 waiver is an R0 finding.
+    assert!(report.findings.iter().any(|f| f.rule == "R0"
+        && f.file == "crates/core/src/lib.rs"
+        && f.message == "stale waiver: no R8 finding on line 51 or 52"));
 }
 
 #[test]
@@ -145,7 +186,8 @@ fn reports_are_byte_identical_across_runs() {
 fn scan_counts_cover_the_fixture_tree() {
     let report = run();
     // 7 source files: core lib, bench lib + experiments, ml lib +
-    // logistic, telemetry lib + instruments.
+    // logistic, telemetry lib + instruments. The example is read only
+    // for its R8 uses and is not counted.
     assert_eq!(report.files_scanned, 7);
     // 5 manifests: the root plus four crates.
     assert_eq!(report.manifests_scanned, 5);

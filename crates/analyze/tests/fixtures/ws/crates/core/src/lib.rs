@@ -38,3 +38,15 @@ mod tests {
         let _ = std::time::Instant::now();
     }
 }
+
+pub fn dead_helper() -> u32 {
+    0
+}
+
+#[cfg(test)]
+pub fn test_only_helper() -> u32 {
+    1
+}
+
+// analyze::allow(R8): stale, the fixture example calls it
+pub fn called_by_example() {}

@@ -24,3 +24,7 @@ pub fn reasonless(v: &[f64]) -> f64 {
     // analyze::allow(R6)
     v.iter().fold(0.0, |a, x| a + x)
 }
+
+pub fn reexported() -> f64 {
+    0.0
+}

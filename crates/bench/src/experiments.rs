@@ -1,12 +1,11 @@
 //! The experiment implementations.
 
-use eqimpact_census::{IncomeTable, Race};
+use eqimpact_census::Race;
 use eqimpact_control::controller::{IController, PController};
 use eqimpact_control::ensemble::{
     ergodicity_gap, identical_hysteresis_ensemble, logistic_ensemble, EnsembleInit, ErgodicityGap,
 };
-use eqimpact_credit::report;
-use eqimpact_credit::sim::{run_trials_protocol, CreditConfig, CreditOutcome, LenderKind};
+use eqimpact_credit::sim::{run_trials_protocol, CreditConfig, LenderKind};
 use eqimpact_linalg::norm::MetricKind;
 use eqimpact_markov::contractivity::box_sampler;
 use eqimpact_markov::ifs::{affine1d, Ifs};
@@ -45,39 +44,6 @@ pub fn table1_scorecard(scale: Scale) -> Result<Table1Result, String> {
         .find_map(|o| o.scorecard.clone())
         .ok_or_else(|| "table1: no trial produced a scorecard (lender never refit)".to_string())?;
     Ok(Table1Result::from_scorecard(&card))
-}
-
-// ---------------------------------------------------------------------------
-// F2 — Fig. 2
-// ---------------------------------------------------------------------------
-
-/// F2: the 2020 income distribution by race, as CSV-ready rows.
-pub fn fig2_rows() -> Vec<(String, [f64; 3])> {
-    report::fig2_income_distribution(&IncomeTable::embedded(), 2020)
-}
-
-// ---------------------------------------------------------------------------
-// F3/F4/F5 — the credit loop figures
-// ---------------------------------------------------------------------------
-
-/// The shared credit-loop run behind Figs. 3-5.
-pub fn credit_outcomes(scale: Scale) -> Vec<CreditOutcome> {
-    run_trials_protocol(&credit_config(scale, LenderKind::Scorecard))
-}
-
-/// F3: race-wise mean ± std ADR series.
-pub fn fig3_series(outcomes: &[CreditOutcome]) -> Vec<report::RaceAdrSummary> {
-    report::fig3_race_adr(outcomes)
-}
-
-/// F4: all per-user ADR trajectories with race labels.
-pub fn fig4_series(outcomes: &[CreditOutcome]) -> Vec<(String, Vec<f64>)> {
-    report::fig4_user_adr(outcomes)
-}
-
-/// F5: the (year x ADR) density histogram.
-pub fn fig5_histogram(outcomes: &[CreditOutcome]) -> eqimpact_stats::Histogram2D {
-    report::fig5_density(outcomes, 25)
 }
 
 // ---------------------------------------------------------------------------
@@ -519,23 +485,6 @@ mod tests {
         assert!(t1.history_points.is_finite());
         assert!(t1.history_points < t1.income_points);
         assert_eq!(t1.paper_reference, (-8.17, 5.77));
-    }
-
-    #[test]
-    fn fig2_rows_complete() {
-        let rows = fig2_rows();
-        assert_eq!(rows.len(), 9);
-    }
-
-    #[test]
-    fn credit_figures_pipeline_quick() {
-        let outcomes = credit_outcomes(Scale::Quick);
-        let f3 = fig3_series(&outcomes);
-        assert_eq!(f3.len(), 3);
-        let f4 = fig4_series(&outcomes);
-        assert_eq!(f4.len(), 2 * 400);
-        let f5 = fig5_histogram(&outcomes);
-        assert_eq!(f5.x_len(), 19);
     }
 
     #[test]

@@ -275,3 +275,51 @@ fn sweep_and_certify_reject_a_trace_recorded_by_another_scenario() {
         "{stdout}"
     );
 }
+
+/// The `deterministic` object of a `--telemetry` snapshot file, as the
+/// snapshot renders it.
+fn deterministic_section(snapshot: &Path) -> String {
+    let text = std::fs::read_to_string(snapshot).expect("read telemetry snapshot");
+    let key = "\"deterministic\": ";
+    let start = text
+        .find(key)
+        .expect("snapshot has a deterministic section")
+        + key.len();
+    let end = text
+        .find(",\n  \"wall_clock\"")
+        .expect("snapshot has a wall-clock section");
+    text[start..end].to_string()
+}
+
+/// The deterministic work counters of the trace pipeline are pinned
+/// across commits, as `run`'s are in the root `tests/data/`: a change
+/// that moves a frame, byte or fit count of `record`, `sweep` or
+/// `certify` fails here and must re-pin the file on purpose.
+#[test]
+fn trace_pipeline_telemetry_matches_the_committed_sections() {
+    let dir = WorkDir::new("pipeline-telemetry");
+    for scenario in ["credit", "hiring"] {
+        let traces = format!("tr-{scenario}");
+        for (command, out, flags) in [
+            ("record", traces.as_str(), vec!["--quick"]),
+            ("sweep", "sweep", vec!["--quick", "--traces", &traces]),
+            ("certify", "certify", vec!["--traces", &traces]),
+        ] {
+            let mut argv = vec![command, scenario, "--telemetry", "--out", out];
+            argv.extend(flags);
+            dir.ok(&argv);
+            let section =
+                deterministic_section(&dir.path(out).join(format!("telemetry_{scenario}.json")));
+            let pinned = std::fs::read_to_string(
+                Path::new(env!("CARGO_MANIFEST_DIR"))
+                    .join(format!("tests/data/telemetry_{scenario}_{command}.json")),
+            )
+            .expect("read pinned section");
+            assert!(
+                section == pinned,
+                "{command} {scenario} deterministic telemetry moved; if on purpose, re-pin \
+                 tests/data/telemetry_{scenario}_{command}.json to:\n{section}"
+            );
+        }
+    }
+}

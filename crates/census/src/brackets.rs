@@ -69,6 +69,7 @@ pub const BRACKETS: [IncomeBracket; BRACKET_COUNT] = [
 
 impl IncomeBracket {
     /// Midpoint of the bracket ($K).
+    #[cfg(test)]
     pub fn midpoint(&self) -> f64 {
         0.5 * (self.lo + self.hi)
     }
@@ -81,6 +82,7 @@ impl IncomeBracket {
 
 /// The bracket index of an income ($K); incomes above the top cap clamp to
 /// the last bracket, incomes below the floor to the first.
+#[cfg(test)]
 pub fn bracket_of(income: f64) -> usize {
     for (i, b) in BRACKETS.iter().enumerate() {
         if income < b.hi {
@@ -93,6 +95,7 @@ pub fn bracket_of(income: f64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn brackets_are_contiguous_and_ordered() {
@@ -130,5 +133,13 @@ mod tests {
         let labels: Vec<&str> = BRACKETS.iter().map(|b| b.label).collect();
         assert_eq!(labels[0], "under 15");
         assert_eq!(labels[8], "over 200");
+    }
+
+    proptest! {
+        #[test]
+        fn every_income_lands_in_its_bracket(income in 1.0f64..499.0) {
+            let b = bracket_of(income);
+            prop_assert!(BRACKETS[b].contains(income));
+        }
     }
 }

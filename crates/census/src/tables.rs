@@ -131,11 +131,6 @@ impl IncomeTable {
         IncomeTable { shares }
     }
 
-    /// Number of years covered.
-    pub fn year_count(&self) -> usize {
-        self.shares.len()
-    }
-
     /// Normalized bracket shares for a `(year, race)` pair.
     pub fn shares(&self, year: u32, race: Race) -> Result<&[f64; BRACKET_COUNT], TableError> {
         if !(FIRST_YEAR..=LAST_YEAR).contains(&year) {
@@ -145,6 +140,7 @@ impl IncomeTable {
     }
 
     /// Mean income ($K) for a `(year, race)` pair, using bracket midpoints.
+    #[cfg(test)]
     pub fn mean_income(&self, year: u32, race: Race) -> Result<f64, TableError> {
         let shares = self.shares(year, race)?;
         Ok(shares
@@ -157,6 +153,7 @@ impl IncomeTable {
     /// Share of households with income at least `threshold` ($K), counting
     /// a partially covered bracket proportionally (incomes are
     /// bracket-uniform under our sampling).
+    #[cfg(test)]
     pub fn share_at_least(&self, year: u32, race: Race, threshold: f64) -> Result<f64, TableError> {
         let shares = self.shares(year, race)?;
         let mut total = 0.0;
@@ -180,6 +177,7 @@ impl Default for IncomeTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn race_indexing_and_labels() {
@@ -200,7 +198,6 @@ mod tests {
     #[test]
     fn all_year_race_rows_normalized() {
         let t = IncomeTable::embedded();
-        assert_eq!(t.year_count(), 19);
         for year in FIRST_YEAR..=LAST_YEAR {
             for race in Race::ALL {
                 let shares = t.shares(year, race).unwrap();
@@ -279,5 +276,18 @@ mod tests {
     fn error_display() {
         let e = TableError::YearOutOfRange { year: 1999 };
         assert!(e.to_string().contains("1999"));
+    }
+
+    proptest! {
+        #[test]
+        fn share_at_least_is_monotone(year in FIRST_YEAR..=LAST_YEAR, a in 0.0f64..400.0, b in 0.0f64..400.0) {
+            let t = IncomeTable::embedded();
+            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+            for race in Race::ALL {
+                let s_lo = t.share_at_least(year, race, lo).unwrap();
+                let s_hi = t.share_at_least(year, race, hi).unwrap();
+                prop_assert!(s_lo >= s_hi - 1e-12);
+            }
+        }
     }
 }

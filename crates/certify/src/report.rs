@@ -84,11 +84,6 @@ impl CertificateReport {
         self.overall = overall;
     }
 
-    /// Whether every overall check certified (no refutations, no gaps).
-    pub fn fully_certified(&self) -> bool {
-        !self.overall.is_empty() && self.overall.iter().all(|&(_, v)| v == Verdict::Certified)
-    }
-
     /// The JSON rendering of the artifact.
     pub fn to_json(&self) -> Json {
         Json::obj([
@@ -243,7 +238,6 @@ mod tests {
                 ("iss", Verdict::Certified),
             ]
         );
-        assert!(!r.fully_certified());
     }
 
     #[test]

@@ -128,11 +128,6 @@ impl<C: Controller> EnsembleLoop<C> {
         }
     }
 
-    /// Number of agents.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
     /// Runs the loop for `steps` steps from signal `pi0` and the given
     /// initial on/off states; per-agent averages are taken over
     /// `k >= discard` to wash out transients.
@@ -188,18 +183,6 @@ impl<C: Controller> EnsembleLoop<C> {
             agent_averages: per_agent.iter().map(|a| a.value()).collect(),
             aggregate_cesaro,
         }
-    }
-
-    /// Runs with every agent initially off.
-    pub fn run_all_off(
-        &mut self,
-        pi0: f64,
-        steps: usize,
-        discard: usize,
-        rng: &mut SimRng,
-    ) -> EnsembleOutcome {
-        let init = vec![false; self.agents.len()];
-        self.run(pi0, &init, steps, discard, rng)
     }
 
     /// Like [`Self::run`], but the controller sees the **filtered**
@@ -383,6 +366,7 @@ pub fn ergodicity_gap<C: Controller>(
 
 /// A standard ensemble of `n` memoryless threshold agents with thresholds
 /// equally spaced in `(lo, hi)`.
+#[cfg(test)]
 pub fn threshold_ensemble(n: usize, lo: f64, hi: f64) -> Vec<AgentBehaviour> {
     assert!(n > 0 && lo < hi, "threshold_ensemble: bad parameters");
     (0..n)
@@ -430,24 +414,6 @@ pub fn identical_hysteresis_ensemble(
         };
         n
     ]
-}
-
-/// A standard ensemble of `n` hysteretic agents with centers equally
-/// spaced in `(lo, hi)` and symmetric hysteresis half-width `half_width`.
-pub fn hysteresis_ensemble(n: usize, lo: f64, hi: f64, half_width: f64) -> Vec<AgentBehaviour> {
-    assert!(
-        n > 0 && lo < hi && half_width >= 0.0,
-        "hysteresis_ensemble: bad parameters"
-    );
-    (0..n)
-        .map(|i| {
-            let center = lo + (hi - lo) * (i as f64 + 0.5) / n as f64;
-            AgentBehaviour::Hysteresis {
-                on_threshold: center + half_width,
-                off_threshold: center - half_width,
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -501,7 +467,7 @@ mod tests {
         let agents = logistic_ensemble(200, 0.0, 1.0, 0.2);
         let mut lp = EnsembleLoop::new(agents, PController::new(2.0, 0.5), 0.5);
         let mut rng = SimRng::new(2);
-        let out = lp.run_all_off(0.5, 2_000, 0, &mut rng);
+        let out = lp.run(0.5, &[false; 200], 2_000, 0, &mut rng);
         let tail_mean: f64 = out.aggregates[1_000..].iter().sum::<f64>() / 1_000.0;
         assert!((tail_mean - 0.5).abs() < 0.05, "tail mean = {tail_mean}");
         assert_eq!(out.signals.len(), 2_000);
@@ -513,7 +479,7 @@ mod tests {
         let agents = threshold_ensemble(100, 0.0, 1.0);
         let mut lp = EnsembleLoop::new(agents, IController::new(0.05, 0.2), 0.37);
         let mut rng = SimRng::new(3);
-        let out = lp.run_all_off(0.2, 5_000, 0, &mut rng);
+        let out = lp.run(0.2, &[false; 100], 5_000, 0, &mut rng);
         let tail = out.aggregate_cesaro[4_999];
         assert!((tail - 0.37).abs() < 0.05, "aggregate Cesàro = {tail}");
     }
@@ -582,7 +548,6 @@ mod tests {
     fn ensemble_builders_validate() {
         assert_eq!(threshold_ensemble(3, 0.0, 1.0).len(), 3);
         assert_eq!(logistic_ensemble(4, 0.0, 1.0, 0.1).len(), 4);
-        assert_eq!(hysteresis_ensemble(5, 0.0, 1.0, 0.02).len(), 5);
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl SlidingWindowFilter {
             sum: 0.0,
         }
     }
-
-    /// Whether the window is full.
-    pub fn is_full(&self) -> bool {
-        self.buffer.len() == self.window
-    }
 }
 
 impl Filter for SlidingWindowFilter {
@@ -220,6 +215,7 @@ impl AnomalyRejectingFilter {
     }
 
     /// Number of accepted observations.
+    // analyze::allow(R8): control/tests/properties.rs anomaly_filter_never_rejects_during_warmup uses it as the accept count
     pub fn accepted(&self) -> u64 {
         self.count
     }
@@ -364,9 +360,7 @@ mod tests {
         let mut f = SlidingWindowFilter::new(2);
         assert!(f.value().is_nan());
         assert_eq!(f.push(1.0), 1.0);
-        assert!(!f.is_full());
         assert_eq!(f.push(3.0), 2.0);
-        assert!(f.is_full());
         assert_eq!(f.push(5.0), 4.0); // the 1.0 fell out
         f.reset();
         assert!(f.value().is_nan());

@@ -27,7 +27,7 @@
 //! // A stable proportional loop over stochastic users tracks its target.
 //! let agents = logistic_ensemble(100, 0.0, 1.0, 0.2);
 //! let mut lp = EnsembleLoop::new(agents, PController::new(2.0, 0.5), 0.5);
-//! let out = lp.run_all_off(0.5, 2_000, 0, &mut SimRng::new(1));
+//! let out = lp.run(0.5, &[false; 100], 2_000, 0, &mut SimRng::new(1));
 //! let tail: f64 = out.aggregates[1_500..].iter().sum::<f64>() / 500.0;
 //! assert!((tail - 0.5).abs() < 0.06);
 //! ```

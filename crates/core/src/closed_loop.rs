@@ -486,11 +486,6 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
         &self.ai
     }
 
-    /// Mutable access to the AI system.
-    pub fn ai_mut(&mut self) -> &mut S {
-        &mut self.ai
-    }
-
     /// Access to the population.
     pub fn population(&self) -> &P {
         &self.population
@@ -545,7 +540,6 @@ pub struct LoopBuilder<S, P, F = MeanFilter> {
     delay: usize,
     policy: RecordPolicy,
     shards: Option<usize>,
-    budget: Option<&'static crate::pool::ThreadBudget>,
 }
 
 impl<S: AiSystem, P: UserPopulation> LoopBuilder<S, P, MeanFilter> {
@@ -559,7 +553,6 @@ impl<S: AiSystem, P: UserPopulation> LoopBuilder<S, P, MeanFilter> {
             delay: 1,
             policy: RecordPolicy::Full,
             shards: None,
-            budget: None,
         }
     }
 }
@@ -574,25 +567,15 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopBuilder<S, P, F> {
             delay: self.delay,
             policy: self.policy,
             shards: self.shards,
-            budget: self.budget,
         }
     }
 
     /// Sets the shard count for [`Self::build_sharded`] (`0` means auto:
     /// resolve against the thread budget's available lanes,
-    /// [`crate::shard::auto_shards`]; always clamped to the population
+    /// [`crate::shard::auto_shards_for`]; always clamped to the population
     /// size). Ignored by the sequential [`Self::build`].
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
-        self
-    }
-
-    /// Sets the [`ThreadBudget`](crate::pool::ThreadBudget) the sharded
-    /// runner leases its lanes from (default: the process-wide
-    /// [`global`](crate::pool::ThreadBudget::global) budget). Ignored by
-    /// the sequential [`Self::build`].
-    pub fn thread_budget(mut self, budget: &'static crate::pool::ThreadBudget) -> Self {
-        self.budget = Some(budget);
         self
     }
 
@@ -620,25 +603,23 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopBuilder<S, P, F> {
     /// ([`crate::shard::ShardedRunner`]): the population is partitioned
     /// into the configured number of row shards ([`Self::shards`]; auto =
     /// the budget's available lanes when unset) and each step's user
-    /// sweep runs on the parked workers of a budget-leased
-    /// [`WorkerPool`](crate::pool::WorkerPool). The produced record is
-    /// bit-identical to [`Self::build`]'s for blocks honouring the
-    /// [`crate::shard::RowStreams`] contract.
+    /// sweep runs on the parked workers of a
+    /// [`WorkerPool`](crate::pool::WorkerPool) leased from the
+    /// process-wide [`ThreadBudget::global`](crate::pool::ThreadBudget::global).
+    /// The produced record is bit-identical to [`Self::build`]'s for
+    /// blocks honouring the [`crate::shard::RowStreams`] contract.
     pub fn build_sharded(self) -> crate::shard::ShardedRunner<S, P, F>
     where
         S: crate::shard::ShardableAi,
         P: crate::shard::ShardablePopulation,
     {
-        let budget = self
-            .budget
-            .unwrap_or_else(crate::pool::ThreadBudget::global);
         let mut runner = crate::shard::ShardedRunner::with_budget(
             self.ai,
             self.population,
             self.filter,
             self.delay,
             self.shards.unwrap_or(0),
-            budget,
+            crate::pool::ThreadBudget::global(),
         );
         runner.set_record_policy(self.policy);
         runner

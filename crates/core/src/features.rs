@@ -58,6 +58,7 @@ impl FeatureMatrix {
     ///
     /// # Panics
     /// Panics when rows have unequal lengths.
+    // analyze::allow(R8): credit, hiring and certify unit tests and core/tests/properties.rs use it as a fixture builder
     pub fn from_nested(rows: &[Vec<f64>]) -> Self {
         let width = rows.first().map(|r| r.len()).unwrap_or(0);
         let mut m = FeatureMatrix::with_capacity(rows.len(), width);
@@ -228,14 +229,8 @@ impl FeatureMatrix {
         }
     }
 
-    /// The rows as nested vectors (tests / interop; allocates).
-    pub fn to_nested(&self) -> Vec<Vec<f64>> {
-        (0..self.rows)
-            .map(|i| self.cols.iter().map(|c| c[i]).collect())
-            .collect()
-    }
-
     /// The cells flattened row-major (interop / JSON dumps; allocates).
+    // analyze::allow(R8): trace/tests/properties.rs compares decoded frames' visible features through it
     pub fn to_row_major(&self) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.rows * self.cols.len());
         for i in 0..self.rows {
@@ -325,12 +320,6 @@ mod tests {
         b[1] = 6.0;
         assert_eq!(m.col(2), &[5.0, 0.0]);
         assert_eq!(m.col(0), &[0.0, 6.0]);
-    }
-
-    #[test]
-    fn nested_roundtrip() {
-        let rows = vec![vec![1.0, 2.0], vec![3.0, 4.0]];
-        assert_eq!(FeatureMatrix::from_nested(&rows).to_nested(), rows);
     }
 
     #[test]

@@ -128,6 +128,7 @@ impl ThreadBudget {
     /// A leaked, `'static` budget — for tests and benches that need an
     /// isolated budget with the same `'static` lifetime as the global
     /// one (e.g. to simulate a 2-core host on any machine).
+    // analyze::allow(R8): tests/sweep.rs, tests/certify.rs and tests/telemetry_identity.rs use it as a private thread budget
     pub fn leaked(capacity: usize) -> &'static ThreadBudget {
         Box::leak(Box::new(ThreadBudget::new(capacity)))
     }
@@ -295,6 +296,7 @@ impl WorkerPool {
     }
 
     /// Whether an earlier batch panicked (see [`Self::run`]).
+    // analyze::allow(R8): tests/pool_reuse.rs checks the pool's health through it
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }

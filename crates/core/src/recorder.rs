@@ -243,30 +243,9 @@ impl LoopRecord {
         self.user_series(&self.actions, i, "user_actions")
     }
 
-    /// The signal time series of user `i`.
-    pub fn user_signals(&self, i: usize) -> Vec<f64> {
-        self.user_series(&self.signals, i, "user_signals")
-    }
-
     /// The filtered time series of user `i` (e.g. `{ADR_i(k)}_k`).
     pub fn user_filtered(&self, i: usize) -> Vec<f64> {
         self.user_series(&self.filtered, i, "user_filtered")
-    }
-
-    /// Cesàro (running-average) trajectory of user `i`'s actions — the
-    /// quantity of Def. 3.
-    pub fn user_cesaro(&self, i: usize) -> Vec<f64> {
-        eqimpact_stats::timeseries::cesaro_trajectory(&self.user_actions(i))
-    }
-
-    /// Final Cesàro average per user.
-    pub fn final_cesaro(&self) -> Vec<f64> {
-        (0..self.user_count)
-            .map(|i| {
-                let t = self.user_cesaro(i);
-                t.last().copied().unwrap_or(f64::NAN)
-            })
-            .collect()
     }
 
     /// Aggregate action `y(k) = Σ_i y_i(k)` per step (exact sums).
@@ -385,18 +364,7 @@ mod tests {
     fn per_user_series() {
         let r = sample_record();
         assert_eq!(r.user_actions(0), vec![1.0, 0.0, 1.0]);
-        assert_eq!(r.user_signals(1), vec![1.0, 0.5, 0.2]);
         assert_eq!(r.user_filtered(0), vec![1.0, 0.5, 2.0 / 3.0]);
-    }
-
-    #[test]
-    fn cesaro_trajectories() {
-        let r = sample_record();
-        let c0 = r.user_cesaro(0);
-        assert_eq!(c0, vec![1.0, 0.5, 2.0 / 3.0]);
-        let finals = r.final_cesaro();
-        assert!((finals[0] - 2.0 / 3.0).abs() < 1e-15);
-        assert!((finals[1] - 1.0 / 3.0).abs() < 1e-15);
     }
 
     #[test]
@@ -410,7 +378,6 @@ mod tests {
     fn empty_record() {
         let r = LoopRecord::new(4);
         assert_eq!(r.steps(), 0);
-        assert!(r.final_cesaro().iter().all(|v| v.is_nan()));
         assert!(r.aggregate_actions().is_empty());
     }
 

@@ -338,15 +338,10 @@ pub fn shard_bounds(rows: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 /// The number of shards to use when the caller asks for "auto": the
-/// lanes the **global** [`ThreadBudget`] could lease right now (the
-/// caller's own lane plus whatever is free — not the raw core count, so
-/// a run nested under trial striping auto-resolves to what it can
-/// actually use instead of oversubscribing the host).
-pub fn auto_shards() -> usize {
-    auto_shards_for(ThreadBudget::global())
-}
-
-/// [`auto_shards`] against an explicit budget.
+/// lanes `budget` could lease right now (the caller's own lane plus
+/// whatever is free — not the raw core count, so a run nested under
+/// trial striping auto-resolves to what it can actually use instead of
+/// oversubscribing the host).
 pub fn auto_shards_for(budget: &ThreadBudget) -> usize {
     budget.available_lanes()
 }
@@ -397,7 +392,8 @@ pub struct ShardedRunner<S, P: ShardablePopulation, F> {
 
 impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S, P, F> {
     /// Creates a runner over at most `shards` shards (`0` means auto:
-    /// [`auto_shards`]), leasing lanes from the global [`ThreadBudget`].
+    /// [`auto_shards_for`] the global [`ThreadBudget`]), leasing lanes
+    /// from that budget.
     /// See [`LoopRunner::new`](crate::closed_loop::LoopRunner::new) for
     /// the delay semantics.
     ///
@@ -467,6 +463,7 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
 
     /// The actual number of shards (≤ the requested count; capped by the
     /// user count).
+    #[cfg(test)]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
@@ -489,11 +486,6 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
     /// Access to the AI system (e.g. to inspect the final model).
     pub fn ai(&self) -> &S {
         &self.ai
-    }
-
-    /// Mutable access to the AI system.
-    pub fn ai_mut(&mut self) -> &mut S {
-        &mut self.ai
     }
 
     /// Access to the filter.

@@ -101,6 +101,7 @@ pub fn conditioned_equal_treatment_report(
 /// # Panics
 /// Panics when `attribute.len()` differs from the user count implied by
 /// the maximum index usage (callers pass one attribute per user).
+// analyze::allow(R8): core/tests/properties.rs and tests/integration_closed_loop.rs use it to build the class partition
 pub fn classes_by_attribute(attribute: &[u32]) -> Vec<Vec<usize>> {
     let mut classes: std::collections::BTreeMap<u32, Vec<usize>> =
         std::collections::BTreeMap::new();

@@ -113,6 +113,7 @@ where
 
 /// Runs `trials` independent loop trials in parallel (see
 /// [`run_trials_with`] for the execution model).
+// analyze::allow(R8): tests/integration_closed_loop.rs and the striping unit tests run their trials through it
 pub fn run_trials<F>(trials: usize, factory: F) -> TrialSet
 where
     F: Fn(usize) -> LoopRecord + Sync,
@@ -135,56 +136,13 @@ impl TrialSet {
 
     /// Cross-trial mean and standard deviation of a per-trial scalar
     /// statistic.
+    // analyze::allow(R8): tests/integration_closed_loop.rs summarizes its trials with it
     pub fn summarize(&self, stat: impl Fn(&LoopRecord) -> f64) -> Summary {
         let mut s = Summary::new();
         for r in &self.records {
             s.push(stat(r));
         }
         s
-    }
-
-    /// Cross-trial mean ± std of a per-trial *time series* (e.g. a group's
-    /// ADR trajectory): returns `(mean[k], std[k])` per step. Trials must
-    /// produce series of equal length.
-    pub fn summarize_series(
-        &self,
-        series: impl Fn(&LoopRecord) -> Vec<f64>,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let all: Vec<Vec<f64>> = self.records.iter().map(&series).collect();
-        let len = all.first().map(|s| s.len()).unwrap_or(0);
-        assert!(
-            all.iter().all(|s| s.len() == len),
-            "summarize_series: unequal series lengths"
-        );
-        let mut means = Vec::with_capacity(len);
-        let mut stds = Vec::with_capacity(len);
-        for k in 0..len {
-            let mut s = Summary::new();
-            for trial in &all {
-                s.push(trial[k]);
-            }
-            means.push(s.mean());
-            // Population std over the trial dimension, matching the error
-            // shades of the paper's Fig. 3.
-            stds.push(s.std_dev_population());
-        }
-        (means, stds)
-    }
-
-    /// All per-user action series across all trials (the 5 x 1000 curves
-    /// of the paper's Fig. 4), as (trial, user, series) triples flattened
-    /// to a vector of series.
-    pub fn all_user_series(
-        &self,
-        extract: impl Fn(&LoopRecord, usize) -> Vec<f64>,
-    ) -> Vec<Vec<f64>> {
-        let mut out = Vec::new();
-        for r in &self.records {
-            for i in 0..r.user_count() {
-                out.push(extract(r, i));
-            }
-        }
-        out
     }
 }
 
@@ -229,24 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn summarize_series_shapes() {
-        let set = run_trials(5, |t| make_record(t, 100));
-        let (mean, std) = set.summarize_series(|r| r.mean_actions());
-        assert_eq!(mean.len(), 100);
-        assert_eq!(std.len(), 100);
-        assert!(std.iter().all(|&s| s >= 0.0));
-    }
-
-    #[test]
-    fn all_user_series_flattens() {
-        let set = run_trials(5, |t| make_record(t, 10));
-        let series = set.all_user_series(|r, i| r.user_actions(i));
-        // 5 trials x 3 users.
-        assert_eq!(series.len(), 15);
-        assert!(series.iter().all(|s| s.len() == 10));
-    }
-
-    #[test]
     #[should_panic(expected = "zero trials")]
     fn zero_trials_rejected() {
         run_trials(0, |t| make_record(t, 1));
@@ -284,12 +224,5 @@ mod tests {
             .expect("string panic message");
         assert!(message.contains("trial 5 panicked"), "message: {message}");
         assert!(message.contains("boom"), "message: {message}");
-    }
-
-    #[test]
-    #[should_panic(expected = "unequal series lengths")]
-    fn unequal_series_rejected() {
-        let set = run_trials(2, |t| make_record(t, 10 + t));
-        let _ = set.summarize_series(|r| r.mean_actions());
     }
 }

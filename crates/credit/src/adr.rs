@@ -61,24 +61,10 @@ impl AdrTracker {
         }
     }
 
-    /// The full per-user ADR vector.
-    pub fn adr_all(&self) -> Vec<f64> {
-        (0..self.offers.len()).map(|i| self.adr(i)).collect()
-    }
-
     /// Writes the full per-user ADR vector into `out` (cleared first).
     pub fn adr_all_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend((0..self.offers.len()).map(|i| self.adr(i)));
-    }
-
-    /// `ADR_s(k)`: mean individual ADR over a set of user indices (eq.
-    /// (12)'s race-wise version). `NaN` for an empty set.
-    pub fn adr_group(&self, members: &[usize]) -> f64 {
-        if members.is_empty() {
-            return f64::NAN;
-        }
-        members.iter().map(|&i| self.adr(i)).sum::<f64>() / members.len() as f64
     }
 
     /// Total offers made to user `i`.
@@ -205,17 +191,6 @@ mod tests {
         assert_eq!(t.adr(1), 0.5);
         assert_eq!(t.adr(2), 0.0);
         assert_eq!(t.defaults(0), 1);
-    }
-
-    #[test]
-    fn group_adr_is_mean_of_individuals() {
-        let mut t = AdrTracker::new(4);
-        t.record(&[1.0, 1.0, 1.0, 1.0], &[1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(t.adr_group(&[0, 1]), 0.5);
-        assert_eq!(t.adr_group(&[2, 3]), 0.5);
-        assert_eq!(t.adr_group(&[0, 3]), 0.0);
-        assert!(t.adr_group(&[]).is_nan());
-        assert_eq!(t.adr_all(), vec![0.0, 1.0, 1.0, 0.0]);
     }
 
     #[test]

@@ -221,11 +221,6 @@ impl UniformExclusionLender {
             defaulted: Vec::new(),
         }
     }
-
-    /// Number of users currently excluded.
-    pub fn excluded_count(&self) -> usize {
-        self.defaulted.iter().filter(|&&d| d).count()
-    }
 }
 
 impl AiSystem for UniformExclusionLender {
@@ -444,7 +439,6 @@ mod tests {
             actions: vec![0.0, 1.0],
         };
         lender.retrain(0, &feedback);
-        assert_eq!(lender.excluded_count(), 1);
         let s1 = signals_of(&mut lender, 1, &visible);
         assert_eq!(s1, vec![0.0, 50.0]);
         // Exclusion is permanent: another clean round changes nothing.

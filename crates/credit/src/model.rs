@@ -36,6 +36,7 @@ pub fn state_fraction(income_k: f64, loan_k: f64) -> f64 {
 }
 
 /// The paper's sizing `L = 3.5 z`.
+// analyze::allow(R8): credit/tests/properties.rs state_fraction_monotone_in_income_for_proportional_loan uses it as the paper's loan rule
 pub fn income_multiple_loan(income_k: f64) -> f64 {
     INCOME_MULTIPLE * income_k
 }

@@ -252,28 +252,6 @@ pub fn approval_csv(rates: &[Vec<f64>], first_year: u32) -> String {
     csv
 }
 
-/// Bootstrap confidence interval for a race's final-year ADR, resampling
-/// **users** within the race pooled across trials. A distribution-free
-/// companion to Fig. 3's ±1-std shades.
-pub fn final_adr_bootstrap_ci(
-    outcomes: &[CreditOutcome],
-    race: Race,
-    level: f64,
-    resamples: usize,
-    rng: &mut eqimpact_stats::SimRng,
-) -> eqimpact_stats::ConfidenceInterval {
-    assert!(!outcomes.is_empty(), "bootstrap: no outcomes");
-    let mut sample = Vec::new();
-    for o in outcomes {
-        let last = o.record.steps() - 1;
-        let filtered = o.record.filtered(last);
-        for i in o.race_indices(race) {
-            sample.push(filtered[i]);
-        }
-    }
-    eqimpact_stats::bootstrap_mean_ci(&sample, resamples, level, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,16 +327,6 @@ mod tests {
         let csv = approval_csv(&rates, 2002);
         assert_eq!(csv.lines().count(), 3 * 19 + 1);
         assert!(csv.contains("2002,BLACK ALONE,1.000000"));
-    }
-
-    #[test]
-    fn bootstrap_ci_brackets_point_estimate() {
-        let o = outcomes();
-        let mut rng = eqimpact_stats::SimRng::new(99);
-        let ci = final_adr_bootstrap_ci(&o, Race::White, 0.9, 300, &mut rng);
-        assert!(ci.lo <= ci.estimate && ci.estimate <= ci.hi);
-        assert!(ci.estimate >= 0.0 && ci.estimate <= 1.0);
-        assert!(ci.width() < 0.2);
     }
 
     #[test]

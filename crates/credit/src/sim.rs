@@ -107,6 +107,7 @@ impl CreditOutcome {
     }
 
     /// Approval rate at step `k` (fraction of positive loan signals).
+    #[cfg(test)]
     pub fn approval_rate(&self, k: usize) -> f64 {
         let signals = self.record.signals(k);
         signals.iter().filter(|&&l| l > 0.0).count() as f64 / signals.len() as f64

@@ -77,10 +77,6 @@ proptest! {
                 prop_assert_eq!(adr, 0.0);
             }
         }
-        // Group ADR of all users is the mean of individual ADRs.
-        let group = t.adr_group(&[0, 1, 2, 3]);
-        let mean: f64 = (0..4).map(|i| t.adr(i)).sum::<f64>() / 4.0;
-        prop_assert!((group - mean).abs() < 1e-12);
     }
 
     #[test]

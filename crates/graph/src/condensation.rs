@@ -47,31 +47,18 @@ impl Condensation {
     ///
     /// These are the recurrent classes of a Markov system: trajectories
     /// eventually enter a sink component and stay.
+    #[cfg(test)]
     pub fn sink_components(&self) -> Vec<usize> {
         (0..self.dag.node_count())
             .filter(|&c| self.dag.out_degree(c) == 0)
             .collect()
     }
 
-    /// Indices of source components (no incoming edges).
-    pub fn source_components(&self) -> Vec<usize> {
-        (0..self.dag.node_count())
-            .filter(|&c| self.dag.in_degree(c) == 0)
-            .collect()
-    }
-
     /// Whether the original graph had a unique recurrent class — a
     /// necessary condition for a *unique* invariant measure.
+    #[cfg(test)]
     pub fn has_unique_sink(&self) -> bool {
         self.sink_components().len() == 1
-    }
-
-    /// A topological order of the component DAG.
-    ///
-    /// Tarjan emits components in reverse topological order, so reversing
-    /// the index sequence suffices.
-    pub fn topological_order(&self) -> Vec<usize> {
-        (0..self.dag.node_count()).rev().collect()
     }
 }
 
@@ -130,7 +117,6 @@ mod tests {
         let c = Condensation::compute(&g);
         assert_eq!(c.sink_components().len(), 2);
         assert!(!c.has_unique_sink());
-        assert_eq!(c.source_components().len(), 1);
     }
 
     #[test]
@@ -140,22 +126,5 @@ mod tests {
         assert_eq!(c.dag().node_count(), 1);
         assert_eq!(c.dag().edge_count(), 0);
         assert!(c.has_unique_sink());
-    }
-
-    #[test]
-    fn topological_order_respects_edges() {
-        let g = DiGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let c = Condensation::compute(&g);
-        let order = c.topological_order();
-        let pos: Vec<usize> = {
-            let mut p = vec![0; order.len()];
-            for (idx, &comp) in order.iter().enumerate() {
-                p[comp] = idx;
-            }
-            p
-        };
-        for (u, v) in c.dag().edges() {
-            assert!(pos[u] < pos[v], "edge {u}->{v} violates topological order");
-        }
     }
 }

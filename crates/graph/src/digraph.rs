@@ -17,8 +17,6 @@ pub type EdgeId = usize;
 pub struct DiGraph {
     /// `out[u]` lists `(edge_id, v)` for every edge `u -> v`.
     out: Vec<Vec<(EdgeId, NodeId)>>,
-    /// `inc[v]` lists `(edge_id, u)` for every edge `u -> v`.
-    inc: Vec<Vec<(EdgeId, NodeId)>>,
     /// `edges[e] = (u, v)`.
     edges: Vec<(NodeId, NodeId)>,
 }
@@ -28,7 +26,6 @@ impl DiGraph {
     pub fn new(n: usize) -> Self {
         DiGraph {
             out: vec![Vec::new(); n],
-            inc: vec![Vec::new(); n],
             edges: Vec::new(),
         }
     }
@@ -41,22 +38,6 @@ impl DiGraph {
         let mut g = DiGraph::new(n);
         for &(u, v) in edges {
             g.add_edge(u, v);
-        }
-        g
-    }
-
-    /// Builds a graph from a boolean adjacency matrix (`a[i][j] != 0` means
-    /// an edge `i -> j`).
-    pub fn from_adjacency(a: &Matrix) -> Self {
-        assert!(a.is_square(), "adjacency matrix must be square");
-        let n = a.rows();
-        let mut g = DiGraph::new(n);
-        for i in 0..n {
-            for j in 0..n {
-                if a[(i, j)] != 0.0 {
-                    g.add_edge(i, j);
-                }
-            }
         }
         g
     }
@@ -81,15 +62,7 @@ impl DiGraph {
         let id = self.edges.len();
         self.edges.push((u, v));
         self.out[u].push((id, v));
-        self.inc[v].push((id, u));
         id
-    }
-
-    /// Appends a fresh node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.out.push(Vec::new());
-        self.inc.push(Vec::new());
-        self.out.len() - 1
     }
 
     /// Endpoints `(u, v)` of edge `e`.
@@ -102,22 +75,13 @@ impl DiGraph {
         &self.out[u]
     }
 
-    /// Incoming `(edge, source)` pairs of `v`.
-    pub fn in_edges(&self, v: NodeId) -> &[(EdgeId, NodeId)] {
-        &self.inc[v]
-    }
-
     /// Out-degree of `u` (with multiplicities).
     pub fn out_degree(&self, u: NodeId) -> usize {
         self.out[u].len()
     }
 
-    /// In-degree of `v` (with multiplicities).
-    pub fn in_degree(&self, v: NodeId) -> usize {
-        self.inc[v].len()
-    }
-
     /// Returns `true` if there is at least one edge `u -> v`.
+    #[cfg(test)]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.out[u].iter().any(|&(_, w)| w == v)
     }
@@ -133,17 +97,6 @@ impl DiGraph {
         let mut m = Matrix::zeros(n, n);
         for &(u, v) in &self.edges {
             m[(u, v)] = 1.0;
-        }
-        m
-    }
-
-    /// Adjacency matrix with multiplicities (entry = number of parallel
-    /// edges).
-    pub fn multiplicity_matrix(&self) -> Matrix {
-        let n = self.node_count();
-        let mut m = Matrix::zeros(n, n);
-        for &(u, v) in &self.edges {
-            m[(u, v)] += 1.0;
         }
         m
     }
@@ -211,19 +164,6 @@ impl DiGraph {
     pub fn is_primitive(&self) -> bool {
         crate::primitivity::is_primitive(self)
     }
-
-    /// GraphViz DOT rendering, for debugging and documentation.
-    pub fn to_dot(&self) -> String {
-        let mut s = String::from("digraph G {\n");
-        for u in 0..self.node_count() {
-            s.push_str(&format!("  {u};\n"));
-        }
-        for &(u, v) in &self.edges {
-            s.push_str(&format!("  {u} -> {v};\n"));
-        }
-        s.push('}');
-        s
-    }
 }
 
 #[cfg(test)]
@@ -242,18 +182,8 @@ mod tests {
         assert_eq!(g.edge(e1), (1, 2));
         assert_eq!(g.edge(e2), (0, 1));
         assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.in_degree(1), 2);
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
-    }
-
-    #[test]
-    fn add_node_grows_graph() {
-        let mut g = DiGraph::new(1);
-        let v = g.add_node();
-        assert_eq!(v, 1);
-        g.add_edge(0, 1);
-        assert_eq!(g.edge_count(), 1);
     }
 
     #[test]
@@ -263,20 +193,6 @@ mod tests {
         assert_eq!(a[(0, 1)], 1.0);
         assert_eq!(a[(1, 0)], 1.0);
         assert_eq!(a[(0, 0)], 0.0);
-        let m = g.multiplicity_matrix();
-        assert_eq!(m[(0, 1)], 2.0);
-        assert_eq!(m[(1, 0)], 1.0);
-    }
-
-    #[test]
-    fn from_adjacency_roundtrip() {
-        let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 1.0]]).unwrap();
-        let g = DiGraph::from_adjacency(&a);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(g.has_edge(1, 1));
-        assert!(!g.has_edge(0, 0));
-        assert_eq!(g.adjacency_matrix(), a);
     }
 
     #[test]
@@ -305,14 +221,6 @@ mod tests {
         assert!(cycle.is_strongly_connected());
         let path = DiGraph::from_edges(3, &[(0, 1), (1, 2)]);
         assert!(!path.is_strongly_connected());
-    }
-
-    #[test]
-    fn dot_output() {
-        let g = DiGraph::from_edges(2, &[(0, 1)]);
-        let dot = g.to_dot();
-        assert!(dot.starts_with("digraph"));
-        assert!(dot.contains("0 -> 1"));
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub fn is_primitive(g: &DiGraph) -> bool {
 /// is monotone once attained for primitive matrices with self-reachability,
 /// so we check `A^k` for `k = 1, 2, 3, ..., bound` but in Boolean arithmetic
 /// where each step is one Boolean product.
+// analyze::allow(R8): graph/tests/properties.rs primitivity_checks_agree uses it as the reference for is_primitive
 pub fn is_primitive_by_powers(g: &DiGraph) -> bool {
     let n = g.node_count();
     if n == 0 {

@@ -96,6 +96,7 @@ impl StronglyConnectedComponents {
     }
 
     /// Nodes of component `c`, sorted ascending.
+    #[cfg(test)]
     pub fn component(&self, c: usize) -> &[NodeId] {
         &self.components[c]
     }
@@ -111,11 +112,13 @@ impl StronglyConnectedComponents {
     }
 
     /// Whether nodes `u` and `v` lie in the same component.
+    // analyze::allow(R8): graph/tests/properties.rs checks the components against mutual reachability through it
     pub fn same_component(&self, u: NodeId, v: NodeId) -> bool {
         self.assignment[u] == self.assignment[v]
     }
 
     /// Whether the whole graph is a single strongly connected component.
+    #[cfg(test)]
     pub fn is_single(&self) -> bool {
         self.components.len() <= 1
     }

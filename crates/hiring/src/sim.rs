@@ -115,6 +115,7 @@ impl HiringOutcome {
     }
 
     /// Overall hire rate at round `k`.
+    #[cfg(test)]
     pub fn hire_rate(&self, k: usize) -> f64 {
         let signals = self.record.signals(k);
         signals.iter().filter(|&&s| s > 0.0).count() as f64 / signals.len() as f64

@@ -211,7 +211,9 @@ struct CellStats {
 /// with throughout the workspace (binary outcomes encoded as 0/1).
 const FAVOURABLE_ACTION: f64 = 0.5;
 
-fn cell_stats(eval: &SweepEval, threshold: f64) -> CellStats {
+/// One cell's statistics. A non-finite final filter output, recorded or
+/// recomputed, is the cell's error: no interval over it means anything.
+fn cell_stats(eval: &SweepEval, threshold: f64) -> Result<CellStats, TraceError> {
     let outcome = &eval.outcome;
     let steps = outcome.counterfactual.steps();
     let (labels, groups) = match &outcome.groups {
@@ -255,19 +257,30 @@ fn cell_stats(eval: &SweepEval, threshold: f64) -> CellStats {
             .or_insert_with(Vec::new)
             .extend(opportunity_shares);
     }
-    let outcome_delta = if steps > 0 {
-        let candidate = outcome.counterfactual.filtered(steps - 1);
-        let baseline = outcome.baseline.filtered(steps - 1);
-        candidate.iter().zip(baseline).map(|(c, b)| c - b).collect()
-    } else {
-        Vec::new()
-    };
-    CellStats {
+    let mut outcome_delta = Vec::new();
+    if let Some(last) = steps.checked_sub(1) {
+        let candidate = outcome.counterfactual.filtered(last);
+        let baseline = outcome.baseline.filtered(last);
+        outcome_delta.reserve_exact(candidate.len());
+        for (user, (c, b)) in candidate.iter().zip(baseline).enumerate() {
+            let delta = c - b;
+            if !delta.is_finite() {
+                return Err(TraceError::Corrupt {
+                    what: format!(
+                        "non-finite filter output at step {last}, user {user} \
+                         (candidate {c}, recorded {b})"
+                    ),
+                });
+            }
+            outcome_delta.push(delta);
+        }
+    }
+    Ok(CellStats {
         agreement: outcome.agreement,
         parity,
         opportunity,
         outcome_delta,
-    }
+    })
 }
 
 fn evaluate_cell(
@@ -277,7 +290,7 @@ fn evaluate_cell(
 ) -> Result<CellStats, TraceError> {
     let mut input = trace.open().map_err(TraceError::Io)?;
     let eval = target.evaluate(&mut input, candidate)?;
-    Ok(cell_stats(&eval, candidate.threshold))
+    cell_stats(&eval, candidate.threshold)
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

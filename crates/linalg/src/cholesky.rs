@@ -90,12 +90,6 @@ impl Cholesky {
         }
         Ok(x)
     }
-
-    /// Log-determinant of the original matrix (`2 Σ log L_ii`), always
-    /// finite for a successfully factored matrix.
-    pub fn log_determinant(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 /// Solves `A x = b` for symmetric positive-definite `A`, adding a small
@@ -169,13 +163,6 @@ mod tests {
         assert!(Cholesky::decompose(&Matrix::zeros(2, 3)).is_err());
         let ch = Cholesky::decompose(&Matrix::identity(2)).unwrap();
         assert!(ch.solve(&Vector::zeros(3)).is_err());
-    }
-
-    #[test]
-    fn log_determinant() {
-        let a = Matrix::from_rows(&[&[4.0, 0.0], &[0.0, 9.0]]).unwrap();
-        let ch = Cholesky::decompose(&a).unwrap();
-        assert!((ch.log_determinant() - 36f64.ln()).abs() < 1e-12);
     }
 
     #[test]

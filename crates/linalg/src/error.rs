@@ -31,13 +31,6 @@ pub enum LinalgError {
         /// Leading-minor index at which the failure was detected.
         minor: usize,
     },
-    /// An iterative method failed to converge within its iteration budget.
-    NoConvergence {
-        /// Description of the iterative method.
-        method: &'static str,
-        /// Number of iterations performed.
-        iterations: usize,
-    },
     /// Construction from raw parts received inconsistent data.
     InvalidShape {
         /// Explanation of the inconsistency.
@@ -64,9 +57,6 @@ impl fmt::Display for LinalgError {
                     f,
                     "matrix is not positive definite at leading minor {minor}"
                 )
-            }
-            LinalgError::NoConvergence { method, iterations } => {
-                write!(f, "{method} did not converge after {iterations} iterations")
             }
             LinalgError::InvalidShape { reason } => write!(f, "invalid shape: {reason}"),
         }
@@ -108,16 +98,6 @@ mod tests {
     fn display_not_positive_definite() {
         let e = LinalgError::NotPositiveDefinite { minor: 1 };
         assert!(e.to_string().contains("minor 1"));
-    }
-
-    #[test]
-    fn display_no_convergence() {
-        let e = LinalgError::NoConvergence {
-            method: "power iteration",
-            iterations: 100,
-        };
-        assert!(e.to_string().contains("power iteration"));
-        assert!(e.to_string().contains("100"));
     }
 
     #[test]

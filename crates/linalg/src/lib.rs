@@ -2,14 +2,14 @@
 //!
 //! The workspace deliberately avoids heavyweight numeric dependencies: the
 //! linear algebra actually required by the paper — small dense systems for
-//! iteratively-reweighted least squares (logistic regression), matrix powers
-//! and spectral radii for primitivity / contractivity analysis of Markov
-//! systems — fits in a few hundred audited lines.
+//! iteratively-reweighted least squares (logistic regression), Markov
+//! transition matrices and the metrics of contractivity analysis — fits in
+//! a few hundred audited lines.
 //!
 //! The central types are [`Vector`] and [`Matrix`] (row-major, `f64`).
-//! Factorizations live in [`lu`] and [`cholesky`]; iterative spectral
-//! methods in [`power`]. Chunked batch kernels for the columnar feature
-//! plane (slice-level `axpy`/`offset`/`fill`) live in [`kernels`].
+//! Factorizations live in [`lu`] and [`cholesky`]. Chunked batch kernels
+//! for the columnar feature plane (slice-level `axpy`/`offset`/`fill`) live
+//! in [`kernels`].
 //!
 //! # Example
 //!
@@ -32,14 +32,12 @@ pub mod kernels;
 pub mod lu;
 pub mod matrix;
 pub mod norm;
-pub mod power;
 pub mod vector;
 
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use lu::Lu;
 pub use matrix::Matrix;
-pub use power::{power_iteration, spectral_radius, PowerIterationResult};
 pub use vector::Vector;
 
 /// Convenience result alias used throughout the crate.

@@ -81,16 +81,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a diagonal matrix from a vector.
-    pub fn diag(d: &Vector) -> Self {
-        let n = d.len();
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = d[i];
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -228,30 +218,6 @@ impl Matrix {
             *x *= factor;
         }
         out
-    }
-
-    /// Non-negative integer matrix power; errors for non-square matrices.
-    ///
-    /// Uses binary exponentiation, so `O(log k)` multiplications.
-    pub fn pow(&self, mut k: u32) -> Result<Matrix> {
-        if !self.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: self.rows,
-                cols: self.cols,
-            });
-        }
-        let mut result = Matrix::identity(self.rows);
-        let mut base = self.clone();
-        while k > 0 {
-            if k & 1 == 1 {
-                result = result.checked_mul(&base)?;
-            }
-            k >>= 1;
-            if k > 0 {
-                base = base.checked_mul(&base)?;
-            }
-        }
-        Ok(result)
     }
 
     /// Solves `A x = b` via LU decomposition with partial pivoting.
@@ -392,10 +358,6 @@ mod tests {
         assert!(Matrix::from_vec(2, 2, vec![0.0; 3]).is_err());
         let id = Matrix::identity(3);
         assert_eq!(id.trace().unwrap(), 3.0);
-        let d = Matrix::diag(&Vector::from_slice(&[2.0, 5.0]));
-        assert_eq!(d[(0, 0)], 2.0);
-        assert_eq!(d[(1, 1)], 5.0);
-        assert_eq!(d[(0, 1)], 0.0);
         let empty = Matrix::from_rows(&[]).unwrap();
         assert_eq!(empty.shape(), (0, 0));
     }
@@ -450,16 +412,6 @@ mod tests {
         assert_eq!(sc[(1, 0)], 6.0);
         assert!(a.checked_add(&Matrix::zeros(3, 3)).is_err());
         assert!(a.checked_sub(&Matrix::zeros(3, 3)).is_err());
-    }
-
-    #[test]
-    fn pow_binary_exponentiation() {
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 0.0]]).unwrap();
-        // Fibonacci matrix: A^10 has F(11)=89 in the corner.
-        let p = a.pow(10).unwrap();
-        assert!(approx(p[(0, 0)], 89.0));
-        assert_eq!(a.pow(0).unwrap(), Matrix::identity(2));
-        assert!(Matrix::zeros(2, 3).pow(2).is_err());
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //! these helpers provide the concrete metrics used by the Markov-system
 //! contractivity estimators.
 
-use crate::vector::Vector;
-
 /// Euclidean distance between two equal-length slices.
 ///
 /// # Panics
@@ -74,11 +72,6 @@ impl MetricKind {
             MetricKind::Discrete => discrete(a, b),
         }
     }
-
-    /// Evaluates the metric on two vectors.
-    pub fn distance_vec(self, a: &Vector, b: &Vector) -> f64 {
-        self.distance(a.as_slice(), b.as_slice())
-    }
 }
 
 #[cfg(test)]
@@ -115,9 +108,6 @@ mod tests {
         assert_eq!(MetricKind::Manhattan.distance(&a, &b), 7.0);
         assert_eq!(MetricKind::Chebyshev.distance(&a, &b), 4.0);
         assert_eq!(MetricKind::Discrete.distance(&a, &b), 1.0);
-        let va = Vector::from_slice(&a);
-        let vb = Vector::from_slice(&b);
-        assert_eq!(MetricKind::Euclidean.distance_vec(&va, &vb), 5.0);
     }
 
     #[test]

@@ -25,13 +25,6 @@ impl Vector {
         Vector { data: vec![1.0; n] }
     }
 
-    /// Creates a vector filled with `value`.
-    pub fn filled(n: usize, value: f64) -> Self {
-        Vector {
-            data: vec![value; n],
-        }
-    }
-
     /// Builds a vector by copying a slice.
     pub fn from_slice(values: &[f64]) -> Self {
         Vector {
@@ -71,41 +64,14 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consumes the vector and returns the underlying storage.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Iterator over entries.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.data.iter()
     }
 
-    /// Dot product; errors on length mismatch.
-    pub fn dot(&self, other: &Vector) -> Result<f64> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "dot",
-                left: (self.len(), 1),
-                right: (other.len(), 1),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(other.data.iter())
-            .map(|(a, b)| a * b)
-            .sum())
-    }
-
     /// Euclidean (ℓ²) norm.
     pub fn norm2(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// ℓ¹ norm (sum of absolute values).
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
     }
 
     /// ℓ∞ norm (maximum absolute value); 0 for the empty vector.
@@ -154,24 +120,6 @@ impl Vector {
             *a += alpha * b;
         }
         Ok(())
-    }
-
-    /// Entry-wise (Hadamard) product; errors on length mismatch.
-    pub fn hadamard(&self, other: &Vector) -> Result<Vector> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                op: "hadamard",
-                left: (self.len(), 1),
-                right: (other.len(), 1),
-            });
-        }
-        Ok(Vector::from_vec(
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        ))
     }
 
     /// Applies `f` to every entry, returning a new vector.
@@ -314,28 +262,13 @@ mod tests {
         assert_eq!(o.sum(), 4.0);
         let f = Vector::from_fn(3, |i| (i * i) as f64);
         assert_eq!(f.as_slice(), &[0.0, 1.0, 4.0]);
-        let fill = Vector::filled(2, 7.5);
-        assert_eq!(fill.as_slice(), &[7.5, 7.5]);
     }
 
     #[test]
-    fn dot_and_norms() {
+    fn norms() {
         let a = Vector::from_slice(&[3.0, 4.0]);
-        let b = Vector::from_slice(&[1.0, 2.0]);
-        assert_eq!(a.dot(&b).unwrap(), 11.0);
         assert_eq!(a.norm2(), 5.0);
-        assert_eq!(a.norm1(), 7.0);
         assert_eq!(a.norm_inf(), 4.0);
-    }
-
-    #[test]
-    fn dot_mismatch_errors() {
-        let a = Vector::zeros(2);
-        let b = Vector::zeros(3);
-        assert!(matches!(
-            a.dot(&b),
-            Err(LinalgError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]
@@ -354,15 +287,12 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_hadamard() {
+    fn axpy_checks_lengths() {
         let mut a = Vector::from_slice(&[1.0, 1.0]);
         let b = Vector::from_slice(&[2.0, 3.0]);
         a.axpy(2.0, &b).unwrap();
         assert_eq!(a.as_slice(), &[5.0, 7.0]);
-        let h = a.hadamard(&b).unwrap();
-        assert_eq!(h.as_slice(), &[10.0, 21.0]);
         assert!(a.axpy(1.0, &Vector::zeros(3)).is_err());
-        assert!(a.hadamard(&Vector::zeros(3)).is_err());
     }
 
     #[test]
@@ -391,7 +321,6 @@ mod tests {
         assert_eq!(v.as_slice(), &[0.0, 1.0, 2.0]);
         let total: f64 = (&v).into_iter().sum();
         assert_eq!(total, 3.0);
-        assert_eq!(v.clone().into_vec(), vec![0.0, 1.0, 2.0]);
     }
 
     #[test]

@@ -22,11 +22,13 @@ pub struct CouplingTrace {
 
 impl CouplingTrace {
     /// Whether the pair met (within the threshold used by the run).
+    #[cfg(test)]
     pub fn coupled(&self) -> bool {
         self.coupled_at.is_some()
     }
 
     /// Final distance.
+    // analyze::allow(R8): markov/tests/properties.rs synchronous_coupling_contracts_affine_ifs reads the coupled distance through it
     pub fn final_distance(&self) -> f64 {
         *self.distances.last().expect("at least initial distance")
     }
@@ -94,37 +96,9 @@ fn step_with_uniform(ms: &MarkovSystem, x: &[f64], u: f64) -> Vec<f64> {
     (ms.edges()[chosen].map)(x)
 }
 
-/// Average coupling time over `n_pairs` random pairs of initial conditions
-/// from `sampler`; returns `None` when no pair coupled within `steps`.
-pub fn mean_coupling_time(
-    ms: &MarkovSystem,
-    steps: usize,
-    metric: MetricKind,
-    meet_threshold: f64,
-    n_pairs: usize,
-    rng: &mut SimRng,
-    mut sampler: impl FnMut(&mut SimRng) -> Vec<f64>,
-) -> Option<f64> {
-    let mut times = Vec::new();
-    for _ in 0..n_pairs {
-        let x0 = sampler(rng);
-        let y0 = sampler(rng);
-        let trace = synchronous_coupling(ms, &x0, &y0, steps, metric, meet_threshold, rng);
-        if let Some(t) = trace.coupled_at {
-            times.push(t as f64);
-        }
-    }
-    if times.is_empty() {
-        None
-    } else {
-        Some(times.iter().sum::<f64>() / times.len() as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contractivity::box_sampler;
     use crate::ifs::{affine1d, Ifs};
 
     fn contractive_system() -> MarkovSystem {
@@ -186,39 +160,6 @@ mod tests {
         // The doubling map expands: initially close points separate.
         assert!(!trace.coupled());
         assert!(trace.final_distance() > 1e-4);
-    }
-
-    #[test]
-    fn mean_coupling_time_finite_for_contractive() {
-        let ms = contractive_system();
-        let mut rng = SimRng::new(3);
-        let t = mean_coupling_time(
-            &ms,
-            200,
-            MetricKind::Euclidean,
-            1e-9,
-            20,
-            &mut rng,
-            box_sampler(vec![0.0], vec![1.0]),
-        );
-        let t = t.expect("contractive system must couple");
-        assert!(t > 0.0 && t < 100.0, "mean coupling time = {t}");
-    }
-
-    #[test]
-    fn mean_coupling_time_none_for_expanding() {
-        let ms = expanding_system();
-        let mut rng = SimRng::new(4);
-        let t = mean_coupling_time(
-            &ms,
-            50,
-            MetricKind::Euclidean,
-            1e-12,
-            10,
-            &mut rng,
-            box_sampler(vec![0.0], vec![1.0]),
-        );
-        assert!(t.is_none());
     }
 
     #[test]

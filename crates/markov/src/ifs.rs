@@ -55,11 +55,6 @@ impl Ifs {
         self.inner.dim()
     }
 
-    /// Number of maps.
-    pub fn map_count(&self) -> usize {
-        self.inner.edge_count()
-    }
-
     /// The underlying single-vertex Markov system.
     pub fn as_markov_system(&self) -> &MarkovSystem {
         &self.inner
@@ -83,11 +78,6 @@ impl Ifs {
     /// Simulates `steps` steps from `x0` (returns `steps + 1` states).
     pub fn trajectory(&self, x0: &[f64], steps: usize, rng: &mut SimRng) -> Vec<Vec<f64>> {
         self.inner.trajectory(x0, steps, rng)
-    }
-
-    /// Applies map `i` deterministically.
-    pub fn apply(&self, i: usize, x: &[f64]) -> Vec<f64> {
-        (self.inner.edges()[i].map)(x)
     }
 }
 
@@ -114,17 +104,9 @@ mod tests {
     fn builder_and_accessors() {
         let ifs = binary_ifs();
         assert_eq!(ifs.dim(), 1);
-        assert_eq!(ifs.map_count(), 2);
         assert_eq!(ifs.as_markov_system().vertex_count(), 1);
         assert_eq!(ifs.probabilities_at(&[0.3]).unwrap(), vec![0.5, 0.5]);
         ifs.validate_at(&[vec![0.0], vec![0.5], vec![1.0]]).unwrap();
-    }
-
-    #[test]
-    fn apply_is_deterministic() {
-        let ifs = binary_ifs();
-        assert_eq!(ifs.apply(0, &[0.8]), vec![0.4]);
-        assert_eq!(ifs.apply(1, &[0.8]), vec![0.9]);
     }
 
     #[test]

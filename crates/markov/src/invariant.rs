@@ -76,11 +76,6 @@ impl FiniteChain {
         self.p.rows()
     }
 
-    /// The transition matrix.
-    pub fn transition_matrix(&self) -> &Matrix {
-        &self.p
-    }
-
     /// The support graph (edge where `p_ij > 0`).
     pub fn graph(&self) -> DiGraph {
         let n = self.p.rows();
@@ -150,6 +145,7 @@ impl FiniteChain {
     }
 
     /// Evolves `nu` for `steps` steps.
+    // analyze::allow(R8): markov/tests/properties.rs evolution_preserves_probability_mass iterates evolve through it
     pub fn evolve_n(&self, nu: &Vector, steps: usize) -> Vector {
         let mut v = nu.clone();
         for _ in 0..steps {
@@ -159,6 +155,7 @@ impl FiniteChain {
     }
 
     /// Simulates a state trajectory of the chain.
+    // analyze::allow(R8): tests/integration_theory.rs draws the periodic chain's trajectory with it
     pub fn simulate(&self, start: usize, steps: usize, rng: &mut SimRng) -> Vec<usize> {
         assert!(start < self.state_count(), "start state out of range");
         let mut states = Vec::with_capacity(steps + 1);

@@ -94,6 +94,7 @@ impl ParticleMeasure {
     }
 
     /// Mean of the first coordinate (common scalar observable).
+    // analyze::allow(R8): markov/tests/properties.rs resample_is_unbiased_in_expectation checks resample through it
     pub fn mean_coord(&self, coord: usize) -> f64 {
         self.integrate(|x| x[coord])
     }
@@ -103,6 +104,7 @@ impl ParticleMeasure {
     ///
     /// # Panics
     /// Panics if any particle lies in no cell of the system.
+    // analyze::allow(R8): markov/tests/properties.rs operator_duality_holds uses it as the exact P* reference
     pub fn push_forward_split(&self, ms: &MarkovSystem) -> ParticleMeasure {
         let mut points = Vec::new();
         let mut weights = Vec::new();
@@ -148,33 +150,6 @@ impl ParticleMeasure {
             .map(|_| self.points[rng.weighted_index(&self.weights)].clone())
             .collect();
         ParticleMeasure::uniform(&out)
-    }
-
-    /// Collapses duplicate support points (exact coordinate equality),
-    /// summing their weights. Useful for finite-state systems where exact
-    /// splitting revisits the same points.
-    pub fn coalesce(&self) -> ParticleMeasure {
-        let mut map: Vec<(Vec<f64>, f64)> = Vec::new();
-        for (x, &w) in self.points.iter().zip(&self.weights) {
-            if let Some(entry) = map.iter_mut().find(|(p, _)| p == x) {
-                entry.1 += w;
-            } else {
-                map.push((x.clone(), w));
-            }
-        }
-        let (points, weights): (Vec<_>, Vec<_>) = map.into_iter().unzip();
-        ParticleMeasure::weighted(points, weights)
-    }
-
-    /// Samples of the first coordinate drawn i.i.d. from the measure, for
-    /// use with KS / Wasserstein diagnostics.
-    pub fn sample_coord(&self, coord: usize, n: usize, rng: &mut SimRng) -> Vec<f64> {
-        (0..n)
-            .map(|_| {
-                let i = rng.weighted_index(&self.weights);
-                self.points[i][coord]
-            })
-            .collect()
     }
 }
 
@@ -287,22 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesce_merges_duplicates() {
-        let m =
-            ParticleMeasure::weighted(vec![vec![1.0], vec![1.0], vec![2.0]], vec![0.25, 0.25, 0.5]);
-        let c = m.coalesce();
-        assert_eq!(c.len(), 2);
-        let w1 = c
-            .points()
-            .iter()
-            .zip(c.weights())
-            .find(|(p, _)| p[0] == 1.0)
-            .map(|(_, &w)| w)
-            .unwrap();
-        assert!((w1 - 0.5).abs() < 1e-15);
-    }
-
-    #[test]
     fn operator_apply_matches_hand_computation() {
         let ms = binary_ifs_system();
         // P f(x) with f = identity: 0.5*(x/2) + 0.5*(x/2 + 1/2) = x/2 + 1/4.
@@ -319,14 +278,5 @@ mod tests {
         let lhs = nu.integrate(|x| markov_operator_apply(&ms, f, x));
         let rhs = nu.push_forward_split(&ms).integrate(f);
         assert!((lhs - rhs).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sample_coord_draws_from_support() {
-        let m = ParticleMeasure::weighted(vec![vec![1.0], vec![5.0]], vec![0.9, 0.1]);
-        let mut rng = SimRng::new(8);
-        let samples = m.sample_coord(0, 1000, &mut rng);
-        let ones = samples.iter().filter(|&&x| x == 1.0).count();
-        assert!(ones > 800 && ones < 980, "ones = {ones}");
     }
 }

@@ -37,6 +37,7 @@ impl FeatureBounds {
     }
 
     /// An immutable feature.
+    #[cfg(test)]
     pub fn frozen() -> Self {
         FeatureBounds {
             min: f64::NEG_INFINITY,

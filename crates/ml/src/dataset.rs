@@ -7,7 +7,7 @@
 //! accumulate observations across retrains keep them in a
 //! [`crate::grouped::GroupedTable`] instead.
 
-use eqimpact_linalg::{kernels, Vector};
+use eqimpact_linalg::Vector;
 use std::fmt;
 
 /// Errors from dataset construction.
@@ -89,13 +89,6 @@ impl Dataset {
         Self::from_flat_buffer(width, flat, labels)
     }
 
-    /// Builds a dataset from an already-flat row-major feature buffer of
-    /// `labels.len()` rows by `width` columns, for callers that keep their
-    /// features flat.
-    pub fn from_flat(width: usize, flat: &[f64], labels: &[f64]) -> Result<Self, DatasetError> {
-        Self::from_flat_buffer(width, flat.to_vec(), labels)
-    }
-
     /// All cell and label validation for the row-major constructors lives
     /// here; the validated buffer is then transposed once into the
     /// column-major storage.
@@ -147,16 +140,6 @@ impl Dataset {
         self.y.len() == 0
     }
 
-    /// Number of features (without intercept).
-    pub fn feature_count(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Feature column `j` as a contiguous slice.
-    pub fn feature_col(&self, j: usize) -> &[f64] {
-        &self.cols[j]
-    }
-
     /// All feature columns, in order — the shape the batch kernels and
     /// `LogisticModel::linear_scores_into` consume.
     pub fn feature_columns(&self) -> Vec<&[f64]> {
@@ -172,49 +155,6 @@ impl Dataset {
     /// convenience; the hot paths stay columnar).
     pub fn row(&self, i: usize) -> Vec<f64> {
         self.cols.iter().map(|c| c[i]).collect()
-    }
-
-    /// Per-column mean and standard deviation (population), used for
-    /// standardization. Degenerate columns (zero spread) report sd = 1 so
-    /// that standardization is a no-op on them. Accumulation runs over each
-    /// column in row order, so results are bit-identical to the old
-    /// row-major sweep.
-    pub fn column_stats(&self) -> (Vec<f64>, Vec<f64>) {
-        let n = self.len() as f64;
-        let mut means = Vec::with_capacity(self.cols.len());
-        for col in &self.cols {
-            means.push(kernels::sum_seq(col) / n);
-        }
-        let mut sds = Vec::with_capacity(self.cols.len());
-        for (col, &m) in self.cols.iter().zip(&means) {
-            let mut s = 0.0;
-            for &v in col {
-                s += (v - m) * (v - m);
-            }
-            s = (s / n).sqrt();
-            if s < 1e-12 {
-                s = 1.0;
-            }
-            sds.push(s);
-        }
-        (means, sds)
-    }
-
-    /// Returns a standardized copy (per-column z-scores) together with the
-    /// `(means, sds)` used, so predictions can apply the same transform.
-    pub fn standardized(&self) -> (Dataset, Vec<f64>, Vec<f64>) {
-        let (means, sds) = self.column_stats();
-        let cols: Vec<Vec<f64>> = self
-            .cols
-            .iter()
-            .enumerate()
-            .map(|(j, col)| col.iter().map(|&v| (v - means[j]) / sds[j]).collect())
-            .collect();
-        let ds = Dataset {
-            cols,
-            y: self.y.clone(),
-        };
-        (ds, means, sds)
     }
 }
 
@@ -243,7 +183,6 @@ mod tests {
     fn construction_and_accessors() {
         let ds = toy();
         assert_eq!(ds.len(), 3);
-        assert_eq!(ds.feature_count(), 2);
         assert_eq!(ds.row(1), &[3.0, 4.0]);
         assert!(!ds.is_empty());
     }
@@ -251,10 +190,9 @@ mod tests {
     #[test]
     fn storage_is_columnar() {
         let ds = toy();
-        assert_eq!(ds.feature_col(0), &[1.0, 3.0, 5.0]);
-        assert_eq!(ds.feature_col(1), &[2.0, 4.0, 6.0]);
         let cols = ds.feature_columns();
         assert_eq!(cols.len(), 2);
+        assert_eq!(cols[0], &[1.0, 3.0, 5.0]);
         assert_eq!(cols[1], &[2.0, 4.0, 6.0]);
     }
 
@@ -277,33 +215,6 @@ mod tests {
             Dataset::new(&[vec![f64::NAN]], &[0.0]).unwrap_err(),
             DatasetError::NonFiniteFeature { row: 0, col: 0 }
         ));
-    }
-
-    #[test]
-    fn column_stats_and_standardization() {
-        let ds = toy();
-        let (means, sds) = ds.column_stats();
-        assert!((means[0] - 3.0).abs() < 1e-12);
-        assert!((means[1] - 4.0).abs() < 1e-12);
-        let expected_sd = (8.0f64 / 3.0).sqrt();
-        assert!((sds[0] - expected_sd).abs() < 1e-12);
-
-        let (z, zm, zs) = ds.standardized();
-        assert_eq!(zm.len(), 2);
-        assert_eq!(zs.len(), 2);
-        let (zmeans, zsds) = z.column_stats();
-        assert!(zmeans.iter().all(|m| m.abs() < 1e-12));
-        assert!(zsds.iter().all(|s| (s - 1.0).abs() < 1e-9));
-    }
-
-    #[test]
-    fn degenerate_column_sd_is_one() {
-        let ds = Dataset::new(&[vec![5.0], vec![5.0]], &[0.0, 1.0]).unwrap();
-        let (_, sds) = ds.column_stats();
-        assert_eq!(sds[0], 1.0);
-        // Standardizing a constant column must not produce NaN.
-        let (z, _, _) = ds.standardized();
-        assert!(z.row(0)[0].is_finite());
     }
 
     #[test]

@@ -91,6 +91,7 @@ impl GroupedTable {
     }
 
     /// Distinct feature vectors seen so far: the rows a fit sweeps.
+    #[cfg(test)]
     pub fn cell_count(&self) -> usize {
         self.cells.len()
     }

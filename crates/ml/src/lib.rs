@@ -13,8 +13,7 @@
 //!   retrained learners: every observation so far, pooled by feature
 //!   vector, so a refit costs one IRLS row per distinct vector;
 //! * [`scorecard`] — coefficient-to-scorecard conversion, cut-off
-//!   decisions, Table I rendering;
-//! * [`metrics`] — accuracy, AUC, log-loss, calibration.
+//!   decisions, Table I rendering.
 
 //! # Example
 //!
@@ -39,7 +38,6 @@ pub mod counterfactual;
 pub mod dataset;
 pub mod grouped;
 pub mod logistic;
-pub mod metrics;
 pub mod scorecard;
 
 pub use counterfactual::{minimal_counterfactual, Counterfactual, FeatureBounds};

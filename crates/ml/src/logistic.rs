@@ -112,17 +112,9 @@ impl LogisticModel {
     }
 
     /// The predicted probability `P(y = 1 | x)`.
+    // analyze::allow(R8): ml/tests/properties.rs checks fitted probabilities through it
     pub fn predict_proba(&self, x: &[f64]) -> f64 {
         sigmoid(self.linear_score(x))
-    }
-
-    /// Hard 0/1 prediction at probability threshold 0.5.
-    pub fn predict(&self, x: &[f64]) -> f64 {
-        if self.predict_proba(x) >= 0.5 {
-            1.0
-        } else {
-            0.0
-        }
     }
 
     /// Batched linear predictor over columnar features:
@@ -149,16 +141,8 @@ impl LogisticModel {
         kernels::offset(out, self.intercept);
     }
 
-    /// Batched predicted probabilities: [`Self::linear_scores_into`]
-    /// followed by an in-place sigmoid.
-    pub fn predict_probas_into(&self, cols: &[&[f64]], out: &mut [f64]) {
-        self.linear_scores_into(cols, out);
-        for v in out.iter_mut() {
-            *v = sigmoid(*v);
-        }
-    }
-
     /// Average log-loss on a dataset, scored through the batch kernels.
+    // analyze::allow(R8): ml/tests/properties.rs checks fitted models through it
     pub fn log_loss(&self, data: &Dataset) -> f64 {
         let n = data.len();
         let mut scores = vec![0.0; n];
@@ -387,8 +371,6 @@ mod tests {
         let model = LogisticRegression::default().fit(&data).unwrap();
         assert!(model.predict_proba(&[2.0]) > 0.9);
         assert!(model.predict_proba(&[-2.0]) < 0.1);
-        assert_eq!(model.predict(&[2.0]), 1.0);
-        assert_eq!(model.predict(&[-2.0]), 0.0);
     }
 
     #[test]
@@ -476,12 +458,8 @@ mod tests {
         let cols = data.feature_columns();
         let mut scores = vec![f64::NAN; data.len()];
         model.linear_scores_into(&cols, &mut scores);
-        let mut probas = vec![f64::NAN; data.len()];
-        model.predict_probas_into(&cols, &mut probas);
-        for i in 0..data.len() {
-            let row = data.row(i);
-            assert_eq!(scores[i].to_bits(), model.linear_score(&row).to_bits());
-            assert_eq!(probas[i].to_bits(), model.predict_proba(&row).to_bits());
+        for (i, score) in scores.iter().enumerate() {
+            assert_eq!(score.to_bits(), model.linear_score(&data.row(i)).to_bits());
         }
     }
 

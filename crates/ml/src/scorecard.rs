@@ -144,6 +144,7 @@ impl Scorecard {
     /// The paper's illustrative Table I scorecard: history −8.17 per unit
     /// ADR, income +5.77 for the `> $15K` code, cut-off 0.4, no base
     /// points.
+    #[cfg(test)]
     pub fn paper_table1() -> Self {
         Scorecard::from_rows(
             0.0,

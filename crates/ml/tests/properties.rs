@@ -216,22 +216,4 @@ proptest! {
         );
     }
 
-    #[test]
-    fn dataset_standardization_is_idempotent_in_shape(
-        raw in prop::collection::vec((0.0f64..10.0, prop::bool::ANY), 2..30),
-    ) {
-        let rows: Vec<Vec<f64>> = raw.iter().map(|(x, _)| vec![*x]).collect();
-        let labels: Vec<f64> = raw.iter().map(|(_, y)| if *y { 1.0 } else { 0.0 }).collect();
-        let data = Dataset::new(&rows, &labels).unwrap();
-        let (z, means, sds) = data.standardized();
-        prop_assert_eq!(z.len(), data.len());
-        prop_assert_eq!(means.len(), 1);
-        prop_assert_eq!(sds.len(), 1);
-        prop_assert!(sds[0] > 0.0);
-        // Round-trip: un-standardizing recovers the original.
-        for i in 0..data.len() {
-            let back = z.row(i)[0] * sds[0] + means[0];
-            prop_assert!((back - data.row(i)[0]).abs() < 1e-9);
-        }
-    }
 }

@@ -33,6 +33,8 @@ impl ConfidenceInterval {
 }
 
 /// Percentile-bootstrap confidence interval for an arbitrary statistic.
+/// The resampled statistics are ordered by [`f64::total_cmp`], so a NaN
+/// in the data gives NaN statistics that sort instead of panicking.
 ///
 /// # Panics
 /// Panics for empty samples, `resamples == 0`, or `level` outside (0, 1).
@@ -60,7 +62,7 @@ pub fn bootstrap_ci(
         }
         stats.push(statistic(&scratch));
     }
-    stats.sort_by(|a, b| a.partial_cmp(b).expect("finite statistics"));
+    stats.sort_by(f64::total_cmp);
     let alpha = (1.0 - level) / 2.0;
     let lo_idx = ((alpha * resamples as f64) as usize).min(resamples - 1);
     let hi_idx = (((1.0 - alpha) * resamples as f64) as usize).min(resamples - 1);
@@ -115,7 +117,7 @@ pub fn bootstrap_stratified_ci(
         }
         stats.push(statistic(&scratch));
     }
-    stats.sort_by(|a, b| a.partial_cmp(b).expect("finite statistics"));
+    stats.sort_by(f64::total_cmp);
     let alpha = (1.0 - level) / 2.0;
     let lo_idx = ((alpha * resamples as f64) as usize).min(resamples - 1);
     let hi_idx = (((1.0 - alpha) * resamples as f64) as usize).min(resamples - 1);
@@ -238,6 +240,16 @@ mod tests {
             bootstrap_stratified_ci(&[&a, &b], group_gap, 200, 0.9, &mut rng)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_nan_in_the_sample_orders_instead_of_panicking() {
+        let sample = [0.1, f64::NAN, 0.4, 0.6];
+        let ci = bootstrap_mean_ci(&sample, 100, 0.9, &mut SimRng::new(5));
+        assert!(ci.estimate.is_nan());
+        let total = |groups: &[Vec<f64>]| groups.iter().flatten().sum::<f64>();
+        let ci = bootstrap_stratified_ci(&[&sample, &[0.2]], total, 100, 0.9, &mut SimRng::new(6));
+        assert!(ci.estimate.is_nan());
     }
 
     #[test]

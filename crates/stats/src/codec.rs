@@ -21,9 +21,6 @@ pub fn zigzag_decode(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Largest encoded size of one varint (10 × 7 bits ≥ 64 bits).
-pub const MAX_VARINT_LEN: usize = 10;
-
 /// Appends `v` as a little-endian base-128 varint (7 payload bits per
 /// byte, high bit = continuation).
 #[inline]
@@ -38,8 +35,8 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 /// Reads one varint starting at `*pos`, advancing `*pos` past it.
 ///
 /// Returns `None` (leaving `*pos` unspecified) on truncated input or an
-/// encoding longer than [`MAX_VARINT_LEN`] bytes / overflowing 64 bits —
-/// never panics.
+/// encoding longer than 10 bytes (10 × 7 bits ≥ 64 bits) / overflowing
+/// 64 bits — never panics.
 #[inline]
 pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     let mut value = 0u64;
@@ -137,7 +134,7 @@ mod tests {
         assert_eq!(buf, vec![0x7F]);
         buf.clear();
         write_varint(&mut buf, u64::MAX);
-        assert_eq!(buf.len(), MAX_VARINT_LEN);
+        assert_eq!(buf.len(), 10, "u64::MAX takes the longest encoding");
     }
 
     #[test]

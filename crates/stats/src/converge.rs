@@ -2,16 +2,16 @@
 //!
 //! Unique ergodicity says `(P*)^n ν → µ` weakly for every initial law `ν`.
 //! We verify this numerically by comparing empirical laws with the
-//! two-sample Kolmogorov-Smirnov statistic, histogram total variation, and
-//! the 1-Wasserstein (earth-mover) distance.
-
-use crate::hist::Histogram1D;
+//! two-sample Kolmogorov-Smirnov statistic and the 1-Wasserstein
+//! (earth-mover) distance, and fit the geometric rate of a distance
+//! sequence.
 
 /// Two-sample Kolmogorov-Smirnov statistic: the sup-distance between the
 /// two empirical CDFs. Ranges in `[0, 1]`; 0 means identical laws.
 ///
 /// # Panics
 /// Panics when either sample is empty or contains NaN.
+// analyze::allow(R8): tests/integration_theory.rs compares trajectory and particle samples with it
 pub fn kolmogorov_smirnov(a: &[f64], b: &[f64]) -> f64 {
     assert!(!a.is_empty() && !b.is_empty(), "KS: empty sample");
     let mut sa = a.to_vec();
@@ -38,47 +38,6 @@ pub fn kolmogorov_smirnov(a: &[f64], b: &[f64]) -> f64 {
         d = d.max((i as f64 / na - j as f64 / nb).abs());
     }
     d
-}
-
-/// Asymptotic two-sample KS p-value (Kolmogorov distribution tail), using
-/// the first 100 terms of the alternating series. Small-sample accuracy is
-/// rough but adequate for convergence *diagnostics*.
-pub fn ks_p_value(statistic: f64, n_a: usize, n_b: usize) -> f64 {
-    if statistic <= 0.0 {
-        return 1.0;
-    }
-    let n_eff = (n_a as f64 * n_b as f64) / (n_a as f64 + n_b as f64);
-    let lambda = (n_eff.sqrt() + 0.12 + 0.11 / n_eff.sqrt()) * statistic;
-    let mut p = 0.0;
-    for k in 1..=100 {
-        let sign = if k % 2 == 1 { 1.0 } else { -1.0 };
-        p += sign * (-2.0 * (k as f64) * (k as f64) * lambda * lambda).exp();
-    }
-    (2.0 * p).clamp(0.0, 1.0)
-}
-
-/// Total-variation distance between two histograms with identical geometry:
-/// `(1/2) Σ_b |p_b - q_b|`. Ranges in `[0, 1]`.
-///
-/// # Panics
-/// Panics when geometries differ.
-pub fn total_variation_histogram(p: &Histogram1D, q: &Histogram1D) -> f64 {
-    assert!(
-        p.lo() == q.lo() && p.hi() == q.hi() && p.bins() == q.bins(),
-        "TV: histogram geometry mismatch"
-    );
-    let pm = p.masses();
-    let qm = q.masses();
-    0.5 * pm.iter().zip(&qm).map(|(a, b)| (a - b).abs()).sum::<f64>()
-}
-
-/// Total-variation distance between two discrete probability vectors.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn total_variation_discrete(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "TV: length mismatch");
-    0.5 * p.iter().zip(q).map(|(a, b)| (a - b).abs()).sum::<f64>()
 }
 
 /// 1-Wasserstein (earth mover) distance between two empirical samples,
@@ -139,6 +98,7 @@ pub fn wasserstein1(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// A fitted `r < 1` is the numerical signature of an *attractive* invariant
 /// measure (geometric ergodicity of the sampled chain).
+// analyze::allow(R8): tests/integration_theory.rs fits the coupling's contraction rate with it
 pub fn fit_geometric_rate(distances: &[f64]) -> Option<f64> {
     let pts: Vec<(f64, f64)> = distances
         .iter()
@@ -195,7 +155,6 @@ mod tests {
         let b: Vec<f64> = (0..2000).map(|_| rng.uniform()).collect();
         let d = kolmogorov_smirnov(&a, &b);
         assert!(d < 0.06, "KS = {d}");
-        assert!(ks_p_value(d, 2000, 2000) > 0.01);
     }
 
     #[test]
@@ -205,36 +164,6 @@ mod tests {
         let b: Vec<f64> = (0..2000).map(|_| rng.uniform() + 0.5).collect();
         let d = kolmogorov_smirnov(&a, &b);
         assert!(d > 0.3, "KS = {d}");
-        assert!(ks_p_value(d, 2000, 2000) < 1e-6);
-    }
-
-    #[test]
-    fn p_value_bounds() {
-        assert_eq!(ks_p_value(0.0, 10, 10), 1.0);
-        let p = ks_p_value(1.0, 100, 100);
-        assert!((0.0..1e-10).contains(&p));
-    }
-
-    #[test]
-    fn tv_histogram() {
-        let a = Histogram1D::from_samples(0.0, 1.0, 2, &[0.1, 0.2, 0.3, 0.4]);
-        let b = Histogram1D::from_samples(0.0, 1.0, 2, &[0.6, 0.7, 0.8, 0.9]);
-        assert!((total_variation_histogram(&a, &b) - 1.0).abs() < 1e-12);
-        assert_eq!(total_variation_histogram(&a, &a), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry mismatch")]
-    fn tv_histogram_rejects_mismatch() {
-        let a = Histogram1D::new(0.0, 1.0, 2);
-        let b = Histogram1D::new(0.0, 1.0, 3);
-        total_variation_histogram(&a, &b);
-    }
-
-    #[test]
-    fn tv_discrete() {
-        assert!((total_variation_discrete(&[1.0, 0.0], &[0.0, 1.0]) - 1.0).abs() < 1e-15);
-        assert!((total_variation_discrete(&[0.5, 0.5], &[0.25, 0.75]) - 0.25).abs() < 1e-15);
     }
 
     #[test]

@@ -158,35 +158,6 @@ pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
 }
 
-/// Pearson correlation of two equal-length samples; `NaN` when undefined
-/// (fewer than two points or zero variance).
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn correlation(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "correlation: length mismatch");
-    let n = x.len();
-    if n < 2 {
-        return f64::NAN;
-    }
-    let mx = mean(x);
-    let my = mean(y);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for i in 0..n {
-        let dx = x[i] - mx;
-        let dy = y[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return f64::NAN;
-    }
-    sxy / (sxx.sqrt() * syy.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,16 +229,6 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn quantile_rejects_empty() {
         quantile(&[], 0.5);
-    }
-
-    #[test]
-    fn correlation_perfect_and_anti() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [2.0, 4.0, 6.0, 8.0];
-        assert!((correlation(&x, &y) - 1.0).abs() < 1e-12);
-        let z = [8.0, 6.0, 4.0, 2.0];
-        assert!((correlation(&x, &z) + 1.0).abs() < 1e-12);
-        assert!(correlation(&x, &[1.0, 1.0, 1.0, 1.0]).is_nan());
     }
 
     #[test]

@@ -100,11 +100,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal density `φ(x)`.
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 /// Standard normal quantile (inverse CDF) via Acklam's approximation plus
 /// one Halley refinement step; accurate to ~1e-13 on (0, 1).
 ///
@@ -194,11 +189,6 @@ impl Normal {
         Normal { mean, sd }
     }
 
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Normal { mean: 0.0, sd: 1.0 }
-    }
-
     /// Mean parameter.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -207,16 +197,6 @@ impl Normal {
     /// Standard deviation parameter.
     pub fn sd(&self) -> f64 {
         self.sd
-    }
-
-    /// CDF at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        std_normal_cdf((x - self.mean) / self.sd)
-    }
-
-    /// Density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        std_normal_pdf((x - self.mean) / self.sd) / self.sd
     }
 
     /// Quantile at probability `p`.
@@ -449,13 +429,6 @@ impl Empirical {
         self.sorted.is_empty()
     }
 
-    /// Empirical CDF at `x`: fraction of samples `<= x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        // partition_point gives the count of elements <= x.
-        let count = self.sorted.partition_point(|&s| s <= x);
-        count as f64 / self.sorted.len() as f64
-    }
-
     /// Empirical quantile (inverted CDF, lower interpolation).
     ///
     /// # Panics
@@ -544,9 +517,7 @@ mod tests {
         let n = Normal::new(2.0, 3.0);
         assert_eq!(n.mean(), 2.0);
         assert_eq!(n.sd(), 3.0);
-        assert!((n.cdf(2.0) - 0.5).abs() < 1e-14);
         assert!((n.quantile(0.5) - 2.0).abs() < 1e-10);
-        assert!(n.pdf(2.0) > n.pdf(5.0));
         let mut rng = SimRng::new(1);
         let samples: Vec<f64> = (0..20_000).map(|_| n.sample(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
@@ -623,10 +594,6 @@ mod tests {
     fn empirical_cdf_and_quantile() {
         let e = Empirical::new(&[3.0, 1.0, 2.0, 2.0]);
         assert_eq!(e.len(), 4);
-        assert_eq!(e.cdf(0.5), 0.0);
-        assert_eq!(e.cdf(1.0), 0.25);
-        assert_eq!(e.cdf(2.0), 0.75);
-        assert_eq!(e.cdf(10.0), 1.0);
         assert_eq!(e.quantile(0.0), 1.0);
         assert_eq!(e.quantile(1.0), 3.0);
         assert_eq!(e.mean(), 2.0);

@@ -31,6 +31,7 @@ impl Histogram1D {
     }
 
     /// Builds a histogram directly from samples.
+    // analyze::allow(R8): stats/tests/properties.rs histogram_conserves_mass builds its histogram with it
     pub fn from_samples(lo: f64, hi: f64, bins: usize, samples: &[f64]) -> Self {
         let mut h = Histogram1D::new(lo, hi, bins);
         for &s in samples {
@@ -89,17 +90,6 @@ impl Histogram1D {
     /// Raw counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Normalized bin masses (probabilities); all zeros when empty.
-    pub fn masses(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
     }
 
     /// Midpoint of bin `b`.
@@ -209,6 +199,7 @@ impl Histogram2D {
     }
 
     /// Total observations in column `x`.
+    // analyze::allow(R8): tests/integration_credit_pipeline.rs checks the Fig. 5 column totals through it
     pub fn col_total(&self, x: usize) -> u64 {
         self.col_totals[x]
     }
@@ -269,16 +260,6 @@ mod tests {
         assert_eq!(h.count(2), 0);
         assert_eq!(h.count(3), 2);
         assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn hist1d_masses_sum_to_one() {
-        let h = Histogram1D::from_samples(0.0, 1.0, 10, &[0.05, 0.15, 0.25, 0.35]);
-        let s: f64 = h.masses().iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
-        // Empty histogram has zero masses.
-        let e = Histogram1D::new(0.0, 1.0, 3);
-        assert_eq!(e.masses(), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]

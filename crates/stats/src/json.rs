@@ -80,6 +80,7 @@ impl Json {
     }
 
     /// The array as a vector of numbers, if every element is a number.
+    #[cfg(test)]
     pub fn as_f64_vec(&self) -> Option<Vec<f64>> {
         self.as_arr()?.iter().map(Json::as_f64).collect()
     }

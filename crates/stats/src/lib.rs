@@ -11,7 +11,7 @@
 //! * [`timeseries`] — Cesàro (running time-average) sequences, the object
 //!   equal impact (Def. 3) is about;
 //! * [`hist`] — 1-D and 2-D histograms (Fig. 5's density panel);
-//! * [`converge`] — Kolmogorov-Smirnov and total-variation diagnostics used
+//! * [`converge`] — Kolmogorov-Smirnov and Wasserstein diagnostics used
 //!   to verify weak convergence to the invariant measure;
 //! * [`json`] — a self-contained JSON value/writer/parser, the workspace's
 //!   serialization layer (the build is offline; no serde);
@@ -33,7 +33,7 @@ pub mod rng;
 pub mod timeseries;
 
 pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, bootstrap_stratified_ci, ConfidenceInterval};
-pub use converge::{kolmogorov_smirnov, total_variation_histogram, wasserstein1};
+pub use converge::{kolmogorov_smirnov, wasserstein1};
 pub use describe::Summary;
 pub use dist::{Bernoulli, Categorical, Empirical, Normal, Uniform};
 pub use hist::{Histogram1D, Histogram2D};

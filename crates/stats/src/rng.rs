@@ -68,61 +68,6 @@ impl SimRng {
         SimRng::new(child_seed)
     }
 
-    /// Advances this stream by 2^128 steps in place (the xoshiro256++
-    /// jump function).
-    ///
-    /// Partitions one stream into non-overlapping sub-sequences of 2^128
-    /// samples each: `n` successive jumps yield `n` generators that can be
-    /// consumed concurrently without ever drawing the same sample. The
-    /// construction `seed` is unchanged, so label-based [`Self::split`]
-    /// derivation is unaffected by jumping.
-    pub fn jump(&mut self) {
-        // Official xoshiro256++ jump polynomial (Blackman & Vigna).
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut acc = [0u64; 4];
-        for word in JUMP {
-            for bit in 0..64 {
-                if (word >> bit) & 1 == 1 {
-                    for (a, s) in acc.iter_mut().zip(&self.state) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.state = acc;
-    }
-
-    /// Splits this stream into `n` parallel streams by successive
-    /// [`Self::jump`]s: stream `i` starts 2^128 · i samples ahead of
-    /// `self`, so the streams never overlap. Each child is relabelled in
-    /// a salted label domain, so the children's [`Self::split`] trees are
-    /// disjoint both from each other and from the parent's ordinary
-    /// `split(i)` children.
-    ///
-    /// The parent is unaffected (jumps happen on an internal clone).
-    pub fn split_streams(&self, n: usize) -> Vec<SimRng> {
-        // Distinct label domain: without the salt, stream i's seed would
-        // equal `self.split(i)`'s and the two trees would alias.
-        const STREAM_SALT: u64 = 0x7c15_9e3d_4a8b_02f1;
-        let mut base = self.clone();
-        (0..n)
-            .map(|i| {
-                let stream = SimRng {
-                    seed: mix(mix(self.seed, STREAM_SALT), i as u64),
-                    state: base.state,
-                };
-                base.jump();
-                stream
-            })
-            .collect()
-    }
-
     /// Uniform sample in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
         // 53 mantissa bits, as in the standard 2^-53 construction.
@@ -199,6 +144,7 @@ impl SimRng {
     }
 
     /// Fisher-Yates shuffle of a slice.
+    // analyze::allow(R8): ml/tests/properties.rs grouped_fit_ignores_arrival_order permutes its rows with it
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.index(i + 1);
@@ -260,64 +206,6 @@ mod tests {
         let mut c1 = root.split(1);
         let mut c2 = root.split(2);
         let equal = (0..32).filter(|_| c1.uniform() == c2.uniform()).count();
-        assert!(equal < 4);
-    }
-
-    #[test]
-    fn jump_is_deterministic_and_leaves_seed_alone() {
-        let mut a = SimRng::new(21);
-        let mut b = SimRng::new(21);
-        a.jump();
-        b.jump();
-        assert_eq!(a.seed(), 21);
-        for _ in 0..20 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        // A jumped stream departs from the unjumped one.
-        let mut c = SimRng::new(21);
-        let equal = (0..32).filter(|_| a.next_u64() == c.next_u64()).count();
-        assert!(equal < 4);
-        // Label-splitting is seed-based, hence jump-insensitive.
-        let mut jumped = SimRng::new(33);
-        jumped.jump();
-        let mut x = jumped.split(5);
-        let mut y = SimRng::new(33).split(5);
-        for _ in 0..20 {
-            assert_eq!(x.next_u64(), y.next_u64());
-        }
-    }
-
-    #[test]
-    fn split_streams_are_disjoint_prefixes_of_the_jump_sequence() {
-        let root = SimRng::new(99);
-        let streams = root.split_streams(3);
-        assert_eq!(streams.len(), 3);
-        // Stream 0 continues the parent state verbatim.
-        let mut s0 = streams[0].clone();
-        let mut parent = SimRng::new(99);
-        for _ in 0..20 {
-            assert_eq!(s0.next_u64(), parent.next_u64());
-        }
-        // Stream 1 equals the parent jumped once.
-        let mut s1 = streams[1].clone();
-        let mut jumped = SimRng::new(99);
-        jumped.jump();
-        for _ in 0..20 {
-            assert_eq!(s1.next_u64(), jumped.next_u64());
-        }
-        // Sibling streams decorrelate.
-        let mut a = streams[1].clone();
-        let mut b = streams[2].clone();
-        let equal = (0..32).filter(|_| a.next_u64() == b.next_u64()).count();
-        assert!(equal < 4);
-        assert!(root.split_streams(0).is_empty());
-        // The children's split trees do not alias the parent's ordinary
-        // label-splits (salted label domain).
-        let mut via_stream = streams[1].split(0);
-        let mut via_split = root.split(1).split(0);
-        let equal = (0..32)
-            .filter(|_| via_stream.next_u64() == via_split.next_u64())
-            .count();
         assert!(equal < 4);
     }
 

@@ -156,16 +156,6 @@ impl ConvergenceDetector {
         let m = self.buffer.iter().sum::<f64>() / self.window as f64;
         self.buffer.iter().all(|&v| (v - m).abs() <= self.tolerance)
     }
-
-    /// Mean of the current window (`NaN` when empty) — the estimate of the
-    /// limit `r_i` from Def. 3.
-    pub fn window_mean(&self) -> f64 {
-        if self.buffer.is_empty() {
-            f64::NAN
-        } else {
-            self.buffer.iter().sum::<f64>() / self.buffer.len() as f64
-        }
-    }
 }
 
 /// Estimates the limit of a Cesàro-average sequence as the mean of its last
@@ -265,15 +255,8 @@ mod tests {
         }
         assert!(d.push(2.0));
         assert!(d.is_converged());
-        assert!((d.window_mean() - 2.0).abs() < 0.01);
         // A jump breaks convergence.
         assert!(!d.push(5.0));
-    }
-
-    #[test]
-    fn detector_empty_window_mean_nan() {
-        let d = ConvergenceDetector::new(3, 0.1);
-        assert!(d.window_mean().is_nan());
     }
 
     #[test]

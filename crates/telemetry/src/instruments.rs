@@ -225,6 +225,7 @@ pub const fn bucket_of(v: u64) -> usize {
 }
 
 /// The inclusive value range of bucket `i`.
+#[cfg(test)]
 pub fn bucket_bounds(i: usize) -> (u64, u64) {
     match i {
         0 => (0, 0),

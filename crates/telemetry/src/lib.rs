@@ -71,13 +71,9 @@ impl Recorder {
 
     /// Disables recording; the catalog keeps its tallies for inspection
     /// until the next [`Recorder::install`] or [`Recorder::reset`].
+    // analyze::allow(R8): tests/telemetry_identity.rs and ml/tests/irls_counters.rs switch recording off with it
     pub fn uninstall() {
         ENABLED.store(false, Ordering::Relaxed);
-    }
-
-    /// Whether recording is currently enabled (see [`enabled`]).
-    pub fn is_installed() -> bool {
-        enabled()
     }
 
     /// Zeroes every instrument in the catalog and the progress goal.
@@ -110,6 +106,7 @@ impl Recorder {
 /// process-global, so concurrent tests in one binary would otherwise
 /// tally into each other's snapshots. Hold the returned guard for the
 /// whole test; a panicking holder does not wedge later tests.
+// analyze::allow(R8): tests/telemetry_identity.rs serializes its recorder tests with it
 pub fn test_guard() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)

@@ -155,6 +155,7 @@ impl TelemetrySnapshot {
     /// comparison key of the determinism contract: identical across runs
     /// and `--threads` values for a deterministic workload (integers
     /// only, fixed catalog order).
+    // analyze::allow(R8): tests/telemetry_identity.rs compares and pins deterministic sections through it
     pub fn deterministic_json(&self) -> String {
         let mut out = String::new();
         self.render_deterministic(&mut out, "");

@@ -37,13 +37,6 @@ impl BenchmarkId {
             name: format!("{}/{}", function_name.into(), parameter),
         }
     }
-
-    /// Creates an id from a parameter alone.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            name: parameter.to_string(),
-        }
-    }
 }
 
 impl Display for BenchmarkId {
@@ -135,12 +128,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Sets the total measurement time budget per benchmark.
-    pub fn measurement_time(&mut self, t: Duration) -> &mut Self {
-        self.target_time = t;
-        self
-    }
-
     /// Runs one benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,
@@ -184,29 +171,12 @@ impl Default for Criterion {
         let quick = is_quick();
         Criterion {
             sample_count: if quick { QUICK_SAMPLES } else { 20 },
-            target_time: Duration::from_millis(
-                std::env::var("CRITERION_TARGET_MS")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(if quick { 100 } else { 500 }),
-            ),
+            target_time: Duration::from_millis(if quick { 100 } else { 500 }),
         }
     }
 }
 
 impl Criterion {
-    /// Sets the default number of samples for subsequent groups.
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_count = n.max(2);
-        self
-    }
-
-    /// Sets the default measurement budget for subsequent groups.
-    pub fn measurement_time(mut self, t: Duration) -> Self {
-        self.target_time = t;
-        self
-    }
-
     /// Opens a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         let name = name.into();
@@ -218,25 +188,11 @@ impl Criterion {
             _criterion: self,
         }
     }
-
-    /// Runs one ungrouped benchmark.
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: impl Display, f: F) -> &mut Self {
-        let name = id.to_string();
-        self.benchmark_group(name.clone()).bench_function("", f);
-        self
-    }
 }
 
-/// Declares a benchmark group: plain form `criterion_group!(name, fn...)`
-/// or configured form with `config = ...` / `targets = ...`.
+/// Declares a benchmark group: `criterion_group!(name, fn...)`.
 #[macro_export]
 macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion: $crate::Criterion = $config;
-            $($target(&mut criterion);)+
-        }
-    };
     ($name:ident, $($target:path),+ $(,)?) => {
         pub fn $name() {
             let mut criterion = $crate::Criterion::default();
@@ -279,6 +235,5 @@ mod tests {
     #[test]
     fn ids_render() {
         assert_eq!(BenchmarkId::new("fit", 3).to_string(), "fit/3");
-        assert_eq!(BenchmarkId::from_parameter(7).to_string(), "7");
     }
 }

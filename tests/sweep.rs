@@ -7,6 +7,8 @@
 
 use eqimpact::lab::{run_sweep, CandidateGrid, MemTrace, SweepConfig, TraceSource};
 use eqimpact::prelude::*;
+use eqimpact_core::recorder::StepSink;
+use eqimpact_core::ModelCheckpoint;
 use eqimpact_credit::sim::{CreditConfig, LenderKind};
 use eqimpact_credit::CreditSweep;
 use eqimpact_hiring::sim::{HiringConfig, ScreenerKind};
@@ -50,34 +52,77 @@ fn credit_traces(trials: usize) -> Vec<MemTrace> {
 /// Records `trials` checkpointed hiring traces in memory.
 fn hiring_traces(trials: usize) -> Vec<MemTrace> {
     (0..trials)
-        .map(|trial| {
-            let config = HiringConfig {
-                applicants: 80,
-                rounds: 6,
-                trials: 1,
-                seed: 31 + trial as u64,
-                screener: ScreenerKind::Adaptive,
-                ..HiringConfig::default()
-            };
-            let header = TraceHeader::from_meta(&eqimpact_core::scenario::TraceMeta {
-                scenario: "hiring".to_string(),
-                variant: eqimpact_hiring::scenario::variant_name(config.screener).to_string(),
-                trial,
-                scale: Scale::Quick,
-                seed: config.seed,
-                shards: config.shards,
-                delay: config.delay,
-                policy: config.policy,
-            })
-            .with_checkpoints();
-            let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
-            eqimpact_hiring::sim::run_trial_sunk(&config, 0, &mut sink);
-            MemTrace::new(
-                format!("hiring-trial{trial}.eqtrace"),
-                sink.finish().expect("trace finishes"),
-            )
-        })
+        .map(|trial| hiring_trace(trial, false))
         .collect()
+}
+
+/// Forwards every step to a trace sink, recording `filtered[0]` of step
+/// `nan_step` as NaN.
+struct NanFilterOutput<S> {
+    sink: S,
+    nan_step: Option<usize>,
+}
+
+impl<S: StepSink> StepSink for NanFilterOutput<S> {
+    fn on_groups(&mut self, labels: &[&str], codes: &[u32]) {
+        self.sink.on_groups(labels, codes);
+    }
+
+    fn on_step(
+        &mut self,
+        k: usize,
+        visible: &FeatureMatrix,
+        signals: &[f64],
+        actions: &[f64],
+        filtered: &[f64],
+    ) {
+        let mut filtered = filtered.to_vec();
+        if self.nan_step == Some(k) {
+            filtered[0] = f64::NAN;
+        }
+        self.sink.on_step(k, visible, signals, actions, &filtered);
+    }
+
+    fn wants_checkpoints(&self) -> bool {
+        self.sink.wants_checkpoints()
+    }
+
+    fn on_checkpoint(&mut self, k: usize, checkpoint: &ModelCheckpoint) {
+        self.sink.on_checkpoint(k, checkpoint);
+    }
+}
+
+/// Records one checkpointed hiring trace in memory; with `nan_last_step`
+/// its last step records `filtered[0] = NaN`.
+fn hiring_trace(trial: usize, nan_last_step: bool) -> MemTrace {
+    let config = HiringConfig {
+        applicants: 80,
+        rounds: 6,
+        trials: 1,
+        seed: 31 + trial as u64,
+        screener: ScreenerKind::Adaptive,
+        ..HiringConfig::default()
+    };
+    let header = TraceHeader::from_meta(&eqimpact_core::scenario::TraceMeta {
+        scenario: "hiring".to_string(),
+        variant: eqimpact_hiring::scenario::variant_name(config.screener).to_string(),
+        trial,
+        scale: Scale::Quick,
+        seed: config.seed,
+        shards: config.shards,
+        delay: config.delay,
+        policy: config.policy,
+    })
+    .with_checkpoints();
+    let mut sink = NanFilterOutput {
+        sink: TraceStepSink::new(Vec::new(), &header).expect("header writes"),
+        nan_step: nan_last_step.then_some(config.rounds - 1),
+    };
+    eqimpact_hiring::sim::run_trial_sunk(&config, 0, &mut sink);
+    MemTrace::new(
+        format!("hiring-trial{trial}.eqtrace"),
+        sink.sink.finish().expect("trace finishes"),
+    )
 }
 
 /// A 3 policies x 1 filter x 17 thresholds = 51-candidate credit grid.
@@ -212,5 +257,43 @@ fn hiring_traces_sweep_deterministically_too() {
     assert_eq!(one.ranked.len(), grid.len());
     for ranked in &one.ranked {
         assert!(ranked.errors.is_empty(), "{:?}", ranked.errors);
+    }
+}
+
+/// A NaN in a recorded filter output fails that trace's cells with a
+/// named error; the sweep still exits cleanly and every other cell
+/// still reports.
+#[test]
+fn a_nan_recorded_filter_output_is_a_per_cell_error() {
+    let clean = hiring_trace(0, false);
+    let poisoned = hiring_trace(1, true);
+    let sources: Vec<&dyn TraceSource> = vec![&clean, &poisoned];
+    let grid = CandidateGrid::new(["adaptive", "credential"], ["track-record"], [0.5]);
+    let config = SweepConfig {
+        seed: 9,
+        resamples: 50,
+        ..SweepConfig::default()
+    };
+    let report = run_sweep(
+        &HiringSweep,
+        &sources,
+        &grid,
+        &config,
+        ThreadBudget::leaked(2),
+    )
+    .expect("the sweep runs");
+    assert_eq!(report.ranked.len(), 2);
+    for ranked in &report.ranked {
+        assert_eq!(ranked.traces, 1, "the clean trace still reports");
+        assert_eq!(ranked.errors.len(), 1, "{:?}", ranked.errors);
+        assert!(
+            ranked.errors[0].starts_with(
+                "hiring-trial1.eqtrace: corrupt trace: non-finite filter output at step 5, user 0"
+            ),
+            "{}",
+            ranked.errors[0]
+        );
+        assert!(ranked.outcome_delta.estimate.is_finite());
+        assert!(ranked.parity_gap.estimate.is_finite());
     }
 }
