@@ -2,12 +2,14 @@
 //! exit codes (0 success, 2 usage or validation error, 3 "this scenario
 //! lacks the capability") and their messages for every command, the
 //! `list` / `list --json` listings, the `run --all` shard downgrade, the
-//! credit record → replay → sweep → certify pipeline, and the rejection
-//! of traces recorded by another scenario.
+//! credit record → replay → sweep → certify pipeline, the rejection of
+//! traces recorded by another scenario, and the bytes of every
+//! paper-scale artifact.
 
 use eqimpact_core::recorder::RecordPolicy;
 use eqimpact_core::scenario::{Scale, TraceMeta};
 use eqimpact_trace::{TraceHeader, TraceWriter};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -322,4 +324,47 @@ fn trace_pipeline_telemetry_matches_the_committed_sections() {
             );
         }
     }
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every artifact of `run credit|hiring|ablations` at paper scale (the
+/// default seed) is pinned across commits: one line per artifact,
+/// `<scenario>/<file> <byte length> <64-bit FNV-1a digest>`, in file-name
+/// order. A change that moves one byte fails here; re-pin the file only
+/// for a deliberate, documented re-baseline.
+#[test]
+fn paper_scale_artifacts_match_the_committed_digests() {
+    let dir = WorkDir::new("paper-artifacts");
+    let mut table = String::new();
+    for scenario in ["credit", "hiring", "ablations"] {
+        dir.ok(&["run", scenario, "--out", scenario]);
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir.path(scenario))
+            .expect("read artifact dir")
+            .map(|entry| entry.expect("artifact dir entry").path())
+            .collect();
+        files.sort();
+        for file in files {
+            let bytes = std::fs::read(&file).expect("read artifact");
+            let name = file.file_name().expect("file name").to_string_lossy();
+            writeln!(
+                table,
+                "{scenario}/{name} {} {:016x}",
+                bytes.len(),
+                fnv1a64(&bytes)
+            )
+            .expect("write to a String");
+        }
+    }
+    let pinned = include_str!("data/artifacts_paper.txt");
+    assert!(
+        table == pinned,
+        "paper-scale artifacts moved; if on purpose, re-pin \
+         tests/data/artifacts_paper.txt to:\n{table}"
+    );
 }

@@ -67,6 +67,17 @@ pub const BRACKETS: [IncomeBracket; BRACKET_COUNT] = [
     },
 ];
 
+// Every income is drawn uniformly from `[lo, hi)` of one bracket, so this
+// makes every income positive: the credit and hiring response models
+// assert a positive income on the respond path and rely on it.
+const _: () = {
+    let mut i = 0;
+    while i < BRACKET_COUNT {
+        assert!(0.0 < BRACKETS[i].lo && BRACKETS[i].lo < BRACKETS[i].hi);
+        i += 1;
+    }
+};
+
 impl IncomeBracket {
     /// Midpoint of the bracket ($K).
     #[cfg(test)]

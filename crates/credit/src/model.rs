@@ -29,7 +29,9 @@ pub const INCOME_CODE_THRESHOLD_K: f64 = 15.0;
 /// With `L = 3.5 z` this is exactly the paper's eq. (10).
 ///
 /// # Panics
-/// Panics for non-positive income.
+/// Panics for non-positive income. The respond sweep never reaches the
+/// panic: every income is drawn uniformly from a census bracket, and the
+/// census crate asserts at compile time that each bracket has `0 < lo < hi`.
 pub fn state_fraction(income_k: f64, loan_k: f64) -> f64 {
     assert!(income_k > 0.0, "state_fraction: income must be positive");
     (income_k - LIVING_COST_K - ANNUAL_RATE * loan_k) / income_k
@@ -51,21 +53,29 @@ pub fn repayment_probability(state: f64) -> f64 {
     }
 }
 
-/// Samples the binary repayment action `y_i(k)` of eq. (11): forced 0 when
-/// no loan is offered (`loan_k <= 0`) or the state is non-positive,
-/// Bernoulli(`Φ(5x)`) otherwise.
-pub fn sample_repayment(income_k: f64, loan_k: f64, rng: &mut SimRng) -> f64 {
+/// The state `x` of a household whose eq. (11) repayment is drawn from
+/// `Φ(5x)`, or `None` when the repayment is forced to 0: no loan is
+/// offered (`loan_k <= 0`) or the state is non-positive.
+pub(crate) fn drawn_state(income_k: f64, loan_k: f64) -> Option<f64> {
     if loan_k <= 0.0 {
-        return 0.0;
+        return None;
     }
     let x = state_fraction(income_k, loan_k);
     if x <= 0.0 {
-        return 0.0;
-    }
-    if rng.bernoulli(repayment_probability(x)) {
-        1.0
+        None
     } else {
-        0.0
+        Some(x)
+    }
+}
+
+/// Samples the binary repayment action `y_i(k)` of eq. (11): forced 0 when
+/// no loan is offered (`loan_k <= 0`) or the state is non-positive,
+/// Bernoulli(`Φ(5x)`) otherwise. A NaN loan gives a NaN state and
+/// `Φ(NaN)` is NaN, so that household never repays.
+pub fn sample_repayment(income_k: f64, loan_k: f64, rng: &mut SimRng) -> f64 {
+    match drawn_state(income_k, loan_k) {
+        Some(x) if rng.bernoulli(repayment_probability(x)) => 1.0,
+        _ => 0.0,
     }
 }
 
@@ -118,6 +128,19 @@ mod tests {
             sample_repayment(8.0, income_multiple_loan(8.0), &mut rng),
             0.0
         );
+        // Neither is a draw from Φ.
+        assert_eq!(drawn_state(50.0, 0.0), None);
+        assert_eq!(drawn_state(8.0, income_multiple_loan(8.0)), None);
+    }
+
+    #[test]
+    fn nan_loan_never_repays() {
+        let mut rng = SimRng::new(4);
+        for _ in 0..100 {
+            assert_eq!(sample_repayment(50.0, f64::NAN, &mut rng), 0.0);
+        }
+        // The NaN state is drawn (Φ is evaluated), not forced.
+        assert!(drawn_state(50.0, f64::NAN).is_some_and(f64::is_nan));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use eqimpact_core::shard::{
     shard_bounds, ColsMut, PopulationShard, RowStreams, ShardablePopulation,
 };
 use eqimpact_stats::SimRng;
+use eqimpact_telemetry::metrics as tm;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -111,7 +112,8 @@ fn observe_household_cols(
 }
 
 /// The shared respond sweep: eq. (11) repayment per household, randomness
-/// keyed by the global row.
+/// keyed by the global row. Adds the rows that drew from Φ to
+/// `dist.normal_cdf` once per sweep.
 fn respond_household_rows(
     households: &[Household],
     start_row: usize,
@@ -120,10 +122,13 @@ fn respond_household_rows(
     out: &mut [f64],
 ) {
     assert_eq!(signals.len(), households.len(), "signals length");
+    let mut cdf_rows = 0;
     for (j, (h, &loan)) in households.iter().zip(signals).enumerate() {
         let mut rng = streams.for_row(start_row + j);
         out[j] = model::sample_repayment(h.income, loan, &mut rng);
+        cdf_rows += u64::from(model::drawn_state(h.income, loan).is_some());
     }
+    tm::DIST_NORMAL_CDF.add(cdf_rows);
 }
 
 impl UserPopulation for CreditPopulation {

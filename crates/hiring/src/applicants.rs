@@ -16,6 +16,7 @@ use eqimpact_core::shard::{
     shard_bounds, ColsMut, PopulationShard, RowStreams, ShardablePopulation,
 };
 use eqimpact_stats::SimRng;
+use eqimpact_telemetry::metrics as tm;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -139,6 +140,7 @@ fn observe_applicant_cols(
 
 /// The shared respond sweep: placement outcome per applicant, randomness
 /// keyed by the global row; a success accrues one year of experience.
+/// Adds the rows that drew from Φ to `dist.normal_cdf` once per sweep.
 fn respond_applicant_rows(
     applicants: &mut [Applicant],
     start_row: usize,
@@ -147,14 +149,17 @@ fn respond_applicant_rows(
     out: &mut [f64],
 ) {
     assert_eq!(signals.len(), applicants.len(), "signals length");
+    let mut cdf_rows = 0;
     for (j, (a, &signal)) in applicants.iter_mut().zip(signals).enumerate() {
         let mut rng = streams.for_row(start_row + j);
+        cdf_rows += u64::from(model::drawn_margin(a.resources, a.experience, signal).is_some());
         let y = model::sample_performance(a.resources, a.experience, signal, &mut rng);
         if y == 1.0 {
             a.experience += 1.0;
         }
         out[j] = y;
     }
+    tm::DIST_NORMAL_CDF.add(cdf_rows);
 }
 
 impl UserPopulation for ApplicantPool {

@@ -36,7 +36,10 @@ pub const CREDENTIAL_THRESHOLD_K: f64 = 35.0;
 /// the support cost, `x = (z + 2·min(e, 10) − 20) / z`.
 ///
 /// # Panics
-/// Panics for non-positive resources.
+/// Panics for non-positive resources. The respond sweep never reaches the
+/// panic: every applicant's resources are drawn uniformly from a census
+/// bracket, and the census crate asserts at compile time that each
+/// bracket has `0 < lo < hi`.
 pub fn readiness(resources_k: f64, experience: f64) -> f64 {
     assert!(resources_k > 0.0, "readiness: resources must be positive");
     let effective = resources_k + EXPERIENCE_BONUS_K * experience.min(EXPERIENCE_CAP);
@@ -53,21 +56,28 @@ pub fn success_probability(margin: f64) -> f64 {
     }
 }
 
+/// The readiness margin `x` of an applicant whose placement outcome is
+/// drawn from `Φ(3x)`, or `None` when the outcome is forced to 0: not
+/// hired (`signal <= 0`) or a non-positive margin.
+pub(crate) fn drawn_margin(resources_k: f64, experience: f64, signal: f64) -> Option<f64> {
+    if signal <= 0.0 {
+        return None;
+    }
+    let x = readiness(resources_k, experience);
+    if x <= 0.0 {
+        None
+    } else {
+        Some(x)
+    }
+}
+
 /// Samples the binary placement outcome `y_i(k)`: forced 0 when not hired
 /// (`signal <= 0`) or the margin is non-positive, Bernoulli(`Φ(3x)`)
 /// otherwise.
 pub fn sample_performance(resources_k: f64, experience: f64, signal: f64, rng: &mut SimRng) -> f64 {
-    if signal <= 0.0 {
-        return 0.0;
-    }
-    let x = readiness(resources_k, experience);
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if rng.bernoulli(success_probability(x)) {
-        1.0
-    } else {
-        0.0
+    match drawn_margin(resources_k, experience, signal) {
+        Some(x) if rng.bernoulli(success_probability(x)) => 1.0,
+        _ => 0.0,
     }
 }
 
@@ -110,6 +120,9 @@ mod tests {
         assert_eq!(sample_performance(100.0, 0.0, 0.0, &mut rng), 0.0);
         // Resources below the support cost: the placement always fails.
         assert_eq!(sample_performance(12.0, 0.0, 1.0, &mut rng), 0.0);
+        // Neither is a draw from Φ.
+        assert_eq!(drawn_margin(100.0, 0.0, 0.0), None);
+        assert_eq!(drawn_margin(12.0, 0.0, 1.0), None);
     }
 
     #[test]

@@ -1,310 +1,205 @@
 //! Probability distributions used by the closed-loop simulations.
 //!
-//! Everything is implemented from first principles: the normal CDF uses our
-//! own `erf` (Abramowitz & Stegun 7.1.26 refined to double precision via
-//! the W. J. Cody rational approximations is overkill here; we use the
-//! high-accuracy series/continued-fraction split), and the normal quantile
-//! uses Acklam's rational approximation polished with one Halley step.
+//! [`std_normal_cdf`] is the probability of every credit repayment and
+//! hiring placement draw, so it runs once per user-step on the loop's
+//! respond path. It evaluates `Φ(x) = erfc(−x/√2) / 2` with a port of
+//! fdlibm's `erfc` (`s_erf.c`, the routine musl and FreeBSD libm ship):
+//! W. J. Cody-style rational fits on four intervals of the argument,
+//! with an error under 1 ulp at a fixed cost per call.
+//!
+//! [`Categorical`] samples an index from a finite distribution by
+//! inverse-CDF binary search (the paper's race shares).
 
 use crate::rng::SimRng;
 
-/// Common sampling interface for scalar distributions.
-pub trait Sample {
-    /// Draws one sample using the provided stream.
-    fn sample(&self, rng: &mut SimRng) -> f64;
-}
-
 // ---------------------------------------------------------------------------
-// Error function and normal distribution
+// Normal CDF
 // ---------------------------------------------------------------------------
-
-/// The error function `erf(x)`, accurate to ~1e-15.
-///
-/// Series expansion for `|x| <= 2.0`, continued-fraction complement above.
-pub fn erf(x: f64) -> f64 {
-    if x < 0.0 {
-        return -erf(-x);
-    }
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x > 6.0 {
-        return 1.0;
-    }
-    if x <= 2.0 {
-        // Maclaurin series: erf(x) = 2/sqrt(pi) * sum (-1)^n x^(2n+1)/(n!(2n+1)).
-        let mut term = x;
-        let mut sum = x;
-        let x2 = x * x;
-        let mut n = 0u32;
-        loop {
-            n += 1;
-            term *= -x2 / n as f64;
-            let contribution = term / (2 * n + 1) as f64;
-            sum += contribution;
-            if contribution.abs() < 1e-17 * sum.abs() {
-                break;
-            }
-            if n > 200 {
-                break;
-            }
-        }
-        (2.0 / std::f64::consts::PI.sqrt()) * sum
-    } else {
-        1.0 - erfc_cf(x)
-    }
-}
-
-/// Complementary error function `erfc(x) = 1 - erf(x)`.
-pub fn erfc(x: f64) -> f64 {
-    if x < 2.0 {
-        1.0 - erf(x)
-    } else {
-        erfc_cf(x)
-    }
-}
-
-/// Continued-fraction evaluation of erfc for x >= 2 (Lentz's algorithm).
-fn erfc_cf(x: f64) -> f64 {
-    // erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + 1/(2x + 2/(x + 3/(2x + ...))))
-    let mut f = x;
-    let mut c = x;
-    let mut d = 0.0;
-    let tiny = 1e-300;
-    for k in 1..300 {
-        // erfc(x)·√π·exp(x²) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
-        // i.e. partial numerators a_k = k/2 with constant denominator x.
-        let an = k as f64 / 2.0;
-        let bn = x;
-        d = bn + an * d;
-        if d.abs() < tiny {
-            d = tiny;
-        }
-        c = bn + an / c;
-        if c.abs() < tiny {
-            c = tiny;
-        }
-        d = 1.0 / d;
-        let delta = c * d;
-        f *= delta;
-        if (delta - 1.0).abs() < 1e-16 {
-            break;
-        }
-    }
-    // f now approximates x + CF, so erfc = exp(-x^2)/sqrt(pi) / f.
-    (-x * x).exp() / (std::f64::consts::PI.sqrt() * f)
-}
 
 /// Standard normal cumulative distribution function `Φ(x)`.
+///
+/// `Φ(NaN)` is NaN, `Φ(−∞) = 0` and `Φ(+∞) = 1`. Below `x ≈ −38.5` the
+/// result underflows to 0.
 pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
 }
 
-/// Standard normal quantile (inverse CDF) via Acklam's approximation plus
-/// one Halley refinement step; accurate to ~1e-13 on (0, 1).
+// The coefficients below and the body of `erfc` are ported from fdlibm's
+// `s_erf.c`, which carries this notice:
+//
+//   Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+//
+//   Developed at SunSoft, a Sun Microsystems, Inc. business.
+//   Permission to use, copy, modify, and distribute this
+//   software is freely granted, provided that this notice
+//   is preserved.
+//
+// Each coefficient is the exact double the source gives as a hex word;
+// its name and decimal form in the source follow in the comment.
+
+/// `erx`: erf(1) rounded to single precision, the offset on [0.84375, 1.25).
+const ERX: f64 = f64::from_bits(0x3feb_0ac1_6000_0000); // erx = 8.45062911510467529297e-01
+
+/// Numerator on |x| < 0.84375, in `x²`.
+const PP: [f64; 5] = [
+    f64::from_bits(0x3fc0_6eba_8214_db68), // pp0 = 1.28379167095512558561e-01
+    f64::from_bits(0xbfd4_cd7d_691c_b913), // pp1 = -3.25042107247001499370e-01
+    f64::from_bits(0xbf9d_2a51_dbd7_194f), // pp2 = -2.84817495755985104766e-02
+    f64::from_bits(0xbf77_a291_2366_68e4), // pp3 = -5.77027029648944159157e-03
+    f64::from_bits(0xbef8_ead6_1200_16ac), // pp4 = -2.37630166566501626084e-05
+];
+
+/// Denominator on |x| < 0.84375, in `x²`, without its leading 1.
+const QQ: [f64; 5] = [
+    f64::from_bits(0x3fd9_7779_cdda_dc09), // qq1 = 3.97917223959155352819e-01
+    f64::from_bits(0x3fb0_a54c_5536_ceba), // qq2 = 6.50222499887672944485e-02
+    f64::from_bits(0x3f74_d022_c4d3_6b0f), // qq3 = 5.08130628187576562776e-03
+    f64::from_bits(0x3f21_5dc9_221c_1a10), // qq4 = 1.32494738004321644526e-04
+    f64::from_bits(0xbed0_9c43_42a2_6120), // qq5 = -3.96022827877536812320e-06
+];
+
+/// Numerator on 0.84375 ≤ |x| < 1.25, in `|x| − 1`.
+const PA: [f64; 7] = [
+    f64::from_bits(0xbf63_59b8_bef7_7538), // pa0 = -2.36211856075265944077e-03
+    f64::from_bits(0x3fda_8d00_ad92_b34d), // pa1 = 4.14856118683748331666e-01
+    f64::from_bits(0xbfd7_d240_fbb8_c3f1), // pa2 = -3.72207876035701323847e-01
+    f64::from_bits(0x3fd4_5fca_8051_20e4), // pa3 = 3.18346619901161753674e-01
+    f64::from_bits(0xbfbc_6398_3d3e_28ec), // pa4 = -1.10894694282396677476e-01
+    f64::from_bits(0x3fa2_2a36_5997_95eb), // pa5 = 3.54783043256182359371e-02
+    f64::from_bits(0xbf61_bf38_0a96_073f), // pa6 = -2.16637559486879084300e-03
+];
+
+/// Denominator on 0.84375 ≤ |x| < 1.25, in `|x| − 1`, without its leading 1.
+const QA: [f64; 6] = [
+    f64::from_bits(0x3fbb_3e66_18ee_e323), // qa1 = 1.06420880400844228286e-01
+    f64::from_bits(0x3fe1_4af0_92eb_6f33), // qa2 = 5.40397917702171048937e-01
+    f64::from_bits(0x3fb2_635c_d99f_e9a7), // qa3 = 7.18286544141962662868e-02
+    f64::from_bits(0x3fc0_2660_e763_351f), // qa4 = 1.26171219808761642112e-01
+    f64::from_bits(0x3f8b_edc2_6b51_dd1c), // qa5 = 1.36370839120290507362e-02
+    f64::from_bits(0x3f88_8b54_5735_151d), // qa6 = 1.19844998467991074170e-02
+];
+
+/// Numerator on 1.25 ≤ |x| < 1/0.35, in `1/x²`.
+const RA: [f64; 8] = [
+    f64::from_bits(0xbf84_3412_600d_6435), // ra0 = -9.86494403484714822705e-03
+    f64::from_bits(0xbfe6_3416_e4ba_7360), // ra1 = -6.93858572707181764372e-01
+    f64::from_bits(0xc025_1e04_41b0_e726), // ra2 = -1.05586262253232909814e+01
+    f64::from_bits(0xc04f_300a_e4cb_a38d), // ra3 = -6.23753324503260060396e+01
+    f64::from_bits(0xc064_4cb1_8428_2266), // ra4 = -1.62396669462573470355e+02
+    f64::from_bits(0xc067_135c_ebcc_abb2), // ra5 = -1.84605092906711035994e+02
+    f64::from_bits(0xc054_5265_57e4_d2f2), // ra6 = -8.12874355063065934246e+01
+    f64::from_bits(0xc023_a0ef_c69a_c25c), // ra7 = -9.81432934416914548592e+00
+];
+
+/// Denominator on 1.25 ≤ |x| < 1/0.35, in `1/x²`, without its leading 1.
+const SA: [f64; 8] = [
+    f64::from_bits(0x4033_a6b9_bd70_7687), // sa1 = 1.96512716674392571292e+01
+    f64::from_bits(0x4061_350c_526a_e721), // sa2 = 1.37657754143519042600e+02
+    f64::from_bits(0x407b_290d_d58a_1a71), // sa3 = 4.34565877475229228821e+02
+    f64::from_bits(0x4084_2b19_21ec_2868), // sa4 = 6.45387271733267880336e+02
+    f64::from_bits(0x407a_d021_5770_0314), // sa5 = 4.29008140027567833386e+02
+    f64::from_bits(0x405b_28a3_ee48_ae2c), // sa6 = 1.08635005541779435134e+02
+    f64::from_bits(0x401a_47ef_8e48_4a93), // sa7 = 6.57024977031928170135e+00
+    f64::from_bits(0xbfae_eff2_ee74_9a62), // sa8 = -6.04244152148580987438e-02
+];
+
+/// Numerator on 1/0.35 ≤ |x| < 28, in `1/x²`.
+const RB: [f64; 7] = [
+    f64::from_bits(0xbf84_3412_39e8_6f4a), // rb0 = -9.86494292470009928597e-03
+    f64::from_bits(0xbfe9_93ba_70c2_85de), // rb1 = -7.99283237680523006574e-01
+    f64::from_bits(0xc031_c209_555f_995a), // rb2 = -1.77579549177547519889e+01
+    f64::from_bits(0xc064_145d_43c5_ed98), // rb3 = -1.60636384855821916062e+02
+    f64::from_bits(0xc083_ec88_1375_f228), // rb4 = -6.37566443368389627722e+02
+    f64::from_bits(0xc090_0461_6a2e_5992), // rb5 = -1.02509513161107724954e+03
+    f64::from_bits(0xc07e_384e_9bdc_383f), // rb6 = -4.83519191608651397019e+02
+];
+
+/// Denominator on 1/0.35 ≤ |x| < 28, in `1/x²`, without its leading 1.
+const SB: [f64; 7] = [
+    f64::from_bits(0x403e_568b_261d_5190), // sb1 = 3.03380607434824582924e+01
+    f64::from_bits(0x4074_5cae_221b_9f0a), // sb2 = 3.25792512996573918826e+02
+    f64::from_bits(0x4098_02eb_189d_5118), // sb3 = 1.53672958608443695994e+03
+    f64::from_bits(0x40a8_ffb7_688c_246a), // sb4 = 3.19985821950859553908e+03
+    f64::from_bits(0x40a3_f219_cedf_3be6), // sb5 = 2.55305040643316442583e+03
+    f64::from_bits(0x407d_a874_e79f_e763), // sb6 = 4.74528541206955367215e+02
+    f64::from_bits(0xc036_70e2_4271_2d62), // sb7 = -2.24409524465858183362e+01
+];
+
+/// `c[0] + z·(c[1] + z·(c[2] + …))`, the nesting order of `s_erf.c`.
+/// The fold's first step, `c[n−1] + z·0`, is exact.
+fn poly(z: f64, c: &[f64]) -> f64 {
+    c.iter().rev().fold(0.0, |acc, &k| k + z * acc)
+}
+
+/// The complementary error function `erfc(x) = 1 − erf(x)` (fdlibm).
 ///
-/// Returns `-inf` at 0 and `+inf` at 1.
+/// Branches on the high word of `|x|`, as the source does, so every
+/// interval edge is the source's. With `t = |x|`:
+/// - t < 0.84375: `erf(x) ≈ x + x·P(x²)/Q(x²)`;
+/// - t < 1.25: `erf(t) ≈ erx + P(t−1)/Q(t−1)`;
+/// - t < 28: `erfc(t) ≈ exp(−t² − 0.5625 + R(1/t²)/S(1/t²)) / t`, with one
+///   fit below 1/0.35 and one above;
+/// - otherwise erfc is 0 for x > 0 and 2 for x < 0, and it is 2 already
+///   for x ≤ −6.
 ///
-/// # Panics
-/// Panics for `p` outside `[0, 1]` or NaN.
-pub fn std_normal_quantile(p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "quantile: p = {p} outside [0,1]");
-    if p == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-
-    // Acklam coefficients.
-    const A: [f64; 6] = [
-        -3.969683028665376e+01,
-        2.209460984245205e+02,
-        -2.759285104469687e+02,
-        1.383_577_518_672_69e2,
-        -3.066479806614716e+01,
-        2.506628277459239e+00,
-    ];
-    const B: [f64; 5] = [
-        -5.447609879822406e+01,
-        1.615858368580409e+02,
-        -1.556989798598866e+02,
-        6.680131188771972e+01,
-        -1.328068155288572e+01,
-    ];
-    const C: [f64; 6] = [
-        -7.784894002430293e-03,
-        -3.223964580411365e-01,
-        -2.400758277161838e+00,
-        -2.549732539343734e+00,
-        4.374664141464968e+00,
-        2.938163982698783e+00,
-    ];
-    const D: [f64; 4] = [
-        7.784695709041462e-03,
-        3.224671290700398e-01,
-        2.445134137142996e+00,
-        3.754408661907416e+00,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Halley step against our own CDF.
-    let e = std_normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    x - u / (1.0 + x * u / 2.0)
-}
-
-/// A normal distribution `N(mean, sd²)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    sd: f64,
-}
-
-impl Normal {
-    /// Creates `N(mean, sd²)`.
-    ///
-    /// # Panics
-    /// Panics if `sd <= 0` or either parameter is non-finite.
-    pub fn new(mean: f64, sd: f64) -> Self {
-        assert!(
-            sd > 0.0 && sd.is_finite() && mean.is_finite(),
-            "Normal: invalid parameters mean={mean}, sd={sd}"
-        );
-        Normal { mean, sd }
-    }
-
-    /// Mean parameter.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Standard deviation parameter.
-    pub fn sd(&self) -> f64 {
-        self.sd
-    }
-
-    /// Quantile at probability `p`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        self.mean + self.sd * std_normal_quantile(p)
-    }
-}
-
-impl Sample for Normal {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.mean + self.sd * rng.standard_normal()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bernoulli
-// ---------------------------------------------------------------------------
-
-/// A Bernoulli distribution over `{0.0, 1.0}`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli with success probability `p`.
-    ///
-    /// # Panics
-    /// Panics if `p` is outside `[0, 1]` or NaN.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "Bernoulli: p = {p} outside [0,1]");
-        Bernoulli { p }
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
-    /// Mean (= p).
-    pub fn mean(&self) -> f64 {
-        self.p
-    }
-
-    /// Variance `p (1 - p)`.
-    pub fn variance(&self) -> f64 {
-        self.p * (1.0 - self.p)
-    }
-
-    /// Draws a boolean.
-    pub fn sample_bool(&self, rng: &mut SimRng) -> bool {
-        rng.bernoulli(self.p)
-    }
-}
-
-impl Sample for Bernoulli {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        if self.sample_bool(rng) {
-            1.0
+/// `erfc(NaN)` is NaN, `erfc(+∞) = 0` and `erfc(−∞) = 2`.
+fn erfc(x: f64) -> f64 {
+    let negative = x.is_sign_negative();
+    let ix = (x.abs().to_bits() >> 32) as u32;
+    if ix >= 0x7ff0_0000 {
+        // NaN or ±∞.
+        return if x.is_nan() {
+            x
+        } else if negative {
+            2.0
         } else {
             0.0
+        };
+    }
+    if ix < 0x3feb_0000 {
+        // |x| < 0.84375
+        if ix < 0x3c70_0000 {
+            // |x| < 2^-56
+            return 1.0 - x;
         }
+        let z = x * x;
+        let y = poly(z, &PP) / (1.0 + z * poly(z, &QQ));
+        return if x < 0.25 {
+            1.0 - (x + x * y)
+        } else {
+            0.5 - (x * y + (x - 0.5))
+        };
     }
-}
-
-// ---------------------------------------------------------------------------
-// Uniform
-// ---------------------------------------------------------------------------
-
-/// A continuous uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates `U[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or bounds are non-finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(
-            lo < hi && lo.is_finite() && hi.is_finite(),
-            "Uniform: invalid range [{lo}, {hi})"
-        );
-        Uniform { lo, hi }
+    if ix < 0x3ff4_0000 {
+        // 0.84375 <= |x| < 1.25
+        let s = x.abs() - 1.0;
+        let p = poly(s, &PA);
+        let q = 1.0 + s * poly(s, &QA);
+        return if negative {
+            1.0 + (ERX + p / q)
+        } else {
+            (1.0 - ERX) - p / q
+        };
     }
-
-    /// Lower bound.
-    pub fn lo(&self) -> f64 {
-        self.lo
+    if ix >= 0x403c_0000 || (negative && ix >= 0x4018_0000) {
+        // |x| >= 28, or x <= -6
+        return if negative { 2.0 } else { 0.0 };
     }
-
-    /// Upper bound.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
-    /// Mean `(lo + hi) / 2`.
-    pub fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
-impl Sample for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.uniform_in(self.lo, self.hi)
+    let t = x.abs();
+    let s = 1.0 / (t * t);
+    let (r, q) = if ix < 0x4006_db6d {
+        // |x| < 1/0.35
+        (poly(s, &RA), 1.0 + s * poly(s, &SA))
+    } else {
+        (poly(s, &RB), 1.0 + s * poly(s, &SB))
+    };
+    // t with its low word cleared, so that z·z is exact.
+    let z = f64::from_bits(t.to_bits() & 0xffff_ffff_0000_0000);
+    let e = (-z * z - 0.5625).exp() * ((z - t) * (z + t) + r / q).exp();
+    if negative {
+        2.0 - e / t
+    } else {
+        e / t
     }
 }
 
@@ -382,86 +277,116 @@ impl Categorical {
     }
 }
 
-impl Sample for Categorical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sample_index(rng) as f64
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Empirical
-// ---------------------------------------------------------------------------
-
-/// An empirical distribution backed by observed samples.
-///
-/// Supports the exact empirical CDF and bootstrap resampling. Used to
-/// compare a trajectory's empirical law against the invariant measure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Empirical {
-    /// Sorted observations.
-    sorted: Vec<f64>,
-}
-
-impl Empirical {
-    /// Builds an empirical distribution from observations (NaNs rejected).
+/// The series and continued-fraction `erf` that `std_normal_cdf` used
+/// before the rational `erfc`, kept as the accuracy oracle of its tests.
+#[cfg(test)]
+mod oracle {
+    /// The error function `erf(x)`, accurate to ~1e-15.
     ///
-    /// # Panics
-    /// Panics if `samples` is empty or contains NaN.
-    pub fn new(samples: &[f64]) -> Self {
-        assert!(!samples.is_empty(), "Empirical: no samples");
-        let mut sorted = samples.to_vec();
-        assert!(
-            sorted.iter().all(|x| !x.is_nan()),
-            "Empirical: NaN in samples"
-        );
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-        Empirical { sorted }
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the distribution holds zero observations (never true for a
-    /// constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Empirical quantile (inverted CDF, lower interpolation).
-    ///
-    /// # Panics
-    /// Panics for `p` outside `[0, 1]`.
-    pub fn quantile(&self, p: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&p), "quantile: p outside [0,1]");
-        if self.sorted.len() == 1 {
-            return self.sorted[0];
+    /// Series expansion for `|x| <= 2.0`, continued-fraction complement above.
+    pub fn erf(x: f64) -> f64 {
+        if x < 0.0 {
+            return -erf(-x);
         }
-        let idx = (p * (self.sorted.len() - 1) as f64).round() as usize;
-        self.sorted[idx.min(self.sorted.len() - 1)]
+        if x == 0.0 {
+            return 0.0;
+        }
+        if x > 6.0 {
+            return 1.0;
+        }
+        if x <= 2.0 {
+            // Maclaurin series: erf(x) = 2/sqrt(pi) * sum (-1)^n x^(2n+1)/(n!(2n+1)).
+            let mut term = x;
+            let mut sum = x;
+            let x2 = x * x;
+            let mut n = 0u32;
+            loop {
+                n += 1;
+                term *= -x2 / n as f64;
+                let contribution = term / (2 * n + 1) as f64;
+                sum += contribution;
+                if contribution.abs() < 1e-17 * sum.abs() {
+                    break;
+                }
+                if n > 200 {
+                    break;
+                }
+            }
+            (2.0 / std::f64::consts::PI.sqrt()) * sum
+        } else {
+            1.0 - erfc_cf(x)
+        }
     }
 
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
+    /// Complementary error function `erfc(x) = 1 - erf(x)`.
+    pub fn erfc(x: f64) -> f64 {
+        if x < 2.0 {
+            1.0 - erf(x)
+        } else {
+            erfc_cf(x)
+        }
     }
 
-    /// Sorted observations.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-}
-
-impl Sample for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sorted[rng.index(self.sorted.len())]
+    /// Continued-fraction evaluation of erfc for x >= 2 (Lentz's algorithm).
+    fn erfc_cf(x: f64) -> f64 {
+        // erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + 1/(2x + 2/(x + 3/(2x + ...))))
+        let mut f = x;
+        let mut c = x;
+        let mut d = 0.0;
+        let tiny = 1e-300;
+        for k in 1..300 {
+            // erfc(x)·√π·exp(x²) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
+            // i.e. partial numerators a_k = k/2 with constant denominator x.
+            let an = k as f64 / 2.0;
+            let bn = x;
+            d = bn + an * d;
+            if d.abs() < tiny {
+                d = tiny;
+            }
+            c = bn + an / c;
+            if c.abs() < tiny {
+                c = tiny;
+            }
+            d = 1.0 / d;
+            let delta = c * d;
+            f *= delta;
+            if (delta - 1.0).abs() < 1e-16 {
+                break;
+            }
+        }
+        // f now approximates x + CF, so erfc = exp(-x^2)/sqrt(pi) / f.
+        (-x * x).exp() / (std::f64::consts::PI.sqrt() * f)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::f64::consts::SQRT_2;
+
+    /// Φ by the oracle, in the same `0.5 · erfc(−x/√2)` form.
+    fn oracle_cdf(x: f64) -> f64 {
+        0.5 * oracle::erfc(-x / SQRT_2)
+    }
+
+    /// Checks Φ against the oracle at `x`: within `2e-15` absolute
+    /// everywhere, and within `1e-12` relative on [−37, 8.5], where Φ is
+    /// far from underflow.
+    fn assert_close_to_oracle(x: f64) {
+        let (got, want) = (std_normal_cdf(x), oracle_cdf(x));
+        let abs = (got - want).abs();
+        assert!(
+            abs <= 2e-15,
+            "Φ({x:e}) = {got:e}, oracle {want:e}: abs {abs:e}"
+        );
+        if x >= -37.0 {
+            let rel = abs / want;
+            assert!(
+                rel <= 1e-12,
+                "Φ({x:e}) = {got:e}, oracle {want:e}: rel {rel:e}"
+            );
+        }
+    }
 
     #[test]
     fn erf_reference_values() {
@@ -476,9 +401,9 @@ mod tests {
         ];
         for (x, expected) in cases {
             assert!(
-                (erf(x) - expected).abs() < 1e-12,
+                (oracle::erf(x) - expected).abs() < 1e-12,
                 "erf({x}) = {}, expected {expected}",
-                erf(x)
+                oracle::erf(x)
             );
         }
     }
@@ -486,7 +411,10 @@ mod tests {
     #[test]
     fn erfc_complements_erf() {
         for &x in &[0.1, 0.7, 1.5, 2.5, 4.0] {
-            assert!((erf(x) + erfc(x) - 1.0).abs() < 1e-12, "x = {x}");
+            assert!(
+                (oracle::erf(x) + oracle::erfc(x) - 1.0).abs() < 1e-12,
+                "x = {x}"
+            );
         }
     }
 
@@ -496,66 +424,68 @@ mod tests {
         assert!((std_normal_cdf(1.959963984540054) - 0.975).abs() < 1e-10);
         assert!((std_normal_cdf(-1.959963984540054) - 0.025).abs() < 1e-10);
         assert!((std_normal_cdf(1.0) - 0.8413447460685429).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_inverts_cdf() {
-        for &p in &[0.001, 0.025, 0.1, 0.3, 0.5, 0.7, 0.9, 0.975, 0.999] {
-            let x = std_normal_quantile(p);
-            assert!(
-                (std_normal_cdf(x) - p).abs() < 1e-10,
-                "p = {p}, x = {x}, cdf = {}",
-                std_normal_cdf(x)
-            );
+        // P(x) of Abramowitz & Stegun Table 26.1, to its 15 decimals.
+        let table = [
+            (0.0, 0.500000000000000),
+            (0.1, 0.539827837277029),
+            (0.5, 0.691462461274013),
+            (1.0, 0.841344746068543),
+            (1.5, 0.933192798731142),
+            (2.0, 0.977249868051821),
+            (2.5, 0.993790334674224),
+            (3.0, 0.998650101968370),
+        ];
+        for (x, p) in table {
+            for (got, want) in [(std_normal_cdf(x), p), (std_normal_cdf(-x), 1.0 - p)] {
+                assert!((got - want).abs() <= 1e-15, "±{x}: {got} vs {want}");
+            }
         }
-        assert_eq!(std_normal_quantile(0.0), f64::NEG_INFINITY);
-        assert_eq!(std_normal_quantile(1.0), f64::INFINITY);
     }
 
     #[test]
-    fn normal_distribution_api() {
-        let n = Normal::new(2.0, 3.0);
-        assert_eq!(n.mean(), 2.0);
-        assert_eq!(n.sd(), 3.0);
-        assert!((n.quantile(0.5) - 2.0).abs() < 1e-10);
-        let mut rng = SimRng::new(1);
-        let samples: Vec<f64> = (0..20_000).map(|_| n.sample(&mut rng)).collect();
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        assert!((mean - 2.0).abs() < 0.1);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid parameters")]
-    fn normal_rejects_bad_sd() {
-        Normal::new(0.0, 0.0);
-    }
-
-    #[test]
-    fn bernoulli_api() {
-        let b = Bernoulli::new(0.25);
-        assert_eq!(b.p(), 0.25);
-        assert_eq!(b.mean(), 0.25);
-        assert!((b.variance() - 0.1875).abs() < 1e-15);
-        let mut rng = SimRng::new(2);
-        let mean: f64 = (0..20_000).map(|_| b.sample(&mut rng)).sum::<f64>() / 20_000.0;
-        assert!((mean - 0.25).abs() < 0.02);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside [0,1]")]
-    fn bernoulli_rejects_bad_p() {
-        Bernoulli::new(1.5);
-    }
-
-    #[test]
-    fn uniform_api() {
-        let u = Uniform::new(-1.0, 3.0);
-        assert_eq!(u.mean(), 1.0);
-        let mut rng = SimRng::new(3);
-        for _ in 0..100 {
-            let x = u.sample(&mut rng);
-            assert!((-1.0..3.0).contains(&x));
+    fn normal_cdf_matches_the_series_oracle_on_a_dense_grid() {
+        // Step 1/1024 plus an offset, so the grid is not all dyadic.
+        let mut x = -38.5 + 1e-4;
+        while x <= 8.5 {
+            assert_close_to_oracle(x);
+            x += 1.0 / 1024.0;
         }
+    }
+
+    #[test]
+    fn normal_cdf_matches_the_oracle_across_every_interval_edge() {
+        // erfc's interval edges in t = |x|/√2 (at 6 and 28 it cuts off to
+        // 2 and 0), and the oracle's series/fraction seam at t = 2.
+        for t_edge in [0.84375, 1.25, 1.0 / 0.35, 6.0, 28.0, 2.0] {
+            for sign in [-1.0, 1.0] {
+                let centre = sign * t_edge * SQRT_2;
+                // 64 ulps either side, then wider steps out to 1e-6.
+                for ulps in -64i64..=64 {
+                    assert_close_to_oracle(f64::from_bits(
+                        centre.to_bits().wrapping_add_signed(ulps),
+                    ));
+                }
+                for k in 1..=100 {
+                    let d = k as f64 * 1e-8;
+                    assert_close_to_oracle(centre - d);
+                    assert_close_to_oracle(centre + d);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn normal_cdf_underflows_to_zero_below_minus_38_5() {
+        for x in [-38.5, -38.6, -39.0, -40.0, -50.0, -1e3, -1e300, f64::MIN] {
+            assert_eq!(std_normal_cdf(x), 0.0, "Φ({x})");
+        }
+    }
+
+    #[test]
+    fn normal_cdf_special_values() {
+        assert!(std_normal_cdf(f64::NAN).is_nan());
+        assert_eq!(std_normal_cdf(f64::NEG_INFINITY), 0.0);
+        assert_eq!(std_normal_cdf(f64::INFINITY), 1.0);
     }
 
     #[test]
@@ -588,30 +518,5 @@ mod tests {
     #[should_panic(expected = "zero total weight")]
     fn categorical_rejects_zero_weights() {
         Categorical::new(&[0.0, 0.0]);
-    }
-
-    #[test]
-    fn empirical_cdf_and_quantile() {
-        let e = Empirical::new(&[3.0, 1.0, 2.0, 2.0]);
-        assert_eq!(e.len(), 4);
-        assert_eq!(e.quantile(0.0), 1.0);
-        assert_eq!(e.quantile(1.0), 3.0);
-        assert_eq!(e.mean(), 2.0);
-    }
-
-    #[test]
-    fn empirical_resampling_stays_in_support() {
-        let e = Empirical::new(&[1.0, 5.0, 9.0]);
-        let mut rng = SimRng::new(6);
-        for _ in 0..100 {
-            let x = e.sample(&mut rng);
-            assert!(x == 1.0 || x == 5.0 || x == 9.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no samples")]
-    fn empirical_rejects_empty() {
-        Empirical::new(&[]);
     }
 }

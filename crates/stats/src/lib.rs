@@ -4,9 +4,9 @@
 //!
 //! * [`rng`] — deterministic, splittable random-number streams so every
 //!   simulation is reproducible from a single seed;
-//! * [`dist`] — the distributions the paper uses (Bernoulli via the normal
-//!   CDF, categorical race sampling, bracket-uniform income sampling), with
-//!   our own `erf`-based normal CDF and Acklam inverse;
+//! * [`dist`] — the normal CDF behind every Bernoulli response draw (a
+//!   fixed-cost rational `erfc`, ported from fdlibm) and the categorical
+//!   sampler behind the paper's race shares;
 //! * [`describe`] — means, variances, quantiles;
 //! * [`timeseries`] — Cesàro (running time-average) sequences, the object
 //!   equal impact (Def. 3) is about;
@@ -35,7 +35,7 @@ pub mod timeseries;
 pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, bootstrap_stratified_ci, ConfidenceInterval};
 pub use converge::{kolmogorov_smirnov, wasserstein1};
 pub use describe::Summary;
-pub use dist::{Bernoulli, Categorical, Empirical, Normal, Uniform};
+pub use dist::Categorical;
 pub use hist::{Histogram1D, Histogram2D};
 pub use json::{Json, ToJson};
 pub use rng::SimRng;

@@ -3,7 +3,7 @@
 use eqimpact_stats::codec;
 use eqimpact_stats::converge::wasserstein1;
 use eqimpact_stats::describe::{quantile, Summary};
-use eqimpact_stats::dist::{std_normal_cdf, std_normal_quantile};
+use eqimpact_stats::dist::std_normal_cdf;
 use eqimpact_stats::hist::Histogram1D;
 use eqimpact_stats::timeseries::cesaro_trajectory;
 use eqimpact_stats::SimRng;
@@ -18,12 +18,6 @@ proptest! {
     fn normal_cdf_monotone(a in -5.0f64..5.0, b in -5.0f64..5.0) {
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
         prop_assert!(std_normal_cdf(lo) <= std_normal_cdf(hi) + 1e-15);
-    }
-
-    #[test]
-    fn normal_quantile_roundtrip(p in 0.0001f64..0.9999) {
-        let x = std_normal_quantile(p);
-        prop_assert!((std_normal_cdf(x) - p).abs() < 1e-9);
     }
 
     #[test]

@@ -38,6 +38,13 @@ pub static IRLS_ITERATIONS: Counter = Counter::new("irls.iterations", Section::D
 /// vector for a grouped table, one per observation for a plain dataset.
 pub static IRLS_ROWS: Counter = Counter::new("irls.rows", Section::Deterministic);
 
+// --- dist plane (the credit and hiring respond sweeps) -------------------
+
+/// Response draws that evaluated the normal CDF: one per row whose action
+/// was a Bernoulli(Φ) draw rather than forced to 0. Each sweep adds its
+/// rows once.
+pub static DIST_NORMAL_CDF: Counter = Counter::new("dist.normal_cdf", Section::Deterministic);
+
 // --- pool plane (core::pool) — scheduling-dependent, all wall-clock -----
 
 /// Budget leases taken.
@@ -117,11 +124,12 @@ pub static CERTIFY_CELL_ERRORS: Counter =
 pub static CLI_COMMAND: PhaseSpan = PhaseSpan::wall_clock("cli.command");
 
 /// Every counter, in render order.
-pub static COUNTERS: [&Counter; 24] = [
+pub static COUNTERS: [&Counter; 25] = [
     &LOOP_STEPS,
     &IRLS_FITS,
     &IRLS_ITERATIONS,
     &IRLS_ROWS,
+    &DIST_NORMAL_CDF,
     &POOL_LEASES,
     &POOL_LANES_REQUESTED,
     &POOL_LANES_GRANTED,
