@@ -50,7 +50,7 @@ pub const CATALOG: [Rule; 9] = [
         id: "R3",
         name: "thread-hygiene",
         summary: "thread spawns and parallelism probes only in core::pool",
-        hint: "go through ThreadBudget/WorkerPool (core::pool) instead of spawning directly",
+        hint: "go through core::pool (run_indexed or WorkerPool) instead of spawning directly",
     },
     Rule {
         id: "R4",

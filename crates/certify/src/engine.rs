@@ -1,5 +1,5 @@
 //! The certification engine: fans per-trace extraction + analysis cells
-//! through the shared [`WorkerPool`]/[`ThreadBudget`] machinery with the
+//! out as one [`run_indexed`] batch on the [`ThreadBudget`], with the
 //! same determinism contract as the sweep engine — one budget lease for
 //! the whole batch, per-cell RNG derived only from `(seed, cell index)`,
 //! panics caught per cell, and sequential index-ordered aggregation. The
@@ -9,12 +9,11 @@ use crate::checks::analyze_extraction;
 use crate::extract::{extract, Extraction};
 use crate::report::{CertificateReport, TraceCertificate};
 use crate::CertifyTarget;
-use eqimpact_core::pool::{PoolJob, ThreadBudget, WorkerPool};
+use eqimpact_core::pool::{run_indexed, ThreadBudget};
 use eqimpact_lab::sweep::TraceSource;
 use eqimpact_stats::SimRng;
 use eqimpact_telemetry::metrics as tm;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Tunables of a certification run.
 #[derive(Debug, Clone)]
@@ -92,19 +91,10 @@ pub fn certificate_of(
     }
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "unknown panic".to_string()
-    }
-}
-
-/// Runs the certification: every trace becomes one pool cell, the cells
-/// share one [`ThreadBudget`] lease, and the certificates aggregate in
-/// trace order. See the module docs for the determinism contract.
+/// Runs the certification: every trace becomes one cell of a
+/// [`run_indexed`] batch, the cells share one [`ThreadBudget`] lease, and
+/// the certificates aggregate in trace order. See the module docs for
+/// the determinism contract.
 pub fn run_certification(
     target: &dyn CertifyTarget,
     traces: &[&dyn TraceSource],
@@ -114,49 +104,13 @@ pub fn run_certification(
     if traces.is_empty() {
         return Err(CertifyError::NoTraces);
     }
-    let mut results: Vec<Option<Result<TraceCertificate, String>>> =
-        (0..traces.len()).map(|_| None).collect();
-
-    // One lease for the whole batch; zero extra lanes degrades to running
-    // every cell inline on this thread with identical results.
+    // One batch under one lease: at most one lane per trace.
     eqimpact_telemetry::progress::add_goal(traces.len() as u64);
-    let lease = budget.lease(traces.len());
-    let mut pool = WorkerPool::new(lease.extra());
-    let jobs: Vec<PoolJob> = results
-        .iter_mut()
-        .enumerate()
-        .map(|(index, slot)| {
-            let trace = traces[index];
-            Box::new(move || {
-                let rng = SimRng::new(config.seed).split(index as u64);
-                let outcome = {
-                    let _cell = tm::CERTIFY_CELLS.enter();
-                    catch_unwind(AssertUnwindSafe(|| {
-                        certify_trace(target, trace, config, &rng)
-                    }))
-                };
-                *slot = Some(match outcome {
-                    Ok(result) => {
-                        if result.is_err() {
-                            tm::CERTIFY_CELL_ERRORS.incr();
-                        }
-                        result
-                    }
-                    Err(payload) => {
-                        tm::CERTIFY_CELL_ERRORS.incr();
-                        Err(format!(
-                            "{}: certification panicked: {}",
-                            trace.label(),
-                            panic_message(payload.as_ref())
-                        ))
-                    }
-                });
-            }) as PoolJob
-        })
-        .collect();
-    pool.run(jobs);
-    drop(pool);
-    drop(lease);
+    let outcomes = run_indexed(budget, traces.len(), |index| {
+        let rng = SimRng::new(config.seed).split(index as u64);
+        let _cell = tm::CERTIFY_CELLS.enter();
+        certify_trace(target, traces[index], config, &rng)
+    });
 
     let mut report = CertificateReport {
         scenario: target.name().to_string(),
@@ -165,13 +119,17 @@ pub fn run_certification(
         errors: Vec::new(),
         overall: Vec::new(),
     };
-    for slot in &mut results {
-        match slot.take() {
-            Some(Ok(cert)) => report.certificates.push(cert),
-            Some(Err(e)) => report.errors.push(e),
-            None => report.errors.push("cell was never scheduled".to_string()),
+    for (trace, outcome) in traces.iter().zip(outcomes) {
+        match outcome {
+            Ok(Ok(cert)) => report.certificates.push(cert),
+            Ok(Err(e)) => report.errors.push(e),
+            Err(panic) => report.errors.push(format!(
+                "{}: certification panicked: {panic}",
+                trace.label()
+            )),
         }
     }
+    tm::CERTIFY_CELL_ERRORS.add(report.errors.len() as u64);
     report.combine_overall();
     Ok(report)
 }

@@ -24,7 +24,7 @@
 //!    (certified / refuted / inconclusive), evidence numbers, and the
 //!    theorem precondition it tests.
 //! 3. **Reporting** ([`report`], [`engine`]) fans the per-trace cells
-//!    through the shared `WorkerPool`/`ThreadBudget` machinery and
+//!    out as one `run_indexed` batch on the shared `ThreadBudget` and
 //!    renders a deterministic [`CertificateReport`] (JSON + aligned
 //!    text), byte-identical across runs and thread counts.
 //!

@@ -88,7 +88,7 @@ impl CertificateReport {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("scenario", Json::Str(self.scenario.clone())),
-            ("seed", Json::Num(self.seed as f64)),
+            ("seed", self.seed.to_string().as_str().to_json()),
             ("traces", Json::Num(self.certificates.len() as f64)),
             (
                 "overall",
@@ -242,10 +242,13 @@ mod tests {
 
     #[test]
     fn renderings_are_deterministic_and_show_undefined_evidence() {
-        let r = report();
+        let mut r = report();
+        // Above 2^53, where an f64 can no longer hold every u64.
+        r.seed = (1 << 53) + 1;
         let j1 = r.to_json().render_pretty();
         let j2 = r.to_json().render_pretty();
         assert_eq!(j1, j2);
+        assert!(j1.contains("\"seed\": \"9007199254740993\""), "{j1}");
         assert!(j1.contains("\"beta\": null"), "{j1}");
         let t = r.render_text();
         assert_eq!(t, r.render_text());

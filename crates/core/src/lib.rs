@@ -28,17 +28,20 @@
 //!   coincidence, unconditional and group-conditioned;
 //! * [`pool`] — the process-wide [`pool::ThreadBudget`] (every parallel
 //!   region leases its lanes from one ledger, so `trials × shards` can
-//!   never oversubscribe the host) and the [`pool::WorkerPool`] of
-//!   long-lived parked workers with a submit/barrier protocol — one pool
-//!   per run instead of threads per step;
+//!   never oversubscribe the host) and its two fan-outs:
+//!   [`pool::run_indexed`] for one-shot batches of independent jobs
+//!   (trials, sweep and certification cells) and the [`pool::WorkerPool`]
+//!   of long-lived parked workers with a submit/barrier protocol for
+//!   per-step batches — one pool per run instead of threads per step;
 //! * [`shard`] — deterministic **intra-trial** parallelism: the
 //!   [`shard::ShardedRunner`] splits one step's user sweep over the
 //!   parked workers of a budget-leased [`pool::WorkerPool`] (contiguous
 //!   row shards, index-keyed [`shard::RowStreams`] RNG streams) and
 //!   merges at a per-step barrier, producing records bit-identical to
 //!   the sequential runner for any shard count;
-//! * [`trials`] — deterministic multi-seed trial running, striped over
-//!   lanes leased from the [`pool::ThreadBudget`];
+//! * [`trials`] — deterministic multi-seed trial running, one
+//!   [`pool::run_indexed`] batch over lanes leased from the
+//!   [`pool::ThreadBudget`];
 //! * [`scenario`] — first-class pluggable workloads: the
 //!   [`scenario::Scenario`] trait bundles a closed-loop workload's
 //!   config ([`scenario::Scale`]), per-trial construction, record policy
@@ -123,4 +126,4 @@ pub use scenario::{
     ScenarioConfig, ScenarioError, ScenarioReport, TraceMeta, TraceSinkFactory,
 };
 pub use treatment::{equal_treatment_report, EqualTreatmentReport};
-pub use trials::{run_trials, run_trials_with, run_trials_with_budget, TrialSet};
+pub use trials::{run_trials_with, run_trials_with_budget};

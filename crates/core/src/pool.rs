@@ -1,4 +1,4 @@
-//! The process-wide **thread budget** and the persistent **worker pool**
+//! The process-wide **thread budget** and the two fan-out primitives
 //! behind every parallel axis of the workspace.
 //!
 //! Two problems motivated this module. First, the sharded runner used to
@@ -11,19 +11,24 @@
 //!
 //! * [`ThreadBudget`] — a single, process-wide ledger of *lanes*
 //!   (concurrently executing threads). Every parallel region
-//!   ([`run_trials_with`](crate::trials::run_trials_with), a
+//!   ([`run_trials_with`](crate::trials::run_trials_with), a sweep or
+//!   certification batch, a
 //!   [`ShardedRunner`](crate::shard::ShardedRunner) run) **leases** the
 //!   lanes it wants and gets at most what is free, so nested parallelism
 //!   composes instead of multiplying: trials striped over the whole
 //!   budget leave nothing for intra-trial shards, which then degrade to
 //!   sequential sweeps on their own lane rather than thrashing the
 //!   scheduler.
-//! * [`WorkerPool`] — long-lived, parked worker threads driven by a
-//!   **submit/barrier protocol**: [`WorkerPool::run`] submits one batch
-//!   of borrowed jobs (each worker has its own job channel; parked
-//!   workers wake on `recv`), runs the caller's stripe on the calling
-//!   thread, and returns only when **every** job of the batch has
-//!   completed — the barrier. A run therefore costs one pool
+//! * [`run_indexed`] — the **one-shot batch**: `n` independent jobs
+//!   (trials, sweep cells, certification cells) striped over one lease,
+//!   one scoped thread per lane, each job's panic caught as its own
+//!   `Err`, results returned in index order.
+//! * [`WorkerPool`] — the **per-step batch**: long-lived, parked worker
+//!   threads driven by a submit/barrier protocol. [`WorkerPool::run`]
+//!   submits one batch of borrowed jobs (each worker has its own job
+//!   channel; parked workers wake on `recv`), runs the caller's stripe on
+//!   the calling thread, and returns only when **every** job of the batch
+//!   has completed — the barrier. A sharded run therefore costs one pool
 //!   (`lanes − 1` spawns) instead of `steps × (shards − 1)` spawns.
 //!
 //! # The lease hierarchy
@@ -37,7 +42,7 @@
 //! ```text
 //! main thread                               1 implicit lane
 //! └─ run_trials_with(5 trials)              leases 5 → gets min(5, budget)
-//!    └─ trial worker (1 leased lane each)
+//!    └─ trial lane (1 leased lane each)
 //!       └─ ShardedRunner::run(8 shards)     leases 8 → gets what's left
 //!          └─ WorkerPool(lanes − 1 workers)
 //! ```
@@ -50,6 +55,17 @@
 //! with the `EQIMPACT_THREADS` environment variable or
 //! [`ThreadBudget::init_global`] (the `experiments` CLI's `--threads`
 //! flag), e.g. to leave cores free for a co-located service.
+//!
+//! # One-shot batches
+//!
+//! [`run_indexed`] spawns one scoped thread per granted lane and runs
+//! job `i` on lane `i % lanes`. The calling thread only waits: its
+//! implicit lane is spent on one of the spawned threads. Running a
+//! stripe on the caller instead was measured slower on glibc; the cost
+//! came from the main thread's malloc arena being trimmed and regrown,
+//! and it vanished with trimming turned off. A panicking job becomes
+//! that job's `Err(message)` and its lane goes on with the next job, so
+//! one bad cell never costs the others.
 //!
 //! # The submit/barrier protocol
 //!
@@ -423,29 +439,57 @@ impl std::fmt::Debug for WorkerPool {
     }
 }
 
-/// Runs every job on its own scoped OS thread and returns once all of
-/// them have finished.
+/// Runs `jobs` independent jobs on up to `jobs` lanes leased from
+/// `budget` and returns their results in index order (see the module
+/// docs).
 ///
-/// This is the workspace's only sanctioned scoped-spawn entry point
-/// (thread-hygiene rule R3): callers that already hold a
-/// [`ThreadBudget`] lease — such as `trials::run_trials_with_budget`,
-/// whose stripes are long-lived and uniform, so the parked
-/// [`WorkerPool`] would buy nothing — hand their stripe closures here
-/// instead of touching `std::thread` themselves.
-///
-/// Panic behaviour matches `std::thread::scope`: every job is joined
-/// first, then the first panic (if any) is re-raised. Callers that
-/// must aggregate panics deterministically should catch them inside
-/// the job, as the trial runner does.
-pub fn scoped_run<F>(jobs: Vec<F>)
+/// `job(i)` runs on lane `i % lanes`, one scoped thread per lane, while
+/// the calling thread waits. A job that panics yields `Err` with its
+/// panic message; every other job still runs and returns `Ok`. Zero jobs
+/// return an empty `Vec`.
+pub fn run_indexed<T, F>(budget: &ThreadBudget, jobs: usize, job: F) -> Vec<Result<T, String>>
 where
-    F: FnOnce() + Send,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
 {
-    std::thread::scope(|scope| {
-        for job in jobs {
-            scope.spawn(job);
-        }
+    let lease = budget.lease(jobs);
+    let lanes = lease.lanes().min(jobs);
+    let run_lane = |lane: usize| -> Vec<Result<T, String>> {
+        (lane..jobs)
+            .step_by(lanes)
+            .map(|i| {
+                let result = catch_unwind(AssertUnwindSafe(|| job(i))).map_err(|payload| {
+                    payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "non-string panic payload".to_string())
+                });
+                tm::POOL_JOBS_RUN.incr();
+                tm::POOL_LANE_JOBS.record(lane, 1);
+                result
+            })
+            .collect()
+    };
+    let run_lane = &run_lane;
+    let stripes: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..lanes)
+            .map(|lane| scope.spawn(move || run_lane(lane)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("jobs' panics are caught in the lane"))
+            .collect()
     });
+    // Job i is the (i / lanes)-th result of stripe i % lanes.
+    let mut stripes: Vec<_> = stripes.into_iter().map(Vec::into_iter).collect();
+    (0..jobs)
+        .map(|i| {
+            stripes[i % lanes]
+                .next()
+                .expect("stripe i % lanes holds job i")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -652,5 +696,35 @@ mod tests {
         pool.run(Vec::new());
         pool.run(Vec::new());
         assert!(!pool.is_poisoned());
+    }
+
+    #[test]
+    fn run_indexed_returns_results_in_index_order() {
+        let budget = ThreadBudget::new(3);
+        let results = run_indexed(&budget, 23, |i| i * i);
+        let expected: Vec<Result<usize, String>> = (0..23).map(|i| Ok(i * i)).collect();
+        assert_eq!(results, expected);
+        assert!(run_indexed(&budget, 0, |i| i).is_empty());
+        assert_eq!(
+            budget.available_lanes(),
+            budget.capacity(),
+            "the batch returned its lease"
+        );
+    }
+
+    #[test]
+    fn run_indexed_turns_a_panicking_job_into_its_error() {
+        let budget = ThreadBudget::new(2);
+        let results = run_indexed(&budget, 5, |i| {
+            if i == 2 {
+                panic!("job {i} exploded");
+            }
+            i
+        });
+        assert_eq!(results[2], Err("job 2 exploded".to_string()));
+        for i in [0, 1, 3, 4] {
+            assert_eq!(results[i], Ok(i), "job {i}");
+        }
+        assert_eq!(budget.available_lanes(), budget.capacity());
     }
 }

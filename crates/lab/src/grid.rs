@@ -47,8 +47,10 @@ impl CandidateGrid {
     /// ```
     ///
     /// Axis names are `policy`, `filter` and `threshold`. Unknown axes,
-    /// empty value lists, repeated axes and unparsable thresholds are
-    /// all errors — a typo must never silently shrink a sweep.
+    /// empty value lists, repeated axes and unparsable or NaN thresholds
+    /// are all errors — a typo must never silently shrink a sweep, and a
+    /// NaN threshold would decide every case negative. `inf` and `-inf`
+    /// are valid: the approve-none and approve-all thresholds.
     pub fn parse(spec: &str, defaults: &CandidateGrid) -> Result<CandidateGrid, GridError> {
         let mut grid = defaults.clone();
         let mut seen = Vec::new();
@@ -83,10 +85,11 @@ impl CandidateGrid {
                 "threshold" => {
                     grid.thresholds = values
                         .iter()
-                        .map(|v| {
-                            v.parse::<f64>().map_err(|_| GridError::BadThreshold {
+                        .map(|v| match v.parse::<f64>() {
+                            Ok(t) if !t.is_nan() => Ok(t),
+                            _ => Err(GridError::BadThreshold {
                                 value: v.to_string(),
-                            })
+                            }),
                         })
                         .collect::<Result<_, _>>()?;
                 }
@@ -174,9 +177,9 @@ pub enum GridError {
         /// The repeated axis.
         axis: String,
     },
-    /// A threshold that does not parse as `f64`.
+    /// A threshold that does not parse as `f64`, or parses as NaN.
     BadThreshold {
-        /// The unparsable value.
+        /// The rejected value.
         value: String,
     },
 }
@@ -259,10 +262,14 @@ mod tests {
             CandidateGrid::parse("policy=a;policy=b", &defaults()),
             Err(GridError::DuplicateAxis { .. })
         ));
-        assert!(matches!(
-            CandidateGrid::parse("threshold=zero", &defaults()),
-            Err(GridError::BadThreshold { .. })
-        ));
+        for bad in ["zero", "nan", "NaN"] {
+            assert_eq!(
+                CandidateGrid::parse(&format!("threshold={bad}"), &defaults()),
+                Err(GridError::BadThreshold {
+                    value: bad.to_string()
+                })
+            );
+        }
     }
 
     #[test]

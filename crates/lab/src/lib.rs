@@ -6,17 +6,17 @@
 //! (policy, filter, threshold) combinations, [`run_sweep`] fans every
 //! candidate across every recorded trace on the process-wide
 //! [`ThreadBudget`](eqimpact_core::pool::ThreadBudget) (one lease, one
-//! [`WorkerPool`](eqimpact_core::pool::WorkerPool) batch, per-cell panic
-//! isolation), and the result is a [`SweepReport`]: candidates ranked by
-//! demographic-parity gap, every gap and impact delta carrying a
-//! bootstrap confidence interval.
+//! [`run_indexed`](eqimpact_core::pool::run_indexed) batch, per-cell
+//! panic isolation), and the result is a [`SweepReport`]: candidates
+//! ranked by demographic-parity gap, every gap and impact delta carrying
+//! a bootstrap confidence interval.
 //!
 //! # Determinism contract
 //!
 //! The same traces, grid and [`SweepConfig`] produce a bit-identical
-//! report regardless of thread count or scheduling: cells write disjoint
-//! result slots, aggregation is sequential in grid order, and candidate
-//! `i`'s bootstrap RNG is derived from `(seed, i)` alone.
+//! report regardless of thread count or scheduling: cell results come
+//! back in index order, aggregation is sequential in grid order, and
+//! candidate `i`'s bootstrap RNG is derived from `(seed, i)` alone.
 //!
 //! # The checkpoint fast-path
 //!

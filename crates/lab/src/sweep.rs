@@ -4,13 +4,13 @@
 //!
 //! A sweep's unit of work is a **cell** — one candidate evaluated
 //! off-policy against one trace. Cells are independent, so all of them
-//! go into a single [`WorkerPool`] batch under one [`ThreadBudget`]
+//! go into a single [`run_indexed`] batch under one [`ThreadBudget`]
 //! lease; each cell streams its trace from its own reader (traces are
 //! never materialized in memory by the engine) and reduces the two
 //! [`LoopRecord`](eqimpact_core::LoopRecord)s to compact per-user
-//! statistics before the records are dropped. A panicking cell is
-//! caught inside the job and reported as that cell's error — one corrupt
-//! trace or misbehaving candidate never takes down the sweep.
+//! statistics before the records are dropped. A panicking cell comes
+//! back as that cell's error — one corrupt trace or misbehaving
+//! candidate never takes down the sweep.
 //!
 //! Aggregation is sequential and index-ordered, with every candidate's
 //! bootstrap RNG derived from `(config.seed, candidate.index)` — so the
@@ -18,14 +18,13 @@
 
 use crate::grid::{CandidateGrid, CandidateSpec};
 use crate::report::{RankedCandidate, SweepReport};
-use eqimpact_core::pool::{PoolJob, ThreadBudget, WorkerPool};
+use eqimpact_core::pool::{run_indexed, ThreadBudget};
 use eqimpact_stats::{bootstrap_mean_ci, bootstrap_stratified_ci, ConfidenceInterval, SimRng};
 use eqimpact_telemetry::metrics as tm;
 use eqimpact_trace::{OffPolicyOutcome, TraceError, TraceHeader};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Read;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 /// What a workload hands back for one (trace, candidate) cell.
@@ -293,16 +292,6 @@ fn evaluate_cell(
     cell_stats(&eval, candidate.threshold)
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// A NaN interval at `level`: the statistic had no samples (e.g. a trace
 /// without group metadata), which the report renders as "undefined"
 /// rather than inventing a number.
@@ -385,53 +374,24 @@ pub fn run_sweep(
 
     let candidates = grid.candidates();
     let cells = candidates.len() * traces.len();
-    let mut results: Vec<Option<Result<CellStats, String>>> = (0..cells).map(|_| None).collect();
 
-    // One lease for the whole sweep: at most one lane per cell, and
-    // whatever the budget can spare. With zero extra lanes the pool runs
-    // every cell inline on this thread — same results, sequentially.
+    // One batch under one lease: at most one lane per cell, and whatever
+    // the budget can spare.
     eqimpact_telemetry::progress::add_goal(cells as u64);
-    let lease = budget.lease(cells);
-    let mut pool = WorkerPool::new(lease.extra());
-    let jobs: Vec<PoolJob> = results
-        .iter_mut()
-        .enumerate()
-        .map(|(cell, slot)| {
-            let candidate = &candidates[cell / traces.len()];
-            let trace = traces[cell % traces.len()];
-            Box::new(move || {
-                // Cells must not poison the pool (a panic in WorkerPool
-                // jobs aborts the batch): catch here, report per cell.
-                let outcome = {
-                    let _cell = tm::SWEEP_CELLS.enter();
-                    catch_unwind(AssertUnwindSafe(|| evaluate_cell(target, trace, candidate)))
-                };
-                *slot = Some(match outcome {
-                    Ok(Ok(stats)) => Ok(stats),
-                    Ok(Err(e)) => {
-                        tm::SWEEP_CELL_ERRORS.incr();
-                        Err(format!("{}: {e}", trace.label()))
-                    }
-                    Err(payload) => {
-                        tm::SWEEP_CELL_ERRORS.incr();
-                        Err(format!(
-                            "{}: candidate panicked: {}",
-                            trace.label(),
-                            panic_message(payload.as_ref())
-                        ))
-                    }
-                });
-            }) as PoolJob
-        })
-        .collect();
-    pool.run(jobs);
-    drop(pool);
-    drop(lease);
+    let mut outcomes = run_indexed(budget, cells, |cell| {
+        let _cell = tm::SWEEP_CELLS.enter();
+        evaluate_cell(
+            target,
+            traces[cell % traces.len()],
+            &candidates[cell / traces.len()],
+        )
+    })
+    .into_iter();
 
     // Sequential, index-ordered aggregation: candidate i's bootstrap RNG
     // depends only on (seed, i), never on scheduling.
     let mut ranked = Vec::with_capacity(candidates.len());
-    for (ci, candidate) in candidates.iter().enumerate() {
+    for candidate in &candidates {
         let mut errors = Vec::new();
         let mut evaluated = 0usize;
         let mut agreement_sum = 0.0;
@@ -439,9 +399,11 @@ pub fn run_sweep(
         let mut parity: BTreeMap<String, Vec<f64>> = BTreeMap::new();
         let mut opportunity: BTreeMap<String, Vec<f64>> = BTreeMap::new();
         let mut outcome_delta = Vec::new();
-        for slot in &mut results[ci * traces.len()..(ci + 1) * traces.len()] {
-            match slot.take() {
-                Some(Ok(stats)) => {
+        // `zip` stops at the last trace without pulling the next
+        // candidate's first cell.
+        for (trace, outcome) in traces.iter().zip(outcomes.by_ref()) {
+            match outcome {
+                Ok(Ok(stats)) => {
                     evaluated += 1;
                     if stats.agreement.is_finite() {
                         agreement_sum += stats.agreement;
@@ -455,10 +417,13 @@ pub fn run_sweep(
                     }
                     outcome_delta.extend(stats.outcome_delta);
                 }
-                Some(Err(e)) => errors.push(e),
-                None => errors.push("cell was never scheduled".to_string()),
+                Ok(Err(e)) => errors.push(format!("{}: {e}", trace.label())),
+                Err(panic) => {
+                    errors.push(format!("{}: candidate panicked: {panic}", trace.label()))
+                }
             }
         }
+        tm::SWEEP_CELL_ERRORS.add(errors.len() as u64);
         let base = SimRng::new(config.seed).split(candidate.index as u64);
         let parity_gap = gap_ci(&parity, config, &mut base.split(1));
         let opportunity_gap = gap_ci(&opportunity, config, &mut base.split(2));

@@ -57,7 +57,8 @@ pub static POOL_LANES_GRANTED: Counter = Counter::new("pool.lanes_granted", Sect
 pub static POOL_LEASES_CLAMPED: Counter = Counter::new("pool.leases_clamped", Section::WallClock);
 /// Extra budget lanes currently held by live leases (peak = high-water).
 pub static POOL_LANES_BUSY: Gauge = Gauge::new("pool.lanes_busy", Section::WallClock);
-/// Jobs executed on pool worker threads.
+/// Jobs executed on worker threads (`WorkerPool` workers and
+/// `run_indexed` lanes).
 pub static POOL_JOBS_RUN: Counter = Counter::new("pool.jobs_run", Section::WallClock);
 /// Jobs executed inline on the submitting thread (its own stripe).
 pub static POOL_JOBS_INLINE: Counter = Counter::new("pool.jobs_inline", Section::WallClock);
@@ -65,7 +66,9 @@ pub static POOL_JOBS_INLINE: Counter = Counter::new("pool.jobs_inline", Section:
 pub static POOL_PANICS: Counter = Counter::new("pool.panics", Section::WallClock);
 /// Submit-to-start latency of worker-lane jobs.
 pub static POOL_QUEUE_WAIT: PhaseSpan = PhaseSpan::wall_clock("pool.queue_wait");
-/// Jobs per lane (lane 0 = the calling thread, lane w+1 = worker w).
+/// Jobs per lane. In a `WorkerPool` batch lane 0 is the calling thread
+/// and lane w+1 is worker w; in a `run_indexed` batch the lane is the
+/// stripe.
 pub static POOL_LANE_JOBS: LaneSet = LaneSet::new("pool.lane_jobs");
 
 // --- trace plane (crates/trace) -----------------------------------------

@@ -13,6 +13,7 @@ use eqimpact_credit::CreditCertify;
 use eqimpact_hiring::sim::{HiringConfig, ScreenerKind};
 use eqimpact_hiring::HiringCertify;
 use eqimpact_trace::{TraceHeader, TraceStepSink};
+use std::io::Read;
 
 /// Records `trials` checkpointed credit traces in memory.
 fn credit_traces(trials: usize) -> Vec<MemTrace> {
@@ -145,4 +146,37 @@ fn both_scenarios_render_the_headline_checks_with_verdicts() {
             target.name()
         );
     }
+}
+
+/// A trace source whose `open` panics.
+struct PanickingTrace;
+
+impl TraceSource for PanickingTrace {
+    fn label(&self) -> &str {
+        "panicking.eqtrace"
+    }
+
+    fn open(&self) -> std::io::Result<Box<dyn Read + '_>> {
+        panic!("open exploded")
+    }
+}
+
+/// A panic inside a cell is that trace's error, named by its label; the
+/// other trace still certifies.
+#[test]
+fn a_panicking_trace_source_is_a_per_trace_error() {
+    let traces = hiring_traces(1);
+    let sources: Vec<&dyn TraceSource> = vec![&traces[0], &PanickingTrace];
+    let config = CertifyConfig {
+        seed: 7,
+        ..CertifyConfig::default()
+    };
+    let report = run_certification(&HiringCertify, &sources, &config, ThreadBudget::leaked(2))
+        .expect("certification runs");
+    assert_eq!(report.certificates.len(), 1);
+    assert_eq!(report.certificates[0].trace, "hiring-trial0.eqtrace");
+    assert_eq!(
+        report.errors,
+        vec!["panicking.eqtrace: certification panicked: open exploded".to_string()]
+    );
 }

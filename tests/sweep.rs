@@ -15,6 +15,7 @@ use eqimpact_hiring::sim::{HiringConfig, ScreenerKind};
 use eqimpact_hiring::HiringSweep;
 use eqimpact_stats::ToJson;
 use eqimpact_trace::{TraceHeader, TraceStepSink};
+use std::io::Read;
 
 /// Records `trials` checkpointed credit traces in memory.
 fn credit_traces(trials: usize) -> Vec<MemTrace> {
@@ -294,6 +295,50 @@ fn a_nan_recorded_filter_output_is_a_per_cell_error() {
             ranked.errors[0]
         );
         assert!(ranked.outcome_delta.estimate.is_finite());
+        assert!(ranked.parity_gap.estimate.is_finite());
+    }
+}
+
+/// A trace source whose `open` panics.
+struct PanickingTrace;
+
+impl TraceSource for PanickingTrace {
+    fn label(&self) -> &str {
+        "panicking.eqtrace"
+    }
+
+    fn open(&self) -> std::io::Result<Box<dyn Read + '_>> {
+        panic!("open exploded")
+    }
+}
+
+/// A panic inside a cell fails only that cell, named by its trace; the
+/// other trace's cells still report.
+#[test]
+fn a_panicking_trace_source_fails_only_its_own_cells() {
+    let clean = hiring_trace(0, false);
+    let sources: Vec<&dyn TraceSource> = vec![&clean, &PanickingTrace];
+    let grid = CandidateGrid::new(["adaptive", "credential"], ["track-record"], [0.5]);
+    let config = SweepConfig {
+        seed: 9,
+        resamples: 50,
+        ..SweepConfig::default()
+    };
+    let report = run_sweep(
+        &HiringSweep,
+        &sources,
+        &grid,
+        &config,
+        ThreadBudget::leaked(2),
+    )
+    .expect("the sweep runs");
+    assert_eq!(report.ranked.len(), 2);
+    for ranked in &report.ranked {
+        assert_eq!(ranked.traces, 1, "the clean trace still reports");
+        assert_eq!(
+            ranked.errors,
+            vec!["panicking.eqtrace: candidate panicked: open exploded".to_string()]
+        );
         assert!(ranked.parity_gap.estimate.is_finite());
     }
 }
