@@ -50,7 +50,7 @@ pub const CATALOG: [Rule; 9] = [
         id: "R3",
         name: "thread-hygiene",
         summary: "thread spawns and parallelism probes only in core::pool",
-        hint: "go through core::pool (run_indexed or WorkerPool) instead of spawning directly",
+        hint: "go through core::pool (run_indexed or run_striped) instead of spawning directly",
     },
     Rule {
         id: "R4",
@@ -118,7 +118,7 @@ pub const DETERMINISTIC_PLANES: [&str; 7] = [
 /// file of `eqimpact-stats`.
 pub const DETERMINISTIC_FILES: [&str; 1] = ["crates/stats/src/json.rs"];
 
-/// The sanctioned thread homes (R3): the worker pool itself and the
+/// The sanctioned thread homes (R3): the fan-outs of `core::pool` and the
 /// progress heartbeat daemon (telemetry cannot depend on core, so its
 /// one background thread lives there by design).
 pub const THREAD_HOMES: [&str; 2] = [

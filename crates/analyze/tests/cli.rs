@@ -35,6 +35,10 @@ fn clean_workspace_exits_zero() {
         "the real workspace must analyze clean; report:\n{stdout}"
     );
     assert!(stdout.contains("result: 0 finding(s)"), "report:\n{stdout}");
+    assert!(
+        !stdout.contains("unsafe inventory"),
+        "the workspace is unsafe-free; report:\n{stdout}"
+    );
 }
 
 #[test]

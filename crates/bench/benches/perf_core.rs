@@ -1,5 +1,5 @@
 //! Performance microbenchmarks of the building blocks (not paper
-//! artifacts): the worker pool's sequential path, the columnar feature
+//! artifacts): the sharded runner's one-lane path, the columnar feature
 //! plane, the credit loop, IRLS fitting, Markov operator application,
 //! and invariant-measure estimation. They print their timings and write
 //! no file; the end-to-end and per-layer numbers of the closed loop come
@@ -7,10 +7,9 @@
 //! `BENCHMARK.json`).
 //!
 //! Two arms assert an invariant that must hold on any hardware. The
-//! pool bench (P5) checks that the pooled 1-shard `ShardedRunner` stays
-//! within noise of the sequential `LoopRunner` (the pool's
-//! submit/barrier overhead is per step, not per thread spawn, so it
-//! cannot regress the sequential path). The columnar bench (P8) checks
+//! sharding bench (P5) checks that a one-lane sharded run, which spawns
+//! nothing, stays within noise of the sequential `LoopRunner`. The
+//! columnar bench (P8) checks
 //! that batched column-kernel scoring does not lose to a row-gathering
 //! baseline replicating the pre-redesign row-major hot path, on the same
 //! loop at the same scale, after proving the two bit-identical.
@@ -175,12 +174,12 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// P5: the worker pool at the 100k-user scale. Self-timed (one full run
-/// per sample). Samples are taken **round-robin** over the two legs,
+/// P5: the one-lane sharded runner at the 100k-user scale. Self-timed
+/// (one full run per sample). Samples are taken **round-robin** over the two legs,
 /// with the starting leg **rotated** every round, so neither slow phases
 /// of a shared host nor a fixed within-round position can bias a leg —
-/// the legs do identical work (one shard leases no worker), so any
-/// ordered-measurement difference is pure drift.
+/// the legs do identical work (one shard is one stripe on the calling
+/// thread), so any ordered-measurement difference is pure drift.
 fn bench_sharded_loop(_c: &mut Criterion) {
     let quick = criterion::is_quick();
     let (users, steps) = (100_000usize, 50usize);
@@ -189,7 +188,7 @@ fn bench_sharded_loop(_c: &mut Criterion) {
     println!("\n-- group: perf/sharded_loop ({users} users x {steps} steps) --");
 
     // configs[0] is the sequential LoopRunner baseline (shards == 0
-    // sentinel); configs[1] drives one shard through the pooled runner.
+    // sentinel); configs[1] drives one shard through the sharded runner.
     let configs = [0usize, 1];
     let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); configs.len()];
     // One warm-up pass, then the recorded rotated round-robin passes.
@@ -208,15 +207,15 @@ fn bench_sharded_loop(_c: &mut Criterion) {
         "perf/sharded_loop/shards=1                         median {single_shard_ms:>10.2} ms"
     );
 
-    // The pool invariant (hardware-independent): driving 1 shard through
-    // the pooled runner must stay within measurement noise of the plain
-    // sequential LoopRunner. Before the worker pool, per-step thread
-    // spawns made small shard counts a *slowdown* (8 shards ran at
-    // 0.94x on 1 core); a pooled run leases zero workers there, so any
-    // systematic gap is a regression.
+    // The one-lane invariant (hardware-independent): one shard is one
+    // stripe on the calling thread, so the sharded runner spawns nothing
+    // and must stay within measurement noise of the plain sequential
+    // LoopRunner. Spawning per shard instead of per leased lane once made
+    // small shard counts a *slowdown* (8 shards ran at 0.94x on 1 core),
+    // so any systematic gap is a regression.
     assert!(
         single_shard_ms <= baseline_ms * 1.25 + 5.0,
-        "pooled 1-shard ShardedRunner ({single_shard_ms:.2} ms) regressed \
+        "1-shard ShardedRunner ({single_shard_ms:.2} ms) regressed \
          vs the sequential LoopRunner ({baseline_ms:.2} ms)"
     );
 }

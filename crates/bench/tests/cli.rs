@@ -127,6 +127,7 @@ fn every_command_maps_usage_errors_to_2_and_missing_capabilities_to_3() {
         ("sweep credit --grid", 2, "--grid requires a spec like `policy=a,b;threshold=0,10`"),
         ("sweep credit --grid bogus=1", 2, "--grid: unknown grid axis `bogus` (known axes: policy, filter, threshold)"),
         ("sweep credit --grid threshold=nan", 2, "--grid: grid threshold `nan` is not a number"),
+        ("sweep credit --grid policy=scorecard,scorecard", 2, "--grid: grid axis `policy` lists `scorecard` twice"),
         ("sweep credit --threads x", 2, "--threads requires an integer, got `x`"),
         ("sweep credit hiring", 2, "`sweep` takes one scenario name (unexpected: hiring)"),
         ("sweep credit --traces empty", 2, "no `credit-*.eqtrace` files under empty (record some with: experiments record credit)"),

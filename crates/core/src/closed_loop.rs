@@ -402,6 +402,7 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
     }
 
     /// The configured record policy.
+    #[cfg(test)]
     pub fn record_policy(&self) -> RecordPolicy {
         self.policy
     }
@@ -486,16 +487,6 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
         &self.ai
     }
 
-    /// Access to the population.
-    pub fn population(&self) -> &P {
-        &self.population
-    }
-
-    /// Access to the filter.
-    pub fn filter(&self) -> &F {
-        &self.filter
-    }
-
     /// Decomposes the runner back into its blocks.
     pub fn into_parts(self) -> (S, P, F) {
         (self.ai, self.population, self.filter)
@@ -571,9 +562,10 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopBuilder<S, P, F> {
     }
 
     /// Sets the shard count for [`Self::build_sharded`] (`0` means auto:
-    /// resolve against the thread budget's available lanes,
-    /// [`crate::shard::auto_shards_for`]; always clamped to the population
-    /// size). Ignored by the sequential [`Self::build`].
+    /// resolve against the thread budget's
+    /// [`available_lanes`](crate::pool::ThreadBudget::available_lanes);
+    /// always clamped to the population size). Ignored by the sequential
+    /// [`Self::build`].
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -602,10 +594,11 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopBuilder<S, P, F> {
     /// Builds the intra-trial parallel runner
     /// ([`crate::shard::ShardedRunner`]): the population is partitioned
     /// into the configured number of row shards ([`Self::shards`]; auto =
-    /// the budget's available lanes when unset) and each step's user
-    /// sweep runs on the parked workers of a
-    /// [`WorkerPool`](crate::pool::WorkerPool) leased from the
-    /// process-wide [`ThreadBudget::global`](crate::pool::ThreadBudget::global).
+    /// the budget's available lanes when unset), each run leases its lanes
+    /// once from the process-wide
+    /// [`ThreadBudget::global`](crate::pool::ThreadBudget::global), and
+    /// each step's user sweep is one
+    /// [`run_striped`](crate::pool::run_striped) call over them.
     /// The produced record is bit-identical to [`Self::build`]'s for
     /// blocks honouring the [`crate::shard::RowStreams`] contract.
     pub fn build_sharded(self) -> crate::shard::ShardedRunner<S, P, F>

@@ -28,24 +28,25 @@
 //!   coincidence, unconditional and group-conditioned;
 //! * [`pool`] — the process-wide [`pool::ThreadBudget`] (every parallel
 //!   region leases its lanes from one ledger, so `trials × shards` can
-//!   never oversubscribe the host) and its two fan-outs:
+//!   never oversubscribe the host) and its two scoped fan-outs:
 //!   [`pool::run_indexed`] for one-shot batches of independent jobs
-//!   (trials, sweep and certification cells) and the [`pool::WorkerPool`]
-//!   of long-lived parked workers with a submit/barrier protocol for
-//!   per-step batches — one pool per run instead of threads per step;
+//!   (trials, sweep and certification cells), the caller waiting, and
+//!   [`pool::run_striped`] for the sharded runner's per-step sweep, the
+//!   caller running stripe 0;
 //! * [`shard`] — deterministic **intra-trial** parallelism: the
 //!   [`shard::ShardedRunner`] splits one step's user sweep over the
-//!   parked workers of a budget-leased [`pool::WorkerPool`] (contiguous
-//!   row shards, index-keyed [`shard::RowStreams`] RNG streams) and
-//!   merges at a per-step barrier, producing records bit-identical to
-//!   the sequential runner for any shard count;
+//!   lanes of one budget lease per run (contiguous row shards,
+//!   index-keyed [`shard::RowStreams`] RNG streams, one
+//!   [`pool::run_striped`] call per step) and merges at a per-step
+//!   barrier, producing records bit-identical to the sequential runner
+//!   for any shard count;
 //! * [`trials`] — deterministic multi-seed trial running, one
 //!   [`pool::run_indexed`] batch over lanes leased from the
 //!   [`pool::ThreadBudget`];
 //! * [`scenario`] — first-class pluggable workloads: the
 //!   [`scenario::Scenario`] trait bundles a closed-loop workload's
-//!   config ([`scenario::Scale`]), per-trial construction, record policy
-//!   and shard support, and artifact rendering, so trial striping,
+//!   config ([`scenario::Scale`]), per-trial construction, shard
+//!   support and artifact rendering, so trial striping,
 //!   sharding and artifact writing are implemented once generically
 //!   ([`scenario::run_scenario`], [`scenario::write_artifacts`]); the
 //!   object-safe [`scenario::DynScenario`] face powers static registries
@@ -98,6 +99,7 @@
 //! assert!(report.all_coincide);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
@@ -119,7 +121,7 @@ pub use closed_loop::{
 pub use fairness::{demographic_parity, equal_opportunity, individual_fairness};
 pub use features::FeatureMatrix;
 pub use impact::{equal_impact_report, EqualImpactReport};
-pub use pool::{BudgetLease, ThreadBudget, WorkerPool};
+pub use pool::{BudgetLease, ThreadBudget};
 pub use recorder::{LoopRecord, RecordPolicy, StepSink};
 pub use scenario::{
     run_scenario, write_artifacts, Artifact, ArtifactSpec, DynScenario, Scale, Scenario,

@@ -1,13 +1,5 @@
-//! The process-wide **thread budget** and the two fan-out primitives
-//! behind every parallel axis of the workspace.
-//!
-//! Two problems motivated this module. First, the sharded runner used to
-//! spawn `shards − 1` scoped threads **every step**, so a
-//! 50-step × 8-shard run paid 350 thread spawns — measurable per-step
-//! overhead that turned small-host sharding into a slowdown. Second, the
-//! trial striper and the sharded runner each claimed
-//! `available_parallelism()` independently, so `trials × shards` could
-//! oversubscribe the host by an order of magnitude. Both are fixed here:
+//! The process-wide **thread budget** and the two scoped fan-outs behind
+//! every parallel axis of the workspace.
 //!
 //! * [`ThreadBudget`] — a single, process-wide ledger of *lanes*
 //!   (concurrently executing threads). Every parallel region
@@ -18,18 +10,22 @@
 //!   composes instead of multiplying: trials striped over the whole
 //!   budget leave nothing for intra-trial shards, which then degrade to
 //!   sequential sweeps on their own lane rather than thrashing the
-//!   scheduler.
+//!   scheduler. Without it the trial striper and the sharded runner would
+//!   each claim `available_parallelism()`, and `trials × shards` could
+//!   oversubscribe the host by an order of magnitude.
 //! * [`run_indexed`] — the **one-shot batch**: `n` independent jobs
 //!   (trials, sweep cells, certification cells) striped over one lease,
-//!   one scoped thread per lane, each job's panic caught as its own
-//!   `Err`, results returned in index order.
-//! * [`WorkerPool`] — the **per-step batch**: long-lived, parked worker
-//!   threads driven by a submit/barrier protocol. [`WorkerPool::run`]
-//!   submits one batch of borrowed jobs (each worker has its own job
-//!   channel; parked workers wake on `recv`), runs the caller's stripe on
-//!   the calling thread, and returns only when **every** job of the batch
-//!   has completed — the barrier. A sharded run therefore costs one pool
-//!   (`lanes − 1` spawns) instead of `steps × (shards − 1)` spawns.
+//!   one scoped thread per lane while the caller waits, each job's panic
+//!   caught as its own `Err`, results returned in index order.
+//! * [`run_striped`] — the **per-step batch**: the sharded runner's
+//!   sweep of one step, one item per shard, striped over the lease the
+//!   run holds. Stripe 0 runs on the calling thread and every other
+//!   stripe on a scoped thread; the call returns when every stripe is
+//!   done.
+//!
+//! Both fan-outs are `std::thread::scope` calls: a job may borrow the
+//! caller's stack, no thread outlives the call that spawned it, and
+//! nothing waits parked between calls.
 //!
 //! # The lease hierarchy
 //!
@@ -44,7 +40,7 @@
 //! └─ run_trials_with(5 trials)              leases 5 → gets min(5, budget)
 //!    └─ trial lane (1 leased lane each)
 //!       └─ ShardedRunner::run(8 shards)     leases 8 → gets what's left
-//!          └─ WorkerPool(lanes − 1 workers)
+//!          └─ run_striped per step          lanes − 1 scoped threads
 //! ```
 //!
 //! On an idle 8-core host a lone 8-shard run gets all 8 lanes; the same
@@ -56,41 +52,41 @@
 //! [`ThreadBudget::init_global`] (the `experiments` CLI's `--threads`
 //! flag), e.g. to leave cores free for a co-located service.
 //!
-//! # One-shot batches
+//! # Who runs a stripe: the caller waits in one, works in the other
 //!
-//! [`run_indexed`] spawns one scoped thread per granted lane and runs
-//! job `i` on lane `i % lanes`. The calling thread only waits: its
-//! implicit lane is spent on one of the spawned threads. Running a
-//! stripe on the caller instead was measured slower on glibc; the cost
-//! came from the main thread's malloc arena being trimmed and regrown,
-//! and it vanished with trimming turned off. A panicking job becomes
-//! that job's `Err(message)` and its lane goes on with the next job, so
-//! one bad cell never costs the others.
+//! Both fan-outs run item `i` on lane `i % lanes`. They differ, on
+//! purpose, in whether the calling thread takes a stripe. The
+//! measurements below compare the two designs in alternating runs of the
+//! `loopbench` benchmark on a 2-vCPU KVM guest (rustc 1.95.0, glibc
+//! 2.36).
 //!
-//! # The submit/barrier protocol
+//! [`run_indexed`] spawns one scoped thread per granted lane and the
+//! caller only waits: its implicit lane is spent on one of the spawned
+//! threads. Its jobs are whole trials and cells, which allocate heavily.
+//! A prototype that ran one trial stripe on the caller made
+//! `credit-paper` 4.5% slower (`wall_s` 0.0200 s → 0.0209 s, 6 of 6
+//! pairs). With glibc's malloc trimming turned off the gap vanished: the
+//! cost was the main thread's malloc arena being trimmed and regrown.
 //!
-//! [`WorkerPool::run`] takes a batch of `FnOnce` jobs that may **borrow**
-//! the caller's stack (the sharded runner's jobs borrow the AI system and
-//! disjoint buffer slices). Jobs are striped round-robin over the lanes
-//! (workers first, the last stripe runs on the calling thread), and the
-//! call blocks until a completion message has arrived for every submitted
-//! job. A panicking job never deadlocks the barrier: workers catch the
-//! unwind and report it as that job's completion; `run` finishes the
-//! barrier, **poisons** the pool (later `run` calls fail fast — the
-//! caller's data may be half-written) and re-raises the first panic.
+//! [`run_striped`] runs stripe 0 on the caller and spawns `lanes − 1`
+//! scoped threads, so a one-lane lease spawns nothing. Its items are the
+//! shard sweeps of one step, which allocate nothing per row and read the
+//! buffers the step tail has just written on the caller's core. A
+//! prototype that spawned every stripe while the caller waited made the
+//! one-lane (`EQIMPACT_THREADS=1`) `credit-100k` run 8–17% slower
+//! (`wall_s` 0.572 s → 0.671 s and 0.647 s → 0.701 s); with stripe 0 on
+//! the caller it matched the parked worker pool this replaced
+//! (0.587 s → 0.585 s). A scoped spawn plus its join costs about 40 µs
+//! on that host, so a 50-step run on 2 lanes pays about 2 ms.
+//!
+//! A panic never escapes a fan-out early. [`run_indexed`] turns a job's
+//! panic into that job's `Err`; [`run_striped`] lets every other item
+//! run, then re-raises the first panicking stripe's own payload.
 
 use eqimpact_telemetry::metrics as tm;
-use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::OnceLock;
-use std::thread::JoinHandle;
-use std::time::Instant;
-
-/// A job submitted to a [`WorkerPool`] batch: it may borrow anything that
-/// outlives the [`WorkerPool::run`] call that executes it.
-pub type PoolJob<'scope> = Box<dyn FnOnce() + Send + 'scope>;
 
 /// The process-wide ledger of concurrency *lanes* (see the module docs).
 ///
@@ -253,192 +249,6 @@ impl Drop for BudgetLease<'_> {
     }
 }
 
-/// One job's completion message: `Ok` or the caught panic payload.
-type JobResult = Result<(), Box<dyn Any + Send + 'static>>;
-
-/// A pool of long-lived, parked worker threads executing borrowed job
-/// batches under the submit/barrier protocol (see the module docs).
-///
-/// `WorkerPool::new(0)` is valid and useful: with no workers,
-/// [`Self::run`] executes every job inline on the calling thread — the
-/// sequential fallback a budget-exhausted lease degrades to, with zero
-/// threads and zero synchronization.
-pub struct WorkerPool {
-    senders: Vec<Sender<PoolJob<'static>>>,
-    done_rx: Receiver<JobResult>,
-    handles: Vec<JoinHandle<()>>,
-    poisoned: bool,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` parked worker threads (plus the calling thread,
-    /// the pool drives `workers + 1` lanes).
-    pub fn new(workers: usize) -> Self {
-        let (done_tx, done_rx) = channel::<JobResult>();
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let (job_tx, job_rx) = channel::<PoolJob<'static>>();
-            let done_tx = done_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("eqimpact-pool-{w}"))
-                .spawn(move || {
-                    // Park on recv until the next job or pool drop
-                    // (sender disconnect). A panicking job is caught and
-                    // reported as its completion, so the barrier in
-                    // `run` always resolves.
-                    while let Ok(job) = job_rx.recv() {
-                        let result = catch_unwind(AssertUnwindSafe(job));
-                        if done_tx.send(result).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("WorkerPool: failed to spawn a worker thread");
-            senders.push(job_tx);
-            handles.push(handle);
-        }
-        WorkerPool {
-            senders,
-            done_rx,
-            handles,
-            poisoned: false,
-        }
-    }
-
-    /// Number of worker threads (the pool's lane count minus the caller).
-    pub fn worker_count(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Whether an earlier batch panicked (see [`Self::run`]).
-    // analyze::allow(R8): tests/pool_reuse.rs checks the pool's health through it
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned
-    }
-
-    /// Executes one batch of jobs and returns when **all** of them have
-    /// completed (the barrier). Jobs are striped round-robin over
-    /// `worker_count() + 1` lanes; the last stripe runs on the calling
-    /// thread, concurrently with the workers.
-    ///
-    /// # Panics
-    /// Re-raises the first panicking job's payload after the whole batch
-    /// has completed, and poisons the pool: the panicked job may have
-    /// left its borrowed buffers half-written, so later `run` calls
-    /// panic immediately instead of computing on corrupt state.
-    pub fn run<'scope>(&mut self, jobs: Vec<PoolJob<'scope>>) {
-        assert!(
-            !self.poisoned,
-            "WorkerPool: poisoned by a panic in an earlier batch"
-        );
-        if jobs.is_empty() {
-            return;
-        }
-        let lanes = self.senders.len() + 1;
-        let mut own: Vec<PoolJob<'scope>> = Vec::new();
-        let mut sent = 0usize;
-        // Decided once per batch: metered batches wrap each worker-lane
-        // job to record queue wait and lane occupancy (the wrapper
-        // allocation only exists on the enabled path).
-        let metered = eqimpact_telemetry::enabled();
-        for (i, job) in jobs.into_iter().enumerate() {
-            let lane = i % lanes;
-            if lane < self.senders.len() {
-                let job: PoolJob<'scope> = if metered {
-                    // The queue-wait latency is wall-clock telemetry; it lands
-                    // in the nondeterministic half of the snapshot only.
-                    // analyze::allow(R1): queue-wait latency is wall-clock telemetry
-                    let submitted = Instant::now();
-                    Box::new(move || {
-                        tm::POOL_QUEUE_WAIT
-                            .record_ns(submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                        tm::POOL_JOBS_RUN.incr();
-                        tm::POOL_LANE_JOBS.record(lane + 1, 1);
-                        job();
-                    })
-                } else {
-                    job
-                };
-                // SAFETY: the barrier below blocks until a completion
-                // message has arrived for every submitted job, on the
-                // success and the panic path alike, so everything the
-                // job borrows ('scope) strictly outlives its execution.
-                // Workers drop each job at the end of its execution and
-                // never retain it.
-                let job: PoolJob<'static> =
-                    unsafe { std::mem::transmute::<PoolJob<'scope>, PoolJob<'static>>(job) };
-                // Workers only exit when the pool is dropped, so the
-                // send cannot fail while `self` is alive.
-                self.senders[lane]
-                    .send(job)
-                    .expect("WorkerPool: worker exited while the pool was alive");
-                sent += 1;
-            } else {
-                own.push(job);
-            }
-        }
-
-        // The caller's stripe runs while the workers chew on theirs. Its
-        // panic is deferred too: the barrier must complete first, or the
-        // workers could outlive the borrows.
-        let own_result = catch_unwind(AssertUnwindSafe(|| {
-            for job in own {
-                job();
-                tm::POOL_JOBS_INLINE.incr();
-                tm::POOL_LANE_JOBS.record(0, 1);
-            }
-        }));
-
-        // The barrier: one completion per submitted job, in any order.
-        let mut failure: Option<Box<dyn Any + Send>> = None;
-        for _ in 0..sent {
-            match self.done_rx.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(payload)) => {
-                    tm::POOL_PANICS.incr();
-                    failure.get_or_insert(payload);
-                }
-                Err(_) => {
-                    // Unreachable while `self` holds the job senders,
-                    // but never deadlock: fail loudly instead.
-                    self.poisoned = true;
-                    panic!("WorkerPool: workers disconnected mid-batch");
-                }
-            }
-        }
-        if let Err(payload) = own_result {
-            tm::POOL_PANICS.incr();
-            failure.get_or_insert(payload);
-        }
-        if let Some(payload) = failure {
-            self.poisoned = true;
-            resume_unwind(payload);
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Disconnect the job channels: parked workers' recv errors out
-        // and their loops end. All jobs of any batch completed before
-        // `run` returned, so the workers are idle here.
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("workers", &self.senders.len())
-            .field("poisoned", &self.poisoned)
-            .finish()
-    }
-}
-
 /// Runs `jobs` independent jobs on up to `jobs` lanes leased from
 /// `budget` and returns their results in index order (see the module
 /// docs).
@@ -492,11 +302,60 @@ where
         .collect()
 }
 
+/// Runs `job` once on every item of `items`, striped over the lanes of
+/// `lease` (see the module docs).
+///
+/// Item `i` runs on stripe `i % lanes`: stripe 0 on the calling thread,
+/// every other stripe on its own scoped thread, so a one-lane lease
+/// spawns nothing. The call returns once every stripe is done. A
+/// panicking item does not stop the others, not even the rest of its own
+/// stripe; the first panicking stripe's payload is then re-raised as it
+/// was. Zero items are a no-op.
+pub fn run_striped<W, F>(lease: &BudgetLease<'_>, items: Vec<W>, job: F)
+where
+    W: Send,
+    F: Fn(W) + Sync,
+{
+    let lanes = lease.lanes().min(items.len()).max(1);
+    let mut stripes: Vec<Vec<W>> = (0..lanes).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        stripes[i % lanes].push(item);
+    }
+    let run_stripe = |lane: usize, stripe: Vec<W>| {
+        let mut failure = None;
+        for item in stripe {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(item))) {
+                failure.get_or_insert(payload);
+            }
+            tm::POOL_JOBS_RUN.incr();
+            tm::POOL_LANE_JOBS.record(lane, 1);
+        }
+        failure
+    };
+    let run_stripe = &run_stripe;
+    let mut stripes = stripes.into_iter();
+    let own = stripes.next().unwrap_or_default();
+    let failure = std::thread::scope(|scope| {
+        let handles: Vec<_> = stripes
+            .enumerate()
+            .map(|(s, stripe)| scope.spawn(move || run_stripe(s + 1, stripe)))
+            .collect();
+        let mut failure = run_stripe(0, own);
+        // Joined here rather than by the scope, whose own re-raise would
+        // replace the stripe's payload with a generic message.
+        for handle in handles {
+            failure = failure.or(handle.join().unwrap_or_else(Some));
+        }
+        failure
+    });
+    if let Some(payload) = failure {
+        resume_unwind(payload);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
 
     #[test]
     fn budget_lease_grants_and_returns() {
@@ -575,127 +434,82 @@ mod tests {
     }
 
     #[test]
-    fn pool_runs_every_job_exactly_once() {
-        let mut pool = WorkerPool::new(3);
-        assert_eq!(pool.worker_count(), 3);
-        let mut cells = vec![0usize; 10];
-        {
-            let jobs: Vec<PoolJob<'_>> = cells
-                .iter_mut()
-                .enumerate()
-                .map(|(i, cell)| Box::new(move || *cell += i + 1) as PoolJob<'_>)
-                .collect();
-            pool.run(jobs);
-        }
-        let expected: Vec<usize> = (1..=10).collect();
+    fn run_striped_runs_every_item_exactly_once() {
+        let budget = ThreadBudget::new(3);
+        let lease = budget.lease(3);
+        assert_eq!(lease.lanes(), 3);
+        let mut cells = vec![0usize; 23];
+        run_striped(
+            &lease,
+            cells.iter_mut().enumerate().collect(),
+            |(i, cell)| *cell += i + 1,
+        );
+        let expected: Vec<usize> = (1..=23).collect();
         assert_eq!(cells, expected);
     }
 
     #[test]
-    fn zero_worker_pool_runs_inline() {
-        let mut pool = WorkerPool::new(0);
-        assert_eq!(pool.worker_count(), 0);
-        let hits = AtomicUsize::new(0);
-        let jobs: Vec<PoolJob<'_>> = (0..5)
-            .map(|_| {
-                Box::new(|| {
-                    hits.fetch_add(1, Ordering::SeqCst);
-                }) as PoolJob<'_>
-            })
-            .collect();
-        pool.run(jobs);
-        assert_eq!(hits.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn pool_is_reusable_across_batches() {
-        let mut pool = WorkerPool::new(2);
-        let total = Arc::new(AtomicUsize::new(0));
-        for batch in 0..4 {
-            let jobs: Vec<PoolJob<'_>> = (0..6)
-                .map(|_| {
-                    let total = Arc::clone(&total);
-                    Box::new(move || {
-                        total.fetch_add(batch + 1, Ordering::SeqCst);
-                    }) as PoolJob<'_>
-                })
-                .collect();
-            pool.run(jobs);
+    fn run_striped_runs_stripe_zero_on_the_caller() {
+        let caller = std::thread::current().id();
+        let budget = ThreadBudget::new(3);
+        let lease = budget.lease(3);
+        let mut ran_on = vec![None; 23];
+        run_striped(&lease, ran_on.iter_mut().collect(), |slot| {
+            *slot = Some(std::thread::current().id())
+        });
+        let ran_on: Vec<_> = ran_on.into_iter().map(Option::unwrap).collect();
+        for (i, id) in ran_on.iter().enumerate() {
+            assert_eq!(*id, ran_on[i % 3], "item {i} runs on stripe {}", i % 3);
+            assert_eq!(*id == caller, i % 3 == 0, "item {i}");
         }
-        assert_eq!(total.load(Ordering::SeqCst), 6 * (1 + 2 + 3 + 4));
-        assert!(!pool.is_poisoned());
+        let mut threads = Vec::new();
+        for id in ran_on {
+            if !threads.contains(&id) {
+                threads.push(id);
+            }
+        }
+        assert!(threads.len() <= lease.lanes(), "{} threads", threads.len());
+
+        // A one-lane lease spawns nothing: every item runs on the caller.
+        let one = budget.lease(1);
+        assert_eq!(one.lanes(), 1);
+        let mut ran_on = [None; 5];
+        run_striped(&one, ran_on.iter_mut().collect(), |slot| {
+            *slot = Some(std::thread::current().id())
+        });
+        assert!(ran_on.iter().all(|id| *id == Some(caller)));
     }
 
     #[test]
-    fn more_jobs_than_lanes_stripe_over_the_workers() {
-        let mut pool = WorkerPool::new(2);
-        let mut cells = [0usize; 23];
-        let jobs: Vec<PoolJob<'_>> = cells
-            .iter_mut()
-            .map(|cell| Box::new(move || *cell = 7) as PoolJob<'_>)
-            .collect();
-        pool.run(jobs);
-        assert!(cells.iter().all(|&c| c == 7));
+    fn run_striped_with_no_items_is_a_no_op() {
+        let budget = ThreadBudget::new(2);
+        let lease = budget.lease(2);
+        run_striped(&lease, Vec::<usize>::new(), |_| panic!("no item to run"));
+        drop(lease);
+        assert_eq!(budget.available_lanes(), budget.capacity());
     }
 
     #[test]
-    fn panic_in_a_worker_propagates_and_poisons_the_pool() {
-        let mut pool = WorkerPool::new(2);
-        let completed = Arc::new(AtomicUsize::new(0));
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let jobs: Vec<PoolJob<'_>> = (0..6)
-                .map(|i| {
-                    let completed = Arc::clone(&completed);
-                    Box::new(move || {
-                        if i == 1 {
-                            panic!("job {i} exploded");
-                        }
-                        completed.fetch_add(1, Ordering::SeqCst);
-                    }) as PoolJob<'_>
+    fn run_striped_re_raises_a_panic_after_every_other_item() {
+        // Item 1 runs on spawned stripe 1, item 0 on the caller's stripe
+        // 0; items 4 and 3 follow them on the same stripes.
+        for bad in [1usize, 0] {
+            let budget = ThreadBudget::new(3);
+            let lease = budget.lease(3);
+            let completed = AtomicUsize::new(0);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_striped(&lease, (0..6).collect(), |i| {
+                    if i == bad {
+                        panic!("item {i} exploded");
+                    }
+                    completed.fetch_add(1, Ordering::SeqCst);
                 })
-                .collect();
-            pool.run(jobs);
-        }));
-        let payload = result.expect_err("the job panic must propagate");
-        let message = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("string panic payload");
-        assert!(message.contains("exploded"), "message: {message}");
-        // The barrier completed: every non-panicking job still ran.
-        assert_eq!(completed.load(Ordering::SeqCst), 5);
-        assert!(pool.is_poisoned());
-
-        // A later batch fails fast instead of deadlocking the barrier or
-        // computing on half-written state.
-        let again = catch_unwind(AssertUnwindSafe(|| pool.run(vec![Box::new(|| ())])));
-        let payload = again.expect_err("poisoned pool must reject new batches");
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .expect("string panic payload");
-        assert!(message.contains("poisoned"), "message: {message}");
-    }
-
-    #[test]
-    fn panic_on_the_callers_stripe_also_propagates() {
-        // With zero workers every job runs on the caller; the panic path
-        // must behave identically.
-        let mut pool = WorkerPool::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(vec![Box::new(|| panic!("inline boom"))]);
-        }));
-        assert!(result.is_err());
-        assert!(pool.is_poisoned());
-    }
-
-    #[test]
-    fn empty_batches_are_a_no_op() {
-        let mut pool = WorkerPool::new(1);
-        pool.run(Vec::new());
-        pool.run(Vec::new());
-        assert!(!pool.is_poisoned());
+            }));
+            let payload = result.expect_err("the item's panic must propagate");
+            let message = payload.downcast::<String>().expect("a formatted message");
+            assert_eq!(*message, format!("item {bad} exploded"));
+            assert_eq!(completed.load(Ordering::SeqCst), 5, "item {bad}");
+        }
     }
 
     #[test]

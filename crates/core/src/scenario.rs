@@ -376,11 +376,6 @@ pub trait Scenario: Sync {
         false
     }
 
-    /// The record policy the scenario's loops should run under.
-    fn record_policy(&self, _scale: Scale) -> RecordPolicy {
-        RecordPolicy::Full
-    }
-
     /// Number of independent trials at a scale.
     fn trials(&self, scale: Scale) -> usize;
 

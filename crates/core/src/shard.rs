@@ -5,12 +5,12 @@
 //! step — decisions and responses are per-user, only the feedback filter
 //! aggregates. [`ShardedRunner`] exploits exactly that shape: it
 //! partitions the population's rows into contiguous shards, runs the
-//! observe → signal → respond sweep of each shard on the parked workers
-//! of a per-run [`WorkerPool`] (leased from the process-wide
-//! [`ThreadBudget`]), and re-joins at a per-step barrier where the
-//! [`FeedbackFilter`], the [`LoopRecord`] and retraining run sequentially
-//! on the merged buffers — the same [`StepTail`] as
-//! [`LoopRunner`](crate::closed_loop::LoopRunner).
+//! observe → signal → respond sweep of each shard through one
+//! [`run_striped`] call per step (over lanes leased once per run from
+//! the process-wide [`ThreadBudget`]), and re-joins at a per-step
+//! barrier where the [`FeedbackFilter`], the [`LoopRecord`] and
+//! retraining run sequentially on the merged buffers — the same
+//! [`StepTail`] as [`LoopRunner`](crate::closed_loop::LoopRunner).
 //!
 //! # The determinism contract
 //!
@@ -46,7 +46,7 @@ use crate::closed_loop::{
     retrain_always, AiSystem, FeedbackFilter, StepTail, StepView, UserPopulation,
 };
 use crate::features::FeatureMatrix;
-use crate::pool::{PoolJob, ThreadBudget, WorkerPool};
+use crate::pool::{run_striped, ThreadBudget};
 use crate::recorder::{LoopRecord, RecordPolicy, StepSink};
 use eqimpact_stats::SimRng;
 use eqimpact_telemetry::metrics as tm;
@@ -337,19 +337,10 @@ pub fn shard_bounds(rows: usize, parts: usize) -> Vec<Range<usize>> {
     bounds
 }
 
-/// The number of shards to use when the caller asks for "auto": the
-/// lanes `budget` could lease right now (the caller's own lane plus
-/// whatever is free — not the raw core count, so a run nested under
-/// trial striping auto-resolves to what it can actually use instead of
-/// oversubscribing the host).
-pub fn auto_shards_for(budget: &ThreadBudget) -> usize {
-    budget.available_lanes()
-}
-
 /// The sharded loop runner: same wiring as
 /// [`LoopRunner`](crate::closed_loop::LoopRunner) — AI system, population,
 /// filter, delay line — but each step's user sweep is partitioned over
-/// the parked workers of a [`WorkerPool`].
+/// row shards and striped over the lanes the run leased.
 ///
 /// Per step: every shard runs observe → signal → respond over its own
 /// rows, writing into disjoint sub-slices of the step buffers; at the
@@ -358,14 +349,12 @@ pub fn auto_shards_for(budget: &ThreadBudget) -> usize {
 /// — the sequential runner's [`StepTail`]. See the module docs for the
 /// determinism contract.
 ///
-/// Cost model: one run leases its lanes from the [`ThreadBudget`] and
-/// spawns one [`WorkerPool`] (`lanes − 1` threads, zero when the budget
-/// is spent), then per step only *submits* jobs to the parked workers —
-/// a channel send and a futex wake per shard, single-digit microseconds
-/// rather than the tens of microseconds a per-step thread spawn used to
-/// cost (`steps × (shards − 1)` spawns before the pool; `lanes − 1`
-/// total now). Shards beyond the leased lanes stripe onto the same
-/// workers, so an over-sharded run degrades gracefully to fewer lanes —
+/// Cost model: one run takes one lease from the [`ThreadBudget`]. Each
+/// step is one [`run_striped`] call: shard `s` runs on stripe
+/// `s % lanes`, stripe 0 on the calling thread, so a step costs
+/// `lanes − 1` scoped spawns (about 40 µs each with its join on a
+/// 2-vCPU KVM guest) and none at all on a one-lane lease, whatever the
+/// shard count. An over-sharded run therefore degrades to fewer lanes —
 /// and to a plain sequential sweep on a fully leased budget. The
 /// filter/record/retrain barrier is sequential, so Amdahl's law still
 /// bounds the speedup by its share of a step; for tiny populations the
@@ -374,8 +363,7 @@ pub fn auto_shards_for(budget: &ThreadBudget) -> usize {
 ///
 /// Build one with
 /// [`LoopBuilder::shards`](crate::closed_loop::LoopBuilder::shards) +
-/// [`build_sharded`](crate::closed_loop::LoopBuilder::build_sharded), or
-/// positionally with [`ShardedRunner::new`].
+/// [`build_sharded`](crate::closed_loop::LoopBuilder::build_sharded).
 pub struct ShardedRunner<S, P: ShardablePopulation, F> {
     ai: S,
     shards: Vec<P::Shard>,
@@ -391,9 +379,12 @@ pub struct ShardedRunner<S, P: ShardablePopulation, F> {
 }
 
 impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S, P, F> {
-    /// Creates a runner over at most `shards` shards (`0` means auto:
-    /// [`auto_shards_for`] the global [`ThreadBudget`]), leasing lanes
-    /// from that budget.
+    /// Creates a runner over at most `shards` shards, leasing its lanes
+    /// from `budget`. `shards == 0` means auto: the lanes `budget` could
+    /// lease right now (the caller's own lane plus whatever is free — not
+    /// the raw core count, so a run nested under trial striping resolves
+    /// to what it can actually use). Any request is clamped to the
+    /// population size (a shard needs at least one row).
     /// See [`LoopRunner::new`](crate::closed_loop::LoopRunner::new) for
     /// the delay semantics.
     ///
@@ -403,21 +394,6 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
     /// return an in-order, gapless partition of `0..user_count()` — a
     /// broken partition would otherwise mis-route buffer slices and
     /// corrupt records silently.
-    pub fn new(ai: S, population: P, filter: F, delay: usize, shards: usize) -> Self {
-        Self::with_budget(
-            ai,
-            population,
-            filter,
-            delay,
-            shards,
-            ThreadBudget::global(),
-        )
-    }
-
-    /// [`Self::new`] leasing from an explicit budget instead of the
-    /// global one. `shards == 0` resolves against **this** budget's
-    /// currently available lanes, and any request is clamped to the
-    /// population size (a shard needs at least one row).
     pub fn with_budget(
         ai: S,
         population: P,
@@ -427,7 +403,7 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
         budget: &'static ThreadBudget,
     ) -> Self {
         let shards = if shards == 0 {
-            auto_shards_for(budget)
+            budget.available_lanes()
         } else {
             shards
         };
@@ -468,29 +444,9 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
         self.shards.len()
     }
 
-    /// The configured delay.
-    pub fn delay(&self) -> usize {
-        self.tail.delay()
-    }
-
-    /// The configured record policy.
-    pub fn record_policy(&self) -> RecordPolicy {
-        self.policy
-    }
-
     /// Sets the record policy (see [`RecordPolicy`]).
     pub fn set_record_policy(&mut self, policy: RecordPolicy) {
         self.policy = policy;
-    }
-
-    /// Access to the AI system (e.g. to inspect the final model).
-    pub fn ai(&self) -> &S {
-        &self.ai
-    }
-
-    /// Access to the filter.
-    pub fn filter(&self) -> &F {
-        &self.filter
     }
 
     /// Decomposes the runner back into its blocks, reassembling the
@@ -512,41 +468,26 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
     /// filter, before retraining), so it sees the merged buffers in step
     /// order — identical to what the sequential runner's sink sees.
     ///
-    /// Leases lanes from the runner's [`ThreadBudget`] and spins up one
-    /// [`WorkerPool`] for the whole run; both are released when the run
-    /// returns. To reuse a pool across several runs, drive
-    /// [`Self::run_in_pool`] yourself.
+    /// Leases lanes from the runner's [`ThreadBudget`] once for the whole
+    /// run; they return to the budget when the run returns or unwinds.
+    ///
+    /// # Panics
+    /// Re-raises a shard's panic with its own payload once every other
+    /// shard of that step has finished.
     pub fn run_with_sink<K: StepSink + ?Sized>(
         &mut self,
         steps: usize,
         rng: &mut SimRng,
         sink: &mut K,
     ) -> LoopRecord {
-        // One lease and one pool per run (not per step): the budget
-        // grants what is free, down to the caller's own lane — in which
-        // case the pool has zero workers and every sweep runs inline.
+        // One lease per run (not per step): the budget grants what is
+        // free, down to the caller's own lane — in which case every
+        // sweep runs on the calling thread.
         let lease = self.budget.lease(self.shards.len());
-        let mut pool = WorkerPool::new(lease.lanes() - 1);
-        self.run_in_pool(steps, rng, sink, &mut pool)
-    }
-
-    /// [`Self::run_with_sink`] on a caller-managed [`WorkerPool`] (no
-    /// budget lease is taken — the caller owns the pool's sizing). The
-    /// pool only carries threads, never state, so one pool may drive any
-    /// number of consecutive runs, of this runner or others, without
-    /// affecting a single recorded bit.
-    pub fn run_in_pool<K: StepSink + ?Sized>(
-        &mut self,
-        steps: usize,
-        rng: &mut SimRng,
-        sink: &mut K,
-        pool: &mut WorkerPool,
-    ) -> LoopRecord {
         let n = self.user_count;
-        let w = self.width;
         let mut record = LoopRecord::with_policy(n, self.policy);
         record.reserve(steps);
-        self.visible.reshape(n, w);
+        self.visible.reshape(n, self.width);
         self.signals.resize(n, 0.0);
         self.actions.resize(n, 0.0);
         eqimpact_telemetry::progress::add_goal(steps as u64);
@@ -554,55 +495,38 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
         for k in 0..steps {
             let observe = RowStreams::observe(rng, k);
             let respond = RowStreams::respond(rng, k);
-            {
-                let ai = &self.ai;
-                // Budget-exhausted pools have no workers: skip the
-                // submit/barrier machinery entirely and sweep inline —
-                // the pooled runner then costs exactly the sequential
-                // chunked sweep.
-                let inline = pool.worker_count() == 0;
-                // Peel each shard's disjoint sub-slice off every column
-                // (and off the flat signal/action buffers): `take` +
-                // `split_at_mut` hands each shard `rows.len()` elements
-                // per column without unsafe aliasing.
-                let mut vis_rest: Vec<&mut [f64]> = self.visible.col_slices_mut();
-                let mut sig_rest = &mut self.signals[..];
-                let mut act_rest = &mut self.actions[..];
-                let mut jobs: Vec<PoolJob<'_>> =
-                    Vec::with_capacity(if inline { 0 } else { self.shards.len() });
-                let mut offset = 0;
-                for shard in self.shards.iter_mut() {
-                    let rows = shard.rows();
-                    debug_assert_eq!(rows.start, offset, "shard rows moved after construction");
-                    offset = rows.end;
-                    let mut vis_cols: Vec<&mut [f64]> = Vec::with_capacity(w);
-                    for slot in vis_rest.iter_mut() {
-                        let (head, tail) = std::mem::take(slot).split_at_mut(rows.len());
-                        vis_cols.push(head);
-                        *slot = tail;
-                    }
-                    let cols = ColsMut::new(vis_cols, rows.clone());
-                    let (sig, rest) = sig_rest.split_at_mut(rows.len());
-                    sig_rest = rest;
-                    let (act, rest) = act_rest.split_at_mut(rows.len());
-                    act_rest = rest;
-                    if inline {
-                        sweep_shard(ai, shard, k, cols, sig, act, &observe, &respond);
-                    } else {
-                        let (observe, respond) = (&observe, &respond);
-                        jobs.push(Box::new(move || {
-                            sweep_shard(ai, shard, k, cols, sig, act, observe, respond)
-                        }));
-                    }
+            // Peel each shard's disjoint sub-slice off every column (and
+            // off the flat signal/action buffers): `take` +
+            // `split_at_mut` hands each shard `rows.len()` elements per
+            // column without unsafe aliasing.
+            let mut vis_rest: Vec<&mut [f64]> = self.visible.col_slices_mut();
+            let mut sig_rest = &mut self.signals[..];
+            let mut act_rest = &mut self.actions[..];
+            let mut sweeps = Vec::with_capacity(self.shards.len());
+            for shard in self.shards.iter_mut() {
+                let rows = shard.rows();
+                let mut cols = Vec::with_capacity(self.width);
+                for slot in vis_rest.iter_mut() {
+                    let (head, tail) = std::mem::take(slot).split_at_mut(rows.len());
+                    cols.push(head);
+                    *slot = tail;
                 }
-                // Submit the step's sweep to the parked workers and wait
-                // at the pool's barrier: every shard has finished (each
-                // wrote only its disjoint slice) before the sequential
-                // tail below reads the merged buffers.
-                if !inline {
-                    pool.run(jobs);
-                }
+                let (sig, rest) = sig_rest.split_at_mut(rows.len());
+                sig_rest = rest;
+                let (act, rest) = act_rest.split_at_mut(rows.len());
+                act_rest = rest;
+                sweeps.push(ShardSweep {
+                    shard,
+                    cols: ColsMut::new(cols, rows),
+                    sig,
+                    act,
+                });
             }
+            // Every shard has finished (each wrote only its disjoint
+            // slice) before the sequential tail below reads the merged
+            // buffers.
+            let ai = &self.ai;
+            run_striped(&lease, sweeps, |sweep| sweep.run(ai, k, &observe, &respond));
 
             // The step barrier: the sequential runner's tail, on the
             // merged buffers.
@@ -626,32 +550,33 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
     }
 }
 
-/// One shard's slice of one step: observe → signal → respond over its own
-/// rows. Each phase runs under its telemetry span, so in a sharded run
-/// the `loop.observe/signal/respond` counts are `steps × shards` — still
-/// deterministic for a fixed shard count.
-#[allow(clippy::too_many_arguments)]
-fn sweep_shard<S: ShardableAi, Sh: PopulationShard>(
-    ai: &S,
-    shard: &mut Sh,
-    k: usize,
-    mut cols: ColsMut<'_>,
-    sig: &mut [f64],
-    act: &mut [f64],
-    observe: &RowStreams,
-    respond: &RowStreams,
-) {
-    {
-        let _phase = tm::LOOP_OBSERVE.enter();
-        shard.observe_cols(k, observe, &mut cols);
-    }
-    {
-        let _phase = tm::LOOP_SIGNAL.enter();
-        ai.signals_batch(k, &cols.as_view(), sig);
-    }
-    {
-        let _phase = tm::LOOP_RESPOND.enter();
-        shard.respond_rows(k, sig, respond, act);
+/// One shard's slice of one step: the shard and its own sub-slices of the
+/// step buffers, moved onto the stripe that sweeps it.
+struct ShardSweep<'a, Sh> {
+    shard: &'a mut Sh,
+    cols: ColsMut<'a>,
+    sig: &'a mut [f64],
+    act: &'a mut [f64],
+}
+
+impl<Sh: PopulationShard> ShardSweep<'_, Sh> {
+    /// Observe → signal → respond over the shard's rows. Each phase runs
+    /// under its telemetry span, so in a sharded run the
+    /// `loop.observe/signal/respond` counts are `steps × shards` — still
+    /// deterministic for a fixed shard count.
+    fn run<S: ShardableAi>(mut self, ai: &S, k: usize, observe: &RowStreams, respond: &RowStreams) {
+        {
+            let _phase = tm::LOOP_OBSERVE.enter();
+            self.shard.observe_cols(k, observe, &mut self.cols);
+        }
+        {
+            let _phase = tm::LOOP_SIGNAL.enter();
+            ai.signals_batch(k, &self.cols.as_view(), self.sig);
+        }
+        {
+            let _phase = tm::LOOP_RESPOND.enter();
+            self.shard.respond_rows(k, self.sig, respond, self.act);
+        }
     }
 }
 
@@ -832,16 +757,16 @@ mod tests {
 
     #[test]
     fn auto_and_capped_shard_counts() {
-        let runner = ShardedRunner::new(
+        let runner = ShardedRunner::with_budget(
             LevelAi { level: 0.0 },
             NoisyUsers { n: 5, width: 1 },
             crate::closed_loop::MeanFilter::default(),
             1,
             0,
+            ThreadBudget::global(),
         );
         assert!(runner.shard_count() >= 1);
         assert!(runner.shard_count() <= 5, "capped by the user count");
-        assert_eq!(runner.delay(), 1);
     }
 
     #[test]
@@ -913,12 +838,13 @@ mod tests {
     fn shard_requests_clamp_to_the_population() {
         // More shards than users: one shard per user, no empty shards,
         // and the record still matches the sequential reference.
-        let runner = ShardedRunner::new(
+        let runner = ShardedRunner::with_budget(
             LevelAi { level: 0.0 },
             NoisyUsers { n: 3, width: 2 },
             crate::closed_loop::MeanFilter::default(),
             1,
             64,
+            ThreadBudget::global(),
         );
         assert_eq!(runner.shard_count(), 3);
         assert!(runner.shards.iter().all(|s| !s.rows().is_empty()));
@@ -928,8 +854,8 @@ mod tests {
 
     #[test]
     fn exhausted_budget_runs_match_the_sequential_reference() {
-        // Every lane leased away: the pooled run degrades to an inline
-        // sweep and must not change a single recorded bit.
+        // Every lane leased away: the run sweeps every shard on the
+        // calling thread and must not change a single recorded bit.
         let budget = ThreadBudget::leaked(1);
         let reference = sequential_record(17, 2, 9, 123);
         let mut runner = ShardedRunner::with_budget(
@@ -945,32 +871,106 @@ mod tests {
         assert_eq!(record, reference);
     }
 
+    /// Population whose observe sweep panics on one row.
+    struct PanickyUsers {
+        n: usize,
+        bad_row: usize,
+    }
+
+    struct PanickyShard {
+        rows: Range<usize>,
+        bad_row: usize,
+    }
+
+    impl UserPopulation for PanickyUsers {
+        fn user_count(&self) -> usize {
+            self.n
+        }
+        fn observe_into(&mut self, _k: usize, _rng: &mut SimRng, out: &mut FeatureMatrix) {
+            out.reshape(self.n, 1);
+        }
+        fn respond_into(
+            &mut self,
+            _k: usize,
+            signals: &[f64],
+            _rng: &mut SimRng,
+            out: &mut Vec<f64>,
+        ) {
+            out.clear();
+            out.extend_from_slice(signals);
+        }
+    }
+
+    impl ShardablePopulation for PanickyUsers {
+        type Shard = PanickyShard;
+        fn feature_width(&self) -> usize {
+            1
+        }
+        fn into_row_shards(self, parts: usize) -> Vec<PanickyShard> {
+            shard_bounds(self.n, parts)
+                .into_iter()
+                .map(|rows| PanickyShard {
+                    rows,
+                    bad_row: self.bad_row,
+                })
+                .collect()
+        }
+        fn from_row_shards(shards: Vec<PanickyShard>) -> Self {
+            let n = shards.last().map(|s| s.rows.end).unwrap_or(0);
+            let bad_row = shards.first().map(|s| s.bad_row).unwrap_or(0);
+            PanickyUsers { n, bad_row }
+        }
+    }
+
+    impl PopulationShard for PanickyShard {
+        fn rows(&self) -> Range<usize> {
+            self.rows.clone()
+        }
+        fn observe_cols(&mut self, k: usize, _streams: &RowStreams, out: &mut ColsMut<'_>) {
+            for (j, i) in out.rows().enumerate() {
+                assert!(i != self.bad_row, "row {i} refused step {k}");
+                out.col_mut(0)[j] = i as f64;
+            }
+        }
+        fn respond_rows(
+            &mut self,
+            _k: usize,
+            signals: &[f64],
+            _streams: &RowStreams,
+            out: &mut [f64],
+        ) {
+            out.copy_from_slice(signals);
+        }
+    }
+
     #[test]
-    fn one_pool_drives_consecutive_runs_bit_identically() {
-        // Satellite: pool reuse. One worker pool drives two consecutive
-        // runs (fresh runner, then the same runner re-run); each record
-        // must be bit-identical to a fresh sequential run.
-        let mut pool = WorkerPool::new(2);
-        let make = || {
-            LoopBuilder::new(LevelAi { level: 0.5 }, NoisyUsers { n: 23, width: 2 })
-                .delay(1)
-                .shards(5)
-                .build_sharded()
-        };
-        let mut first = make();
-        let a = first.run_in_pool(12, &mut SimRng::new(77), &mut (), &mut pool);
-        assert_eq!(a, sequential_record(23, 2, 12, 77), "first pooled run");
-
-        let mut second = make();
-        let b = second.run_in_pool(12, &mut SimRng::new(909), &mut (), &mut pool);
-        assert_eq!(b, sequential_record(23, 2, 12, 909), "second pooled run");
-
-        // A third run through the same (now well-used) pool: a fresh
-        // runner with the second seed reproduces the second record — the
-        // pool carries threads, never state.
-        let c = make().run_in_pool(12, &mut SimRng::new(909), &mut (), &mut pool);
-        assert_eq!(c, b, "same pool, fresh runner, same seed");
-        assert!(!pool.is_poisoned());
+    fn a_shard_panic_re_raises_its_message_and_returns_the_lanes() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // 12 rows in 4 shards: row 4 is in shard 1, which runs on the
+        // caller at one lane and on the spawned stripe 1 at two lanes.
+        for lanes in [1usize, 2] {
+            let budget = ThreadBudget::leaked(lanes);
+            let mut runner = ShardedRunner::with_budget(
+                LevelAi { level: 0.0 },
+                PanickyUsers { n: 12, bad_row: 4 },
+                crate::closed_loop::MeanFilter::default(),
+                1,
+                4,
+                budget,
+            );
+            let result = catch_unwind(AssertUnwindSafe(|| runner.run(3, &mut SimRng::new(1))));
+            let payload = result.expect_err("the shard's panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("row 4 refused step 0"),
+                "{lanes} lane(s)"
+            );
+            assert_eq!(
+                budget.available_lanes(),
+                budget.capacity(),
+                "{lanes} lane(s): the lease returned its lanes"
+            );
+        }
     }
 
     /// Concurrency probe: counts how many sweeps are live at once.

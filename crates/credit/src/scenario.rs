@@ -36,13 +36,11 @@ pub struct CreditScenario;
 pub const TRACE_VARIANT: &str = "scorecard";
 
 /// The per-trial [`CreditConfig`] a scenario config resolves to (scale
-/// shapes, shard count, the scenario's record policy, and the seed
-/// override).
+/// shapes, shard count and the seed override).
 pub fn trial_config(config: &ScenarioConfig) -> CreditConfig {
     let base = scale_config(config.scale, LenderKind::Scorecard);
     CreditConfig {
         shards: config.shards,
-        policy: Scenario::record_policy(&CreditScenario, config.scale),
         seed: config.seed.unwrap_or(base.seed),
         ..base
     }

@@ -49,13 +49,11 @@ pub fn variant_name(screener: ScreenerKind) -> &'static str {
 }
 
 /// The per-trial [`HiringConfig`] a scenario config resolves to (scale
-/// shapes, shard count, the scenario's record policy, and the seed
-/// override).
+/// shapes, shard count and the seed override).
 pub fn trial_config(config: &ScenarioConfig, screener: ScreenerKind) -> HiringConfig {
     let base = scale_config(config.scale, screener);
     HiringConfig {
         shards: config.shards,
-        policy: Scenario::record_policy(&HiringScenario, config.scale),
         seed: config.seed.unwrap_or(base.seed),
         ..base
     }

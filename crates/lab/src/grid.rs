@@ -47,10 +47,13 @@ impl CandidateGrid {
     /// ```
     ///
     /// Axis names are `policy`, `filter` and `threshold`. Unknown axes,
-    /// empty value lists, repeated axes and unparsable or NaN thresholds
-    /// are all errors — a typo must never silently shrink a sweep, and a
-    /// NaN threshold would decide every case negative. `inf` and `-inf`
-    /// are valid: the approve-none and approve-all thresholds.
+    /// empty value lists, repeated axes, repeated values and unparsable or
+    /// NaN thresholds are all errors — a typo must never silently shrink
+    /// a sweep, a repeated value would evaluate and rank one candidate
+    /// twice, and a NaN threshold would decide every case negative.
+    /// Thresholds repeat when they compare equal, so `-0` and `0` are one
+    /// value. `inf` and `-inf` are valid: the approve-none and approve-all
+    /// thresholds.
     pub fn parse(spec: &str, defaults: &CandidateGrid) -> Result<CandidateGrid, GridError> {
         let mut grid = defaults.clone();
         let mut seen = Vec::new();
@@ -79,19 +82,17 @@ impl CandidateGrid {
                     axis: axis.to_string(),
                 });
             }
+            let name = |v: &str| Ok(v.to_string());
             match axis {
-                "policy" => grid.policies = values.iter().map(|v| v.to_string()).collect(),
-                "filter" => grid.filters = values.iter().map(|v| v.to_string()).collect(),
+                "policy" => grid.policies = distinct(axis, &values, name)?,
+                "filter" => grid.filters = distinct(axis, &values, name)?,
                 "threshold" => {
-                    grid.thresholds = values
-                        .iter()
-                        .map(|v| match v.parse::<f64>() {
-                            Ok(t) if !t.is_nan() => Ok(t),
-                            _ => Err(GridError::BadThreshold {
-                                value: v.to_string(),
-                            }),
-                        })
-                        .collect::<Result<_, _>>()?;
+                    grid.thresholds = distinct(axis, &values, |v| match v.parse::<f64>() {
+                        Ok(t) if !t.is_nan() => Ok(t),
+                        _ => Err(GridError::BadThreshold {
+                            value: v.to_string(),
+                        }),
+                    })?;
                 }
                 other => {
                     return Err(GridError::UnknownAxis {
@@ -130,6 +131,27 @@ impl CandidateGrid {
         }
         out
     }
+}
+
+/// Parses one axis's values with `parse`, rejecting a value equal to an
+/// earlier one (the error names the later spelling).
+fn distinct<T: PartialEq>(
+    axis: &str,
+    values: &[&str],
+    parse: impl Fn(&str) -> Result<T, GridError>,
+) -> Result<Vec<T>, GridError> {
+    let mut out: Vec<T> = Vec::with_capacity(values.len());
+    for v in values {
+        let value = parse(v)?;
+        if out.contains(&value) {
+            return Err(GridError::DuplicateValue {
+                axis: axis.to_string(),
+                value: v.to_string(),
+            });
+        }
+        out.push(value);
+    }
+    Ok(out)
 }
 
 /// One point of a [`CandidateGrid`].
@@ -177,6 +199,13 @@ pub enum GridError {
         /// The repeated axis.
         axis: String,
     },
+    /// The same value listed twice on one axis.
+    DuplicateValue {
+        /// The axis.
+        axis: String,
+        /// The second spelling of the repeated value.
+        value: String,
+    },
     /// A threshold that does not parse as `f64`, or parses as NaN.
     BadThreshold {
         /// The rejected value.
@@ -196,6 +225,9 @@ impl fmt::Display for GridError {
             ),
             GridError::EmptyAxis { axis } => write!(f, "grid axis `{axis}` has no values"),
             GridError::DuplicateAxis { axis } => write!(f, "grid axis `{axis}` appears twice"),
+            GridError::DuplicateValue { axis, value } => {
+                write!(f, "grid axis `{axis}` lists `{value}` twice")
+            }
             GridError::BadThreshold { value } => {
                 write!(f, "grid threshold `{value}` is not a number")
             }
@@ -262,6 +294,21 @@ mod tests {
             CandidateGrid::parse("policy=a;policy=b", &defaults()),
             Err(GridError::DuplicateAxis { .. })
         ));
+        for (spec, axis, value) in [
+            ("policy=a,a", "policy", "a"),
+            ("filter=f,f", "filter", "f"),
+            ("threshold=0,0", "threshold", "0"),
+            ("threshold=-0,0", "threshold", "0"),
+        ] {
+            assert_eq!(
+                CandidateGrid::parse(spec, &defaults()),
+                Err(GridError::DuplicateValue {
+                    axis: axis.to_string(),
+                    value: value.to_string()
+                }),
+                "{spec}"
+            );
+        }
         for bad in ["zero", "nan", "NaN"] {
             assert_eq!(
                 CandidateGrid::parse(&format!("threshold={bad}"), &defaults()),

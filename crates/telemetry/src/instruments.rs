@@ -342,8 +342,8 @@ impl PhaseSpan {
         }
     }
 
-    /// A span whose call count depends on scheduling (queue waits, CLI
-    /// wrappers): everything about it is wall-clock.
+    /// A span whose call count depends on scheduling (such as the CLI
+    /// command wrapper): everything about it is wall-clock.
     pub const fn wall_clock(name: &'static str) -> Self {
         PhaseSpan {
             hist: Histogram::new(name, Section::WallClock, Unit::Nanos),

@@ -18,7 +18,7 @@
 //!   `u64::MAX`) for sizes or durations, with count and sum.
 //! - [`PhaseSpan`] — a scoped timer over a duration histogram; entering
 //!   while disabled returns an inert guard without reading the clock.
-//! - [`LaneSet`] — per-lane occupancy tallies for the worker pool.
+//! - [`LaneSet`] — per-lane occupancy tallies for the thread fan-outs.
 //!
 //! Export is the [`TelemetrySnapshot`]: a point-in-time capture split
 //! into a **deterministic** section (counts, byte/frame tallies, size

@@ -57,18 +57,12 @@ pub static POOL_LANES_GRANTED: Counter = Counter::new("pool.lanes_granted", Sect
 pub static POOL_LEASES_CLAMPED: Counter = Counter::new("pool.leases_clamped", Section::WallClock);
 /// Extra budget lanes currently held by live leases (peak = high-water).
 pub static POOL_LANES_BUSY: Gauge = Gauge::new("pool.lanes_busy", Section::WallClock);
-/// Jobs executed on worker threads (`WorkerPool` workers and
-/// `run_indexed` lanes).
+/// Jobs run by the fan-outs: `run_indexed` jobs and `run_striped` items,
+/// on whichever thread ran them.
 pub static POOL_JOBS_RUN: Counter = Counter::new("pool.jobs_run", Section::WallClock);
-/// Jobs executed inline on the submitting thread (its own stripe).
-pub static POOL_JOBS_INLINE: Counter = Counter::new("pool.jobs_inline", Section::WallClock);
-/// Jobs that panicked (caught at the pool barrier).
-pub static POOL_PANICS: Counter = Counter::new("pool.panics", Section::WallClock);
-/// Submit-to-start latency of worker-lane jobs.
-pub static POOL_QUEUE_WAIT: PhaseSpan = PhaseSpan::wall_clock("pool.queue_wait");
-/// Jobs per lane. In a `WorkerPool` batch lane 0 is the calling thread
-/// and lane w+1 is worker w; in a `run_indexed` batch the lane is the
-/// stripe.
+/// Jobs per lane. The lane is the stripe: in a `run_striped` batch lane
+/// 0 is the calling thread, in a `run_indexed` batch every lane is a
+/// spawned thread.
 pub static POOL_LANE_JOBS: LaneSet = LaneSet::new("pool.lane_jobs");
 
 // --- trace plane (crates/trace) -----------------------------------------
@@ -127,7 +121,7 @@ pub static CERTIFY_CELL_ERRORS: Counter =
 pub static CLI_COMMAND: PhaseSpan = PhaseSpan::wall_clock("cli.command");
 
 /// Every counter, in render order.
-pub static COUNTERS: [&Counter; 25] = [
+pub static COUNTERS: [&Counter; 23] = [
     &LOOP_STEPS,
     &IRLS_FITS,
     &IRLS_ITERATIONS,
@@ -138,8 +132,6 @@ pub static COUNTERS: [&Counter; 25] = [
     &POOL_LANES_GRANTED,
     &POOL_LEASES_CLAMPED,
     &POOL_JOBS_RUN,
-    &POOL_JOBS_INLINE,
-    &POOL_PANICS,
     &TRACE_FRAMES_WRITTEN,
     &TRACE_FRAMES_READ,
     &TRACE_CHECKSUM_FAILURES,
@@ -162,7 +154,7 @@ pub static GAUGES: [&Gauge; 1] = [&POOL_LANES_BUSY];
 pub static HISTOGRAMS: [&Histogram; 1] = [&TRACE_FRAME_BYTES];
 
 /// Every phase span, in render order.
-pub static SPANS: [&PhaseSpan; 10] = [
+pub static SPANS: [&PhaseSpan; 9] = [
     &LOOP_OBSERVE,
     &LOOP_SIGNAL,
     &LOOP_RESPOND,
@@ -171,7 +163,6 @@ pub static SPANS: [&PhaseSpan; 10] = [
     &LOOP_RETRAIN,
     &SWEEP_CELLS,
     &CERTIFY_CELLS,
-    &POOL_QUEUE_WAIT,
     &CLI_COMMAND,
 ];
 

@@ -399,7 +399,7 @@ mod tests {
         metrics::POOL_JOBS_RUN.add(7);
         let busy = TelemetrySnapshot::capture();
         assert!(busy.render_text().contains("pool.jobs_run"));
-        assert!(!busy.render_text().contains("pool.panics"));
+        assert!(!busy.render_text().contains("pool.leases_clamped"));
         Recorder::uninstall();
         Recorder::reset();
     }

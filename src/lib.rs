@@ -29,7 +29,7 @@ pub mod prelude {
         AiSystem, Feedback, FeedbackFilter, LoopBuilder, LoopRunner, MeanFilter, UserPopulation,
     };
     pub use eqimpact_core::features::FeatureMatrix;
-    pub use eqimpact_core::pool::{BudgetLease, ThreadBudget, WorkerPool};
+    pub use eqimpact_core::pool::{BudgetLease, ThreadBudget};
     pub use eqimpact_core::recorder::{LoopRecord, RecordPolicy};
     pub use eqimpact_core::scenario::{
         run_scenario, write_artifacts, Artifact, ArtifactSpec, DynScenario, Scale, Scenario,
