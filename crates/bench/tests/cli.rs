@@ -295,19 +295,39 @@ fn deterministic_section(snapshot: &Path) -> String {
     text[start..end].to_string()
 }
 
-/// The deterministic work counters of the trace pipeline are pinned
-/// across commits, as `run`'s are in the root `tests/data/`: a change
-/// that moves a frame, byte or fit count of `record`, `sweep` or
-/// `certify` fails here and must re-pin the file on purpose.
+/// The trace pipeline is pinned across commits, as `run`'s telemetry is
+/// in the root `tests/data/`: the deterministic work counters of
+/// `record`, `sweep` and `certify` in
+/// `tests/data/telemetry_<scenario>_<command>.json`, and every file they
+/// write (the recorded traces and both reports) by byte length and
+/// 64-bit FNV-1a in `tests/data/pipeline_quick.txt`. A checksum that
+/// changed but still agreed with itself would pass every round trip and
+/// fail here. `sweep` and `certify` also run with `--threads 1`, against
+/// the same pins. A change that moves a count or a byte fails here and
+/// must re-pin the file on purpose.
 #[test]
 fn trace_pipeline_telemetry_matches_the_committed_sections() {
     let dir = WorkDir::new("pipeline-telemetry");
+    let mut table = String::new();
     for scenario in ["credit", "hiring"] {
         let traces = format!("tr-{scenario}");
+        // The sweep and certify reports' pin lines: at the default
+        // budget, then at `--threads 1`.
+        let mut reports = Vec::new();
         for (command, out, flags) in [
             ("record", traces.as_str(), vec!["--quick"]),
             ("sweep", "sweep", vec!["--quick", "--traces", &traces]),
             ("certify", "certify", vec!["--traces", &traces]),
+            (
+                "sweep",
+                "sweep-1",
+                vec!["--quick", "--traces", &traces, "--threads", "1"],
+            ),
+            (
+                "certify",
+                "certify-1",
+                vec!["--traces", &traces, "--threads", "1"],
+            ),
         ] {
             let mut argv = vec![command, scenario, "--telemetry", "--out", out];
             argv.extend(flags);
@@ -321,11 +341,49 @@ fn trace_pipeline_telemetry_matches_the_committed_sections() {
             .expect("read pinned section");
             assert!(
                 section == pinned,
-                "{command} {scenario} deterministic telemetry moved; if on purpose, re-pin \
+                "{argv:?} deterministic telemetry moved; if on purpose, re-pin \
                  tests/data/telemetry_{scenario}_{command}.json to:\n{section}"
             );
+            if command != "record" {
+                reports.push(
+                    ["json", "txt"]
+                        .map(|ext| {
+                            pin_line(&dir.path(out).join(format!("{command}_{scenario}.{ext}")))
+                        })
+                        .concat(),
+                );
+            }
         }
+        let mut recorded: Vec<PathBuf> = std::fs::read_dir(dir.path(&traces))
+            .expect("read trace dir")
+            .map(|entry| entry.expect("trace dir entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "eqtrace"))
+            .collect();
+        recorded.sort();
+        for trace in &recorded {
+            table += &pin_line(trace);
+        }
+        assert_eq!(
+            reports[2..],
+            reports[..2],
+            "{scenario}: `--threads 1` reports differ from the default budget's"
+        );
+        table += &reports[..2].concat();
     }
+    let pinned = include_str!("data/pipeline_quick.txt");
+    assert!(
+        table == pinned,
+        "trace pipeline outputs moved; if on purpose, re-pin \
+         tests/data/pipeline_quick.txt to:\n{table}"
+    );
+}
+
+/// `<file name> <byte length> <64-bit FNV-1a digest>` of one output file,
+/// newline-terminated: a line of the committed byte pins.
+fn pin_line(path: &Path) -> String {
+    let bytes = std::fs::read(path).expect("read output file");
+    let name = path.file_name().expect("file name").to_string_lossy();
+    format!("{name} {} {:016x}\n", bytes.len(), fnv1a64(&bytes))
 }
 
 /// 64-bit FNV-1a of `bytes`.

@@ -14,7 +14,8 @@
 //!   each claim `available_parallelism()`, and `trials × shards` could
 //!   oversubscribe the host by an order of magnitude.
 //! * [`run_indexed`] — the **one-shot batch**: `n` independent jobs
-//!   (trials, sweep cells, certification cells) striped over one lease,
+//!   (trials, sweep cells, the sweep's bootstrap intervals, certification
+//!   cells) striped over one lease,
 //!   one scoped thread per lane while the caller waits, each job's panic
 //!   caught as its own `Err`, results returned in index order.
 //! * [`run_striped`] — the **per-step batch**: the sharded runner's

@@ -5,9 +5,10 @@
 //! This crate asks them in bulk: a [`CandidateGrid`] enumerates
 //! (policy, filter, threshold) combinations, [`run_sweep`] fans every
 //! candidate across every recorded trace on the process-wide
-//! [`ThreadBudget`](eqimpact_core::pool::ThreadBudget) (one lease, one
-//! [`run_indexed`](eqimpact_core::pool::run_indexed) batch, per-cell
-//! panic isolation), and the result is a [`SweepReport`]: candidates
+//! [`ThreadBudget`](eqimpact_core::pool::ThreadBudget) (one
+//! [`run_indexed`](eqimpact_core::pool::run_indexed) batch for the cells,
+//! per-cell panic isolation, then one for the bootstrap intervals), and
+//! the result is a [`SweepReport`]: candidates
 //! ranked by demographic-parity gap, every gap and impact delta carrying
 //! a bootstrap confidence interval.
 //!
@@ -15,8 +16,9 @@
 //!
 //! The same traces, grid and [`SweepConfig`] produce a bit-identical
 //! report regardless of thread count or scheduling: cell results come
-//! back in index order, aggregation is sequential in grid order, and
-//! candidate `i`'s bootstrap RNG is derived from `(seed, i)` alone.
+//! back in index order, cells are pooled per candidate in trace order,
+//! and interval `k` of candidate `i` draws only from an RNG derived from
+//! `(seed, i, k + 1)`.
 //!
 //! # The checkpoint fast-path
 //!

@@ -12,9 +12,13 @@
 //! back as that cell's error — one corrupt trace or misbehaving
 //! candidate never takes down the sweep.
 //!
-//! Aggregation is sequential and index-ordered, with every candidate's
-//! bootstrap RNG derived from `(config.seed, candidate.index)` — so the
-//! ranked report is bit-identical across runs and across thread counts.
+//! Aggregation has two steps. Each candidate's cells are pooled on the
+//! calling thread, in trace order. Then the bootstrap intervals, three
+//! per candidate, go into a second [`run_indexed`] batch: job `3i + k`
+//! is interval `k` of candidate `i`, and it draws only from an RNG
+//! derived from `(config.seed, candidate.index, k + 1)`. Results come
+//! back in index order, so the ranked report is bit-identical across
+//! runs and across thread counts.
 
 use crate::grid::{CandidateGrid, CandidateSpec};
 use crate::report::{RankedCandidate, SweepReport};
@@ -137,9 +141,9 @@ impl TraceSource for MemTrace {
 pub struct SweepConfig {
     /// Base seed of the per-candidate bootstrap RNGs.
     pub seed: u64,
-    /// Bootstrap resamples per confidence interval.
+    /// Bootstrap resamples per confidence interval; at least 1.
     pub resamples: usize,
-    /// Nominal CI coverage level in `(0, 1)`.
+    /// Nominal CI coverage level, strictly inside `(0, 1)`.
     pub level: f64,
 }
 
@@ -170,6 +174,14 @@ pub enum SweepError {
         /// Every value the target knows.
         known: Vec<&'static str>,
     },
+    /// The [`SweepConfig`] cannot give a bootstrap interval: zero
+    /// resamples, or a level that is not strictly inside `(0, 1)`.
+    BadBootstrap {
+        /// The configured resamples per interval.
+        resamples: usize,
+        /// The configured coverage level.
+        level: f64,
+    },
 }
 
 impl fmt::Display for SweepError {
@@ -181,6 +193,11 @@ impl fmt::Display for SweepError {
                 f,
                 "unknown {axis} `{value}` (known values: {})",
                 known.join(", ")
+            ),
+            SweepError::BadBootstrap { resamples, level } => write!(
+                f,
+                "bootstrap needs at least 1 resample and a level inside (0, 1), \
+                 got {resamples} resamples at level {level}"
             ),
         }
     }
@@ -304,6 +321,11 @@ fn nan_ci(level: f64) -> ConfidenceInterval {
     }
 }
 
+/// Counts one interval's resample draws into `bootstrap.draws`.
+fn note_draws(config: &SweepConfig, sample: usize) {
+    tm::BOOTSTRAP_DRAWS.add((config.resamples as u64).saturating_mul(sample as u64));
+}
+
 /// Bootstrap CI of the max-minus-min group-mean gap over pooled strata.
 fn gap_ci(
     strata: &BTreeMap<String, Vec<f64>>,
@@ -318,6 +340,7 @@ fn gap_ci(
     if views.is_empty() {
         return nan_ci(config.level);
     }
+    note_draws(config, views.iter().map(|v| v.len()).sum());
     bootstrap_stratified_ci(
         &views,
         |resampled| {
@@ -336,10 +359,34 @@ fn gap_ci(
     )
 }
 
+/// Bootstrap CI of the mean of `sample`.
+fn mean_ci(sample: &[f64], config: &SweepConfig, rng: &mut SimRng) -> ConfidenceInterval {
+    if sample.is_empty() {
+        return nan_ci(config.level);
+    }
+    note_draws(config, sample.len());
+    bootstrap_mean_ci(sample, config.resamples, config.level, rng)
+}
+
+/// One candidate's cells, pooled across traces in trace order.
+struct PooledCells {
+    /// Cells that evaluated.
+    evaluated: usize,
+    /// Mean decision agreement over the cells that report a finite one.
+    agreement: f64,
+    /// The cells' [`CellStats`] strata and deltas, concatenated.
+    parity: BTreeMap<String, Vec<f64>>,
+    opportunity: BTreeMap<String, Vec<f64>>,
+    outcome_delta: Vec<f64>,
+    /// One message per failed cell, naming its trace.
+    errors: Vec<String>,
+}
+
 /// Runs the sweep: every grid candidate against every trace, one
-/// [`ThreadBudget`] lease for the whole batch, bootstrap CIs on every
-/// reported gap, ranked most-parity-even first. See the module docs for
-/// the determinism contract.
+/// [`ThreadBudget`] lease for the cell batch and one for the interval
+/// batch, bootstrap CIs on every reported gap, ranked most-parity-even
+/// first. A bad grid or [`SweepConfig`] is an error before any cell
+/// runs. See the module docs for the determinism contract.
 pub fn run_sweep(
     target: &dyn SweepTarget,
     traces: &[&dyn TraceSource],
@@ -352,6 +399,12 @@ pub fn run_sweep(
     }
     if traces.is_empty() {
         return Err(SweepError::NoTraces);
+    }
+    if config.resamples == 0 || !(config.level > 0.0 && config.level < 1.0) {
+        return Err(SweepError::BadBootstrap {
+            resamples: config.resamples,
+            level: config.level,
+        });
     }
     for policy in &grid.policies {
         if !target.known_policies().contains(&policy.as_str()) {
@@ -388,69 +441,89 @@ pub fn run_sweep(
     })
     .into_iter();
 
-    // Sequential, index-ordered aggregation: candidate i's bootstrap RNG
-    // depends only on (seed, i), never on scheduling.
-    let mut ranked = Vec::with_capacity(candidates.len());
-    for candidate in &candidates {
-        let mut errors = Vec::new();
-        let mut evaluated = 0usize;
+    // Pool each candidate's cells in index order.
+    let mut pooled = Vec::with_capacity(candidates.len());
+    for _ in &candidates {
+        let mut cells = PooledCells {
+            evaluated: 0,
+            agreement: f64::NAN,
+            parity: BTreeMap::new(),
+            opportunity: BTreeMap::new(),
+            outcome_delta: Vec::new(),
+            errors: Vec::new(),
+        };
         let mut agreement_sum = 0.0;
         let mut agreement_count = 0usize;
-        let mut parity: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        let mut opportunity: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        let mut outcome_delta = Vec::new();
         // `zip` stops at the last trace without pulling the next
         // candidate's first cell.
         for (trace, outcome) in traces.iter().zip(outcomes.by_ref()) {
             match outcome {
                 Ok(Ok(stats)) => {
-                    evaluated += 1;
+                    cells.evaluated += 1;
                     if stats.agreement.is_finite() {
                         agreement_sum += stats.agreement;
                         agreement_count += 1;
                     }
                     for (label, shares) in stats.parity {
-                        parity.entry(label).or_default().extend(shares);
+                        cells.parity.entry(label).or_default().extend(shares);
                     }
                     for (label, shares) in stats.opportunity {
-                        opportunity.entry(label).or_default().extend(shares);
+                        cells.opportunity.entry(label).or_default().extend(shares);
                     }
-                    outcome_delta.extend(stats.outcome_delta);
+                    cells.outcome_delta.extend(stats.outcome_delta);
                 }
-                Ok(Err(e)) => errors.push(format!("{}: {e}", trace.label())),
-                Err(panic) => {
-                    errors.push(format!("{}: candidate panicked: {panic}", trace.label()))
-                }
+                Ok(Err(e)) => cells.errors.push(format!("{}: {e}", trace.label())),
+                Err(panic) => cells
+                    .errors
+                    .push(format!("{}: candidate panicked: {panic}", trace.label())),
             }
         }
-        tm::SWEEP_CELL_ERRORS.add(errors.len() as u64);
-        let base = SimRng::new(config.seed).split(candidate.index as u64);
-        let parity_gap = gap_ci(&parity, config, &mut base.split(1));
-        let opportunity_gap = gap_ci(&opportunity, config, &mut base.split(2));
-        let outcome_delta = if outcome_delta.is_empty() {
-            nan_ci(config.level)
-        } else {
-            bootstrap_mean_ci(
-                &outcome_delta,
-                config.resamples,
-                config.level,
-                &mut base.split(3),
-            )
-        };
-        ranked.push(RankedCandidate {
-            candidate: candidate.clone(),
-            traces: evaluated,
-            agreement: if agreement_count == 0 {
-                f64::NAN
-            } else {
-                agreement_sum / agreement_count as f64
-            },
-            parity_gap,
-            opportunity_gap,
-            outcome_delta,
-            errors,
-        });
+        if agreement_count > 0 {
+            cells.agreement = agreement_sum / agreement_count as f64;
+        }
+        tm::SWEEP_CELL_ERRORS.add(cells.errors.len() as u64);
+        pooled.push(cells);
     }
+
+    // Every interval is one job of one batch: job 3i + k is interval k of
+    // candidate i, drawn from its own stream, so no result depends on
+    // which lane ran it or when.
+    let intervals: Vec<ConfidenceInterval> = run_indexed(budget, 3 * candidates.len(), |job| {
+        let _interval = tm::SWEEP_INTERVALS.enter();
+        let (i, k) = (job / 3, job % 3);
+        let cells = &pooled[i];
+        let mut rng = SimRng::new(config.seed)
+            .split(candidates[i].index as u64)
+            .split(k as u64 + 1);
+        match k {
+            0 => gap_ci(&cells.parity, config, &mut rng),
+            1 => gap_ci(&cells.opportunity, config, &mut rng),
+            _ => mean_ci(&cells.outcome_delta, config, &mut rng),
+        }
+    })
+    .into_iter()
+    .map(|interval| {
+        interval.expect(
+            "an interval job cannot panic: run_sweep checked resamples and level, \
+             and an empty sample gives a NaN interval without resampling",
+        )
+    })
+    .collect();
+
+    let mut ranked: Vec<RankedCandidate> = candidates
+        .iter()
+        .zip(pooled)
+        .zip(intervals.chunks_exact(3))
+        .map(|((candidate, cells), ci)| RankedCandidate {
+            candidate: candidate.clone(),
+            traces: cells.evaluated,
+            agreement: cells.agreement,
+            parity_gap: ci[0],
+            opportunity_gap: ci[1],
+            outcome_delta: ci[2],
+            errors: cells.errors,
+        })
+        .collect();
 
     // Most demographically even first; ties broken by opportunity gap,
     // then by the candidate key — total_cmp orders NaN after every

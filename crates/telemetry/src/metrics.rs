@@ -109,6 +109,12 @@ pub static TRACE_ENC_BYTES_SWAP_RLE: Counter =
 pub static SWEEP_CELLS: PhaseSpan = PhaseSpan::new("sweep.cells");
 /// Sweep cells that errored or panicked.
 pub static SWEEP_CELL_ERRORS: Counter = Counter::new("sweep.cell_errors", Section::Deterministic);
+/// Sweep bootstrap intervals, three per candidate: each is one
+/// `run_indexed` job after the cell batch.
+pub static SWEEP_INTERVALS: PhaseSpan = PhaseSpan::new("sweep.intervals");
+/// Bootstrap resample draws: resamples × sample size, summed over the
+/// sweep's intervals (an interval without samples draws nothing).
+pub static BOOTSTRAP_DRAWS: Counter = Counter::new("bootstrap.draws", Section::Deterministic);
 /// Certification cells evaluated (one per trace).
 pub static CERTIFY_CELLS: PhaseSpan = PhaseSpan::new("certify.cells");
 /// Certification cells that errored or panicked.
@@ -121,7 +127,7 @@ pub static CERTIFY_CELL_ERRORS: Counter =
 pub static CLI_COMMAND: PhaseSpan = PhaseSpan::wall_clock("cli.command");
 
 /// Every counter, in render order.
-pub static COUNTERS: [&Counter; 23] = [
+pub static COUNTERS: [&Counter; 24] = [
     &LOOP_STEPS,
     &IRLS_FITS,
     &IRLS_ITERATIONS,
@@ -144,6 +150,7 @@ pub static COUNTERS: [&Counter; 23] = [
     &TRACE_RAW_BYTES_SWAP_RLE,
     &TRACE_ENC_BYTES_SWAP_RLE,
     &SWEEP_CELL_ERRORS,
+    &BOOTSTRAP_DRAWS,
     &CERTIFY_CELL_ERRORS,
 ];
 
@@ -154,7 +161,7 @@ pub static GAUGES: [&Gauge; 1] = [&POOL_LANES_BUSY];
 pub static HISTOGRAMS: [&Histogram; 1] = [&TRACE_FRAME_BYTES];
 
 /// Every phase span, in render order.
-pub static SPANS: [&PhaseSpan; 9] = [
+pub static SPANS: [&PhaseSpan; 10] = [
     &LOOP_OBSERVE,
     &LOOP_SIGNAL,
     &LOOP_RESPOND,
@@ -162,6 +169,7 @@ pub static SPANS: [&PhaseSpan; 9] = [
     &LOOP_RECORD,
     &LOOP_RETRAIN,
     &SWEEP_CELLS,
+    &SWEEP_INTERVALS,
     &CERTIFY_CELLS,
     &CLI_COMMAND,
 ];

@@ -31,7 +31,8 @@
 //! Every payload is covered by a CRC-32; a flipped bit anywhere surfaces
 //! as [`TraceError::ChecksumMismatch`] instead of bad data. The reader
 //! is streaming — one frame is resident at a time, so memory is bounded
-//! by the widest step, not the trace length.
+//! by the widest step, not the trace length — and a frame's buffer grows
+//! only as its bytes arrive, so a length field cannot size it.
 
 use crate::column::{
     decode_column, decode_f64_column, encode_column, encode_f64_column, TAG_MASK, TAG_RLE_BIT,
@@ -70,6 +71,12 @@ const MAX_CHECKPOINT_FIELDS: usize = 1 << 16;
 /// Hard cap on a single frame's payload, so a corrupt length field
 /// cannot ask the reader to allocate the universe.
 const MAX_FRAME_LEN: u32 = 1 << 30;
+
+/// How far ahead of the bytes actually read the reader reserves payload
+/// space. A frame's length field is input: the buffer grows only as the
+/// stream delivers bytes, so a short file that declares a huge frame
+/// costs this much, not the declared length.
+const PAYLOAD_RESERVE: usize = 64 << 10;
 
 /// Hard cap on the *cells* a step or groups frame may declare
 /// (`rows × width`, or group codes). Distinct from — and much lower
@@ -449,17 +456,18 @@ pub struct TraceReader<R: Read> {
     input: R,
     header: TraceHeader,
     groups: Option<TraceGroups>,
-    /// The next frame, already read (one-frame lookahead so the optional
-    /// groups frame can be consumed during construction).
-    pending: Option<(u8, Vec<u8>)>,
+    /// The kind of the next frame when it has already been read into
+    /// `payload` (one-frame lookahead, so the optional groups frame can be
+    /// consumed during construction and a checkpoint can be peeked for).
+    pending: Option<u8>,
     frame_index: usize,
     steps_read: usize,
     /// The user count every step must carry, with its source: the
     /// groups frame when present, else the first step.
     users: Option<(usize, &'static str)>,
     done: bool,
-    /// Reused scratch: frame payloads, decoded words, one gathered
-    /// feature column.
+    /// Reused scratch: the current frame's payload, decoded words, one
+    /// gathered feature column.
     payload: Vec<u8>,
     words: Vec<u64>,
     column: Vec<f64>,
@@ -475,7 +483,8 @@ impl<R: Read> TraceReader<R> {
             return Err(TraceError::BadMagic);
         }
         let mut frame_index = 0usize;
-        let (kind, payload) = read_frame(&mut input, &mut frame_index)?
+        let mut payload = Vec::new();
+        let kind = read_frame_into(&mut input, &mut frame_index, &mut payload)?
             .ok_or(TraceError::Truncated { what: "header" })?;
         if kind != KIND_HEADER {
             return Err(TraceError::Corrupt {
@@ -499,16 +508,16 @@ impl<R: Read> TraceReader<R> {
             steps_read: 0,
             users: None,
             done: false,
-            payload: Vec::new(),
+            payload,
             words: Vec::new(),
             column: Vec::new(),
         };
-        reader.pending = read_frame(&mut reader.input, &mut reader.frame_index)?;
-        if let Some((KIND_GROUPS, payload)) = &reader.pending {
-            let groups = decode_groups(payload)?;
+        reader.pending = reader.next_frame()?;
+        if reader.pending == Some(KIND_GROUPS) {
+            let groups = decode_groups(&reader.payload)?;
             reader.users = Some((groups.codes.len(), "the groups frame"));
             reader.groups = Some(groups);
-            reader.pending = read_frame(&mut reader.input, &mut reader.frame_index)?;
+            reader.pending = reader.next_frame()?;
         }
         Ok(reader)
     }
@@ -539,15 +548,11 @@ impl<R: Read> TraceReader<R> {
         }
         loop {
             let kind = match self.pending.take() {
-                Some((kind, payload)) => {
-                    self.payload = payload;
-                    Some(kind)
-                }
-                None => read_frame_into(&mut self.input, &mut self.frame_index, &mut self.payload)?,
+                Some(kind) => kind,
+                None => self.next_frame()?.ok_or(TraceError::Truncated {
+                    what: "step or footer frame",
+                })?,
             };
-            let kind = kind.ok_or(TraceError::Truncated {
-                what: "step or footer frame",
-            })?;
             match kind {
                 KIND_STEP => {
                     decode_step(&self.payload, &mut self.words, &mut self.column, frame)?;
@@ -615,17 +620,19 @@ impl<R: Read> TraceReader<R> {
             return Ok(false);
         }
         if self.pending.is_none() {
-            self.pending = read_frame(&mut self.input, &mut self.frame_index)?;
+            self.pending = self.next_frame()?;
         }
-        match &self.pending {
-            Some((KIND_CHECKPOINT, _)) => {
-                let (_, payload) = self.pending.take().expect("matched above");
-                self.payload = payload;
-                decode_checkpoint(&self.payload, &mut self.words, checkpoint)?;
-                Ok(true)
-            }
-            _ => Ok(false),
+        if self.pending != Some(KIND_CHECKPOINT) {
+            return Ok(false);
         }
+        self.pending = None;
+        decode_checkpoint(&self.payload, &mut self.words, checkpoint)?;
+        Ok(true)
+    }
+
+    /// Reads the next frame into the reusable payload buffer.
+    fn next_frame(&mut self) -> Result<Option<u8>, TraceError> {
+        read_frame_into(&mut self.input, &mut self.frame_index, &mut self.payload)
     }
 
     /// Reads the remaining steps into a [`LoopRecord`] under the
@@ -664,7 +671,9 @@ fn read_exact_or<R: Read>(
 
 /// Reads one frame into the reusable `payload` buffer; `Ok(None)` at a
 /// clean end-of-stream boundary (no bytes at all), `Err(Truncated)`
-/// mid-frame.
+/// mid-frame. The buffer grows with the bytes read, at most
+/// [`PAYLOAD_RESERVE`] ahead of them, never to the declared length up
+/// front.
 fn read_frame_into<R: Read>(
     input: &mut R,
     frame_index: &mut usize,
@@ -687,8 +696,13 @@ fn read_frame_into<R: Read>(
     read_exact_or(input, &mut word, "frame checksum")?;
     let expected = u32::from_le_bytes(word);
     payload.clear();
-    payload.resize(len as usize, 0);
-    read_exact_or(input, payload, "frame payload")?;
+    payload.reserve(PAYLOAD_RESERVE.min(len as usize));
+    let read = input.by_ref().take(u64::from(len)).read_to_end(payload)?;
+    if read < len as usize {
+        return Err(TraceError::Truncated {
+            what: "frame payload",
+        });
+    }
     if crc32(payload) != expected {
         tm::TRACE_CHECKSUM_FAILURES.incr();
         return Err(TraceError::ChecksumMismatch {
@@ -698,16 +712,6 @@ fn read_frame_into<R: Read>(
     *frame_index += 1;
     tm::TRACE_FRAMES_READ.incr();
     Ok(Some(kind[0]))
-}
-
-/// [`read_frame_into`] with an owned payload (the construction-time
-/// lookahead path).
-fn read_frame<R: Read>(
-    input: &mut R,
-    frame_index: &mut usize,
-) -> Result<Option<(u8, Vec<u8>)>, TraceError> {
-    let mut payload = Vec::new();
-    Ok(read_frame_into(input, frame_index, &mut payload)?.map(|kind| (kind, payload)))
 }
 
 fn decode_groups(payload: &[u8]) -> Result<TraceGroups, TraceError> {
@@ -873,4 +877,37 @@ fn decode_step(
     channel(&mut pos, rows, words, &mut frame.actions)?;
     channel(&mut pos, rows, words, &mut frame.filtered)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A length field is input: a frame that declares 64 MiB and then
+    /// ends is a truncation, found without reserving the declared size.
+    #[test]
+    fn a_frame_that_declares_more_than_the_stream_holds_allocates_only_what_arrives() {
+        let mut stream = vec![KIND_STEP];
+        stream.extend_from_slice(&(64u32 << 20).to_le_bytes());
+        stream.extend_from_slice(&0u32.to_le_bytes());
+        stream.extend_from_slice(&[7; 100]);
+        let mut payload = Vec::new();
+        let mut frame_index = 0;
+        let result = read_frame_into(&mut stream.as_slice(), &mut frame_index, &mut payload);
+        assert!(
+            matches!(
+                result,
+                Err(TraceError::Truncated {
+                    what: "frame payload"
+                })
+            ),
+            "{result:?}"
+        );
+        assert!(
+            payload.capacity() < 1 << 20,
+            "the payload buffer grew to {} bytes",
+            payload.capacity()
+        );
+        assert_eq!(frame_index, 0, "no frame was read");
+    }
 }

@@ -342,3 +342,35 @@ fn a_panicking_trace_source_fails_only_its_own_cells() {
         assert!(ranked.parity_gap.estimate.is_finite());
     }
 }
+
+/// A config that cannot give a bootstrap interval is refused before any
+/// cell runs, instead of panicking in the bootstrap after every cell has.
+#[test]
+fn a_config_without_a_bootstrap_interval_is_an_error() {
+    let clean = hiring_trace(0, false);
+    let sources: Vec<&dyn TraceSource> = vec![&clean];
+    let grid = CandidateGrid::new(["adaptive"], ["track-record"], [0.5]);
+    for (resamples, level, shown) in [
+        (0, 0.95, "0 resamples at level 0.95"),
+        (50, 1.0, "50 resamples at level 1"),
+        (50, f64::NAN, "50 resamples at level NaN"),
+    ] {
+        let config = SweepConfig {
+            seed: 9,
+            resamples,
+            level,
+        };
+        let error = run_sweep(
+            &HiringSweep,
+            &sources,
+            &grid,
+            &config,
+            ThreadBudget::leaked(2),
+        )
+        .expect_err("the config is refused");
+        assert_eq!(
+            error.to_string(),
+            format!("bootstrap needs at least 1 resample and a level inside (0, 1), got {shown}")
+        );
+    }
+}
