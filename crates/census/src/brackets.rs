@@ -68,12 +68,14 @@ pub const BRACKETS: [IncomeBracket; BRACKET_COUNT] = [
 ];
 
 // Every income is drawn uniformly from `[lo, hi)` of one bracket, so this
-// makes every income positive: the credit and hiring response models
-// assert a positive income on the respond path and rely on it.
+// makes every income positive and finite: the credit and hiring response
+// models assert a positive income on the respond path and rely on it, and
+// the income draw relies on it in place of `SimRng::uniform_in`'s check.
 const _: () = {
     let mut i = 0;
     while i < BRACKET_COUNT {
-        assert!(0.0 < BRACKETS[i].lo && BRACKETS[i].lo < BRACKETS[i].hi);
+        let (lo, hi) = (BRACKETS[i].lo, BRACKETS[i].hi);
+        assert!(0.0 < lo && lo < hi && hi.is_finite());
         i += 1;
     }
 };

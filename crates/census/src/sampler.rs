@@ -29,16 +29,21 @@ impl<'a> HouseholdSampler<'a> {
 
     /// Samples an income ($K) for a `(year, race)` pair: bracket by table
     /// share, then uniform within the bracket.
+    ///
+    /// The draw is `rng.weighted_index(shares)` followed by
+    /// `rng.uniform_in(lo, hi)`, bit for bit, without their per-draw
+    /// checks: the table checks and sums each row once when it is built,
+    /// and `brackets.rs` checks every bracket at compile time.
+    #[inline]
     pub fn sample_income(
         &self,
         year: u32,
         race: Race,
         rng: &mut SimRng,
     ) -> Result<f64, TableError> {
-        let shares = self.table.shares(year, race)?;
-        let b = rng.weighted_index(shares);
-        let bracket = &BRACKETS[b];
-        Ok(rng.uniform_in(bracket.lo, bracket.hi))
+        let (shares, total) = self.table.summed_shares(year, race)?;
+        let bracket = &BRACKETS[rng.weighted_index_with_total(shares, total)];
+        Ok(bracket.lo + (bracket.hi - bracket.lo) * rng.uniform())
     }
 
     /// The table backing this sampler.
@@ -51,6 +56,7 @@ impl<'a> HouseholdSampler<'a> {
 mod tests {
     use super::*;
     use crate::brackets::bracket_of;
+    use crate::tables::{FIRST_YEAR, LAST_YEAR};
 
     #[test]
     fn race_frequencies_match_2002_shares() {
@@ -104,6 +110,32 @@ mod tests {
                     assert!((1.0..500.0).contains(&income));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn income_draws_match_weighted_index_then_uniform_in() {
+        let table = IncomeTable::embedded();
+        let s = HouseholdSampler::new(&table);
+        for seed in 0..64 {
+            let mut fast = SimRng::new(seed);
+            let mut checked = fast.clone();
+            for year in FIRST_YEAR..=LAST_YEAR {
+                for race in Race::ALL {
+                    let shares = table.shares(year, race).unwrap();
+                    for _ in 0..8 {
+                        let bracket = &BRACKETS[checked.weighted_index(shares)];
+                        let want = checked.uniform_in(bracket.lo, bracket.hi);
+                        let got = s.sample_income(year, race, &mut fast).unwrap();
+                        assert_eq!(got.to_bits(), want.to_bits(), "{race} {year} seed {seed}");
+                    }
+                }
+            }
+            assert_eq!(
+                fast.next_u64(),
+                checked.next_u64(),
+                "seed {seed}: streams diverged"
+            );
         }
     }
 

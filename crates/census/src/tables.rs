@@ -102,41 +102,77 @@ const SHARES_2020: [[f64; BRACKET_COUNT]; 3] = [
 /// nominal-income drift the real Table A-2 records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncomeTable {
-    /// `shares[year - FIRST_YEAR][race][bracket]`, normalized per (year,
-    /// race) row.
-    shares: Vec<[[f64; BRACKET_COUNT]; 3]>,
+    /// `rows[year - FIRST_YEAR][race]`.
+    rows: Vec<[ShareRow; 3]>,
+}
+
+/// One `(year, race)` row of an [`IncomeTable`], checked when it is built.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct ShareRow {
+    /// Bracket shares, finite and non-negative, normalized to sum to 1.
+    shares: [f64; BRACKET_COUNT],
+    /// `shares.iter().sum()`: positive, and the total that
+    /// `SimRng::weighted_index` would compute on every draw.
+    total: f64,
+}
+
+impl ShareRow {
+    /// Checks a row and sums it.
+    ///
+    /// # Panics
+    /// Panics on a negative or non-finite share, or a non-positive total.
+    fn new(shares: [f64; BRACKET_COUNT]) -> Self {
+        assert!(
+            shares.iter().all(|&w| w >= 0.0 && w.is_finite()),
+            "income table: bad share in {shares:?}"
+        );
+        let total: f64 = shares.iter().sum();
+        assert!(total > 0.0, "income table: zero total in {shares:?}");
+        ShareRow { shares, total }
+    }
 }
 
 impl IncomeTable {
     /// Builds the embedded table.
     pub fn embedded() -> Self {
         let years = (LAST_YEAR - FIRST_YEAR + 1) as usize;
-        let mut shares = Vec::with_capacity(years);
+        let mut rows = Vec::with_capacity(years);
         for k in 0..years {
             let t = k as f64 / (years - 1) as f64;
-            let mut year_shares = [[0.0; BRACKET_COUNT]; 3];
-            for r in 0..3 {
+            rows.push(std::array::from_fn(|r| {
+                let mut shares = [0.0; BRACKET_COUNT];
                 let mut total = 0.0;
-                for (b, slot) in year_shares[r].iter_mut().enumerate() {
+                for (b, slot) in shares.iter_mut().enumerate() {
                     let v = (1.0 - t) * SHARES_2002[r][b] + t * SHARES_2020[r][b];
                     *slot = v;
                     total += v;
                 }
-                for slot in year_shares[r].iter_mut() {
+                for slot in shares.iter_mut() {
                     *slot /= total;
                 }
-            }
-            shares.push(year_shares);
+                ShareRow::new(shares)
+            }));
         }
-        IncomeTable { shares }
+        IncomeTable { rows }
     }
 
     /// Normalized bracket shares for a `(year, race)` pair.
     pub fn shares(&self, year: u32, race: Race) -> Result<&[f64; BRACKET_COUNT], TableError> {
+        self.summed_shares(year, race).map(|(shares, _)| shares)
+    }
+
+    /// The normalized bracket shares of a `(year, race)` pair and their
+    /// sum, as `SimRng::weighted_index_with_total` takes them.
+    pub(crate) fn summed_shares(
+        &self,
+        year: u32,
+        race: Race,
+    ) -> Result<(&[f64; BRACKET_COUNT], f64), TableError> {
         if !(FIRST_YEAR..=LAST_YEAR).contains(&year) {
             return Err(TableError::YearOutOfRange { year });
         }
-        Ok(&self.shares[(year - FIRST_YEAR) as usize][race.index()])
+        let row = &self.rows[(year - FIRST_YEAR) as usize][race.index()];
+        Ok((&row.shares, row.total))
     }
 
     /// Mean income ($K) for a `(year, race)` pair, using bracket midpoints.

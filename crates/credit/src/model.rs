@@ -1,7 +1,7 @@
 //! Eq. (10) state and eq. (11) repayment: the Gaussian conditional
 //! independence model (Rutkowski-Tarca 2015) as used in the paper.
 
-use eqimpact_stats::dist::std_normal_cdf;
+use eqimpact_stats::dist::{bernoulli_std_normal_cdf, std_normal_cdf, CdfDraw};
 use eqimpact_stats::SimRng;
 
 /// Basic annual living cost, $K (the paper's $10K).
@@ -45,6 +45,7 @@ pub fn income_multiple_loan(income_k: f64) -> f64 {
 
 /// Repayment probability given the state: `Φ(5 x)` for `x > 0`, zero
 /// otherwise (eq. (11)'s first branch).
+// analyze::allow(R8): credit/tests/properties.rs repayment_probability_monotone checks it; it is eq. (11)'s probability and the oracle of sample_repayment's tests
 pub fn repayment_probability(state: f64) -> f64 {
     if state <= 0.0 {
         0.0
@@ -68,15 +69,15 @@ pub(crate) fn drawn_state(income_k: f64, loan_k: f64) -> Option<f64> {
     }
 }
 
-/// Samples the binary repayment action `y_i(k)` of eq. (11): forced 0 when
-/// no loan is offered (`loan_k <= 0`) or the state is non-positive,
-/// Bernoulli(`Φ(5x)`) otherwise. A NaN loan gives a NaN state and
-/// `Φ(NaN)` is NaN, so that household never repays.
-pub fn sample_repayment(income_k: f64, loan_k: f64, rng: &mut SimRng) -> f64 {
-    match drawn_state(income_k, loan_k) {
-        Some(x) if rng.bernoulli(repayment_probability(x)) => 1.0,
-        _ => 0.0,
-    }
+/// Samples the binary repayment action `y_i(k)` of eq. (11). It is forced
+/// to 0, and `None` is returned without touching `rng`, when no loan is
+/// offered (`loan_k <= 0`) or the state is non-positive. Otherwise the
+/// action is the returned Bernoulli(`Φ(5x)`) draw's `success`, with the
+/// outcome and stream use of `rng.bernoulli(repayment_probability(x))`.
+/// A NaN loan gives a NaN state and `Φ(NaN)` is NaN, so that household
+/// never repays.
+pub fn sample_repayment(income_k: f64, loan_k: f64, rng: &mut SimRng) -> Option<CdfDraw> {
+    drawn_state(income_k, loan_k).map(|x| bernoulli_std_normal_cdf(REPAYMENT_SENSITIVITY * x, rng))
 }
 
 /// The visible income code `1_{z ≥ 15}`.
@@ -91,6 +92,7 @@ pub fn income_code(income_k: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eqimpact_census::{HouseholdSampler, IncomeTable, FIRST_YEAR, LAST_YEAR};
 
     #[test]
     fn paper_state_formula() {
@@ -122,11 +124,11 @@ mod tests {
     fn forced_defaults() {
         let mut rng = SimRng::new(1);
         // No offer: never repays.
-        assert_eq!(sample_repayment(50.0, 0.0, &mut rng), 0.0);
+        assert_eq!(sample_repayment(50.0, 0.0, &mut rng), None);
         // Income below living cost: never repays.
         assert_eq!(
             sample_repayment(8.0, income_multiple_loan(8.0), &mut rng),
-            0.0
+            None
         );
         // Neither is a draw from Φ.
         assert_eq!(drawn_state(50.0, 0.0), None);
@@ -137,7 +139,13 @@ mod tests {
     fn nan_loan_never_repays() {
         let mut rng = SimRng::new(4);
         for _ in 0..100 {
-            assert_eq!(sample_repayment(50.0, f64::NAN, &mut rng), 0.0);
+            assert_eq!(
+                sample_repayment(50.0, f64::NAN, &mut rng),
+                Some(CdfDraw {
+                    success: false,
+                    exact: true
+                })
+            );
         }
         // The NaN state is drawn (Φ is evaluated), not forced.
         assert!(drawn_state(50.0, f64::NAN).is_some_and(f64::is_nan));
@@ -147,10 +155,11 @@ mod tests {
     fn high_income_almost_always_repays() {
         let mut rng = SimRng::new(2);
         let n = 5_000;
-        let repaid: f64 = (0..n)
-            .map(|_| sample_repayment(100.0, income_multiple_loan(100.0), &mut rng))
-            .sum();
-        assert!(repaid / n as f64 > 0.999);
+        let loan = income_multiple_loan(100.0);
+        let repaid = (0..n)
+            .filter(|_| sample_repayment(100.0, loan, &mut rng).is_some_and(|d| d.success))
+            .count();
+        assert!(repaid as f64 / n as f64 > 0.999);
     }
 
     #[test]
@@ -158,11 +167,39 @@ mod tests {
         // z = 11: x ≈ 0.0154, Φ(0.077) ≈ 0.53.
         let mut rng = SimRng::new(3);
         let n = 20_000;
-        let repaid: f64 = (0..n)
-            .map(|_| sample_repayment(11.0, income_multiple_loan(11.0), &mut rng))
-            .sum();
-        let rate = repaid / n as f64;
+        let loan = income_multiple_loan(11.0);
+        let repaid = (0..n)
+            .filter(|_| sample_repayment(11.0, loan, &mut rng).is_some_and(|d| d.success))
+            .count();
+        let rate = repaid as f64 / n as f64;
         assert!((rate - 0.53).abs() < 0.03, "repay rate = {rate}");
+    }
+
+    #[test]
+    fn repayment_draws_equal_bernoulli_of_the_probability_on_census_rows() {
+        // Households in row order, as the respond sweep meets them: a
+        // census race and income per row, and the paper's L = 3.5 z.
+        let table = IncomeTable::embedded();
+        let sampler = HouseholdSampler::new(&table);
+        let mut census = SimRng::new(2002);
+        let mut stream = SimRng::new(11);
+        let (mut drawn, mut exact) = (0, 0);
+        for i in 0..1_000_000u32 {
+            let year = FIRST_YEAR + i % (LAST_YEAR - FIRST_YEAR + 1);
+            let race = sampler.sample_race(&mut census);
+            let income = sampler.sample_income(year, race, &mut census).unwrap();
+            let loan = income_multiple_loan(income);
+            let mut oracle = stream.clone();
+            let got = sample_repayment(income, loan, &mut stream);
+            let want =
+                drawn_state(income, loan).map(|x| oracle.bernoulli(repayment_probability(x)));
+            assert_eq!(got.map(|d| d.success), want, "row {i}: income {income}");
+            assert_eq!(stream.clone().next_u64(), oracle.next_u64(), "row {i}");
+            drawn += u32::from(got.is_some());
+            exact += u32::from(got.is_some_and(|d| d.exact));
+        }
+        assert!(drawn > 900_000, "{drawn} drawn rows");
+        assert!(exact > 0, "no row reached the exact Φ");
     }
 
     #[test]

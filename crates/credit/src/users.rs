@@ -113,7 +113,8 @@ fn observe_household_cols(
 
 /// The shared respond sweep: eq. (11) repayment per household, randomness
 /// keyed by the global row. Adds the rows that drew from Φ to
-/// `dist.normal_cdf` once per sweep.
+/// `dist.normal_cdf`, and those of them that evaluated Φ to
+/// `dist.normal_cdf_exact`, once per sweep.
 fn respond_household_rows(
     households: &[Household],
     start_row: usize,
@@ -122,13 +123,17 @@ fn respond_household_rows(
     out: &mut [f64],
 ) {
     assert_eq!(signals.len(), households.len(), "signals length");
-    let mut cdf_rows = 0;
+    let (mut cdf_rows, mut exact_rows) = (0, 0);
     for (j, (h, &loan)) in households.iter().zip(signals).enumerate() {
         let mut rng = streams.for_row(start_row + j);
-        out[j] = model::sample_repayment(h.income, loan, &mut rng);
-        cdf_rows += u64::from(model::drawn_state(h.income, loan).is_some());
+        let draw = model::sample_repayment(h.income, loan, &mut rng);
+        let repaid = draw.is_some_and(|d| d.success);
+        out[j] = if repaid { 1.0 } else { 0.0 };
+        cdf_rows += u64::from(draw.is_some());
+        exact_rows += u64::from(draw.is_some_and(|d| d.exact));
     }
     tm::DIST_NORMAL_CDF.add(cdf_rows);
+    tm::DIST_NORMAL_CDF_EXACT.add(exact_rows);
 }
 
 impl UserPopulation for CreditPopulation {

@@ -34,7 +34,7 @@ proptest! {
     #[test]
     fn no_loan_never_repays(income in 1.0f64..500.0, seed in 0u64..100) {
         let mut rng = SimRng::new(seed);
-        prop_assert_eq!(sample_repayment(income, 0.0, &mut rng), 0.0);
+        prop_assert_eq!(sample_repayment(income, 0.0, &mut rng), None);
     }
 
     #[test]

@@ -140,7 +140,8 @@ fn observe_applicant_cols(
 
 /// The shared respond sweep: placement outcome per applicant, randomness
 /// keyed by the global row; a success accrues one year of experience.
-/// Adds the rows that drew from Φ to `dist.normal_cdf` once per sweep.
+/// Adds the rows that drew from Φ to `dist.normal_cdf`, and those of them
+/// that evaluated Φ to `dist.normal_cdf_exact`, once per sweep.
 fn respond_applicant_rows(
     applicants: &mut [Applicant],
     start_row: usize,
@@ -149,17 +150,21 @@ fn respond_applicant_rows(
     out: &mut [f64],
 ) {
     assert_eq!(signals.len(), applicants.len(), "signals length");
-    let mut cdf_rows = 0;
+    let (mut cdf_rows, mut exact_rows) = (0, 0);
     for (j, (a, &signal)) in applicants.iter_mut().zip(signals).enumerate() {
         let mut rng = streams.for_row(start_row + j);
-        cdf_rows += u64::from(model::drawn_margin(a.resources, a.experience, signal).is_some());
-        let y = model::sample_performance(a.resources, a.experience, signal, &mut rng);
-        if y == 1.0 {
+        let draw = model::sample_performance(a.resources, a.experience, signal, &mut rng);
+        cdf_rows += u64::from(draw.is_some());
+        exact_rows += u64::from(draw.is_some_and(|d| d.exact));
+        out[j] = if draw.is_some_and(|d| d.success) {
             a.experience += 1.0;
-        }
-        out[j] = y;
+            1.0
+        } else {
+            0.0
+        };
     }
     tm::DIST_NORMAL_CDF.add(cdf_rows);
+    tm::DIST_NORMAL_CDF_EXACT.add(exact_rows);
 }
 
 impl UserPopulation for ApplicantPool {

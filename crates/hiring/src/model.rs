@@ -12,7 +12,7 @@
 //! probit shape as the paper's repayment model, so the theory transfers
 //! unchanged.
 
-use eqimpact_stats::dist::std_normal_cdf;
+use eqimpact_stats::dist::{bernoulli_std_normal_cdf, std_normal_cdf, CdfDraw};
 use eqimpact_stats::SimRng;
 
 /// Annual cost of holding the job, $K (commuting, childcare, …).
@@ -48,6 +48,7 @@ pub fn readiness(resources_k: f64, experience: f64) -> f64 {
 
 /// Success probability given the readiness margin: `Φ(3 x)` for `x > 0`,
 /// zero otherwise.
+// analyze::allow(R8): hiring/tests/properties.rs readiness_bounded_and_monotone_in_experience checks it; it is the oracle of sample_performance's tests
 pub fn success_probability(margin: f64) -> f64 {
     if margin <= 0.0 {
         0.0
@@ -71,14 +72,19 @@ pub(crate) fn drawn_margin(resources_k: f64, experience: f64, signal: f64) -> Op
     }
 }
 
-/// Samples the binary placement outcome `y_i(k)`: forced 0 when not hired
-/// (`signal <= 0`) or the margin is non-positive, Bernoulli(`Φ(3x)`)
-/// otherwise.
-pub fn sample_performance(resources_k: f64, experience: f64, signal: f64, rng: &mut SimRng) -> f64 {
-    match drawn_margin(resources_k, experience, signal) {
-        Some(x) if rng.bernoulli(success_probability(x)) => 1.0,
-        _ => 0.0,
-    }
+/// Samples the binary placement outcome `y_i(k)`. It is forced to 0, and
+/// `None` is returned without touching `rng`, when the applicant is not
+/// hired (`signal <= 0`) or the margin is non-positive. Otherwise the
+/// outcome is the returned Bernoulli(`Φ(3x)`) draw's `success`, with the
+/// outcome and stream use of `rng.bernoulli(success_probability(x))`.
+pub fn sample_performance(
+    resources_k: f64,
+    experience: f64,
+    signal: f64,
+    rng: &mut SimRng,
+) -> Option<CdfDraw> {
+    drawn_margin(resources_k, experience, signal)
+        .map(|x| bernoulli_std_normal_cdf(SUCCESS_SENSITIVITY * x, rng))
 }
 
 /// The visible credential code `1_{z ≥ 35}`.
@@ -93,6 +99,7 @@ pub fn credential_code(resources_k: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eqimpact_census::{HouseholdSampler, IncomeTable, FIRST_YEAR, LAST_YEAR};
 
     #[test]
     fn readiness_margin_shape() {
@@ -117,9 +124,9 @@ mod tests {
     fn forced_failures() {
         let mut rng = SimRng::new(1);
         // Not hired: no outcome to observe.
-        assert_eq!(sample_performance(100.0, 0.0, 0.0, &mut rng), 0.0);
+        assert_eq!(sample_performance(100.0, 0.0, 0.0, &mut rng), None);
         // Resources below the support cost: the placement always fails.
-        assert_eq!(sample_performance(12.0, 0.0, 1.0, &mut rng), 0.0);
+        assert_eq!(sample_performance(12.0, 0.0, 1.0, &mut rng), None);
         // Neither is a draw from Φ.
         assert_eq!(drawn_margin(100.0, 0.0, 0.0), None);
         assert_eq!(drawn_margin(12.0, 0.0, 1.0), None);
@@ -129,10 +136,10 @@ mod tests {
     fn well_resourced_applicants_mostly_succeed() {
         let mut rng = SimRng::new(2);
         let n = 5_000;
-        let ok: f64 = (0..n)
-            .map(|_| sample_performance(120.0, 0.0, 1.0, &mut rng))
-            .sum();
-        assert!(ok / n as f64 > 0.99);
+        let ok = (0..n)
+            .filter(|_| sample_performance(120.0, 0.0, 1.0, &mut rng).is_some_and(|d| d.success))
+            .count();
+        assert!(ok as f64 / n as f64 > 0.99);
     }
 
     #[test]
@@ -142,6 +149,37 @@ mod tests {
             success_probability(readiness(25.0, 10.0))
                 > success_probability(readiness(25.0, 0.0)) + 0.2
         );
+    }
+
+    #[test]
+    fn performance_draws_equal_bernoulli_of_the_probability_on_census_rows() {
+        // Hired applicants in row order, as the respond sweep meets them:
+        // census resources per row and 0 to 12 years of experience.
+        let table = IncomeTable::embedded();
+        let sampler = HouseholdSampler::new(&table);
+        let mut census = SimRng::new(2002);
+        let mut stream = SimRng::new(13);
+        let (mut drawn, mut exact) = (0, 0);
+        for i in 0..1_000_000u32 {
+            let year = FIRST_YEAR + i % (LAST_YEAR - FIRST_YEAR + 1);
+            let race = sampler.sample_race(&mut census);
+            let resources = sampler.sample_income(year, race, &mut census).unwrap();
+            let experience = f64::from(i % 13);
+            let mut oracle = stream.clone();
+            let got = sample_performance(resources, experience, 1.0, &mut stream);
+            let want = drawn_margin(resources, experience, 1.0)
+                .map(|x| oracle.bernoulli(success_probability(x)));
+            assert_eq!(
+                got.map(|d| d.success),
+                want,
+                "row {i}: resources {resources}"
+            );
+            assert_eq!(stream.clone().next_u64(), oracle.next_u64(), "row {i}");
+            drawn += u32::from(got.is_some());
+            exact += u32::from(got.is_some_and(|d| d.exact));
+        }
+        assert!(drawn > 500_000, "{drawn} drawn rows");
+        assert!(exact > 0, "no row reached the exact Φ");
     }
 
     #[test]

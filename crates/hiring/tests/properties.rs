@@ -62,7 +62,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         let mut rng = SimRng::new(seed);
-        prop_assert_eq!(sample_performance(resources, experience, 0.0, &mut rng), 0.0);
+        prop_assert_eq!(sample_performance(resources, experience, 0.0, &mut rng), None);
     }
 
     #[test]

@@ -1,16 +1,28 @@
 //! Probability distributions used by the closed-loop simulations.
 //!
-//! [`std_normal_cdf`] is the probability of every credit repayment and
-//! hiring placement draw, so it runs once per user-step on the loop's
-//! respond path. It evaluates `Φ(x) = erfc(−x/√2) / 2` with a port of
-//! fdlibm's `erfc` (`s_erf.c`, the routine musl and FreeBSD libm ship):
-//! W. J. Cody-style rational fits on four intervals of the argument,
-//! with an error under 1 ulp at a fixed cost per call.
+//! Every credit repayment and hiring placement is a Bernoulli draw with
+//! success probability Φ(c·x), one per user-step on the loop's respond
+//! path. [`bernoulli_std_normal_cdf`] makes that draw. It needs only the
+//! comparison `u < Φ(x)` for the stream's next uniform `u`, so it decides
+//! it by a squeeze (Marsaglia 1977; Devroye, *Non-Uniform Random Variate
+//! Generation*, 1986, §II.5). A table holds Φ at the 1,153 nodes `i/128`
+//! of [0, 9], and its linear interpolant `T` is within
+//! h²/8 · max|Φ''| = h²/8 · φ(1) ≈ 1.846e-6 of Φ for h = 1/128. So
+//! `u < T(x) − ε` already means success and `u > T(x) + ε` failure, with
+//! ε = 4e-6. Φ itself runs only when `u` lies within ε of `T(x)`, a
+//! share 2ε = 8e-6 of the draws, or when `x` lies outside [0, 9).
+//!
+//! [`std_normal_cdf`] is that exact Φ, and the table's source. It
+//! evaluates `Φ(x) = erfc(−x/√2) / 2` with a port of fdlibm's `erfc`
+//! (`s_erf.c`, the routine musl and FreeBSD libm ship): W. J. Cody-style
+//! rational fits on four intervals of the argument, with an error under
+//! 1 ulp at a fixed cost per call.
 //!
 //! [`Categorical`] samples an index from a finite distribution by
 //! inverse-CDF binary search (the paper's race shares).
 
 use crate::rng::SimRng;
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Normal CDF
@@ -200,6 +212,85 @@ fn erfc(x: f64) -> f64 {
         2.0 - e / t
     } else {
         e / t
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Bernoulli(Φ) draws
+// ---------------------------------------------------------------------------
+
+/// One Bernoulli(Φ(x)) draw, made by [`bernoulli_std_normal_cdf`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CdfDraw {
+    /// The outcome: `u < Φ(x)` for the stream's next uniform `u`.
+    pub success: bool,
+    /// Whether deciding it evaluated Φ: `u` lay within the squeeze band
+    /// of the table, or `x` outside the table's [0, 9).
+    pub exact: bool,
+}
+
+/// Draws Bernoulli(Φ(x)) from `rng`.
+///
+/// Consumes the one uniform that `rng.bernoulli(std_normal_cdf(x))`
+/// draws and returns its outcome, but evaluates Φ only when the squeeze
+/// cannot decide (see the module docs).
+#[inline]
+pub fn bernoulli_std_normal_cdf(x: f64, rng: &mut SimRng) -> CdfDraw {
+    squeeze(rng.uniform(), x)
+}
+
+/// Nodes per unit of the squeeze table: step h = 1/128.
+const NODES_PER_UNIT: f64 = 128.0;
+
+/// The table covers [0, `TABLE_END`].
+const TABLE_END: f64 = 9.0;
+
+/// Nodes `i / NODES_PER_UNIT` for `i` in `0..NODE_COUNT`: 1,153.
+const NODE_COUNT: usize = (TABLE_END * NODES_PER_UNIT) as usize + 1;
+
+/// Half-width ε of the band around `T(x)` inside which Φ decides. It
+/// must exceed the interpolation error h²/8 · φ(1) ≈ 1.846e-6; the tests
+/// hold that error below ε/2.
+const BAND: f64 = 4e-6;
+
+/// Φ at the table's nodes, `std_normal_cdf(i / 128)` for `i` in
+/// `0..=1152`, computed on first use.
+fn nodes() -> &'static [f64; NODE_COUNT] {
+    static NODES: OnceLock<[f64; NODE_COUNT]> = OnceLock::new();
+    NODES.get_or_init(|| std::array::from_fn(|i| std_normal_cdf(i as f64 / NODES_PER_UNIT)))
+}
+
+/// The linear interpolant `T(x)` of the nodes, for `x` in [0, 9).
+fn interpolant(x: f64) -> f64 {
+    // Exact: a power-of-two scale. t < 1152, so `i + 1` is a node.
+    let t = x * NODES_PER_UNIT;
+    let i = t as usize;
+    let nodes = nodes();
+    let (lo, hi) = (nodes[i], nodes[i + 1]);
+    lo + (hi - lo) * (t - i as f64)
+}
+
+/// Decides `u < Φ(x).clamp(0, 1)`, the comparison `SimRng::bernoulli`
+/// makes, from `T(x)` when `u` lies outside its band.
+fn squeeze(u: f64, x: f64) -> CdfDraw {
+    if (0.0..TABLE_END).contains(&x) {
+        let t = interpolant(x);
+        if u < t - BAND {
+            return CdfDraw {
+                success: true,
+                exact: false,
+            };
+        }
+        if u > t + BAND {
+            return CdfDraw {
+                success: false,
+                exact: false,
+            };
+        }
+    }
+    CdfDraw {
+        success: u < std_normal_cdf(x).clamp(0.0, 1.0),
+        exact: true,
     }
 }
 
@@ -486,6 +577,109 @@ mod tests {
         assert!(std_normal_cdf(f64::NAN).is_nan());
         assert_eq!(std_normal_cdf(f64::NEG_INFINITY), 0.0);
         assert_eq!(std_normal_cdf(f64::INFINITY), 1.0);
+    }
+
+    #[test]
+    fn squeeze_table_is_within_half_the_band_of_phi() {
+        let check = |x: f64| {
+            let err = (interpolant(x) - std_normal_cdf(x)).abs();
+            assert!(err < BAND / 2.0, "|T − Φ|({x:e}) = {err:e}, band {BAND:e}");
+        };
+        // A 1e-5 grid over [0, 9), offset so that it is not dyadic; the
+        // error peaks near x = 1, where |Φ''| = φ(1) is largest.
+        for k in 0..900_000 {
+            check((k as f64 + 0.5) * 1e-5);
+        }
+        // 64 ulps either side of every node that lies in [0, 9].
+        for i in 0..NODE_COUNT {
+            let node = i as f64 / NODES_PER_UNIT;
+            for ulps in -64i64..=64 {
+                let x = f64::from_bits(node.to_bits().wrapping_add_signed(ulps));
+                if (0.0..TABLE_END).contains(&x) {
+                    check(x);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn squeeze_decides_as_phi_on_and_beside_the_band_edges() {
+        let phi_decides = |u: f64, x: f64| u < std_normal_cdf(x).clamp(0.0, 1.0);
+        for i in 0..NODE_COUNT - 1 {
+            for x in [i as f64, i as f64 + 0.5].map(|n| n / NODES_PER_UNIT) {
+                let (lo, hi) = (interpolant(x) - BAND, interpolant(x) + BAND);
+                for u in [lo, hi]
+                    .into_iter()
+                    .flat_map(|e| [e.next_down(), e, e.next_up()])
+                {
+                    assert_eq!(
+                        squeeze(u, x).success,
+                        phi_decides(u, x),
+                        "u = {u:e}, x = {x}"
+                    );
+                }
+                // Strictly outside the band the table decides; on its
+                // edges and inside it, Φ does.
+                assert!(!squeeze(lo.next_down(), x).exact, "x = {x}");
+                assert!(squeeze(lo, x).exact && squeeze(hi, x).exact, "x = {x}");
+                assert!(!squeeze(hi.next_up(), x).exact, "x = {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn squeeze_leaves_arguments_off_the_table_to_phi() {
+        let us = [
+            0.0,
+            1e-300,
+            0.25,
+            0.5,
+            0.5f64.next_up(),
+            0.999,
+            1.0f64.next_down(),
+        ];
+        let off_table = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -1e-300,
+            -0.5,
+            -3.0,
+            -40.0,
+            9.0,
+            9.0f64.next_up(),
+            9.5,
+            40.0,
+            f64::MAX,
+        ];
+        for x in off_table {
+            for u in us {
+                let draw = squeeze(u, x);
+                assert!(draw.exact, "u = {u:e}, x = {x}");
+                assert_eq!(
+                    draw.success,
+                    u < std_normal_cdf(x).clamp(0.0, 1.0),
+                    "u = {u:e}, x = {x}"
+                );
+            }
+        }
+        // −0.0 is on the table, at the first node: Φ(−0) = ½.
+        for u in us {
+            assert_eq!(squeeze(u, -0.0).success, u < 0.5, "u = {u:e}");
+        }
+    }
+
+    #[test]
+    fn bernoulli_of_phi_draws_as_simrng_bernoulli() {
+        let mut args = SimRng::new(3);
+        let mut stream = SimRng::new(5);
+        for _ in 0..100_000 {
+            let x = args.uniform_in(-1.0, 10.0);
+            let mut oracle = stream.clone();
+            let draw = bernoulli_std_normal_cdf(x, &mut stream);
+            assert_eq!(draw.success, oracle.bernoulli(std_normal_cdf(x)), "x = {x}");
+            assert_eq!(stream.clone().next_u64(), oracle.next_u64(), "x = {x}");
+        }
     }
 
     #[test]

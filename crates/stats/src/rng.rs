@@ -69,6 +69,7 @@ impl SimRng {
     }
 
     /// Uniform sample in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         // 53 mantissa bits, as in the standard 2^-53 construction.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -129,6 +130,21 @@ impl SimRng {
             })
             .sum();
         assert!(total > 0.0, "weighted_index: zero total weight");
+        self.weighted_index_with_total(weights, total)
+    }
+
+    /// The draw of [`weighted_index`](Self::weighted_index) without its
+    /// checks, for weights checked and summed once: walks the weights
+    /// down from `uniform() · total`.
+    ///
+    /// `total` must be `weights.iter().sum()`, so that the draw has the
+    /// same bits as `weighted_index`'s, and the weights must pass its
+    /// checks.
+    ///
+    /// # Panics
+    /// Panics if no weight is positive.
+    #[inline]
+    pub fn weighted_index_with_total(&mut self, weights: &[f64], total: f64) -> usize {
         let mut target = self.uniform() * total;
         for (i, &w) in weights.iter().enumerate() {
             if target < w {
