@@ -1,10 +1,10 @@
 //! Performance microbenchmarks of the building blocks (not paper
 //! artifacts): the sharded runner's one-lane path, the columnar feature
-//! plane, the credit loop, IRLS fitting, Markov operator application,
-//! and invariant-measure estimation. They print their timings and write
-//! no file; the end-to-end and per-layer numbers of the closed loop come
-//! from the `loopbench` benchmark (`loopbench/README.md`, declared in
-//! `BENCHMARK.json`).
+//! plane, the credit loop, the credit render, IRLS fitting, Markov
+//! operator application, and invariant-measure estimation. They print
+//! their timings and write no file; the end-to-end and per-layer numbers
+//! of the closed loop come from the `loopbench` benchmark
+//! (`loopbench/README.md`, declared in `BENCHMARK.json`).
 //!
 //! Two arms assert an invariant that must hold on any hardware. The
 //! sharding bench (P5) checks that a one-lane sharded run, which spawns
@@ -18,10 +18,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::recorder::RecordPolicy;
+use eqimpact_core::scenario::{Scale, Scenario, ScenarioConfig};
 use eqimpact_core::shard::{
     shard_bounds, ColsMut, ColsView, PopulationShard, RowStreams, ShardableAi, ShardablePopulation,
 };
 use eqimpact_credit::sim::{run_trial, CreditConfig, LenderKind};
+use eqimpact_credit::CreditScenario;
 use eqimpact_markov::ifs::{affine1d, Ifs};
 use eqimpact_markov::invariant::estimate_invariant_measure;
 use eqimpact_markov::operator::{markov_operator_apply, ParticleMeasure};
@@ -416,6 +418,22 @@ fn bench_loop_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// The paper-scale credit render alone: the trial outcomes are built
+/// once, then each iteration renders Table I and Figs. 2-5 into memory
+/// (`fig4_user_adr.csv` is 2.9 MB) and writes no file.
+fn bench_credit_render(c: &mut Criterion) {
+    let config = ScenarioConfig::new(Scale::Paper);
+    let outcomes: Vec<_> = (0..CreditScenario.trials(Scale::Paper))
+        .map(|t| CreditScenario.run_trial(&config, t))
+        .collect();
+    let mut group = c.benchmark_group("perf/credit_render");
+    group.sample_size(10);
+    group.bench_function("paper_scale", |b| {
+        b.iter(|| CreditScenario.render(&config, &outcomes))
+    });
+    group.finish();
+}
+
 fn bench_irls(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/irls");
     for &n in &[1_000usize, 10_000] {
@@ -492,6 +510,7 @@ criterion_group!(
     bench_sharded_loop,
     bench_columnar,
     bench_loop_step,
+    bench_credit_render,
     bench_irls,
     bench_markov_operator,
     bench_invariant_measure

@@ -393,17 +393,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Every artifact of `run credit|hiring|ablations` at paper scale (the
-/// default seed) is pinned across commits: one line per artifact,
-/// `<scenario>/<file> <byte length> <64-bit FNV-1a digest>`, in file-name
-/// order. A change that moves one byte fails here; re-pin the file only
-/// for a deliberate, documented re-baseline.
-#[test]
-fn paper_scale_artifacts_match_the_committed_digests() {
-    let dir = WorkDir::new("paper-artifacts");
+/// Runs `run credit|hiring|ablations` (the default seed) with `flags`
+/// and returns one line per artifact, `<scenario>/<file> <byte length>
+/// <64-bit FNV-1a digest>`, in file-name order.
+fn artifact_table(dir: &WorkDir, flags: &[&str]) -> String {
     let mut table = String::new();
     for scenario in ["credit", "hiring", "ablations"] {
-        dir.ok(&["run", scenario, "--out", scenario]);
+        let mut argv = vec!["run", scenario, "--out", scenario];
+        argv.extend(flags);
+        dir.ok(&argv);
         let mut files: Vec<PathBuf> = std::fs::read_dir(dir.path(scenario))
             .expect("read artifact dir")
             .map(|entry| entry.expect("artifact dir entry").path())
@@ -421,10 +419,33 @@ fn paper_scale_artifacts_match_the_committed_digests() {
             .expect("write to a String");
         }
     }
+    table
+}
+
+/// Every artifact of `run credit|hiring|ablations` at paper scale is
+/// pinned across commits by [`artifact_table`]. A change that moves one
+/// byte fails here; re-pin the file only for a deliberate, documented
+/// re-baseline.
+#[test]
+fn paper_scale_artifacts_match_the_committed_digests() {
+    let table = artifact_table(&WorkDir::new("paper-artifacts"), &[]);
     let pinned = include_str!("data/artifacts_paper.txt");
     assert!(
         table == pinned,
         "paper-scale artifacts moved; if on purpose, re-pin \
          tests/data/artifacts_paper.txt to:\n{table}"
+    );
+}
+
+/// The same pin at Quick scale, the shape of the CI smoke runs: a second
+/// data set through every renderer, under the same re-pin rule.
+#[test]
+fn quick_scale_artifacts_match_the_committed_digests() {
+    let table = artifact_table(&WorkDir::new("quick-artifacts"), &["--quick"]);
+    let pinned = include_str!("data/artifacts_quick.txt");
+    assert!(
+        table == pinned,
+        "Quick-scale artifacts moved; if on purpose, re-pin \
+         tests/data/artifacts_quick.txt to:\n{table}"
     );
 }

@@ -17,6 +17,7 @@ use eqimpact_markov::contractivity::{box_sampler, estimate_contraction_factor};
 use eqimpact_markov::ergodic::{self, ErgodicityVerdict};
 use eqimpact_markov::lyapunov::lyapunov_exponent;
 use eqimpact_markov::MarkovSystem;
+use eqimpact_stats::hist::clamped_bin;
 use eqimpact_stats::{Json, SimRng, ToJson};
 
 /// Minimum observed transitions before the structural checks commit to a
@@ -157,10 +158,7 @@ pub fn build_chain(ex: &Extraction) -> Option<ChainEmbedding> {
     for &b in &occupied {
         let lo = spec.state_lo;
         let w = (spec.state_hi - spec.state_lo) / bins as f64;
-        builder = builder.cell(move |x: &[f64]| {
-            let raw = ((x[0] - lo) / w).floor();
-            (raw.max(0.0) as usize).min(bins - 1) == b
-        });
+        builder = builder.cell(move |x: &[f64]| clamped_bin(x[0], lo, w, bins) == b);
     }
     let mut dangling = 0usize;
     for (ci, &bi) in occupied.iter().enumerate() {

@@ -10,6 +10,7 @@
 //! record is never materialized.
 
 use eqimpact_core::checkpoint::ModelCheckpoint;
+use eqimpact_stats::hist::clamped_bin;
 use eqimpact_trace::{StepFrame, TraceError, TraceHeader, TraceReader};
 use std::io::Read;
 
@@ -191,8 +192,7 @@ impl Extraction {
 
 fn bin_of(x: f64, spec: &ExtractionSpec) -> usize {
     let w = (spec.state_hi - spec.state_lo) / spec.bins as f64;
-    let b = ((x - spec.state_lo) / w).floor();
-    (b.max(0.0) as usize).min(spec.bins - 1)
+    clamped_bin(x, spec.state_lo, w, spec.bins)
 }
 
 /// Evenly spaced sample indices: `n` users picked across `0..users`.

@@ -60,6 +60,7 @@
 
 use crate::recorder::{RecordPolicy, StepSink};
 use crate::trials::run_trials_with;
+use eqimpact_telemetry::metrics as tm;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -452,6 +453,7 @@ pub fn run_scenario<S: Scenario>(
             });
         }
     }
+    let _render = tm::SCENARIO_RENDER.enter();
     Ok(scenario.render(config, &outcomes))
 }
 

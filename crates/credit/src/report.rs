@@ -7,6 +7,7 @@ use eqimpact_ml::scorecard::Scorecard;
 use eqimpact_stats::describe::Summary;
 use eqimpact_stats::hist::Histogram2D;
 use eqimpact_stats::{Json, ToJson};
+use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// The paper's Table I reference values: `(history, income)` points.
@@ -108,11 +109,11 @@ pub fn fig3_race_adr(outcomes: &[CreditOutcome]) -> Vec<RaceAdrSummary> {
 
 /// Fig. 4 data: every `{ADR_i(k)}` trajectory across all trials, tagged
 /// with its race label (the paper's 5 x 1000 coloured curves).
-pub fn fig4_user_adr(outcomes: &[CreditOutcome]) -> Vec<(String, Vec<f64>)> {
+pub fn fig4_user_adr(outcomes: &[CreditOutcome]) -> Vec<(&'static str, Vec<f64>)> {
     let mut out = Vec::new();
     for o in outcomes {
         for i in 0..o.record.user_count() {
-            out.push((o.races[i].label().to_string(), o.user_adr_series(i)));
+            out.push((o.races[i].label(), o.user_adr_series(i)));
         }
     }
     out
@@ -169,12 +170,44 @@ pub fn fig3_csv(summaries: &[RaceAdrSummary], first_year: u32) -> String {
 }
 
 /// Renders the Fig. 4 trajectories as CSV: `series_id,race,year,adr`.
-pub fn fig4_csv(series: &[(String, Vec<f64>)], first_year: u32) -> String {
-    let mut csv = String::from("series_id,race,year,adr\n");
+///
+/// Each row is `"{id},{race},{year},{adr:.6}"`, assembled from pieces
+/// formatted once: a series' `"{id},{race},"` prefix once per series, a
+/// year once per call, and an ADR once per distinct bit pattern. The
+/// memo stays small: an ADR is defaults ÷ offers with at most one offer
+/// a year, so over 19 years it takes at most 121 distinct values (the
+/// fractions in [0, 1] with a denominator up to 19), however many rows
+/// there are.
+pub fn fig4_csv(series: &[(&str, Vec<f64>)], first_year: u32) -> String {
+    const HEADER: &str = "series_id,race,year,adr\n";
+    // A paper-scale row is 27 bytes plus the id's digits.
+    const ROW_BYTES: usize = 32;
+    let rows: usize = series.iter().map(|(_, traj)| traj.len()).sum();
+    let steps = series.iter().map(|(_, traj)| traj.len()).max().unwrap_or(0);
+    let years: Vec<String> = (0..steps)
+        .map(|k| format!("{},", first_year + k as u32))
+        .collect();
+    let mut adr_text: BTreeMap<u64, String> = BTreeMap::new();
+    // Most rows repeat the ADR of the row before (82% at paper scale), so
+    // the last value is checked before the memo.
+    let (mut last_bits, mut text) = (None, "");
+    let mut prefix = String::new();
+    let mut csv = String::with_capacity(HEADER.len() + rows * ROW_BYTES);
+    csv.push_str(HEADER);
     for (id, (race, traj)) in series.iter().enumerate() {
-        for (k, adr) in traj.iter().enumerate() {
-            let year = first_year + k as u32;
-            let _ = writeln!(csv, "{id},{race},{year},{adr:.6}");
+        prefix.clear();
+        let _ = write!(prefix, "{id},{race},");
+        for (year, &adr) in years.iter().zip(traj) {
+            let bits = adr.to_bits();
+            if last_bits != Some(bits) {
+                last_bits = Some(bits);
+                text = adr_text
+                    .entry(bits)
+                    .or_insert_with(|| format!("{adr:.6}\n"));
+            }
+            csv.push_str(&prefix);
+            csv.push_str(year);
+            csv.push_str(text);
         }
     }
     csv
@@ -256,6 +289,8 @@ pub fn approval_csv(rates: &[Vec<f64>], first_year: u32) -> String {
 mod tests {
     use super::*;
     use crate::sim::{run_trials_protocol, CreditConfig, LenderKind};
+    use eqimpact_stats::SimRng;
+    use std::collections::BTreeSet;
 
     fn outcomes() -> Vec<CreditOutcome> {
         run_trials_protocol(&CreditConfig {
@@ -294,6 +329,63 @@ mod tests {
         assert!(series.iter().all(|(_, t)| t.len() == 19));
         let csv = fig4_csv(&series, 2002);
         assert_eq!(csv.lines().count(), 2 * 150 * 19 + 1);
+        assert_eq!(csv, fig4_csv_oracle(&series, 2002));
+    }
+
+    /// The reference rendering of `fig4_csv`: one `writeln!` per row.
+    fn fig4_csv_oracle(series: &[(&str, Vec<f64>)], first_year: u32) -> String {
+        let mut csv = String::from("series_id,race,year,adr\n");
+        for (id, (race, traj)) in series.iter().enumerate() {
+            for (k, adr) in traj.iter().enumerate() {
+                let year = first_year + k as u32;
+                let _ = writeln!(csv, "{id},{race},{year},{adr:.6}");
+            }
+        }
+        csv
+    }
+
+    #[test]
+    fn fig4_csv_matches_the_writeln_oracle() {
+        let mut special = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            1e300,
+            -1e300,
+            -0.25,
+            -3.0000005,
+            1.0,
+        ];
+        // One ulp either side of a tie at the sixth decimal, and the tie.
+        for tie in [0.0000005, 0.1234565, -0.0000005] {
+            special.extend([f64::next_down(tie), tie, f64::next_up(tie)]);
+        }
+        let mut rng = SimRng::new(22);
+        let random: Vec<f64> = (0..10_000).map(|_| rng.uniform_in(-2.0, 2.0)).collect();
+        let distinct: BTreeSet<u64> = random.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(distinct.len(), random.len());
+        // Repeats through the memo, trajectories of unequal length and an
+        // empty one.
+        let series = vec![
+            ("BLACK ALONE", special.clone()),
+            ("WHITE ALONE", random[..4_000].to_vec()),
+            ("ASIAN ALONE", Vec::new()),
+            ("ASIAN ALONE", random[4_000..].to_vec()),
+            ("", special.iter().rev().copied().collect()),
+            ("BLACK ALONE", vec![0.5; 19]),
+        ];
+        for first_year in [2002, 0] {
+            assert_eq!(
+                fig4_csv(&series, first_year),
+                fig4_csv_oracle(&series, first_year)
+            );
+        }
+        assert_eq!(fig4_csv(&[], 2002), fig4_csv_oracle(&[], 2002));
+        assert_eq!(fig4_csv(&[], 2002), "series_id,race,year,adr\n");
     }
 
     #[test]

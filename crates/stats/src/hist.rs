@@ -1,12 +1,35 @@
 //! Histograms: 1-D for marginal laws, 2-D for the (time x value) density of
 //! the paper's Fig. 5.
 
+/// The bin of `x` among `bins` bins of width `width` starting at `lo`,
+/// clamped into `0..bins`: the index `⌊(x − lo) / width⌋`, with a
+/// negative index, NaN and −∞ sending `x` to bin 0, and +∞ or an index
+/// past the end to bin `bins − 1`.
+///
+/// Truncating the quotient toward zero picks the same bin as `floor`:
+/// the two agree on every quotient `≥ 0` (−0.0 included), and every
+/// quotient below 0 lands in bin 0 either way. Baseline x86-64 has no
+/// SSE4.1 `roundsd`, so `floor` is a library call there.
+///
+/// `bins` must be at least 1.
+#[inline]
+pub fn clamped_bin(x: f64, lo: f64, width: f64, bins: usize) -> usize {
+    let q = (x - lo) / width;
+    if q >= 0.0 {
+        (q as usize).min(bins - 1)
+    } else {
+        0
+    }
+}
+
 /// A fixed-width 1-D histogram over `[lo, hi)` with values outside the
 /// range clamped into the boundary bins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram1D {
     lo: f64,
     hi: f64,
+    /// Bin width `(hi − lo) / bins`.
+    width: f64,
     counts: Vec<u64>,
     total: u64,
 }
@@ -25,6 +48,7 @@ impl Histogram1D {
         Histogram1D {
             lo,
             hi,
+            width: (hi - lo) / bins as f64,
             counts: vec![0; bins],
             total: 0,
         }
@@ -58,16 +82,7 @@ impl Histogram1D {
     /// Bin index for a value (clamped to the boundary bins; NaN goes to
     /// bin 0 deterministically rather than poisoning the histogram).
     pub fn bin_of(&self, x: f64) -> usize {
-        if x.is_nan() {
-            return 0;
-        }
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        let idx = ((x - self.lo) / w).floor();
-        if idx < 0.0 {
-            0
-        } else {
-            (idx as usize).min(self.counts.len() - 1)
-        }
+        clamped_bin(x, self.lo, self.width, self.counts.len())
     }
 
     /// Adds one observation.
@@ -94,8 +109,7 @@ impl Histogram1D {
 
     /// Midpoint of bin `b`.
     pub fn bin_center(&self, b: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (b as f64 + 0.5) * w
+        self.lo + (b as f64 + 0.5) * self.width
     }
 
     /// Approximate mean from bin centers.
@@ -136,7 +150,8 @@ impl Histogram1D {
 pub struct Histogram2D {
     x_len: usize,
     y_lo: f64,
-    y_hi: f64,
+    /// Bin width `(y_hi − y_lo) / y_bins`.
+    y_width: f64,
     y_bins: usize,
     /// Row-major: `counts[x * y_bins + y_bin]`.
     counts: Vec<u64>,
@@ -159,7 +174,7 @@ impl Histogram2D {
         Histogram2D {
             x_len,
             y_lo,
-            y_hi,
+            y_width: (y_hi - y_lo) / y_bins as f64,
             y_bins,
             counts: vec![0; x_len * y_bins],
             col_totals: vec![0; x_len],
@@ -182,13 +197,7 @@ impl Histogram2D {
     /// Panics when `x` is out of range.
     pub fn add(&mut self, x: usize, y: f64) {
         assert!(x < self.x_len, "Histogram2D::add: x = {x} out of range");
-        let w = (self.y_hi - self.y_lo) / self.y_bins as f64;
-        let idx = ((y - self.y_lo) / w).floor();
-        let b = if y.is_nan() || idx < 0.0 {
-            0
-        } else {
-            (idx as usize).min(self.y_bins - 1)
-        };
+        let b = clamped_bin(y, self.y_lo, self.y_width, self.y_bins);
         self.counts[x * self.y_bins + b] += 1;
         self.col_totals[x] += 1;
     }
@@ -222,8 +231,7 @@ impl Histogram2D {
 
     /// Midpoint of y bin `b`.
     pub fn y_bin_center(&self, b: usize) -> f64 {
-        let w = (self.y_hi - self.y_lo) / self.y_bins as f64;
-        self.y_lo + (b as f64 + 0.5) * w
+        self.y_lo + (b as f64 + 0.5) * self.y_width
     }
 
     /// Renders the histogram as an ASCII shade map (rows = y bins from high
@@ -246,6 +254,75 @@ impl Histogram2D {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference binning: the floored quotient, clamped.
+    fn floor_bin(x: f64, lo: f64, w: f64, bins: usize) -> usize {
+        let idx = ((x - lo) / w).floor();
+        if x.is_nan() || idx < 0.0 {
+            0
+        } else {
+            (idx as usize).min(bins - 1)
+        }
+    }
+
+    #[test]
+    fn clamped_bin_matches_the_floored_quotient() {
+        let geometries = [
+            (0.0, 1.0 + 1e-9, 25),
+            (0.0, 1.0, 4),
+            (-1000.0, 1000.0, 16),
+            (-3.5, 2.25, 7),
+            (0.1, 0.3, 3),
+        ];
+        for (lo, hi, bins) in geometries {
+            let w = (hi - lo) / bins as f64;
+            let check = |x: f64| {
+                let want = floor_bin(x, lo, w, bins);
+                assert_eq!(
+                    clamped_bin(x, lo, w, bins),
+                    want,
+                    "x = {x:e} ({:#018x}) over [{lo}, {hi}) in {bins} bins",
+                    x.to_bits()
+                );
+                // The certify form: the floored quotient raised to 0 first.
+                let raised = (((x - lo) / w).floor().max(0.0) as usize).min(bins - 1);
+                assert_eq!(raised, want, "certify form at x = {x:e}");
+            };
+            // A dense grid over the range and a quarter of it either side.
+            let span = hi - lo;
+            for i in 0..=100_000 {
+                check(lo - 0.25 * span + 1.5 * span * f64::from(i) / 100_000.0);
+            }
+            // Every bin edge and the four floats either side of it.
+            for b in 0..=bins {
+                let edge = lo + b as f64 * w;
+                check(edge);
+                let (mut up, mut down) = (edge, edge);
+                for _ in 0..4 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    check(up);
+                    check(down);
+                }
+            }
+            for x in [
+                f64::NAN,
+                -f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                f64::from_bits(1),
+                -f64::from_bits(1),
+                f64::MAX,
+                f64::MIN,
+                1e300,
+                -1e300,
+            ] {
+                check(x);
+            }
+        }
+    }
 
     #[test]
     fn hist1d_binning() {

@@ -28,6 +28,12 @@ pub static LOOP_RECORD: PhaseSpan = PhaseSpan::new("loop.record");
 /// The retrain phase: delay-line pop, retrain and checkpointing.
 pub static LOOP_RETRAIN: PhaseSpan = PhaseSpan::new("loop.retrain");
 
+// --- scenario plane (core::scenario) ------------------------------------
+
+/// A scenario's render: trial outcomes → report and artifact bytes. One
+/// scope per `run_scenario` call.
+pub static SCENARIO_RENDER: PhaseSpan = PhaseSpan::new("scenario.render");
+
 // --- irls plane (ml::logistic) -------------------------------------------
 
 /// Logistic fits completed by the IRLS core.
@@ -166,13 +172,14 @@ pub static GAUGES: [&Gauge; 1] = [&POOL_LANES_BUSY];
 pub static HISTOGRAMS: [&Histogram; 1] = [&TRACE_FRAME_BYTES];
 
 /// Every phase span, in render order.
-pub static SPANS: [&PhaseSpan; 10] = [
+pub static SPANS: [&PhaseSpan; 11] = [
     &LOOP_OBSERVE,
     &LOOP_SIGNAL,
     &LOOP_RESPOND,
     &LOOP_FILTER,
     &LOOP_RECORD,
     &LOOP_RETRAIN,
+    &SCENARIO_RENDER,
     &SWEEP_CELLS,
     &SWEEP_INTERVALS,
     &CERTIFY_CELLS,

@@ -133,7 +133,7 @@ fn figures_are_mutually_consistent() {
     let f3 = report::fig3_race_adr(&outcomes);
     let f4 = report::fig4_user_adr(&outcomes);
     for summary in &f3 {
-        let members: Vec<&(String, Vec<f64>)> = f4
+        let members: Vec<&(&str, Vec<f64>)> = f4
             .iter()
             .filter(|(race, _)| race == &summary.race)
             .collect();
