@@ -1,7 +1,8 @@
 //! Performance microbenchmarks of the building blocks (not paper
 //! artifacts): the sharded runner's one-lane path, the columnar feature
-//! plane, the credit loop, the credit render, IRLS fitting, Markov
-//! operator application, and invariant-measure estimation. They print
+//! plane, the credit loop, the credit render, the counterfactual sweep
+//! and its bootstrap, IRLS fitting, Markov operator application, and
+//! invariant-measure estimation. They print
 //! their timings and write no file; the end-to-end and per-layer numbers
 //! of the closed loop come from the `loopbench` benchmark
 //! (`loopbench/README.md`, declared in `BENCHMARK.json`).
@@ -17,19 +18,26 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
 use eqimpact_core::features::FeatureMatrix;
+use eqimpact_core::pool::ThreadBudget;
 use eqimpact_core::recorder::RecordPolicy;
-use eqimpact_core::scenario::{Scale, Scenario, ScenarioConfig};
+use eqimpact_core::scenario::{Scale, Scenario, ScenarioConfig, TraceMeta};
 use eqimpact_core::shard::{
     shard_bounds, ColsMut, ColsView, PopulationShard, RowStreams, ShardableAi, ShardablePopulation,
 };
 use eqimpact_credit::sim::{run_trial, CreditConfig, LenderKind};
 use eqimpact_credit::CreditScenario;
+use eqimpact_hiring::scenario::{trial_config, variant_name};
+use eqimpact_hiring::sim::{run_trial_sunk, ScreenerKind};
+use eqimpact_hiring::{HiringScenario, HiringSweep};
+use eqimpact_lab::{run_sweep, CandidateSpec, MemTrace, SweepConfig, SweepTarget, TraceSource};
 use eqimpact_markov::ifs::{affine1d, Ifs};
 use eqimpact_markov::invariant::estimate_invariant_measure;
 use eqimpact_markov::operator::{markov_operator_apply, ParticleMeasure};
 use eqimpact_ml::logistic::{sigmoid, LogisticModel, LogisticRegression};
 use eqimpact_ml::Dataset;
-use eqimpact_stats::SimRng;
+use eqimpact_stats::{bootstrap_gap_ci, SimRng};
+use eqimpact_trace::{TraceHeader, TraceStepSink};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -434,6 +442,110 @@ fn bench_credit_render(c: &mut Criterion) {
     group.finish();
 }
 
+/// Every Quick-scale hiring loop (each trial, both screeners) recorded
+/// into an in-memory checkpointed trace, as `experiments record hiring
+/// --quick` writes them to disk.
+fn quick_hiring_traces() -> Vec<MemTrace> {
+    let config = ScenarioConfig::new(Scale::Quick);
+    let mut traces = Vec::new();
+    for trial in 0..HiringScenario.trials(Scale::Quick) {
+        for screener in [ScreenerKind::Adaptive, ScreenerKind::Credential] {
+            let hiring = trial_config(&config, screener);
+            let meta = TraceMeta {
+                scenario: "hiring".to_string(),
+                variant: variant_name(screener).to_string(),
+                trial,
+                scale: Scale::Quick,
+                seed: hiring.seed,
+                shards: hiring.shards,
+                delay: hiring.delay,
+                policy: hiring.policy,
+            };
+            let header = TraceHeader::from_meta(&meta).with_checkpoints();
+            let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
+            run_trial_sunk(&hiring, trial, &mut sink);
+            let name = format!("hiring-{}-trial{trial}", meta.variant);
+            traces.push(MemTrace::new(name, sink.finish().expect("trace finishes")));
+        }
+    }
+    traces
+}
+
+/// The demographic-parity strata a sweep pools for `candidate`: per
+/// group label, every user's share of positive decisions, in trace order
+/// and then user order, the order `run_sweep` hands them to the
+/// bootstrap.
+fn parity_strata(
+    sources: &[&dyn TraceSource],
+    candidate: &CandidateSpec,
+) -> BTreeMap<String, Vec<f64>> {
+    let mut strata: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    for source in sources {
+        let mut input = source.open().expect("trace opens");
+        let eval = HiringSweep
+            .evaluate(&mut input, candidate)
+            .expect("trace evaluates");
+        let record = &eval.outcome.counterfactual;
+        let steps = record.steps();
+        let groups = eval.outcome.groups.as_ref().expect("traces carry groups");
+        for (label, members) in groups.labels.iter().zip(groups.index_sets()) {
+            let shares = members.iter().map(|&i| {
+                let positive = (0..steps)
+                    .filter(|&k| record.signals(k)[i] > candidate.threshold)
+                    .count();
+                positive as f64 / steps as f64
+            });
+            strata.entry(label.clone()).or_default().extend(shares);
+        }
+    }
+    strata
+}
+
+/// The counterfactual sweep at Quick scale: the hiring traces are
+/// recorded in memory once, then each iteration sweeps the default grid
+/// on a one-lane budget. Then `bootstrap_gap_ci` alone, at the sweep's
+/// resamples and level, on the parity strata the sweep pools for its
+/// first candidate, in the sweep's order rather than a synthetic sample,
+/// printed per draw. Writes no file.
+fn bench_sweep(c: &mut Criterion) {
+    let traces = quick_hiring_traces();
+    let sources: Vec<&dyn TraceSource> = traces.iter().map(|t| t as &dyn TraceSource).collect();
+    let grid = HiringSweep.default_grid();
+    let config = SweepConfig::default();
+    let budget = ThreadBudget::new(1);
+    let mut group = c.benchmark_group("perf/sweep");
+    group.sample_size(10);
+    group.bench_function("hiring_quick_default_grid", |b| {
+        b.iter(|| run_sweep(&HiringSweep, &sources, &grid, &config, &budget).expect("sweep runs"))
+    });
+    group.finish();
+
+    let strata = parity_strata(&sources, &grid.candidates()[0]);
+    let views: Vec<&[f64]> = strata.values().map(Vec::as_slice).collect();
+    let draws = config.resamples * views.iter().map(|v| v.len()).sum::<usize>();
+    let reps = if criterion::is_quick() { 5 } else { 40 };
+    let mut ns_per_draw: Vec<f64> = (0..=reps)
+        .map(|rep| {
+            let mut rng = SimRng::new(config.seed).split(rep as u64);
+            let start = Instant::now();
+            criterion::black_box(bootstrap_gap_ci(
+                &views,
+                config.resamples,
+                config.level,
+                &mut rng,
+            ));
+            start.elapsed().as_nanos() as f64 / draws as f64
+        })
+        .collect();
+    // The first call warms up and is not counted.
+    let per_draw = median(&mut ns_per_draw[1..]);
+    println!(
+        "perf/sweep/bootstrap_gap_ci/parity_strata          median {per_draw:>10.2} ns/draw \
+         ({draws} draws over {} strata, {reps} calls)",
+        views.len()
+    );
+}
+
 fn bench_irls(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/irls");
     for &n in &[1_000usize, 10_000] {
@@ -511,6 +623,7 @@ criterion_group!(
     bench_columnar,
     bench_loop_step,
     bench_credit_render,
+    bench_sweep,
     bench_irls,
     bench_markov_operator,
     bench_invariant_measure

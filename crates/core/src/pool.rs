@@ -14,7 +14,7 @@
 //!   each claim `available_parallelism()`, and `trials × shards` could
 //!   oversubscribe the host by an order of magnitude.
 //! * [`run_indexed`] — the **one-shot batch**: `n` independent jobs
-//!   (trials, sweep cells, the sweep's bootstrap intervals, certification
+//!   (trials, sweep evaluations, the sweep's bootstrap intervals, certification
 //!   cells) striped over one lease,
 //!   one scoped thread per lane while the caller waits, each job's panic
 //!   caught as its own `Err`, results returned in index order.

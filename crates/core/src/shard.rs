@@ -94,6 +94,7 @@ impl RowStreams {
     }
 
     /// The stream feeding global row `row` in this phase.
+    #[inline]
     pub fn for_row(&self, row: usize) -> SimRng {
         self.base.split(row as u64)
     }

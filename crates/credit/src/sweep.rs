@@ -60,13 +60,7 @@ impl SweepTarget for CreditSweep {
         let options = OffPolicyOptions {
             use_checkpoints: header.checkpoints && candidate.policy == header.variant,
         };
-        let outcome = evaluate_off_policy_with(
-            reader,
-            lender,
-            AdrFilter::new(),
-            candidate.threshold,
-            options,
-        )?;
+        let outcome = evaluate_off_policy_with(reader, lender, AdrFilter::new(), options)?;
         Ok(SweepEval { header, outcome })
     }
 }
@@ -150,13 +144,12 @@ mod tests {
             TraceReader::new(&mut bytes.as_slice()).unwrap(),
             build_lender(TRACE_VARIANT).unwrap(),
             AdrFilter::new(),
-            0.0,
             OffPolicyOptions {
                 use_checkpoints: false,
             },
         )
         .expect("retrained evaluation");
-        assert_eq!(eval.outcome.agreement, slow.agreement);
+        assert_eq!(eval.outcome.agreement_at(0.0), slow.agreement_at(0.0));
         assert_eq!(eval.outcome.counterfactual, slow.counterfactual);
     }
 
@@ -179,7 +172,6 @@ mod tests {
             TraceReader::new(&mut bytes.as_slice()).unwrap(),
             build_lender("uniform-exclusion").unwrap(),
             AdrFilter::new(),
-            0.0,
             OffPolicyOptions {
                 use_checkpoints: false,
             },

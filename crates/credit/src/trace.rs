@@ -81,7 +81,7 @@ impl TraceReplayer for CreditTracer {
     ) -> Result<OffPolicyReport, TraceError> {
         let header = reader.header().clone();
         let lender = build_lender(policy).ok_or_else(|| unknown_policy(policy, POLICIES))?;
-        let outcome = evaluate_off_policy(reader, lender, AdrFilter::new(), DECISION_THRESHOLD)?;
+        let outcome = evaluate_off_policy(reader, lender, AdrFilter::new())?;
         Ok(off_policy_report(
             &outcome,
             &header,
@@ -202,14 +202,16 @@ mod tests {
                 reader,
                 ScorecardLender::paper_default(),
                 AdrFilter::new(),
-                DECISION_THRESHOLD,
                 eqimpact_trace::OffPolicyOptions { use_checkpoints },
             )
             .unwrap()
         };
         let fast = run(true);
         let slow = run(false);
-        assert_eq!(fast.agreement, slow.agreement);
+        assert_eq!(
+            fast.agreement_at(DECISION_THRESHOLD),
+            slow.agreement_at(DECISION_THRESHOLD)
+        );
         assert_eq!(fast.counterfactual, slow.counterfactual);
     }
 

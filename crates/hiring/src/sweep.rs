@@ -56,13 +56,8 @@ impl SweepTarget for HiringSweep {
         let options = OffPolicyOptions {
             use_checkpoints: header.checkpoints && candidate.policy == header.variant,
         };
-        let outcome = evaluate_off_policy_with(
-            reader,
-            screener,
-            TrackRecordFilter::new(),
-            candidate.threshold,
-            options,
-        )?;
+        let outcome =
+            evaluate_off_policy_with(reader, screener, TrackRecordFilter::new(), options)?;
         Ok(SweepEval { header, outcome })
     }
 }
@@ -125,13 +120,12 @@ mod tests {
             TraceReader::new(&mut bytes.as_slice()).unwrap(),
             build_screener("adaptive").unwrap(),
             TrackRecordFilter::new(),
-            0.0,
             OffPolicyOptions {
                 use_checkpoints: false,
             },
         )
         .expect("retrained evaluation");
-        assert_eq!(eval.outcome.agreement, slow.agreement);
+        assert_eq!(eval.outcome.agreement_at(0.0), slow.agreement_at(0.0));
         assert_eq!(eval.outcome.counterfactual, slow.counterfactual);
     }
 
@@ -151,7 +145,6 @@ mod tests {
             TraceReader::new(&mut bytes.as_slice()).unwrap(),
             build_screener("credential").unwrap(),
             TrackRecordFilter::new(),
-            0.0,
             OffPolicyOptions {
                 use_checkpoints: false,
             },

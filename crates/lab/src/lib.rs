@@ -3,19 +3,21 @@
 //!
 //! A single `experiments replay --policy X` answers one counterfactual.
 //! This crate asks them in bulk: a [`CandidateGrid`] enumerates
-//! (policy, filter, threshold) combinations, [`run_sweep`] fans every
-//! candidate across every recorded trace on the process-wide
-//! [`ThreadBudget`](eqimpact_core::pool::ThreadBudget) (one
-//! [`run_indexed`](eqimpact_core::pool::run_indexed) batch for the cells,
-//! per-cell panic isolation, then one for the bootstrap intervals), and
-//! the result is a [`SweepReport`]: candidates
+//! (policy, filter, threshold) combinations, and [`run_sweep`] evaluates
+//! each (policy, filter) pair off-policy once per recorded trace and
+//! reads every threshold off that one evaluation (a threshold changes
+//! only which decisions count as positive). The evaluations run on the
+//! process-wide [`ThreadBudget`](eqimpact_core::pool::ThreadBudget) (one
+//! [`run_indexed`](eqimpact_core::pool::run_indexed) batch with
+//! per-evaluation panic isolation, then one for the bootstrap
+//! intervals), and the result is a [`SweepReport`]: candidates
 //! ranked by demographic-parity gap, every gap and impact delta carrying
 //! a bootstrap confidence interval.
 //!
 //! # Determinism contract
 //!
 //! The same traces, grid and [`SweepConfig`] produce a bit-identical
-//! report regardless of thread count or scheduling: cell results come
+//! report regardless of thread count or scheduling: evaluations come
 //! back in index order, cells are pooled per candidate in trace order,
 //! and interval `k` of candidate `i` draws only from an RNG derived from
 //! `(seed, i, k + 1)`.

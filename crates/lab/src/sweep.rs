@@ -2,15 +2,20 @@
 //! the process-wide thread budget and aggregate per-candidate fairness
 //! statistics with bootstrap confidence intervals.
 //!
-//! A sweep's unit of work is a **cell** — one candidate evaluated
-//! off-policy against one trace. Cells are independent, so all of them
-//! go into a single [`run_indexed`] batch under one [`ThreadBudget`]
-//! lease; each cell streams its trace from its own reader (traces are
-//! never materialized in memory by the engine) and reduces the two
-//! [`LoopRecord`](eqimpact_core::LoopRecord)s to compact per-user
-//! statistics before the records are dropped. A panicking cell comes
-//! back as that cell's error — one corrupt trace or misbehaving
-//! candidate never takes down the sweep.
+//! A **cell** is one candidate against one trace, but a sweep's unit of
+//! work is one **evaluation**: one (policy, filter) pair evaluated
+//! off-policy against one trace. A threshold decides only how the
+//! evaluation's signals are read (which decisions are positive), not the
+//! refit, the counterfactual signals or the filter outputs, so every
+//! threshold of the grid is read off the same evaluation. Evaluations are
+//! independent, so all of them go into a single [`run_indexed`] batch
+//! under one [`ThreadBudget`] lease; each streams its trace from its own
+//! reader (traces are never materialized in memory by the engine) and
+//! reduces the two [`LoopRecord`](eqimpact_core::LoopRecord)s to compact
+//! per-user statistics, one set per threshold, before the records are
+//! dropped. A failed or panicking evaluation is the error of every cell
+//! it would have read out — one corrupt trace or misbehaving candidate
+//! never takes down the sweep.
 //!
 //! Aggregation has two steps. Each candidate's cells are pooled on the
 //! calling thread, in trace order. Then the bootstrap intervals, three
@@ -23,7 +28,7 @@
 use crate::grid::{CandidateGrid, CandidateSpec};
 use crate::report::{RankedCandidate, SweepReport};
 use eqimpact_core::pool::{run_indexed, ThreadBudget};
-use eqimpact_stats::{bootstrap_mean_ci, bootstrap_stratified_ci, ConfidenceInterval, SimRng};
+use eqimpact_stats::{bootstrap_gap_ci, bootstrap_mean_ci, ConfidenceInterval, SimRng};
 use eqimpact_telemetry::metrics as tm;
 use eqimpact_trace::{OffPolicyOutcome, TraceError, TraceHeader};
 use std::collections::BTreeMap;
@@ -31,7 +36,8 @@ use std::fmt;
 use std::io::Read;
 use std::path::PathBuf;
 
-/// What a workload hands back for one (trace, candidate) cell.
+/// What a workload hands back for one evaluation: one (policy, filter)
+/// pair against one trace, read out at every threshold of the grid.
 pub struct SweepEval {
     /// The trace's provenance header.
     pub header: TraceHeader,
@@ -57,11 +63,14 @@ pub trait SweepTarget: Sync {
     /// Every filter name the workload can instantiate.
     fn known_filters(&self) -> &'static [&'static str];
 
-    /// Evaluates one candidate against one trace stream. Implementations
-    /// should enable the checkpointed fast-path only when it is sound:
-    /// the trace carries checkpoints **and** the candidate's policy is
-    /// the recorded variant (same learner, so restored weights are the
-    /// weights retraining would have produced).
+    /// Evaluates one candidate's policy and filter against one trace
+    /// stream. Evaluation does not read the candidate's threshold:
+    /// [`run_sweep`] reads every threshold of a (policy, filter) pair off
+    /// one evaluation, which it asks for with the pair's first candidate.
+    /// Implementations should enable the checkpointed fast-path only
+    /// when it is sound: the trace carries checkpoints **and** the
+    /// candidate's policy is the recorded variant (same learner, so
+    /// restored weights are the weights retraining would have produced).
     fn evaluate(
         &self,
         input: &mut dyn Read,
@@ -69,7 +78,7 @@ pub trait SweepTarget: Sync {
     ) -> Result<SweepEval, TraceError>;
 }
 
-/// A source of trace bytes a sweep can re-open once per cell. File-backed
+/// A source of trace bytes a sweep can re-open once per evaluation. File-backed
 /// in the CLI ([`FileTrace`]); in-memory in tests and benches
 /// ([`MemTrace`]).
 pub trait TraceSource: Sync {
@@ -227,8 +236,9 @@ struct CellStats {
 /// with throughout the workspace (binary outcomes encoded as 0/1).
 const FAVOURABLE_ACTION: f64 = 0.5;
 
-/// One cell's statistics. A non-finite final filter output, recorded or
-/// recomputed, is the cell's error: no interval over it means anything.
+/// One cell's statistics: the evaluation read out at `threshold`. A
+/// non-finite final filter output, recorded or recomputed, is the cell's
+/// error: no interval over it means anything.
 fn cell_stats(eval: &SweepEval, threshold: f64) -> Result<CellStats, TraceError> {
     let outcome = &eval.outcome;
     let steps = outcome.counterfactual.steps();
@@ -292,21 +302,27 @@ fn cell_stats(eval: &SweepEval, threshold: f64) -> Result<CellStats, TraceError>
         }
     }
     Ok(CellStats {
-        agreement: outcome.agreement,
+        agreement: outcome.agreement_at(threshold),
         parity,
         opportunity,
         outcome_delta,
     })
 }
 
-fn evaluate_cell(
+/// Evaluates the (policy, filter) pair of `group` — candidates that
+/// differ only in their threshold — against `trace` once, and reads out
+/// one cell per candidate, in order.
+fn evaluate_group(
     target: &dyn SweepTarget,
     trace: &dyn TraceSource,
-    candidate: &CandidateSpec,
-) -> Result<CellStats, TraceError> {
+    group: &[CandidateSpec],
+) -> Result<Vec<Result<CellStats, TraceError>>, TraceError> {
     let mut input = trace.open().map_err(TraceError::Io)?;
-    let eval = target.evaluate(&mut input, candidate)?;
-    cell_stats(&eval, candidate.threshold)
+    let eval = target.evaluate(&mut input, &group[0])?;
+    Ok(group
+        .iter()
+        .map(|candidate| cell_stats(&eval, candidate.threshold))
+        .collect())
 }
 
 /// A NaN interval at `level`: the statistic had no samples (e.g. a trace
@@ -332,31 +348,13 @@ fn gap_ci(
     config: &SweepConfig,
     rng: &mut SimRng,
 ) -> ConfidenceInterval {
-    let views: Vec<&[f64]> = strata
-        .values()
-        .map(|v| v.as_slice())
-        .filter(|s| !s.is_empty())
-        .collect();
-    if views.is_empty() {
+    let views: Vec<&[f64]> = strata.values().map(Vec::as_slice).collect();
+    let draws = views.iter().map(|v| v.len()).sum();
+    if draws == 0 {
         return nan_ci(config.level);
     }
-    note_draws(config, views.iter().map(|v| v.len()).sum());
-    bootstrap_stratified_ci(
-        &views,
-        |resampled| {
-            let mut hi = f64::NEG_INFINITY;
-            let mut lo = f64::INFINITY;
-            for stratum in resampled.iter().filter(|s| !s.is_empty()) {
-                let mean = stratum.iter().sum::<f64>() / stratum.len() as f64;
-                hi = hi.max(mean);
-                lo = lo.min(mean);
-            }
-            hi - lo
-        },
-        config.resamples,
-        config.level,
-        rng,
-    )
+    note_draws(config, draws);
+    bootstrap_gap_ci(&views, config.resamples, config.level, rng)
 }
 
 /// Bootstrap CI of the mean of `sample`.
@@ -382,11 +380,12 @@ struct PooledCells {
     errors: Vec<String>,
 }
 
-/// Runs the sweep: every grid candidate against every trace, one
-/// [`ThreadBudget`] lease for the cell batch and one for the interval
-/// batch, bootstrap CIs on every reported gap, ranked most-parity-even
-/// first. A bad grid or [`SweepConfig`] is an error before any cell
-/// runs. See the module docs for the determinism contract.
+/// Runs the sweep: every grid candidate against every trace, from one
+/// evaluation per (policy, filter, trace), one [`ThreadBudget`] lease for
+/// the evaluation batch and one for the interval batch, bootstrap CIs on
+/// every reported gap, ranked most-parity-even first. A bad grid or
+/// [`SweepConfig`] is an error before any evaluation runs. See the
+/// module docs for the determinism contract.
 pub fn run_sweep(
     target: &dyn SweepTarget,
     traces: &[&dyn TraceSource],
@@ -425,64 +424,88 @@ pub fn run_sweep(
         }
     }
 
+    // `candidates()` is policy-major, so each (policy, filter) group is a
+    // contiguous run of one candidate per threshold.
     let candidates = grid.candidates();
-    let cells = candidates.len() * traces.len();
+    let thresholds = grid.thresholds.len();
+    let groups: Vec<&[CandidateSpec]> = candidates.chunks_exact(thresholds).collect();
+    let evaluations = groups.len() * traces.len();
 
-    // One batch under one lease: at most one lane per cell, and whatever
-    // the budget can spare.
-    eqimpact_telemetry::progress::add_goal(cells as u64);
-    let mut outcomes = run_indexed(budget, cells, |cell| {
-        let _cell = tm::SWEEP_CELLS.enter();
-        evaluate_cell(
+    // One batch under one lease: at most one lane per evaluation, and
+    // whatever the budget can spare.
+    eqimpact_telemetry::progress::add_goal(evaluations as u64);
+    let evaluated = run_indexed(budget, evaluations, |job| {
+        let _evaluation = tm::SWEEP_CELLS.enter();
+        evaluate_group(
             target,
-            traces[cell % traces.len()],
-            &candidates[cell / traces.len()],
+            traces[job % traces.len()],
+            groups[job / traces.len()],
         )
-    })
-    .into_iter();
+    });
 
-    // Pool each candidate's cells in index order.
+    // Every evaluation as one read-out per threshold: its cells, or, when
+    // it failed, its message once for each of them.
+    let mut read_outs: Vec<_> = evaluated
+        .into_iter()
+        .zip(traces.iter().cycle())
+        .map(|(evaluation, trace)| {
+            let failed = |message: String| {
+                std::iter::repeat_with(|| Err(message.clone()))
+                    .take(thresholds)
+                    .collect()
+            };
+            let cells: Vec<Result<CellStats, String>> = match evaluation {
+                Ok(Ok(cells)) => cells
+                    .into_iter()
+                    .map(|cell| cell.map_err(|e| format!("{}: {e}", trace.label())))
+                    .collect(),
+                Ok(Err(e)) => failed(format!("{}: {e}", trace.label())),
+                Err(panic) => failed(format!("{}: candidate panicked: {panic}", trace.label())),
+            };
+            cells.into_iter()
+        })
+        .collect();
+
+    // Pool each candidate's cells in trace order: a group's candidates
+    // take its evaluations' read-outs in threshold order.
     let mut pooled = Vec::with_capacity(candidates.len());
-    for _ in &candidates {
-        let mut cells = PooledCells {
-            evaluated: 0,
-            agreement: f64::NAN,
-            parity: BTreeMap::new(),
-            opportunity: BTreeMap::new(),
-            outcome_delta: Vec::new(),
-            errors: Vec::new(),
-        };
-        let mut agreement_sum = 0.0;
-        let mut agreement_count = 0usize;
-        // `zip` stops at the last trace without pulling the next
-        // candidate's first cell.
-        for (trace, outcome) in traces.iter().zip(outcomes.by_ref()) {
-            match outcome {
-                Ok(Ok(stats)) => {
-                    cells.evaluated += 1;
-                    if stats.agreement.is_finite() {
-                        agreement_sum += stats.agreement;
-                        agreement_count += 1;
+    for group in read_outs.chunks_exact_mut(traces.len()) {
+        for _ in 0..thresholds {
+            let mut cells = PooledCells {
+                evaluated: 0,
+                agreement: f64::NAN,
+                parity: BTreeMap::new(),
+                opportunity: BTreeMap::new(),
+                outcome_delta: Vec::new(),
+                errors: Vec::new(),
+            };
+            let mut agreement_sum = 0.0;
+            let mut agreement_count = 0usize;
+            for trace_cells in group.iter_mut() {
+                match trace_cells.next().expect("one read-out per threshold") {
+                    Ok(stats) => {
+                        cells.evaluated += 1;
+                        if stats.agreement.is_finite() {
+                            agreement_sum += stats.agreement;
+                            agreement_count += 1;
+                        }
+                        for (label, shares) in stats.parity {
+                            cells.parity.entry(label).or_default().extend(shares);
+                        }
+                        for (label, shares) in stats.opportunity {
+                            cells.opportunity.entry(label).or_default().extend(shares);
+                        }
+                        cells.outcome_delta.extend(stats.outcome_delta);
                     }
-                    for (label, shares) in stats.parity {
-                        cells.parity.entry(label).or_default().extend(shares);
-                    }
-                    for (label, shares) in stats.opportunity {
-                        cells.opportunity.entry(label).or_default().extend(shares);
-                    }
-                    cells.outcome_delta.extend(stats.outcome_delta);
+                    Err(message) => cells.errors.push(message),
                 }
-                Ok(Err(e)) => cells.errors.push(format!("{}: {e}", trace.label())),
-                Err(panic) => cells
-                    .errors
-                    .push(format!("{}: candidate panicked: {panic}", trace.label())),
             }
+            if agreement_count > 0 {
+                cells.agreement = agreement_sum / agreement_count as f64;
+            }
+            tm::SWEEP_CELL_ERRORS.add(cells.errors.len() as u64);
+            pooled.push(cells);
         }
-        if agreement_count > 0 {
-            cells.agreement = agreement_sum / agreement_count as f64;
-        }
-        tm::SWEEP_CELL_ERRORS.add(cells.errors.len() as u64);
-        pooled.push(cells);
     }
 
     // Every interval is one job of one batch: job 3i + k is interval k of

@@ -32,7 +32,7 @@ pub mod plot;
 pub mod rng;
 pub mod timeseries;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, bootstrap_stratified_ci, ConfidenceInterval};
+pub use bootstrap::{bootstrap_gap_ci, bootstrap_mean_ci, ConfidenceInterval};
 pub use converge::{kolmogorov_smirnov, wasserstein1};
 pub use describe::Summary;
 pub use dist::Categorical;

@@ -19,6 +19,7 @@ pub struct SimRng {
 
 impl SimRng {
     /// Creates a stream from a seed.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         // SplitMix64 expansion of the seed into the 256-bit state, per the
         // xoshiro authors' recommendation; the output can never be all
@@ -63,6 +64,7 @@ impl SimRng {
     /// Uses SplitMix64-style mixing of (seed, label) so that different
     /// labels give uncorrelated child seeds and `split` is insensitive to
     /// how much the parent has already been consumed.
+    #[inline]
     pub fn split(&self, label: u64) -> SimRng {
         let child_seed = mix(self.seed, label);
         SimRng::new(child_seed)
@@ -97,6 +99,7 @@ impl SimRng {
     ///
     /// # Panics
     /// Panics if `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index: empty range");
         // Multiply-shift range reduction (Lemire); the bias for any n that
@@ -170,6 +173,7 @@ impl SimRng {
 }
 
 /// SplitMix64 finalizer combining a seed with a stream label.
+#[inline]
 fn mix(seed: u64, label: u64) -> u64 {
     let mut z = seed
         .wrapping_mul(0x9E37_79B9_7F4A_7C15)

@@ -115,7 +115,8 @@ pub static TRACE_ENC_BYTES_SWAP_RLE: Counter =
 
 // --- lab / certify planes ------------------------------------------------
 
-/// Sweep cells evaluated (one per candidate × trace).
+/// Sweep evaluations: one per (policy, filter) pair × trace, each read
+/// out at every threshold of the grid.
 pub static SWEEP_CELLS: PhaseSpan = PhaseSpan::new("sweep.cells");
 /// Sweep cells that errored or panicked.
 pub static SWEEP_CELL_ERRORS: Counter = Counter::new("sweep.cell_errors", Section::Deterministic);

@@ -40,9 +40,34 @@ pub struct OffPolicyOutcome {
     pub counterfactual: LoopRecord,
     /// Group metadata carried by the trace, when present.
     pub groups: Option<TraceGroups>,
+}
+
+impl OffPolicyOutcome {
     /// Fraction of (step, user) decisions on which the two policies
-    /// agree (both positive or both non-positive).
-    pub agreement: f64,
+    /// agree at `threshold`: both signals `> threshold`, or neither. The
+    /// comparison is strict, so a signal equal to `threshold` is a
+    /// negative decision. NaN when the records hold no decision.
+    ///
+    /// No part of the evaluation depends on the threshold, so one
+    /// outcome answers every threshold a sweep asks about.
+    pub fn agreement_at(&self, threshold: f64) -> f64 {
+        let mut agree = 0usize;
+        let mut total = 0usize;
+        for k in 0..self.counterfactual.steps() {
+            let baseline = self.baseline.signals(k);
+            for (a, b) in self.counterfactual.signals(k).iter().zip(baseline) {
+                total += 1;
+                if (*a > threshold) == (*b > threshold) {
+                    agree += 1;
+                }
+            }
+        }
+        if total == 0 {
+            f64::NAN
+        } else {
+            agree as f64 / total as f64
+        }
+    }
 }
 
 /// Knobs of [`evaluate_off_policy_with`].
@@ -59,23 +84,17 @@ pub struct OffPolicyOptions {
 }
 
 /// Walks the trace once, driving `alt_ai`/`alt_filter` over the recorded
-/// features and actions (see the module docs). `decision_threshold`
-/// defines a positive decision (`signal > threshold`) for the agreement
-/// statistic. Both returned records are [`RecordPolicy::Full`] so the
-/// fairness auditors can read them regardless of the original policy.
+/// features and actions (see the module docs). Both returned records are
+/// [`RecordPolicy::Full`] so the fairness auditors can read them
+/// regardless of the original policy; a decision threshold enters only
+/// their read-out ([`OffPolicyOutcome::agreement_at`],
+/// [`off_policy_report`]).
 pub fn evaluate_off_policy<S: AiSystem, F: FeedbackFilter, R: Read>(
     reader: TraceReader<R>,
     alt_ai: S,
     alt_filter: F,
-    decision_threshold: f64,
 ) -> Result<OffPolicyOutcome, TraceError> {
-    evaluate_off_policy_with(
-        reader,
-        alt_ai,
-        alt_filter,
-        decision_threshold,
-        OffPolicyOptions::default(),
-    )
+    evaluate_off_policy_with(reader, alt_ai, alt_filter, OffPolicyOptions::default())
 }
 
 /// [`evaluate_off_policy`] with explicit [`OffPolicyOptions`] (e.g. the
@@ -84,7 +103,6 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
     mut reader: TraceReader<R>,
     mut alt_ai: S,
     mut alt_filter: F,
-    decision_threshold: f64,
     options: OffPolicyOptions,
 ) -> Result<OffPolicyOutcome, TraceError> {
     let mut tail = StepTail::new(reader.header().delay);
@@ -92,8 +110,6 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
     let mut baseline: Option<LoopRecord> = None;
     let mut counterfactual: Option<LoopRecord> = None;
     let mut signals = Vec::new();
-    let mut agree = 0usize;
-    let mut total = 0usize;
 
     while reader.next_step(&mut frame)? {
         let k = frame.step;
@@ -111,12 +127,6 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
             n,
             "alternative AI must emit one signal per user"
         );
-        for (a, b) in signals.iter().zip(&frame.signals) {
-            total += 1;
-            if (*a > decision_threshold) == (*b > decision_threshold) {
-                agree += 1;
-            }
-        }
 
         let step = StepView {
             k,
@@ -146,11 +156,6 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
         counterfactual: counterfactual
             .unwrap_or_else(|| LoopRecord::with_policy(users, RecordPolicy::Full)),
         groups: reader.groups().cloned(),
-        agreement: if total == 0 {
-            f64::NAN
-        } else {
-            agree as f64 / total as f64
-        },
     })
 }
 
@@ -320,7 +325,7 @@ pub fn off_policy_report(
         seed: header.seed,
         steps: outcome.baseline.steps(),
         users: outcome.baseline.user_count(),
-        agreement: outcome.agreement,
+        agreement: outcome.agreement_at(decision_threshold),
         group_labels: labels,
         parity_gap_delta: candidate.parity_gap - baseline.parity_gap,
         opportunity_gap_delta: candidate.opportunity_gap - baseline.opportunity_gap,
@@ -367,6 +372,25 @@ mod tests {
         fn retrain(&mut self, _k: usize, _feedback: &Feedback) {
             panic!("a single-step trace must never reach a retrain");
         }
+    }
+
+    /// Emits, for user `i` at step `k`, entry `(i + k) % 5` of
+    /// [`SCRIPT`]: values equal to the recorded ±1 signals, a NaN, and
+    /// values between. Retrains do nothing.
+    struct ScriptedAi;
+
+    const SCRIPT: [f64; 5] = [1.0, f64::NAN, -1.0, 0.5, 0.0];
+
+    fn scripted(k: usize, i: usize) -> f64 {
+        SCRIPT[(i + k) % SCRIPT.len()]
+    }
+
+    impl AiSystem for ScriptedAi {
+        fn signals_into(&mut self, k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>) {
+            out.clear();
+            out.extend((0..visible.row_count()).map(|i| scripted(k, i)));
+        }
+        fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
     }
 
     /// Passes the raw actions through as the per-user filter output.
@@ -430,7 +454,7 @@ mod tests {
     fn evaluate<S: AiSystem>(bytes: &[u8], ai: S) -> OffPolicyOutcome {
         let mut input: &[u8] = bytes;
         let reader = TraceReader::new(&mut input).expect("trace reads back");
-        evaluate_off_policy(reader, ai, IdentityFilter, 0.0).expect("evaluation runs")
+        evaluate_off_policy(reader, ai, IdentityFilter).expect("evaluation runs")
     }
 
     #[test]
@@ -444,7 +468,7 @@ mod tests {
         assert_eq!(outcome.counterfactual.steps(), 1);
         // ConstAi(2.0) is positive everywhere; the log is positive for
         // exactly half the users.
-        assert!((outcome.agreement - 0.5).abs() < 1e-12);
+        assert!((outcome.agreement_at(0.0) - 0.5).abs() < 1e-12);
         let report = off_policy_report(&outcome, &header, "const", 0.0);
         assert_eq!(report.steps, 1);
         assert_eq!(report.users, 4);
@@ -475,7 +499,7 @@ mod tests {
         // is exactly 1.0 and every fairness delta is exactly zero.
         let (bytes, header) = synthetic_trace(4, &["alpha", "beta"], &[0, 0, 1, 1]);
         let outcome = evaluate(&bytes, EchoAi { retrains: 0 });
-        assert_eq!(outcome.agreement, 1.0);
+        assert_eq!(outcome.agreement_at(0.0), 1.0);
         assert_eq!(
             outcome.counterfactual.signals(0),
             outcome.baseline.signals(0)
@@ -487,5 +511,44 @@ mod tests {
             report.candidate.positive_rate,
             report.baseline.positive_rate
         );
+    }
+
+    #[test]
+    fn agreement_at_matches_a_direct_count_at_every_threshold() {
+        // Six users, so the users in [0, 3) log +1 and the rest −1; the
+        // script puts NaN, ±1 and values between against them.
+        let (bytes, _) = synthetic_trace(4, &["alpha", "beta"], &[0, 0, 0, 1, 1, 1]);
+        let outcome = evaluate(&bytes, ScriptedAi);
+        for threshold in [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0, f64::NEG_INFINITY] {
+            let mut agree = 0usize;
+            for k in 0..4 {
+                for i in 0..6 {
+                    let logged = if i < 3 { 1.0 } else { -1.0 };
+                    if (scripted(k, i) > threshold) == (logged > threshold) {
+                        agree += 1;
+                    }
+                }
+            }
+            let expected = agree as f64 / 24.0;
+            assert_eq!(
+                outcome.agreement_at(threshold).to_bits(),
+                expected.to_bits(),
+                "threshold {threshold}"
+            );
+        }
+        // A threshold equal to a recorded signal decides it negative:
+        // at +1 every logged decision is negative, and so is every
+        // scripted one (the strict `>` fails for 1.0 and for NaN).
+        assert_eq!(outcome.agreement_at(1.0), 1.0);
+    }
+
+    #[test]
+    fn a_zero_step_outcome_has_no_agreement() {
+        let (bytes, _) = synthetic_trace(0, &["alpha", "beta"], &[0, 0, 1, 1]);
+        let outcome = evaluate(&bytes, ScriptedAi);
+        assert_eq!(outcome.counterfactual.steps(), 0);
+        for threshold in [0.0, 1.0, f64::INFINITY] {
+            assert!(outcome.agreement_at(threshold).is_nan());
+        }
     }
 }

@@ -239,7 +239,7 @@ fn inconsistent_user_counts_are_corrupt_not_panics() {
         );
         corrupt(
             "off-policy",
-            evaluate_off_policy(open(), EchoAi, MeanFilter::default(), 0.5).map(drop),
+            evaluate_off_policy(open(), EchoAi, MeanFilter::default()).map(drop),
         );
     }
 }

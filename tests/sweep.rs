@@ -3,7 +3,8 @@
 //! hiring traces), with the determinism contract checked the strong way:
 //! the full ranked report, bootstrap confidence intervals included, is
 //! byte-identical across repeated runs and across thread-budget
-//! capacities.
+//! capacities, and across commits by the digests in
+//! `tests/data/sweep_grids.txt`.
 
 use eqimpact::lab::{run_sweep, CandidateGrid, MemTrace, SweepConfig, TraceSource};
 use eqimpact::prelude::*;
@@ -135,6 +136,15 @@ fn wide_credit_grid() -> CandidateGrid {
     )
 }
 
+/// A 2 policies x 1 filter x 5 thresholds = 10-candidate hiring grid.
+fn hiring_grid() -> CandidateGrid {
+    CandidateGrid::new(
+        ["adaptive", "credential"],
+        ["track-record"],
+        (0..5).map(|i| i as f64 * 0.25),
+    )
+}
+
 #[test]
 fn fifty_plus_candidate_sweep_is_deterministic_across_runs_and_thread_counts() {
     let traces = credit_traces(2);
@@ -224,11 +234,7 @@ fn every_ranked_candidate_carries_bootstrap_intervals() {
 fn hiring_traces_sweep_deterministically_too() {
     let traces = hiring_traces(2);
     let sources: Vec<&dyn TraceSource> = traces.iter().map(|t| t as &dyn TraceSource).collect();
-    let grid = CandidateGrid::new(
-        ["adaptive", "credential"],
-        ["track-record"],
-        (0..5).map(|i| i as f64 * 0.25),
-    );
+    let grid = hiring_grid();
     let config = SweepConfig {
         seed: 9,
         resamples: 50,
@@ -262,14 +268,18 @@ fn hiring_traces_sweep_deterministically_too() {
 }
 
 /// A NaN in a recorded filter output fails that trace's cells with a
-/// named error; the sweep still exits cleanly and every other cell
-/// still reports.
+/// named error, at every threshold read off the evaluation; the sweep
+/// still exits cleanly and every other cell still reports.
 #[test]
 fn a_nan_recorded_filter_output_is_a_per_cell_error() {
     let clean = hiring_trace(0, false);
     let poisoned = hiring_trace(1, true);
     let sources: Vec<&dyn TraceSource> = vec![&clean, &poisoned];
-    let grid = CandidateGrid::new(["adaptive", "credential"], ["track-record"], [0.5]);
+    let grid = CandidateGrid::new(
+        ["adaptive", "credential"],
+        ["track-record"],
+        [0.5, 0.25, 0.75],
+    );
     let config = SweepConfig {
         seed: 9,
         resamples: 50,
@@ -283,7 +293,7 @@ fn a_nan_recorded_filter_output_is_a_per_cell_error() {
         ThreadBudget::leaked(2),
     )
     .expect("the sweep runs");
-    assert_eq!(report.ranked.len(), 2);
+    assert_eq!(report.ranked.len(), 6);
     for ranked in &report.ranked {
         assert_eq!(ranked.traces, 1, "the clean trace still reports");
         assert_eq!(ranked.errors.len(), 1, "{:?}", ranked.errors);
@@ -312,13 +322,17 @@ impl TraceSource for PanickingTrace {
     }
 }
 
-/// A panic inside a cell fails only that cell, named by its trace; the
-/// other trace's cells still report.
+/// A panic inside an evaluation fails only the cells read off it, each
+/// named by its trace; the other trace's cells still report.
 #[test]
 fn a_panicking_trace_source_fails_only_its_own_cells() {
     let clean = hiring_trace(0, false);
     let sources: Vec<&dyn TraceSource> = vec![&clean, &PanickingTrace];
-    let grid = CandidateGrid::new(["adaptive", "credential"], ["track-record"], [0.5]);
+    let grid = CandidateGrid::new(
+        ["adaptive", "credential"],
+        ["track-record"],
+        [0.5, 0.25, 0.75],
+    );
     let config = SweepConfig {
         seed: 9,
         resamples: 50,
@@ -332,7 +346,7 @@ fn a_panicking_trace_source_fails_only_its_own_cells() {
         ThreadBudget::leaked(2),
     )
     .expect("the sweep runs");
-    assert_eq!(report.ranked.len(), 2);
+    assert_eq!(report.ranked.len(), 6);
     for ranked in &report.ranked {
         assert_eq!(ranked.traces, 1, "the clean trace still reports");
         assert_eq!(
@@ -373,4 +387,70 @@ fn a_config_without_a_bootstrap_interval_is_an_error() {
             format!("bootstrap needs at least 1 resample and a level inside (0, 1), got {shown}")
         );
     }
+}
+
+/// `<name> <byte length> <64-bit FNV-1a digest>` of `bytes`,
+/// newline-terminated: a line of the committed report pins.
+fn pin_line(name: &str, bytes: &[u8]) -> String {
+    let digest = bytes.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    format!("{name} {} {digest:016x}\n", bytes.len())
+}
+
+fn sources(traces: &[MemTrace]) -> Vec<&dyn TraceSource> {
+    traces.iter().map(|t| t as &dyn TraceSource).collect()
+}
+
+/// The reports of the 51-candidate credit grid and the 10-candidate
+/// hiring grid, as JSON and as text, are pinned across commits by byte
+/// length and FNV-1a in `tests/data/sweep_grids.txt`: every interval
+/// bound, agreement and ranking of a many-threshold sweep. A change that
+/// moves one byte fails here; re-pin the file only for a deliberate,
+/// documented re-baseline.
+#[test]
+fn grid_reports_match_the_committed_digests() {
+    let credit = credit_traces(2);
+    let hiring = hiring_traces(2);
+    let config = |seed| SweepConfig {
+        seed,
+        resamples: 50,
+        ..SweepConfig::default()
+    };
+    let budget = ThreadBudget::leaked(2);
+    let mut table = String::new();
+    for (name, report) in [
+        (
+            "credit-51",
+            run_sweep(
+                &CreditSweep,
+                &sources(&credit),
+                &wide_credit_grid(),
+                &config(7),
+                budget,
+            ),
+        ),
+        (
+            "hiring-10",
+            run_sweep(
+                &HiringSweep,
+                &sources(&hiring),
+                &hiring_grid(),
+                &config(9),
+                budget,
+            ),
+        ),
+    ] {
+        let report = report.expect("sweep runs");
+        table += &pin_line(
+            &format!("{name}.json"),
+            report.to_json().render_pretty().as_bytes(),
+        );
+        table += &pin_line(&format!("{name}.txt"), report.render_text().as_bytes());
+    }
+    let pinned = include_str!("data/sweep_grids.txt");
+    assert!(
+        table == pinned,
+        "sweep reports moved; if on purpose, re-pin tests/data/sweep_grids.txt to:\n{table}"
+    );
 }
