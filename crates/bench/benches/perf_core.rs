@@ -1,19 +1,21 @@
 //! Performance microbenchmarks of the building blocks (not paper
 //! artifacts): the sharded runner's one-lane path, the columnar feature
-//! plane, the credit loop, the credit render, the counterfactual sweep
-//! and its bootstrap, IRLS fitting, Markov operator application, and
-//! invariant-measure estimation. They print
+//! plane, the credit loop, the credit render, the trace codec, the
+//! counterfactual sweep and its bootstrap, IRLS fitting, Markov operator
+//! application, and invariant-measure estimation. They print
 //! their timings and write no file; the end-to-end and per-layer numbers
 //! of the closed loop come from the `loopbench` benchmark
 //! (`loopbench/README.md`, declared in `BENCHMARK.json`).
 //!
-//! Two arms assert an invariant that must hold on any hardware. The
+//! Three arms assert an invariant that must hold on any hardware. The
 //! sharding bench (P5) checks that a one-lane sharded run, which spawns
 //! nothing, stays within noise of the sequential `LoopRunner`. The
 //! columnar bench (P8) checks
 //! that batched column-kernel scoring does not lose to a row-gathering
 //! baseline replicating the pre-redesign row-major hot path, on the same
-//! loop at the same scale, after proving the two bit-identical.
+//! loop at the same scale, after proving the two bit-identical. The
+//! trace-codec bench checks that re-encoding the decoded audit corpus
+//! gives back the recorded bytes, and decoding them every value.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
@@ -24,6 +26,7 @@ use eqimpact_core::scenario::{Scale, Scenario, ScenarioConfig, TraceMeta};
 use eqimpact_core::shard::{
     shard_bounds, ColsMut, ColsView, PopulationShard, RowStreams, ShardableAi, ShardablePopulation,
 };
+use eqimpact_core::ModelCheckpoint;
 use eqimpact_credit::sim::{run_trial, CreditConfig, LenderKind};
 use eqimpact_credit::CreditScenario;
 use eqimpact_hiring::scenario::{trial_config, variant_name};
@@ -36,7 +39,9 @@ use eqimpact_markov::operator::{markov_operator_apply, ParticleMeasure};
 use eqimpact_ml::logistic::{sigmoid, LogisticModel, LogisticRegression};
 use eqimpact_ml::Dataset;
 use eqimpact_stats::{bootstrap_gap_ci, SimRng};
-use eqimpact_trace::{TraceHeader, TraceStepSink};
+use eqimpact_trace::{
+    StepFrame, TraceGroups, TraceHeader, TraceReader, TraceStepSink, TraceWriter,
+};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::time::Instant;
@@ -442,20 +447,21 @@ fn bench_credit_render(c: &mut Criterion) {
     group.finish();
 }
 
-/// Every Quick-scale hiring loop (each trial, both screeners) recorded
-/// into an in-memory checkpointed trace, as `experiments record hiring
-/// --quick` writes them to disk.
-fn quick_hiring_traces() -> Vec<MemTrace> {
-    let config = ScenarioConfig::new(Scale::Quick);
+/// Every hiring loop at `scale` (each trial, both screeners) recorded
+/// into an in-memory checkpointed trace, as `experiments record hiring`
+/// writes them to disk, with its name; at paper scale, the audit
+/// pipeline's corpus.
+fn hiring_traces(scale: Scale) -> Vec<(String, Vec<u8>)> {
+    let config = ScenarioConfig::new(scale);
     let mut traces = Vec::new();
-    for trial in 0..HiringScenario.trials(Scale::Quick) {
+    for trial in 0..HiringScenario.trials(scale) {
         for screener in [ScreenerKind::Adaptive, ScreenerKind::Credential] {
             let hiring = trial_config(&config, screener);
             let meta = TraceMeta {
                 scenario: "hiring".to_string(),
                 variant: variant_name(screener).to_string(),
                 trial,
-                scale: Scale::Quick,
+                scale,
                 seed: hiring.seed,
                 shards: hiring.shards,
                 delay: hiring.delay,
@@ -465,10 +471,183 @@ fn quick_hiring_traces() -> Vec<MemTrace> {
             let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
             run_trial_sunk(&hiring, trial, &mut sink);
             let name = format!("hiring-{}-trial{trial}", meta.variant);
-            traces.push(MemTrace::new(name, sink.finish().expect("trace finishes")));
+            traces.push((name, sink.finish().expect("trace finishes")));
         }
     }
     traces
+}
+
+/// One frame of a decoded trace, in stream order.
+enum Frame {
+    Step(StepFrame),
+    Checkpoint(ModelCheckpoint),
+}
+
+/// A trace decoded whole: what [`TraceWriter`] needs to write it again.
+struct DecodedTrace {
+    header: TraceHeader,
+    groups: Option<TraceGroups>,
+    frames: Vec<Frame>,
+}
+
+/// Reads every frame of `bytes`, checkpoints where they fall.
+fn decode_trace(bytes: &[u8]) -> DecodedTrace {
+    let mut reader = TraceReader::new(bytes).expect("trace opens");
+    let mut frames = Vec::new();
+    loop {
+        let mut checkpoint = ModelCheckpoint::new();
+        if reader
+            .next_checkpoint(&mut checkpoint)
+            .expect("checkpoint decodes")
+        {
+            frames.push(Frame::Checkpoint(checkpoint));
+            continue;
+        }
+        let mut step = StepFrame::default();
+        if !reader.next_step(&mut step).expect("step decodes") {
+            break;
+        }
+        frames.push(Frame::Step(step));
+    }
+    DecodedTrace {
+        header: reader.header().clone(),
+        groups: reader.groups().cloned(),
+        frames,
+    }
+}
+
+/// Reads every frame of `bytes` into one reused step and checkpoint (the
+/// reader's cost alone) and returns the frame count.
+fn read_trace(bytes: &[u8]) -> usize {
+    let mut reader = TraceReader::new(bytes).expect("trace opens");
+    let (mut step, mut checkpoint) = (StepFrame::default(), ModelCheckpoint::new());
+    let mut frames = 0;
+    loop {
+        if !reader
+            .next_checkpoint(&mut checkpoint)
+            .expect("checkpoint decodes")
+            && !reader.next_step(&mut step).expect("step decodes")
+        {
+            return frames;
+        }
+        frames += 1;
+    }
+}
+
+/// Writes a decoded trace again, frame by frame, into a buffer of
+/// `capacity` bytes.
+fn encode_trace(trace: &DecodedTrace, capacity: usize) -> Vec<u8> {
+    let out = Vec::with_capacity(capacity);
+    let mut writer = TraceWriter::new(out, &trace.header).expect("header writes");
+    if let Some(groups) = &trace.groups {
+        let labels: Vec<&str> = groups.labels.iter().map(String::as_str).collect();
+        writer
+            .write_groups(&labels, &groups.codes)
+            .expect("groups write");
+    }
+    for frame in &trace.frames {
+        match frame {
+            Frame::Step(s) => writer.write_step(&s.visible, &s.signals, &s.actions, &s.filtered),
+            Frame::Checkpoint(c) => writer.write_checkpoint(c),
+        }
+        .expect("frame writes");
+    }
+    writer.finish().expect("footer writes")
+}
+
+/// The f64 bit patterns of every column value of a decoded trace, in
+/// stream order.
+fn value_bits(trace: &DecodedTrace) -> Vec<u64> {
+    let mut bits = Vec::new();
+    for frame in &trace.frames {
+        match frame {
+            Frame::Step(s) => {
+                for j in 0..s.visible.width() {
+                    bits.extend(s.visible.col(j).iter().map(|v| v.to_bits()));
+                }
+                for channel in [&s.signals, &s.actions, &s.filtered] {
+                    bits.extend(channel.iter().map(|v| v.to_bits()));
+                }
+            }
+            Frame::Checkpoint(c) => {
+                for (_, values) in c.fields() {
+                    bits.extend(values.iter().map(|v| v.to_bits()));
+                }
+            }
+        }
+    }
+    bits
+}
+
+/// The trace codec on the paper-scale hiring audit corpus (10
+/// checkpointed traces), recorded in memory once and decoded once. Each
+/// call re-encodes every trace from its decoded frames with
+/// [`TraceWriter`], or reads every trace through with [`TraceReader`];
+/// both run on the production columns in row order and print ns per
+/// value. The re-encoded bytes must equal the recorded bytes, and
+/// decoding them must give back every value bit for bit. Writes no file.
+fn bench_trace_codec(_c: &mut Criterion) {
+    let recorded: Vec<Vec<u8>> = hiring_traces(Scale::Paper)
+        .into_iter()
+        .map(|(_, bytes)| bytes)
+        .collect();
+    let decoded: Vec<DecodedTrace> = recorded.iter().map(|b| decode_trace(b)).collect();
+    let codes: usize = decoded
+        .iter()
+        .filter_map(|t| t.groups.as_ref())
+        .map(|g| g.codes.len())
+        .sum();
+    let values = codes + decoded.iter().map(|t| value_bits(t).len()).sum::<usize>();
+    let bytes: usize = recorded.iter().map(Vec::len).sum();
+    println!(
+        "\n-- group: perf/trace_codec (paper-scale hiring audit corpus: {} traces, \
+         {values} values, {bytes} B) --",
+        recorded.len()
+    );
+    for (trace, bytes) in decoded.iter().zip(&recorded) {
+        let encoded = encode_trace(trace, bytes.len());
+        assert!(
+            encoded == *bytes,
+            "re-encoding {} differs from the recorded bytes",
+            trace.header.variant
+        );
+        let again = decode_trace(&encoded);
+        assert!(
+            value_bits(&again) == value_bits(trace)
+                && again.groups == trace.groups
+                && again.header == trace.header,
+            "{} does not round-trip bit for bit",
+            trace.header.variant
+        );
+    }
+    let reps = if criterion::is_quick() { 5 } else { 30 };
+    let time = |name: &str, pass: &dyn Fn()| {
+        // The first call warms up and is not counted.
+        pass();
+        let mut ns_per_value: Vec<f64> = (0..reps)
+            .map(|_| {
+                let start = Instant::now();
+                pass();
+                start.elapsed().as_nanos() as f64 / values as f64
+            })
+            .collect();
+        let min = ns_per_value.iter().copied().fold(f64::INFINITY, f64::min);
+        let per_value = median(&mut ns_per_value);
+        println!(
+            "perf/trace_codec/{name:<30} median {per_value:>8.2} ns/value, \
+             min {min:>8.2} ({reps} passes)"
+        );
+    };
+    time("encode_paper_hiring", &|| {
+        for (trace, bytes) in decoded.iter().zip(&recorded) {
+            criterion::black_box(encode_trace(trace, bytes.len()));
+        }
+    });
+    time("decode_paper_hiring", &|| {
+        for bytes in &recorded {
+            criterion::black_box(read_trace(bytes));
+        }
+    });
 }
 
 /// The demographic-parity strata a sweep pools for `candidate`: per
@@ -508,7 +687,10 @@ fn parity_strata(
 /// first candidate, in the sweep's order rather than a synthetic sample,
 /// printed per draw. Writes no file.
 fn bench_sweep(c: &mut Criterion) {
-    let traces = quick_hiring_traces();
+    let traces: Vec<MemTrace> = hiring_traces(Scale::Quick)
+        .into_iter()
+        .map(|(name, bytes)| MemTrace::new(name, bytes))
+        .collect();
     let sources: Vec<&dyn TraceSource> = traces.iter().map(|t| t as &dyn TraceSource).collect();
     let grid = HiringSweep.default_grid();
     let config = SweepConfig::default();
@@ -623,6 +805,7 @@ criterion_group!(
     bench_columnar,
     bench_loop_step,
     bench_credit_render,
+    bench_trace_codec,
     bench_sweep,
     bench_irls,
     bench_markov_operator,

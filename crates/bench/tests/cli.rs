@@ -354,15 +354,7 @@ fn trace_pipeline_telemetry_matches_the_committed_sections() {
                 );
             }
         }
-        let mut recorded: Vec<PathBuf> = std::fs::read_dir(dir.path(&traces))
-            .expect("read trace dir")
-            .map(|entry| entry.expect("trace dir entry").path())
-            .filter(|path| path.extension().is_some_and(|ext| ext == "eqtrace"))
-            .collect();
-        recorded.sort();
-        for trace in &recorded {
-            table += &pin_line(trace);
-        }
+        table += &trace_pins(&dir.path(&traces));
         assert_eq!(
             reports[2..],
             reports[..2],
@@ -376,6 +368,17 @@ fn trace_pipeline_telemetry_matches_the_committed_sections() {
         "trace pipeline outputs moved; if on purpose, re-pin \
          tests/data/pipeline_quick.txt to:\n{table}"
     );
+}
+
+/// The pin lines of every `.eqtrace` file in `dir`, in file-name order.
+fn trace_pins(dir: &Path) -> String {
+    let mut recorded: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read trace dir")
+        .map(|entry| entry.expect("trace dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "eqtrace"))
+        .collect();
+    recorded.sort();
+    recorded.iter().map(|trace| pin_line(trace)).collect()
 }
 
 /// `<file name> <byte length> <64-bit FNV-1a digest>` of one output file,
@@ -434,6 +437,28 @@ fn paper_scale_artifacts_match_the_committed_digests() {
         table == pinned,
         "paper-scale artifacts moved; if on purpose, re-pin \
          tests/data/artifacts_paper.txt to:\n{table}"
+    );
+}
+
+/// Every trace of paper-scale `record credit` and `record hiring` (the
+/// default seeds) is pinned by [`trace_pins`] in
+/// `tests/data/traces_paper.txt`: the column codec's choices on the
+/// corpus the audit pipeline records, where `pipeline_quick.txt` pins
+/// only Quick-scale traces. Re-pin only for a deliberate, documented
+/// change of the trace format.
+#[test]
+fn paper_scale_traces_match_the_committed_digests() {
+    let dir = WorkDir::new("paper-traces");
+    let mut table = String::new();
+    for scenario in ["credit", "hiring"] {
+        dir.ok(&["record", scenario, "--out", scenario]);
+        table += &trace_pins(&dir.path(scenario));
+    }
+    let pinned = include_str!("data/traces_paper.txt");
+    assert!(
+        table == pinned,
+        "paper-scale traces moved; if on purpose, re-pin \
+         tests/data/traces_paper.txt to:\n{table}"
     );
 }
 

@@ -92,6 +92,12 @@ pub enum TraceError {
         /// What is wrong.
         what: String,
     },
+    /// The writer refused a frame its reader would reject; no byte of
+    /// the frame was written.
+    Refused {
+        /// The rule the frame breaks, with the reader's limit.
+        what: String,
+    },
     /// Replay recomputed a value that differs from the recorded one —
     /// the workload's blocks are not deterministic, or the trace does
     /// not belong to them.
@@ -133,6 +139,7 @@ impl fmt::Display for TraceError {
             }
             TraceError::Truncated { what } => write!(f, "truncated trace while reading {what}"),
             TraceError::Corrupt { what } => write!(f, "corrupt trace: {what}"),
+            TraceError::Refused { what } => write!(f, "trace writer refused a frame: {what}"),
             TraceError::ReplayMismatch { step, channel } => write!(
                 f,
                 "replay diverged from the recorded {channel} at step {step}"

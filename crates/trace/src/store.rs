@@ -35,7 +35,7 @@
 //! only as its bytes arrive, so a length field cannot size it.
 
 use crate::column::{
-    decode_column, decode_f64_column, encode_column, encode_f64_column, TAG_MASK, TAG_RLE_BIT,
+    decode_column, decode_f64_column, encode_column, plan_f64_column, TAG_MASK, TAG_RLE_BIT,
     TAG_SWAP_BIT,
 };
 use crate::TraceError;
@@ -87,6 +87,49 @@ const PAYLOAD_RESERVE: usize = 64 << 10;
 /// authentication). 2^26 cells still covers tens of millions of users
 /// per step.
 const MAX_FRAME_CELLS: usize = 1 << 26;
+
+/// The cells a step frame of `rows × width` counts against
+/// [`MAX_FRAME_CELLS`] (a width of 0 still counts each row), saturating
+/// on overflow.
+fn step_cells(rows: usize, width: usize) -> usize {
+    rows.saturating_mul(width.max(1))
+}
+
+/// `Ok` when `count` is within the reader's `limit`; otherwise the
+/// writer's refusal, naming what was counted and the limit.
+fn within(what: &str, count: usize, limit: usize) -> Result<(), TraceError> {
+    if count <= limit {
+        Ok(())
+    } else {
+        Err(TraceError::Refused {
+            what: format!("{what}: {count} is over the reader's limit of {limit}"),
+        })
+    }
+}
+
+// The writer's side of the reader's size limits, on declared sizes.
+
+fn check_frame_len(len: usize) -> Result<(), TraceError> {
+    within("frame payload bytes", len, MAX_FRAME_LEN as usize)
+}
+
+fn check_step_shape(rows: usize, width: usize) -> Result<(), TraceError> {
+    within(
+        "step cells (rows x width)",
+        step_cells(rows, width),
+        MAX_FRAME_CELLS,
+    )
+}
+
+fn check_group_codes(count: usize) -> Result<(), TraceError> {
+    within("group codes", count, MAX_FRAME_CELLS)
+}
+
+/// A checkpoint of `fields` fields, the longest holding `widest` values.
+fn check_checkpoint_shape(fields: usize, widest: usize) -> Result<(), TraceError> {
+    within("checkpoint fields", fields, MAX_CHECKPOINT_FIELDS)?;
+    within("values in a checkpoint field", widest, MAX_FRAME_CELLS)
+}
 
 /// The self-describing provenance of a trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -284,8 +327,10 @@ pub struct StepFrame {
     pub filtered: Vec<f64>,
 }
 
+/// Writes one frame, or refuses it before its first byte when the
+/// payload is longer than the reader accepts.
 fn write_frame<W: Write>(out: &mut W, kind: u8, payload: &[u8]) -> Result<(), TraceError> {
-    debug_assert!(payload.len() as u64 <= MAX_FRAME_LEN as u64);
+    check_frame_len(payload.len())?;
     out.write_all(&[kind])?;
     out.write_all(&(payload.len() as u32).to_le_bytes())?;
     out.write_all(&crc32(payload).to_le_bytes())?;
@@ -295,16 +340,16 @@ fn write_frame<W: Write>(out: &mut W, kind: u8, payload: &[u8]) -> Result<(), Tr
     Ok(())
 }
 
-/// Tallies one encoded f64 column into the per-codec-choice byte
-/// counters (raw = 8 bytes per value; the block's first byte is its
-/// codec tag).
-fn note_column_encoding(values: usize, block: &[u8]) {
+/// Tallies one f64 column's chosen block (its codec tag and length in
+/// bytes) into the per-codec-choice byte counters (raw = 8 bytes per
+/// value).
+fn note_column_encoding(values: usize, tag: u8, block_len: usize) {
     if !eqimpact_telemetry::enabled() {
         return;
     }
     let raw = (values as u64) * 8;
-    let encoded = block.len() as u64;
-    let (raw_counter, enc_counter) = match block.first().map_or(0, |tag| tag & TAG_MASK) {
+    let encoded = block_len as u64;
+    let (raw_counter, enc_counter) = match tag & TAG_MASK {
         0 => (&tm::TRACE_RAW_BYTES_PLAIN, &tm::TRACE_ENC_BYTES_PLAIN),
         TAG_RLE_BIT => (&tm::TRACE_RAW_BYTES_RLE, &tm::TRACE_ENC_BYTES_RLE),
         TAG_SWAP_BIT => (&tm::TRACE_RAW_BYTES_SWAP, &tm::TRACE_ENC_BYTES_SWAP),
@@ -314,19 +359,49 @@ fn note_column_encoding(values: usize, block: &[u8]) {
     enc_counter.add(encoded);
 }
 
+/// Appends one f64 column to `payload`: its block length, then the block,
+/// written once in the form its sizing pass chose.
+fn push_f64_block(payload: &mut Vec<u8>, values: &[f64]) {
+    let plan = plan_f64_column(values);
+    note_column_encoding(values.len(), plan.tag(), plan.block_len());
+    write_varint(payload, plan.block_len() as u64);
+    plan.write(payload);
+}
+
 /// Streaming writer of the trace format. Create with a header, feed it
 /// [`Self::write_groups`] (optional, before the first step) and one
 /// [`Self::write_step`] per loop step, and close it with
 /// [`Self::finish`] — dropping an unfinished writer leaves a trace
 /// without a footer, which readers report as truncated.
+///
+/// The writer refuses every frame its [`TraceReader`] would reject, with
+/// a [`TraceError::Refused`] that names the rule, before writing any
+/// byte of the frame; the frames before it stay a readable trace once
+/// [`Self::finish`]ed. It refuses:
+///
+/// * a payload over the reader's 1 GiB frame limit;
+/// * a step of more than 2^26 cells (`rows × width`), a groups frame of
+///   more than 2^26 codes, and a checkpoint of more than 2^16 fields or
+///   with a field of more than 2^26 values;
+/// * a groups frame anywhere but first after the header (so also a
+///   second one);
+/// * a step whose user count differs from the groups frame's or, without
+///   one, from step 0's.
+///
+/// The header is written as given: a reader rejects a header name that
+/// could escape an output directory, or a newer format version, by name.
 pub struct TraceWriter<W: Write> {
     out: W,
     steps: usize,
     rows: usize,
     width: usize,
+    /// The user count every step must carry, with its source: the groups
+    /// frame when written, else step 0.
+    users: Option<(usize, &'static str)>,
+    /// Whether any frame has followed the header (a groups frame must
+    /// come first).
+    body: bool,
     payload: Vec<u8>,
-    block: Vec<u8>,
-    words: Vec<u64>,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -340,15 +415,21 @@ impl<W: Write> TraceWriter<W> {
             steps: 0,
             rows: 0,
             width: 0,
+            users: None,
+            body: false,
             payload: Vec::new(),
-            block: Vec::new(),
-            words: Vec::new(),
         })
     }
 
-    /// Writes the group-metadata frame. Call at most once, before the
-    /// first step.
+    /// Writes the group-metadata frame: at most once, before any other
+    /// frame (see the refusals above).
     pub fn write_groups(&mut self, labels: &[&str], codes: &[u32]) -> Result<(), TraceError> {
+        if self.body {
+            return Err(TraceError::Refused {
+                what: "a groups frame must come first after the header, at most once".to_string(),
+            });
+        }
+        check_group_codes(codes.len())?;
         self.payload.clear();
         write_varint(&mut self.payload, labels.len() as u64);
         for label in labels {
@@ -356,18 +437,16 @@ impl<W: Write> TraceWriter<W> {
             self.payload.extend_from_slice(label.as_bytes());
         }
         write_varint(&mut self.payload, codes.len() as u64);
-        self.words.clear();
-        self.words.extend(codes.iter().map(|&c| c as u64));
-        let mut block = std::mem::take(&mut self.block);
-        block.clear();
-        encode_column(&self.words, &mut block);
-        self.payload.extend_from_slice(&block);
-        self.block = block;
+        let words: Vec<u64> = codes.iter().map(|&c| u64::from(c)).collect();
+        encode_column(&words, &mut self.payload);
         write_frame(&mut self.out, KIND_GROUPS, &self.payload)?;
+        self.body = true;
+        self.users = Some((codes.len(), "the groups frame"));
         Ok(())
     }
 
-    /// Writes one step frame.
+    /// Writes one step frame, each column's block straight into the
+    /// frame.
     ///
     /// # Panics
     /// Panics when the channel lengths disagree with each other (the
@@ -383,32 +462,31 @@ impl<W: Write> TraceWriter<W> {
         assert_eq!(visible.row_count(), n, "visible rows");
         assert_eq!(actions.len(), n, "actions length");
         assert_eq!(filtered.len(), n, "filtered length");
-        self.rows = n;
-        self.width = visible.width();
+        let width = visible.width();
+        check_step_shape(n, width)?;
+        if let Some((users, source)) = self.users.filter(|&(users, _)| users != n) {
+            return Err(TraceError::Refused {
+                what: format!("step {} has {n} users but {source} has {users}", self.steps),
+            });
+        }
         self.payload.clear();
         write_varint(&mut self.payload, self.steps as u64);
         write_varint(&mut self.payload, n as u64);
-        write_varint(&mut self.payload, visible.width() as u64);
-        let mut block = std::mem::take(&mut self.block);
+        write_varint(&mut self.payload, width as u64);
         // One column per visible feature — the run's columnar layout is
         // already the trace layout, so each column encodes straight from
         // its storage with no gather — then the three per-user channels.
-        for j in 0..visible.width() {
-            block.clear();
-            encode_f64_column(visible.col(j), &mut self.words, &mut block);
-            note_column_encoding(visible.col(j).len(), &block);
-            write_varint(&mut self.payload, block.len() as u64);
-            self.payload.extend_from_slice(&block);
+        for j in 0..width {
+            push_f64_block(&mut self.payload, visible.col(j));
         }
         for channel in [signals, actions, filtered] {
-            block.clear();
-            encode_f64_column(channel, &mut self.words, &mut block);
-            note_column_encoding(channel.len(), &block);
-            write_varint(&mut self.payload, block.len() as u64);
-            self.payload.extend_from_slice(&block);
+            push_f64_block(&mut self.payload, channel);
         }
-        self.block = block;
         write_frame(&mut self.out, KIND_STEP, &self.payload)?;
+        self.body = true;
+        self.users.get_or_insert((n, "step 0"));
+        self.rows = n;
+        self.width = width;
         self.steps += 1;
         Ok(())
     }
@@ -418,22 +496,19 @@ impl<W: Write> TraceWriter<W> {
     /// captures; the header should have been built
     /// [`TraceHeader::with_checkpoints`] so readers expect the frames.
     pub fn write_checkpoint(&mut self, checkpoint: &ModelCheckpoint) -> Result<(), TraceError> {
+        let widest = checkpoint.fields().map(|(_, values)| values.len()).max();
+        check_checkpoint_shape(checkpoint.field_count(), widest.unwrap_or(0))?;
         self.payload.clear();
         write_varint(&mut self.payload, checkpoint.step as u64);
         write_varint(&mut self.payload, checkpoint.field_count() as u64);
-        let mut block = std::mem::take(&mut self.block);
         for (name, values) in checkpoint.fields() {
             write_varint(&mut self.payload, name.len() as u64);
             self.payload.extend_from_slice(name.as_bytes());
             write_varint(&mut self.payload, values.len() as u64);
-            block.clear();
-            encode_f64_column(values, &mut self.words, &mut block);
-            note_column_encoding(values.len(), &block);
-            write_varint(&mut self.payload, block.len() as u64);
-            self.payload.extend_from_slice(&block);
+            push_f64_block(&mut self.payload, values);
         }
-        self.block = block;
         write_frame(&mut self.out, KIND_CHECKPOINT, &self.payload)?;
+        self.body = true;
         Ok(())
     }
 
@@ -830,11 +905,7 @@ fn decode_step(
     frame.step = read_varint(payload, &mut pos).ok_or(truncated("step index"))? as usize;
     let rows = read_varint(payload, &mut pos).ok_or(truncated("step row count"))? as usize;
     let width = read_varint(payload, &mut pos).ok_or(truncated("step width"))? as usize;
-    let sane = rows
-        .checked_mul(width.max(1))
-        .map(|cells| cells <= MAX_FRAME_CELLS)
-        .unwrap_or(false);
-    if !sane {
+    if step_cells(rows, width) > MAX_FRAME_CELLS {
         return Err(TraceError::Corrupt {
             what: format!("step frame declares an absurd shape {rows} x {width}"),
         });
@@ -909,5 +980,100 @@ mod tests {
             payload.capacity()
         );
         assert_eq!(frame_index, 0, "no frame was read");
+    }
+
+    fn refused(result: Result<(), TraceError>) -> bool {
+        matches!(result, Err(TraceError::Refused { .. }))
+    }
+
+    /// The writer's checks, on declared sizes: each accepts its limit
+    /// and refuses one past it, as the reader does.
+    #[test]
+    fn size_checks_refuse_one_past_the_readers_limits() {
+        let cells = MAX_FRAME_CELLS;
+        assert!(check_frame_len(MAX_FRAME_LEN as usize).is_ok());
+        assert!(refused(check_frame_len(MAX_FRAME_LEN as usize + 1)));
+        // Over 4 GiB the length field would have wrapped.
+        assert!(refused(check_frame_len((1 << 32) + 5)));
+
+        assert!(check_step_shape(cells, 0).is_ok());
+        assert!(check_step_shape(cells, 1).is_ok());
+        assert!(check_step_shape(cells / 4, 4).is_ok());
+        assert!(refused(check_step_shape(cells + 1, 0)));
+        assert!(refused(check_step_shape(cells / 4 + 1, 4)));
+        assert!(
+            refused(check_step_shape(usize::MAX, 2)),
+            "rows x width overflows"
+        );
+
+        assert!(check_group_codes(cells).is_ok());
+        assert!(refused(check_group_codes(cells + 1)));
+
+        assert!(check_checkpoint_shape(MAX_CHECKPOINT_FIELDS, cells).is_ok());
+        assert!(refused(check_checkpoint_shape(
+            MAX_CHECKPOINT_FIELDS + 1,
+            0
+        )));
+        assert!(refused(check_checkpoint_shape(1, cells + 1)));
+        match check_step_shape(cells + 1, 1) {
+            Err(e) => assert!(e.to_string().contains(&cells.to_string()), "{e}"),
+            Ok(()) => unreachable!(),
+        }
+    }
+
+    /// The reader draws the same lines: a frame that declares one past a
+    /// limit is rejected as absurd before anything is sized for it, and
+    /// (where that allocates nothing) one at the limit fails only later.
+    #[test]
+    fn the_reader_rejects_what_the_writer_refuses() {
+        let declared = |sizes: &[usize]| {
+            let mut payload = Vec::new();
+            for &size in sizes {
+                write_varint(&mut payload, size as u64);
+            }
+            payload
+        };
+        let absurd = |result: Result<(), TraceError>| matches!(result, Err(TraceError::Corrupt { what }) if what.contains("absurd"));
+        let cells = MAX_FRAME_CELLS;
+        // At the limit a step frame would size its matrix, so only the
+        // refusals are read here.
+        let step = |rows: usize, width: usize| {
+            let payload = declared(&[0, rows, width]);
+            decode_step(
+                &payload,
+                &mut Vec::new(),
+                &mut Vec::new(),
+                &mut StepFrame::default(),
+            )
+        };
+        assert!(absurd(step(cells / 4 + 1, 4)));
+        assert!(absurd(step(cells + 1, 0)));
+
+        let groups = |count: usize| decode_groups(&declared(&[0, count])).map(drop);
+        assert!(!absurd(groups(cells)));
+        assert!(absurd(groups(cells + 1)));
+
+        let checkpoint = |sizes: &[usize]| {
+            decode_checkpoint(
+                &declared(sizes),
+                &mut Vec::new(),
+                &mut ModelCheckpoint::new(),
+            )
+        };
+        assert!(!absurd(checkpoint(&[0, MAX_CHECKPOINT_FIELDS])));
+        assert!(absurd(checkpoint(&[0, MAX_CHECKPOINT_FIELDS + 1])));
+        // One field, named "", of `count` values.
+        assert!(!absurd(checkpoint(&[0, 1, 0, cells])));
+        assert!(absurd(checkpoint(&[0, 1, 0, cells + 1])));
+
+        for (len, rejected) in [(MAX_FRAME_LEN, false), (MAX_FRAME_LEN + 1, true)] {
+            let mut stream = vec![KIND_STEP];
+            stream.extend_from_slice(&len.to_le_bytes());
+            stream.extend_from_slice(&0u32.to_le_bytes());
+            let result = read_frame_into(&mut stream.as_slice(), &mut 0, &mut Vec::new());
+            let absurd =
+                matches!(result, Err(TraceError::Corrupt { what }) if what.contains("absurd"));
+            assert_eq!(absurd, rejected, "{len}");
+        }
     }
 }

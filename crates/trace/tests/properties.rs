@@ -1,14 +1,21 @@
 //! Property-based tests of the trace store: codec round-trips over
-//! random bit-pattern streams, end-to-end write→read equality, and the
-//! no-panic contract on corrupted or truncated inputs.
+//! random bit-pattern streams, the encoder's bytes against the four-way
+//! oracle, end-to-end write→read equality, the writer's refusals, and
+//! the no-panic contract on corrupted or truncated inputs.
+
+#[path = "../src/column/oracle.rs"]
+mod oracle;
 
 use eqimpact_core::closed_loop::{AiSystem, Feedback, MeanFilter};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::recorder::RecordPolicy;
+use eqimpact_core::recorder::StepSink;
 use eqimpact_core::scenario::Scale;
+use eqimpact_trace::column::{decode_f64_column, plan_f64_column};
+use eqimpact_trace::store::MAGIC;
 use eqimpact_trace::{
     decode_column, encode_column, evaluate_off_policy, ReplayRunner, StepFrame, TraceError,
-    TraceHeader, TraceReader, TraceWriter, FORMAT_VERSION,
+    TraceHeader, TraceReader, TraceStepSink, TraceWriter, FORMAT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -72,6 +79,45 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
+/// A column stitched from segments `(shape, length, seed)` of the shapes
+/// trace columns take: constant runs, affine ramps of the words, 0/1
+/// indicator steps, full-mantissa noise, special words (NaN payloads,
+/// ±0, ±∞, subnormals, `u64::MAX`), one-magnitude floats, and byte
+/// palindromes (their own byte swap, so a column of them ties the raw
+/// and the swapped domain).
+fn mixture(segments: &[(u8, usize, u64)]) -> Vec<u64> {
+    const SPECIAL: [u64; 8] = [
+        0,
+        1 << 63,               // -0.0
+        0x7FF0_0000_0000_0000, // +inf
+        0xFFF0_0000_0000_0000, // -inf
+        0x7FF8_DEAD_BEEF_0001, // NaN payload
+        1,                     // smallest subnormal
+        0x000F_FFFF_FFFF_FFFF, // largest subnormal
+        u64::MAX,
+    ];
+    let mut words = Vec::new();
+    for &(shape, len, seed) in segments {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        words.extend((0..len as u64).map(|i| match shape {
+            0 => seed,
+            1 => seed.wrapping_add(i.wrapping_mul(seed >> 40 | 1)),
+            2 => (((i / (seed % 7 + 1)) % 2) as f64).to_bits(),
+            3 => next(),
+            4 => SPECIAL[((seed >> 3).wrapping_add(i) % 8) as usize],
+            5 => (seed.wrapping_add(i / 5) & 0xFF) * 0x0101_0101_0101_0101,
+            _ => (20.0 + 480.0 * ((next() >> 11) as f64 / (1u64 << 53) as f64)).to_bits(),
+        }));
+    }
+    words
+}
+
 proptest! {
     #[test]
     fn u64_columns_roundtrip_any_stream(values in prop::collection::vec(0u64..=u64::MAX, 0..200)) {
@@ -100,6 +146,32 @@ proptest! {
         prop_assert_eq!(back, values);
         // RLE caps the cost at ~one (run, delta) pair per run.
         prop_assert!(bytes.len() <= 1 + runs.len() * 21 + 16);
+    }
+
+    #[test]
+    fn encoders_write_the_oracles_bytes_on_mixed_shapes(
+        segments in prop::collection::vec((0u8..7, 1usize..300, 0u64..=u64::MAX), 0..8)
+    ) {
+        let words = mixture(&segments);
+        let mut bytes = Vec::new();
+        encode_column(&words, &mut bytes);
+        let mut expected = Vec::new();
+        oracle::encode_column(&words, &mut expected);
+        prop_assert_eq!(&bytes, &expected);
+
+        let values: Vec<f64> = words.iter().map(|&w| f64::from_bits(w)).collect();
+        let plan = plan_f64_column(&values);
+        let mut block = Vec::new();
+        plan.write(&mut block);
+        let mut expected = Vec::new();
+        oracle::encode_f64_column(&values, &mut expected);
+        prop_assert_eq!(&block, &expected);
+        prop_assert_eq!((plan.tag(), plan.block_len()), (block[0], block.len()));
+
+        let (mut pos, mut scratch, mut back) = (0, Vec::new(), Vec::new());
+        prop_assert!(decode_f64_column(&block, &mut pos, values.len(), &mut scratch, &mut back).is_some());
+        prop_assert_eq!(pos, block.len());
+        prop_assert_eq!(bits(&back), words);
     }
 
     #[test]
@@ -182,7 +254,7 @@ proptest! {
     }
 }
 
-/// Echoes the first visible column as its signal: [`ragged_trace`]
+/// Echoes the first visible column as its signal: [`write_uniform_step`]
 /// mirrors every recorded signal there, so replay verifies each step.
 struct EchoAi;
 
@@ -194,10 +266,22 @@ impl AiSystem for EchoAi {
     fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
 }
 
-/// A trace with `users[k]` users at step `k`, plus a groups frame of
-/// `groups` codes when given. Each step replays under [`EchoAi`] and a
-/// fresh [`MeanFilter`] (every action is 1, and so is its running mean).
-fn ragged_trace(groups: Option<usize>, users: &[usize]) -> Vec<u8> {
+/// Writes one step of `users` users: the signals count up from 0 and
+/// are mirrored in the one visible column, and every action and filter
+/// output is 1. It replays under [`EchoAi`] and a fresh [`MeanFilter`]
+/// (the running mean of 1s is 1).
+fn write_uniform_step(writer: &mut TraceWriter<Vec<u8>>, users: usize) -> Result<(), TraceError> {
+    let signals: Vec<f64> = (0..users).map(|i| i as f64).collect();
+    let mut visible = FeatureMatrix::new(1);
+    for &s in &signals {
+        visible.push_row(&[s]);
+    }
+    writer.write_step(&visible, &signals, &vec![1.0; users], &vec![1.0; users])
+}
+
+/// A trace of `steps` [`write_uniform_step`]s of `users` users, plus a
+/// groups frame of `groups` codes when given.
+fn uniform_trace(groups: Option<usize>, users: usize, steps: usize) -> Vec<u8> {
     let mut writer = TraceWriter::new(Vec::new(), &header()).expect("header");
     if let Some(groups) = groups {
         let codes: Vec<u32> = (0..groups as u32).map(|i| i % 3).collect();
@@ -205,24 +289,50 @@ fn ragged_trace(groups: Option<usize>, users: &[usize]) -> Vec<u8> {
             .write_groups(&["a", "b", "c"], &codes)
             .expect("groups");
     }
-    for &n in users {
-        let signals: Vec<f64> = (0..n).map(|i| i as f64).collect();
-        let actions = vec![1.0; n];
-        let mut visible = FeatureMatrix::new(1);
-        for &s in &signals {
-            visible.push_row(&[s]);
-        }
-        writer
-            .write_step(&visible, &signals, &actions, &actions)
-            .expect("step");
+    for _ in 0..steps {
+        write_uniform_step(&mut writer, users).expect("step");
     }
     writer.finish().expect("footer")
+}
+
+/// The frames of a trace after its magic, each with its kind, length
+/// and checksum.
+fn frames(bytes: &[u8]) -> Vec<&[u8]> {
+    let mut frames = Vec::new();
+    let mut pos = MAGIC.len();
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().expect("4 bytes"));
+        let end = pos + 9 + len as usize;
+        frames.push(&bytes[pos..end]);
+        pos = end;
+    }
+    frames
+}
+
+/// A trace with `users[k]` users at step `k`, plus a groups frame of
+/// `groups` codes when given. The writer refuses such a trace, so it is
+/// spliced from the frames of [`uniform_trace`]s: step `k` of one with
+/// `users[k]` users is byte for byte the step `k` wanted here.
+fn ragged_trace(groups: Option<usize>, users: &[usize]) -> Vec<u8> {
+    let lead = uniform_trace(groups, 0, 0);
+    let lead_frames = frames(&lead);
+    let mut bytes = lead[..MAGIC.len()].to_vec();
+    // The header and the groups frame, without the footer.
+    for frame in &lead_frames[..lead_frames.len() - 1] {
+        bytes.extend_from_slice(frame);
+    }
+    for (k, &n) in users.iter().enumerate() {
+        bytes.extend_from_slice(frames(&uniform_trace(None, n, k + 1))[1 + k]);
+    }
+    let tail = uniform_trace(None, 1, users.len());
+    bytes.extend_from_slice(frames(&tail).last().expect("a footer"));
+    bytes
 }
 
 #[test]
 fn inconsistent_user_counts_are_corrupt_not_panics() {
     // Steps of 3 users and then 2, and a groups frame of 5 codes over
-    // 3-user steps: the writer accepts both, and every reader entry
+    // 3-user steps: the writer refuses both, and every reader entry
     // point must name them as corrupt rather than panic downstream.
     for bytes in [ragged_trace(None, &[3, 2]), ragged_trace(Some(5), &[3, 3])] {
         let open = || TraceReader::new(&bytes[..]).expect("opens");
@@ -241,6 +351,85 @@ fn inconsistent_user_counts_are_corrupt_not_panics() {
             "off-policy",
             evaluate_off_policy(open(), EchoAi, MeanFilter::default()).map(drop),
         );
+    }
+}
+
+fn write_three_groups(writer: &mut TraceWriter<Vec<u8>>) -> Result<(), TraceError> {
+    writer.write_groups(&["a", "b", "c"], &[0, 1, 2])
+}
+
+#[test]
+fn the_writer_refuses_what_its_reader_rejects_and_writes_none_of_it() {
+    type Frame = fn(&mut TraceWriter<Vec<u8>>) -> Result<(), TraceError>;
+    // (case, groups first?, 3-user steps first, the refused frame, a
+    // word its refusal names)
+    let cases: [(&str, bool, usize, Frame, &str); 4] = [
+        ("groups twice", true, 0, write_three_groups, "groups"),
+        (
+            "groups after a step",
+            false,
+            1,
+            write_three_groups,
+            "groups",
+        ),
+        (
+            "users unlike step 0's",
+            false,
+            2,
+            |w| write_uniform_step(w, 2),
+            "step 0",
+        ),
+        (
+            "users unlike the groups'",
+            true,
+            1,
+            |w| write_uniform_step(w, 4),
+            "groups frame",
+        ),
+    ];
+    for (case, groups, steps, frame, names) in cases {
+        let lead = |writer: &mut TraceWriter<Vec<u8>>| {
+            if groups {
+                write_three_groups(writer).expect("groups");
+            }
+            for _ in 0..steps {
+                write_uniform_step(writer, 3).expect("step");
+            }
+        };
+        let mut writer = TraceWriter::new(Vec::new(), &header()).expect("header");
+        lead(&mut writer);
+        match frame(&mut writer) {
+            Err(TraceError::Refused { what }) => assert!(what.contains(names), "{case}: {what}"),
+            other => panic!("{case}: expected Refused, got {other:?}"),
+        }
+        let bytes = writer.finish().expect("footer");
+
+        let mut clean = TraceWriter::new(Vec::new(), &header()).expect("header");
+        lead(&mut clean);
+        assert!(
+            bytes == clean.finish().expect("footer"),
+            "{case}: a byte of the refused frame reached the stream"
+        );
+        let mut reader = TraceReader::new(&bytes[..]).expect("opens");
+        assert_eq!(reader.groups().is_some(), groups, "{case}");
+        let record = reader
+            .read_record()
+            .expect("every frame before the refusal reads");
+        assert_eq!(record.steps(), steps, "{case}");
+    }
+}
+
+#[test]
+fn a_refused_frame_latches_in_the_step_sink() {
+    let mut sink = TraceStepSink::new(Vec::new(), &header()).expect("header");
+    sink.on_groups(&["a"], &[0, 0]);
+    sink.on_groups(&["a"], &[0, 0]);
+    match sink.finish() {
+        Err(TraceError::Refused { what }) => assert!(what.contains("groups"), "{what}"),
+        other => panic!(
+            "expected the latched refusal, got {:?}",
+            other.map(|b| b.len())
+        ),
     }
 }
 
