@@ -963,6 +963,25 @@ mod tests {
         path
     }
 
+    /// [`write_stub_trace`] for a variant the trace writer refuses: the
+    /// trace is written with a placeholder variant of the same length,
+    /// and its header frame (magic, kind, length, CRC-32, payload) is then
+    /// patched and re-checksummed.
+    fn write_refused_stub_trace(scenario: &str, variant: &str) -> PathBuf {
+        let placeholder = "v".repeat(variant.len());
+        let path = write_stub_trace(scenario, &placeholder);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let payload = 17..17 + u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
+        let patched = std::str::from_utf8(&bytes[payload.clone()])
+            .unwrap()
+            .replace(&placeholder, variant);
+        bytes[payload].copy_from_slice(patched.as_bytes());
+        let crc = eqimpact_stats::codec::crc32(patched.as_bytes());
+        bytes[13..17].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
     #[test]
     fn scenario_commands_agree_on_exit_codes_for_unknown_and_unsupported() {
         // The shared contract across every scenario-taking command:
@@ -1033,7 +1052,7 @@ mod tests {
             std::env::temp_dir().join(format!("eqimpact-replay-escape-{}", std::process::id()));
         let out = root.join("a").join("b").join("out");
         std::fs::create_dir_all(out.join("offpolicy_credit_scorecard_vs_x")).unwrap();
-        let trace = write_stub_trace("credit", "x/../../../escaped");
+        let trace = write_refused_stub_trace("credit", "x/../../../escaped");
         let err = run(
             cmd_replay,
             REPLAY_FLAGS,

@@ -22,18 +22,21 @@ use std::convert::Infallible;
 /// system for retraining.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Feedback {
-    /// Step at which the underlying actions were taken.
+    /// Step at which the underlying actions were taken (set by the tail).
     pub step: usize,
-    /// Filtered per-user values (e.g. running average default rates).
+    /// Filtered per-user values (e.g. running average default rates),
+    /// written by the filter.
     pub per_user: Vec<f64>,
-    /// Filtered aggregate of the actions.
+    /// Filtered aggregate of the actions, written by the filter.
     pub aggregate: f64,
     /// The per-user visible features at observation time (what the AI was
-    /// allowed to see — e.g. income codes, never protected attributes).
+    /// allowed to see — e.g. income codes, never protected attributes),
+    /// moved in by the tail.
     pub visible: FeatureMatrix,
-    /// The raw actions `y_i` of that step.
+    /// The raw actions `y_i` of that step, moved in by the tail.
     pub actions: Vec<f64>,
-    /// The signals `π(k, i)` that were broadcast at that step.
+    /// The signals `π(k, i)` that were broadcast at that step, moved in
+    /// by the tail.
     pub signals: Vec<f64>,
 }
 
@@ -112,7 +115,8 @@ pub trait UserPopulation {
 
     /// Advances private states to step `k` (e.g. income resampling) and
     /// writes the per-user features visible to the AI system into `out`,
-    /// reusing its allocation.
+    /// reusing its allocation. `out` may hold an older step's features or
+    /// be empty, so an implementation shapes it and writes every cell.
     fn observe_into(&mut self, k: usize, rng: &mut SimRng, out: &mut FeatureMatrix);
 
     /// Responds to the broadcast signals, writing the actions `y_i(k)`
@@ -133,13 +137,14 @@ pub trait UserPopulation {
 /// impl FeedbackFilter for Dropped {}
 /// ```
 pub trait FeedbackFilter {
-    /// Writes the feedback package for step `k`, computed from the raw
-    /// observations, into `out`, reusing its buffers.
+    /// Writes the filtered output of step `k`, computed from the raw
+    /// observations, into `out.per_user` and `out.aggregate`, reusing
+    /// their buffers (`out` is a recycled package).
     ///
-    /// `out` arrives holding a **previous step's contents** (the delay
-    /// line recycles packages): an implementation must assign every
-    /// field, not just the ones it computes, or stale
-    /// `visible`/`signals`/`actions` leak into retraining.
+    /// Nothing else of `out` is the filter's: after `apply_into` returns,
+    /// the [`StepTail`] sets `out.step` and moves the step's `visible`,
+    /// `signals` and `actions` into the package, replacing anything the
+    /// filter wrote there.
     fn apply_into(
         &mut self,
         k: usize,
@@ -199,9 +204,9 @@ pub struct MeanFilter {
 impl FeedbackFilter for MeanFilter {
     fn apply_into(
         &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
-        signals: &[f64],
+        _k: usize,
+        _visible: &FeatureMatrix,
+        _signals: &[f64],
         actions: &[f64],
         out: &mut Feedback,
     ) {
@@ -213,7 +218,6 @@ impl FeedbackFilter for MeanFilter {
             self.sums[i] += a;
             self.counts[i] += 1;
         }
-        out.step = k;
         out.per_user.clear();
         // Every count was just incremented above, so c >= 1 here.
         out.per_user.extend(
@@ -227,27 +231,27 @@ impl FeedbackFilter for MeanFilter {
         } else {
             actions.iter().sum::<f64>() / actions.len() as f64
         };
-        out.visible.fill_from(visible);
-        out.signals.clear();
-        out.signals.extend_from_slice(signals);
-        out.actions.clear();
-        out.actions.extend_from_slice(actions);
     }
 }
 
 /// One step's buffers at the step barrier, as a loop driver hands them
 /// to the [`StepTail`]: what the AI saw, what it broadcast, and how the
 /// users acted.
-#[derive(Debug, Clone, Copy)]
+///
+/// The tail moves the buffers into the step's feedback package and
+/// leaves the driver a recycled package's buffers in their place: an
+/// older step's contents, or empty ones. The driver rewrites every
+/// buffer in full before its next step.
+#[derive(Debug)]
 pub struct StepView<'a> {
     /// The step index `k`.
     pub k: usize,
     /// The visible features of every user.
-    pub visible: &'a FeatureMatrix,
+    pub visible: &'a mut FeatureMatrix,
     /// The broadcast signals `π(k, ·)`.
-    pub signals: &'a [f64],
+    pub signals: &'a mut Vec<f64>,
     /// The actions `y(k)`.
-    pub actions: &'a [f64],
+    pub actions: &'a mut Vec<f64>,
 }
 
 /// The restore source of a live run: no recorded checkpoints, so every
@@ -263,8 +267,8 @@ pub(crate) fn retrain_always(_: &mut ModelCheckpoint) -> Result<bool, Infallible
 /// [`Self::step`].
 ///
 /// The tail owns the delay line: the packages waiting out the delay, the
-/// spare packages whose buffers the next step's filter reuses, and the
-/// checkpoint buffer. A steady-state step therefore allocates nothing.
+/// spare packages whose buffers the next step reuses, and the checkpoint
+/// buffer. A steady-state step therefore allocates nothing.
 #[derive(Debug, Default)]
 pub struct StepTail {
     delay: usize,
@@ -290,16 +294,18 @@ impl StepTail {
 
     /// Runs the tail of one step, in this order:
     ///
-    /// 1. **filter** — `filter` digests the step into a recycled
-    ///    [`Feedback`] package;
+    /// 1. **filter** — `filter` writes the step's filtered output into a
+    ///    recycled [`Feedback`] package;
     /// 2. **record** — `record` and `sink` see the step and the package's
     ///    per-user output;
-    /// 3. **retrain or restore** — the package joins the delay line, and
+    /// 3. **attach** — the package takes the step's index, and its
+    ///    buffers trade places with the step's (see [`StepView`]);
+    /// 4. **retrain or restore** — the package joins the delay line, and
     ///    once more than `delay` packages wait the oldest is due. `restore`
     ///    may load a recorded checkpoint for it; when it does and `ai`
     ///    accepts it, the checkpoint replaces the retrain and `filter` is
     ///    restored from it too. Otherwise `ai` retrains on the package;
-    /// 4. **capture** — when `sink` wants checkpoints, the retrained state
+    /// 5. **capture** — when `sink` wants checkpoints, the retrained state
     ///    of `ai` and `filter` goes to the sink.
     ///
     /// Returns whether a checkpoint replaced the retrain; an error of
@@ -334,6 +340,10 @@ impl StepTail {
             record.push_step(signals, actions, &feedback.per_user);
             sink.on_step(k, visible, signals, actions, &feedback.per_user);
         }
+        feedback.step = k;
+        std::mem::swap(&mut feedback.visible, visible);
+        std::mem::swap(&mut feedback.signals, signals);
+        std::mem::swap(&mut feedback.actions, actions);
 
         self.pending.push_back(feedback);
         if self.pending.len() <= self.delay {
@@ -465,9 +475,9 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
 
             let step = StepView {
                 k,
-                visible: &self.visible,
-                signals: &self.signals,
-                actions: &self.actions,
+                visible: &mut self.visible,
+                signals: &mut self.signals,
+                actions: &mut self.actions,
             };
             let Ok(_) = self.tail.step(
                 &mut self.ai,
@@ -717,8 +727,6 @@ mod tests {
         let f2 = apply(&mut f, 1, &visible, &[0.0, 0.0]);
         assert_eq!(f2.per_user, vec![0.5, 0.0]);
         assert_eq!(f2.aggregate, 0.0);
-        assert_eq!(f2.step, 1);
-        assert_eq!(f2.actions, vec![0.0, 0.0]);
     }
 
     #[test]

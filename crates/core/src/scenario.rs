@@ -143,10 +143,10 @@ pub trait TraceSinkFactory: Send + Sync {
 pub struct ScenarioConfig {
     /// The run scale.
     pub scale: Scale,
-    /// Intra-trial shards: `1` = the sequential runner, `n > 1` = the
-    /// sharded runner over `n` row shards, `0` = auto (one per available
-    /// thread-budget lane). Records are bit-identical for every value —
-    /// a pure perf knob.
+    /// Intra-trial shards of the sharded runner: `n ≥ 1` row shards (`1`
+    /// sweeps on the calling thread), `0` = auto (one per available
+    /// thread-budget lane). Records are bit-identical for every value,
+    /// and to the sequential runner's — a pure perf knob.
     pub shards: usize,
     /// Base-seed override; `None` keeps the scenario's built-in seed.
     /// Honoured by every registered scenario, so any run can be
@@ -174,7 +174,7 @@ impl fmt::Debug for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    /// A config producing every artifact with the sequential runner.
+    /// A config producing every artifact, one shard per trial.
     pub fn new(scale: Scale) -> Self {
         ScenarioConfig {
             scale,

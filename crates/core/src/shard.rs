@@ -284,7 +284,8 @@ pub trait PopulationShard: Send {
     fn rows(&self) -> Range<usize>;
 
     /// Advances this shard's users to step `k` and writes their visible
-    /// feature columns. `out` covers exactly [`Self::rows`].
+    /// feature columns. `out` covers exactly [`Self::rows`] and may hold
+    /// an older step's values, so an implementation writes every cell.
     fn observe_cols(&mut self, k: usize, streams: &RowStreams, out: &mut ColsMut<'_>);
 
     /// Responds to this shard's signals (`signals[j]` is global row
@@ -488,12 +489,14 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
         let n = self.user_count;
         let mut record = LoopRecord::with_policy(n, self.policy);
         record.reserve(steps);
-        self.visible.reshape(n, self.width);
-        self.signals.resize(n, 0.0);
-        self.actions.resize(n, 0.0);
         eqimpact_telemetry::progress::add_goal(steps as u64);
 
         for k in 0..steps {
+            // The tail left a recycled package's buffers here (empty in
+            // the first steps); the shards overwrite every cell.
+            self.visible.reshape(n, self.width);
+            self.signals.resize(n, 0.0);
+            self.actions.resize(n, 0.0);
             let observe = RowStreams::observe(rng, k);
             let respond = RowStreams::respond(rng, k);
             // Peel each shard's disjoint sub-slice off every column (and
@@ -533,9 +536,9 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
             // merged buffers.
             let step = StepView {
                 k,
-                visible: &self.visible,
-                signals: &self.signals,
-                actions: &self.actions,
+                visible: &mut self.visible,
+                signals: &mut self.signals,
+                actions: &mut self.actions,
             };
             let Ok(_) = self.tail.step(
                 &mut self.ai,

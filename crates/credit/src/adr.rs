@@ -1,5 +1,4 @@
-//! Average default rates (eq. (12)): per-user and per-race, both as a
-//! standalone tracker and as the closed loop's feedback filter.
+//! Average default rates (eq. (12)): the closed loop's feedback filter.
 //!
 //! A *default* is a mortgage offered but not repaid
 //! (`y_i(k) = 0 | π(k, i) = 1`); the average default rate of user `i` at
@@ -7,139 +6,84 @@
 //! `k`. Users never offered anything carry a clean history (`ADR = 0`),
 //! matching the initialization of the paper (everyone approved in
 //! 2002-2003 before any scorecard exists).
+//!
+//! [`AdrFilter`] counts each user's offers and defaults, rates them and
+//! sums the step's aggregate in one pass over the users.
 
 use eqimpact_core::checkpoint::ModelCheckpoint;
 use eqimpact_core::closed_loop::{Feedback, FeedbackFilter};
 use eqimpact_core::features::FeatureMatrix;
 
-/// Per-user running default statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdrTracker {
+/// The loop's feedback filter: per-user running offer and default counts,
+/// emitting `per_user = ADR_i(k)` — the "filter calculates the average
+/// default rates of each user, using historical repayment actions" of
+/// Sec. VII — and, as the aggregate, the default rate among step `k`'s
+/// offers (0 when no one was offered a loan).
+#[derive(Debug, Clone, Default)]
+pub struct AdrFilter {
     offers: Vec<u64>,
     defaults: Vec<u64>,
 }
 
-impl AdrTracker {
-    /// Creates a tracker for `n` users.
-    pub fn new(n: usize) -> Self {
-        AdrTracker {
-            offers: vec![0; n],
-            defaults: vec![0; n],
-        }
-    }
-
-    /// Number of users tracked.
-    pub fn user_count(&self) -> usize {
-        self.offers.len()
-    }
-
-    /// Records one step: `loans[i] > 0` means an offer; an offer with
-    /// `repaid[i] == 0` is a default.
-    ///
-    /// # Panics
-    /// Panics on length mismatches.
-    pub fn record(&mut self, loans: &[f64], repaid: &[f64]) {
-        assert_eq!(loans.len(), self.offers.len(), "loans length");
-        assert_eq!(repaid.len(), self.offers.len(), "repaid length");
-        for i in 0..loans.len() {
-            if loans[i] > 0.0 {
-                self.offers[i] += 1;
-                if repaid[i] == 0.0 {
-                    self.defaults[i] += 1;
-                }
-            }
-        }
-    }
-
-    /// `ADR_i(k)`: defaults over offers for user `i`; 0 for users never
-    /// offered credit (clean history).
-    pub fn adr(&self, i: usize) -> f64 {
-        if self.offers[i] == 0 {
-            0.0
-        } else {
-            self.defaults[i] as f64 / self.offers[i] as f64
-        }
-    }
-
-    /// Writes the full per-user ADR vector into `out` (cleared first).
-    pub fn adr_all_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend((0..self.offers.len()).map(|i| self.adr(i)));
-    }
-
-    /// Total offers made to user `i`.
-    pub fn offers(&self, i: usize) -> u64 {
-        self.offers[i]
-    }
-
-    /// Total defaults of user `i`.
-    pub fn defaults(&self, i: usize) -> u64 {
-        self.defaults[i]
-    }
-}
-
-/// The loop's feedback filter: maintains the [`AdrTracker`] and emits
-/// `per_user = ADR_i(k)` — the "filter calculates the average default
-/// rates of each user, using historical repayment actions" of Sec. VII.
-#[derive(Debug, Clone, Default)]
-pub struct AdrFilter {
-    tracker: Option<AdrTracker>,
-}
-
 impl AdrFilter {
-    /// Creates an empty filter (sized on first use).
+    /// Creates an empty filter (sized on first use, and reset to zero
+    /// counts whenever the user count changes).
     pub fn new() -> Self {
         AdrFilter::default()
-    }
-
-    /// The tracker, if any step has been filtered.
-    pub fn tracker(&self) -> Option<&AdrTracker> {
-        self.tracker.as_ref()
     }
 }
 
 impl FeedbackFilter for AdrFilter {
+    /// `signals[i] > 0` is an offer to user `i`; an offer with
+    /// `actions[i] == 0` is a default.
     fn apply_into(
         &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
+        _k: usize,
+        _visible: &FeatureMatrix,
         signals: &[f64],
         actions: &[f64],
         out: &mut Feedback,
     ) {
-        let tracker = self
-            .tracker
-            .get_or_insert_with(|| AdrTracker::new(actions.len()));
-        tracker.record(signals, actions);
-        let offered = signals.iter().filter(|&&l| l > 0.0).count();
-        out.step = k;
-        tracker.adr_all_into(&mut out.per_user);
+        let n = actions.len();
+        if self.offers.len() != n || self.defaults.len() != n {
+            self.offers = vec![0; n];
+            self.defaults = vec![0; n];
+        }
+        out.per_user.clear();
+        out.per_user.reserve(n);
+        let mut offered = 0u64;
+        // `1 − y` summed over the offered users in user order. It is read
+        // only when someone was offered, so its first term is added to the
+        // starting zero, and +0.0 gives the bits `Iterator::sum`'s −0.0
+        // would.
+        let mut unpaid = 0.0;
+        for i in 0..n {
+            if signals[i] > 0.0 {
+                offered += 1;
+                unpaid += 1.0 - actions[i];
+                self.offers[i] += 1;
+                if actions[i] == 0.0 {
+                    self.defaults[i] += 1;
+                }
+            }
+            out.per_user.push(if self.offers[i] == 0 {
+                0.0
+            } else {
+                self.defaults[i] as f64 / self.offers[i] as f64
+            });
+        }
         out.aggregate = if offered == 0 {
             0.0
         } else {
-            signals
-                .iter()
-                .zip(actions)
-                .filter(|(&l, _)| l > 0.0)
-                .map(|(_, &y)| 1.0 - y)
-                .sum::<f64>()
-                / offered as f64
+            unpaid / offered as f64
         };
-        out.visible.fill_from(visible);
-        out.signals.clear();
-        out.signals.extend_from_slice(signals);
-        out.actions.clear();
-        out.actions.extend_from_slice(actions);
     }
 
     fn checkpoint_into(&self, out: &mut ModelCheckpoint) -> bool {
-        let Some(tracker) = &self.tracker else {
-            return false;
-        };
         out.field_mut("filter.offers")
-            .extend(tracker.offers.iter().map(|&c| c as f64));
+            .extend(self.offers.iter().map(|&c| c as f64));
         out.field_mut("filter.defaults")
-            .extend(tracker.defaults.iter().map(|&c| c as f64));
+            .extend(self.defaults.iter().map(|&c| c as f64));
         true
     }
 
@@ -151,10 +95,8 @@ impl FeedbackFilter for AdrFilter {
             return false;
         };
         // Counts are exact in f64 (bounded by steps, far below 2^53).
-        self.tracker = Some(AdrTracker {
-            offers: offers.iter().map(|&c| c as u64).collect(),
-            defaults: defaults.iter().map(|&c| c as u64).collect(),
-        });
+        self.offers = offers.iter().map(|&c| c as u64).collect();
+        self.defaults = defaults.iter().map(|&c| c as u64).collect();
         true
     }
 }
@@ -163,66 +105,52 @@ impl FeedbackFilter for AdrFilter {
 mod tests {
     use super::*;
 
-    fn apply(
-        f: &mut impl FeedbackFilter,
-        k: usize,
-        v: &FeatureMatrix,
-        s: &[f64],
-        a: &[f64],
-    ) -> Feedback {
+    fn apply(f: &mut AdrFilter, loans: &[f64], repaid: &[f64]) -> Feedback {
         let mut out = Feedback::default();
-        f.apply_into(k, v, s, a, &mut out);
+        f.apply_into(0, &FeatureMatrix::default(), loans, repaid, &mut out);
         out
+    }
+
+    /// The filter's (offers, defaults) counts, read through its checkpoint.
+    fn counts(f: &AdrFilter) -> (Vec<f64>, Vec<f64>) {
+        let mut checkpoint = ModelCheckpoint::new();
+        assert!(f.checkpoint_into(&mut checkpoint));
+        let field = |name| checkpoint.field(name).expect("written").to_vec();
+        (field("filter.offers"), field("filter.defaults"))
     }
 
     #[test]
     fn tracker_counts_offers_and_defaults() {
-        let mut t = AdrTracker::new(3);
-        assert_eq!(t.user_count(), 3);
-        // User 0 offered & repaid, user 1 offered & defaulted, user 2 not offered.
-        t.record(&[100.0, 50.0, 0.0], &[1.0, 0.0, 0.0]);
-        assert_eq!(t.adr(0), 0.0);
-        assert_eq!(t.adr(1), 1.0);
-        assert_eq!(t.adr(2), 0.0); // clean history, not a default
-        assert_eq!(t.offers(2), 0);
+        let mut f = AdrFilter::new();
+        // User 0 offered & repaid, user 1 offered & defaulted, user 2 not
+        // offered: a clean history, not a default.
+        let fb = apply(&mut f, &[100.0, 50.0, 0.0], &[1.0, 0.0, 0.0]);
+        assert_eq!(fb.per_user, vec![0.0, 1.0, 0.0]);
+        assert_eq!(counts(&f), (vec![1.0, 1.0, 0.0], vec![0.0, 1.0, 0.0]));
 
-        t.record(&[100.0, 50.0, 10.0], &[0.0, 1.0, 1.0]);
-        assert_eq!(t.adr(0), 0.5);
-        assert_eq!(t.adr(1), 0.5);
-        assert_eq!(t.adr(2), 0.0);
-        assert_eq!(t.defaults(0), 1);
+        let fb = apply(&mut f, &[100.0, 50.0, 10.0], &[0.0, 1.0, 1.0]);
+        assert_eq!(fb.per_user, vec![0.5, 0.5, 0.0]);
+        assert_eq!(counts(&f), (vec![2.0, 2.0, 1.0], vec![1.0, 1.0, 0.0]));
     }
 
     #[test]
     fn filter_emits_adr_per_user() {
         let mut f = AdrFilter::new();
-        assert!(f.tracker().is_none());
-        let visible = FeatureMatrix::from_nested(&[vec![1.0], vec![0.0]]);
-        let fb = apply(&mut f, 0, &visible, &[100.0, 100.0], &[1.0, 0.0]);
+        let fb = apply(&mut f, &[100.0, 100.0], &[1.0, 0.0]);
         assert_eq!(fb.per_user, vec![0.0, 1.0]);
         assert_eq!(fb.aggregate, 0.5);
-        assert_eq!(fb.step, 0);
-        assert_eq!(fb.visible, visible);
 
         // Second step: user 1 denied; their ADR freezes at 1.0.
-        let fb2 = apply(&mut f, 1, &visible, &[100.0, 0.0], &[1.0, 0.0]);
+        let fb2 = apply(&mut f, &[100.0, 0.0], &[1.0, 0.0]);
         assert_eq!(fb2.per_user, vec![0.0, 1.0]);
         assert_eq!(fb2.aggregate, 0.0);
-        assert!(f.tracker().is_some());
     }
 
     #[test]
     fn filter_aggregate_with_no_offers() {
         let mut f = AdrFilter::new();
-        let fb = apply(&mut f, 0, &FeatureMatrix::zeros(1, 0), &[0.0], &[0.0]);
+        let fb = apply(&mut f, &[0.0], &[0.0]);
         assert_eq!(fb.aggregate, 0.0);
         assert_eq!(fb.per_user, vec![0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "loans length")]
-    fn tracker_rejects_mismatch() {
-        let mut t = AdrTracker::new(2);
-        t.record(&[1.0], &[1.0, 0.0]);
     }
 }

@@ -4,8 +4,8 @@
 //! scorecard retraining loop for 2002-2020.
 //!
 //! * [`model`] — eq. (10) state and eq. (11) repayment;
-//! * [`adr`] — eq. (12) average default rates, as tracker and as the
-//!   loop's feedback filter;
+//! * [`adr`] — eq. (12) average default rates: the loop's feedback
+//!   filter;
 //! * [`lender`] — the AI-system block: the retrained scorecard lender plus
 //!   the uniform-$50K and income-multiple baselines of the introduction;
 //! * [`users`] — the population block over `eqimpact-census` households;
@@ -44,7 +44,7 @@ pub mod sweep;
 pub mod trace;
 pub mod users;
 
-pub use adr::{AdrFilter, AdrTracker};
+pub use adr::AdrFilter;
 pub use certify::CreditCertify;
 pub use lender::{IncomeMultipleLender, ScorecardLender, UniformExclusionLender};
 pub use scenario::CreditScenario;

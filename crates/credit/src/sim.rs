@@ -37,10 +37,11 @@ pub struct CreditConfig {
     pub lender: LenderKind,
     /// Feedback delay in steps (the paper's Fig. 1 delay; 1 by default).
     pub delay: usize,
-    /// Intra-trial shards: `1` runs the sequential `LoopRunner`, `n > 1`
-    /// the `ShardedRunner` over `n` row shards, `0` auto-shards (one per
-    /// available thread-budget lane). The record is bit-identical for
-    /// every setting.
+    /// Intra-trial shards of the `ShardedRunner`: `n ≥ 1` row shards
+    /// (`1` sweeps on the calling thread and spawns nothing), `0`
+    /// auto-shards (one per available thread-budget lane). The record is
+    /// bit-identical for every setting, and to the sequential
+    /// `LoopRunner`'s.
     pub shards: usize,
     /// How much telemetry to keep ([`RecordPolicy::Full`] for the paper's
     /// figures; [`RecordPolicy::Thin`] for production-scale perf runs).
@@ -114,10 +115,9 @@ impl CreditOutcome {
     }
 }
 
-/// Runs one lender through the loop with static dispatch, returning the
-/// record and the lender for post-run inspection. `config.shards == 1`
-/// uses the sequential runner; any other value the sharded runner — the
-/// record is bit-identical either way (see `eqimpact_core::shard`).
+/// Runs one lender through the sharded loop with static dispatch over
+/// `config.shards` shards, returning the record and the lender for
+/// post-run inspection (see `eqimpact_core::shard`).
 fn run_lender<S: ShardableAi, K: StepSink>(
     lender: S,
     population: CreditPopulation,
@@ -125,21 +125,15 @@ fn run_lender<S: ShardableAi, K: StepSink>(
     loop_rng: &mut SimRng,
     sink: &mut K,
 ) -> (LoopRecord, S) {
-    let builder = LoopBuilder::new(lender, population)
+    let mut runner = LoopBuilder::new(lender, population)
         .filter(AdrFilter::new())
         .delay(config.delay)
-        .record(config.policy);
-    if config.shards == 1 {
-        let mut runner = builder.build();
-        let record = runner.run_with_sink(config.steps, loop_rng, sink);
-        let (lender, _population, _filter) = runner.into_parts();
-        (record, lender)
-    } else {
-        let mut runner = builder.shards(config.shards).build_sharded();
-        let record = runner.run_with_sink(config.steps, loop_rng, sink);
-        let (lender, _population, _filter) = runner.into_parts();
-        (record, lender)
-    }
+        .record(config.policy)
+        .shards(config.shards)
+        .build_sharded();
+    let record = runner.run_with_sink(config.steps, loop_rng, sink);
+    let (lender, _population, _filter) = runner.into_parts();
+    (record, lender)
 }
 
 /// Runs one trial of the configured experiment. Deterministic in

@@ -1,12 +1,26 @@
 //! Property-based tests for the credit case study.
 
-use eqimpact_credit::adr::AdrTracker;
+use eqimpact_core::checkpoint::ModelCheckpoint;
+use eqimpact_core::closed_loop::{Feedback, FeedbackFilter};
+use eqimpact_core::features::FeatureMatrix;
+use eqimpact_credit::adr::AdrFilter;
 use eqimpact_credit::model::{
     income_code, income_multiple_loan, repayment_probability, sample_repayment, state_fraction,
 };
 use eqimpact_credit::sim::{run_trial, CreditConfig, LenderKind};
 use eqimpact_stats::SimRng;
 use proptest::prelude::*;
+
+/// One round of `filter` (the step index and features are not its input).
+fn filter_round(filter: &mut AdrFilter, loans: &[f64], repaid: &[f64]) -> Feedback {
+    let mut out = Feedback::default();
+    filter.apply_into(0, &FeatureMatrix::default(), loans, repaid, &mut out);
+    out
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
 
 proptest! {
     #[test]
@@ -44,39 +58,72 @@ proptest! {
         prop_assert_eq!(c == 1.0, income >= 15.0);
     }
 
+    /// `AdrFilter` against the counts and the aggregate expression it
+    /// replaced, bit for bit: each user's ADR is defaults over offers (0
+    /// if never offered), and the aggregate is the `Iterator::sum` of
+    /// `1 − y` over the offered users divided by their count (0 if none).
     #[test]
     fn adr_tracker_invariants(
+        // Per round and user: offered?, and the action's index into
+        // {0, 0.5, 1}.
         rounds in prop::collection::vec(
-            prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 4..=4),
+            prop::collection::vec((prop::bool::ANY, 0usize..3), 4..=4),
             1..15,
         ),
+        restore_after in 0usize..15,
     ) {
-        // 4 users, arbitrary offer/repay patterns per round.
-        let mut t = AdrTracker::new(4);
-        let mut expected_offers = [0u64; 4];
-        let mut expected_defaults = [0u64; 4];
-        for round in &rounds {
-            let loans: Vec<f64> = round.iter().map(|(o, _)| if *o { 100.0 } else { 0.0 }).collect();
-            let repaid: Vec<f64> = round.iter().map(|(_, r)| if *r { 1.0 } else { 0.0 }).collect();
+        const ACTIONS: [f64; 3] = [0.0, 0.5, 1.0];
+        let mut filter = AdrFilter::new();
+        let mut restored: Option<AdrFilter> = None;
+        let mut offers = [0u64; 4];
+        let mut defaults = [0u64; 4];
+        for (r, round) in rounds.iter().enumerate() {
+            let loans: Vec<f64> = round.iter().map(|&(o, _)| if o { 100.0 } else { 0.0 }).collect();
+            let repaid: Vec<f64> = round.iter().map(|&(_, y)| ACTIONS[y]).collect();
             for i in 0..4 {
-                if round[i].0 {
-                    expected_offers[i] += 1;
-                    if !round[i].1 {
-                        expected_defaults[i] += 1;
-                    }
+                if loans[i] > 0.0 {
+                    offers[i] += 1;
+                    defaults[i] += u64::from(repaid[i] == 0.0);
                 }
             }
-            t.record(&loans, &repaid);
-        }
-        for i in 0..4 {
-            prop_assert_eq!(t.offers(i), expected_offers[i]);
-            prop_assert_eq!(t.defaults(i), expected_defaults[i]);
-            let adr = t.adr(i);
-            prop_assert!((0.0..=1.0).contains(&adr));
-            if expected_offers[i] == 0 {
-                prop_assert_eq!(adr, 0.0);
+            let adr: Vec<f64> = (0..4)
+                .map(|i| if offers[i] == 0 { 0.0 } else { defaults[i] as f64 / offers[i] as f64 })
+                .collect();
+            let offered = loans.iter().filter(|&&l| l > 0.0).count();
+            let aggregate = if offered == 0 {
+                0.0
+            } else {
+                loans
+                    .iter()
+                    .zip(&repaid)
+                    .filter(|(&l, _)| l > 0.0)
+                    .map(|(_, &y)| 1.0 - y)
+                    .sum::<f64>()
+                    / offered as f64
+            };
+
+            let fb = filter_round(&mut filter, &loans, &repaid);
+            prop_assert_eq!(bits(&fb.per_user), bits(&adr), "round {}", r);
+            prop_assert_eq!(fb.aggregate.to_bits(), aggregate.to_bits(), "round {}", r);
+            if let Some(restored) = restored.as_mut() {
+                let again = filter_round(restored, &loans, &repaid);
+                prop_assert_eq!(bits(&again.per_user), bits(&fb.per_user), "restored, round {}", r);
+                prop_assert_eq!(again.aggregate.to_bits(), fb.aggregate.to_bits());
+            }
+            if r == restore_after {
+                let mut checkpoint = ModelCheckpoint::new();
+                prop_assert!(filter.checkpoint_into(&mut checkpoint));
+                let mut fresh = AdrFilter::new();
+                prop_assert!(fresh.restore_checkpoint(&checkpoint));
+                restored = Some(fresh);
             }
         }
+        // A round of three users starts from zero counts.
+        let (loans, repaid) = ([100.0, 100.0, 0.0], [0.0, 1.0, 0.0]);
+        let fb = filter_round(&mut filter, &loans, &repaid);
+        let fresh = filter_round(&mut AdrFilter::new(), &loans, &repaid);
+        prop_assert_eq!(bits(&fb.per_user), bits(&fresh.per_user));
+        prop_assert_eq!(bits(&fb.per_user), bits(&[1.0, 0.0, 0.0]));
     }
 
     #[test]

@@ -29,8 +29,9 @@
 //!   (`experiments sweep hiring`).
 //!
 //! The loop inherits the workspace-wide determinism contract: records
-//! are **bit-identical for every intra-trial shard count**, including
-//! the sequential runner (property-tested in `tests/properties.rs`).
+//! are **bit-identical for every intra-trial shard count** (property-tested
+//! in `tests/properties.rs`), and to the sequential runner's (the
+//! workspace's `tests/columnar_parity.rs`).
 //!
 //! # Example
 //!

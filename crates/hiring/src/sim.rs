@@ -35,9 +35,10 @@ pub struct HiringConfig {
     pub screener: ScreenerKind,
     /// Feedback delay in rounds (the paper's Fig. 1 delay; 1 by default).
     pub delay: usize,
-    /// Intra-trial shards: `1` runs the sequential `LoopRunner`, `n > 1`
-    /// the `ShardedRunner` over `n` row shards, `0` auto-shards. The
-    /// record is bit-identical for every setting.
+    /// Intra-trial shards of the `ShardedRunner`: `n ≥ 1` row shards
+    /// (`1` sweeps on the calling thread and spawns nothing), `0`
+    /// auto-shards. The record is bit-identical for every setting, and to
+    /// the sequential `LoopRunner`'s.
     pub shards: usize,
     /// How much telemetry to keep.
     pub policy: RecordPolicy,
@@ -122,8 +123,8 @@ impl HiringOutcome {
     }
 }
 
-/// Runs one screener through the loop with static dispatch (sequential or
-/// sharded per `config.shards`; records are bit-identical either way).
+/// Runs one screener through the sharded loop with static dispatch over
+/// `config.shards` shards.
 fn run_screener<S: ShardableAi, K: StepSink>(
     screener: S,
     pool: ApplicantPool,
@@ -131,21 +132,15 @@ fn run_screener<S: ShardableAi, K: StepSink>(
     loop_rng: &mut SimRng,
     sink: &mut K,
 ) -> (LoopRecord, S) {
-    let builder = LoopBuilder::new(screener, pool)
+    let mut runner = LoopBuilder::new(screener, pool)
         .filter(TrackRecordFilter::new())
         .delay(config.delay)
-        .record(config.policy);
-    if config.shards == 1 {
-        let mut runner = builder.build();
-        let record = runner.run_with_sink(config.rounds, loop_rng, sink);
-        let (screener, _pool, _filter) = runner.into_parts();
-        (record, screener)
-    } else {
-        let mut runner = builder.shards(config.shards).build_sharded();
-        let record = runner.run_with_sink(config.rounds, loop_rng, sink);
-        let (screener, _pool, _filter) = runner.into_parts();
-        (record, screener)
-    }
+        .record(config.policy)
+        .shards(config.shards)
+        .build_sharded();
+    let record = runner.run_with_sink(config.rounds, loop_rng, sink);
+    let (screener, _pool, _filter) = runner.into_parts();
+    (record, screener)
 }
 
 /// Runs one trial of the configured experiment. Deterministic in

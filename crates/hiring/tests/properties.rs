@@ -1,6 +1,6 @@
 //! Property-based tests for the hiring scenario, headlined by the
 //! determinism guarantee: the serialized loop record is **byte-identical
-//! for shard counts {1, 2, 8} versus the sequential runner**.
+//! for shard counts {1, 2, 8}**.
 
 use eqimpact_hiring::model::{credential_code, readiness, sample_performance, success_probability};
 use eqimpact_hiring::sim::{run_trial, HiringConfig, ScreenerKind};
@@ -14,9 +14,8 @@ fn record_bytes(config: &HiringConfig, trial: usize) -> String {
 
 proptest! {
     /// The tentpole acceptance property: for random pool sizes, seeds and
-    /// both screeners, every shard count in {2, 8} (and auto) produces a
-    /// serialized record byte-identical to the sequential (1-shard)
-    /// runner's.
+    /// both screeners, every shard count in {2, 8} produces a serialized
+    /// record byte-identical to the one-shard runner's.
     #[test]
     fn sharded_records_serialize_byte_identically(
         applicants in 20usize..90,
@@ -33,10 +32,10 @@ proptest! {
             shards: 1,
             ..HiringConfig::default()
         };
-        let sequential = record_bytes(&config, 0);
+        let one_shard = record_bytes(&config, 0);
         for shards in [2usize, 8] {
             let sharded = record_bytes(&HiringConfig { shards, ..config }, 0);
-            prop_assert_eq!(&sequential, &sharded, "shards = {}", shards);
+            prop_assert_eq!(&one_shard, &sharded, "shards = {}", shards);
         }
     }
 

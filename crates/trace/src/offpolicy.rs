@@ -130,9 +130,9 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
 
         let step = StepView {
             k,
-            visible: &frame.visible,
-            signals: &signals,
-            actions: &frame.actions,
+            visible: &mut frame.visible,
+            signals: &mut signals,
+            actions: &mut frame.actions,
         };
         tail.step(
             &mut alt_ai,
@@ -399,21 +399,15 @@ mod tests {
     impl FeedbackFilter for IdentityFilter {
         fn apply_into(
             &mut self,
-            k: usize,
-            visible: &FeatureMatrix,
-            signals: &[f64],
+            _k: usize,
+            _visible: &FeatureMatrix,
+            _signals: &[f64],
             actions: &[f64],
             out: &mut Feedback,
         ) {
-            out.step = k;
             out.per_user.clear();
             out.per_user.extend_from_slice(actions);
             out.aggregate = actions.iter().sum::<f64>() / actions.len().max(1) as f64;
-            out.visible.fill_from(visible);
-            out.actions.clear();
-            out.actions.extend_from_slice(actions);
-            out.signals.clear();
-            out.signals.extend_from_slice(signals);
         }
     }
 

@@ -123,9 +123,9 @@ impl<S: AiSystem, F: FeedbackFilter, R: Read> ReplayRunner<S, F, R> {
 
             let step = StepView {
                 k,
-                visible: &self.frame.visible,
-                signals: &self.signals,
-                actions: &self.frame.actions,
+                visible: &mut self.frame.visible,
+                signals: &mut self.signals,
+                actions: &mut self.frame.actions,
             };
             let mut check = FilteredCheck {
                 recorded: &self.frame.filtered,

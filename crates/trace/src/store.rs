@@ -289,6 +289,18 @@ impl TraceHeader {
     }
 }
 
+/// Reads a header frame's payload: the one validator of a header, for
+/// the reader and for the writer's refusal alike.
+fn parse_header(payload: &[u8]) -> Result<TraceHeader, TraceError> {
+    let text = std::str::from_utf8(payload).map_err(|_| TraceError::Corrupt {
+        what: "header is not UTF-8".to_string(),
+    })?;
+    let doc = parse(text).map_err(|e| TraceError::Corrupt {
+        what: format!("header JSON: {e}"),
+    })?;
+    TraceHeader::from_json(&doc)
+}
+
 /// Per-user group metadata of a trace (e.g. race per user).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceGroups {
@@ -388,8 +400,9 @@ fn push_f64_block(payload: &mut Vec<u8>, values: &[f64]) {
 /// * a step whose user count differs from the groups frame's or, without
 ///   one, from step 0's.
 ///
-/// The header is written as given: a reader rejects a header name that
-/// could escape an output directory, or a newer format version, by name.
+/// [`Self::new`] likewise refuses, before the magic, a header its reader
+/// rejects: a name that could escape an output directory, a newer format
+/// version, or a count its JSON number cannot carry.
 pub struct TraceWriter<W: Write> {
     out: W,
     steps: usize,
@@ -405,10 +418,18 @@ pub struct TraceWriter<W: Write> {
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Starts a trace: writes the magic and the header frame.
+    /// Starts a trace: writes the magic and the header frame, or writes
+    /// nothing and refuses a header that [`TraceReader::new`] would
+    /// reject, naming the field.
     pub fn new(mut out: W, header: &TraceHeader) -> Result<Self, TraceError> {
-        out.write_all(MAGIC)?;
         let payload = header.to_json().render().into_bytes();
+        parse_header(&payload).map_err(|e| TraceError::Refused {
+            what: match e {
+                TraceError::Corrupt { what } => what,
+                other => format!("header: {other}"),
+            },
+        })?;
+        out.write_all(MAGIC)?;
         write_frame(&mut out, KIND_HEADER, &payload)?;
         Ok(TraceWriter {
             out,
@@ -566,13 +587,7 @@ impl<R: Read> TraceReader<R> {
                 what: format!("first frame has kind {kind}, expected header"),
             });
         }
-        let text = std::str::from_utf8(&payload).map_err(|_| TraceError::Corrupt {
-            what: "header is not UTF-8".to_string(),
-        })?;
-        let doc = parse(text).map_err(|e| TraceError::Corrupt {
-            what: format!("header JSON: {e}"),
-        })?;
-        let header = TraceHeader::from_json(&doc)?;
+        let header = parse_header(&payload)?;
 
         let mut reader = TraceReader {
             input,

@@ -11,6 +11,8 @@ use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::recorder::RecordPolicy;
 use eqimpact_core::recorder::StepSink;
 use eqimpact_core::scenario::Scale;
+use eqimpact_stats::codec::crc32;
+use eqimpact_stats::json::{Json, ToJson};
 use eqimpact_trace::column::{decode_f64_column, plan_f64_column};
 use eqimpact_trace::store::MAGIC;
 use eqimpact_trace::{
@@ -565,10 +567,54 @@ fn checkpoint_free_headers_stay_base_version() {
     );
 }
 
+/// The magic and one header frame carrying `header`'s JSON, built by
+/// hand, since the writer refuses the headers these tests need.
+fn hand_built_header(header: &TraceHeader) -> Vec<u8> {
+    let payload = Json::obj([
+        ("version", (header.version as usize).to_json()),
+        ("scenario", header.scenario.as_str().to_json()),
+        ("variant", header.variant.as_str().to_json()),
+        ("trial", header.trial.to_json()),
+        ("scale", "quick".to_json()),
+        ("seed", header.seed.to_string().as_str().to_json()),
+        ("shards", header.shards.to_json()),
+        ("delay", header.delay.to_json()),
+        ("policy", "full".to_json()),
+        ("checkpoints", header.checkpoints.to_json()),
+    ])
+    .render()
+    .into_bytes();
+    let mut stream = MAGIC.to_vec();
+    stream.push(1); // the header frame's kind
+    stream.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    stream.extend_from_slice(&crc32(&payload).to_le_bytes());
+    stream.extend_from_slice(&payload);
+    stream
+}
+
+/// Asserts that the writer refuses `header`, naming `field`, and writes
+/// no byte.
+fn assert_writer_refuses(header: &TraceHeader, field: &str) {
+    let mut out = Vec::new();
+    match TraceWriter::new(&mut out, header) {
+        Err(TraceError::Refused { what }) => assert!(what.contains(field), "{what}"),
+        other => panic!("{field}: expected Refused, got {:?}", other.err()),
+    }
+    assert!(out.is_empty(), "{field}: {} bytes written", out.len());
+}
+
 #[test]
 fn unsafe_header_names_are_corrupt() {
     // Scenario and variant name output files, so a path separator, a
-    // `..` or an empty name must not decode.
+    // `..` or an empty name must not decode. A trial that its JSON number
+    // cannot carry (2^64 after rounding) must not either.
+    let mut cases = vec![(
+        "trial",
+        TraceHeader {
+            trial: usize::MAX,
+            ..header()
+        },
+    )];
     for bad in ["x/../../../escaped", "..", "", "a b", "a\\b"] {
         for field in ["scenario", "variant"] {
             let mut header = header();
@@ -576,34 +622,29 @@ fn unsafe_header_names_are_corrupt() {
                 "scenario" => header.scenario = bad.to_string(),
                 _ => header.variant = bad.to_string(),
             }
-            let bytes = TraceWriter::new(Vec::new(), &header)
-                .unwrap()
-                .finish()
-                .unwrap();
-            let mut input: &[u8] = &bytes;
-            match TraceReader::new(&mut input) {
-                Err(TraceError::Corrupt { what }) => assert!(what.contains(field), "{what}"),
-                other => panic!("{field} {bad:?}: expected Corrupt, got {:?}", other.err()),
-            }
+            cases.push((field, header));
+        }
+    }
+    for (field, header) in cases {
+        assert_writer_refuses(&header, field);
+        let bytes = hand_built_header(&header);
+        match TraceReader::new(&bytes[..]) {
+            Err(TraceError::Corrupt { what }) => assert!(what.contains(field), "{what}"),
+            other => panic!("{header:?}: expected Corrupt, got {:?}", other.err()),
         }
     }
 }
 
 #[test]
 fn future_versions_are_rejected_by_name() {
-    // A header frame claiming version 99: the writer stamps whatever
-    // the header says, the reader rejects it by name.
-    let writer = TraceWriter::new(
-        Vec::new(),
-        &TraceHeader {
-            version: 99,
-            ..header()
-        },
-    )
-    .unwrap();
-    let bytes = writer.finish().unwrap();
-    let mut input: &[u8] = &bytes;
-    match TraceReader::new(&mut input) {
+    // A header frame claiming version 99: the reader rejects it by name,
+    // and the writer refuses to write it.
+    let header = TraceHeader {
+        version: 99,
+        ..header()
+    };
+    assert_writer_refuses(&header, "version");
+    match TraceReader::new(&hand_built_header(&header)[..]) {
         Err(TraceError::UnsupportedVersion(99)) => {}
         other => panic!("expected UnsupportedVersion, got {:?}", other.err()),
     }

@@ -11,6 +11,7 @@ use eqimpact_core::shard::{
     shard_bounds, ColsMut, ColsView, PopulationShard, RowStreams, ShardableAi, ShardablePopulation,
 };
 use eqimpact_credit::sim::{run_trial, CreditConfig, LenderKind};
+use eqimpact_credit::{AdrFilter, CreditPopulation, ScorecardLender};
 use eqimpact_stats::SimRng;
 use proptest::prelude::*;
 use std::ops::Range;
@@ -204,12 +205,28 @@ fn credit_record(shards: usize, policy: RecordPolicy) -> LoopRecord {
     run_trial(&config, 0).record
 }
 
+/// The sequential `LoopRunner`'s record of [`credit_record`]'s loop:
+/// `run_trial`'s stream derivation for users 180 / steps 10 / seed 404 /
+/// trial 0, built with `LoopBuilder::build`.
+fn sequential_credit_record(policy: RecordPolicy) -> LoopRecord {
+    let root = SimRng::new(404);
+    let mut pop_rng = root.split(1);
+    let mut loop_rng = root.split(2);
+    let population = CreditPopulation::generate(180, &mut pop_rng);
+    LoopBuilder::new(ScorecardLender::paper_default(), population)
+        .filter(AdrFilter::new())
+        .delay(1)
+        .record(policy)
+        .build()
+        .run(10, &mut loop_rng)
+}
+
 #[test]
 fn credit_scenario_is_bit_identical_across_shard_counts() {
     for policy in [RecordPolicy::Full, RecordPolicy::Thin] {
-        let reference = credit_record(1, policy);
+        let reference = sequential_credit_record(policy);
         let reference_bytes = reference.to_json().render();
-        for shards in [2usize, 8] {
+        for shards in [1usize, 2, 8] {
             let sharded = credit_record(shards, policy);
             assert_eq!(sharded, reference, "{shards} shards, {policy:?}");
             assert_eq!(
@@ -222,35 +239,16 @@ fn credit_scenario_is_bit_identical_across_shard_counts() {
 }
 
 /// CI matrix leg: `SHARDS=n cargo test --test shard_determinism` pins the
-/// shard count from the environment (defaults to 4 locally). Builds the
-/// `ShardedRunner` directly — bypassing `run_trial`'s `shards == 1 →
-/// sequential` dispatch — so even the `SHARDS=1` leg exercises the
-/// sharded code path against the sequential reference.
+/// shard count from the environment (defaults to 4 locally) and compares
+/// `run_trial`'s sharded record with the sequential reference.
 #[test]
 fn shard_count_from_env_matches_sequential() {
-    use eqimpact_credit::adr::AdrFilter;
-    use eqimpact_credit::lender::ScorecardLender;
-    use eqimpact_credit::users::CreditPopulation;
-
     let shards: usize = std::env::var("SHARDS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(4);
-    // Replicates run_trial's stream derivation for users 180 / steps 10 /
-    // seed 404 / trial 0, as used by `credit_record`.
-    let root = SimRng::new(404);
-    let mut pop_rng = root.split(1);
-    let mut loop_rng = root.split(2);
-    let population = CreditPopulation::generate(180, &mut pop_rng);
-    let mut runner = LoopBuilder::new(ScorecardLender::paper_default(), population)
-        .filter(AdrFilter::new())
-        .delay(1)
-        .record(RecordPolicy::Full)
-        .shards(shards)
-        .build_sharded();
-    let sharded = runner.run(10, &mut loop_rng);
-
-    let reference = credit_record(1, RecordPolicy::Full);
+    let sharded = credit_record(shards, RecordPolicy::Full);
+    let reference = sequential_credit_record(RecordPolicy::Full);
     assert_eq!(
         sharded.to_json().render(),
         reference.to_json().render(),
