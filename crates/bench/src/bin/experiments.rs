@@ -936,48 +936,38 @@ mod tests {
         assert!(err.message.contains("lots"));
     }
 
-    /// Writes a minimal empty-but-well-formed trace whose header names
-    /// `scenario` and `variant`, so `replay` gets past parsing and hits
-    /// the registry gates exactly like a real recorded trace would.
+    /// Writes a trace of the magic and one header frame naming `scenario`
+    /// and `variant`, built by hand (kind, length, CRC-32, JSON payload)
+    /// since the trace writer refuses the unsafe variants some tests
+    /// need. `replay` opens it like a recorded trace and stops at the
+    /// header's name checks or the registry gates, before any step.
     fn write_stub_trace(scenario: &str, variant: &str) -> PathBuf {
-        use eqimpact_core::recorder::RecordPolicy;
-        use eqimpact_core::scenario::{Scale, TraceMeta};
-        use eqimpact_trace::{TraceHeader, TraceWriter};
-        let header = TraceHeader::from_meta(&TraceMeta {
-            scenario: scenario.to_string(),
-            variant: variant.to_string(),
-            trial: 0,
-            scale: Scale::Quick,
-            seed: 0,
-            shards: 1,
-            delay: 0,
-            policy: RecordPolicy::Full,
-        });
-        let writer = TraceWriter::new(Vec::new(), &header).unwrap();
-        let bytes = writer.finish().unwrap();
+        use eqimpact_stats::codec::crc32;
+        use eqimpact_stats::Json;
+        use eqimpact_trace::store::MAGIC;
+        let payload = Json::obj([
+            ("version", 1usize.to_json()),
+            ("scenario", scenario.to_json()),
+            ("variant", variant.to_json()),
+            ("trial", 0usize.to_json()),
+            ("scale", "quick".to_json()),
+            ("seed", "0".to_json()),
+            ("shards", 1usize.to_json()),
+            ("delay", 0usize.to_json()),
+            ("policy", "full".to_json()),
+            ("checkpoints", false.to_json()),
+        ])
+        .render()
+        .into_bytes();
+        let mut bytes = MAGIC.to_vec();
+        bytes.push(1); // the header frame's kind
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
         let path = std::env::temp_dir().join(format!(
             "eqimpact-exitcode-{scenario}-{}.eqtrace",
             std::process::id()
         ));
-        std::fs::write(&path, bytes).unwrap();
-        path
-    }
-
-    /// [`write_stub_trace`] for a variant the trace writer refuses: the
-    /// trace is written with a placeholder variant of the same length,
-    /// and its header frame (magic, kind, length, CRC-32, payload) is then
-    /// patched and re-checksummed.
-    fn write_refused_stub_trace(scenario: &str, variant: &str) -> PathBuf {
-        let placeholder = "v".repeat(variant.len());
-        let path = write_stub_trace(scenario, &placeholder);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let payload = 17..17 + u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
-        let patched = std::str::from_utf8(&bytes[payload.clone()])
-            .unwrap()
-            .replace(&placeholder, variant);
-        bytes[payload].copy_from_slice(patched.as_bytes());
-        let crc = eqimpact_stats::codec::crc32(patched.as_bytes());
-        bytes[13..17].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, bytes).unwrap();
         path
     }
@@ -1052,7 +1042,7 @@ mod tests {
             std::env::temp_dir().join(format!("eqimpact-replay-escape-{}", std::process::id()));
         let out = root.join("a").join("b").join("out");
         std::fs::create_dir_all(out.join("offpolicy_credit_scorecard_vs_x")).unwrap();
-        let trace = write_refused_stub_trace("credit", "x/../../../escaped");
+        let trace = write_stub_trace("credit", "x/../../../escaped");
         let err = run(
             cmd_replay,
             REPLAY_FLAGS,

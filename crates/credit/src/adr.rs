@@ -147,6 +147,21 @@ mod tests {
     }
 
     #[test]
+    fn ragged_checkpoint_restarts_from_zero_counts() {
+        // Defaults shorter than offers (a crafted trace's checkpoint can
+        // carry them) count as a user-count change: the round starts from
+        // zero counts instead of indexing past the end.
+        let mut checkpoint = ModelCheckpoint::new();
+        checkpoint.push_field("filter.offers", &[1.0, 1.0]);
+        checkpoint.push_field("filter.defaults", &[1.0]);
+        let mut f = AdrFilter::new();
+        assert!(f.restore_checkpoint(&checkpoint));
+        let fb = apply(&mut f, &[1.0, 1.0], &[0.0, 0.0]);
+        assert_eq!(fb.per_user, vec![1.0, 1.0]);
+        assert_eq!(counts(&f), (vec![1.0, 1.0], vec![1.0, 1.0]));
+    }
+
+    #[test]
     fn filter_aggregate_with_no_offers() {
         let mut f = AdrFilter::new();
         let fb = apply(&mut f, &[0.0], &[0.0]);

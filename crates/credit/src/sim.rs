@@ -234,6 +234,32 @@ mod tests {
         }
     }
 
+    /// The sequential `LoopRunner`'s record and races of
+    /// `run_trial(config, 0)`: the same stream split and blocks, built with
+    /// `LoopBuilder::build`.
+    fn sequential_trial(config: &CreditConfig) -> (LoopRecord, Vec<Race>) {
+        fn run<S: ShardableAi>(lender: S, config: &CreditConfig) -> (LoopRecord, Vec<Race>) {
+            let rng = SimRng::new(config.seed);
+            let population = CreditPopulation::generate(config.users, &mut rng.split(1));
+            let races = population.races();
+            let record = LoopBuilder::new(lender, population)
+                .filter(AdrFilter::new())
+                .delay(config.delay)
+                .record(config.policy)
+                .build()
+                .run(config.steps, &mut rng.split(2));
+            (record, races)
+        }
+        match config.lender {
+            LenderKind::Scorecard => run(ScorecardLender::paper_default(), config),
+            LenderKind::UniformExclusion => run(UniformExclusionLender::paper_default(), config),
+            LenderKind::IncomeMultiple => run(
+                IncomeMultipleLender::new(crate::model::INCOME_MULTIPLE),
+                config,
+            ),
+        }
+    }
+
     #[test]
     fn trial_is_deterministic() {
         let config = small_config(LenderKind::Scorecard);
@@ -317,7 +343,8 @@ mod tests {
     #[test]
     fn sharded_trials_are_bit_identical_for_every_lender() {
         // The tentpole guarantee on the credit scenario: any shard count
-        // (including auto) reproduces the sequential record exactly.
+        // (including one and auto) reproduces the sequential record
+        // exactly.
         for lender in [
             LenderKind::Scorecard,
             LenderKind::UniformExclusion,
@@ -328,15 +355,11 @@ mod tests {
                 steps: 8,
                 ..small_config(lender)
             };
-            let reference = run_trial(&config, 0);
-            for shards in [2usize, 8, 0] {
-                let config_n = CreditConfig { shards, ..config };
-                let outcome = run_trial(&config_n, 0);
-                assert_eq!(
-                    outcome.record, reference.record,
-                    "{lender:?} x {shards} shards"
-                );
-                assert_eq!(outcome.races, reference.races);
+            let (record, races) = sequential_trial(&config);
+            for shards in [1usize, 2, 8, 0] {
+                let outcome = run_trial(&CreditConfig { shards, ..config }, 0);
+                assert_eq!(outcome.record, record, "{lender:?} x {shards} shards");
+                assert_eq!(outcome.races, races);
             }
         }
     }

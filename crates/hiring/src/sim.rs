@@ -219,6 +219,28 @@ mod tests {
         }
     }
 
+    /// The sequential `LoopRunner`'s record and races of
+    /// `run_trial(config, 0)`: the same stream split and blocks, built with
+    /// `LoopBuilder::build`.
+    fn sequential_trial(config: &HiringConfig) -> (LoopRecord, Vec<Race>) {
+        fn run<S: ShardableAi>(screener: S, config: &HiringConfig) -> (LoopRecord, Vec<Race>) {
+            let rng = SimRng::new(config.seed);
+            let pool = ApplicantPool::generate(config.applicants, &mut rng.split(1));
+            let races = pool.races();
+            let record = LoopBuilder::new(screener, pool)
+                .filter(TrackRecordFilter::new())
+                .delay(config.delay)
+                .record(config.policy)
+                .build()
+                .run(config.rounds, &mut rng.split(2));
+            (record, races)
+        }
+        match config.screener {
+            ScreenerKind::Adaptive => run(AdaptiveScreener::default_config(), config),
+            ScreenerKind::Credential => run(CredentialScreener::new(), config),
+        }
+    }
+
     #[test]
     fn trial_is_deterministic() {
         let config = small_config(ScreenerKind::Adaptive);
@@ -285,20 +307,19 @@ mod tests {
 
     #[test]
     fn sharded_trials_are_bit_identical_for_every_screener() {
+        // Any shard count (including one and auto) reproduces the
+        // sequential record exactly.
         for screener in [ScreenerKind::Adaptive, ScreenerKind::Credential] {
             let config = HiringConfig {
                 applicants: 150,
                 rounds: 8,
                 ..small_config(screener)
             };
-            let reference = run_trial(&config, 0);
-            for shards in [2usize, 8, 0] {
+            let (record, races) = sequential_trial(&config);
+            for shards in [1usize, 2, 8, 0] {
                 let outcome = run_trial(&HiringConfig { shards, ..config }, 0);
-                assert_eq!(
-                    outcome.record, reference.record,
-                    "{screener:?} x {shards} shards"
-                );
-                assert_eq!(outcome.races, reference.races);
+                assert_eq!(outcome.record, record, "{screener:?} x {shards} shards");
+                assert_eq!(outcome.races, races);
             }
         }
     }

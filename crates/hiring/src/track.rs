@@ -31,8 +31,9 @@ pub struct TrackRecordFilter {
 }
 
 impl TrackRecordFilter {
-    /// Creates an empty filter (sized on first use) with the default
-    /// aggregate EWMA weight.
+    /// Creates an empty filter (sized on first use, and reset to zero
+    /// counts whenever the user count changes) with the default aggregate
+    /// EWMA weight.
     pub fn new() -> Self {
         TrackRecordFilter {
             placements: Vec::new(),
@@ -77,7 +78,7 @@ impl FeedbackFilter for TrackRecordFilter {
         actions: &[f64],
         out: &mut Feedback,
     ) {
-        if self.placements.len() != actions.len() {
+        if self.placements.len() != actions.len() || self.successes.len() != actions.len() {
             self.placements = vec![0; actions.len()];
             self.successes = vec![0; actions.len()];
         }
@@ -181,5 +182,21 @@ mod tests {
         assert_eq!(f.user_count(), 2);
         // EWMA: 0.3 * 0 + 0.7 * 0.5.
         assert!((fb.aggregate - 0.35).abs() < 1e-12);
+    }
+
+    #[test]
+    fn ragged_checkpoint_restarts_from_zero_counts() {
+        // Successes shorter than placements (a crafted trace's checkpoint
+        // can carry them) count as a user-count change: the round starts
+        // from zero counts instead of indexing past the end.
+        let mut checkpoint = ModelCheckpoint::new();
+        checkpoint.push_field("filter.placements", &[1.0, 1.0]);
+        checkpoint.push_field("filter.successes", &[1.0]);
+        let mut f = TrackRecordFilter::new();
+        assert!(f.restore_checkpoint(&checkpoint));
+        let visible = FeatureMatrix::zeros(2, 0);
+        let fb = apply(&mut f, 0, &visible, &[1.0, 1.0], &[1.0, 1.0]);
+        assert_eq!(fb.per_user, vec![1.0, 1.0]);
+        assert_eq!((f.placements(0), f.placements(1)), (1, 1));
     }
 }

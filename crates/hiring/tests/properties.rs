@@ -1,9 +1,11 @@
 //! Property-based tests for the hiring scenario, headlined by the
 //! determinism guarantee: the serialized loop record is **byte-identical
-//! for shard counts {1, 2, 8}**.
+//! for shard counts {1, 2, 8} versus the sequential runner**.
 
+use eqimpact_core::closed_loop::{AiSystem, LoopBuilder};
 use eqimpact_hiring::model::{credential_code, readiness, sample_performance, success_probability};
 use eqimpact_hiring::sim::{run_trial, HiringConfig, ScreenerKind};
+use eqimpact_hiring::{AdaptiveScreener, ApplicantPool, CredentialScreener, TrackRecordFilter};
 use eqimpact_stats::SimRng;
 use proptest::prelude::*;
 
@@ -12,10 +14,31 @@ fn record_bytes(config: &HiringConfig, trial: usize) -> String {
     run_trial(config, trial).record.to_json().render()
 }
 
+/// [`record_bytes`] of trial 0 on the sequential `LoopRunner`: the same
+/// stream split and blocks as `run_trial`, built with `LoopBuilder::build`.
+fn sequential_record_bytes(config: &HiringConfig) -> String {
+    fn run<A: AiSystem>(screener: A, config: &HiringConfig) -> String {
+        let rng = SimRng::new(config.seed);
+        let pool = ApplicantPool::generate(config.applicants, &mut rng.split(1));
+        LoopBuilder::new(screener, pool)
+            .filter(TrackRecordFilter::new())
+            .delay(config.delay)
+            .record(config.policy)
+            .build()
+            .run(config.rounds, &mut rng.split(2))
+            .to_json()
+            .render()
+    }
+    match config.screener {
+        ScreenerKind::Adaptive => run(AdaptiveScreener::default_config(), config),
+        ScreenerKind::Credential => run(CredentialScreener::new(), config),
+    }
+}
+
 proptest! {
     /// The tentpole acceptance property: for random pool sizes, seeds and
-    /// both screeners, every shard count in {2, 8} produces a serialized
-    /// record byte-identical to the one-shard runner's.
+    /// both screeners, every shard count in {1, 2, 8} (and auto) produces
+    /// a serialized record byte-identical to the sequential runner's.
     #[test]
     fn sharded_records_serialize_byte_identically(
         applicants in 20usize..90,
@@ -29,13 +52,12 @@ proptest! {
             trials: 1,
             seed,
             screener,
-            shards: 1,
             ..HiringConfig::default()
         };
-        let one_shard = record_bytes(&config, 0);
-        for shards in [2usize, 8] {
+        let sequential = sequential_record_bytes(&config);
+        for shards in [1usize, 2, 8, 0] {
             let sharded = record_bytes(&HiringConfig { shards, ..config }, 0);
-            prop_assert_eq!(&one_shard, &sharded, "shards = {}", shards);
+            prop_assert_eq!(&sequential, &sharded, "shards = {}", shards);
         }
     }
 
@@ -86,7 +108,8 @@ proptest! {
 }
 
 /// The fixed-shape acceptance check, independent of proptest shrinking:
-/// shard counts {1, 2, 8} all serialize identically on both screeners.
+/// shard counts {1, 2, 8} all serialize byte-identically to the
+/// sequential runner on both screeners.
 #[test]
 fn acceptance_shard_counts_one_two_eight() {
     for screener in [ScreenerKind::Adaptive, ScreenerKind::Credential] {
@@ -98,8 +121,8 @@ fn acceptance_shard_counts_one_two_eight() {
             screener,
             ..HiringConfig::default()
         };
-        let reference = record_bytes(&HiringConfig { shards: 1, ..base }, 0);
-        for shards in [2usize, 8] {
+        let reference = sequential_record_bytes(&base);
+        for shards in [1usize, 2, 8] {
             let sharded = record_bytes(&HiringConfig { shards, ..base }, 0);
             assert_eq!(reference, sharded, "{screener:?} x {shards} shards");
         }
