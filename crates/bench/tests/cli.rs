@@ -299,17 +299,18 @@ fn deterministic_section(snapshot: &Path) -> String {
 /// in the root `tests/data/`: the deterministic work counters of
 /// `record`, `sweep` and `certify` in
 /// `tests/data/telemetry_<scenario>_<command>.json`, and every file they
-/// write (the recorded traces and both reports) by byte length and
-/// 64-bit FNV-1a in `tests/data/pipeline_quick.txt`. A checksum that
-/// changed but still agreed with itself would pass every round trip and
-/// fail here. `sweep` and `certify` also run with `--threads 1`, against
-/// the same pins. A change that moves a count or a byte fails here and
-/// must re-pin the file on purpose.
+/// write (the recorded traces and both reports), with the off-policy
+/// report of `replay --policy` on each trace, by byte length and 64-bit
+/// FNV-1a in `tests/data/pipeline_quick.txt`. A checksum that changed
+/// but still agreed with itself would pass every round trip and fail
+/// here. `sweep` and `certify` also run with `--threads 1`, against the
+/// same pins. A change that moves a count or a byte fails here and must
+/// re-pin the file on purpose.
 #[test]
 fn trace_pipeline_telemetry_matches_the_committed_sections() {
     let dir = WorkDir::new("pipeline-telemetry");
     let mut table = String::new();
-    for scenario in ["credit", "hiring"] {
+    for (scenario, policy) in [("credit", "income-multiple"), ("hiring", "credential")] {
         let traces = format!("tr-{scenario}");
         // The sweep and certify reports' pin lines: at the default
         // budget, then at `--threads 1`.
@@ -354,7 +355,13 @@ fn trace_pipeline_telemetry_matches_the_committed_sections() {
                 );
             }
         }
-        table += &trace_pins(&dir.path(&traces));
+        table += &pins(&dir.path(&traces), "eqtrace");
+        let off = format!("off-{scenario}");
+        for trace in files(&dir.path(&traces), "eqtrace") {
+            let trace = trace.to_str().expect("UTF-8 path");
+            dir.ok(&["replay", trace, "--policy", policy, "--out", &off]);
+        }
+        table += &pins(&dir.path(&off), "json");
         assert_eq!(
             reports[2..],
             reports[..2],
@@ -370,15 +377,20 @@ fn trace_pipeline_telemetry_matches_the_committed_sections() {
     );
 }
 
-/// The pin lines of every `.eqtrace` file in `dir`, in file-name order.
-fn trace_pins(dir: &Path) -> String {
-    let mut recorded: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("read trace dir")
-        .map(|entry| entry.expect("trace dir entry").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "eqtrace"))
+/// Every `.{ext}` file in `dir`, in file-name order.
+fn files(dir: &Path, ext: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read output dir")
+        .map(|entry| entry.expect("output dir entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == ext))
         .collect();
-    recorded.sort();
-    recorded.iter().map(|trace| pin_line(trace)).collect()
+    files.sort();
+    files
+}
+
+/// The pin lines of every `.{ext}` file in `dir`, in file-name order.
+fn pins(dir: &Path, ext: &str) -> String {
+    files(dir, ext).iter().map(|file| pin_line(file)).collect()
 }
 
 /// `<file name> <byte length> <64-bit FNV-1a digest>` of one output file,
@@ -441,7 +453,7 @@ fn paper_scale_artifacts_match_the_committed_digests() {
 }
 
 /// Every trace of paper-scale `record credit` and `record hiring` (the
-/// default seeds) is pinned by [`trace_pins`] in
+/// default seeds) is pinned by [`pins`] in
 /// `tests/data/traces_paper.txt`: the column codec's choices on the
 /// corpus the audit pipeline records, where `pipeline_quick.txt` pins
 /// only Quick-scale traces. Re-pin only for a deliberate, documented
@@ -452,7 +464,7 @@ fn paper_scale_traces_match_the_committed_digests() {
     let mut table = String::new();
     for scenario in ["credit", "hiring"] {
         dir.ok(&["record", scenario, "--out", scenario]);
-        table += &trace_pins(&dir.path(scenario));
+        table += &pins(&dir.path(scenario), "eqtrace");
     }
     let pinned = include_str!("data/traces_paper.txt");
     assert!(
