@@ -707,11 +707,11 @@ fn cmd_record(args: Args) -> Result<(), CliError> {
         .out_dir
         .clone()
         .unwrap_or_else(|| PathBuf::from("traces"));
-    // Record with model checkpoints: the frames let `replay` and `sweep`
-    // restore the retrained model at each delay-line pop instead of
-    // refitting — the counterfactual lab's fast-path. Checkpoint-free
-    // readers skip the frames transparently.
-    let factory = TraceDirFactory::create_with(&out_dir, true)
+    // Every recorded trace carries model checkpoints: the frames let
+    // `replay` and `sweep` restore the retrained model at each delay-line
+    // pop instead of refitting — the counterfactual lab's fast-path.
+    // Readers that retrain skip the frames transparently.
+    let factory = TraceDirFactory::create(&out_dir)
         .map_err(|e| CliError::usage(format!("cannot create {}: {e}", out_dir.display())))?;
 
     println!(

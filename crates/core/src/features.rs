@@ -219,16 +219,6 @@ impl FeatureMatrix {
         }
     }
 
-    /// Becomes a copy of `other`, reusing this matrix's allocations.
-    pub fn fill_from(&mut self, other: &FeatureMatrix) {
-        self.cols.resize_with(other.cols.len(), Vec::new);
-        self.rows = other.rows;
-        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
-            dst.clear();
-            dst.extend_from_slice(src);
-        }
-    }
-
     /// The cells flattened row-major (interop / JSON dumps; allocates).
     // analyze::allow(R8): trace/tests/properties.rs compares decoded frames' visible features through it
     pub fn to_row_major(&self) -> Vec<f64> {
@@ -270,16 +260,6 @@ mod tests {
         let mut row = vec![9.0];
         m.copy_row_into(1, &mut row);
         assert_eq!(row, Vec::<f64>::new());
-    }
-
-    #[test]
-    fn fill_from_copies_and_reuses() {
-        let src = FeatureMatrix::from_nested(&[vec![1.0], vec![2.0]]);
-        let mut dst = FeatureMatrix::zeros(5, 3);
-        let capacity_before = dst.cols[0].capacity();
-        dst.fill_from(&src);
-        assert_eq!(dst, src);
-        assert!(dst.cols[0].capacity() >= capacity_before, "allocation kept");
     }
 
     #[test]

@@ -80,17 +80,6 @@ proptest! {
     }
 
     #[test]
-    fn feature_matrix_fill_from_is_copy(
-        a in prop::collection::vec(prop::collection::vec(-1.0f64..1.0, 2), 1..8),
-        b in prop::collection::vec(prop::collection::vec(-1.0f64..1.0, 4), 1..8),
-    ) {
-        let src = FeatureMatrix::from_nested(&a);
-        let mut dst = FeatureMatrix::from_nested(&b);
-        dst.fill_from(&src);
-        prop_assert_eq!(dst, src);
-    }
-
-    #[test]
     fn constant_signals_always_pass_treatment_signal_check(
         n in 2usize..15,
         steps in 1usize..20,

@@ -14,7 +14,7 @@ use crate::adr::AdrFilter;
 use crate::trace::{build_lender, DECISION_THRESHOLD, POLICIES};
 use eqimpact_lab::{CandidateGrid, CandidateSpec, SweepEval, SweepTarget};
 use eqimpact_trace::scenario::unknown_policy;
-use eqimpact_trace::{evaluate_off_policy_with, OffPolicyOptions, TraceError, TraceReader};
+use eqimpact_trace::{evaluate_off_policy, TraceError, TraceReader};
 use std::io::Read;
 
 /// The sweep face of the credit scenario, registered in the
@@ -57,10 +57,8 @@ impl SweepTarget for CreditSweep {
         let header = reader.header().clone();
         let lender = build_lender(&candidate.policy)
             .ok_or_else(|| unknown_policy(&candidate.policy, POLICIES))?;
-        let options = OffPolicyOptions {
-            use_checkpoints: header.checkpoints && candidate.policy == header.variant,
-        };
-        let outcome = evaluate_off_policy_with(reader, lender, AdrFilter::new(), options)?;
+        let use_checkpoints = header.checkpoints && candidate.policy == header.variant;
+        let outcome = evaluate_off_policy(reader, lender, AdrFilter::new(), use_checkpoints)?;
         Ok(SweepEval { header, outcome })
     }
 }
@@ -140,13 +138,11 @@ mod tests {
             .evaluate(&mut bytes.as_slice(), &fast)
             .expect("sweep evaluates");
         assert!(eval.header.checkpoints);
-        let slow = evaluate_off_policy_with(
+        let slow = evaluate_off_policy(
             TraceReader::new(&mut bytes.as_slice()).unwrap(),
             build_lender(TRACE_VARIANT).unwrap(),
             AdrFilter::new(),
-            OffPolicyOptions {
-                use_checkpoints: false,
-            },
+            false,
         )
         .expect("retrained evaluation");
         assert_eq!(eval.outcome.agreement_at(0.0), slow.agreement_at(0.0));
@@ -168,13 +164,11 @@ mod tests {
         let eval = CreditSweep
             .evaluate(&mut bytes.as_slice(), &candidate)
             .expect("sweep evaluates");
-        let plain = evaluate_off_policy_with(
+        let plain = evaluate_off_policy(
             TraceReader::new(&mut bytes.as_slice()).unwrap(),
             build_lender("uniform-exclusion").unwrap(),
             AdrFilter::new(),
-            OffPolicyOptions {
-                use_checkpoints: false,
-            },
+            false,
         )
         .expect("retrained evaluation");
         assert_eq!(eval.outcome.counterfactual, plain.counterfactual);

@@ -81,7 +81,7 @@ impl TraceReplayer for CreditTracer {
     ) -> Result<OffPolicyReport, TraceError> {
         let header = reader.header().clone();
         let lender = build_lender(policy).ok_or_else(|| unknown_policy(policy, POLICIES))?;
-        let outcome = evaluate_off_policy(reader, lender, AdrFilter::new())?;
+        let outcome = evaluate_off_policy(reader, lender, AdrFilter::new(), false)?;
         Ok(off_policy_report(
             &outcome,
             &header,
@@ -174,19 +174,6 @@ mod tests {
         );
         let (lender, _) = runner.into_parts();
         assert_eq!(lender.refits(), 0, "restore must replace every retrain");
-
-        // The same trace replays with the fast-path off too (the frames
-        // are transparent), exercising the real retrain path.
-        let mut input: &[u8] = &bytes;
-        let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
-        let mut slow = eqimpact_trace::ReplayRunner::new(
-            reader,
-            ScorecardLender::paper_default(),
-            AdrFilter::new(),
-        )
-        .use_checkpoints(false);
-        assert_eq!(slow.run().unwrap(), original);
-        assert_eq!(slow.checkpoints_restored(), 0);
     }
 
     #[test]
@@ -198,11 +185,11 @@ mod tests {
         let run = |use_checkpoints: bool| {
             let mut input: &[u8] = &bytes;
             let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
-            eqimpact_trace::evaluate_off_policy_with(
+            evaluate_off_policy(
                 reader,
                 ScorecardLender::paper_default(),
                 AdrFilter::new(),
-                eqimpact_trace::OffPolicyOptions { use_checkpoints },
+                use_checkpoints,
             )
             .unwrap()
         };

@@ -10,7 +10,7 @@ use crate::trace::{build_screener, DECISION_THRESHOLD, POLICIES};
 use crate::track::TrackRecordFilter;
 use eqimpact_lab::{CandidateGrid, CandidateSpec, SweepEval, SweepTarget};
 use eqimpact_trace::scenario::unknown_policy;
-use eqimpact_trace::{evaluate_off_policy_with, OffPolicyOptions, TraceError, TraceReader};
+use eqimpact_trace::{evaluate_off_policy, TraceError, TraceReader};
 use std::io::Read;
 
 /// The sweep face of the hiring scenario, registered in the
@@ -53,11 +53,9 @@ impl SweepTarget for HiringSweep {
         let header = reader.header().clone();
         let screener = build_screener(&candidate.policy)
             .ok_or_else(|| unknown_policy(&candidate.policy, POLICIES))?;
-        let options = OffPolicyOptions {
-            use_checkpoints: header.checkpoints && candidate.policy == header.variant,
-        };
+        let use_checkpoints = header.checkpoints && candidate.policy == header.variant;
         let outcome =
-            evaluate_off_policy_with(reader, screener, TrackRecordFilter::new(), options)?;
+            evaluate_off_policy(reader, screener, TrackRecordFilter::new(), use_checkpoints)?;
         Ok(SweepEval { header, outcome })
     }
 }
@@ -116,13 +114,11 @@ mod tests {
             .evaluate(&mut bytes.as_slice(), &fast)
             .expect("sweep evaluates");
         assert!(eval.header.checkpoints);
-        let slow = evaluate_off_policy_with(
+        let slow = evaluate_off_policy(
             TraceReader::new(&mut bytes.as_slice()).unwrap(),
             build_screener("adaptive").unwrap(),
             TrackRecordFilter::new(),
-            OffPolicyOptions {
-                use_checkpoints: false,
-            },
+            false,
         )
         .expect("retrained evaluation");
         assert_eq!(eval.outcome.agreement_at(0.0), slow.agreement_at(0.0));
@@ -141,13 +137,11 @@ mod tests {
         let eval = HiringSweep
             .evaluate(&mut bytes.as_slice(), &candidate)
             .expect("sweep evaluates");
-        let plain = evaluate_off_policy_with(
+        let plain = evaluate_off_policy(
             TraceReader::new(&mut bytes.as_slice()).unwrap(),
             build_screener("credential").unwrap(),
             TrackRecordFilter::new(),
-            OffPolicyOptions {
-                use_checkpoints: false,
-            },
+            false,
         )
         .expect("retrained evaluation");
         assert_eq!(eval.outcome.counterfactual, plain.counterfactual);

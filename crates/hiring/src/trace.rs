@@ -73,7 +73,7 @@ impl TraceReplayer for HiringTracer {
     ) -> Result<OffPolicyReport, TraceError> {
         let header = reader.header().clone();
         let screener = build_screener(policy).ok_or_else(|| unknown_policy(policy, POLICIES))?;
-        let outcome = evaluate_off_policy(reader, screener, TrackRecordFilter::new())?;
+        let outcome = evaluate_off_policy(reader, screener, TrackRecordFilter::new(), false)?;
         Ok(off_policy_report(
             &outcome,
             &header,

@@ -19,12 +19,6 @@ pub enum TrainError {
     Empty,
     /// All labels identical: the MLE does not exist without regularization.
     DegenerateLabels,
-    /// The optimizer failed to make progress (should not happen with the
-    /// gradient fallback; kept for API completeness).
-    NoProgress {
-        /// Iterations performed before giving up.
-        iterations: usize,
-    },
 }
 
 impl fmt::Display for TrainError {
@@ -33,9 +27,6 @@ impl fmt::Display for TrainError {
             TrainError::Empty => write!(f, "no observations to fit"),
             TrainError::DegenerateLabels => {
                 write!(f, "all labels identical; add regularization or more data")
-            }
-            TrainError::NoProgress { iterations } => {
-                write!(f, "no optimization progress after {iterations} iterations")
             }
         }
     }
@@ -493,8 +484,5 @@ mod tests {
         assert!(TrainError::DegenerateLabels
             .to_string()
             .contains("identical"));
-        assert!(TrainError::NoProgress { iterations: 7 }
-            .to_string()
-            .contains('7'));
     }
 }

@@ -158,17 +158,11 @@ fn write_block(mut words: impl Iterator<Item = u64>, tag: u8, len: usize, out: &
 }
 
 /// Decodes one block of exactly `len` words starting at `*pos` in
-/// `bytes`, advancing `*pos` past it. The words come back in the block's
-/// *encoded domain*; the returned tag tells the caller whether that
-/// domain is byte-swapped. Returns `None` on an unknown tag, truncated
-/// varints, or run lengths not summing to `len` — never panics.
-fn decode_words(bytes: &[u8], pos: &mut usize, len: usize, out: &mut Vec<u64>) -> Option<u8> {
-    out.clear();
-    // Reserve no more than the input could plausibly describe up front
-    // (a plain stream needs >= 1 byte per value); a hostile `len` with a
-    // short RLE stream then grows geometrically instead of asking for
-    // one absurd allocation.
-    out.reserve(len.min(bytes.len().saturating_sub(*pos)));
+/// `bytes`, advancing `*pos` past it and handing each word, in order and
+/// in the block's *encoded domain*, straight to `put`. Returns `None` on
+/// an unknown tag, truncated varints, or run lengths not summing to
+/// `len` — never panics, and never hands over more than `len` words.
+fn decode_words(bytes: &[u8], pos: &mut usize, len: usize, mut put: impl FnMut(u64)) -> Option<()> {
     let &tag = bytes.get(*pos)?;
     if tag & !TAG_MASK != 0 {
         return None;
@@ -179,22 +173,24 @@ fn decode_words(bytes: &[u8], pos: &mut usize, len: usize, out: &mut Vec<u64>) -
         for _ in 0..len {
             let delta = zigzag_decode(read_varint(bytes, pos)?);
             previous = previous.wrapping_add(delta as u64);
-            out.push(previous);
+            put(previous);
         }
     } else {
-        while out.len() < len {
+        let mut left = len;
+        while left > 0 {
             let run = read_varint(bytes, pos)?;
             let delta = zigzag_decode(read_varint(bytes, pos)?);
-            if run == 0 || run > (len - out.len()) as u64 {
+            if run == 0 || run > left as u64 {
                 return None;
             }
+            left -= run as usize;
             for _ in 0..run {
                 previous = previous.wrapping_add(delta as u64);
-                out.push(previous);
+                put(previous);
             }
         }
     }
-    Some(tag)
+    Some(())
 }
 
 /// Encodes a `u64` column (raw word domain) as one block appended to
@@ -218,11 +214,16 @@ pub fn encode_column(values: &[u64], out: &mut Vec<u8>) {
 /// [`encode_column`]). Returns `None` on malformed input or a
 /// swapped-domain tag (raw columns never carry one).
 pub fn decode_column(bytes: &[u8], pos: &mut usize, len: usize, out: &mut Vec<u64>) -> Option<()> {
-    let tag = decode_words(bytes, pos, len, out)?;
-    if tag & TAG_SWAP_BIT != 0 {
+    out.clear();
+    if bytes.get(*pos)? & TAG_SWAP_BIT != 0 {
         return None;
     }
-    Some(())
+    // Reserve no more than the input could plausibly describe up front
+    // (a plain stream needs >= 1 byte per value); a hostile `len` with a
+    // short RLE stream then grows geometrically instead of asking for
+    // one absurd allocation.
+    out.reserve(len.min(bytes.len() - *pos));
+    decode_words(bytes, pos, len, |word| out.push(word))
 }
 
 /// A float column's block, sized but not yet written: see
@@ -286,24 +287,22 @@ impl ColumnPlan<'_> {
     }
 }
 
-/// Decodes a float column of `len` values into `out` (cleared first),
-/// reusing `scratch` for the word buffer. Inverse of
-/// [`ColumnPlan::write`]; never panics on malformed input.
+/// Decodes a float column of `len` values, handing each value in order
+/// straight to `put`. Inverse of [`ColumnPlan::write`]; never panics on
+/// malformed input, and on `None` `put` has seen at most `len` values.
 pub fn decode_f64_column(
     bytes: &[u8],
     pos: &mut usize,
     len: usize,
-    scratch: &mut Vec<u64>,
-    out: &mut Vec<f64>,
+    mut put: impl FnMut(f64),
 ) -> Option<()> {
-    let tag = decode_words(bytes, pos, len, scratch)?;
-    out.clear();
-    if tag & TAG_SWAP_BIT != 0 {
-        out.extend(scratch.iter().map(|&w| f64::from_bits(w.swap_bytes())));
+    if bytes.get(*pos)? & TAG_SWAP_BIT == 0 {
+        decode_words(bytes, pos, len, |word| put(f64::from_bits(word)))
     } else {
-        out.extend(scratch.iter().map(|&w| f64::from_bits(w)));
+        decode_words(bytes, pos, len, |word| {
+            put(f64::from_bits(word.swap_bytes()))
+        })
     }
-    Some(())
 }
 
 #[cfg(test)]
@@ -338,11 +337,9 @@ mod tests {
         oracle::encode_f64_column(values, &mut expected);
         assert_eq!(bytes, expected, "block differs from the oracle's");
         assert_eq!((plan.tag(), plan.block_len()), (bytes[0], bytes.len()));
-        let mut scratch = Vec::new();
         let mut pos = 0;
         let mut back = Vec::new();
-        decode_f64_column(&bytes, &mut pos, values.len(), &mut scratch, &mut back)
-            .expect("decodes");
+        decode_f64_column(&bytes, &mut pos, values.len(), |v| back.push(v)).expect("decodes");
         assert_eq!(pos, bytes.len(), "block fully consumed");
         let bits: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
         let back_bits: Vec<u64> = back.iter().map(|v| v.to_bits()).collect();

@@ -16,12 +16,10 @@
 //!   [`TraceWriter`] streams steps out as they happen; [`TraceReader`]
 //!   iterates them back with bounded memory.
 //! * **Replay** ([`replay`], [`offpolicy`]) — [`ReplayRunner`] re-drives
-//!   the loop from the recorded signals instead of simulating the
-//!   population, producing a record **byte-identical** to the original
-//!   run (recomputed signals and filter outputs are verified against the
-//!   recorded ones step by step); [`RecordedPopulation`] is the same idea
-//!   as a drop-in [`UserPopulation`](eqimpact_core::UserPopulation)
-//!   block for the standard runners. On top, [`evaluate_off_policy`]
+//!   the loop from the recorded features and actions instead of
+//!   simulating the population, producing a record **byte-identical** to
+//!   the original run (recomputed signals and filter outputs are verified
+//!   against the recorded ones step by step). [`evaluate_off_policy`]
 //!   swaps in an alternative AI/filter pair and scores it against the
 //!   recorded trajectory, reporting fairness and impact deltas through
 //!   `eqimpact_core::fairness`.
@@ -54,11 +52,8 @@ pub mod sink;
 pub mod store;
 
 pub use column::{decode_column, encode_column};
-pub use offpolicy::{
-    evaluate_off_policy, evaluate_off_policy_with, off_policy_report, OffPolicyOptions,
-    OffPolicyOutcome, OffPolicyReport,
-};
-pub use replay::{RecordedPopulation, ReplayRunner};
+pub use offpolicy::{evaluate_off_policy, off_policy_report, OffPolicyOutcome, OffPolicyReport};
+pub use replay::ReplayRunner;
 pub use scenario::{PolicySpec, ReplaySummary, TraceReplayer};
 pub use sink::{TraceDirFactory, TraceStepSink};
 pub use store::{StepFrame, TraceGroups, TraceHeader, TraceReader, TraceWriter, FORMAT_VERSION};

@@ -70,40 +70,25 @@ impl OffPolicyOutcome {
     }
 }
 
-/// Knobs of [`evaluate_off_policy_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OffPolicyOptions {
-    /// Replace the candidate's retrains with recorded model checkpoints
-    /// wherever the candidate accepts them ([`AiSystem::restore_checkpoint`]
-    /// returns `true`); the candidate filter is then restored from the
-    /// same checkpoint. Only sound when the candidate shares the logged
-    /// policy's learner (e.g. threshold variants of the recorded
-    /// scorecard) — a candidate that learns differently must keep
-    /// retraining, which the per-checkpoint fallback guarantees.
-    pub use_checkpoints: bool,
-}
-
 /// Walks the trace once, driving `alt_ai`/`alt_filter` over the recorded
 /// features and actions (see the module docs). Both returned records are
 /// [`RecordPolicy::Full`] so the fairness auditors can read them
 /// regardless of the original policy; a decision threshold enters only
 /// their read-out ([`OffPolicyOutcome::agreement_at`],
 /// [`off_policy_report`]).
+///
+/// With `use_checkpoints`, the candidate's retrains are replaced by the
+/// trace's model checkpoints wherever the candidate accepts them
+/// ([`AiSystem::restore_checkpoint`] returns `true`), and the candidate
+/// filter is restored from the same checkpoint. That is only sound when
+/// the candidate shares the logged policy's learner (e.g. threshold
+/// variants of the recorded scorecard); a candidate that learns
+/// differently must retrain, so pass `false` for it.
 pub fn evaluate_off_policy<S: AiSystem, F: FeedbackFilter, R: Read>(
-    reader: TraceReader<R>,
-    alt_ai: S,
-    alt_filter: F,
-) -> Result<OffPolicyOutcome, TraceError> {
-    evaluate_off_policy_with(reader, alt_ai, alt_filter, OffPolicyOptions::default())
-}
-
-/// [`evaluate_off_policy`] with explicit [`OffPolicyOptions`] (e.g. the
-/// checkpoint fast-path for candidates that share the logged learner).
-pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
     mut reader: TraceReader<R>,
     mut alt_ai: S,
     mut alt_filter: F,
-    options: OffPolicyOptions,
+    use_checkpoints: bool,
 ) -> Result<OffPolicyOutcome, TraceError> {
     let mut tail = StepTail::new(reader.header().delay);
     let mut frame = StepFrame::default();
@@ -141,7 +126,7 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
             counterfactual,
             &mut (),
             |checkpoint| {
-                if options.use_checkpoints {
+                if use_checkpoints {
                     reader.next_checkpoint(checkpoint)
                 } else {
                     Ok(false)
@@ -448,7 +433,7 @@ mod tests {
     fn evaluate<S: AiSystem>(bytes: &[u8], ai: S) -> OffPolicyOutcome {
         let mut input: &[u8] = bytes;
         let reader = TraceReader::new(&mut input).expect("trace reads back");
-        evaluate_off_policy(reader, ai, IdentityFilter).expect("evaluation runs")
+        evaluate_off_policy(reader, ai, IdentityFilter, false).expect("evaluation runs")
     }
 
     #[test]

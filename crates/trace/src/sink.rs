@@ -13,7 +13,7 @@ use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::recorder::StepSink;
 use eqimpact_core::scenario::{TraceMeta, TraceSinkFactory};
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// A [`StepSink`] writing one trace stream through a [`TraceWriter`].
@@ -95,10 +95,10 @@ impl<W: Write> StepSink for TraceStepSink<W> {
 
 /// The directory-backed sink factory behind `experiments record`: one
 /// `.eqtrace` file per recorded loop, named
-/// `<scenario>-<variant>-trial<t>.eqtrace`.
+/// `<scenario>-<variant>-trial<t>.eqtrace`, each carrying per-retrain
+/// model checkpoints (format version 2) for fast replay.
 pub struct TraceDirFactory {
     dir: PathBuf,
-    checkpoints: bool,
     errors: Arc<Mutex<Vec<String>>>,
     written: Arc<Mutex<Vec<PathBuf>>>,
 }
@@ -107,18 +107,10 @@ impl TraceDirFactory {
     /// Creates the output directory (so unwritable destinations fail
     /// up front, before any trial runs) and returns the factory.
     pub fn create(dir: impl Into<PathBuf>) -> std::io::Result<Arc<Self>> {
-        Self::create_with(dir, false)
-    }
-
-    /// [`Self::create`] with control over checkpoint frames: when
-    /// `checkpoints` is true every recorded trace carries per-retrain
-    /// model checkpoints (format version 2) for fast replay.
-    pub fn create_with(dir: impl Into<PathBuf>, checkpoints: bool) -> std::io::Result<Arc<Self>> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Arc::new(TraceDirFactory {
             dir,
-            checkpoints,
             errors: Arc::new(Mutex::new(Vec::new())),
             written: Arc::new(Mutex::new(Vec::new())),
         }))
@@ -143,11 +135,6 @@ impl TraceDirFactory {
             .clone();
         paths.sort();
         paths
-    }
-
-    /// The output directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 }
 
@@ -223,10 +210,7 @@ impl Drop for DirSink {
 impl TraceSinkFactory for TraceDirFactory {
     fn sink(&self, meta: &TraceMeta) -> Box<dyn StepSink + Send> {
         let path = self.dir.join(Self::file_name(meta));
-        let mut header = TraceHeader::from_meta(meta);
-        if self.checkpoints {
-            header = header.with_checkpoints();
-        }
+        let header = TraceHeader::from_meta(meta).with_checkpoints();
         let open = std::fs::File::create(&path)
             .map_err(TraceError::Io)
             .and_then(|file| TraceStepSink::new(BufWriter::new(file), &header));

@@ -562,11 +562,8 @@ pub struct TraceReader<R: Read> {
     /// groups frame when present, else the first step.
     users: Option<(usize, &'static str)>,
     done: bool,
-    /// Reused scratch: the current frame's payload, decoded words, one
-    /// gathered feature column.
+    /// The current frame's payload, reused from frame to frame.
     payload: Vec<u8>,
-    words: Vec<u64>,
-    column: Vec<f64>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -599,8 +596,6 @@ impl<R: Read> TraceReader<R> {
             users: None,
             done: false,
             payload,
-            words: Vec::new(),
-            column: Vec::new(),
         };
         reader.pending = reader.next_frame()?;
         if reader.pending == Some(KIND_GROUPS) {
@@ -622,11 +617,6 @@ impl<R: Read> TraceReader<R> {
         self.groups.as_ref()
     }
 
-    /// Steps decoded so far.
-    pub fn steps_read(&self) -> usize {
-        self.steps_read
-    }
-
     /// Decodes the next step into `frame` (buffers reused). Returns
     /// `Ok(false)` once the footer is reached; a stream that ends
     /// without a footer is a [`TraceError::Truncated`], and a step whose
@@ -645,7 +635,7 @@ impl<R: Read> TraceReader<R> {
             };
             match kind {
                 KIND_STEP => {
-                    decode_step(&self.payload, &mut self.words, &mut self.column, frame)?;
+                    decode_step(&self.payload, frame)?;
                     if frame.step != self.steps_read {
                         return Err(TraceError::Corrupt {
                             what: format!(
@@ -685,8 +675,9 @@ impl<R: Read> TraceReader<R> {
                     return Ok(false);
                 }
                 // Checkpoint frames are transparent to step iteration:
-                // callers that don't ask for them (read_record, legacy
-                // replay) skip straight to the next step.
+                // callers that don't ask for them (`read_record`, an
+                // off-policy evaluation that retrains) skip straight to
+                // the next step.
                 KIND_CHECKPOINT => continue,
                 other => {
                     return Err(TraceError::Corrupt {
@@ -716,7 +707,7 @@ impl<R: Read> TraceReader<R> {
             return Ok(false);
         }
         self.pending = None;
-        decode_checkpoint(&self.payload, &mut self.words, checkpoint)?;
+        decode_checkpoint(&self.payload, checkpoint)?;
         Ok(true)
     }
 
@@ -852,11 +843,53 @@ fn decode_groups(payload: &[u8]) -> Result<TraceGroups, TraceError> {
     Ok(TraceGroups { labels, codes })
 }
 
-fn decode_checkpoint(
+/// What a float block belongs to, as its errors name it.
+#[derive(Clone, Copy)]
+enum Block {
+    /// A feature or channel column of a step frame.
+    Channel,
+    /// A field of a checkpoint frame.
+    Checkpoint,
+}
+
+/// Reads the length-prefixed float block of `len` values at `*pos`,
+/// handing each value to `put`, and leaves `*pos` just past the block.
+/// The block must end where its length says: a short block, one whose
+/// values do not decode, and one with bytes left over are each a named
+/// error.
+fn read_block(
     payload: &[u8],
-    words: &mut Vec<u64>,
-    checkpoint: &mut ModelCheckpoint,
+    pos: &mut usize,
+    len: usize,
+    block: Block,
+    put: impl FnMut(f64),
 ) -> Result<(), TraceError> {
+    let (name, length, bytes) = match block {
+        Block::Channel => ("channel", "channel block length", "channel block"),
+        Block::Checkpoint => ("checkpoint", "checkpoint block length", "checkpoint block"),
+    };
+    let block_len =
+        read_varint(payload, pos).ok_or(TraceError::Truncated { what: length })? as usize;
+    let end = pos
+        .checked_add(block_len)
+        .filter(|&e| e <= payload.len())
+        .ok_or(TraceError::Truncated { what: bytes })?;
+    let mut block_pos = *pos;
+    decode_f64_column(&payload[..end], &mut block_pos, len, put).ok_or_else(|| {
+        TraceError::Corrupt {
+            what: format!("{name} column does not decode"),
+        }
+    })?;
+    if block_pos != end {
+        return Err(TraceError::Corrupt {
+            what: format!("{name} block has trailing bytes"),
+        });
+    }
+    *pos = end;
+    Ok(())
+}
+
+fn decode_checkpoint(payload: &[u8], checkpoint: &mut ModelCheckpoint) -> Result<(), TraceError> {
     let truncated = |what: &'static str| TraceError::Truncated { what };
     let mut pos = 0;
     let step = read_varint(payload, &mut pos).ok_or(truncated("checkpoint step"))? as usize;
@@ -886,35 +919,15 @@ fn decode_checkpoint(
                 what: format!("checkpoint field declares an absurd value count {count}"),
             });
         }
-        let block_len =
-            read_varint(payload, &mut pos).ok_or(truncated("checkpoint block length"))? as usize;
-        let end = pos
-            .checked_add(block_len)
-            .filter(|&e| e <= payload.len())
-            .ok_or(truncated("checkpoint block"))?;
-        let mut block_pos = pos;
         let column = checkpoint.field_mut(name);
-        decode_f64_column(&payload[..end], &mut block_pos, count, words, column).ok_or(
-            TraceError::Corrupt {
-                what: "checkpoint column does not decode".to_string(),
-            },
-        )?;
-        if block_pos != end {
-            return Err(TraceError::Corrupt {
-                what: "checkpoint block has trailing bytes".to_string(),
-            });
-        }
-        pos = end;
+        read_block(payload, &mut pos, count, Block::Checkpoint, |v| {
+            column.push(v)
+        })?;
     }
     Ok(())
 }
 
-fn decode_step(
-    payload: &[u8],
-    words: &mut Vec<u64>,
-    column: &mut Vec<f64>,
-    frame: &mut StepFrame,
-) -> Result<(), TraceError> {
+fn decode_step(payload: &[u8], frame: &mut StepFrame) -> Result<(), TraceError> {
     let truncated = |what: &'static str| TraceError::Truncated { what };
     let mut pos = 0;
     frame.step = read_varint(payload, &mut pos).ok_or(truncated("step index"))? as usize;
@@ -925,43 +938,19 @@ fn decode_step(
             what: format!("step frame declares an absurd shape {rows} x {width}"),
         });
     }
-
-    // Decodes one length-prefixed float column block of `len` values
-    // into `column`, leaving `pos` just past the block.
-    let channel = |pos: &mut usize,
-                   len: usize,
-                   words: &mut Vec<u64>,
-                   column: &mut Vec<f64>|
-     -> Result<(), TraceError> {
-        let block_len =
-            read_varint(payload, pos).ok_or(truncated("channel block length"))? as usize;
-        let end = pos
-            .checked_add(block_len)
-            .filter(|&e| e <= payload.len())
-            .ok_or(truncated("channel block"))?;
-        let mut block_pos = *pos;
-        decode_f64_column(&payload[..end], &mut block_pos, len, words, column).ok_or(
-            TraceError::Corrupt {
-                what: "channel column does not decode".to_string(),
-            },
-        )?;
-        if block_pos != end {
-            return Err(TraceError::Corrupt {
-                what: "channel block has trailing bytes".to_string(),
-            });
-        }
-        *pos = end;
-        Ok(())
-    };
-
     frame.visible.reshape(rows, width);
     for j in 0..width {
-        channel(&mut pos, rows, words, column)?;
-        frame.visible.col_mut(j).copy_from_slice(column);
+        let mut cells = frame.visible.col_mut(j).iter_mut();
+        read_block(payload, &mut pos, rows, Block::Channel, |v| {
+            if let Some(cell) = cells.next() {
+                *cell = v;
+            }
+        })?;
     }
-    channel(&mut pos, rows, words, &mut frame.signals)?;
-    channel(&mut pos, rows, words, &mut frame.actions)?;
-    channel(&mut pos, rows, words, &mut frame.filtered)?;
+    for channel in [&mut frame.signals, &mut frame.actions, &mut frame.filtered] {
+        channel.clear();
+        read_block(payload, &mut pos, rows, Block::Channel, |v| channel.push(v))?;
+    }
     Ok(())
 }
 
@@ -999,6 +988,15 @@ mod tests {
 
     fn refused(result: Result<(), TraceError>) -> bool {
         matches!(result, Err(TraceError::Refused { .. }))
+    }
+
+    /// A payload of one varint per size, in order.
+    fn declared(sizes: &[usize]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for &size in sizes {
+            write_varint(&mut payload, size as u64);
+        }
+        payload
     }
 
     /// The writer's checks, on declared sizes: each accepts its limit
@@ -1041,25 +1039,12 @@ mod tests {
     /// (where that allocates nothing) one at the limit fails only later.
     #[test]
     fn the_reader_rejects_what_the_writer_refuses() {
-        let declared = |sizes: &[usize]| {
-            let mut payload = Vec::new();
-            for &size in sizes {
-                write_varint(&mut payload, size as u64);
-            }
-            payload
-        };
         let absurd = |result: Result<(), TraceError>| matches!(result, Err(TraceError::Corrupt { what }) if what.contains("absurd"));
         let cells = MAX_FRAME_CELLS;
         // At the limit a step frame would size its matrix, so only the
         // refusals are read here.
         let step = |rows: usize, width: usize| {
-            let payload = declared(&[0, rows, width]);
-            decode_step(
-                &payload,
-                &mut Vec::new(),
-                &mut Vec::new(),
-                &mut StepFrame::default(),
-            )
+            decode_step(&declared(&[0, rows, width]), &mut StepFrame::default())
         };
         assert!(absurd(step(cells / 4 + 1, 4)));
         assert!(absurd(step(cells + 1, 0)));
@@ -1068,13 +1053,8 @@ mod tests {
         assert!(!absurd(groups(cells)));
         assert!(absurd(groups(cells + 1)));
 
-        let checkpoint = |sizes: &[usize]| {
-            decode_checkpoint(
-                &declared(sizes),
-                &mut Vec::new(),
-                &mut ModelCheckpoint::new(),
-            )
-        };
+        let checkpoint =
+            |sizes: &[usize]| decode_checkpoint(&declared(sizes), &mut ModelCheckpoint::new());
         assert!(!absurd(checkpoint(&[0, MAX_CHECKPOINT_FIELDS])));
         assert!(absurd(checkpoint(&[0, MAX_CHECKPOINT_FIELDS + 1])));
         // One field, named "", of `count` values.
@@ -1089,6 +1069,94 @@ mod tests {
             let absurd =
                 matches!(result, Err(TraceError::Corrupt { what }) if what.contains("absurd"));
             assert_eq!(absurd, rejected, "{len}");
+        }
+    }
+
+    /// A decode error as `<variant>: <what>`, for the two variants a
+    /// malformed block may give.
+    fn named(result: Result<(), TraceError>) -> String {
+        match result {
+            Err(TraceError::Truncated { what }) => format!("truncated: {what}"),
+            Err(TraceError::Corrupt { what }) => format!("corrupt: {what}"),
+            other => panic!("expected a truncated or corrupt block, got {other:?}"),
+        }
+    }
+
+    /// A frame whose CRC holds but whose float block does not: a block
+    /// that is cut short, one with bytes left over and one that encodes
+    /// fewer values than its frame declares are each a named error, in a
+    /// step frame's first channel and in a checkpoint field alike.
+    #[test]
+    fn malformed_blocks_are_named_errors() {
+        let mut two = Vec::new();
+        plan_f64_column(&[1.5, -2.0]).write(&mut two);
+        type Prefix = fn(usize) -> Vec<u8>;
+        type Decode = fn(&[u8]) -> Result<(), TraceError>;
+        // Each block kind: the name its errors carry, the payload before
+        // a block of `count` values, and its frame's decoder. A step
+        // frame's first block is its first feature column at width 1 and
+        // its signals at width 0.
+        let step: Decode = |payload| decode_step(payload, &mut StepFrame::default());
+        let kinds: [(&str, Prefix, Decode); 3] = [
+            ("channel", |count| declared(&[0, count, 1]), step),
+            ("channel", |count| declared(&[0, count, 0]), step),
+            (
+                "checkpoint",
+                |count| {
+                    let mut payload = declared(&[0, 1, 1]);
+                    payload.push(b'w');
+                    write_varint(&mut payload, count as u64);
+                    payload
+                },
+                |payload| decode_checkpoint(payload, &mut ModelCheckpoint::new()),
+            ),
+        ];
+        for (kind, prefix, decode) in kinds {
+            // (values declared, the block-length field and block, error)
+            let cases = [
+                (2, None, format!("truncated: {kind} block length")),
+                (
+                    2,
+                    Some((two.len() + 1, two.clone())),
+                    format!("truncated: {kind} block"),
+                ),
+                (
+                    2,
+                    Some((two.len() + 1, [&two[..], &[0]].concat())),
+                    format!("corrupt: {kind} block has trailing bytes"),
+                ),
+                (
+                    3,
+                    Some((two.len(), two.clone())),
+                    format!("corrupt: {kind} column does not decode"),
+                ),
+            ];
+            for (count, block, expected) in cases {
+                let mut payload = prefix(count);
+                if let Some((block_len, block)) = block {
+                    write_varint(&mut payload, block_len as u64);
+                    payload.extend_from_slice(&block);
+                }
+                assert_eq!(named(decode(&payload)), expected);
+            }
+        }
+
+        // 2^26 rows at width 0 size no matrix, and a 3-byte channel
+        // block of two values must not size a channel from the rows.
+        let mut payload = declared(&[0, MAX_FRAME_CELLS, 0, 3]);
+        payload.extend_from_slice(&[0, 2, 2]);
+        let mut frame = StepFrame::default();
+        assert_eq!(
+            named(decode_step(&payload, &mut frame)),
+            "corrupt: channel column does not decode"
+        );
+        for channel in [&frame.signals, &frame.actions, &frame.filtered] {
+            assert!(
+                channel.capacity() <= payload.len(),
+                "a channel grew to {} values from a {}-byte payload",
+                channel.capacity(),
+                payload.len()
+            );
         }
     }
 }

@@ -170,8 +170,8 @@ proptest! {
         prop_assert_eq!(&block, &expected);
         prop_assert_eq!((plan.tag(), plan.block_len()), (block[0], block.len()));
 
-        let (mut pos, mut scratch, mut back) = (0, Vec::new(), Vec::new());
-        prop_assert!(decode_f64_column(&block, &mut pos, values.len(), &mut scratch, &mut back).is_some());
+        let (mut pos, mut back) = (0, Vec::new());
+        prop_assert!(decode_f64_column(&block, &mut pos, values.len(), |v| back.push(v)).is_some());
         prop_assert_eq!(pos, block.len());
         prop_assert_eq!(bits(&back), words);
     }
@@ -351,7 +351,7 @@ fn inconsistent_user_counts_are_corrupt_not_panics() {
         );
         corrupt(
             "off-policy",
-            evaluate_off_policy(open(), EchoAi, MeanFilter::default()).map(drop),
+            evaluate_off_policy(open(), EchoAi, MeanFilter::default(), false).map(drop),
         );
     }
 }

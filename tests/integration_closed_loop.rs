@@ -15,7 +15,7 @@ use eqimpact_core::trials::run_trials_with;
 use eqimpact_credit::CreditPopulation;
 use eqimpact_stats::describe::Summary;
 use eqimpact_stats::SimRng;
-use eqimpact_trace::offpolicy::evaluate_off_policy_with;
+use eqimpact_trace::offpolicy::evaluate_off_policy;
 use eqimpact_trace::{
     ReplayRunner, StepFrame, TraceHeader, TraceReader, TraceStepSink, FORMAT_VERSION,
 };
@@ -302,8 +302,7 @@ fn every_driver_retrains_on_exactly_the_delayed_step() {
         replay.run().expect("replay verifies");
         let evaluated = RecordingAi::default();
         let reader = TraceReader::new(&bytes[..]).expect("trace opens");
-        evaluate_off_policy_with(reader, evaluated.clone(), JunkFilter, Default::default())
-            .expect("evaluation runs");
+        evaluate_off_policy(reader, evaluated.clone(), JunkFilter, false).expect("evaluation runs");
 
         let drivers = [
             ("LoopRunner", &sequential),

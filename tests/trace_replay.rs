@@ -2,31 +2,25 @@
 //! recorded from a live run — **under any shard count** — replays
 //! byte-identically, for both closed-loop workloads.
 //!
-//! Three independent reproductions are checked against each recorded
+//! Two independent reproductions are checked against each recorded
 //! run:
 //!
 //! 1. the record the runner returned while recording (the sink must not
 //!    perturb the loop);
-//! 2. the verified [`ReplayRunner`] reconstruction (fresh AI + filter
-//!    re-driven from the trace);
-//! 3. a standard [`LoopRunner`] driven over a [`RecordedPopulation`]
-//!    (the trace standing in for the population block).
+//! 2. the verified `ReplayRunner` reconstruction (fresh AI + filter
+//!    re-driven from the trace).
 //!
 //! Equality is bit-level: the serialized JSON forms are compared too, so
 //! NaN-safe byte identity is what is asserted, not mere `PartialEq`.
 
-use eqimpact::core::closed_loop::LoopBuilder;
 use eqimpact::core::recorder::{LoopRecord, RecordPolicy};
 use eqimpact::core::scenario::Scale;
 use eqimpact::credit::sim as credit_sim;
-use eqimpact::credit::{AdrFilter, CreditTracer, ScorecardLender};
+use eqimpact::credit::CreditTracer;
 use eqimpact::hiring::sim as hiring_sim;
-use eqimpact::hiring::{AdaptiveScreener, HiringTracer, TrackRecordFilter};
-use eqimpact::stats::SimRng;
+use eqimpact::hiring::HiringTracer;
 use eqimpact::trace::scenario::TraceReplayer;
-use eqimpact::trace::{
-    RecordedPopulation, TraceHeader, TraceReader, TraceStepSink, FORMAT_VERSION,
-};
+use eqimpact::trace::{TraceHeader, TraceReader, TraceStepSink, FORMAT_VERSION};
 use proptest::prelude::*;
 
 /// The shard counts the acceptance criterion names.
@@ -104,22 +98,6 @@ fn check_credit(users: usize, steps: usize, seed: u64, shards: usize) {
         &summary.record,
         &format!("credit replay (shards {shards})"),
     );
-
-    // The trace as a drop-in population block under the standard runner.
-    let mut input: &[u8] = &bytes;
-    let reader = TraceReader::new(&mut input).unwrap();
-    let population = RecordedPopulation::new(reader).unwrap();
-    let mut runner = LoopBuilder::new(ScorecardLender::paper_default(), population)
-        .filter(AdrFilter::new())
-        .delay(config.delay)
-        .record(config.policy)
-        .build();
-    let rerun = runner.run(steps, &mut SimRng::new(0xDEAD));
-    assert_byte_identical(
-        &recorded.record,
-        &rerun,
-        &format!("credit RecordedPopulation (shards {shards})"),
-    );
 }
 
 fn check_hiring(applicants: usize, rounds: usize, seed: u64, shards: usize) {
@@ -151,21 +129,6 @@ fn check_hiring(applicants: usize, rounds: usize, seed: u64, shards: usize) {
         &summary.record,
         &format!("hiring replay (shards {shards})"),
     );
-
-    let mut input: &[u8] = &bytes;
-    let reader = TraceReader::new(&mut input).unwrap();
-    let population = RecordedPopulation::new(reader).unwrap();
-    let mut runner = LoopBuilder::new(AdaptiveScreener::default_config(), population)
-        .filter(TrackRecordFilter::new())
-        .delay(config.delay)
-        .record(config.policy)
-        .build();
-    let rerun = runner.run(rounds, &mut SimRng::new(0xBEEF));
-    assert_byte_identical(
-        &recorded.record,
-        &rerun,
-        &format!("hiring RecordedPopulation (shards {shards})"),
-    );
 }
 
 #[test]
@@ -183,7 +146,7 @@ fn hiring_replay_is_byte_identical_across_shard_counts() {
 }
 
 proptest! {
-    // Each case runs 4 full loops (sunk + plain + replay + rerun), so
+    // Each case runs 3 full loops (sunk + plain + replay), so
     // the population stays small; the deterministic tests above cover
     // every shard count at a larger shape.
     #[test]
