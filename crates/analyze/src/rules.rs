@@ -468,11 +468,19 @@ fn r8_declares(path: &str) -> bool {
 /// `crates/*/benches/` and `loopbench/src/`. Integration tests and
 /// shims are never added, so they name nothing.
 ///
+/// A type's own item-level `impl` blocks do not name it either: inside
+/// `impl Foo { .. }` or `impl Trait for Foo { .. }`, header and body,
+/// `Foo` is no use, and an `impl … Trait for Type` header is no use of
+/// `Trait`. `impl Trait` in argument or return position is no impl
+/// block, so bounds, imports and `Foo::new()` outside `Foo`'s own
+/// impls still count.
+///
 /// A name whose use count is no larger than its declaration count is
 /// named by nothing but its own declarations. Matching is by name
-/// alone, so the rule is conservative: a dead item that shares its
-/// name with a used one (every `new`, or a struct with an `impl`
-/// block) is not found.
+/// alone, so the rule is conservative. Two kinds of dead item escape
+/// it: a method or function that shares its name with another item
+/// (every `new`, `create`, `header`), and trait methods, which are not
+/// `pub` declarations.
 #[derive(Default)]
 pub struct Surface {
     uses: BTreeMap<String, usize>,
@@ -485,8 +493,12 @@ impl Surface {
         for (name, _) in pub_decls(path, fs) {
             *self.decls.entry(name).or_default() += 1;
         }
+        // Names the enclosing impl blocks repeat, each with the code
+        // position where it counts again.
+        let mut own: Vec<(String, usize)> = Vec::new();
         let mut p = 0;
         while let Some(t) = fs.code_tok(p) {
+            own.retain(|&(_, end)| p < end);
             if fs.code_in_test(p) {
                 // Test code names nothing.
             } else if t.is_ident("pub") && next_is(fs, p, "use") {
@@ -494,7 +506,9 @@ impl Surface {
                 while fs.code_tok(p).is_some_and(|t| !t.is_punct(";")) {
                     p += 1;
                 }
-            } else if t.kind == TokKind::Ident {
+            } else if t.is_ident("impl") && opens_impl_block(fs, p) {
+                own.extend(impl_names(fs, p));
+            } else if t.kind == TokKind::Ident && !own.iter().any(|(name, _)| *name == t.text) {
                 *self.uses.entry(t.text.clone()).or_default() += 1;
             }
             p += 1;
@@ -523,6 +537,103 @@ impl Surface {
 /// True when the code token after position `p` is the identifier `s`.
 fn next_is(fs: &FileScan, p: usize, s: &str) -> bool {
     fs.code_tok(p + 1).is_some_and(|t| t.is_ident(s))
+}
+
+/// True when the `impl` at code position `p` starts an item, an impl
+/// block, rather than an `impl Trait` type in argument or return
+/// position: it opens the file or follows the end of an item, a block's
+/// `{`, an attribute's `]`, or `unsafe`.
+fn opens_impl_block(fs: &FileScan, p: usize) -> bool {
+    p == 0
+        || [";", "}", "{", "]", "unsafe"]
+            .iter()
+            .any(|s| seq(fs, p - 1, &[s]))
+}
+
+/// The names the impl block whose `impl` is at code position `p`
+/// repeats, each with the code position it stops applying at: the
+/// trait of an `impl … Trait for Type` header up to the body's `{`, and
+/// the self type through the block's closing `}`. A self type that is
+/// no path (`[T; N]`, a tuple) has no name.
+fn impl_names(fs: &FileScan, p: usize) -> Vec<(String, usize)> {
+    let mut q = p + 1;
+    if seq(fs, q, &["<"]) {
+        q = skip(fs, q);
+    }
+    let start = q;
+    // The header runs to the body's `{`; the trait ends at a top-level
+    // `for` that comes before any `where`.
+    let (mut split, mut where_at) = (None, None);
+    while let Some(t) = fs.code_tok(q).filter(|t| !t.is_punct("{")) {
+        if t.is_ident("for") && where_at.is_none() {
+            split.get_or_insert(q);
+        } else if t.is_ident("where") {
+            where_at.get_or_insert(q);
+        }
+        q = skip(fs, q);
+    }
+    let end = skip(fs, q);
+    let mut out = Vec::new();
+    if let Some(split) = split {
+        out.extend(path_name(fs, start, split).map(|n| (n, q)));
+    }
+    let self_from = split.map_or(start, |s| s + 1);
+    out.extend(path_name(fs, self_from, where_at.unwrap_or(q)).map(|n| (n, end)));
+    out
+}
+
+/// The code position past the token at `p` and, when it opens a
+/// bracket (`(`, `[`, `{` or a generic `<`), past the bracket's
+/// balanced contents, counting only its own kind; the end of the file
+/// when it never closes. The `>` of an `->` closes nothing.
+fn skip(fs: &FileScan, p: usize) -> usize {
+    let Some(open) = fs.code_tok(p).filter(|t| t.kind == TokKind::Punct) else {
+        return p + 1;
+    };
+    let close = match open.text.as_str() {
+        "(" => ")",
+        "[" => "]",
+        "{" => "}",
+        "<" => ">",
+        _ => return p + 1,
+    };
+    let mut depth = 0usize;
+    let mut q = p;
+    while let Some(t) = fs.code_tok(q) {
+        if t.is_punct(&open.text) {
+            depth += 1;
+        } else if t.is_punct(close) && !(close == ">" && seq(fs, q - 1, &["-"])) {
+            depth -= 1;
+            if depth == 0 {
+                return q + 1;
+            }
+        }
+        q += 1;
+    }
+    q
+}
+
+/// The last segment of the first path in code positions `from..to`,
+/// outside brackets: `Foo` of `&'a mut crate::m::Foo<T>`.
+fn path_name(fs: &FileScan, from: usize, to: usize) -> Option<String> {
+    let mut q = from;
+    while q < to {
+        let t = fs.code_tok(q)?;
+        if t.kind == TokKind::Ident && !["mut", "dyn", "crate", "self", "super"].contains(&&*t.text)
+        {
+            let mut name = t;
+            while let Some(next) = fs
+                .code_tok(q + 2)
+                .filter(|n| q + 2 < to && n.kind == TokKind::Ident && seq(fs, q + 1, &["::"]))
+            {
+                name = next;
+                q += 2;
+            }
+            return Some(name.text.clone());
+        }
+        q = skip(fs, q);
+    }
+    None
 }
 
 /// The non-test `pub` item declarations of one file, as (name, line of
@@ -628,5 +739,34 @@ mod tests {
             .map(|f| f.line)
             .collect();
         assert_eq!(dead, [2, 3]);
+    }
+
+    #[test]
+    fn own_impl_blocks_are_not_uses() {
+        let lib = "pub struct Own;\n\
+                   impl<T: Fn() -> u8> Own { pub fn make() -> Own { Own } }\n\
+                   unsafe impl Send for crate::m::Own {}\n\
+                   pub trait Shown {}\n\
+                   impl<T> Shown for [T; 2] where T: Copy {}\n\
+                   pub struct Later;\n\
+                   impl Later { fn f(a: u8) -> bool { a < 3 } }\n\
+                   pub fn later() -> Later { Later }\n\
+                   pub struct Ret;\n\
+                   pub fn ret(f: impl Fn() -> u8) -> Ret { f().into() }\n\
+                   pub trait Drawn {}\n\
+                   pub fn draw(d: impl Drawn) -> impl Drawn { d }\n";
+        let caller = "fn main() { make(); later(); ret(|| 1); draw(()); }\n";
+        let mut surface = Surface::default();
+        surface.add("crates/x/src/lib.rs", &FileScan::new(lib));
+        surface.add("examples/demo.rs", &FileScan::new(caller));
+        let dead: Vec<u32> = surface
+            .findings("crates/x/src/lib.rs", &FileScan::new(lib))
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        // `Own` and `Shown`; `Later` counts again after its impl block, and
+        // `impl Fn` and `impl Drawn` in argument or return position open
+        // no impl block.
+        assert_eq!(dead, [1, 4]);
     }
 }

@@ -80,7 +80,7 @@ fn json_report_is_byte_identical_across_runs() {
     // --quiet collapses the report to the one-line summary.
     let quiet_out = String::from_utf8_lossy(&b.stdout);
     assert!(
-        quiet_out.starts_with("analyze: 19 finding(s)"),
+        quiet_out.starts_with("analyze: 21 finding(s)"),
         "quiet summary:\n{quiet_out}"
     );
 
@@ -88,7 +88,7 @@ fn json_report_is_byte_identical_across_runs() {
     let b_bytes = std::fs::read(&b_path).expect("second JSON report");
     assert_eq!(a_bytes, b_bytes, "JSON report must be deterministic");
     let text = String::from_utf8(a_bytes).expect("JSON report is UTF-8");
-    assert!(text.contains("\"findings_active\": 19"), "report:\n{text}");
+    assert!(text.contains("\"findings_active\": 21"), "report:\n{text}");
     let _ = std::fs::remove_file(&a_path);
     let _ = std::fs::remove_file(&b_path);
 }

@@ -35,6 +35,8 @@ const EXPECTED_ACTIVE: &[(&str, &str, u32)] = &[
     ("R7", "Cargo.toml", 9),
     ("R7", "crates/bench/Cargo.toml", 8),
     ("R8", "crates/core/src/lib.rs", 42),
+    ("R8", "crates/core/src/surface.rs", 4),
+    ("R8", "crates/core/src/surface.rs", 20),
     ("R8", "crates/ml/src/logistic.rs", 28),
 ];
 
@@ -122,13 +124,17 @@ fn dead_surface_counts_callers_outside_tests_and_reexports() {
         .filter(|f| f.rule == "R8" && !f.waived)
         .map(|f| f.message.as_str())
         .collect();
-    // The dead item and the item named only through `pub use` fire; the
-    // items only the fixture example names and the `#[cfg(test)]` item
-    // stay silent.
+    // The dead item, the struct and the trait that only their own impl
+    // blocks name, and the item named only through `pub use` fire; the
+    // items only the fixture example names (`Built` through
+    // `Built::new()`), the return type of a fn taking `impl Fn` and the
+    // `#[cfg(test)]` item stay silent.
     assert_eq!(
         r8,
         [
             "`pub` item `dead_helper` is named by no non-test code",
+            "`pub` item `Unused` is named by no non-test code",
+            "`pub` item `Unnamed` is named by no non-test code",
             "`pub` item `reexported` is named by no non-test code",
         ]
     );
@@ -185,10 +191,10 @@ fn reports_are_byte_identical_across_runs() {
 #[test]
 fn scan_counts_cover_the_fixture_tree() {
     let report = run();
-    // 7 source files: core lib, bench lib + experiments, ml lib +
-    // logistic, telemetry lib + instruments. The example is read only
-    // for its R8 uses and is not counted.
-    assert_eq!(report.files_scanned, 7);
+    // 8 source files: core lib + surface, bench lib + experiments, ml
+    // lib + logistic, telemetry lib + instruments. The example is read
+    // only for its R8 uses and is not counted.
+    assert_eq!(report.files_scanned, 8);
     // 5 manifests: the root plus four crates.
     assert_eq!(report.manifests_scanned, 5);
 }

@@ -50,3 +50,5 @@ pub fn test_only_helper() -> u32 {
 
 // analyze::allow(R8): stale, the fixture example calls it
 pub fn called_by_example() {}
+
+pub mod surface;

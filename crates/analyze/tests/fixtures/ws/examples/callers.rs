@@ -11,6 +11,8 @@ fn main() {
     fixture_core::peek(&[1]);
     fixture_core::peek_documented(&[1]);
     fixture_core::called_by_example();
+    fixture_core::surface::Built::new();
+    fixture_core::surface::make(|| 1);
     fixture_ml::logistic::dot(&[], &[]);
     fixture_ml::logistic::total(&[]);
     fixture_ml::logistic::stale();

@@ -12,7 +12,7 @@ use eqimpact_markov::ifs::{affine1d, Ifs};
 use eqimpact_markov::invariant::{estimate_invariant_measure, FiniteChain};
 use eqimpact_markov::operator::ParticleMeasure;
 use eqimpact_markov::{ergodic, MarkovSystem};
-use eqimpact_stats::{Json, SimRng, ToJson};
+use eqimpact_stats::{CesaroAverage, Json, SimRng, ToJson};
 
 /// Scale of an experiment run, re-exported from the core scenario API:
 /// `Paper` uses the paper's parameters (N = 1000, 5 trials), `Quick` a
@@ -407,7 +407,7 @@ impl ToJson for FilterAblation {
 /// gain decays like `1/k` and freezes the broadcast signal. `seed`
 /// overrides the study's RNG seed (`None` = the default).
 pub fn ablate_filter(scale: Scale, seed: Option<u64>) -> FilterAblation {
-    use eqimpact_control::filter::{AccumulatingFilter, EwmaFilter, Filter, SlidingWindowFilter};
+    use eqimpact_control::filter::{EwmaFilter, Filter, SlidingWindowFilter};
     let (n, steps) = match scale {
         Scale::Paper => (150, 6_000),
         Scale::Quick => (60, 2_000),
@@ -422,10 +422,7 @@ pub fn ablate_filter(scale: Scale, seed: Option<u64>) -> FilterAblation {
         );
         let mut rng = SimRng::new(seed.unwrap_or(515));
         let init = vec![false; n];
-        let out = match filter {
-            None => lp.run(0.9, &init, steps, 0, &mut rng),
-            Some(f) => lp.run_with_filter(0.9, &init, steps, 0, f, &mut rng),
-        };
+        let out = lp.run(0.9, &init, steps, 0, filter, &mut rng);
         let tail = &out.aggregates[steps - steps / 4..];
         let tracking = (tail.iter().sum::<f64>() / tail.len() as f64 - reference).abs();
         let late = out.signals[steps - steps / 10..]
@@ -456,7 +453,7 @@ pub fn ablate_filter(scale: Scale, seed: Option<u64>) -> FilterAblation {
     tracking_error.push(t);
     late_signal_swing.push(l);
 
-    let mut acc = AccumulatingFilter::new();
+    let mut acc = CesaroAverage::new();
     let (t, l) = run(Some(&mut acc));
     filters.push("accumulating".to_string());
     tracking_error.push(t);

@@ -5,9 +5,6 @@
 pub trait Controller {
     /// Processes one error sample and returns the control signal.
     fn update(&mut self, error: f64) -> f64;
-
-    /// Resets internal state (integrators, memories) to initial conditions.
-    fn reset(&mut self);
 }
 
 /// Pure proportional control: `u = bias + kp · e`.
@@ -30,8 +27,6 @@ impl Controller for PController {
     fn update(&mut self, error: f64) -> f64 {
         self.bias + self.kp * error
     }
-
-    fn reset(&mut self) {}
 }
 
 /// Pure integral control: `u(k+1) = u(k) + ki · e(k)`.
@@ -43,17 +38,12 @@ pub struct IController {
     /// Integral gain.
     pub ki: f64,
     state: f64,
-    initial: f64,
 }
 
 impl IController {
     /// Creates an integral controller starting from `initial` output.
     pub fn new(ki: f64, initial: f64) -> Self {
-        IController {
-            ki,
-            state: initial,
-            initial,
-        }
+        IController { ki, state: initial }
     }
 
     /// Current integrator state.
@@ -67,10 +57,6 @@ impl Controller for IController {
         self.state += self.ki * error;
         self.state
     }
-
-    fn reset(&mut self) {
-        self.state = self.initial;
-    }
 }
 
 #[cfg(test)]
@@ -82,7 +68,6 @@ mod tests {
         let mut c = PController::new(2.0, 1.0);
         assert_eq!(c.update(0.5), 2.0);
         assert_eq!(c.update(0.5), 2.0);
-        c.reset();
         assert_eq!(c.update(-1.0), -1.0);
     }
 
@@ -92,8 +77,6 @@ mod tests {
         assert_eq!(c.update(1.0), 1.5);
         assert_eq!(c.update(1.0), 2.0);
         assert_eq!(c.state(), 2.0);
-        c.reset();
-        assert_eq!(c.state(), 1.0);
-        assert_eq!(c.update(0.0), 1.0);
+        assert_eq!(c.update(0.0), 2.0);
     }
 }

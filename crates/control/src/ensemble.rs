@@ -29,6 +29,7 @@
 //! initial conditions.
 
 use crate::controller::Controller;
+use crate::filter::Filter;
 use eqimpact_stats::timeseries::CesaroAverage;
 use eqimpact_stats::SimRng;
 
@@ -132,6 +133,11 @@ impl<C: Controller> EnsembleLoop<C> {
     /// initial on/off states; per-agent averages are taken over
     /// `k >= discard` to wash out transients.
     ///
+    /// With a `filter`, the controller sees the **filtered** aggregate
+    /// (Fig. 1's filter block in the feedback path) instead of the
+    /// instantaneous one — the design choice whose ergodic consequences
+    /// Ghosh et al. (2021) study for non-linear filters.
+    ///
     /// # Panics
     /// Panics when `initial_on.len()` differs from the agent count or
     /// `discard >= steps`.
@@ -141,6 +147,7 @@ impl<C: Controller> EnsembleLoop<C> {
         initial_on: &[bool],
         steps: usize,
         discard: usize,
+        mut filter: Option<&mut dyn Filter>,
         rng: &mut SimRng,
     ) -> EnsembleOutcome {
         let n = self.agents.len();
@@ -173,8 +180,10 @@ impl<C: Controller> EnsembleLoop<C> {
             let aggregate = total / n as f64;
             aggregates.push(aggregate);
             aggregate_cesaro.push(agg_avg.push(aggregate));
-            let error = self.reference - aggregate;
-            pi = self.controller.update(error);
+            let seen = filter
+                .as_deref_mut()
+                .map_or(aggregate, |f| f.push(aggregate));
+            pi = self.controller.update(self.reference - seen);
         }
 
         EnsembleOutcome {
@@ -183,67 +192,6 @@ impl<C: Controller> EnsembleLoop<C> {
             agent_averages: per_agent.iter().map(|a| a.value()).collect(),
             aggregate_cesaro,
         }
-    }
-
-    /// Like [`Self::run`], but the controller sees the **filtered**
-    /// aggregate (Fig. 1's filter block in the feedback path) instead of
-    /// the instantaneous one — the design choice whose ergodic
-    /// consequences Ghosh et al. (2021) study for non-linear filters.
-    pub fn run_with_filter(
-        &mut self,
-        pi0: f64,
-        initial_on: &[bool],
-        steps: usize,
-        discard: usize,
-        filter: &mut dyn crate::filter::Filter,
-        rng: &mut SimRng,
-    ) -> EnsembleOutcome {
-        let n = self.agents.len();
-        assert_eq!(initial_on.len(), n, "initial_on length mismatch");
-        assert!(discard < steps, "discard >= steps");
-
-        let mut states = initial_on.to_vec();
-        let mut pi = pi0;
-        let mut signals = Vec::with_capacity(steps);
-        let mut aggregates = Vec::with_capacity(steps);
-        let mut per_agent: Vec<CesaroAverage> = vec![CesaroAverage::new(); n];
-        let mut agg_avg = CesaroAverage::new();
-        let mut aggregate_cesaro = Vec::with_capacity(steps);
-
-        for k in 0..steps {
-            signals.push(pi);
-            let mut total = 0.0;
-            for ((agent, state), avg) in self
-                .agents
-                .iter()
-                .zip(states.iter_mut())
-                .zip(per_agent.iter_mut())
-            {
-                let y = agent.act(state, pi, rng);
-                if k >= discard {
-                    avg.push(y);
-                }
-                total += y;
-            }
-            let aggregate = total / n as f64;
-            aggregates.push(aggregate);
-            aggregate_cesaro.push(agg_avg.push(aggregate));
-            let filtered = filter.push(aggregate);
-            let error = self.reference - filtered;
-            pi = self.controller.update(error);
-        }
-
-        EnsembleOutcome {
-            signals,
-            aggregates,
-            agent_averages: per_agent.iter().map(|a| a.value()).collect(),
-            aggregate_cesaro,
-        }
-    }
-
-    /// Resets the controller state.
-    pub fn reset(&mut self) {
-        self.controller.reset();
     }
 }
 
@@ -341,7 +289,14 @@ pub fn ergodicity_gap<C: Controller>(
     for (run, init) in inits.iter().enumerate() {
         let mut stream = rng.split(run as u64);
         let mut lp = EnsembleLoop::new(agents.to_vec(), make_controller(run), reference);
-        let outcome = lp.run(init.pi0, &init.initial_on, steps, discard, &mut stream);
+        let outcome = lp.run(
+            init.pi0,
+            &init.initial_on,
+            steps,
+            discard,
+            None,
+            &mut stream,
+        );
         let tail = &outcome.aggregates[discard..];
         aggregate_limits.push(tail.iter().sum::<f64>() / tail.len() as f64);
         for (i, &avg) in outcome.agent_averages.iter().enumerate() {
@@ -467,7 +422,7 @@ mod tests {
         let agents = logistic_ensemble(200, 0.0, 1.0, 0.2);
         let mut lp = EnsembleLoop::new(agents, PController::new(2.0, 0.5), 0.5);
         let mut rng = SimRng::new(2);
-        let out = lp.run(0.5, &[false; 200], 2_000, 0, &mut rng);
+        let out = lp.run(0.5, &[false; 200], 2_000, 0, None, &mut rng);
         let tail_mean: f64 = out.aggregates[1_000..].iter().sum::<f64>() / 1_000.0;
         assert!((tail_mean - 0.5).abs() < 0.05, "tail mean = {tail_mean}");
         assert_eq!(out.signals.len(), 2_000);
@@ -479,7 +434,7 @@ mod tests {
         let agents = threshold_ensemble(100, 0.0, 1.0);
         let mut lp = EnsembleLoop::new(agents, IController::new(0.05, 0.2), 0.37);
         let mut rng = SimRng::new(3);
-        let out = lp.run(0.2, &[false; 100], 5_000, 0, &mut rng);
+        let out = lp.run(0.2, &[false; 100], 5_000, 0, None, &mut rng);
         let tail = out.aggregate_cesaro[4_999];
         assert!((tail - 0.37).abs() < 0.05, "aggregate Cesàro = {tail}");
     }
@@ -570,7 +525,7 @@ mod tests {
         let mut filter = EwmaFilter::new(0.3);
         let mut rng = SimRng::new(21);
         let init = vec![false; 150];
-        let out = lp.run_with_filter(0.5, &init, 3_000, 0, &mut filter, &mut rng);
+        let out = lp.run(0.5, &init, 3_000, 0, Some(&mut filter), &mut rng);
         let tail: f64 = out.aggregates[2_000..].iter().sum::<f64>() / 1_000.0;
         assert!((tail - 0.5).abs() < 0.05, "tail = {tail}");
     }
@@ -581,13 +536,12 @@ mod tests {
         // decays like 1/k: the signal settles and stops responding to
         // recent behaviour — the non-fading-memory regime Ghosh et al.
         // analyze.
-        use crate::filter::AccumulatingFilter;
         let agents = logistic_ensemble(150, 0.0, 1.0, 0.2);
         let mut lp = EnsembleLoop::new(agents, PController::new(2.0, 0.5), 0.5);
-        let mut filter = AccumulatingFilter::new();
+        let mut filter = CesaroAverage::new();
         let mut rng = SimRng::new(22);
         let init = vec![false; 150];
-        let out = lp.run_with_filter(0.9, &init, 4_000, 0, &mut filter, &mut rng);
+        let out = lp.run(0.9, &init, 4_000, 0, Some(&mut filter), &mut rng);
         // The signal's late movement is tiny compared to its early movement.
         let early_swing = out.signals[..200]
             .windows(2)
@@ -609,6 +563,6 @@ mod tests {
         let agents = threshold_ensemble(3, 0.0, 1.0);
         let mut lp = EnsembleLoop::new(agents, PController::new(1.0, 0.0), 0.5);
         let mut rng = SimRng::new(0);
-        lp.run(0.0, &[false], 10, 0, &mut rng);
+        lp.run(0.0, &[false], 10, 0, None, &mut rng);
     }
 }

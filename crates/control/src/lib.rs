@@ -9,7 +9,7 @@
 //! * [`controller`] — the proportional and integral laws the ensemble
 //!   testbed contrasts, behind a common [`controller::Controller`] trait;
 //! * [`filter`] — the feedback-path filters of Fig. 1 (accumulating mean,
-//!   sliding window, EWMA, anomaly-rejecting), behind [`filter::Filter`];
+//!   sliding window, EWMA), behind [`filter::Filter`];
 //! * [`iss`] — numerical incremental input-to-state stability checks
 //!   (Def. 7 of the paper, after Angeli 2002), with `K`/`KL` function
 //!   fitting;
@@ -27,7 +27,7 @@
 //! // A stable proportional loop over stochastic users tracks its target.
 //! let agents = logistic_ensemble(100, 0.0, 1.0, 0.2);
 //! let mut lp = EnsembleLoop::new(agents, PController::new(2.0, 0.5), 0.5);
-//! let out = lp.run(0.5, &[false; 100], 2_000, 0, &mut SimRng::new(1));
+//! let out = lp.run(0.5, &[false; 100], 2_000, 0, None, &mut SimRng::new(1));
 //! let tail: f64 = out.aggregates[1_500..].iter().sum::<f64>() / 500.0;
 //! assert!((tail - 0.5).abs() < 0.06);
 //! ```
@@ -42,6 +42,4 @@ pub mod iss;
 
 pub use controller::Controller;
 pub use ensemble::{EnsembleLoop, EnsembleOutcome};
-pub use filter::{
-    AccumulatingFilter, AnomalyRejectingFilter, EwmaFilter, Filter, SlidingWindowFilter,
-};
+pub use filter::{EwmaFilter, Filter, SlidingWindowFilter};

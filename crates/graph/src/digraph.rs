@@ -75,20 +75,10 @@ impl DiGraph {
         &self.out[u]
     }
 
-    /// Out-degree of `u` (with multiplicities).
-    pub fn out_degree(&self, u: NodeId) -> usize {
-        self.out[u].len()
-    }
-
     /// Returns `true` if there is at least one edge `u -> v`.
     #[cfg(test)]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.out[u].iter().any(|&(_, w)| w == v)
-    }
-
-    /// Iterator over all edges as `(u, v)` pairs.
-    pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.edges.iter().copied()
     }
 
     /// 0/1 adjacency matrix (parallel edges collapse to 1).
@@ -181,7 +171,7 @@ mod tests {
         assert_eq!(g.edge(e0), (0, 1));
         assert_eq!(g.edge(e1), (1, 2));
         assert_eq!(g.edge(e2), (0, 1));
-        assert_eq!(g.out_degree(0), 2);
+        assert_eq!(g.out_edges(0).len(), 2);
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
     }

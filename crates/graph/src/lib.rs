@@ -10,9 +10,9 @@
 //!   and aperiodic).
 //!
 //! This crate implements the graph machinery needed to check those
-//! conditions: [`DiGraph`] with multi-edge support, Tarjan strongly
-//! connected components ([`scc`]), graph period / aperiodicity ([`period`]),
-//! primitivity of the adjacency matrix ([`primitivity`]), and condensation.
+//! conditions: [`DiGraph`] with multi-edge support and a reachability test
+//! of strong connectivity, graph period / aperiodicity ([`period`]), and
+//! primitivity of the adjacency matrix ([`primitivity`]).
 //!
 //! # Example
 //!
@@ -36,12 +36,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod condensation;
 pub mod digraph;
 pub mod period;
 pub mod primitivity;
-pub mod scc;
 
-pub use condensation::Condensation;
 pub use digraph::{DiGraph, EdgeId, NodeId};
-pub use scc::StronglyConnectedComponents;

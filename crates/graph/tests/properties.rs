@@ -1,6 +1,6 @@
 //! Property-based tests for the graph substrate.
 
-use eqimpact_graph::{Condensation, DiGraph, StronglyConnectedComponents};
+use eqimpact_graph::DiGraph;
 use proptest::prelude::*;
 
 /// Random graph strategy: up to `n` nodes, arbitrary edge set.
@@ -11,53 +11,19 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = DiGraph> {
     })
 }
 
-/// Brute-force mutual-reachability check used as an SCC oracle.
+/// Brute-force reachability oracle: a breadth-first search from `u`.
 fn reaches(g: &DiGraph, u: usize, v: usize) -> bool {
     g.reachable_from(u)[v]
 }
 
 proptest! {
     #[test]
-    fn scc_matches_mutual_reachability(g in arb_graph(8)) {
-        let scc = StronglyConnectedComponents::compute(&g);
-        let n = g.node_count();
-        for u in 0..n {
-            for v in 0..n {
-                let same = scc.same_component(u, v);
-                let mutual = reaches(&g, u, v) && reaches(&g, v, u);
-                prop_assert_eq!(same, mutual, "nodes {} and {}", u, v);
-            }
-        }
-    }
-
-    #[test]
-    fn scc_partitions_nodes(g in arb_graph(10)) {
-        let scc = StronglyConnectedComponents::compute(&g);
-        let mut seen = vec![false; g.node_count()];
-        for comp in scc.components() {
-            for &v in comp {
-                prop_assert!(!seen[v], "node {} in two components", v);
-                seen[v] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn condensation_is_dag(g in arb_graph(10)) {
-        let c = Condensation::compute(&g);
-        let inner = StronglyConnectedComponents::compute(c.dag());
-        prop_assert_eq!(inner.count(), c.dag().node_count());
-        // And its DAG never has a self-loop.
-        for (u, v) in c.dag().edges() {
-            prop_assert!(u != v);
-        }
-    }
-
-    #[test]
     fn strong_connectivity_consistent_with_scc(g in arb_graph(8)) {
-        let scc = StronglyConnectedComponents::compute(&g);
-        prop_assert_eq!(g.is_strongly_connected(), scc.count() <= 1);
+        // Strongly connected: one component, so every ordered pair of
+        // nodes reaches each other.
+        let n = g.node_count();
+        let all_pairs = (0..n).all(|u| (0..n).all(|v| reaches(&g, u, v)));
+        prop_assert_eq!(g.is_strongly_connected(), all_pairs);
     }
 
     #[test]
@@ -107,13 +73,14 @@ proptest! {
 
     #[test]
     fn reversal_preserves_scc(g in arb_graph(8)) {
-        let scc_f = StronglyConnectedComponents::compute(&g);
-        let scc_r = StronglyConnectedComponents::compute(&g.reversed());
-        prop_assert_eq!(scc_f.count(), scc_r.count());
+        // Reversal flips every path, so it keeps mutual reachability, the
+        // relation the strongly connected components partition.
+        let r = g.reversed();
         for u in 0..g.node_count() {
             for v in 0..g.node_count() {
-                prop_assert_eq!(scc_f.same_component(u, v), scc_r.same_component(u, v));
+                prop_assert_eq!(reaches(&r, u, v), reaches(&g, v, u), "nodes {} and {}", u, v);
             }
         }
+        prop_assert_eq!(r.is_strongly_connected(), g.is_strongly_connected());
     }
 }

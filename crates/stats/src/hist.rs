@@ -1,5 +1,5 @@
-//! Histograms: 1-D for marginal laws, 2-D for the (time x value) density of
-//! the paper's Fig. 5.
+//! The (time x value) density histogram of the paper's Fig. 5 and the
+//! clamped binning it shares with the certification plane.
 
 /// The bin of `x` among `bins` bins of width `width` starting at `lo`,
 /// clamped into `0..bins`: the index `⌊(x − lo) / width⌋`, with a
@@ -22,127 +22,8 @@ pub fn clamped_bin(x: f64, lo: f64, width: f64, bins: usize) -> usize {
     }
 }
 
-/// A fixed-width 1-D histogram over `[lo, hi)` with values outside the
-/// range clamped into the boundary bins.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram1D {
-    lo: f64,
-    hi: f64,
-    /// Bin width `(hi − lo) / bins`.
-    width: f64,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram1D {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics when `bins == 0`, `lo >= hi`, or bounds are non-finite.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "Histogram1D: zero bins");
-        assert!(
-            lo < hi && lo.is_finite() && hi.is_finite(),
-            "Histogram1D: invalid range [{lo}, {hi})"
-        );
-        Histogram1D {
-            lo,
-            hi,
-            width: (hi - lo) / bins as f64,
-            counts: vec![0; bins],
-            total: 0,
-        }
-    }
-
-    /// Builds a histogram directly from samples.
-    // analyze::allow(R8): stats/tests/properties.rs histogram_conserves_mass builds its histogram with it
-    pub fn from_samples(lo: f64, hi: f64, bins: usize, samples: &[f64]) -> Self {
-        let mut h = Histogram1D::new(lo, hi, bins);
-        for &s in samples {
-            h.add(s);
-        }
-        h
-    }
-
-    /// Number of bins.
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Lower range bound.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper range bound.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
-    /// Bin index for a value (clamped to the boundary bins; NaN goes to
-    /// bin 0 deterministically rather than poisoning the histogram).
-    pub fn bin_of(&self, x: f64) -> usize {
-        clamped_bin(x, self.lo, self.width, self.counts.len())
-    }
-
-    /// Adds one observation.
-    pub fn add(&mut self, x: f64) {
-        let b = self.bin_of(x);
-        self.counts[b] += 1;
-        self.total += 1;
-    }
-
-    /// Count in bin `b`.
-    pub fn count(&self, b: usize) -> u64 {
-        self.counts[b]
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Raw counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Midpoint of bin `b`.
-    pub fn bin_center(&self, b: usize) -> f64 {
-        self.lo + (b as f64 + 0.5) * self.width
-    }
-
-    /// Approximate mean from bin centers.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return f64::NAN;
-        }
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(b, &c)| c as f64 * self.bin_center(b))
-            .sum::<f64>()
-            / self.total as f64
-    }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    /// Panics when the geometries differ.
-    pub fn merge(&mut self, other: &Histogram1D) {
-        assert!(
-            self.lo == other.lo && self.hi == other.hi && self.bins() == other.bins(),
-            "Histogram1D::merge: geometry mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
-}
-
 /// A 2-D histogram: `x` is a discrete index (e.g. the year / time step) and
-/// `y` is continuous, binned like [`Histogram1D`].
+/// `y` is continuous, binned by [`clamped_bin`] over `[y_lo, y_hi)`.
 ///
 /// This is the density structure behind the paper's Fig. 5, where darker
 /// shades denote a higher density of `ADR_i(k)` at each time step.
@@ -322,54 +203,6 @@ mod tests {
                 check(x);
             }
         }
-    }
-
-    #[test]
-    fn hist1d_binning() {
-        let mut h = Histogram1D::new(0.0, 1.0, 4);
-        h.add(0.1); // bin 0
-        h.add(0.3); // bin 1
-        h.add(0.99); // bin 3
-        h.add(1.5); // clamped to bin 3
-        h.add(-0.5); // clamped to bin 0
-        assert_eq!(h.count(0), 2);
-        assert_eq!(h.count(1), 1);
-        assert_eq!(h.count(2), 0);
-        assert_eq!(h.count(3), 2);
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn hist1d_centers_and_mean() {
-        let h = Histogram1D::from_samples(0.0, 1.0, 2, &[0.2, 0.2, 0.8, 0.8]);
-        assert!((h.bin_center(0) - 0.25).abs() < 1e-15);
-        assert!((h.bin_center(1) - 0.75).abs() < 1e-15);
-        assert!((h.mean() - 0.5).abs() < 1e-12);
-        assert!(Histogram1D::new(0.0, 1.0, 2).mean().is_nan());
-    }
-
-    #[test]
-    fn hist1d_merge() {
-        let mut a = Histogram1D::from_samples(0.0, 1.0, 4, &[0.1, 0.6]);
-        let b = Histogram1D::from_samples(0.0, 1.0, 4, &[0.7, 0.9]);
-        a.merge(&b);
-        assert_eq!(a.total(), 4);
-        assert_eq!(a.count(2), 2); // 0.6 and 0.7
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry mismatch")]
-    fn hist1d_merge_rejects_mismatch() {
-        let mut a = Histogram1D::new(0.0, 1.0, 4);
-        let b = Histogram1D::new(0.0, 2.0, 4);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn hist1d_nan_goes_to_bin_zero() {
-        let mut h = Histogram1D::new(0.0, 1.0, 3);
-        h.add(f64::NAN);
-        assert_eq!(h.count(0), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`describe`] — means, variances, quantiles;
 //! * [`timeseries`] — Cesàro (running time-average) sequences, the object
 //!   equal impact (Def. 3) is about;
-//! * [`hist`] — 1-D and 2-D histograms (Fig. 5's density panel);
+//! * [`hist`] — the 2-D histogram of Fig. 5's density panel;
 //! * [`converge`] — Kolmogorov-Smirnov and Wasserstein diagnostics used
 //!   to verify weak convergence to the invariant measure;
 //! * [`json`] — a self-contained JSON value/writer/parser, the workspace's
@@ -36,7 +36,7 @@ pub use bootstrap::{bootstrap_gap_ci, bootstrap_mean_ci, ConfidenceInterval};
 pub use converge::{kolmogorov_smirnov, wasserstein1};
 pub use describe::Summary;
 pub use dist::Categorical;
-pub use hist::{Histogram1D, Histogram2D};
+pub use hist::Histogram2D;
 pub use json::{Json, ToJson};
 pub use rng::SimRng;
 pub use timeseries::CesaroAverage;

@@ -2,7 +2,7 @@
 //!
 //! Equal impact (Def. 3 of the paper) is a statement about the limit of
 //! `(1/(k+1)) Σ_{j=0}^k y_i(j)`. [`CesaroAverage`] maintains exactly that
-//! quantity online; [`ConvergenceDetector`] decides whether a tail of the
+//! quantity online; [`has_settled`] decides whether a tail of the
 //! sequence has settled, and [`Ewma`] provides the exponentially weighted
 //! alternative used by some filters.
 
@@ -116,48 +116,6 @@ pub fn has_settled(values: &[f64], window: usize, tolerance: f64) -> bool {
     tail.iter().all(|&v| (v - m).abs() <= tolerance)
 }
 
-/// Online convergence detector over a sliding window.
-#[derive(Debug, Clone)]
-pub struct ConvergenceDetector {
-    window: usize,
-    tolerance: f64,
-    buffer: std::collections::VecDeque<f64>,
-}
-
-impl ConvergenceDetector {
-    /// Creates a detector with the given window length and tolerance.
-    ///
-    /// # Panics
-    /// Panics when `window == 0` or `tolerance < 0`.
-    pub fn new(window: usize, tolerance: f64) -> Self {
-        assert!(window > 0, "ConvergenceDetector: zero window");
-        assert!(tolerance >= 0.0, "ConvergenceDetector: negative tolerance");
-        ConvergenceDetector {
-            window,
-            tolerance,
-            buffer: std::collections::VecDeque::with_capacity(window),
-        }
-    }
-
-    /// Feeds the next value; returns `true` once the window has settled.
-    pub fn push(&mut self, value: f64) -> bool {
-        if self.buffer.len() == self.window {
-            self.buffer.pop_front();
-        }
-        self.buffer.push_back(value);
-        self.is_converged()
-    }
-
-    /// Whether the current window is full and settled.
-    pub fn is_converged(&self) -> bool {
-        if self.buffer.len() < self.window {
-            return false;
-        }
-        let m = self.buffer.iter().sum::<f64>() / self.window as f64;
-        self.buffer.iter().all(|&v| (v - m).abs() <= self.tolerance)
-    }
-}
-
 /// Estimates the limit of a Cesàro-average sequence as the mean of its last
 /// `tail_fraction` portion (e.g. 0.2 = last fifth).
 ///
@@ -245,18 +203,6 @@ mod tests {
         assert!(has_settled(&v, 10, 1e-9));
         assert!(!has_settled(&v[..5], 10, 1.0));
         assert!(!has_settled(&v, 0, 1.0));
-    }
-
-    #[test]
-    fn detector_online() {
-        let mut d = ConvergenceDetector::new(5, 0.01);
-        for i in 0..4 {
-            assert!(!d.push(2.0 + i as f64 * 0.001));
-        }
-        assert!(d.push(2.0));
-        assert!(d.is_converged());
-        // A jump breaks convergence.
-        assert!(!d.push(5.0));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use eqimpact_stats::codec;
 use eqimpact_stats::converge::wasserstein1;
 use eqimpact_stats::describe::{quantile, Summary};
 use eqimpact_stats::dist::std_normal_cdf;
-use eqimpact_stats::hist::Histogram1D;
+use eqimpact_stats::hist::Histogram2D;
 use eqimpact_stats::timeseries::cesaro_trajectory;
 use eqimpact_stats::SimRng;
 use proptest::prelude::*;
@@ -62,8 +62,17 @@ proptest! {
 
     #[test]
     fn histogram_conserves_mass(sample in finite_sample(80)) {
-        let h = Histogram1D::from_samples(-1000.0, 1000.0, 16, &sample);
-        prop_assert_eq!(h.total() as usize, sample.len());
+        // Every sample lands in exactly one bin of its column; those
+        // outside [-500, 500) are clamped into the boundary bins.
+        let mut h = Histogram2D::new(2, -500.0, 500.0, 16);
+        for (i, &y) in sample.iter().enumerate() {
+            h.add(i % 2, y);
+        }
+        for x in 0..2 {
+            let binned: u64 = (0..16).map(|b| h.count(x, b)).sum();
+            prop_assert_eq!(binned, h.col_total(x));
+        }
+        prop_assert_eq!((h.col_total(0) + h.col_total(1)) as usize, sample.len());
     }
 
     #[test]

@@ -134,10 +134,4 @@ impl<S: AiSystem, F: FeedbackFilter, R: Read> ReplayRunner<S, F, R> {
             LoopRecord::with_policy(users, policy)
         }))
     }
-
-    /// Decomposes the runner back into its blocks (e.g. to inspect the
-    /// replayed AI's final model).
-    pub fn into_parts(self) -> (S, F) {
-        (self.ai, self.filter)
-    }
 }

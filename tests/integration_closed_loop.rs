@@ -122,13 +122,13 @@ fn multi_trial_limits_are_stable_across_seeds() {
     assert!(summary.std_dev() < 0.03);
 }
 
-/// A custom anomaly-tolerant filter plugged into the loop: cross-crate use
-/// of `eqimpact-control` filters inside `eqimpact-core`.
-struct RobustAggregateFilter {
-    inner: eqimpact_control::filter::AnomalyRejectingFilter,
+/// A smoothed-aggregate filter plugged into the loop: cross-crate use of
+/// `eqimpact-control` filters inside `eqimpact-core`.
+struct SmoothedAggregateFilter {
+    inner: eqimpact_control::filter::EwmaFilter,
 }
 
-impl FeedbackFilter for RobustAggregateFilter {
+impl FeedbackFilter for SmoothedAggregateFilter {
     fn apply_into(
         &mut self,
         _k: usize,
@@ -149,8 +149,8 @@ impl FeedbackFilter for RobustAggregateFilter {
 fn control_filter_integrates_with_loop() {
     let classes: Vec<u32> = vec![1; 40];
     let mut runner = LoopBuilder::new(ConstantAi(1.0), TwoClassUsers { classes })
-        .filter(RobustAggregateFilter {
-            inner: eqimpact_control::filter::AnomalyRejectingFilter::new(3.0, 10),
+        .filter(SmoothedAggregateFilter {
+            inner: eqimpact_control::filter::EwmaFilter::new(0.3),
         })
         .delay(0)
         .build();
