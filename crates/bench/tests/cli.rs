@@ -300,7 +300,7 @@ fn deterministic_section(snapshot: &Path) -> String {
 /// `record`, `sweep` and `certify` in
 /// `tests/data/telemetry_<scenario>_<command>.json`, and every file they
 /// write (the recorded traces and both reports), with the off-policy
-/// report of `replay --policy` on each trace, by byte length and 64-bit
+/// reports of `replay --policy` on each trace, by byte length and 64-bit
 /// FNV-1a in `tests/data/pipeline_quick.txt`. A checksum that changed
 /// but still agreed with itself would pass every round trip and fail
 /// here. `sweep` and `certify` also run with `--threads 1`, against the
@@ -310,7 +310,13 @@ fn deterministic_section(snapshot: &Path) -> String {
 fn trace_pipeline_telemetry_matches_the_committed_sections() {
     let dir = WorkDir::new("pipeline-telemetry");
     let mut table = String::new();
-    for (scenario, policy) in [("credit", "income-multiple"), ("hiring", "credential")] {
+    // Each scenario's off-policy reports: one policy that differs from
+    // every trace's recorded variant, and the variant that checkpointed
+    // traces restore instead of refitting.
+    for (scenario, policies) in [
+        ("credit", ["income-multiple", "scorecard"]),
+        ("hiring", ["credential", "adaptive"]),
+    ] {
         let traces = format!("tr-{scenario}");
         // The sweep and certify reports' pin lines: at the default
         // budget, then at `--threads 1`.
@@ -359,7 +365,9 @@ fn trace_pipeline_telemetry_matches_the_committed_sections() {
         let off = format!("off-{scenario}");
         for trace in files(&dir.path(&traces), "eqtrace") {
             let trace = trace.to_str().expect("UTF-8 path");
-            dir.ok(&["replay", trace, "--policy", policy, "--out", &off]);
+            for policy in policies {
+                dir.ok(&["replay", trace, "--policy", policy, "--out", &off]);
+            }
         }
         table += &pins(&dir.path(&off), "json");
         assert_eq!(
