@@ -32,8 +32,10 @@ use eqimpact_credit::CreditScenario;
 use eqimpact_hiring::scenario::{trial_config, variant_name};
 use eqimpact_hiring::sim::{run_trial_sunk, ScreenerKind};
 use eqimpact_hiring::{HiringScenario, HiringSweep};
-use eqimpact_lab::{run_sweep, CandidateSpec, MemTrace, SweepConfig, SweepTarget, TraceSource};
-use eqimpact_markov::ifs::{affine1d, Ifs};
+use eqimpact_lab::{
+    run_sweep, CandidateSpec, MemTrace, SweepConfig, SweepTarget, TraceSource, CI_LEVEL,
+};
+use eqimpact_markov::ifs::{affine1d, IfsBuilder};
 use eqimpact_markov::invariant::estimate_invariant_measure;
 use eqimpact_markov::operator::{markov_operator_apply, ParticleMeasure};
 use eqimpact_ml::logistic::{sigmoid, LogisticModel, LogisticRegression};
@@ -713,7 +715,7 @@ fn bench_sweep(c: &mut Criterion) {
             criterion::black_box(bootstrap_gap_ci(
                 &views,
                 config.resamples,
-                config.level,
+                CI_LEVEL,
                 &mut rng,
             ));
             start.elapsed().as_nanos() as f64 / draws as f64
@@ -755,12 +757,11 @@ fn bench_irls(c: &mut Criterion) {
 }
 
 fn bench_markov_operator(c: &mut Criterion) {
-    let ifs = Ifs::builder(1)
+    let ms = IfsBuilder::new(1)
         .map_const(affine1d(0.5, 0.0), 0.5)
         .map_const(affine1d(0.5, 0.5), 0.5)
         .build()
         .unwrap();
-    let ms = ifs.as_markov_system().clone();
     let mut group = c.benchmark_group("perf/markov");
     group.bench_function("operator_apply", |b| {
         b.iter(|| markov_operator_apply(&ms, |x| x[0] * x[0], &[0.37]))
@@ -775,12 +776,11 @@ fn bench_markov_operator(c: &mut Criterion) {
 }
 
 fn bench_invariant_measure(c: &mut Criterion) {
-    let ifs = Ifs::builder(1)
+    let ms = IfsBuilder::new(1)
         .map_const(affine1d(0.5, 0.0), 0.5)
         .map_const(affine1d(0.5, 0.5), 0.5)
         .build()
         .unwrap();
-    let ms = ifs.as_markov_system().clone();
     let mut group = c.benchmark_group("perf/invariant");
     group.sample_size(10);
     group.bench_function("particle_estimation_1k", |b| {

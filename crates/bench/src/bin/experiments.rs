@@ -25,7 +25,11 @@
 //!       (every recomputed signal and filter output is verified against
 //!       the recorded bits). With --policy: off-policy evaluation — score
 //!       the named alternative policy against the recorded trajectory
-//!       and write the fairness/impact deltas under --out.
+//!       through the scenario's sweep face (one candidate: the policy,
+//!       the first filter, decisions at the default threshold) and write
+//!       the fairness/impact deltas under --out. As in a sweep, a
+//!       trace's own recorded policy restores its checkpoints instead of
+//!       refitting.
 //!   sweep <scenario> [--traces DIR] [--grid SPEC] [--quick] [--seed N] [--threads N] [--out DIR]
 //!       The counterfactual lab: evaluate a candidate grid (policy x
 //!       filter x decision threshold) off-policy over every recorded
@@ -84,12 +88,14 @@ use eqimpact_bench::registry::{self, ScenarioEntry, Traced};
 use eqimpact_certify::{run_certification, CertifyConfig};
 use eqimpact_core::pool::ThreadBudget;
 use eqimpact_core::scenario::{write_artifacts, DynScenario, Scale, ScenarioConfig};
-use eqimpact_lab::{run_sweep, CandidateGrid, FileTrace, SweepConfig, TraceSource};
+use eqimpact_lab::{run_sweep, CandidateGrid, CandidateSpec, FileTrace, SweepConfig, TraceSource};
 use eqimpact_stats::ToJson;
 use eqimpact_telemetry::metrics as tm;
 use eqimpact_telemetry::progress::{start_heartbeat, Heartbeat};
 use eqimpact_telemetry::{ManualTimer, Recorder};
-use eqimpact_trace::{TraceDirFactory, TraceReader};
+use eqimpact_trace::{
+    off_policy_report, TraceDirFactory, TraceError, TraceReader, DECISION_THRESHOLD,
+};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
@@ -224,8 +230,10 @@ fn print_scenarios() {
     println!();
     println!("traceable scenarios (experiments record / replay):");
     for (name, traced) in registry::traced() {
-        let policies: Vec<&str> = traced.replay.policies().iter().map(|p| p.name).collect();
-        println!("  {name:<11} policies: {}", policies.join(", "));
+        println!(
+            "  {name:<11} policies: {}",
+            traced.sweep.known_policies().join(", ")
+        );
     }
     println!();
     println!("sweepable scenarios (experiments sweep):");
@@ -744,11 +752,14 @@ fn cmd_replay(args: Args) -> Result<(), CliError> {
     let trace_path = single_positional("replay", "trace file", &args)?
         .map(PathBuf::from)
         .ok_or_else(|| CliError::usage("`replay` needs a trace file path"))?;
-    let file = File::open(&trace_path)
-        .map_err(|e| CliError::usage(format!("cannot open {}: {e}", trace_path.display())))?;
-    let mut input = BufReader::new(file);
-    let reader = TraceReader::new(&mut input as &mut dyn std::io::Read)
-        .map_err(|e| CliError::usage(format!("{}: {e}", trace_path.display())))?;
+    let in_trace = |e: TraceError| CliError::usage(format!("{}: {e}", trace_path.display()));
+    let open = || {
+        File::open(&trace_path)
+            .map(BufReader::new)
+            .map_err(|e| CliError::usage(format!("cannot open {}: {e}", trace_path.display())))
+    };
+    let mut input = open()?;
+    let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).map_err(in_trace)?;
     let header = reader.header().clone();
     // The trace names its scenario, so the same exit-code contract as
     // every scenario-taking command applies to the header's name.
@@ -772,10 +783,7 @@ fn cmd_replay(args: Args) -> Result<(), CliError> {
 
     match &args.policy {
         None => {
-            let summary = traced
-                .replay
-                .replay(reader)
-                .map_err(|e| CliError::usage(format!("{}: {e}", trace_path.display())))?;
+            let summary = traced.replay.replay(reader).map_err(in_trace)?;
             println!(
                 "replayed {} steps x {} users — byte-identical to the recorded run \
                  (every recomputed signal and filter output matched the recorded bits)",
@@ -784,10 +792,19 @@ fn cmd_replay(args: Args) -> Result<(), CliError> {
             );
         }
         Some(policy) => {
-            let report = traced
-                .replay
-                .evaluate(reader, policy)
-                .map_err(|e| CliError::usage(format!("{}: {e}", trace_path.display())))?;
+            // The sweep face reads the header itself, so it gets the
+            // trace from the start.
+            let candidate = CandidateSpec {
+                index: 0,
+                policy: policy.clone(),
+                filter: traced.sweep.known_filters()[0].to_string(),
+                threshold: DECISION_THRESHOLD,
+            };
+            let eval = traced
+                .sweep
+                .evaluate(&mut open()?, &candidate)
+                .map_err(in_trace)?;
+            let report = off_policy_report(&eval.outcome, &eval.header, policy);
             println!(
                 "off-policy `{policy}` vs recorded `{}` over {} steps x {} users:",
                 report.variant, report.steps, report.users
@@ -845,7 +862,6 @@ fn cmd_sweep(args: Args) -> Result<(), CliError> {
         } else {
             SweepConfig::default().resamples
         },
-        ..SweepConfig::default()
     };
     println!(
         "eqimpact experiments — sweeping {name}: {} candidates x {} traces, seed {}, {} resamples, threads {}",
@@ -879,7 +895,6 @@ fn cmd_certify(args: Args) -> Result<(), CliError> {
 
     let config = CertifyConfig {
         seed: args.seed.unwrap_or(CertifyConfig::default().seed),
-        ..CertifyConfig::default()
     };
     println!(
         "eqimpact experiments — certifying {name}: {} traces, seed {}, threads {}",

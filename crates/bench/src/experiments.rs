@@ -8,7 +8,7 @@ use eqimpact_control::ensemble::{
 use eqimpact_credit::sim::{run_trials_protocol, CreditConfig, LenderKind};
 use eqimpact_linalg::norm::MetricKind;
 use eqimpact_markov::contractivity::box_sampler;
-use eqimpact_markov::ifs::{affine1d, Ifs};
+use eqimpact_markov::ifs::{affine1d, IfsBuilder};
 use eqimpact_markov::invariant::{estimate_invariant_measure, FiniteChain};
 use eqimpact_markov::operator::ParticleMeasure;
 use eqimpact_markov::{ergodic, MarkovSystem};
@@ -274,13 +274,11 @@ pub fn ablate_markov(scale: Scale, seed: Option<u64>) -> Result<MarkovAblation, 
         .tv_decay(&nu, 30)
         .map_err(|e| format!("ablate-markov: periodic TV decay: {e}"))?;
 
-    let ifs: MarkovSystem = Ifs::builder(1)
+    let ifs: MarkovSystem = IfsBuilder::new(1)
         .map_const(affine1d(0.5, 0.0), 0.5)
         .map_const(affine1d(0.5, 0.5), 0.5)
         .build()
-        .map_err(|e| format!("ablate-markov: IFS build: {e}"))?
-        .as_markov_system()
-        .clone();
+        .map_err(|e| format!("ablate-markov: IFS build: {e}"))?;
     let mut rng = SimRng::new(seed.unwrap_or(1987));
     let estimate = estimate_invariant_measure(
         &ifs,

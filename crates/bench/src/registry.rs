@@ -202,9 +202,11 @@ pub struct ScenarioEntry {
 /// The three faces of a scenario that records traces. They come as one
 /// value, so a scenario cannot be registered with some but not all.
 pub struct Traced {
-    /// Verified replay and off-policy evaluation (`experiments replay`).
+    /// Verified replay (`experiments replay`).
     pub replay: &'static dyn TraceReplayer,
-    /// The counterfactual lab's candidate grids (`experiments sweep`).
+    /// Off-policy evaluation: the counterfactual lab's candidate grids
+    /// (`experiments sweep`) and one candidate's report
+    /// (`experiments replay --policy`).
     pub sweep: &'static dyn SweepTarget,
     /// The certification plane's extraction spec (`experiments certify`).
     pub certify: &'static dyn CertifyTarget,
@@ -287,14 +289,12 @@ mod tests {
     fn tracers_cover_the_closed_loop_scenarios() {
         let names: Vec<&str> = traced().map(|(name, _)| name).collect();
         assert_eq!(names, vec!["credit", "hiring"]);
-        // Each face answers to its row's name, and each is usable: the
-        // replayer offers policies, the default grid stays within the
-        // declared axes, the extraction spec is well-formed.
+        // Each named face answers to its row's name, and each is usable:
+        // the default grid stays within the declared axes, the
+        // extraction spec is well-formed.
         for (name, traced) in traced() {
-            assert_eq!(traced.replay.name(), name);
             assert_eq!(traced.sweep.name(), name);
             assert_eq!(traced.certify.name(), name);
-            assert!(!traced.replay.policies().is_empty(), "{name}");
             let sweep = traced.sweep;
             assert!(!sweep.known_policies().is_empty(), "{name}");
             assert!(!sweep.known_filters().is_empty(), "{name}");

@@ -385,6 +385,32 @@ fn trace_pipeline_telemetry_matches_the_committed_sections() {
     );
 }
 
+/// `replay --policy` evaluates through the scenario's sweep face, so on
+/// a trace with checkpoint frames its own recorded policy restores the
+/// recorded models instead of refitting them, as a sweep candidate
+/// does. On a trace of another learner the policy refits.
+#[test]
+fn replay_policy_of_the_recorded_learner_restores_its_checkpoints() {
+    let dir = WorkDir::new("replay-restores");
+    dir.ok(&["record", "hiring", "--quick", "--out", "tr"]);
+    let irls_fits = |trace: &str| -> u64 {
+        let out = format!("off-{trace}");
+        let trace = format!("tr/hiring-{trace}-trial0.eqtrace");
+        let argv = ["replay", &trace, "--policy", "adaptive"];
+        dir.ok(&[&argv[..], &["--telemetry", "--out", &out]].concat());
+        let section = deterministic_section(&dir.path(&out).join("telemetry_hiring.json"));
+        let key = "\"irls.fits\": ";
+        let start = section.find(key).expect("an irls.fits counter") + key.len();
+        let digits: String = section[start..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().expect("a count")
+    };
+    assert_eq!(irls_fits("adaptive"), 0, "the adaptive trace's checkpoints");
+    assert!(irls_fits("credential") > 0, "no checkpoints to restore");
+}
+
 /// Every `.{ext}` file in `dir`, in file-name order.
 fn files(dir: &Path, ext: &str) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)

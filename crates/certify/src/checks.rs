@@ -6,7 +6,6 @@
 //! numbers behind it. The passes never panic on degenerate extractions —
 //! thin traces yield [`Verdict::Inconclusive`], not crashes.
 
-use crate::engine::CertifyConfig;
 use crate::extract::Extraction;
 use eqimpact_control::iss::estimate_iss;
 use eqimpact_graph::{primitivity, DiGraph};
@@ -25,6 +24,10 @@ use eqimpact_stats::{Json, SimRng, ToJson};
 pub const MIN_TRANSITIONS: u64 = 10;
 /// Initial conditions for the empirical equal-impact test.
 const EI_INITIALS: usize = 4;
+/// Steps of each empirical equal-impact Cesàro trajectory.
+const EQUAL_IMPACT_STEPS: usize = 2000;
+/// Pair budget of each contractivity estimation sweep.
+const CONTRACTION_PAIRS: usize = 400;
 /// Steps per replica of the Lyapunov sweep.
 const LYAP_STEPS: usize = 200;
 /// Replicas of the Lyapunov sweep.
@@ -407,7 +410,6 @@ pub fn primitivity_check(ex: &Extraction) -> Check {
 pub fn ergodicity_check(
     ex: &Extraction,
     chain: Option<&ChainEmbedding>,
-    config: &CertifyConfig,
     rng: &mut SimRng,
 ) -> Check {
     let transitions = ex.transition_count();
@@ -425,7 +427,7 @@ pub fn ergodicity_check(
     let report = ergodic::analyze(
         &chain.system,
         MetricKind::Euclidean,
-        config.contraction_pairs,
+        CONTRACTION_PAIRS,
         &mut rng.split(0),
         box_sampler(vec![ex.spec.state_lo], vec![ex.spec.state_hi]),
     );
@@ -438,7 +440,7 @@ pub fn ergodicity_check(
     let ei = ergodic::empirical_equal_impact(
         &chain.system,
         &initials,
-        config.equal_impact_steps,
+        EQUAL_IMPACT_STEPS,
         bin_width,
         &mut rng.split(1),
         |x| x[0],
@@ -507,7 +509,6 @@ pub fn ergodicity_check(
 pub fn contraction_check(
     surrogate: Option<&ModelSurrogate>,
     checkpoints: &[Vec<f64>],
-    config: &CertifyConfig,
     rng: &mut SimRng,
 ) -> Check {
     const NAME: &str = "contraction";
@@ -557,7 +558,7 @@ pub fn contraction_check(
     let report = estimate_contraction_factor(
         &system,
         MetricKind::Euclidean,
-        config.contraction_pairs,
+        CONTRACTION_PAIRS,
         rng,
         box_sampler(lo, hi),
     );
@@ -765,18 +766,13 @@ pub fn iss_check(ex: &Extraction, rng: &mut SimRng) -> Check {
 
 /// Runs all five analysis passes over one extraction. Deterministic for a
 /// fixed `rng` seed; each pass draws from its own split stream.
-pub fn analyze_extraction(ex: &Extraction, config: &CertifyConfig, rng: &SimRng) -> Vec<Check> {
+pub fn analyze_extraction(ex: &Extraction, rng: &SimRng) -> Vec<Check> {
     let chain = build_chain(ex);
     let surrogate = fit_model_surrogate(&ex.checkpoints);
     vec![
         primitivity_check(ex),
-        ergodicity_check(ex, chain.as_ref(), config, &mut rng.split(10)),
-        contraction_check(
-            surrogate.as_ref(),
-            &ex.checkpoints,
-            config,
-            &mut rng.split(11),
-        ),
+        ergodicity_check(ex, chain.as_ref(), &mut rng.split(10)),
+        contraction_check(surrogate.as_ref(), &ex.checkpoints, &mut rng.split(11)),
         lyapunov_check(surrogate.as_ref(), &ex.checkpoints, &mut rng.split(12)),
         iss_check(ex, &mut rng.split(13)),
     ]
@@ -854,9 +850,8 @@ mod tests {
         let ex = synthetic_extraction();
         assert!(ex.transition_count() > 1000);
         assert_eq!(ex.checkpoints.len(), 60);
-        let config = CertifyConfig::default();
         let rng = SimRng::new(42);
-        let checks = analyze_extraction(&ex, &config, &rng);
+        let checks = analyze_extraction(&ex, &rng);
         let by_name = |n: &str| checks.iter().find(|c| c.name == n).unwrap();
         assert_eq!(by_name("primitivity").verdict, Verdict::Certified);
         assert_eq!(by_name("unique-ergodicity").verdict, Verdict::Certified);
@@ -868,9 +863,8 @@ mod tests {
     #[test]
     fn analysis_is_deterministic_for_a_fixed_seed() {
         let ex = synthetic_extraction();
-        let config = CertifyConfig::default();
-        let a = analyze_extraction(&ex, &config, &SimRng::new(42));
-        let b = analyze_extraction(&ex, &config, &SimRng::new(42));
+        let a = analyze_extraction(&ex, &SimRng::new(42));
+        let b = analyze_extraction(&ex, &SimRng::new(42));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.verdict, y.verdict);
             assert_eq!(x.evidence, y.evidence);
@@ -898,8 +892,7 @@ mod tests {
             action_hi: f64::NEG_INFINITY,
             clamped: 0,
         };
-        let config = CertifyConfig::default();
-        let checks = analyze_extraction(&ex, &config, &SimRng::new(1));
+        let checks = analyze_extraction(&ex, &SimRng::new(1));
         assert_eq!(checks.len(), 5);
         for c in &checks {
             assert_eq!(c.verdict, Verdict::Inconclusive, "check {}", c.name);

@@ -20,19 +20,11 @@ use std::fmt;
 pub struct CertifyConfig {
     /// Base seed; every random sweep in the analysis derives from it.
     pub seed: u64,
-    /// Pair budget of each contractivity estimation sweep.
-    pub contraction_pairs: usize,
-    /// Steps of each empirical equal-impact Cesàro trajectory.
-    pub equal_impact_steps: usize,
 }
 
 impl Default for CertifyConfig {
     fn default() -> Self {
-        CertifyConfig {
-            seed: 42,
-            contraction_pairs: 400,
-            equal_impact_steps: 2000,
-        }
+        CertifyConfig { seed: 42 }
     }
 }
 
@@ -70,14 +62,16 @@ pub fn certify_trace(
 }
 
 /// Analyzes an already-extracted structure into a certificate (the split
-/// entry point the perf harness times separately from extraction).
+/// entry point the perf harness times separately from extraction). Every
+/// knob of the analysis is a constant and `rng` derives from the run's
+/// seed, so nothing of `_config` is read.
 pub fn certificate_of(
     label: &str,
     ex: &Extraction,
-    config: &CertifyConfig,
+    _config: &CertifyConfig,
     rng: &SimRng,
 ) -> TraceCertificate {
-    let checks = analyze_extraction(ex, config, rng);
+    let checks = analyze_extraction(ex, rng);
     TraceCertificate {
         trace: label.to_string(),
         variant: ex.header.variant.clone(),

@@ -53,6 +53,22 @@ pub trait CertifyTarget: Sync {
     fn name(&self) -> &'static str;
 
     /// How to extract the certification structure from this scenario's
-    /// traces.
-    fn spec(&self) -> ExtractionSpec;
+    /// traces. The default fits every traced scenario: a per-user filter
+    /// state in `[0, 1]` (the credit ADR, the hiring track record) in 8
+    /// bins, decisions read at
+    /// [`DECISION_THRESHOLD`](eqimpact_trace::DECISION_THRESHOLD), and
+    /// the retrained model's `model.intercept` and `model.coefficients`
+    /// checkpoint fields. A loop with no retrained model records no
+    /// checkpoints, and its checkpoint-dynamics checks come back
+    /// inconclusive.
+    fn spec(&self) -> ExtractionSpec {
+        ExtractionSpec {
+            state_lo: 0.0,
+            state_hi: 1.0,
+            bins: 8,
+            threshold: eqimpact_trace::DECISION_THRESHOLD,
+            model_fields: &["model.intercept", "model.coefficients"],
+            sampled_trajectories: 8,
+        }
+    }
 }

@@ -45,11 +45,6 @@ impl IController {
     pub fn new(ki: f64, initial: f64) -> Self {
         IController { ki, state: initial }
     }
-
-    /// Current integrator state.
-    pub fn state(&self) -> f64 {
-        self.state
-    }
 }
 
 impl Controller for IController {
@@ -76,7 +71,6 @@ mod tests {
         let mut c = IController::new(0.5, 1.0);
         assert_eq!(c.update(1.0), 1.5);
         assert_eq!(c.update(1.0), 2.0);
-        assert_eq!(c.state(), 2.0);
         assert_eq!(c.update(0.0), 2.0);
     }
 }

@@ -115,7 +115,8 @@ mod tests {
         assert_eq!(Filter::push(&mut f, 1.0), 1.0);
         assert_eq!(Filter::push(&mut f, 0.0), 0.5);
         assert_eq!(Filter::push(&mut f, 0.5), 0.5);
-        assert_eq!(f.count(), 3);
+        // Three observations so far: a fourth makes the sum 4 over 4.
+        assert_eq!(Filter::push(&mut f, 2.5), 1.0);
     }
 
     #[test]

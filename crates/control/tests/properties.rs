@@ -35,9 +35,12 @@ proptest! {
         for &v in &values {
             out = Filter::push(&mut f, v);
         }
-        let mean: f64 = values.iter().sum::<f64>() / values.len() as f64;
+        let sum: f64 = values.iter().sum();
+        let mean = sum / values.len() as f64;
         prop_assert!((out - mean).abs() < 1e-9 * (1.0 + mean.abs()));
-        prop_assert_eq!(f.count(), values.len() as u64);
+        // One more observation: the same sum over one more count.
+        let next = sum / (values.len() + 1) as f64;
+        prop_assert!((Filter::push(&mut f, 0.0) - next).abs() < 1e-9 * (1.0 + next.abs()));
     }
 
     #[test]

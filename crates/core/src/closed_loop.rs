@@ -287,11 +287,6 @@ impl StepTail {
         }
     }
 
-    /// The configured delay.
-    pub fn delay(&self) -> usize {
-        self.delay
-    }
-
     /// Runs the tail of one step, in this order:
     ///
     /// 1. **filter** — `filter` writes the step's filtered output into a
@@ -406,20 +401,10 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
         }
     }
 
-    /// The configured delay.
-    pub fn delay(&self) -> usize {
-        self.tail.delay()
-    }
-
     /// The configured record policy.
     #[cfg(test)]
     pub fn record_policy(&self) -> RecordPolicy {
         self.policy
-    }
-
-    /// Sets the record policy (see [`RecordPolicy`]).
-    pub fn set_record_policy(&mut self, policy: RecordPolicy) {
-        self.policy = policy;
     }
 
     /// Runs `steps` passes of the loop, returning the telemetry selected
@@ -490,11 +475,6 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
             tm::LOOP_STEPS.incr();
         }
         record
-    }
-
-    /// Access to the AI system (e.g. to inspect the final model).
-    pub fn ai(&self) -> &S {
-        &self.ai
     }
 
     /// Decomposes the runner back into its blocks.
@@ -707,7 +687,8 @@ mod tests {
             let mut rng = SimRng::new(2);
             runner.run(8, &mut rng);
             let expected: Vec<usize> = (0..(8 - delay)).collect();
-            assert_eq!(runner.ai().retrain_steps, expected, "delay {delay}");
+            let (ai, _, _) = runner.into_parts();
+            assert_eq!(ai.retrain_steps, expected, "delay {delay}");
         }
     }
 
@@ -763,7 +744,7 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_paper() {
-        let runner = LoopBuilder::new(
+        let mut runner = LoopBuilder::new(
             CountingAi {
                 level: 0.0,
                 retrain_steps: Vec::new(),
@@ -771,8 +752,11 @@ mod tests {
             DeterministicUsers { n: 2 },
         )
         .build();
-        assert_eq!(runner.delay(), 1);
         assert_eq!(runner.record_policy(), RecordPolicy::Full);
+        // A delay of one step: the last step's feedback is still pending.
+        runner.run(4, &mut SimRng::new(1));
+        let (ai, _, _) = runner.into_parts();
+        assert_eq!(ai.retrain_steps, [0, 1, 2]);
     }
 
     #[test]

@@ -128,4 +128,4 @@ pub use scenario::{
     ScenarioConfig, ScenarioError, ScenarioReport, TraceMeta, TraceSinkFactory,
 };
 pub use treatment::{equal_treatment_report, EqualTreatmentReport};
-pub use trials::{run_trials_with, run_trials_with_budget};
+pub use trials::run_trials_with;

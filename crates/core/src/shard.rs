@@ -1076,11 +1076,11 @@ mod tests {
         // The oversubscription regression: 4 trials x 4 shards on a
         // simulated 2-core budget must never run more than 2 sweeps
         // concurrently — the trial stripes take the whole budget and the
-        // nested sharded runs degrade to their own lane.
-        use crate::trials::run_trials_with_budget;
+        // nested sharded runs degrade to their own lane. The trials are
+        // one `run_indexed` batch, as in `run_trials_with`.
         let budget = ThreadBudget::leaked(2);
         let probe = std::sync::Arc::new(Probe::default());
-        let records = run_trials_with_budget(budget, 4, |t| {
+        let records = crate::pool::run_indexed(budget, 4, |t| {
             let mut runner = ShardedRunner::with_budget(
                 LevelAi { level: 0.0 },
                 ProbedUsers {
@@ -1095,6 +1095,7 @@ mod tests {
             runner.run(6, &mut SimRng::new(t as u64))
         });
         assert_eq!(records.len(), 4);
+        assert!(records.iter().all(Result::is_ok), "no trial panicked");
         let peak = probe.peak.load(std::sync::atomic::Ordering::SeqCst);
         assert!(peak >= 1, "the probe must have seen the sweeps");
         assert!(

@@ -17,7 +17,8 @@ use crate::pool::{run_indexed, ThreadBudget};
 /// `factory(trial_index)` must build and run one complete trial; it
 /// receives the trial index so it can derive a deterministic seed (the
 /// convention is `base_seed + trial_index`). Results come back in trial
-/// order.
+/// order. The lease is held for the whole protocol, and the lanes return
+/// to the budget when every trial has finished.
 ///
 /// # Panics
 /// Panics when `trials == 0`, and re-raises the lowest-indexed per-trial
@@ -28,19 +29,8 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_trials_with_budget(ThreadBudget::global(), trials, factory)
-}
-
-/// [`run_trials_with`] leasing from an explicit budget. The lease is
-/// held for the whole protocol, and the lanes return to the budget when
-/// every trial has finished.
-pub fn run_trials_with_budget<T, F>(budget: &ThreadBudget, trials: usize, factory: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
     assert!(trials > 0, "run_trials_with: zero trials");
-    run_indexed(budget, trials, factory)
+    run_indexed(ThreadBudget::global(), trials, factory)
         .into_iter()
         .enumerate()
         .map(|(t, outcome)| {

@@ -6,10 +6,10 @@
 //! at `0.0`. The model dynamics come from the scorecard's checkpoint
 //! fields (`model.intercept` + `model.coefficients`); `prev_adr` is
 //! deliberately excluded — it is per-user state, not model state, and
-//! would blow the surrogate dimension up to the user count.
+//! would blow the surrogate dimension up to the user count. Both are the
+//! default [`CertifyTarget::spec`].
 
-use crate::trace::DECISION_THRESHOLD;
-use eqimpact_certify::{CertifyTarget, ExtractionSpec};
+use eqimpact_certify::CertifyTarget;
 
 /// The certification face of the credit scenario, registered in the
 /// same registry row as [`CreditTracer`](crate::CreditTracer).
@@ -19,62 +19,24 @@ impl CertifyTarget for CreditCertify {
     fn name(&self) -> &'static str {
         "credit"
     }
-
-    fn spec(&self) -> ExtractionSpec {
-        ExtractionSpec {
-            state_lo: 0.0,
-            state_hi: 1.0,
-            bins: 8,
-            threshold: DECISION_THRESHOLD,
-            model_fields: &["model.intercept", "model.coefficients"],
-            sampled_trajectories: 8,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::TRACE_VARIANT;
-    use crate::sim::{run_trial_sunk, CreditConfig, LenderKind};
+    use crate::trace::fixture;
     use eqimpact_certify::{extract, Verdict};
-    use eqimpact_core::scenario::{Scale, TraceMeta};
-    use eqimpact_trace::{TraceHeader, TraceStepSink};
-
-    fn checkpointed_trace() -> Vec<u8> {
-        let config = CreditConfig {
-            users: 90,
-            steps: 6,
-            trials: 1,
-            seed: 11,
-            lender: LenderKind::Scorecard,
-            ..CreditConfig::default()
-        };
-        let header = TraceHeader::from_meta(&TraceMeta {
-            scenario: "credit".to_string(),
-            variant: TRACE_VARIANT.to_string(),
-            trial: 0,
-            scale: Scale::Quick,
-            seed: config.seed,
-            shards: config.shards,
-            delay: config.delay,
-            policy: config.policy,
-        })
-        .with_checkpoints();
-        let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
-        run_trial_sunk(&config, 0, &mut sink);
-        sink.finish().expect("trace finishes")
-    }
 
     #[test]
     fn recorded_credit_trace_extracts_and_renders_all_checks() {
         use eqimpact_certify::engine::{certificate_of, CertifyConfig};
         use eqimpact_stats::SimRng;
 
-        let bytes = checkpointed_trace();
+        let config = fixture::config();
+        let (bytes, _) = fixture::trace(true);
         let ex = extract(&CreditCertify.spec(), &mut bytes.as_slice()).expect("extracts");
-        assert_eq!(ex.steps, 6);
-        assert_eq!(ex.users, 90);
+        assert_eq!(ex.steps, config.steps);
+        assert_eq!(ex.users, config.users);
         assert!(ex.transition_count() > 0);
         assert!(!ex.checkpoints.is_empty(), "scorecard checkpoints present");
         let cert = certificate_of(

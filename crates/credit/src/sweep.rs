@@ -1,5 +1,6 @@
 //! The credit scenario's sweep face: off-policy candidate grids over
-//! recorded credit traces (`experiments sweep credit`).
+//! recorded credit traces (`experiments sweep credit`), and the one
+//! candidate `experiments replay --policy` evaluates.
 //!
 //! Candidates combine the tracer's lender policies with the ADR filter
 //! and a loan-approval threshold on the signal channel (signals are loan
@@ -11,18 +12,15 @@
 //! would have produced.
 
 use crate::adr::AdrFilter;
-use crate::trace::{build_lender, DECISION_THRESHOLD, POLICIES};
+use crate::trace::{build_lender, POLICIES};
 use eqimpact_lab::{CandidateGrid, CandidateSpec, SweepEval, SweepTarget};
 use eqimpact_trace::scenario::unknown_policy;
-use eqimpact_trace::{evaluate_off_policy, TraceError, TraceReader};
+use eqimpact_trace::{evaluate_off_policy, TraceError, TraceReader, DECISION_THRESHOLD};
 use std::io::Read;
 
 /// The sweep face of the credit scenario, registered in the
 /// same registry row as [`CreditTracer`](crate::CreditTracer).
 pub struct CreditSweep;
-
-/// The lender policies a sweep can instantiate (the tracer's list).
-const POLICY_NAMES: &[&str] = &["scorecard", "uniform-exclusion", "income-multiple"];
 
 /// The feedback filters a sweep can instantiate.
 const FILTER_NAMES: &[&str] = &["adr"];
@@ -34,14 +32,14 @@ impl SweepTarget for CreditSweep {
 
     fn default_grid(&self) -> CandidateGrid {
         CandidateGrid::new(
-            POLICY_NAMES.iter().copied(),
+            POLICIES.iter().copied(),
             FILTER_NAMES.iter().copied(),
             [DECISION_THRESHOLD, 10.0, 25.0],
         )
     }
 
     fn known_policies(&self) -> &'static [&'static str] {
-        POLICY_NAMES
+        POLICIES
     }
 
     fn known_filters(&self) -> &'static [&'static str] {
@@ -67,39 +65,21 @@ impl SweepTarget for CreditSweep {
 mod tests {
     use super::*;
     use crate::scenario::TRACE_VARIANT;
-    use crate::sim::{run_trial_sunk, CreditConfig, LenderKind};
-    use eqimpact_core::scenario::{Scale, TraceMeta};
-    use eqimpact_trace::{TraceHeader, TraceStepSink};
+    use crate::trace::fixture;
 
-    fn checkpointed_trace() -> Vec<u8> {
-        let config = CreditConfig {
-            users: 90,
-            steps: 6,
-            trials: 1,
-            seed: 11,
-            lender: LenderKind::Scorecard,
-            ..CreditConfig::default()
-        };
-        let header = TraceHeader::from_meta(&TraceMeta {
-            scenario: "credit".to_string(),
-            variant: TRACE_VARIANT.to_string(),
-            trial: 0,
-            scale: Scale::Quick,
-            seed: config.seed,
-            shards: config.shards,
-            delay: config.delay,
-            policy: config.policy,
-        })
-        .with_checkpoints();
-        let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
-        run_trial_sunk(&config, 0, &mut sink);
-        sink.finish().expect("trace finishes")
+    fn candidate(index: usize, policy: &str) -> CandidateSpec {
+        CandidateSpec {
+            index,
+            policy: policy.to_string(),
+            filter: "adr".to_string(),
+            threshold: DECISION_THRESHOLD,
+        }
     }
 
     #[test]
     fn grid_axes_match_the_known_names() {
         let grid = CreditSweep.default_grid();
-        assert_eq!(grid.policies, POLICY_NAMES);
+        assert_eq!(grid.policies, POLICIES);
         assert_eq!(grid.filters, FILTER_NAMES);
         assert!(!grid.is_empty());
         for policy in &grid.policies {
@@ -109,15 +89,12 @@ mod tests {
 
     #[test]
     fn evaluate_reports_unknown_policies_by_name() {
-        let bytes = checkpointed_trace();
-        let candidate = CandidateSpec {
-            index: 0,
-            policy: "quikc".to_string(),
-            filter: "adr".to_string(),
-            threshold: 0.0,
-        };
-        match CreditSweep.evaluate(&mut bytes.as_slice(), &candidate) {
-            Err(TraceError::UnknownPolicy { policy, .. }) => assert_eq!(policy, "quikc"),
+        let (bytes, _) = fixture::trace(true);
+        match CreditSweep.evaluate(&mut bytes.as_slice(), &candidate(0, "quikc")) {
+            Err(TraceError::UnknownPolicy { policy, known }) => {
+                assert_eq!(policy, "quikc");
+                assert_eq!(known, POLICIES);
+            }
             other => panic!("expected UnknownPolicy, got {:?}", other.map(|_| ())),
         }
     }
@@ -127,15 +104,9 @@ mod tests {
         // The same-learner candidate gives identical results whether it
         // restores checkpoints (policy == variant) or retrains — the
         // soundness condition the fast-path gate encodes.
-        let bytes = checkpointed_trace();
-        let fast = CandidateSpec {
-            index: 0,
-            policy: TRACE_VARIANT.to_string(),
-            filter: "adr".to_string(),
-            threshold: 0.0,
-        };
+        let (bytes, _) = fixture::trace(true);
         let eval = CreditSweep
-            .evaluate(&mut bytes.as_slice(), &fast)
+            .evaluate(&mut bytes.as_slice(), &candidate(0, TRACE_VARIANT))
             .expect("sweep evaluates");
         assert!(eval.header.checkpoints);
         let slow = evaluate_off_policy(
@@ -154,15 +125,9 @@ mod tests {
         // A different learner must not consume the scorecard's
         // checkpoints: the gate disables the fast-path, and the verdict
         // matches a plain retrained evaluation.
-        let bytes = checkpointed_trace();
-        let candidate = CandidateSpec {
-            index: 1,
-            policy: "uniform-exclusion".to_string(),
-            filter: "adr".to_string(),
-            threshold: 0.0,
-        };
+        let (bytes, _) = fixture::trace(true);
         let eval = CreditSweep
-            .evaluate(&mut bytes.as_slice(), &candidate)
+            .evaluate(&mut bytes.as_slice(), &candidate(1, "uniform-exclusion"))
             .expect("sweep evaluates");
         let plain = evaluate_off_policy(
             TraceReader::new(&mut bytes.as_slice()).unwrap(),

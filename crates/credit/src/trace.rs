@@ -1,46 +1,29 @@
-//! Replay and off-policy evaluation of recorded credit traces.
+//! Replay of recorded credit traces.
 //!
 //! [`CreditTracer`] implements [`TraceReplayer`]: it rebuilds the lender
 //! named by a trace's `variant` header from its deterministic initial
 //! state (the paper's parameters) together with a fresh [`AdrFilter`], so
 //! a recorded credit trial replays **byte-identically** without touching
-//! the census population. For off-policy evaluation it
-//! swaps in one of the introduction's baseline lenders and scores it
-//! against the recorded trajectory — "what access would the uniform-$50K
-//! policy have granted to the households the scorecard actually saw?".
+//! the census population. Off-policy evaluation is the sweep face's
+//! ([`CreditSweep`](crate::CreditSweep)): it swaps in one of the
+//! introduction's baseline lenders and scores it against the recorded
+//! trajectory — "what access would the uniform-$50K policy have granted
+//! to the households the scorecard actually saw?".
 
 use crate::adr::AdrFilter;
 use crate::lender::{IncomeMultipleLender, ScorecardLender, UniformExclusionLender};
 use eqimpact_core::closed_loop::AiSystem;
-use eqimpact_trace::scenario::{unknown_policy, PolicySpec, ReplaySummary, TraceReplayer};
-use eqimpact_trace::{
-    evaluate_off_policy, off_policy_report, OffPolicyReport, ReplayRunner, TraceError, TraceReader,
-};
+use eqimpact_trace::scenario::{ReplaySummary, TraceReplayer};
+use eqimpact_trace::{ReplayRunner, TraceError, TraceReader};
 use std::io::Read;
-
-/// Positive-decision threshold on the signal channel: signals are loan
-/// amounts in $K, so any positive amount is an approval.
-pub const DECISION_THRESHOLD: f64 = 0.0;
 
 /// The replay face of the credit scenario, registered in the
 /// same registry row as [`CreditScenario`](crate::CreditScenario).
 pub struct CreditTracer;
 
-/// The alternative policies [`CreditTracer`] can evaluate.
-pub(crate) const POLICIES: &[PolicySpec] = &[
-    PolicySpec {
-        name: "scorecard",
-        description: "the paper's retrained scorecard lender (the recorded behaviour)",
-    },
-    PolicySpec {
-        name: "uniform-exclusion",
-        description: "flat-$50K offers with permanent exclusion after a default",
-    },
-    PolicySpec {
-        name: "income-multiple",
-        description: "always approve, loan sized at a multiple of income",
-    },
-];
+/// The lenders [`build_lender`] builds: every variant a credit trace can
+/// record, and every policy off-policy evaluation can swap in.
+pub(crate) const POLICIES: &[&str] = &["scorecard", "uniform-exclusion", "income-multiple"];
 
 /// Builds the lender a variant/policy name denotes, boxed for uniform
 /// dispatch (replay and evaluation are not hot paths).
@@ -56,14 +39,6 @@ pub(crate) fn build_lender(name: &str) -> Option<Box<dyn AiSystem>> {
 }
 
 impl TraceReplayer for CreditTracer {
-    fn name(&self) -> &'static str {
-        "credit"
-    }
-
-    fn policies(&self) -> &'static [PolicySpec] {
-        POLICIES
-    }
-
     fn replay(&self, reader: TraceReader<&mut dyn Read>) -> Result<ReplaySummary, TraceError> {
         let header = reader.header().clone();
         let lender = build_lender(&header.variant).ok_or_else(|| TraceError::UnknownVariant {
@@ -73,60 +48,19 @@ impl TraceReplayer for CreditTracer {
         let record = ReplayRunner::new(reader, lender, AdrFilter::new()).run()?;
         Ok(ReplaySummary { header, record })
     }
-
-    fn evaluate(
-        &self,
-        reader: TraceReader<&mut dyn Read>,
-        policy: &str,
-    ) -> Result<OffPolicyReport, TraceError> {
-        let header = reader.header().clone();
-        let lender = build_lender(policy).ok_or_else(|| unknown_policy(policy, POLICIES))?;
-        let outcome = evaluate_off_policy(reader, lender, AdrFilter::new(), false)?;
-        Ok(off_policy_report(
-            &outcome,
-            &header,
-            policy,
-            DECISION_THRESHOLD,
-        ))
-    }
 }
 
+/// The recorded trace the tests of the credit trace faces read.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod fixture {
     use crate::scenario::TRACE_VARIANT;
     use crate::sim::{run_trial_sunk, CreditConfig, LenderKind};
-    use eqimpact_core::recorder::RecordPolicy;
-    use eqimpact_core::scenario::Scale;
-    use eqimpact_trace::{TraceHeader, TraceStepSink, FORMAT_VERSION};
+    use eqimpact_core::recorder::{LoopRecord, RecordPolicy};
+    use eqimpact_core::scenario::{Scale, TraceMeta};
+    use eqimpact_trace::{TraceHeader, TraceStepSink};
 
-    fn record_trace(config: &CreditConfig, trial: usize) -> (Vec<u8>, eqimpact_core::LoopRecord) {
-        record_trace_with(config, trial, false)
-    }
-
-    fn record_trace_with(
-        config: &CreditConfig,
-        trial: usize,
-        checkpoints: bool,
-    ) -> (Vec<u8>, eqimpact_core::LoopRecord) {
-        let header = TraceHeader {
-            version: FORMAT_VERSION,
-            scenario: "credit".to_string(),
-            variant: TRACE_VARIANT.to_string(),
-            trial,
-            scale: Scale::Quick,
-            seed: config.seed,
-            shards: config.shards,
-            delay: config.delay,
-            policy: config.policy,
-            checkpoints,
-        };
-        let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
-        let outcome = run_trial_sunk(config, trial, &mut sink);
-        (sink.finish().expect("trace finishes"), outcome.record)
-    }
-
-    fn small_config() -> CreditConfig {
+    /// The recorded trial's configuration: a small scorecard loop.
+    pub(crate) fn config() -> CreditConfig {
         CreditConfig {
             users: 120,
             steps: 8,
@@ -139,10 +73,41 @@ mod tests {
         }
     }
 
+    /// Trial 0 of [`config`] as trace bytes, with model checkpoint frames
+    /// when `checkpoints` is set, and the record of the live run.
+    pub(crate) fn trace(checkpoints: bool) -> (Vec<u8>, LoopRecord) {
+        let config = config();
+        let header = TraceHeader::from_meta(&TraceMeta {
+            scenario: "credit".to_string(),
+            variant: TRACE_VARIANT.to_string(),
+            trial: 0,
+            scale: Scale::Quick,
+            seed: config.seed,
+            shards: config.shards,
+            delay: config.delay,
+            policy: config.policy,
+        });
+        let header = if checkpoints {
+            header.with_checkpoints()
+        } else {
+            header
+        };
+        let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
+        let outcome = run_trial_sunk(&config, 0, &mut sink);
+        (sink.finish().expect("trace finishes"), outcome.record)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::TRACE_VARIANT;
+    use eqimpact_lab::{CandidateSpec, SweepTarget};
+    use eqimpact_trace::off_policy_report;
+
     #[test]
     fn replay_reproduces_the_record_byte_identically() {
-        let config = small_config();
-        let (bytes, original) = record_trace(&config, 0);
+        let (bytes, original) = fixture::trace(false);
         let mut input: &[u8] = &bytes;
         let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
         let summary = CreditTracer.replay(reader).unwrap();
@@ -157,8 +122,8 @@ mod tests {
 
     #[test]
     fn checkpointed_replay_skips_retraining_byte_identically() {
-        let config = small_config();
-        let (bytes, original) = record_trace_with(&config, 0, true);
+        let config = fixture::config();
+        let (bytes, original) = fixture::trace(true);
         let mut input: &[u8] = &bytes;
         let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
         let mut runner = eqimpact_trace::ReplayRunner::new(
@@ -178,38 +143,21 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_off_policy_matches_retrained_evaluation() {
-        // A candidate that shares the logged learner gives the same
-        // verdict whether it retrains or restores the checkpoints.
-        let config = small_config();
-        let (bytes, _) = record_trace_with(&config, 0, true);
-        let run = |use_checkpoints: bool| {
-            let mut input: &[u8] = &bytes;
-            let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
-            evaluate_off_policy(
-                reader,
-                ScorecardLender::paper_default(),
-                AdrFilter::new(),
-                use_checkpoints,
-            )
-            .unwrap()
-        };
-        let fast = run(true);
-        let slow = run(false);
-        assert_eq!(
-            fast.agreement_at(DECISION_THRESHOLD),
-            slow.agreement_at(DECISION_THRESHOLD)
-        );
-        assert_eq!(fast.counterfactual, slow.counterfactual);
-    }
-
-    #[test]
     fn off_policy_income_multiple_approves_everyone() {
-        let config = small_config();
-        let (bytes, _) = record_trace(&config, 0);
-        let mut input: &[u8] = &bytes;
-        let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
-        let report = CreditTracer.evaluate(reader, "income-multiple").unwrap();
+        // The `replay --policy income-multiple` path: the sweep face
+        // evaluates the candidate, the report reads it out.
+        let config = fixture::config();
+        let (bytes, _) = fixture::trace(false);
+        let candidate = CandidateSpec {
+            index: 0,
+            policy: "income-multiple".to_string(),
+            filter: "adr".to_string(),
+            threshold: eqimpact_trace::DECISION_THRESHOLD,
+        };
+        let eval = crate::CreditSweep
+            .evaluate(&mut bytes.as_slice(), &candidate)
+            .unwrap();
+        let report = off_policy_report(&eval.outcome, &eval.header, &candidate.policy);
         // The income-multiple lender always approves: positive rate 1.
         assert!((report.candidate.positive_rate - 1.0).abs() < 1e-12);
         assert_eq!(report.candidate.parity_gap, 0.0);
@@ -217,19 +165,5 @@ mod tests {
         assert!(report.agreement > 0.0 && report.agreement <= 1.0);
         assert_eq!(report.steps, config.steps);
         assert_eq!(report.users, config.users);
-    }
-
-    #[test]
-    fn unknown_policy_is_a_named_error() {
-        let (bytes, _) = record_trace(&small_config(), 0);
-        let mut input: &[u8] = &bytes;
-        let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
-        match CreditTracer.evaluate(reader, "quikc") {
-            Err(TraceError::UnknownPolicy { policy, known }) => {
-                assert_eq!(policy, "quikc");
-                assert!(known.contains(&"income-multiple"));
-            }
-            other => panic!("expected UnknownPolicy, got {other:?}"),
-        }
     }
 }

@@ -65,11 +65,6 @@ impl DiGraph {
         id
     }
 
-    /// Endpoints `(u, v)` of edge `e`.
-    pub fn edge(&self, e: EdgeId) -> (NodeId, NodeId) {
-        self.edges[e]
-    }
-
     /// Outgoing `(edge, target)` pairs of `u`.
     pub fn out_edges(&self, u: NodeId) -> &[(EdgeId, NodeId)] {
         &self.out[u]
@@ -168,10 +163,8 @@ mod tests {
         let e2 = g.add_edge(0, 1); // parallel edge
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 3);
-        assert_eq!(g.edge(e0), (0, 1));
-        assert_eq!(g.edge(e1), (1, 2));
-        assert_eq!(g.edge(e2), (0, 1));
-        assert_eq!(g.out_edges(0).len(), 2);
+        assert_eq!(g.out_edges(0), [(e0, 1), (e2, 1)]);
+        assert_eq!(g.out_edges(1), [(e1, 2)]);
         assert!(g.has_edge(0, 1));
         assert!(!g.has_edge(1, 0));
     }

@@ -7,10 +7,9 @@
 //! (`model.intercept` + `model.coefficients`); the credential variant
 //! records no checkpoints, so its checkpoint-dynamics checks come back
 //! inconclusive by design — that is the honest verdict for a loop with no
-//! retrained model.
+//! retrained model. Both are the default [`CertifyTarget::spec`].
 
-use crate::trace::DECISION_THRESHOLD;
-use eqimpact_certify::{CertifyTarget, ExtractionSpec};
+use eqimpact_certify::CertifyTarget;
 
 /// The certification face of the hiring scenario, registered in the
 /// same registry row as [`HiringTracer`](crate::HiringTracer).
@@ -20,61 +19,24 @@ impl CertifyTarget for HiringCertify {
     fn name(&self) -> &'static str {
         "hiring"
     }
-
-    fn spec(&self) -> ExtractionSpec {
-        ExtractionSpec {
-            state_lo: 0.0,
-            state_hi: 1.0,
-            bins: 8,
-            threshold: DECISION_THRESHOLD,
-            model_fields: &["model.intercept", "model.coefficients"],
-            sampled_trajectories: 8,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::variant_name;
-    use crate::sim::{run_trial_sunk, HiringConfig, ScreenerKind};
+    use crate::sim::ScreenerKind;
+    use crate::trace::fixture;
     use eqimpact_certify::engine::{certificate_of, CertifyConfig};
     use eqimpact_certify::extract;
-    use eqimpact_core::scenario::{Scale, TraceMeta};
     use eqimpact_stats::SimRng;
-    use eqimpact_trace::{TraceHeader, TraceStepSink};
-
-    fn checkpointed_trace() -> Vec<u8> {
-        let config = HiringConfig {
-            applicants: 90,
-            rounds: 6,
-            trials: 1,
-            seed: 13,
-            screener: ScreenerKind::Adaptive,
-            ..HiringConfig::default()
-        };
-        let header = TraceHeader::from_meta(&TraceMeta {
-            scenario: "hiring".to_string(),
-            variant: variant_name(config.screener).to_string(),
-            trial: 0,
-            scale: Scale::Quick,
-            seed: config.seed,
-            shards: config.shards,
-            delay: config.delay,
-            policy: config.policy,
-        })
-        .with_checkpoints();
-        let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
-        run_trial_sunk(&config, 0, &mut sink);
-        sink.finish().expect("trace finishes")
-    }
 
     #[test]
     fn recorded_hiring_trace_extracts_and_renders_all_checks() {
-        let bytes = checkpointed_trace();
+        let config = fixture::config(ScreenerKind::Adaptive);
+        let (bytes, _) = fixture::trace(ScreenerKind::Adaptive, true);
         let ex = extract(&HiringCertify.spec(), &mut bytes.as_slice()).expect("extracts");
-        assert_eq!(ex.steps, 6);
-        assert_eq!(ex.users, 90);
+        assert_eq!(ex.steps, config.rounds);
+        assert_eq!(ex.users, config.applicants);
         assert!(ex.transition_count() > 0);
         assert!(!ex.checkpoints.is_empty(), "adaptive checkpoints present");
         let cert = certificate_of(

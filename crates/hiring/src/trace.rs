@@ -1,9 +1,10 @@
-//! Replay and off-policy evaluation of recorded hiring traces.
+//! Replay of recorded hiring traces.
 //!
 //! [`HiringTracer`] rebuilds the screener named by a trace's `variant`
 //! header (adaptive or credential-gate) together with a fresh
 //! [`TrackRecordFilter`], replaying a recorded hiring round sequence
-//! byte-identically. Off-policy, it answers the cross-screener
+//! byte-identically. Off-policy evaluation is the sweep face's
+//! ([`HiringSweep`](crate::HiringSweep)): it answers the cross-screener
 //! counterfactual directly from the log: "who would the credential gate
 //! have hired among the applicants the adaptive screener actually saw
 //! (and vice versa), and what does that do to the race-wise hire rates?"
@@ -11,31 +12,17 @@
 use crate::screener::{AdaptiveScreener, CredentialScreener};
 use crate::track::TrackRecordFilter;
 use eqimpact_core::closed_loop::AiSystem;
-use eqimpact_trace::scenario::{unknown_policy, PolicySpec, ReplaySummary, TraceReplayer};
-use eqimpact_trace::{
-    evaluate_off_policy, off_policy_report, OffPolicyReport, ReplayRunner, TraceError, TraceReader,
-};
+use eqimpact_trace::scenario::{ReplaySummary, TraceReplayer};
+use eqimpact_trace::{ReplayRunner, TraceError, TraceReader};
 use std::io::Read;
-
-/// Positive-decision threshold on the signal channel: positive signals
-/// are hires.
-pub const DECISION_THRESHOLD: f64 = 0.0;
 
 /// The replay face of the hiring scenario, registered in the
 /// same registry row as [`HiringScenario`](crate::HiringScenario).
 pub struct HiringTracer;
 
-/// The alternative policies [`HiringTracer`] can evaluate.
-pub(crate) const POLICIES: &[PolicySpec] = &[
-    PolicySpec {
-        name: "adaptive",
-        description: "the retrained logistic screener",
-    },
-    PolicySpec {
-        name: "credential",
-        description: "the credential-gate equal-treatment baseline",
-    },
-];
+/// The screeners [`build_screener`] builds: every variant a hiring trace
+/// can record, and every policy off-policy evaluation can swap in.
+pub(crate) const POLICIES: &[&str] = &["adaptive", "credential"];
 
 /// Builds the screener a variant/policy name denotes.
 pub(crate) fn build_screener(name: &str) -> Option<Box<dyn AiSystem>> {
@@ -47,14 +34,6 @@ pub(crate) fn build_screener(name: &str) -> Option<Box<dyn AiSystem>> {
 }
 
 impl TraceReplayer for HiringTracer {
-    fn name(&self) -> &'static str {
-        "hiring"
-    }
-
-    fn policies(&self) -> &'static [PolicySpec] {
-        POLICIES
-    }
-
     fn replay(&self, reader: TraceReader<&mut dyn Read>) -> Result<ReplaySummary, TraceError> {
         let header = reader.header().clone();
         let screener =
@@ -65,59 +44,19 @@ impl TraceReplayer for HiringTracer {
         let record = ReplayRunner::new(reader, screener, TrackRecordFilter::new()).run()?;
         Ok(ReplaySummary { header, record })
     }
-
-    fn evaluate(
-        &self,
-        reader: TraceReader<&mut dyn Read>,
-        policy: &str,
-    ) -> Result<OffPolicyReport, TraceError> {
-        let header = reader.header().clone();
-        let screener = build_screener(policy).ok_or_else(|| unknown_policy(policy, POLICIES))?;
-        let outcome = evaluate_off_policy(reader, screener, TrackRecordFilter::new(), false)?;
-        Ok(off_policy_report(
-            &outcome,
-            &header,
-            policy,
-            DECISION_THRESHOLD,
-        ))
-    }
 }
 
+/// The recorded traces the tests of the hiring trace faces read.
 #[cfg(test)]
-mod tests {
-    use super::*;
+pub(crate) mod fixture {
     use crate::scenario::variant_name;
     use crate::sim::{run_trial_sunk, HiringConfig, ScreenerKind};
-    use eqimpact_core::scenario::Scale;
-    use eqimpact_trace::{TraceHeader, TraceStepSink, FORMAT_VERSION};
+    use eqimpact_core::recorder::LoopRecord;
+    use eqimpact_core::scenario::{Scale, TraceMeta};
+    use eqimpact_trace::{TraceHeader, TraceStepSink};
 
-    fn record_trace(config: &HiringConfig, trial: usize) -> (Vec<u8>, eqimpact_core::LoopRecord) {
-        record_trace_with(config, trial, false)
-    }
-
-    fn record_trace_with(
-        config: &HiringConfig,
-        trial: usize,
-        checkpoints: bool,
-    ) -> (Vec<u8>, eqimpact_core::LoopRecord) {
-        let header = TraceHeader {
-            version: FORMAT_VERSION,
-            scenario: "hiring".to_string(),
-            variant: variant_name(config.screener).to_string(),
-            trial,
-            scale: Scale::Quick,
-            seed: config.seed,
-            shards: config.shards,
-            delay: config.delay,
-            policy: config.policy,
-            checkpoints,
-        };
-        let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
-        let outcome = run_trial_sunk(config, trial, &mut sink);
-        (sink.finish().expect("trace finishes"), outcome.record)
-    }
-
-    fn small_config(screener: ScreenerKind) -> HiringConfig {
+    /// The recorded trial's configuration: a small loop of `screener`.
+    pub(crate) fn config(screener: ScreenerKind) -> HiringConfig {
         HiringConfig {
             applicants: 120,
             rounds: 8,
@@ -128,11 +67,42 @@ mod tests {
         }
     }
 
+    /// Trial 0 of [`config`] as trace bytes, with model checkpoint frames
+    /// when `checkpoints` is set, and the record of the live run.
+    pub(crate) fn trace(screener: ScreenerKind, checkpoints: bool) -> (Vec<u8>, LoopRecord) {
+        let config = config(screener);
+        let header = TraceHeader::from_meta(&TraceMeta {
+            scenario: "hiring".to_string(),
+            variant: variant_name(screener).to_string(),
+            trial: 0,
+            scale: Scale::Quick,
+            seed: config.seed,
+            shards: config.shards,
+            delay: config.delay,
+            policy: config.policy,
+        });
+        let header = if checkpoints {
+            header.with_checkpoints()
+        } else {
+            header
+        };
+        let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header writes");
+        let outcome = run_trial_sunk(&config, 0, &mut sink);
+        (sink.finish().expect("trace finishes"), outcome.record)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::ScreenerKind;
+    use eqimpact_lab::{CandidateSpec, SweepTarget};
+    use eqimpact_trace::off_policy_report;
+
     #[test]
     fn replay_reproduces_both_screeners_byte_identically() {
         for screener in [ScreenerKind::Adaptive, ScreenerKind::Credential] {
-            let config = small_config(screener);
-            let (bytes, original) = record_trace(&config, 0);
+            let (bytes, original) = fixture::trace(screener, false);
             let mut input: &[u8] = &bytes;
             let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
             let summary = HiringTracer.replay(reader).unwrap();
@@ -142,8 +112,8 @@ mod tests {
 
     #[test]
     fn checkpointed_replay_skips_retraining_byte_identically() {
-        let config = small_config(ScreenerKind::Adaptive);
-        let (bytes, original) = record_trace_with(&config, 0, true);
+        let config = fixture::config(ScreenerKind::Adaptive);
+        let (bytes, original) = fixture::trace(ScreenerKind::Adaptive, true);
         let mut input: &[u8] = &bytes;
         let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
         let mut runner = eqimpact_trace::ReplayRunner::new(
@@ -165,11 +135,20 @@ mod tests {
     #[test]
     fn cross_screener_off_policy_reports_hire_rate_contrast() {
         // Record the adaptive screener, ask what the credential gate
-        // would have done with the same applicants.
-        let (bytes, _) = record_trace(&small_config(ScreenerKind::Adaptive), 0);
-        let mut input: &[u8] = &bytes;
-        let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
-        let report = HiringTracer.evaluate(reader, "credential").unwrap();
+        // would have done with the same applicants: the
+        // `replay --policy credential` path, where the sweep face
+        // evaluates the candidate and the report reads it out.
+        let (bytes, _) = fixture::trace(ScreenerKind::Adaptive, false);
+        let candidate = CandidateSpec {
+            index: 0,
+            policy: "credential".to_string(),
+            filter: "track-record".to_string(),
+            threshold: eqimpact_trace::DECISION_THRESHOLD,
+        };
+        let eval = crate::HiringSweep
+            .evaluate(&mut bytes.as_slice(), &candidate)
+            .unwrap();
+        let report = off_policy_report(&eval.outcome, &eval.header, &candidate.policy);
         assert_eq!(report.policy, "credential");
         assert_eq!(report.variant, "adaptive");
         // The gate hires a strict subset rate: positive rates differ.

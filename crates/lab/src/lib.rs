@@ -1,12 +1,12 @@
 //! The counterfactual lab: fleet-scale off-policy **sweeps** over
 //! recorded traces.
 //!
-//! A single `experiments replay --policy X` answers one counterfactual.
-//! This crate asks them in bulk: a [`CandidateGrid`] enumerates
-//! (policy, filter, threshold) combinations, and [`run_sweep`] evaluates
-//! each (policy, filter) pair off-policy once per recorded trace and
-//! reads every threshold off that one evaluation (a threshold changes
-//! only which decisions count as positive). The evaluations run on the
+//! A single `experiments replay --policy X` answers one counterfactual,
+//! through a workload's [`SweepTarget`]. This crate asks them in bulk: a
+//! [`CandidateGrid`] enumerates (policy, filter, threshold) combinations,
+//! and [`run_sweep`] evaluates each (policy, filter) pair off-policy once
+//! per recorded trace and reads every threshold off that one evaluation
+//! (a threshold changes only which decisions count as positive). The evaluations run on the
 //! process-wide [`ThreadBudget`](eqimpact_core::pool::ThreadBudget) (one
 //! [`run_indexed`](eqimpact_core::pool::run_indexed) batch with
 //! per-evaluation panic isolation, then one for the bootstrap
@@ -42,4 +42,5 @@ pub use grid::{CandidateGrid, CandidateSpec, GridError};
 pub use report::{RankedCandidate, SweepReport};
 pub use sweep::{
     run_sweep, FileTrace, MemTrace, SweepConfig, SweepError, SweepEval, SweepTarget, TraceSource,
+    CI_LEVEL,
 };

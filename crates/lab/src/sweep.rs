@@ -45,10 +45,13 @@ pub struct SweepEval {
     pub outcome: OffPolicyOutcome,
 }
 
-/// The sweep face a workload exposes: how to build and evaluate the
+/// The off-policy face a workload exposes: how to build and evaluate the
 /// candidates its grid names. Implemented by the traceable scenarios
 /// (credit, hiring) and registered next to their
-/// [`TraceReplayer`](eqimpact_trace::TraceReplayer)s.
+/// [`TraceReplayer`](eqimpact_trace::TraceReplayer)s. It is the
+/// workload's one off-policy path: [`run_sweep`] evaluates a grid through
+/// it, and `experiments replay --policy P` evaluates the one candidate
+/// `P` with the first of [`Self::known_filters`].
 pub trait SweepTarget: Sync {
     /// The scenario name (matches the scenario registry and trace
     /// headers).
@@ -145,6 +148,9 @@ impl TraceSource for MemTrace {
     }
 }
 
+/// Nominal coverage of every bootstrap interval a sweep reports.
+pub const CI_LEVEL: f64 = 0.95;
+
 /// Knobs of [`run_sweep`].
 #[derive(Debug, Clone, Copy)]
 pub struct SweepConfig {
@@ -152,8 +158,6 @@ pub struct SweepConfig {
     pub seed: u64,
     /// Bootstrap resamples per confidence interval; at least 1.
     pub resamples: usize,
-    /// Nominal CI coverage level, strictly inside `(0, 1)`.
-    pub level: f64,
 }
 
 impl Default for SweepConfig {
@@ -161,7 +165,6 @@ impl Default for SweepConfig {
         SweepConfig {
             seed: 42,
             resamples: 200,
-            level: 0.95,
         }
     }
 }
@@ -183,14 +186,9 @@ pub enum SweepError {
         /// Every value the target knows.
         known: Vec<&'static str>,
     },
-    /// The [`SweepConfig`] cannot give a bootstrap interval: zero
-    /// resamples, or a level that is not strictly inside `(0, 1)`.
-    BadBootstrap {
-        /// The configured resamples per interval.
-        resamples: usize,
-        /// The configured coverage level.
-        level: f64,
-    },
+    /// The [`SweepConfig`] cannot give a bootstrap interval: it asks
+    /// for zero resamples.
+    BadBootstrap,
 }
 
 impl fmt::Display for SweepError {
@@ -203,11 +201,7 @@ impl fmt::Display for SweepError {
                 "unknown {axis} `{value}` (known values: {})",
                 known.join(", ")
             ),
-            SweepError::BadBootstrap { resamples, level } => write!(
-                f,
-                "bootstrap needs at least 1 resample and a level inside (0, 1), \
-                 got {resamples} resamples at level {level}"
-            ),
+            SweepError::BadBootstrap => write!(f, "bootstrap needs at least 1 resample"),
         }
     }
 }
@@ -325,15 +319,15 @@ fn evaluate_group(
         .collect())
 }
 
-/// A NaN interval at `level`: the statistic had no samples (e.g. a trace
-/// without group metadata), which the report renders as "undefined"
-/// rather than inventing a number.
-fn nan_ci(level: f64) -> ConfidenceInterval {
+/// A NaN interval: the statistic had no samples (e.g. a trace without
+/// group metadata), which the report renders as "undefined" rather than
+/// inventing a number.
+fn nan_ci() -> ConfidenceInterval {
     ConfidenceInterval {
         lo: f64::NAN,
         estimate: f64::NAN,
         hi: f64::NAN,
-        level,
+        level: CI_LEVEL,
     }
 }
 
@@ -351,19 +345,19 @@ fn gap_ci(
     let views: Vec<&[f64]> = strata.values().map(Vec::as_slice).collect();
     let draws = views.iter().map(|v| v.len()).sum();
     if draws == 0 {
-        return nan_ci(config.level);
+        return nan_ci();
     }
     note_draws(config, draws);
-    bootstrap_gap_ci(&views, config.resamples, config.level, rng)
+    bootstrap_gap_ci(&views, config.resamples, CI_LEVEL, rng)
 }
 
 /// Bootstrap CI of the mean of `sample`.
 fn mean_ci(sample: &[f64], config: &SweepConfig, rng: &mut SimRng) -> ConfidenceInterval {
     if sample.is_empty() {
-        return nan_ci(config.level);
+        return nan_ci();
     }
     note_draws(config, sample.len());
-    bootstrap_mean_ci(sample, config.resamples, config.level, rng)
+    bootstrap_mean_ci(sample, config.resamples, CI_LEVEL, rng)
 }
 
 /// One candidate's cells, pooled across traces in trace order.
@@ -399,11 +393,8 @@ pub fn run_sweep(
     if traces.is_empty() {
         return Err(SweepError::NoTraces);
     }
-    if config.resamples == 0 || !(config.level > 0.0 && config.level < 1.0) {
-        return Err(SweepError::BadBootstrap {
-            resamples: config.resamples,
-            level: config.level,
-        });
+    if config.resamples == 0 {
+        return Err(SweepError::BadBootstrap);
     }
     for policy in &grid.policies {
         if !target.known_policies().contains(&policy.as_str()) {
@@ -527,7 +518,7 @@ pub fn run_sweep(
     .into_iter()
     .map(|interval| {
         interval.expect(
-            "an interval job cannot panic: run_sweep checked resamples and level, \
+            "an interval job cannot panic: run_sweep checked resamples, \
              and an empty sample gives a NaN interval without resampling",
         )
     })
@@ -567,7 +558,7 @@ pub fn run_sweep(
         scenario: target.name().to_string(),
         seed: config.seed,
         resamples: config.resamples,
-        level: config.level,
+        level: CI_LEVEL,
         traces: traces.iter().map(|t| t.label().to_string()).collect(),
         candidates: candidates.len(),
         ranked,

@@ -112,16 +112,14 @@ pub fn box_sampler(lo: Vec<f64>, hi: Vec<f64>) -> impl FnMut(&mut SimRng) -> Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ifs::{affine1d, Ifs};
+    use crate::ifs::{affine1d, IfsBuilder};
 
     fn system_with_slopes(a1: f64, a2: f64) -> MarkovSystem {
-        Ifs::builder(1)
+        IfsBuilder::new(1)
             .map_const(affine1d(a1, 0.0), 0.5)
             .map_const(affine1d(a2, 0.5), 0.5)
             .build()
             .unwrap()
-            .as_markov_system()
-            .clone()
     }
 
     #[test]
@@ -228,12 +226,10 @@ mod tests {
         // plane fits when a model's weights never move — must report a
         // factor of exactly one from every evaluated pair: not
         // contractive, not expanding, and with finite evidence numbers.
-        let ms = Ifs::builder(2)
+        let ms = IfsBuilder::new(2)
             .map_const(|x: &[f64]| x.to_vec(), 1.0)
             .build()
-            .unwrap()
-            .as_markov_system()
-            .clone();
+            .unwrap();
         let mut rng = SimRng::new(7);
         let report = estimate_contraction_factor(
             &ms,

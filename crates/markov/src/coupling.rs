@@ -99,27 +99,23 @@ fn step_with_uniform(ms: &MarkovSystem, x: &[f64], u: f64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ifs::{affine1d, Ifs};
+    use crate::ifs::{affine1d, IfsBuilder};
 
     fn contractive_system() -> MarkovSystem {
-        Ifs::builder(1)
+        IfsBuilder::new(1)
             .map_const(affine1d(0.5, 0.0), 0.5)
             .map_const(affine1d(0.5, 0.5), 0.5)
             .build()
             .unwrap()
-            .as_markov_system()
-            .clone()
     }
 
     fn expanding_system() -> MarkovSystem {
         // Doubling map mod 1 (discontinuous at 1/2 but fine pointwise):
         // chaotic, distances do not contract.
-        Ifs::builder(1)
+        IfsBuilder::new(1)
             .map_const(|x: &[f64]| vec![(2.0 * x[0]).fract()], 1.0)
             .build()
             .unwrap()
-            .as_markov_system()
-            .clone()
     }
 
     #[test]

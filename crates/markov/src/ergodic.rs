@@ -160,16 +160,14 @@ pub fn empirical_equal_impact(
 mod tests {
     use super::*;
     use crate::contractivity::box_sampler;
-    use crate::ifs::{affine1d, Ifs};
+    use crate::ifs::{affine1d, IfsBuilder};
 
     fn contractive_system() -> MarkovSystem {
-        Ifs::builder(1)
+        IfsBuilder::new(1)
             .map_const(affine1d(0.5, 0.0), 0.5)
             .map_const(affine1d(0.5, 0.5), 0.5)
             .build()
             .unwrap()
-            .as_markov_system()
-            .clone()
     }
 
     /// A two-cell deterministic flip system: irreducible but period 2.

@@ -2,23 +2,21 @@
 //! case of a Markov system (Elton 1987, Barnsley-Elton-Hardin 1989).
 
 use crate::system::{MarkovSystem, MarkovSystemBuilder, MarkovSystemError};
-use eqimpact_stats::SimRng;
 
-/// A place-dependent iterated function system on `R^dim`.
-///
-/// Thin wrapper over a single-vertex [`MarkovSystem`], with a builder that
-/// does not need vertex indices.
-#[derive(Debug, Clone)]
-pub struct Ifs {
-    inner: MarkovSystem,
-}
-
-/// Builder for [`Ifs`].
+/// Builder of a place-dependent iterated function system on `R^dim`: a
+/// single-vertex [`MarkovSystem`] whose maps need no vertex indices.
 pub struct IfsBuilder {
     inner: MarkovSystemBuilder,
 }
 
 impl IfsBuilder {
+    /// Starts building an IFS on `R^dim`.
+    pub fn new(dim: usize) -> Self {
+        IfsBuilder {
+            inner: MarkovSystem::builder(dim).cell(|_| true),
+        }
+    }
+
     /// Adds a map with its place-dependent probability.
     pub fn map(
         mut self,
@@ -34,50 +32,9 @@ impl IfsBuilder {
         self.map(w, move |_| p)
     }
 
-    /// Finalizes the IFS.
-    pub fn build(self) -> Result<Ifs, MarkovSystemError> {
-        Ok(Ifs {
-            inner: self.inner.build()?,
-        })
-    }
-}
-
-impl Ifs {
-    /// Starts building an IFS on `R^dim`.
-    pub fn builder(dim: usize) -> IfsBuilder {
-        IfsBuilder {
-            inner: MarkovSystem::builder(dim).cell(|_| true),
-        }
-    }
-
-    /// State-space dimension.
-    pub fn dim(&self) -> usize {
-        self.inner.dim()
-    }
-
-    /// The underlying single-vertex Markov system.
-    pub fn as_markov_system(&self) -> &MarkovSystem {
-        &self.inner
-    }
-
-    /// Probability vector at `x` (one entry per map).
-    pub fn probabilities_at(&self, x: &[f64]) -> Result<Vec<f64>, MarkovSystemError> {
-        self.inner.probabilities_at(x)
-    }
-
-    /// Validates normalization at sample points.
-    pub fn validate_at(&self, points: &[Vec<f64>]) -> Result<(), MarkovSystemError> {
-        self.inner.validate_at(points)
-    }
-
-    /// One random step: `(map_index, next_state)`.
-    pub fn step(&self, x: &[f64], rng: &mut SimRng) -> (usize, Vec<f64>) {
-        self.inner.step(x, rng)
-    }
-
-    /// Simulates `steps` steps from `x0` (returns `steps + 1` states).
-    pub fn trajectory(&self, x0: &[f64], steps: usize, rng: &mut SimRng) -> Vec<Vec<f64>> {
-        self.inner.trajectory(x0, steps, rng)
+    /// Finalizes the IFS as its single-vertex Markov system.
+    pub fn build(self) -> Result<MarkovSystem, MarkovSystemError> {
+        self.inner.build()
     }
 }
 
@@ -90,10 +47,11 @@ pub fn affine1d(a: f64, b: f64) -> impl Fn(&[f64]) -> Vec<f64> + Send + Sync + '
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eqimpact_stats::SimRng;
 
-    fn binary_ifs() -> Ifs {
+    fn binary_ifs() -> MarkovSystem {
         // The uniform-measure IFS on [0,1].
-        Ifs::builder(1)
+        IfsBuilder::new(1)
             .map_const(affine1d(0.5, 0.0), 0.5)
             .map_const(affine1d(0.5, 0.5), 0.5)
             .build()
@@ -104,7 +62,7 @@ mod tests {
     fn builder_and_accessors() {
         let ifs = binary_ifs();
         assert_eq!(ifs.dim(), 1);
-        assert_eq!(ifs.as_markov_system().vertex_count(), 1);
+        assert_eq!(ifs.vertex_count(), 1);
         assert_eq!(ifs.probabilities_at(&[0.3]).unwrap(), vec![0.5, 0.5]);
         ifs.validate_at(&[vec![0.0], vec![0.5], vec![1.0]]).unwrap();
     }
@@ -135,7 +93,7 @@ mod tests {
     #[test]
     fn place_dependent_probabilities() {
         // Probability of the "up" map grows with x: p_up(x) = x, p_down = 1 - x.
-        let ifs = Ifs::builder(1)
+        let ifs = IfsBuilder::new(1)
             .map(affine1d(0.9, 0.1), |x| x[0].clamp(0.0, 1.0))
             .map(affine1d(0.9, 0.0), |x| 1.0 - x[0].clamp(0.0, 1.0))
             .build()
@@ -148,7 +106,7 @@ mod tests {
 
     #[test]
     fn degenerate_probability_step_panics() {
-        let ifs = Ifs::builder(1)
+        let ifs = IfsBuilder::new(1)
             .map_const(affine1d(1.0, 0.0), 0.0)
             .build()
             .unwrap();

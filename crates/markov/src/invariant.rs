@@ -263,7 +263,7 @@ pub fn estimate_invariant_measure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ifs::{affine1d, Ifs};
+    use crate::ifs::{affine1d, IfsBuilder};
 
     fn two_state_chain() -> FiniteChain {
         FiniteChain::new(Matrix::from_rows(&[&[0.9, 0.1], &[0.4, 0.6]]).unwrap()).unwrap()
@@ -363,13 +363,11 @@ mod tests {
 
     #[test]
     fn particle_estimation_of_uniform_invariant_measure() {
-        let ms = Ifs::builder(1)
+        let ms = IfsBuilder::new(1)
             .map_const(affine1d(0.5, 0.0), 0.5)
             .map_const(affine1d(0.5, 0.5), 0.5)
             .build()
-            .unwrap()
-            .as_markov_system()
-            .clone();
+            .unwrap();
         let mut rng = SimRng::new(12);
         let est = estimate_invariant_measure(
             &ms,

@@ -6,8 +6,8 @@
 //! * [`system::MarkovSystem`] — a family `(X_{i(e)}, w_e, p_e)_{e ∈ E}` over
 //!   a directed multigraph: Borel maps `w_e` with place-dependent
 //!   probabilities `p_e`, `Σ_e p_e(x) = 1` on each partition cell;
-//! * [`ifs::Ifs`] — the single-vertex special case, a place-dependent
-//!   iterated function system;
+//! * [`ifs::IfsBuilder`] — the single-vertex special case, a
+//!   place-dependent iterated function system;
 //! * [`operator`] — the Markov operator `P f = Σ_e p_e · (f ∘ w_e)` and its
 //!   adjoint `P*` acting on particle (empirical) measures;
 //! * [`contractivity`] — numerical verification of the average
@@ -23,12 +23,12 @@
 //! # Example: a contractive two-map IFS
 //!
 //! ```
-//! use eqimpact_markov::ifs::Ifs;
+//! use eqimpact_markov::ifs::IfsBuilder;
 //! use eqimpact_stats::SimRng;
 //!
 //! // x -> x/2 and x -> x/2 + 1/2 with equal probability: the invariant
 //! // measure is uniform on [0, 1].
-//! let ifs = Ifs::builder(1)
+//! let ifs = IfsBuilder::new(1)
 //!     .map(|x| vec![0.5 * x[0]], |_| 0.5)
 //!     .map(|x| vec![0.5 * x[0] + 0.5], |_| 0.5)
 //!     .build()
@@ -53,7 +53,6 @@ pub mod system;
 
 pub use contractivity::ContractivityReport;
 pub use ergodic::{ErgodicityVerdict, UniqueErgodicityReport};
-pub use ifs::Ifs;
 pub use invariant::FiniteChain;
 pub use lyapunov::{lyapunov_exponent, LyapunovEstimate};
 pub use operator::ParticleMeasure;

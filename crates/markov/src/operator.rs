@@ -177,16 +177,14 @@ pub fn markov_operator_apply(ms: &MarkovSystem, f: impl Fn(&[f64]) -> f64, x: &[
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ifs::{affine1d, Ifs};
+    use crate::ifs::{affine1d, IfsBuilder};
 
     fn binary_ifs_system() -> MarkovSystem {
-        Ifs::builder(1)
+        IfsBuilder::new(1)
             .map_const(affine1d(0.5, 0.0), 0.5)
             .map_const(affine1d(0.5, 0.5), 0.5)
             .build()
             .unwrap()
-            .as_markov_system()
-            .clone()
     }
 
     #[test]

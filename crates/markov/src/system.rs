@@ -266,6 +266,7 @@ impl MarkovSystem {
 
     /// Validates normalization and cell compatibility on a set of sample
     /// points (one validation sweep per point).
+    #[cfg(test)]
     pub fn validate_at(&self, points: &[Vec<f64>]) -> Result<(), MarkovSystemError> {
         for x in points {
             let v = self.classify(x)?;
@@ -291,7 +292,7 @@ impl MarkovSystem {
     ///
     /// # Panics
     /// Panics if `x` lies in no cell or its outgoing probabilities are
-    /// degenerate (use [`Self::validate_at`] first on untrusted systems).
+    /// degenerate.
     pub fn step(&self, x: &[f64], rng: &mut SimRng) -> (usize, Vec<f64>) {
         let v = self.classify(x).expect("point in no cell");
         let probs = self.probabilities_at(x).expect("bad probabilities");

@@ -1,9 +1,9 @@
 //! Property-based tests for Markov systems and finite chains.
 
 use eqimpact_linalg::Matrix;
-use eqimpact_markov::ifs::{affine1d, Ifs};
+use eqimpact_markov::ifs::{affine1d, IfsBuilder};
 use eqimpact_markov::operator::{markov_operator_apply, ParticleMeasure};
-use eqimpact_markov::FiniteChain;
+use eqimpact_markov::{FiniteChain, MarkovSystem};
 use eqimpact_stats::SimRng;
 use proptest::prelude::*;
 
@@ -24,10 +24,10 @@ fn positive_stochastic(n: usize) -> impl Strategy<Value = Matrix> {
 
 /// Strategy: an IFS of 2-4 affine contractions on R with constant
 /// probabilities.
-fn contractive_ifs() -> impl Strategy<Value = Ifs> {
+fn contractive_ifs() -> impl Strategy<Value = MarkovSystem> {
     prop::collection::vec((-0.9f64..0.9, -1.0f64..1.0, 0.1f64..1.0), 2..5).prop_map(|maps| {
         let total: f64 = maps.iter().map(|m| m.2).sum();
-        let mut b = Ifs::builder(1);
+        let mut b = IfsBuilder::new(1);
         for (a, c, w) in maps {
             b = b.map_const(affine1d(a, c), w / total);
         }
@@ -77,28 +77,26 @@ proptest! {
     }
 
     #[test]
-    fn operator_duality_holds(ifs in contractive_ifs(), pts in prop::collection::vec(-2.0f64..2.0, 1..6)) {
-        let ms = ifs.as_markov_system();
+    fn operator_duality_holds(ms in contractive_ifs(), pts in prop::collection::vec(-2.0f64..2.0, 1..6)) {
         let points: Vec<Vec<f64>> = pts.iter().map(|&x| vec![x]).collect();
         let nu = ParticleMeasure::uniform(&points);
         let f = |x: &[f64]| x[0] * x[0] + 1.0;
-        let lhs = nu.integrate(|x| markov_operator_apply(ms, f, x));
-        let rhs = nu.push_forward_split(ms).integrate(f);
+        let lhs = nu.integrate(|x| markov_operator_apply(&ms, f, x));
+        let rhs = nu.push_forward_split(&ms).integrate(f);
         prop_assert!((lhs - rhs).abs() < 1e-9 * (1.0 + lhs.abs()));
     }
 
     #[test]
-    fn push_forward_preserves_mass(ifs in contractive_ifs(), x0 in -2.0f64..2.0) {
-        let ms = ifs.as_markov_system();
+    fn push_forward_preserves_mass(ms in contractive_ifs(), x0 in -2.0f64..2.0) {
         let nu = ParticleMeasure::dirac(&[x0]);
-        let next = nu.push_forward_split(ms);
+        let next = nu.push_forward_split(&ms);
         let total: f64 = next.weights().iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn synchronous_coupling_contracts_affine_ifs(
-        ifs in contractive_ifs(),
+        ms in contractive_ifs(),
         x0 in -1.0f64..1.0,
         y0 in -1.0f64..1.0,
         seed in 0u64..1000,
@@ -106,10 +104,9 @@ proptest! {
         // For IFS of |slope| <= 0.9 affine maps with state-independent
         // probabilities, synchronous coupling contracts by at least 0.9
         // per step.
-        let ms = ifs.as_markov_system();
         let mut rng = SimRng::new(seed);
         let trace = eqimpact_markov::coupling::synchronous_coupling(
-            ms, &[x0], &[y0], 50,
+            &ms, &[x0], &[y0], 50,
             eqimpact_linalg::norm::MetricKind::Euclidean,
             1e-9, &mut rng,
         );

@@ -35,16 +35,6 @@ impl CesaroAverage {
             self.sum / self.count as f64
         }
     }
-
-    /// Number of observations so far (`k + 1` in the paper's indexing).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Running sum.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
 }
 
 /// The full Cesàro-average trajectory of a sequence.
@@ -96,11 +86,6 @@ impl Ewma {
     pub fn restore(&mut self, value: Option<f64>) {
         self.value = value;
     }
-
-    /// Smoothing factor.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
 }
 
 /// Decides whether the tail of a sequence has converged: the last `window`
@@ -142,8 +127,8 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(c.push(3.0), 3.0);
         }
-        assert_eq!(c.count(), 10);
-        assert_eq!(c.sum(), 30.0);
+        // Ten observations summing to 30, then one more.
+        assert_eq!(c.push(0.0), 30.0 / 11.0);
     }
 
     #[test]
@@ -172,7 +157,6 @@ mod tests {
         assert_eq!(e.push(4.0), 4.0);
         assert_eq!(e.push(0.0), 2.0);
         assert_eq!(e.push(2.0), 2.0);
-        assert_eq!(e.alpha(), 0.5);
     }
 
     #[test]

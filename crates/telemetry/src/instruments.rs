@@ -27,28 +27,6 @@ impl Section {
     }
 }
 
-/// What a [`Histogram`]'s values measure (labels for rendering only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Unit {
-    /// Durations in nanoseconds.
-    Nanos,
-    /// Sizes in bytes.
-    Bytes,
-    /// Dimensionless counts.
-    Count,
-}
-
-impl Unit {
-    /// A short suffix for text rendering.
-    pub fn suffix(self) -> &'static str {
-        match self {
-            Unit::Nanos => "ns",
-            Unit::Bytes => "B",
-            Unit::Count => "",
-        }
-    }
-}
-
 /// One cache line of counter state: the alignment keeps concurrent
 /// lanes' increments off each other's lines.
 #[repr(align(64))]
@@ -241,7 +219,6 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 pub struct Histogram {
     name: &'static str,
     section: Section,
-    unit: Unit,
     count: AtomicU64,
     sum: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -249,7 +226,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// A zeroed histogram (usable as a `static` initializer).
-    pub const fn new(name: &'static str, section: Section, unit: Unit) -> Self {
+    pub const fn new(name: &'static str, section: Section) -> Self {
         // Repeat-initializer for the bucket array; every bucket is its
         // own atomic, so the shared-const pitfall does not apply.
         #[allow(clippy::declare_interior_mutable_const)]
@@ -257,7 +234,6 @@ impl Histogram {
         Histogram {
             name,
             section,
-            unit,
             count: ZERO,
             sum: ZERO,
             buckets: [ZERO; HISTOGRAM_BUCKETS],
@@ -272,11 +248,6 @@ impl Histogram {
     /// The snapshot section this histogram reports into.
     pub fn section(&self) -> Section {
         self.section
-    }
-
-    /// What the recorded values measure.
-    pub fn unit(&self) -> Unit {
-        self.unit
     }
 
     /// Records one value. No-op while disabled.
@@ -337,7 +308,7 @@ impl PhaseSpan {
     /// A span whose call count is scheduling-invariant.
     pub const fn new(name: &'static str) -> Self {
         PhaseSpan {
-            hist: Histogram::new(name, Section::WallClock, Unit::Nanos),
+            hist: Histogram::new(name, Section::WallClock),
             deterministic_count: true,
         }
     }
@@ -346,7 +317,7 @@ impl PhaseSpan {
     /// command wrapper): everything about it is wall-clock.
     pub const fn wall_clock(name: &'static str) -> Self {
         PhaseSpan {
-            hist: Histogram::new(name, Section::WallClock, Unit::Nanos),
+            hist: Histogram::new(name, Section::WallClock),
             deterministic_count: false,
         }
     }
@@ -532,7 +503,7 @@ mod tests {
     fn histogram_tallies_zero_and_max() {
         let _t = test_guard();
         Recorder::install();
-        static H: Histogram = Histogram::new("test.h", Section::Deterministic, Unit::Count);
+        static H: Histogram = Histogram::new("test.h", Section::Deterministic);
         H.reset();
         H.observe(0);
         H.observe(0);

@@ -25,7 +25,7 @@
 //! histograms — identical across runs and `--threads` values for a
 //! deterministic workload) and a **wall-clock** section (durations, pool
 //! scheduling, lane occupancy — honest numbers that vary run to run),
-//! rendered as JSON or an aligned text table. The split is the
+//! rendered as JSON. The split is the
 //! determinism contract: anything scheduling-dependent is quarantined in
 //! the wall-clock section, so the deterministic section can be byte-
 //! compared in tests and CI.
@@ -38,7 +38,7 @@ pub mod progress;
 pub mod snapshot;
 
 pub use instruments::{
-    Counter, Gauge, Histogram, LaneSet, ManualTimer, PhaseSpan, Section, SpanGuard, Unit,
+    Counter, Gauge, Histogram, LaneSet, ManualTimer, PhaseSpan, Section, SpanGuard,
 };
 pub use snapshot::TelemetrySnapshot;
 

@@ -8,7 +8,7 @@
 //! drives the instrument (`loop.*` from core's runners, `pool.*` from
 //! `core::pool`, `trace.*` from the trace store, …).
 
-use crate::instruments::{Counter, Gauge, Histogram, LaneSet, PhaseSpan, Section, Unit};
+use crate::instruments::{Counter, Gauge, Histogram, LaneSet, PhaseSpan, Section};
 
 // --- loop plane (core::closed_loop / core::shard) -----------------------
 
@@ -87,7 +87,7 @@ pub static TRACE_CHECKSUM_FAILURES: Counter =
     Counter::new("trace.checksum_failures", Section::Deterministic);
 /// Payload sizes of written frames.
 pub static TRACE_FRAME_BYTES: Histogram =
-    Histogram::new("trace.frame_bytes", Section::Deterministic, Unit::Bytes);
+    Histogram::new("trace.frame_bytes", Section::Deterministic);
 /// Raw (pre-encoding) bytes of columns the codec kept plain.
 pub static TRACE_RAW_BYTES_PLAIN: Counter =
     Counter::new("trace.codec.plain.raw_bytes", Section::Deterministic);

@@ -5,7 +5,7 @@
 //! — and a `"wall_clock"` object carrying everything timing- or
 //! scheduling-dependent.
 
-use crate::instruments::{Section, Unit, HISTOGRAM_BUCKETS};
+use crate::instruments::{Section, HISTOGRAM_BUCKETS};
 use crate::metrics;
 
 /// One counter's captured state.
@@ -39,8 +39,6 @@ pub struct HistogramSnap {
     pub name: &'static str,
     /// Snapshot section.
     pub section: Section,
-    /// Value unit.
-    pub unit: Unit,
     /// Values recorded.
     pub count: u64,
     /// Sum of recorded values (wrapping).
@@ -125,7 +123,6 @@ impl TelemetrySnapshot {
                 .map(|h| HistogramSnap {
                     name: h.name(),
                     section: h.section(),
-                    unit: h.unit(),
                     count: h.count(),
                     sum: h.sum(),
                     buckets: nonzero_buckets(|i| h.bucket(i)),
@@ -267,91 +264,6 @@ impl TelemetrySnapshot {
         out.push_str(&format!("{base}  }}\n"));
         out.push_str(&format!("{base}}}"));
     }
-
-    /// An aligned text table of every instrument that recorded anything,
-    /// deterministic rows first.
-    pub fn render_text(&self) -> String {
-        let mut out = String::from("telemetry snapshot\n  [deterministic]\n");
-        let mut det_rows = 0usize;
-        for c in self
-            .counters
-            .iter()
-            .filter(|c| c.section == Section::Deterministic)
-        {
-            if c.total > 0 {
-                out.push_str(&format!("  {:<32} {:>12}\n", c.name, c.total));
-                det_rows += 1;
-            }
-        }
-        for s in self.spans.iter().filter(|s| s.deterministic_count) {
-            if s.count > 0 {
-                out.push_str(&format!("  {:<32} {:>12} calls\n", s.name, s.count));
-                det_rows += 1;
-            }
-        }
-        for h in self
-            .histograms
-            .iter()
-            .filter(|h| h.section == Section::Deterministic)
-        {
-            if h.count > 0 {
-                out.push_str(&format!(
-                    "  {:<32} {:>12} values, sum {} {}\n",
-                    h.name,
-                    h.count,
-                    h.sum,
-                    h.unit.suffix()
-                ));
-                det_rows += 1;
-            }
-        }
-        if det_rows == 0 {
-            out.push_str("  (no events recorded)\n");
-        }
-        out.push_str("  [wall-clock]\n");
-        let mut wall_rows = 0usize;
-        for s in &self.spans {
-            if s.count > 0 {
-                let total_ms = s.total_ns as f64 / 1e6;
-                let mean_us = s.total_ns as f64 / 1e3 / s.count as f64;
-                out.push_str(&format!(
-                    "  {:<32} {:>12} calls {:>12.3} ms total {:>10.2} us/call\n",
-                    s.name, s.count, total_ms, mean_us
-                ));
-                wall_rows += 1;
-            }
-        }
-        for c in self
-            .counters
-            .iter()
-            .filter(|c| c.section == Section::WallClock)
-        {
-            if c.total > 0 {
-                out.push_str(&format!("  {:<32} {:>12}\n", c.name, c.total));
-                wall_rows += 1;
-            }
-        }
-        for g in &self.gauges {
-            if g.value > 0 || g.peak > 0 {
-                out.push_str(&format!(
-                    "  {:<32} {:>12} (peak {})\n",
-                    g.name, g.value, g.peak
-                ));
-                wall_rows += 1;
-            }
-        }
-        for l in &self.lanes {
-            if !l.lanes.is_empty() {
-                let lanes: Vec<String> = l.lanes.iter().map(|v| v.to_string()).collect();
-                out.push_str(&format!("  {:<32} [{}]\n", l.name, lanes.join(", ")));
-                wall_rows += 1;
-            }
-        }
-        if wall_rows == 0 {
-            out.push_str("  (no events recorded)\n");
-        }
-        out
-    }
 }
 
 fn render_buckets(buckets: &[(usize, u64)]) -> String {
@@ -385,21 +297,6 @@ mod tests {
         // deterministic side.
         assert!(!a.deterministic_json().contains("total_ns"));
         assert!(a.render_json().contains("total_ns"));
-        Recorder::uninstall();
-        Recorder::reset();
-    }
-
-    #[test]
-    fn render_text_skips_idle_instruments() {
-        let _t = test_guard();
-        Recorder::reset();
-        let idle = TelemetrySnapshot::capture();
-        assert!(idle.render_text().contains("(no events recorded)"));
-        Recorder::install();
-        metrics::POOL_JOBS_RUN.add(7);
-        let busy = TelemetrySnapshot::capture();
-        assert!(busy.render_text().contains("pool.jobs_run"));
-        assert!(!busy.render_text().contains("pool.leases_clamped"));
         Recorder::uninstall();
         Recorder::reset();
     }

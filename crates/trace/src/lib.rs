@@ -27,8 +27,7 @@
 //!   plugs into [`ScenarioConfig::trace`](eqimpact_core::ScenarioConfig)
 //!   so `run_scenario` records every loop of every trial to disk, and
 //!   the [`TraceReplayer`] trait is what workload crates implement to
-//!   wire `experiments record` / `experiments replay` through the
-//!   registry.
+//!   wire `experiments replay` through the registry.
 //!
 //! # Determinism contract
 //!
@@ -52,9 +51,11 @@ pub mod sink;
 pub mod store;
 
 pub use column::{decode_column, encode_column};
-pub use offpolicy::{evaluate_off_policy, off_policy_report, OffPolicyOutcome, OffPolicyReport};
+pub use offpolicy::{
+    evaluate_off_policy, off_policy_report, OffPolicyOutcome, OffPolicyReport, DECISION_THRESHOLD,
+};
 pub use replay::ReplayRunner;
-pub use scenario::{PolicySpec, ReplaySummary, TraceReplayer};
+pub use scenario::{ReplaySummary, TraceReplayer};
 pub use sink::{TraceDirFactory, TraceStepSink};
 pub use store::{StepFrame, TraceGroups, TraceHeader, TraceReader, TraceWriter, FORMAT_VERSION};
 

@@ -29,6 +29,12 @@ use eqimpact_core::scenario::Scale;
 use eqimpact_stats::{Json, ToJson};
 use std::io::Read;
 
+/// The positive-decision threshold on the signal channel of every traced
+/// scenario: a signal above it is a positive decision (a loan offered, an
+/// applicant hired). [`off_policy_report`] reads decisions at it; a sweep
+/// grid may ask about others through [`OffPolicyOutcome::agreement_at`].
+pub const DECISION_THRESHOLD: f64 = 0.0;
+
 /// The raw material of an off-policy evaluation: the recorded behaviour
 /// and the counterfactual decisions, over the same logged actions.
 #[derive(Debug, Clone)]
@@ -244,11 +250,7 @@ impl ToJson for OffPolicyReport {
     }
 }
 
-fn fairness_of(
-    record: &LoopRecord,
-    groups: &[Vec<usize>],
-    decision_threshold: f64,
-) -> PolicyFairness {
+fn fairness_of(record: &LoopRecord, groups: &[Vec<usize>]) -> PolicyFairness {
     let steps = record.steps();
     let users = record.user_count();
     let positive: usize = (0..steps)
@@ -256,7 +258,7 @@ fn fairness_of(
             record
                 .signals(k)
                 .iter()
-                .filter(|&&s| s > decision_threshold)
+                .filter(|&&s| s > DECISION_THRESHOLD)
                 .count()
         })
         .sum();
@@ -265,8 +267,8 @@ fn fairness_of(
     } else {
         positive as f64 / (steps * users) as f64
     };
-    let parity = demographic_parity(record, groups, decision_threshold);
-    let opportunity = equal_opportunity(record, groups, decision_threshold, 0.5);
+    let parity = demographic_parity(record, groups, DECISION_THRESHOLD);
+    let opportunity = equal_opportunity(record, groups, DECISION_THRESHOLD, 0.5);
     let group_final_filtered = groups
         .iter()
         .map(|members| {
@@ -288,20 +290,19 @@ fn fairness_of(
 }
 
 /// Renders an [`OffPolicyOutcome`] into the report the CLI prints and
-/// persists. `header` supplies provenance; `policy` names the evaluated
-/// candidate.
+/// persists, reading decisions at [`DECISION_THRESHOLD`]. `header`
+/// supplies provenance; `policy` names the evaluated candidate.
 pub fn off_policy_report(
     outcome: &OffPolicyOutcome,
     header: &crate::store::TraceHeader,
     policy: &str,
-    decision_threshold: f64,
 ) -> OffPolicyReport {
     let (labels, groups) = match &outcome.groups {
         Some(g) => (g.labels.clone(), g.index_sets()),
         None => (Vec::new(), Vec::new()),
     };
-    let baseline = fairness_of(&outcome.baseline, &groups, decision_threshold);
-    let candidate = fairness_of(&outcome.counterfactual, &groups, decision_threshold);
+    let baseline = fairness_of(&outcome.baseline, &groups);
+    let candidate = fairness_of(&outcome.counterfactual, &groups);
     OffPolicyReport {
         scenario: header.scenario.clone(),
         variant: header.variant.clone(),
@@ -310,7 +311,7 @@ pub fn off_policy_report(
         seed: header.seed,
         steps: outcome.baseline.steps(),
         users: outcome.baseline.user_count(),
-        agreement: outcome.agreement_at(decision_threshold),
+        agreement: outcome.agreement_at(DECISION_THRESHOLD),
         group_labels: labels,
         parity_gap_delta: candidate.parity_gap - baseline.parity_gap,
         opportunity_gap_delta: candidate.opportunity_gap - baseline.opportunity_gap,
@@ -448,7 +449,7 @@ mod tests {
         // ConstAi(2.0) is positive everywhere; the log is positive for
         // exactly half the users.
         assert!((outcome.agreement_at(0.0) - 0.5).abs() < 1e-12);
-        let report = off_policy_report(&outcome, &header, "const", 0.0);
+        let report = off_policy_report(&outcome, &header, "const");
         assert_eq!(report.steps, 1);
         assert_eq!(report.users, 4);
         assert!((report.candidate.positive_rate - 1.0).abs() < 1e-12);
@@ -462,7 +463,7 @@ mod tests {
         // populated groups only instead of poisoning to NaN.
         let (bytes, header) = synthetic_trace(3, &["alpha", "beta", "ghost"], &[0, 0, 1, 1]);
         let outcome = evaluate(&bytes, EchoAi { retrains: 0 });
-        let report = off_policy_report(&outcome, &header, "echo", 0.0);
+        let report = off_policy_report(&outcome, &header, "echo");
         assert_eq!(report.group_labels.len(), 3);
         assert_eq!(report.candidate.group_rates.len(), 3);
         assert!(report.candidate.group_rates[2].is_nan());
@@ -483,7 +484,7 @@ mod tests {
             outcome.counterfactual.signals(0),
             outcome.baseline.signals(0)
         );
-        let report = off_policy_report(&outcome, &header, "echo", 0.0);
+        let report = off_policy_report(&outcome, &header, "echo");
         assert_eq!(report.parity_gap_delta, 0.0);
         assert_eq!(report.opportunity_gap_delta, 0.0);
         assert_eq!(

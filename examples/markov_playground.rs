@@ -11,19 +11,18 @@ use eqimpact_linalg::Matrix;
 use eqimpact_markov::contractivity::box_sampler;
 use eqimpact_markov::coupling::synchronous_coupling;
 use eqimpact_markov::ergodic;
-use eqimpact_markov::ifs::{affine1d, Ifs};
+use eqimpact_markov::ifs::{affine1d, IfsBuilder};
 use eqimpact_markov::invariant::{estimate_invariant_measure, FiniteChain};
 use eqimpact_markov::operator::ParticleMeasure;
 use eqimpact_stats::SimRng;
 
 fn main() {
     // 1. A contractive, primitive IFS: the textbook uniquely ergodic case.
-    let ifs = Ifs::builder(1)
+    let ms = IfsBuilder::new(1)
         .map_const(affine1d(0.5, 0.0), 0.5)
         .map_const(affine1d(0.5, 0.5), 0.5)
         .build()
         .unwrap();
-    let ms = ifs.as_markov_system().clone();
 
     let mut rng = SimRng::new(1);
     let report = ergodic::analyze(

@@ -39,6 +39,6 @@ pub mod prelude {
         full_cols, shard_bounds, ColsMut, ColsView, PopulationShard, RowStreams, ShardableAi,
         ShardablePopulation, ShardedRunner,
     };
-    pub use eqimpact_core::trials::{run_trials_with, run_trials_with_budget};
+    pub use eqimpact_core::trials::run_trials_with;
     pub use eqimpact_stats::SimRng;
 }

@@ -87,10 +87,7 @@ const HEADLINE_CHECKS: [&str; 4] = ["primitivity", "unique-ergodicity", "contrac
 
 fn certify_all(target: &dyn CertifyTarget, traces: &[MemTrace], lanes: usize) -> (String, String) {
     let sources: Vec<&dyn TraceSource> = traces.iter().map(|t| t as &dyn TraceSource).collect();
-    let config = CertifyConfig {
-        seed: 7,
-        ..CertifyConfig::default()
-    };
+    let config = CertifyConfig { seed: 7 };
     let report = run_certification(target, &sources, &config, ThreadBudget::leaked(lanes))
         .expect("certification runs");
     assert_eq!(report.certificates.len(), traces.len());
@@ -167,10 +164,7 @@ impl TraceSource for PanickingTrace {
 fn a_panicking_trace_source_is_a_per_trace_error() {
     let traces = hiring_traces(1);
     let sources: Vec<&dyn TraceSource> = vec![&traces[0], &PanickingTrace];
-    let config = CertifyConfig {
-        seed: 7,
-        ..CertifyConfig::default()
-    };
+    let config = CertifyConfig { seed: 7 };
     let report = run_certification(&HiringCertify, &sources, &config, ThreadBudget::leaked(2))
         .expect("certification runs");
     assert_eq!(report.certificates.len(), 1);

@@ -8,7 +8,7 @@ use eqimpact_linalg::Matrix;
 use eqimpact_markov::contractivity::box_sampler;
 use eqimpact_markov::coupling::synchronous_coupling;
 use eqimpact_markov::ergodic::{self, ErgodicityVerdict};
-use eqimpact_markov::ifs::{affine1d, Ifs};
+use eqimpact_markov::ifs::{affine1d, IfsBuilder};
 use eqimpact_markov::invariant::{estimate_invariant_measure, FiniteChain};
 use eqimpact_markov::operator::ParticleMeasure;
 use eqimpact_markov::MarkovSystem;
@@ -16,13 +16,11 @@ use eqimpact_stats::converge::{fit_geometric_rate, kolmogorov_smirnov};
 use eqimpact_stats::SimRng;
 
 fn binary_ifs() -> MarkovSystem {
-    Ifs::builder(1)
+    IfsBuilder::new(1)
         .map_const(affine1d(0.5, 0.0), 0.5)
         .map_const(affine1d(0.5, 0.5), 0.5)
         .build()
         .unwrap()
-        .as_markov_system()
-        .clone()
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! capacities, and across commits by the digests in
 //! `tests/data/sweep_grids.txt`.
 
-use eqimpact::lab::{run_sweep, CandidateGrid, MemTrace, SweepConfig, TraceSource};
+use eqimpact::lab::{run_sweep, CandidateGrid, MemTrace, SweepConfig, TraceSource, CI_LEVEL};
 use eqimpact::prelude::*;
 use eqimpact_core::recorder::StepSink;
 use eqimpact_core::ModelCheckpoint;
@@ -154,7 +154,6 @@ fn fifty_plus_candidate_sweep_is_deterministic_across_runs_and_thread_counts() {
     let config = SweepConfig {
         seed: 7,
         resamples: 50,
-        ..SweepConfig::default()
     };
 
     // Distinct budgets (not the process-global one) so the test pins the
@@ -181,7 +180,6 @@ fn every_ranked_candidate_carries_bootstrap_intervals() {
     let config = SweepConfig {
         seed: 7,
         resamples: 50,
-        ..SweepConfig::default()
     };
     let report = run_sweep(
         &CreditSweep,
@@ -205,7 +203,7 @@ fn every_ranked_candidate_carries_bootstrap_intervals() {
             &ranked.opportunity_gap,
             &ranked.outcome_delta,
         ] {
-            assert_eq!(ci.level, config.level);
+            assert_eq!(ci.level, CI_LEVEL);
             if ci.estimate.is_finite() {
                 assert!(
                     ci.lo <= ci.estimate && ci.estimate <= ci.hi,
@@ -238,7 +236,6 @@ fn hiring_traces_sweep_deterministically_too() {
     let config = SweepConfig {
         seed: 9,
         resamples: 50,
-        ..SweepConfig::default()
     };
     let one = run_sweep(
         &HiringSweep,
@@ -283,7 +280,6 @@ fn a_nan_recorded_filter_output_is_a_per_cell_error() {
     let config = SweepConfig {
         seed: 9,
         resamples: 50,
-        ..SweepConfig::default()
     };
     let report = run_sweep(
         &HiringSweep,
@@ -336,7 +332,6 @@ fn a_panicking_trace_source_fails_only_its_own_cells() {
     let config = SweepConfig {
         seed: 9,
         resamples: 50,
-        ..SweepConfig::default()
     };
     let report = run_sweep(
         &HiringSweep,
@@ -364,29 +359,19 @@ fn a_config_without_a_bootstrap_interval_is_an_error() {
     let clean = hiring_trace(0, false);
     let sources: Vec<&dyn TraceSource> = vec![&clean];
     let grid = CandidateGrid::new(["adaptive"], ["track-record"], [0.5]);
-    for (resamples, level, shown) in [
-        (0, 0.95, "0 resamples at level 0.95"),
-        (50, 1.0, "50 resamples at level 1"),
-        (50, f64::NAN, "50 resamples at level NaN"),
-    ] {
-        let config = SweepConfig {
-            seed: 9,
-            resamples,
-            level,
-        };
-        let error = run_sweep(
-            &HiringSweep,
-            &sources,
-            &grid,
-            &config,
-            ThreadBudget::leaked(2),
-        )
-        .expect_err("the config is refused");
-        assert_eq!(
-            error.to_string(),
-            format!("bootstrap needs at least 1 resample and a level inside (0, 1), got {shown}")
-        );
-    }
+    let config = SweepConfig {
+        seed: 9,
+        resamples: 0,
+    };
+    let error = run_sweep(
+        &HiringSweep,
+        &sources,
+        &grid,
+        &config,
+        ThreadBudget::leaked(2),
+    )
+    .expect_err("the config is refused");
+    assert_eq!(error.to_string(), "bootstrap needs at least 1 resample");
 }
 
 /// `<name> <byte length> <64-bit FNV-1a digest>` of `bytes`,
@@ -415,7 +400,6 @@ fn grid_reports_match_the_committed_digests() {
     let config = |seed| SweepConfig {
         seed,
         resamples: 50,
-        ..SweepConfig::default()
     };
     let budget = ThreadBudget::leaked(2);
     let mut table = String::new();
