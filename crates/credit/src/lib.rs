@@ -14,11 +14,14 @@
 //! * [`scenario`] — the case study as a first-class registry
 //!   [`Scenario`](eqimpact_core::scenario::Scenario) (`experiments run
 //!   credit`);
-//! * [`trace`] — replay and off-policy evaluation of recorded credit
-//!   traces (`experiments record credit` / `experiments replay`);
-//! * [`sweep`] — the counterfactual-lab sweep face: candidate grids of
-//!   lenders/thresholds evaluated off-policy over recorded traces
-//!   (`experiments sweep credit`).
+//! * [`trace`] — verified replay of recorded credit traces
+//!   (`experiments record credit` / `experiments replay`);
+//! * [`sweep`] — the off-policy face: candidate grids of
+//!   lenders/thresholds evaluated over recorded traces
+//!   (`experiments sweep credit`), and the single candidate of
+//!   `experiments replay --policy`;
+//! * [`certify`] — the certification face (`experiments certify
+//!   credit`).
 //!
 //! # Example
 //!

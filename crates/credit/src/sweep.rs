@@ -65,16 +65,7 @@ impl SweepTarget for CreditSweep {
 mod tests {
     use super::*;
     use crate::scenario::TRACE_VARIANT;
-    use crate::trace::fixture;
-
-    fn candidate(index: usize, policy: &str) -> CandidateSpec {
-        CandidateSpec {
-            index,
-            policy: policy.to_string(),
-            filter: "adr".to_string(),
-            threshold: DECISION_THRESHOLD,
-        }
-    }
+    use crate::trace::fixture::{self, candidate};
 
     #[test]
     fn grid_axes_match_the_known_names() {

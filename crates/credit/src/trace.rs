@@ -57,7 +57,8 @@ pub(crate) mod fixture {
     use crate::sim::{run_trial_sunk, CreditConfig, LenderKind};
     use eqimpact_core::recorder::{LoopRecord, RecordPolicy};
     use eqimpact_core::scenario::{Scale, TraceMeta};
-    use eqimpact_trace::{TraceHeader, TraceStepSink};
+    use eqimpact_lab::CandidateSpec;
+    use eqimpact_trace::{TraceHeader, TraceStepSink, DECISION_THRESHOLD};
 
     /// The recorded trial's configuration: a small scorecard loop.
     pub(crate) fn config() -> CreditConfig {
@@ -70,6 +71,17 @@ pub(crate) mod fixture {
             delay: 1,
             shards: 1,
             policy: RecordPolicy::Full,
+        }
+    }
+
+    /// The sweep candidate `policy` with the scenario's one filter;
+    /// `index` seeds a sweep's bootstrap, which these tests do not run.
+    pub(crate) fn candidate(index: usize, policy: &str) -> CandidateSpec {
+        CandidateSpec {
+            index,
+            policy: policy.to_string(),
+            filter: "adr".to_string(),
+            threshold: DECISION_THRESHOLD,
         }
     }
 
@@ -102,7 +114,7 @@ pub(crate) mod fixture {
 mod tests {
     use super::*;
     use crate::scenario::TRACE_VARIANT;
-    use eqimpact_lab::{CandidateSpec, SweepTarget};
+    use eqimpact_lab::SweepTarget;
     use eqimpact_trace::off_policy_report;
 
     #[test]
@@ -148,12 +160,7 @@ mod tests {
         // evaluates the candidate, the report reads it out.
         let config = fixture::config();
         let (bytes, _) = fixture::trace(false);
-        let candidate = CandidateSpec {
-            index: 0,
-            policy: "income-multiple".to_string(),
-            filter: "adr".to_string(),
-            threshold: eqimpact_trace::DECISION_THRESHOLD,
-        };
+        let candidate = fixture::candidate(0, "income-multiple");
         let eval = crate::CreditSweep
             .evaluate(&mut bytes.as_slice(), &candidate)
             .unwrap();

@@ -22,11 +22,14 @@
 //! * [`scenario`] — the workload as a registry
 //!   [`Scenario`](eqimpact_core::scenario::Scenario) (`experiments run
 //!   hiring`);
-//! * [`trace`] — replay and off-policy evaluation of recorded hiring
-//!   traces (`experiments record hiring` / `experiments replay`);
-//! * [`sweep`] — the counterfactual-lab sweep face: candidate grids of
-//!   screeners/thresholds evaluated off-policy over recorded traces
-//!   (`experiments sweep hiring`).
+//! * [`trace`] — verified replay of recorded hiring traces
+//!   (`experiments record hiring` / `experiments replay`);
+//! * [`sweep`] — the off-policy face: candidate grids of
+//!   screeners/thresholds evaluated over recorded traces
+//!   (`experiments sweep hiring`), and the single candidate of
+//!   `experiments replay --policy`;
+//! * [`certify`] — the certification face (`experiments certify
+//!   hiring`).
 //!
 //! The loop inherits the workspace-wide determinism contract: records
 //! are **bit-identical for every intra-trial shard count** (property-tested

@@ -62,16 +62,7 @@ impl SweepTarget for HiringSweep {
 mod tests {
     use super::*;
     use crate::sim::ScreenerKind;
-    use crate::trace::fixture;
-
-    fn candidate(index: usize, policy: &str) -> CandidateSpec {
-        CandidateSpec {
-            index,
-            policy: policy.to_string(),
-            filter: "track-record".to_string(),
-            threshold: DECISION_THRESHOLD,
-        }
-    }
+    use crate::trace::fixture::{self, candidate};
 
     #[test]
     fn grid_axes_match_the_known_names() {

@@ -53,7 +53,8 @@ pub(crate) mod fixture {
     use crate::sim::{run_trial_sunk, HiringConfig, ScreenerKind};
     use eqimpact_core::recorder::LoopRecord;
     use eqimpact_core::scenario::{Scale, TraceMeta};
-    use eqimpact_trace::{TraceHeader, TraceStepSink};
+    use eqimpact_lab::CandidateSpec;
+    use eqimpact_trace::{TraceHeader, TraceStepSink, DECISION_THRESHOLD};
 
     /// The recorded trial's configuration: a small loop of `screener`.
     pub(crate) fn config(screener: ScreenerKind) -> HiringConfig {
@@ -64,6 +65,17 @@ pub(crate) mod fixture {
             seed: 3,
             screener,
             ..HiringConfig::default()
+        }
+    }
+
+    /// The sweep candidate `policy` with the scenario's one filter;
+    /// `index` seeds a sweep's bootstrap, which these tests do not run.
+    pub(crate) fn candidate(index: usize, policy: &str) -> CandidateSpec {
+        CandidateSpec {
+            index,
+            policy: policy.to_string(),
+            filter: "track-record".to_string(),
+            threshold: DECISION_THRESHOLD,
         }
     }
 
@@ -96,7 +108,7 @@ pub(crate) mod fixture {
 mod tests {
     use super::*;
     use crate::sim::ScreenerKind;
-    use eqimpact_lab::{CandidateSpec, SweepTarget};
+    use eqimpact_lab::SweepTarget;
     use eqimpact_trace::off_policy_report;
 
     #[test]
@@ -139,12 +151,7 @@ mod tests {
         // `replay --policy credential` path, where the sweep face
         // evaluates the candidate and the report reads it out.
         let (bytes, _) = fixture::trace(ScreenerKind::Adaptive, false);
-        let candidate = CandidateSpec {
-            index: 0,
-            policy: "credential".to_string(),
-            filter: "track-record".to_string(),
-            threshold: eqimpact_trace::DECISION_THRESHOLD,
-        };
+        let candidate = fixture::candidate(0, "credential");
         let eval = crate::HiringSweep
             .evaluate(&mut bytes.as_slice(), &candidate)
             .unwrap();
