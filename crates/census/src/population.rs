@@ -16,18 +16,6 @@ pub struct Household {
     pub income: f64,
 }
 
-impl Household {
-    /// The paper's visible income code `1_{z ≥ 15}` (eq. before (10)): the
-    /// lender sees only whether income exceeds $15K.
-    pub fn income_code(&self) -> f64 {
-        if self.income >= 15.0 {
-            1.0
-        } else {
-            0.0
-        }
-    }
-}
-
 /// A generated population of households.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Population {
@@ -85,15 +73,6 @@ impl Population {
         &mut self.households
     }
 
-    /// Indices of households of a given race (`N_s` of the paper).
-    pub fn indices_of_race(&self, race: Race) -> Vec<usize> {
-        self.households
-            .iter()
-            .filter(|h| h.race == race)
-            .map(|h| h.id)
-            .collect()
-    }
-
     /// Count per race in `Race::ALL` order.
     // analyze::allow(R8): census/tests/properties.rs race_partition_is_exact uses it as the race tally
     pub fn race_counts(&self) -> [usize; 3] {
@@ -130,24 +109,11 @@ mod tests {
         let counts = pop.race_counts();
         assert!((counts[1] as f64 / 10_000.0 - 0.8406).abs() < 0.02);
         assert_eq!(counts.iter().sum::<usize>(), 10_000);
-        // Index lists partition consistently.
-        let total: usize = Race::ALL
-            .iter()
-            .map(|&r| pop.indices_of_race(r).len())
-            .sum();
-        assert_eq!(total, 10_000);
-    }
-
-    #[test]
-    fn income_code_threshold() {
-        let h = Household {
-            id: 0,
-            race: Race::White,
-            income: 14.9,
-        };
-        assert_eq!(h.income_code(), 0.0);
-        let h2 = Household { income: 15.0, ..h };
-        assert_eq!(h2.income_code(), 1.0);
+        // Each count is the number of households of that race.
+        for race in Race::ALL {
+            let members = pop.households().iter().filter(|h| h.race == race);
+            assert_eq!(counts[race.index()], members.count());
+        }
     }
 
     #[test]

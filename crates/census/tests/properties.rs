@@ -41,16 +41,9 @@ proptest! {
         let pop = Population::generate(&t, n, 2002, &mut SimRng::new(seed)).unwrap();
         let counts = pop.race_counts();
         prop_assert_eq!(counts.iter().sum::<usize>(), n);
-        let by_index: usize = Race::ALL.iter().map(|&r| pop.indices_of_race(r).len()).sum();
-        prop_assert_eq!(by_index, n);
-    }
-
-    #[test]
-    fn income_code_threshold_respected(seed in 0u64..100) {
-        let t = IncomeTable::embedded();
-        let pop = Population::generate(&t, 50, 2002, &mut SimRng::new(seed)).unwrap();
-        for h in pop.households() {
-            prop_assert_eq!(h.income_code(), if h.income >= 15.0 { 1.0 } else { 0.0 });
+        for race in Race::ALL {
+            let members = pop.households().iter().filter(|h| h.race == race);
+            prop_assert_eq!(counts[race.index()], members.count());
         }
     }
 }

@@ -20,77 +20,58 @@ use eqimpact_core::checkpoint::ModelCheckpoint;
 use eqimpact_core::closed_loop::{AiSystem, Feedback};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::shard::{ColsView, ShardableAi};
-use eqimpact_ml::grouped::GroupedTable;
-use eqimpact_ml::logistic::{LogisticModel, LogisticRegression};
+use eqimpact_ml::logistic::LogisticModel;
+use eqimpact_ml::retrained::{RetrainedLogistic, SCORED_COLUMN};
 use eqimpact_ml::scorecard::Scorecard;
 
-/// Index of the income code in the visible feature rows.
-pub const VISIBLE_INCOME_CODE: usize = 0;
+/// Index of the income code in the visible feature rows: the column the
+/// retrained learner scores.
+pub const VISIBLE_INCOME_CODE: usize = SCORED_COLUMN;
 
 /// Index of the raw income ($K) in the visible feature rows.
 pub const VISIBLE_INCOME_K: usize = 1;
 
-/// The paper's retrained scorecard lender.
+/// The flat loan amount ($K) of the uniform policy, the introduction's
+/// $50K.
+const UNIFORM_AMOUNT_K: f64 = 50.0;
+
+/// The paper's retrained scorecard lender: the shared retrained learner
+/// over `(ADR_i(k−1), income code)`, sizing each offer at
+/// [`model::INCOME_MULTIPLE`] × income and denying scores below
+/// [`model::CUTOFF`].
 pub struct ScorecardLender {
-    /// Steps (years) during which everyone is approved before the first
-    /// scorecard exists (the paper uses 2).
-    warmup_steps: usize,
-    /// Scorecard decision cut-off (the paper's 0.4).
-    cutoff: f64,
-    /// Loan sizing multiple (the paper's 3.5).
-    multiple: f64,
-    fitter: LogisticRegression,
-    /// `ADR_i(k−1)` as known to the lender (from the last feedback).
-    prev_adr: Vec<f64>,
-    /// Accumulated training observations `(adr_prev, income_code) →
-    /// y_i(j)` (offered users only), pooled by feature vector.
-    training: GroupedTable,
-    /// The current model, if fitted.
-    model: Option<LogisticModel>,
-    /// Refits performed.
-    refits: usize,
+    learner: RetrainedLogistic,
 }
 
 impl ScorecardLender {
-    /// Creates the lender with the paper's parameters.
+    /// Creates the lender with the paper's parameters: users the filter
+    /// has not reported carry a clean history (ADR 0).
     pub fn paper_default() -> Self {
-        ScorecardLender::new(2, model::CUTOFF, model::INCOME_MULTIPLE)
-    }
-
-    /// Creates a lender with explicit warmup, cut-off and sizing multiple.
-    pub fn new(warmup_steps: usize, cutoff: f64, multiple: f64) -> Self {
         ScorecardLender {
-            warmup_steps,
-            cutoff,
-            multiple,
-            fitter: LogisticRegression::default(),
-            prev_adr: Vec::new(),
-            training: GroupedTable::new(),
-            model: None,
-            refits: 0,
+            learner: RetrainedLogistic::new("prev_adr", 0.0),
         }
     }
 
     /// The current model, if any retraining has happened.
     pub fn model(&self) -> Option<&LogisticModel> {
-        self.model.as_ref()
+        self.learner.model()
     }
 
     /// The current scorecard (factor order: History = ADR, Income = code).
     pub fn scorecard(&self) -> Option<Scorecard> {
-        self.model
-            .as_ref()
-            .map(|m| Scorecard::from_model(m, &["History", "Income"], self.cutoff))
+        self.learner
+            .model()
+            .map(|m| Scorecard::from_model(m, &["History", "Income"], model::CUTOFF))
     }
 
     /// Number of refits performed.
     pub fn refits(&self) -> usize {
-        self.refits
+        self.learner.refits()
     }
 
     /// Accumulated training-set size, in observations.
     pub fn training_size(&self) -> usize {
-        self.training.len()
+        self.learner.training_size()
     }
 }
 
@@ -99,73 +80,21 @@ impl AiSystem for ScorecardLender {
         // A reused lender facing a differently sized population would
         // otherwise read another population's ADRs until the first
         // retrain resizes the state.
-        if self.prev_adr.len() != visible.row_count() {
-            self.prev_adr = vec![0.0; visible.row_count()];
-        }
+        self.learner.size_to(visible.row_count());
         self.signals_full(k, visible, out);
     }
 
     fn retrain(&mut self, _k: usize, feedback: &Feedback) {
-        // Training rows pair the lender's *previous* knowledge of ADR with
-        // this step's income code and repayment outcome, offered users only.
-        if self.prev_adr.len() != feedback.actions.len() {
-            self.prev_adr = vec![0.0; feedback.actions.len()];
-        }
-        let code = feedback.visible.col(VISIBLE_INCOME_CODE);
-        for (i, &action) in feedback.actions.iter().enumerate() {
-            if feedback.signals[i] > 0.0 {
-                // The table rejects a malformed row (non-finite history,
-                // non-binary outcome); the refit runs on the rest.
-                let _ = self.training.push(&[self.prev_adr[i], code[i]], action);
-            }
-        }
-        // The filter's per-user output is ADR_i up to the feedback step —
-        // which is exactly ADR_i(k−1) at the next decision.
-        self.prev_adr.clone_from(&feedback.per_user);
-
-        // Fitting an empty table is an error, so nothing is refitted
-        // before the first offer.
-        if let Ok(model) = self.training.fit(&self.fitter) {
-            self.model = Some(model);
-            self.refits += 1;
-        }
+        self.learner.retrain(feedback);
     }
 
     fn checkpoint_into(&self, out: &mut ModelCheckpoint) -> bool {
-        out.push_field("prev_adr", &self.prev_adr);
-        if let Some(model) = &self.model {
-            out.push_scalar("model.intercept", model.intercept);
-            out.push_field("model.coefficients", &model.coefficients);
-            out.push_scalar("model.iterations", model.iterations as f64);
-            out.push_scalar("model.converged", if model.converged { 1.0 } else { 0.0 });
-        }
+        self.learner.checkpoint_into(out);
         true
     }
 
     fn restore_checkpoint(&mut self, checkpoint: &ModelCheckpoint) -> bool {
-        let Some(prev_adr) = checkpoint.field("prev_adr") else {
-            return false;
-        };
-        self.prev_adr.clear();
-        self.prev_adr.extend_from_slice(prev_adr);
-        // The model is present exactly when its intercept was captured;
-        // the training set stays untouched — decisions never read it.
-        self.model = checkpoint
-            .scalar("model.intercept")
-            .map(|intercept| LogisticModel {
-                intercept,
-                coefficients: checkpoint
-                    .field("model.coefficients")
-                    .unwrap_or(&[])
-                    .to_vec(),
-                iterations: checkpoint.scalar("model.iterations").unwrap_or(0.0) as usize,
-                converged: checkpoint.scalar("model.converged") == Some(1.0),
-            });
-        true
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+        self.learner.restore_checkpoint(checkpoint)
     }
 }
 
@@ -174,24 +103,15 @@ impl ShardableAi for ScorecardLender {
         // Sized offers for everyone first; the scorecard then zeroes the
         // denials in place.
         for (o, &income) in out.iter_mut().zip(visible.col(VISIBLE_INCOME_K)) {
-            *o = self.multiple * income;
+            *o = model::INCOME_MULTIPLE * income;
         }
-        if k < self.warmup_steps {
+        // No scores in the warmup or before the first scorecard: keep
+        // approving.
+        let Some(scores) = self.learner.scores(k, visible) else {
             return;
-        }
-        let Some(m) = &self.model else {
-            return; // no scorecard yet: keep approving
         };
-        // Users beyond the last feedback carry a clean history (ADR 0),
-        // matching the retrain sizing.
-        let prev: Vec<f64> = visible
-            .rows()
-            .map(|i| self.prev_adr.get(i).copied().unwrap_or(0.0))
-            .collect();
-        let mut scores = vec![0.0; out.len()];
-        m.linear_scores_into(&[&prev, visible.col(VISIBLE_INCOME_CODE)], &mut scores);
         for (o, &s) in out.iter_mut().zip(&scores) {
-            if s < self.cutoff {
+            if s < model::CUTOFF {
                 *o = 0.0;
             }
         }
@@ -202,8 +122,6 @@ impl ShardableAi for ScorecardLender {
 /// defaulted, permanent denial afterwards. Maximal equal treatment,
 /// failing equal impact.
 pub struct UniformExclusionLender {
-    /// The flat loan amount ($K), the introduction's $50K.
-    pub amount_k: f64,
     /// Lender-side memory of who has ever defaulted.
     defaulted: Vec<bool>,
 }
@@ -211,13 +129,7 @@ pub struct UniformExclusionLender {
 impl UniformExclusionLender {
     /// Creates the lender with the introduction's $50K amount.
     pub fn paper_default() -> Self {
-        UniformExclusionLender::new(50.0)
-    }
-
-    /// Creates the lender with an explicit amount.
-    pub fn new(amount_k: f64) -> Self {
         UniformExclusionLender {
-            amount_k,
             defaulted: Vec::new(),
         }
     }
@@ -265,7 +177,7 @@ impl ShardableAi for UniformExclusionLender {
         for (o, i) in out.iter_mut().zip(visible.rows()) {
             // Users beyond the last feedback have never defaulted.
             let defaulted = self.defaulted.get(i).copied().unwrap_or(false);
-            *o = if defaulted { 0.0 } else { self.amount_k };
+            *o = if defaulted { 0.0 } else { UNIFORM_AMOUNT_K };
         }
     }
 }
@@ -368,23 +280,6 @@ mod tests {
             "income coef = {}",
             model.coefficients[1]
         );
-        // The pooled fit is the row fit over the same 400 rows, whose
-        // history is the fresh lender's ADR of 0.
-        let rows: Vec<Vec<f64>> = visible
-            .col(VISIBLE_INCOME_CODE)
-            .iter()
-            .map(|&code| vec![0.0, code])
-            .collect();
-        let by_rows = LogisticRegression::default()
-            .fit(&eqimpact_ml::Dataset::new(&rows, &feedback.actions).unwrap())
-            .unwrap();
-        assert_eq!(model.iterations, by_rows.iterations);
-        assert_eq!(model.converged, by_rows.converged);
-        assert!((model.intercept - by_rows.intercept).abs() < 1e-9);
-        for (a, b) in model.coefficients.iter().zip(&by_rows.coefficients) {
-            assert!((a - b).abs() < 1e-9, "pooled {a} vs rows {b}");
-        }
-
         // Decisions at k >= warmup use the scorecard: a defaulted low-income
         // user is denied, a clean high-income user approved.
         let signals = signals_of(&mut lender, 2, &visible);
@@ -396,31 +291,17 @@ mod tests {
     }
 
     #[test]
-    fn scorecard_lender_skips_malformed_rows_and_still_refits() {
+    fn a_nan_history_keeps_the_sized_offer() {
+        // A restored history of NaN scores NaN, which is not below the
+        // cut-off: the user keeps the sized offer.
+        let mut checkpoint = ModelCheckpoint::new();
+        checkpoint.push_field("prev_adr", &[f64::NAN, 1.0]);
+        checkpoint.push_scalar("model.intercept", 0.0);
+        checkpoint.push_field("model.coefficients", &[-8.0, 5.0]);
         let mut lender = ScorecardLender::paper_default();
-        let visible = visible_matrix(&[10.0, 60.0, 10.0, 60.0]);
-        let feedback = |per_user: Vec<f64>, actions: Vec<f64>| Feedback {
-            step: 0,
-            per_user,
-            aggregate: 0.0,
-            visible: visible.clone(),
-            signals: vec![35.0, 210.0, 35.0, 210.0],
-            actions,
-        };
-        // User 0's filter output is NaN, so its next row has a NaN history.
-        lender.retrain(
-            0,
-            &feedback(vec![f64::NAN, 0.0, 1.0, 0.0], vec![0.0, 1.0, 0.0, 1.0]),
-        );
-        assert_eq!(lender.training_size(), 4);
-        // User 1's outcome of 0.5 is not a label either.
-        lender.retrain(
-            1,
-            &feedback(vec![0.0, 0.0, 1.0, 0.0], vec![1.0, 0.5, 0.0, 1.0]),
-        );
-        assert_eq!(lender.training_size(), 6);
-        assert_eq!(lender.refits(), 2);
-        assert!(lender.model().is_some());
+        assert!(lender.restore_checkpoint(&checkpoint));
+        let visible = visible_matrix(&[10.0, 10.0]);
+        assert_eq!(signals_of(&mut lender, 2, &visible), vec![35.0, 0.0]);
     }
 
     #[test]

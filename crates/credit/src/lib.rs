@@ -6,8 +6,10 @@
 //! * [`model`] — eq. (10) state and eq. (11) repayment;
 //! * [`adr`] — eq. (12) average default rates: the loop's feedback
 //!   filter;
-//! * [`lender`] — the AI-system block: the retrained scorecard lender plus
-//!   the uniform-$50K and income-multiple baselines of the introduction;
+//! * [`lender`] — the AI-system block: the retrained scorecard lender
+//!   (the learner of `eqimpact_ml::retrained` plus the offer sizing and
+//!   the cut-off) and the uniform-$50K and income-multiple baselines of
+//!   the introduction;
 //! * [`users`] — the population block over `eqimpact-census` households;
 //! * [`sim`] — configuration, single runs and the 5-trial protocol;
 //! * [`report`] — extraction of the Table I / Fig. 2-5 artifacts;

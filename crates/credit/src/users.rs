@@ -50,11 +50,6 @@ impl CreditPopulation {
         }
     }
 
-    /// Race of user `i`.
-    pub fn race(&self, i: usize) -> Race {
-        self.population.households()[i].race
-    }
-
     /// All races in user order.
     pub fn races(&self) -> Vec<Race> {
         self.population
@@ -62,11 +57,6 @@ impl CreditPopulation {
             .iter()
             .map(|h| h.race)
             .collect()
-    }
-
-    /// User indices per race (`N_s`).
-    pub fn race_indices(&self, race: Race) -> Vec<usize> {
-        self.population.indices_of_race(race)
     }
 
     /// The calendar year simulated at step `k` (clamped to the table).
@@ -269,10 +259,10 @@ mod tests {
         let mut rng = SimRng::new(1);
         let pop = CreditPopulation::generate(300, &mut rng);
         assert_eq!(pop.user_count(), 300);
-        let total: usize = Race::ALL.iter().map(|&r| pop.race_indices(r).len()).sum();
-        assert_eq!(total, 300);
-        assert_eq!(pop.races().len(), 300);
-        assert_eq!(pop.race(0), pop.races()[0]);
+        let races = pop.races();
+        assert_eq!(races.len(), 300);
+        let households = pop.population.households();
+        assert!(households.iter().zip(&races).all(|(h, &r)| h.race == r));
     }
 
     #[test]

@@ -15,6 +15,7 @@ use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::shard::{
     shard_bounds, ColsMut, PopulationShard, RowStreams, ShardablePopulation,
 };
+use eqimpact_ml::retrained::SCORED_COLUMN;
 use eqimpact_stats::SimRng;
 use eqimpact_telemetry::metrics as tm;
 use std::ops::Range;
@@ -23,8 +24,9 @@ use std::sync::Arc;
 /// Width of the visible feature rows: `[credential_code, experience]`.
 pub const VISIBLE_WIDTH: usize = 2;
 
-/// Index of the credential code in the visible rows.
-pub const VISIBLE_CREDENTIAL: usize = 0;
+/// Index of the credential code in the visible rows: the column the
+/// retrained learner scores.
+pub const VISIBLE_CREDENTIAL: usize = SCORED_COLUMN;
 
 /// Index of the accumulated experience (successful years) in the visible
 /// rows. Visible but unscored by the adaptive screener — the analog of
@@ -34,17 +36,15 @@ pub const VISIBLE_EXPERIENCE: usize = 1;
 /// One applicant: fixed race, yearly-resampled resources, accumulated
 /// experience.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Applicant {
-    /// Stable index in the pool.
-    pub id: usize,
+struct Applicant {
     /// Race, sampled once at generation (the protected attribute the
     /// screener must not score on).
-    pub race: Race,
+    race: Race,
     /// Current household resources in $K (`z_i(k)`), refreshed yearly
     /// from the census income tables.
-    pub resources: f64,
+    resources: f64,
     /// Successful placement years so far.
-    pub experience: f64,
+    experience: f64,
 }
 
 /// The applicant pool: `N` applicants whose resources are resampled every
@@ -62,13 +62,12 @@ impl ApplicantPool {
         let table = Arc::new(IncomeTable::embedded());
         let sampler = HouseholdSampler::new(&table);
         let mut applicants = Vec::with_capacity(n);
-        for id in 0..n {
+        for _ in 0..n {
             let race = sampler.sample_race(rng);
             let resources = sampler
                 .sample_income(FIRST_YEAR, race, rng)
                 .expect("FIRST_YEAR is always in range");
             applicants.push(Applicant {
-                id,
                 race,
                 resources,
                 experience: 0.0,
@@ -81,19 +80,9 @@ impl ApplicantPool {
         }
     }
 
-    /// Race of applicant `i`.
-    pub fn race(&self, i: usize) -> Race {
-        self.applicants[i].race
-    }
-
     /// All races in applicant order.
     pub fn races(&self) -> Vec<Race> {
         self.applicants.iter().map(|a| a.race).collect()
-    }
-
-    /// The applicants.
-    pub fn applicants(&self) -> &[Applicant] {
-        &self.applicants
     }
 
     /// The calendar year simulated at round `k` (clamped to the table).
@@ -300,9 +289,9 @@ mod tests {
         let pool = ApplicantPool::generate(300, &mut rng);
         assert_eq!(pool.user_count(), 300);
         assert_eq!(pool.races().len(), 300);
-        assert_eq!(pool.race(0), pool.races()[0]);
-        assert!(pool.applicants().iter().all(|a| a.resources > 0.0));
-        assert!(pool.applicants().iter().all(|a| a.experience == 0.0));
+        assert_eq!(pool.applicants[0].race, pool.races()[0]);
+        assert!(pool.applicants.iter().all(|a| a.resources > 0.0));
+        assert!(pool.applicants.iter().all(|a| a.experience == 0.0));
     }
 
     #[test]
@@ -321,7 +310,7 @@ mod tests {
         let visible = observe(&mut pool, 0, &mut rng);
         assert_eq!(visible.row_count(), 50);
         assert_eq!(visible.width(), VISIBLE_WIDTH);
-        for (j, a) in pool.applicants().iter().enumerate() {
+        for (j, a) in pool.applicants.iter().enumerate() {
             assert_eq!(
                 visible.col(VISIBLE_CREDENTIAL)[j],
                 model::credential_code(a.resources)
@@ -340,13 +329,13 @@ mod tests {
         let actions = respond(&mut pool, 0, &hired, &mut rng);
         let successes: f64 = actions.iter().sum();
         assert!(successes > 50.0, "successes = {successes}");
-        let accrued: f64 = pool.applicants().iter().map(|a| a.experience).sum();
+        let accrued: f64 = pool.applicants.iter().map(|a| a.experience).sum();
         assert_eq!(accrued, successes);
         // Reject everyone: nothing accrues and every outcome is 0.
         let rejected = vec![0.0; 200];
         let actions = respond(&mut pool, 1, &rejected, &mut rng);
         assert!(actions.iter().all(|&y| y == 0.0));
-        let still: f64 = pool.applicants().iter().map(|a| a.experience).sum();
+        let still: f64 = pool.applicants.iter().map(|a| a.experience).sum();
         assert_eq!(still, accrued);
     }
 

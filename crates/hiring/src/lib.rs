@@ -1,7 +1,7 @@
 //! A second closed-loop workload: **hiring/admissions** through the
 //! paper's Fig. 1 lens, assembled from the existing building blocks —
-//! census demographics (`eqimpact-census`), logistic scoring
-//! (`eqimpact-ml`) and a fading-memory filter (`eqimpact-control`) —
+//! census demographics (`eqimpact-census`), the retrained logistic
+//! learner (`eqimpact-ml`) and a fading-memory filter (`eqimpact-control`) —
 //! on the generic loop machinery of `eqimpact-core`.
 //!
 //! A screener (the AI system) decides each round who is hired; hired
@@ -14,11 +14,12 @@
 //! * [`model`] — the probit job-performance model (readiness margin,
 //!   success probability);
 //! * [`applicants`] — the shardable applicant-pool population block;
-//! * [`screener`] — the retrained logistic screener and the
+//! * [`screener`] — the retrained logistic screener (the learner of
+//!   `eqimpact_ml::retrained` plus the hire-at-cut-off decision) and the
 //!   credential-gate equal-treatment baseline;
 //! * [`track`] — the track-record feedback filter (per-applicant running
 //!   success rates, EWMA-smoothed aggregate);
-//! * [`sim`] — configuration, single trials and the multi-trial protocol;
+//! * [`sim`] — configuration and single trials;
 //! * [`scenario`] — the workload as a registry
 //!   [`Scenario`](eqimpact_core::scenario::Scenario) (`experiments run
 //!   hiring`);
@@ -64,11 +65,11 @@ pub mod sweep;
 pub mod trace;
 pub mod track;
 
-pub use applicants::{Applicant, ApplicantPool, ApplicantShard};
+pub use applicants::{ApplicantPool, ApplicantShard};
 pub use certify::HiringCertify;
 pub use scenario::HiringScenario;
 pub use screener::{AdaptiveScreener, CredentialScreener};
-pub use sim::{run_trial, run_trials_protocol, HiringConfig, HiringOutcome, ScreenerKind};
+pub use sim::{run_trial, HiringConfig, HiringOutcome, ScreenerKind};
 pub use sweep::HiringSweep;
 pub use trace::HiringTracer;
 pub use track::TrackRecordFilter;

@@ -1,4 +1,4 @@
-//! Simulation drivers: one trial and the multi-trial hiring protocol.
+//! The simulation driver: one hiring trial.
 
 use crate::applicants::ApplicantPool;
 use crate::screener::{AdaptiveScreener, CredentialScreener};
@@ -7,7 +7,6 @@ use eqimpact_census::Race;
 use eqimpact_core::closed_loop::LoopBuilder;
 use eqimpact_core::recorder::{LoopRecord, RecordPolicy, StepSink};
 use eqimpact_core::shard::ShardableAi;
-use eqimpact_core::trials::run_trials_with;
 use eqimpact_ml::logistic::LogisticModel;
 use eqimpact_stats::SimRng;
 
@@ -195,15 +194,6 @@ pub fn run_trial_sunk<K: StepSink>(
     }
 }
 
-/// Runs the full multi-trial protocol in parallel (a fresh applicant pool
-/// per trial), striped over worker threads leased from the process-wide
-/// [`eqimpact_core::pool::ThreadBudget`] — shared with the intra-trial
-/// sharded sweeps, so `trials × shards` stays within the host's lanes.
-pub fn run_trials_protocol(config: &HiringConfig) -> Vec<HiringOutcome> {
-    assert!(config.trials > 0, "run_trials_protocol: zero trials");
-    run_trials_with(config.trials, |t| run_trial(config, t))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,15 +324,5 @@ mod tests {
         let outcome = run_trial(&config, 0);
         assert_eq!(outcome.record.policy(), RecordPolicy::Thin);
         assert_eq!(outcome.record.mean_actions().len(), 12);
-    }
-
-    #[test]
-    fn protocol_runs_all_trials() {
-        let config = small_config(ScreenerKind::Adaptive);
-        let outcomes = run_trials_protocol(&config);
-        assert_eq!(outcomes.len(), 2);
-        let again = run_trials_protocol(&config);
-        assert_eq!(outcomes[0].record, again[0].record);
-        assert_eq!(outcomes[1].record, again[1].record);
     }
 }

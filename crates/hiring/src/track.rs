@@ -44,22 +44,12 @@ impl TrackRecordFilter {
 
     /// Track record of applicant `i`: successes over placements, `1.0`
     /// for applicants never hired.
-    pub fn track_record(&self, i: usize) -> f64 {
+    fn track_record(&self, i: usize) -> f64 {
         if self.placements[i] == 0 {
             1.0
         } else {
             self.successes[i] as f64 / self.placements[i] as f64
         }
-    }
-
-    /// Total placements of applicant `i`.
-    pub fn placements(&self, i: usize) -> u64 {
-        self.placements[i]
-    }
-
-    /// Number of applicants tracked (0 before the first round).
-    pub fn user_count(&self) -> usize {
-        self.placements.len()
     }
 }
 
@@ -177,9 +167,7 @@ mod tests {
         // Round 1: user 1 not hired; their record freezes.
         let fb = apply(&mut f, 1, &visible, &[1.0, 0.0], &[0.0, 0.0]);
         assert_eq!(fb.per_user, vec![0.5, 0.0]);
-        assert_eq!(f.placements(0), 2);
-        assert_eq!(f.placements(1), 1);
-        assert_eq!(f.user_count(), 2);
+        assert_eq!(f.placements, vec![2, 1]);
         // EWMA: 0.3 * 0 + 0.7 * 0.5.
         assert!((fb.aggregate - 0.35).abs() < 1e-12);
     }
@@ -197,6 +185,6 @@ mod tests {
         let visible = FeatureMatrix::zeros(2, 0);
         let fb = apply(&mut f, 0, &visible, &[1.0, 1.0], &[1.0, 1.0]);
         assert_eq!(fb.per_user, vec![1.0, 1.0]);
-        assert_eq!((f.placements(0), f.placements(1)), (1, 1));
+        assert_eq!(f.placements, vec![1, 1]);
     }
 }

@@ -47,6 +47,7 @@ pub fn affine1d(a: f64, b: f64) -> impl Fn(&[f64]) -> Vec<f64> + Send + Sync + '
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::tests::validate_at;
     use eqimpact_stats::SimRng;
 
     fn binary_ifs() -> MarkovSystem {
@@ -64,7 +65,7 @@ mod tests {
         assert_eq!(ifs.dim(), 1);
         assert_eq!(ifs.vertex_count(), 1);
         assert_eq!(ifs.probabilities_at(&[0.3]).unwrap(), vec![0.5, 0.5]);
-        ifs.validate_at(&[vec![0.0], vec![0.5], vec![1.0]]).unwrap();
+        validate_at(&ifs, &[vec![0.0], vec![0.5], vec![1.0]]).unwrap();
     }
 
     #[test]
@@ -98,7 +99,7 @@ mod tests {
             .map(affine1d(0.9, 0.0), |x| 1.0 - x[0].clamp(0.0, 1.0))
             .build()
             .unwrap();
-        ifs.validate_at(&[vec![0.0], vec![0.4], vec![1.0]]).unwrap();
+        validate_at(&ifs, &[vec![0.0], vec![0.4], vec![1.0]]).unwrap();
         let p = ifs.probabilities_at(&[0.25]).unwrap();
         assert!((p[0] - 0.25).abs() < 1e-15);
         assert!((p[1] - 0.75).abs() < 1e-15);

@@ -33,24 +33,12 @@ pub enum MarkovSystemError {
         /// Number of declared vertices.
         vertices: usize,
     },
-    /// At a sampled point, the outgoing probabilities failed to sum to 1.
-    ProbabilitiesNotNormalized {
-        /// Vertex whose cell contained the point.
-        vertex: usize,
-        /// The measured sum.
-        sum: f64,
-    },
     /// A probability function returned a value outside `[0, 1]`.
     ProbabilityOutOfRange {
         /// Edge whose probability misbehaved.
         edge: usize,
         /// The offending value.
         value: f64,
-    },
-    /// A map sent a point of its source cell outside its target cell.
-    CellViolation {
-        /// Edge whose map misbehaved.
-        edge: usize,
     },
     /// A sampled point belonged to no declared cell.
     PointInNoCell,
@@ -63,18 +51,8 @@ impl fmt::Display for MarkovSystemError {
             MarkovSystemError::BadVertex { vertex, vertices } => {
                 write!(f, "edge references vertex {vertex} of {vertices}")
             }
-            MarkovSystemError::ProbabilitiesNotNormalized { vertex, sum } => write!(
-                f,
-                "outgoing probabilities at a point of cell {vertex} sum to {sum}, not 1"
-            ),
             MarkovSystemError::ProbabilityOutOfRange { edge, value } => {
                 write!(f, "edge {edge} probability {value} outside [0,1]")
-            }
-            MarkovSystemError::CellViolation { edge } => {
-                write!(
-                    f,
-                    "edge {edge} maps its source cell outside its target cell"
-                )
             }
             MarkovSystemError::PointInNoCell => write!(f, "sampled point belongs to no cell"),
         }
@@ -264,30 +242,6 @@ impl MarkovSystem {
         Ok(probs)
     }
 
-    /// Validates normalization and cell compatibility on a set of sample
-    /// points (one validation sweep per point).
-    #[cfg(test)]
-    pub fn validate_at(&self, points: &[Vec<f64>]) -> Result<(), MarkovSystemError> {
-        for x in points {
-            let v = self.classify(x)?;
-            let probs = self.probabilities_at(x)?;
-            let sum: f64 = probs.iter().sum();
-            if (sum - 1.0).abs() > 1e-6 {
-                return Err(MarkovSystemError::ProbabilitiesNotNormalized { vertex: v, sum });
-            }
-            for (&ei, &p) in self.outgoing[v].iter().zip(&probs) {
-                if p > 0.0 {
-                    let image = (self.edges[ei].map)(x);
-                    let target = self.classify(&image)?;
-                    if target != self.edges[ei].to {
-                        return Err(MarkovSystemError::CellViolation { edge: ei });
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Performs one random step from `x`, returning `(edge_index, next)`.
     ///
     /// # Panics
@@ -336,8 +290,47 @@ impl MarkovSystem {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Why [`validate_at`] rejected a system.
+    #[derive(Debug, PartialEq)]
+    pub(crate) enum Invalid {
+        /// A point lay in no cell, or a probability left `[0, 1]`.
+        System(MarkovSystemError),
+        /// At a point of cell `vertex`, the outgoing probabilities sum to
+        /// `sum`, not 1.
+        NotNormalized { vertex: usize, sum: f64 },
+        /// Edge `edge` maps a point of its source cell outside its target
+        /// cell.
+        CellViolation { edge: usize },
+    }
+
+    impl From<MarkovSystemError> for Invalid {
+        fn from(e: MarkovSystemError) -> Self {
+            Invalid::System(e)
+        }
+    }
+
+    /// Checks normalization and cell compatibility of `ms` at each of
+    /// `points`.
+    pub(crate) fn validate_at(ms: &MarkovSystem, points: &[Vec<f64>]) -> Result<(), Invalid> {
+        for x in points {
+            let v = ms.classify(x)?;
+            let probs = ms.probabilities_at(x)?;
+            let sum: f64 = probs.iter().sum();
+            if (sum - 1.0).abs() > 1e-6 {
+                return Err(Invalid::NotNormalized { vertex: v, sum });
+            }
+            for (&ei, &p) in ms.outgoing(v).iter().zip(&probs) {
+                let edge = &ms.edges()[ei];
+                if p > 0.0 && ms.classify(&(edge.map)(x))? != edge.to {
+                    return Err(Invalid::CellViolation { edge: ei });
+                }
+            }
+        }
+        Ok(())
+    }
 
     /// Two-cell system on R: cell 0 = x < 0.5, cell 1 = x >= 0.5, with maps
     /// hopping between the cells.
@@ -389,7 +382,7 @@ mod tests {
     fn validation_passes_for_consistent_system() {
         let ms = two_cell_system();
         let pts = vec![vec![0.0], vec![0.3], vec![0.5], vec![0.8], vec![1.0]];
-        ms.validate_at(&pts).unwrap();
+        validate_at(&ms, &pts).unwrap();
     }
 
     #[test]
@@ -400,11 +393,8 @@ mod tests {
             .edge(0, 0, |x| x.to_vec(), |_| 0.4)
             .build()
             .unwrap();
-        let err = ms.validate_at(&[vec![0.0]]).unwrap_err();
-        assert!(matches!(
-            err,
-            MarkovSystemError::ProbabilitiesNotNormalized { .. }
-        ));
+        let err = validate_at(&ms, &[vec![0.0]]).unwrap_err();
+        assert!(matches!(err, Invalid::NotNormalized { vertex: 0, .. }));
     }
 
     #[test]
@@ -417,8 +407,8 @@ mod tests {
             .edge(1, 0, |_| vec![0.0], |_| 1.0)
             .build()
             .unwrap();
-        let err = ms.validate_at(&[vec![0.1]]).unwrap_err();
-        assert_eq!(err, MarkovSystemError::CellViolation { edge: 0 });
+        let err = validate_at(&ms, &[vec![0.1]]).unwrap_err();
+        assert_eq!(err, Invalid::CellViolation { edge: 0 });
     }
 
     #[test]
@@ -428,10 +418,10 @@ mod tests {
             .edge(0, 0, |x| x.to_vec(), |_| 1.5)
             .build()
             .unwrap();
-        let err = ms.validate_at(&[vec![0.0]]).unwrap_err();
+        let err = validate_at(&ms, &[vec![0.0]]).unwrap_err();
         assert!(matches!(
             err,
-            MarkovSystemError::ProbabilityOutOfRange { .. }
+            Invalid::System(MarkovSystemError::ProbabilityOutOfRange { .. })
         ));
     }
 
@@ -487,11 +477,11 @@ mod tests {
 
     #[test]
     fn display_of_errors() {
-        let e = MarkovSystemError::ProbabilitiesNotNormalized {
-            vertex: 1,
-            sum: 0.8,
+        let e = MarkovSystemError::ProbabilityOutOfRange {
+            edge: 1,
+            value: 1.5,
         };
-        assert!(e.to_string().contains("0.8"));
+        assert!(e.to_string().contains("1.5"));
         assert!(MarkovSystemError::Empty.to_string().contains("no edges"));
     }
 }

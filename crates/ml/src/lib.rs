@@ -10,8 +10,12 @@
 //! * [`logistic`] — binomial GLM with logit link, fitted by IRLS (Newton)
 //!   with an L2 ridge and a gradient-descent fallback;
 //! * [`grouped`] — the grouped-binomial training table behind the
-//!   retrained learners: every observation so far, pooled by feature
+//!   retrained learner: every observation so far, pooled by feature
 //!   vector, so a refit costs one IRLS row per distinct vector;
+//! * [`retrained`] — the learner both traced scenarios retrain each step
+//!   on `(history, visible code)`: its per-user history, refit,
+//!   checkpoint and warmup-gated scores (credit's scorecard lender and
+//!   hiring's adaptive screener add only their decisions);
 //! * [`scorecard`] — coefficient-to-scorecard conversion, cut-off
 //!   decisions, Table I rendering.
 
@@ -38,6 +42,7 @@ pub mod counterfactual;
 pub mod dataset;
 pub mod grouped;
 pub mod logistic;
+pub mod retrained;
 pub mod scorecard;
 
 pub use counterfactual::{minimal_counterfactual, Counterfactual, FeatureBounds};
