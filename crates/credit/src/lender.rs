@@ -291,6 +291,34 @@ mod tests {
     }
 
     #[test]
+    fn scorecard_lender_skips_malformed_rows_and_still_refits() {
+        let mut lender = ScorecardLender::paper_default();
+        let visible = visible_matrix(&[10.0, 60.0, 10.0, 60.0]);
+        let feedback = |per_user: Vec<f64>, actions: Vec<f64>| Feedback {
+            step: 0,
+            per_user,
+            aggregate: 0.0,
+            visible: visible.clone(),
+            signals: vec![35.0, 210.0, 35.0, 210.0],
+            actions,
+        };
+        // User 0's filter output is NaN, so its next row has a NaN history.
+        lender.retrain(
+            0,
+            &feedback(vec![f64::NAN, 0.0, 1.0, 0.0], vec![0.0, 1.0, 0.0, 1.0]),
+        );
+        assert_eq!(lender.training_size(), 4);
+        // User 1's outcome of 0.5 is not a label either.
+        lender.retrain(
+            1,
+            &feedback(vec![0.0, 0.0, 1.0, 0.0], vec![1.0, 0.5, 0.0, 1.0]),
+        );
+        assert_eq!(lender.training_size(), 6);
+        assert_eq!(lender.refits(), 2);
+        assert!(lender.model().is_some());
+    }
+
+    #[test]
     fn a_nan_history_keeps_the_sized_offer() {
         // A restored history of NaN scores NaN, which is not below the
         // cut-off: the user keeps the sized offer.

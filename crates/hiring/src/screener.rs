@@ -183,6 +183,35 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_skips_malformed_rows_and_still_refits() {
+        let mut s = AdaptiveScreener::default_config();
+        let visible = visible_matrix(&[(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)]);
+        let feedback = |per_user: Vec<f64>, actions: Vec<f64>| Feedback {
+            step: 0,
+            per_user,
+            aggregate: 0.0,
+            visible: visible.clone(),
+            signals: vec![1.0; 4],
+            actions,
+        };
+        // Applicant 0's filter output is NaN, so its next row has a NaN
+        // track record.
+        s.retrain(
+            0,
+            &feedback(vec![f64::NAN, 1.0, 0.0, 1.0], vec![0.0, 1.0, 0.0, 1.0]),
+        );
+        assert_eq!(s.training_size(), 4);
+        // Applicant 1's outcome of 0.5 is not a label either.
+        s.retrain(
+            1,
+            &feedback(vec![1.0, 1.0, 0.0, 1.0], vec![1.0, 0.5, 0.0, 1.0]),
+        );
+        assert_eq!(s.training_size(), 6);
+        assert_eq!(s.refits(), 2);
+        assert!(s.model().is_some());
+    }
+
+    #[test]
     fn a_nan_track_record_is_rejected() {
         // A restored track record of NaN scores NaN, which is not at or
         // above the cut-off: the applicant is rejected.
