@@ -1,23 +1,28 @@
 //! Performance microbenchmarks of the building blocks (not paper
 //! artifacts): the sharded runner's one-lane path, the columnar feature
-//! plane, the credit loop, the credit render, the trace codec, the
-//! counterfactual sweep and its bootstrap, IRLS fitting, Markov operator
-//! application, and invariant-measure estimation. They print
-//! their timings and write no file; the end-to-end and per-layer numbers
-//! of the closed loop come from the `loopbench` benchmark
-//! (`loopbench/README.md`, declared in `BENCHMARK.json`).
+//! plane, the credit loop, the credit render, the census income draw,
+//! the trace codec, the counterfactual sweep and its bootstrap, IRLS
+//! fitting, Markov operator application, and invariant-measure
+//! estimation. They print their timings and write no file; the end-to-end
+//! and per-layer numbers of the closed loop come from the `loopbench`
+//! benchmark (`loopbench/README.md`, declared in `BENCHMARK.json`).
 //!
-//! Three arms assert an invariant that must hold on any hardware. The
+//! Four arms assert an invariant that must hold on any hardware. The
 //! sharding bench (P5) checks that a one-lane sharded run, which spawns
 //! nothing, stays within noise of the sequential `LoopRunner`. The
 //! columnar bench (P8) checks
 //! that batched column-kernel scoring does not lose to a row-gathering
 //! baseline replicating the pre-redesign row-major hot path, on the same
 //! loop at the same scale, after proving the two bit-identical. The
+//! census-income bench checks that every draw of `sample_income` equals
+//! `weighted_index` then `uniform_in` on the same stream. The
 //! trace-codec bench checks that re-encoding the decoded audit corpus
 //! gives back the recorded bytes, and decoding them every value.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use eqimpact_census::{
+    Household, HouseholdSampler, IncomeTable, Population, BRACKETS, FIRST_YEAR, LAST_YEAR,
+};
 use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::pool::ThreadBudget;
@@ -449,6 +454,99 @@ fn bench_credit_render(c: &mut Criterion) {
     group.finish();
 }
 
+/// The census income draw for 100k households in row order, as the
+/// credit observe sweep makes it: household `i` draws its income for the
+/// year of step `k` from `RowStreams::observe(root, k).for_row(i)`.
+/// Prints ns per draw, the row's stream included, for
+/// `HouseholdSampler::sample_income` and for the checked
+/// `weighted_index` then `uniform_in` it stands for. The first pass
+/// asserts, for every resampled year (steps 1 to 18, 2003 to 2020), that
+/// the two draw the same bits and leave the stream in the same state.
+/// Writes no file.
+fn bench_census_income(_c: &mut Criterion) {
+    const HOUSEHOLDS: usize = 100_000;
+    let table = IncomeTable::embedded();
+    let sampler = HouseholdSampler::new(table);
+    let households = Population::generate(table, HOUSEHOLDS, FIRST_YEAR, &mut SimRng::new(2002))
+        .expect("FIRST_YEAR is in range")
+        .into_households();
+    let root = SimRng::new(7);
+    let years = (LAST_YEAR - FIRST_YEAR) as usize;
+    let year_of = |k: usize| FIRST_YEAR + k as u32;
+    let cut_draw = |year: u32, h: &Household, rng: &mut SimRng| {
+        sampler
+            .sample_income(year, h.race, rng)
+            .expect("year in range")
+    };
+    let checked_draw = |year: u32, h: &Household, rng: &mut SimRng| {
+        let shares = table.shares(year, h.race).expect("year in range");
+        let bracket = &BRACKETS[rng.weighted_index(shares)];
+        rng.uniform_in(bracket.lo, bracket.hi)
+    };
+    println!("\n-- group: perf/census_income ({HOUSEHOLDS} households in row order) --");
+    for k in 1..=years {
+        let streams = RowStreams::observe(&root, k);
+        for (i, h) in households.iter().enumerate() {
+            let mut fast = streams.for_row(i);
+            let mut checked = fast.clone();
+            let got = cut_draw(year_of(k), h, &mut fast);
+            let want = checked_draw(year_of(k), h, &mut checked);
+            assert!(
+                got.to_bits() == want.to_bits() && fast.next_u64() == checked.next_u64(),
+                "step {k} row {i}: sample_income differs from weighted_index then uniform_in"
+            );
+        }
+    }
+    let reps = if criterion::is_quick() { 6 } else { 36 };
+    let mut ns_per_draw = [Vec::new(), Vec::new()];
+    // Rotated round-robin over the two draws, one step's sweep per call;
+    // the first round warms up and is not counted.
+    for rep in 0..=reps {
+        let k = 1 + rep % years;
+        let streams = RowStreams::observe(&root, k);
+        for j in 0..2 {
+            let arm = (j + rep) % 2;
+            let ns = if arm == 0 {
+                sweep_ns(&households, &streams, year_of(k), cut_draw)
+            } else {
+                sweep_ns(&households, &streams, year_of(k), checked_draw)
+            };
+            if rep > 0 {
+                ns_per_draw[arm].push(ns);
+            }
+        }
+    }
+    for (name, samples) in ["sample_income", "weighted_index_then_uniform_in"]
+        .iter()
+        .zip(&mut ns_per_draw)
+    {
+        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let per_draw = median(samples);
+        println!(
+            "perf/census_income/{name:<32} median {per_draw:>8.2} ns/draw, \
+             min {min:>8.2} ({reps} sweeps)"
+        );
+    }
+}
+
+/// Nanoseconds per household of one sweep of `draw` over `households`
+/// for `year`, each on its own row's stream.
+fn sweep_ns(
+    households: &[Household],
+    streams: &RowStreams,
+    year: u32,
+    draw: impl Fn(u32, &Household, &mut SimRng) -> f64,
+) -> f64 {
+    let start = Instant::now();
+    let sum: f64 = households
+        .iter()
+        .enumerate()
+        .map(|(i, h)| draw(year, h, &mut streams.for_row(i)))
+        .sum();
+    criterion::black_box(sum);
+    start.elapsed().as_nanos() as f64 / households.len() as f64
+}
+
 /// Every hiring loop at `scale` (each trial, both screeners) recorded
 /// into an in-memory checkpointed trace, as `experiments record hiring`
 /// writes them to disk, with its name; at paper scale, the audit
@@ -805,6 +903,7 @@ criterion_group!(
     bench_columnar,
     bench_loop_step,
     bench_credit_render,
+    bench_census_income,
     bench_trace_codec,
     bench_sweep,
     bench_irls,

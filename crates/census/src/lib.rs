@@ -13,14 +13,21 @@
 //! so preserving the ordering and tails preserves the behaviour the paper's
 //! equal-impact argument relies on (see DESIGN.md, substitution table).
 //!
+//! The table is built once per process: [`IncomeTable::embedded`] returns
+//! a `&'static` reference. Each `(year, race)` row is checked once and
+//! keeps the cut points of its shares, so an income draw counts the cuts
+//! at or below 53 random bits instead of walking the nine brackets, with
+//! the bits of `SimRng::weighted_index` (see
+//! [`HouseholdSampler::sample_income`]).
+//!
 //! # Example
 //!
 //! ```
 //! use eqimpact_census::{Race, IncomeTable, HouseholdSampler};
 //! use eqimpact_stats::SimRng;
 //!
-//! let table = IncomeTable::embedded();
-//! let sampler = HouseholdSampler::new(&table);
+//! let table: &'static IncomeTable = IncomeTable::embedded();
+//! let sampler = HouseholdSampler::new(table);
 //! let mut rng = SimRng::new(1);
 //! let race = sampler.sample_race(&mut rng);
 //! let income = sampler.sample_income(2020, race, &mut rng).unwrap();

@@ -7,8 +7,6 @@ use eqimpact_stats::SimRng;
 /// One simulated household: a fixed race and a per-year resampled income.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Household {
-    /// Stable index in the population.
-    pub id: usize,
     /// Race, sampled once at generation (the protected attribute the
     /// lender must not score on).
     pub race: Race,
@@ -33,16 +31,16 @@ impl Population {
     ) -> Result<Self, TableError> {
         let sampler = HouseholdSampler::new(table);
         let mut households = Vec::with_capacity(n);
-        for id in 0..n {
+        for _ in 0..n {
             let race = sampler.sample_race(rng);
             let income = sampler.sample_income(start_year, race, rng)?;
-            households.push(Household { id, race, income });
+            households.push(Household { race, income });
         }
         Ok(Population { households })
     }
 
-    /// Wraps an existing household list (e.g. reassembled from row
-    /// shards). Households keep whatever ids they carry.
+    /// Wraps an existing household list in row order (e.g. reassembled
+    /// from row shards).
     pub fn from_households(households: Vec<Household>) -> Self {
         Population { households }
     }
@@ -89,23 +87,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn generation_respects_size_and_ids() {
+    fn generation_respects_size_and_incomes() {
         let table = IncomeTable::embedded();
         let mut rng = SimRng::new(1);
-        let pop = Population::generate(&table, 500, 2002, &mut rng).unwrap();
+        let pop = Population::generate(table, 500, 2002, &mut rng).unwrap();
         assert_eq!(pop.len(), 500);
         assert!(!pop.is_empty());
-        for (i, h) in pop.households().iter().enumerate() {
-            assert_eq!(h.id, i);
-            assert!(h.income > 0.0);
-        }
+        assert!(pop.households().iter().all(|h| h.income > 0.0));
     }
 
     #[test]
     fn race_counts_roughly_match_shares() {
         let table = IncomeTable::embedded();
         let mut rng = SimRng::new(2);
-        let pop = Population::generate(&table, 10_000, 2002, &mut rng).unwrap();
+        let pop = Population::generate(table, 10_000, 2002, &mut rng).unwrap();
         let counts = pop.race_counts();
         assert!((counts[1] as f64 / 10_000.0 - 0.8406).abs() < 0.02);
         assert_eq!(counts.iter().sum::<usize>(), 10_000);
@@ -120,6 +115,6 @@ mod tests {
     fn bad_year_propagates() {
         let table = IncomeTable::embedded();
         let mut rng = SimRng::new(4);
-        assert!(Population::generate(&table, 10, 2050, &mut rng).is_err());
+        assert!(Population::generate(table, 10, 2050, &mut rng).is_err());
     }
 }

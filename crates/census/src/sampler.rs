@@ -32,8 +32,10 @@ impl<'a> HouseholdSampler<'a> {
     ///
     /// The draw is `rng.weighted_index(shares)` followed by
     /// `rng.uniform_in(lo, hi)`, bit for bit, without their per-draw
-    /// checks: the table checks and sums each row once when it is built,
-    /// and `brackets.rs` checks every bracket at compile time.
+    /// checks or the bracket walk: the table checks each row once and
+    /// stores its cut points (`stats::rng::weighted_cuts`), the bracket is
+    /// the number of cuts at or below the draw's 53 bits, counted without
+    /// a branch, and `brackets.rs` checks every bracket at compile time.
     #[inline]
     pub fn sample_income(
         &self,
@@ -41,14 +43,9 @@ impl<'a> HouseholdSampler<'a> {
         race: Race,
         rng: &mut SimRng,
     ) -> Result<f64, TableError> {
-        let (shares, total) = self.table.summed_shares(year, race)?;
-        let bracket = &BRACKETS[rng.weighted_index_with_total(shares, total)];
+        let cuts = self.table.cuts(year, race)?;
+        let bracket = &BRACKETS[rng.weighted_index_by_cuts(cuts)];
         Ok(bracket.lo + (bracket.hi - bracket.lo) * rng.uniform())
-    }
-
-    /// The table backing this sampler.
-    pub fn table(&self) -> &IncomeTable {
-        self.table
     }
 }
 
@@ -61,7 +58,7 @@ mod tests {
     #[test]
     fn race_frequencies_match_2002_shares() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(&table);
+        let s = HouseholdSampler::new(table);
         let mut rng = SimRng::new(1);
         let n = 100_000;
         let mut counts = [0usize; 3];
@@ -80,7 +77,7 @@ mod tests {
     #[test]
     fn income_samples_respect_bracket_shares() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(&table);
+        let s = HouseholdSampler::new(table);
         let mut rng = SimRng::new(2);
         let n = 100_000;
         let mut counts = [0usize; crate::brackets::BRACKET_COUNT];
@@ -101,7 +98,7 @@ mod tests {
     #[test]
     fn incomes_positive_and_below_cap() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(&table);
+        let s = HouseholdSampler::new(table);
         let mut rng = SimRng::new(3);
         for year in [2002, 2010, 2020] {
             for race in Race::ALL {
@@ -116,7 +113,7 @@ mod tests {
     #[test]
     fn income_draws_match_weighted_index_then_uniform_in() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(&table);
+        let s = HouseholdSampler::new(table);
         for seed in 0..64 {
             let mut fast = SimRng::new(seed);
             let mut checked = fast.clone();
@@ -142,7 +139,7 @@ mod tests {
     #[test]
     fn invalid_year_propagates() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(&table);
+        let s = HouseholdSampler::new(table);
         let mut rng = SimRng::new(4);
         assert!(s.sample_income(1990, Race::White, &mut rng).is_err());
     }
@@ -150,7 +147,7 @@ mod tests {
     #[test]
     fn race_income_gap_visible_in_samples() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(&table);
+        let s = HouseholdSampler::new(table);
         let mut rng = SimRng::new(5);
         let n = 20_000;
         let mean = |race: Race, rng: &mut SimRng| -> f64 {

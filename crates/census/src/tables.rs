@@ -1,7 +1,9 @@
 //! The embedded income-distribution tables.
 
 use crate::brackets::BRACKET_COUNT;
+use eqimpact_stats::rng::weighted_cuts;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// First simulated year (the paper starts in 2002, when ASEC first allowed
 /// the detailed race options).
@@ -102,44 +104,40 @@ const SHARES_2020: [[f64; BRACKET_COUNT]; 3] = [
 /// nominal-income drift the real Table A-2 records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IncomeTable {
-    /// `rows[year - FIRST_YEAR][race]`.
-    rows: Vec<[ShareRow; 3]>,
+    /// `rows[year - FIRST_YEAR][race]`, held in place: the process's one
+    /// table is never on the heap.
+    rows: [[ShareRow; 3]; YEARS],
 }
+
+/// Number of simulated years, `FIRST_YEAR..=LAST_YEAR`.
+const YEARS: usize = (LAST_YEAR - FIRST_YEAR + 1) as usize;
 
 /// One `(year, race)` row of an [`IncomeTable`], checked when it is built.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ShareRow {
     /// Bracket shares, finite and non-negative, normalized to sum to 1.
     shares: [f64; BRACKET_COUNT],
-    /// `shares.iter().sum()`: positive, and the total that
-    /// `SimRng::weighted_index` would compute on every draw.
-    total: f64,
-}
-
-impl ShareRow {
-    /// Checks a row and sums it.
-    ///
-    /// # Panics
-    /// Panics on a negative or non-finite share, or a non-positive total.
-    fn new(shares: [f64; BRACKET_COUNT]) -> Self {
-        assert!(
-            shares.iter().all(|&w| w >= 0.0 && w.is_finite()),
-            "income table: bad share in {shares:?}"
-        );
-        let total: f64 = shares.iter().sum();
-        assert!(total > 0.0, "income table: zero total in {shares:?}");
-        ShareRow { shares, total }
-    }
+    /// `weighted_cuts(&shares)`: the draw of `SimRng::weighted_index` on
+    /// the shares is the number of these at or below its 53 bits.
+    cuts: [u64; BRACKET_COUNT - 1],
 }
 
 impl IncomeTable {
-    /// Builds the embedded table.
-    pub fn embedded() -> Self {
-        let years = (LAST_YEAR - FIRST_YEAR + 1) as usize;
-        let mut rows = Vec::with_capacity(years);
-        for k in 0..years {
-            let t = k as f64 / (years - 1) as f64;
-            rows.push(std::array::from_fn(|r| {
+    /// The embedded table, built once per process on first use.
+    pub fn embedded() -> &'static IncomeTable {
+        static TABLE: OnceLock<IncomeTable> = OnceLock::new();
+        TABLE.get_or_init(IncomeTable::build)
+    }
+
+    /// Interpolates, normalizes and cuts every `(year, race)` row.
+    ///
+    /// # Panics
+    /// Panics on a row `SimRng::weighted_index` would reject: a negative
+    /// or non-finite share, or a zero total.
+    fn build() -> Self {
+        let rows = std::array::from_fn(|k| {
+            let t = k as f64 / (YEARS - 1) as f64;
+            std::array::from_fn(|r| {
                 let mut shares = [0.0; BRACKET_COUNT];
                 let mut total = 0.0;
                 for (b, slot) in shares.iter_mut().enumerate() {
@@ -150,29 +148,36 @@ impl IncomeTable {
                 for slot in shares.iter_mut() {
                     *slot /= total;
                 }
-                ShareRow::new(shares)
-            }));
-        }
+                ShareRow {
+                    shares,
+                    cuts: weighted_cuts(&shares),
+                }
+            })
+        });
         IncomeTable { rows }
+    }
+
+    /// The row of a `(year, race)` pair.
+    fn row(&self, year: u32, race: Race) -> Result<&ShareRow, TableError> {
+        if !(FIRST_YEAR..=LAST_YEAR).contains(&year) {
+            return Err(TableError::YearOutOfRange { year });
+        }
+        Ok(&self.rows[(year - FIRST_YEAR) as usize][race.index()])
     }
 
     /// Normalized bracket shares for a `(year, race)` pair.
     pub fn shares(&self, year: u32, race: Race) -> Result<&[f64; BRACKET_COUNT], TableError> {
-        self.summed_shares(year, race).map(|(shares, _)| shares)
+        self.row(year, race).map(|row| &row.shares)
     }
 
-    /// The normalized bracket shares of a `(year, race)` pair and their
-    /// sum, as `SimRng::weighted_index_with_total` takes them.
-    pub(crate) fn summed_shares(
+    /// The cut points of a `(year, race)` pair's shares, as
+    /// `SimRng::weighted_index_by_cuts` takes them.
+    pub(crate) fn cuts(
         &self,
         year: u32,
         race: Race,
-    ) -> Result<(&[f64; BRACKET_COUNT], f64), TableError> {
-        if !(FIRST_YEAR..=LAST_YEAR).contains(&year) {
-            return Err(TableError::YearOutOfRange { year });
-        }
-        let row = &self.rows[(year - FIRST_YEAR) as usize][race.index()];
-        Ok((&row.shares, row.total))
+    ) -> Result<&[u64; BRACKET_COUNT - 1], TableError> {
+        self.row(year, race).map(|row| &row.cuts)
     }
 
     /// Mean income ($K) for a `(year, race)` pair, using bracket midpoints.
@@ -204,15 +209,10 @@ impl IncomeTable {
     }
 }
 
-impl Default for IncomeTable {
-    fn default() -> Self {
-        IncomeTable::embedded()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eqimpact_stats::SimRng;
     use proptest::prelude::*;
 
     #[test]
@@ -306,6 +306,62 @@ mod tests {
         let at_15 = t.share_at_least(2020, Race::White, 15.0).unwrap();
         let at_25 = t.share_at_least(2020, Race::White, 25.0).unwrap();
         assert!(partial < at_15 && partial > at_25);
+    }
+
+    /// The walk of `SimRng::weighted_index` for the 53 bits `m`, written
+    /// out here as the oracle of the stored cuts.
+    fn walk_at(shares: &[f64], m: u64) -> usize {
+        let total: f64 = shares.iter().sum();
+        let mut target = m as f64 / (1u64 << 53) as f64 * total;
+        for (b, &w) in shares.iter().enumerate() {
+            if target < w {
+                return b;
+            }
+            target -= w;
+        }
+        shares.iter().rposition(|&w| w > 0.0).unwrap()
+    }
+
+    #[test]
+    fn the_oracle_walk_is_weighted_index_on_random_streams() {
+        let t = IncomeTable::embedded();
+        let mut rng = SimRng::new(30);
+        for year in FIRST_YEAR..=LAST_YEAR {
+            for race in Race::ALL {
+                let shares = t.shares(year, race).unwrap();
+                for _ in 0..200 {
+                    let m = rng.clone().next_u64() >> 11;
+                    assert_eq!(
+                        walk_at(shares, m),
+                        rng.weighted_index(shares),
+                        "{race} {year}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_stored_cut_is_exact() {
+        let t = IncomeTable::embedded();
+        for year in FIRST_YEAR..=LAST_YEAR {
+            for race in Race::ALL {
+                let row = t.row(year, race).unwrap();
+                for (b, &c) in row.cuts.iter().enumerate() {
+                    // Every embedded share is positive: every cut is hit.
+                    assert!(0 < c && c < 1 << 53, "{race} {year}: cut {b} is {c}");
+                    assert!(
+                        walk_at(&row.shares, c - 1) <= b,
+                        "{race} {year}: below cut {b}"
+                    );
+                    assert!(walk_at(&row.shares, c) > b, "{race} {year}: at cut {b}");
+                    for m in c - 256..=c + 256 {
+                        let count = row.cuts.iter().filter(|&&cut| cut <= m).count();
+                        assert_eq!(count, walk_at(&row.shares, m), "{race} {year} at {m}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

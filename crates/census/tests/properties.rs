@@ -19,7 +19,7 @@ proptest! {
     #[test]
     fn sampled_incomes_in_valid_range(seed in 0u64..200, year in FIRST_YEAR..=LAST_YEAR) {
         let t = IncomeTable::embedded();
-        let s = HouseholdSampler::new(&t);
+        let s = HouseholdSampler::new(t);
         let mut rng = SimRng::new(seed);
         for race in Race::ALL {
             let income = s.sample_income(year, race, &mut rng).unwrap();
@@ -30,15 +30,15 @@ proptest! {
     #[test]
     fn population_generation_is_deterministic(seed in 0u64..100, n in 1usize..100) {
         let t = IncomeTable::embedded();
-        let a = Population::generate(&t, n, 2002, &mut SimRng::new(seed)).unwrap();
-        let b = Population::generate(&t, n, 2002, &mut SimRng::new(seed)).unwrap();
+        let a = Population::generate(t, n, 2002, &mut SimRng::new(seed)).unwrap();
+        let b = Population::generate(t, n, 2002, &mut SimRng::new(seed)).unwrap();
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn race_partition_is_exact(seed in 0u64..50, n in 1usize..200) {
         let t = IncomeTable::embedded();
-        let pop = Population::generate(&t, n, 2002, &mut SimRng::new(seed)).unwrap();
+        let pop = Population::generate(t, n, 2002, &mut SimRng::new(seed)).unwrap();
         let counts = pop.race_counts();
         prop_assert_eq!(counts.iter().sum::<usize>(), n);
         for race in Race::ALL {

@@ -179,8 +179,7 @@ mod tests {
     fn repayment_draws_equal_bernoulli_of_the_probability_on_census_rows() {
         // Households in row order, as the respond sweep meets them: a
         // census race and income per row, and the paper's L = 3.5 z.
-        let table = IncomeTable::embedded();
-        let sampler = HouseholdSampler::new(&table);
+        let sampler = HouseholdSampler::new(IncomeTable::embedded());
         let mut census = SimRng::new(2002);
         let mut stream = SimRng::new(11);
         let (mut drawn, mut exact) = (0, 0);

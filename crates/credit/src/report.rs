@@ -423,8 +423,7 @@ mod tests {
 
     #[test]
     fn fig2_rows_cover_brackets() {
-        let table = IncomeTable::embedded();
-        let rows = fig2_income_distribution(&table, 2020);
+        let rows = fig2_income_distribution(IncomeTable::embedded(), 2020);
         assert_eq!(rows.len(), 9);
         assert_eq!(rows[0].0, "under 15");
         // Shares per race sum to ~1 down the column.

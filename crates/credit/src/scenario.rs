@@ -171,7 +171,7 @@ fn render_table1(outcomes: &[CreditOutcome], out: &mut ScenarioReport) {
 }
 
 fn render_fig2(out: &mut ScenarioReport) {
-    let rows = report::fig2_income_distribution(&IncomeTable::embedded(), 2020);
+    let rows = report::fig2_income_distribution(IncomeTable::embedded(), 2020);
     out.summary
         .push(format!("Fig. 2 — {} income brackets by race", rows.len()));
     out.artifacts.push(Artifact {

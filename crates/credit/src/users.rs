@@ -22,7 +22,6 @@ use eqimpact_core::shard::{
 use eqimpact_stats::SimRng;
 use eqimpact_telemetry::metrics as tm;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Width of the visible feature rows: `[income_code, income]`.
 pub const VISIBLE_WIDTH: usize = 2;
@@ -32,7 +31,6 @@ pub const VISIBLE_WIDTH: usize = 2;
 /// longer ablation runs), responding per the Gaussian conditional
 /// independence model.
 pub struct CreditPopulation {
-    table: Arc<IncomeTable>,
     population: Population,
     start_year: u32,
 }
@@ -40,11 +38,9 @@ pub struct CreditPopulation {
 impl CreditPopulation {
     /// Generates a population of `n` users with a deterministic stream.
     pub fn generate(n: usize, rng: &mut SimRng) -> Self {
-        let table = Arc::new(IncomeTable::embedded());
-        let population = Population::generate(&table, n, FIRST_YEAR, rng)
+        let population = Population::generate(IncomeTable::embedded(), n, FIRST_YEAR, rng)
             .expect("FIRST_YEAR is always in range");
         CreditPopulation {
-            table,
             population,
             start_year: FIRST_YEAR,
         }
@@ -76,7 +72,6 @@ fn year_of_step(start_year: u32, k: usize) -> u32 {
 /// visible columns, drawing household `start_row + j`'s randomness from
 /// `streams.for_row(start_row + j)`.
 fn observe_household_cols(
-    table: &IncomeTable,
     households: &mut [Household],
     start_row: usize,
     k: usize,
@@ -84,7 +79,7 @@ fn observe_household_cols(
     streams: &RowStreams,
     out: &mut ColsMut<'_>,
 ) {
-    let sampler = HouseholdSampler::new(table);
+    let sampler = HouseholdSampler::new(IncomeTable::embedded());
     let (code_col, income_col) = out.cols_pair_mut(VISIBLE_INCOME_CODE, VISIBLE_INCOME_K);
     for (j, h) in households.iter_mut().enumerate() {
         let i = start_row + j;
@@ -138,7 +133,6 @@ impl UserPopulation for CreditPopulation {
         out.reshape(n, VISIBLE_WIDTH);
         let mut cols = ColsMut::full(out);
         observe_household_cols(
-            &self.table,
             self.population.households_mut(),
             0,
             k,
@@ -158,9 +152,8 @@ impl UserPopulation for CreditPopulation {
 }
 
 /// One contiguous row-partition of a [`CreditPopulation`]: owns its
-/// households, shares the (read-only) income table.
+/// households.
 pub struct CreditShard {
-    table: Arc<IncomeTable>,
     households: Vec<Household>,
     start_row: usize,
     start_year: u32,
@@ -173,15 +166,7 @@ impl PopulationShard for CreditShard {
 
     fn observe_cols(&mut self, k: usize, streams: &RowStreams, out: &mut ColsMut<'_>) {
         let year = year_of_step(self.start_year, k);
-        observe_household_cols(
-            &self.table,
-            &mut self.households,
-            self.start_row,
-            k,
-            year,
-            streams,
-            out,
-        );
+        observe_household_cols(&mut self.households, self.start_row, k, year, streams, out);
     }
 
     fn respond_rows(&mut self, _k: usize, signals: &[f64], streams: &RowStreams, out: &mut [f64]) {
@@ -198,7 +183,6 @@ impl ShardablePopulation for CreditPopulation {
 
     fn into_row_shards(self, parts: usize) -> Vec<CreditShard> {
         let CreditPopulation {
-            table,
             population,
             start_year,
         } = self;
@@ -209,7 +193,6 @@ impl ShardablePopulation for CreditPopulation {
         for range in bounds.into_iter().rev() {
             let chunk = households.split_off(range.start);
             shards.push(CreditShard {
-                table: Arc::clone(&table),
                 households: chunk,
                 start_row: range.start,
                 start_year,
@@ -222,17 +205,12 @@ impl ShardablePopulation for CreditPopulation {
     fn from_row_shards(shards: Vec<CreditShard>) -> Self {
         let mut shards = shards;
         shards.sort_by_key(|s| s.start_row);
-        let table = shards
-            .first()
-            .map(|s| Arc::clone(&s.table))
-            .unwrap_or_else(|| Arc::new(IncomeTable::embedded()));
         let start_year = shards.first().map(|s| s.start_year).unwrap_or(FIRST_YEAR);
         let mut households = Vec::with_capacity(shards.iter().map(|s| s.households.len()).sum());
         for shard in shards {
             households.extend(shard.households);
         }
         CreditPopulation {
-            table,
             population: Population::from_households(households),
             start_year,
         }

@@ -19,7 +19,6 @@ use eqimpact_ml::retrained::SCORED_COLUMN;
 use eqimpact_stats::SimRng;
 use eqimpact_telemetry::metrics as tm;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Width of the visible feature rows: `[credential_code, experience]`.
 pub const VISIBLE_WIDTH: usize = 2;
@@ -51,7 +50,6 @@ struct Applicant {
 /// round from the census tables (clamped at the table's last year), with
 /// experience growing on successful placements.
 pub struct ApplicantPool {
-    table: Arc<IncomeTable>,
     applicants: Vec<Applicant>,
     start_year: u32,
 }
@@ -59,8 +57,7 @@ pub struct ApplicantPool {
 impl ApplicantPool {
     /// Generates a pool of `n` applicants with a deterministic stream.
     pub fn generate(n: usize, rng: &mut SimRng) -> Self {
-        let table = Arc::new(IncomeTable::embedded());
-        let sampler = HouseholdSampler::new(&table);
+        let sampler = HouseholdSampler::new(IncomeTable::embedded());
         let mut applicants = Vec::with_capacity(n);
         for _ in 0..n {
             let race = sampler.sample_race(rng);
@@ -74,7 +71,6 @@ impl ApplicantPool {
             });
         }
         ApplicantPool {
-            table,
             applicants,
             start_year: FIRST_YEAR,
         }
@@ -102,7 +98,6 @@ fn year_of_round(start_year: u32, k: usize) -> u32 {
 /// the visible columns, drawing applicant `start_row + j`'s randomness
 /// from `streams.for_row(start_row + j)`.
 fn observe_applicant_cols(
-    table: &IncomeTable,
     applicants: &mut [Applicant],
     start_row: usize,
     k: usize,
@@ -110,7 +105,7 @@ fn observe_applicant_cols(
     streams: &RowStreams,
     out: &mut ColsMut<'_>,
 ) {
-    let sampler = HouseholdSampler::new(table);
+    let sampler = HouseholdSampler::new(IncomeTable::embedded());
     let (cred_col, exp_col) = out.cols_pair_mut(VISIBLE_CREDENTIAL, VISIBLE_EXPERIENCE);
     for (j, a) in applicants.iter_mut().enumerate() {
         let i = start_row + j;
@@ -167,15 +162,7 @@ impl UserPopulation for ApplicantPool {
         let streams = RowStreams::observe(rng, k);
         out.reshape(n, VISIBLE_WIDTH);
         let mut cols = ColsMut::full(out);
-        observe_applicant_cols(
-            &self.table,
-            &mut self.applicants,
-            0,
-            k,
-            year,
-            &streams,
-            &mut cols,
-        );
+        observe_applicant_cols(&mut self.applicants, 0, k, year, &streams, &mut cols);
     }
 
     fn respond_into(&mut self, k: usize, signals: &[f64], rng: &mut SimRng, out: &mut Vec<f64>) {
@@ -188,9 +175,8 @@ impl UserPopulation for ApplicantPool {
 }
 
 /// One contiguous row-partition of an [`ApplicantPool`]: owns its
-/// applicants, shares the (read-only) income table.
+/// applicants.
 pub struct ApplicantShard {
-    table: Arc<IncomeTable>,
     applicants: Vec<Applicant>,
     start_row: usize,
     start_year: u32,
@@ -203,15 +189,7 @@ impl PopulationShard for ApplicantShard {
 
     fn observe_cols(&mut self, k: usize, streams: &RowStreams, out: &mut ColsMut<'_>) {
         let year = year_of_round(self.start_year, k);
-        observe_applicant_cols(
-            &self.table,
-            &mut self.applicants,
-            self.start_row,
-            k,
-            year,
-            streams,
-            out,
-        );
+        observe_applicant_cols(&mut self.applicants, self.start_row, k, year, streams, out);
     }
 
     fn respond_rows(&mut self, _k: usize, signals: &[f64], streams: &RowStreams, out: &mut [f64]) {
@@ -228,7 +206,6 @@ impl ShardablePopulation for ApplicantPool {
 
     fn into_row_shards(self, parts: usize) -> Vec<ApplicantShard> {
         let ApplicantPool {
-            table,
             mut applicants,
             start_year,
         } = self;
@@ -238,7 +215,6 @@ impl ShardablePopulation for ApplicantPool {
         for range in bounds.into_iter().rev() {
             let chunk = applicants.split_off(range.start);
             shards.push(ApplicantShard {
-                table: Arc::clone(&table),
                 applicants: chunk,
                 start_row: range.start,
                 start_year,
@@ -251,17 +227,12 @@ impl ShardablePopulation for ApplicantPool {
     fn from_row_shards(shards: Vec<ApplicantShard>) -> Self {
         let mut shards = shards;
         shards.sort_by_key(|s| s.start_row);
-        let table = shards
-            .first()
-            .map(|s| Arc::clone(&s.table))
-            .unwrap_or_else(|| Arc::new(IncomeTable::embedded()));
         let start_year = shards.first().map(|s| s.start_year).unwrap_or(FIRST_YEAR);
         let mut applicants = Vec::with_capacity(shards.iter().map(|s| s.applicants.len()).sum());
         for shard in shards {
             applicants.extend(shard.applicants);
         }
         ApplicantPool {
-            table,
             applicants,
             start_year,
         }

@@ -155,8 +155,7 @@ mod tests {
     fn performance_draws_equal_bernoulli_of_the_probability_on_census_rows() {
         // Hired applicants in row order, as the respond sweep meets them:
         // census resources per row and 0 to 12 years of experience.
-        let table = IncomeTable::embedded();
-        let sampler = HouseholdSampler::new(&table);
+        let sampler = HouseholdSampler::new(IncomeTable::embedded());
         let mut census = SimRng::new(2002);
         let mut stream = SimRng::new(13);
         let (mut drawn, mut exact) = (0, 0);

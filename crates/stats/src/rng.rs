@@ -73,8 +73,7 @@ impl SimRng {
     /// Uniform sample in `[0, 1)`.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        // 53 mantissa bits, as in the standard 2^-53 construction.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit(self.next_u64() >> 11)
     }
 
     /// Uniform sample in `[lo, hi)`.
@@ -118,48 +117,25 @@ impl SimRng {
 
     /// Samples an index from a finite distribution of non-negative weights.
     ///
-    /// Weights need not be normalized.
+    /// Weights need not be normalized. The draw takes one `next_u64`
+    /// and walks the weights down from `uniform() · total`.
     ///
     /// # Panics
     /// Panics if weights are empty, contain negatives/non-finite values, or
     /// sum to zero.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        assert!(!weights.is_empty(), "weighted_index: empty weights");
-        let total: f64 = weights
-            .iter()
-            .map(|&w| {
-                assert!(w >= 0.0 && w.is_finite(), "weighted_index: bad weight {w}");
-                w
-            })
-            .sum();
-        assert!(total > 0.0, "weighted_index: zero total weight");
-        self.weighted_index_with_total(weights, total)
+        let total = checked_total(weights);
+        walk(weights, total, self.next_u64() >> 11)
     }
 
-    /// The draw of [`weighted_index`](Self::weighted_index) without its
-    /// checks, for weights checked and summed once: walks the weights
-    /// down from `uniform() · total`.
-    ///
-    /// `total` must be `weights.iter().sum()`, so that the draw has the
-    /// same bits as `weighted_index`'s, and the weights must pass its
-    /// checks.
-    ///
-    /// # Panics
-    /// Panics if no weight is positive.
+    /// The draw of [`weighted_index`](Self::weighted_index) from the cut
+    /// points [`weighted_cuts`] finds for its weights, with the same bits:
+    /// it takes the same one `next_u64` and counts, without a branch, the
+    /// cuts at or below its top 53 bits.
     #[inline]
-    pub fn weighted_index_with_total(&mut self, weights: &[f64], total: f64) -> usize {
-        let mut target = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if target < w {
-                return i;
-            }
-            target -= w;
-        }
-        // Floating-point slack: return the last positively weighted index.
-        weights
-            .iter()
-            .rposition(|&w| w > 0.0)
-            .expect("total > 0 implies a positive weight")
+    pub fn weighted_index_by_cuts<const N: usize>(&mut self, cuts: &[u64; N]) -> usize {
+        let m = self.next_u64() >> 11;
+        cuts.iter().map(|&c| usize::from(c <= m)).sum()
     }
 
     /// Fisher-Yates shuffle of a slice.
@@ -170,6 +146,80 @@ impl SimRng {
             items.swap(i, j);
         }
     }
+}
+
+/// The cut points of [`SimRng::weighted_index`] over `weights`: for each
+/// index `b < N`, the least draw `m = next_u64() >> 11` (53 bits) whose
+/// walk lands past `b`, or `2^53` when none does. Each is one bisection
+/// of `[0, 2^53]`, 54 walks.
+///
+/// The count of [`SimRng::weighted_index_by_cuts`] equals the walk for
+/// every `m`, not just in distribution, because the walk never decreases
+/// as `m` grows: `fl(unit(m) · total)` and each `fl(target − w)` are
+/// monotone in `m`, and the target never goes negative, so the walk
+/// stops only at a positive weight and never past the last one, where
+/// its fallback lands.
+///
+/// # Panics
+/// Panics unless `weights` holds `N + 1` values, or where
+/// `weighted_index` would.
+pub fn weighted_cuts<const N: usize>(weights: &[f64]) -> [u64; N] {
+    assert_eq!(
+        weights.len(),
+        N + 1,
+        "weighted_cuts: {N} cuts need {} weights",
+        N + 1
+    );
+    let total = checked_total(weights);
+    std::array::from_fn(|b| {
+        let (mut lo, mut hi) = (0, 1u64 << 53);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if walk(weights, total, mid) > b {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        lo
+    })
+}
+
+/// `m · 2^-53`: the value in `[0, 1)` of 53 random bits, exactly.
+#[inline]
+fn unit(m: u64) -> f64 {
+    m as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The sum of `weights`, checked as [`SimRng::weighted_index`] documents.
+fn checked_total(weights: &[f64]) -> f64 {
+    assert!(!weights.is_empty(), "weighted_index: empty weights");
+    let total: f64 = weights
+        .iter()
+        .map(|&w| {
+            assert!(w >= 0.0 && w.is_finite(), "weighted_index: bad weight {w}");
+            w
+        })
+        .sum();
+    assert!(total > 0.0, "weighted_index: zero total weight");
+    total
+}
+
+/// The index `weighted_index` draws for the 53 bits `m < 2^53`: walks
+/// the checked weights down from `unit(m) · total`.
+fn walk(weights: &[f64], total: f64, m: u64) -> usize {
+    let mut target = unit(m) * total;
+    for (i, &w) in weights.iter().enumerate() {
+        if target < w {
+            return i;
+        }
+        target -= w;
+    }
+    // Floating-point slack: return the last positively weighted index.
+    weights
+        .iter()
+        .rposition(|&w| w > 0.0)
+        .expect("total > 0 implies a positive weight")
 }
 
 /// SplitMix64 finalizer combining a seed with a stream label.
@@ -187,6 +237,7 @@ fn mix(seed: u64, label: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn determinism() {
@@ -289,6 +340,135 @@ mod tests {
     #[should_panic(expected = "zero total weight")]
     fn weighted_index_rejects_zero_total() {
         SimRng::new(0).weighted_index(&[0.0, 0.0]);
+    }
+
+    /// The walk of `weighted_index` for the 53 bits `m`, written out here
+    /// as the oracle of the cuts.
+    fn walk_at(weights: &[f64], m: u64) -> usize {
+        let total: f64 = weights.iter().sum();
+        let mut target = m as f64 / (1u64 << 53) as f64 * total;
+        for (i, &w) in weights.iter().enumerate() {
+            if target < w {
+                return i;
+            }
+            target -= w;
+        }
+        weights.iter().rposition(|&w| w > 0.0).unwrap()
+    }
+
+    /// The number of cuts at or below `m`.
+    fn count_at<const N: usize>(cuts: &[u64; N], m: u64) -> usize {
+        cuts.iter().filter(|&&c| c <= m).count()
+    }
+
+    /// Every 53-bit draw within 256 of a cut.
+    fn near(cut: u64) -> std::ops::Range<u64> {
+        cut.saturating_sub(256)..(cut + 257).min(1 << 53)
+    }
+
+    /// Checks the cuts of `weights` against the walk: each separates the
+    /// walk's last draw at or below `b` from its first past `b`, the
+    /// count equals the walk within 256 of every cut, and on random
+    /// streams the walk is `weighted_index` and the count
+    /// `weighted_index_by_cuts`, each taking one `next_u64`.
+    fn check_cuts<const N: usize>(weights: &[f64]) -> [u64; N] {
+        let cuts = weighted_cuts::<N>(weights);
+        for (b, &c) in cuts.iter().enumerate() {
+            assert!(c <= 1 << 53, "{weights:?}: cut {b} is {c}");
+            if c > 0 {
+                assert!(walk_at(weights, c - 1) <= b, "{weights:?}: below cut {b}");
+            }
+            if c < 1 << 53 {
+                assert!(walk_at(weights, c) > b, "{weights:?}: at cut {b}");
+            }
+            for m in near(c) {
+                assert_eq!(
+                    count_at(&cuts, m),
+                    walk_at(weights, m),
+                    "{weights:?} at {m}"
+                );
+            }
+        }
+        let mut rng = SimRng::new(19);
+        for _ in 0..2_000 {
+            let m = rng.clone().next_u64() >> 11;
+            let mut counted = rng.clone();
+            let by_cuts = counted.weighted_index_by_cuts(&cuts);
+            let walked = rng.weighted_index(weights);
+            assert_eq!(walked, walk_at(weights, m), "{weights:?}: the oracle walk");
+            assert_eq!(by_cuts, walked, "{weights:?}: the count");
+            assert_eq!(counted.state, rng.state, "{weights:?}: one next_u64 each");
+        }
+        cuts
+    }
+
+    #[test]
+    fn cuts_count_the_walk_on_hand_built_weights() {
+        check_cuts::<3>(&[1.0, 3.0, 0.0, 6.0]);
+        check_cuts::<8>(&[0.1; 9]);
+        // Trailing zeros: the last cuts are never reached.
+        let cuts = check_cuts::<4>(&[0.25, 0.5, 0.25, 0.0, 0.0]);
+        assert_eq!(cuts[2..], [1 << 53, 1 << 53]);
+        // A leading zero weight is never drawn: its cut is 0.
+        assert_eq!(check_cuts::<2>(&[0.0, 2.0, 2.0])[0], 0);
+    }
+
+    #[test]
+    fn a_single_positive_weight_is_every_draw() {
+        let cuts = check_cuts::<3>(&[0.0, 0.0, 5.0, 0.0]);
+        assert_eq!(cuts, [0, 0, 1 << 53]);
+    }
+
+    #[test]
+    fn the_walk_fallback_is_counted() {
+        // 0.15 + 0.35 rounds up to 0.5, so at the last draw the target
+        // left after 0.15 is not below 0.35: the walk falls through to
+        // its fallback, the last positive weight, and the count agrees.
+        let weights = [0.15, 0.35, 0.0];
+        let cuts = check_cuts::<2>(&weights);
+        let last = (1u64 << 53) - 1;
+        let target = last as f64 / (1u64 << 53) as f64 * 0.5;
+        assert!(target - 0.15 >= 0.35);
+        assert_eq!((walk_at(&weights, last), count_at(&cuts, last)), (1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "3 cuts need 4 weights")]
+    fn weighted_cuts_rejects_a_mismatched_length() {
+        weighted_cuts::<3>(&[1.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad weight")]
+    fn weighted_cuts_rejects_what_weighted_index_rejects() {
+        weighted_cuts::<1>(&[1.0, -1.0]);
+    }
+
+    proptest! {
+        #[test]
+        fn cut_count_is_the_walk(
+            raw in prop::collection::vec(0.0f64..4.0, 9),
+            zeros in 0u64..512,
+            b in 0usize..8,
+            offset in 0u64..513,
+            m in 0u64..(1 << 53),
+        ) {
+            // Zero the weights `zeros` selects, keeping one positive.
+            let mut weights = raw;
+            for (i, w) in weights.iter_mut().enumerate() {
+                if zeros >> i & 1 == 1 {
+                    *w = 0.0;
+                }
+            }
+            if weights.iter().all(|&w| w == 0.0) {
+                weights[b] = 1.0;
+            }
+            let cuts = weighted_cuts::<8>(&weights);
+            prop_assert_eq!(count_at(&cuts, m), walk_at(&weights, m));
+            let near = near(cuts[b]);
+            let m = (near.start + offset).min(near.end - 1);
+            prop_assert_eq!(count_at(&cuts, m), walk_at(&weights, m));
+        }
     }
 
     #[test]
