@@ -1,13 +1,14 @@
 //! Performance microbenchmarks of the building blocks (not paper
 //! artifacts): the sharded runner's one-lane path, the columnar feature
 //! plane, the credit loop, the credit render, the census income draw,
-//! the trace codec, the counterfactual sweep and its bootstrap, IRLS
-//! fitting, Markov operator application, and invariant-measure
-//! estimation. They print their timings and write no file; the end-to-end
-//! and per-layer numbers of the closed loop come from the `loopbench`
-//! benchmark (`loopbench/README.md`, declared in `BENCHMARK.json`).
+//! the retrained learner, the trace codec, the counterfactual sweep and
+//! its bootstrap, IRLS fitting, Markov operator application, and
+//! invariant-measure estimation. They print their timings and write no
+//! file; the end-to-end and per-layer numbers of the closed loop come
+//! from the `loopbench` benchmark (`loopbench/README.md`, declared in
+//! `BENCHMARK.json`).
 //!
-//! Four arms assert an invariant that must hold on any hardware. The
+//! Five arms assert an invariant that must hold on any hardware. The
 //! sharding bench (P5) checks that a one-lane sharded run, which spawns
 //! nothing, stays within noise of the sequential `LoopRunner`. The
 //! columnar bench (P8) checks
@@ -15,23 +16,24 @@
 //! baseline replicating the pre-redesign row-major hot path, on the same
 //! loop at the same scale, after proving the two bit-identical. The
 //! census-income bench checks that every draw of `sample_income` equals
-//! `weighted_index` then `uniform_in` on the same stream. The
-//! trace-codec bench checks that re-encoding the decoded audit corpus
+//! `weighted_index` then `uniform_in` on the same stream. The retrain
+//! bench checks that replaying the paper-scale credit loop's feedback
+//! fits, bit for bit, the models its lender fitted. The trace-codec
+//! bench checks that re-encoding the decoded audit corpus
 //! gives back the recorded bytes, and decoding them every value.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eqimpact_census::{
-    Household, HouseholdSampler, IncomeTable, Population, BRACKETS, FIRST_YEAR, LAST_YEAR,
-};
+use eqimpact_census::{Household, IncomeTable, Population, BRACKETS, FIRST_YEAR, LAST_YEAR};
 use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::pool::ThreadBudget;
-use eqimpact_core::recorder::RecordPolicy;
+use eqimpact_core::recorder::{RecordPolicy, StepSink};
 use eqimpact_core::scenario::{Scale, Scenario, ScenarioConfig, TraceMeta};
 use eqimpact_core::shard::{
     shard_bounds, ColsMut, ColsView, PopulationShard, RowStreams, ShardableAi, ShardablePopulation,
 };
 use eqimpact_core::ModelCheckpoint;
+use eqimpact_credit::lender::VISIBLE_INCOME_CODE;
 use eqimpact_credit::sim::{run_trial, CreditConfig, LenderKind};
 use eqimpact_credit::CreditScenario;
 use eqimpact_hiring::scenario::{trial_config, variant_name};
@@ -44,7 +46,8 @@ use eqimpact_markov::ifs::{affine1d, IfsBuilder};
 use eqimpact_markov::invariant::estimate_invariant_measure;
 use eqimpact_markov::operator::{markov_operator_apply, ParticleMeasure};
 use eqimpact_ml::logistic::{sigmoid, LogisticModel, LogisticRegression};
-use eqimpact_ml::Dataset;
+use eqimpact_ml::retrained::RetrainedLogistic;
+use eqimpact_ml::{Dataset, GroupedTable};
 use eqimpact_stats::{bootstrap_gap_ci, SimRng};
 use eqimpact_trace::{
     StepFrame, TraceGroups, TraceHeader, TraceReader, TraceStepSink, TraceWriter,
@@ -458,7 +461,7 @@ fn bench_credit_render(c: &mut Criterion) {
 /// credit observe sweep makes it: household `i` draws its income for the
 /// year of step `k` from `RowStreams::observe(root, k).for_row(i)`.
 /// Prints ns per draw, the row's stream included, for
-/// `HouseholdSampler::sample_income` and for the checked
+/// `IncomeTable::sample_income` and for the checked
 /// `weighted_index` then `uniform_in` it stands for. The first pass
 /// asserts, for every resampled year (steps 1 to 18, 2003 to 2020), that
 /// the two draw the same bits and leave the stream in the same state.
@@ -466,15 +469,14 @@ fn bench_credit_render(c: &mut Criterion) {
 fn bench_census_income(_c: &mut Criterion) {
     const HOUSEHOLDS: usize = 100_000;
     let table = IncomeTable::embedded();
-    let sampler = HouseholdSampler::new(table);
-    let households = Population::generate(table, HOUSEHOLDS, FIRST_YEAR, &mut SimRng::new(2002))
+    let households = Population::generate(HOUSEHOLDS, FIRST_YEAR, &mut SimRng::new(2002))
         .expect("FIRST_YEAR is in range")
         .into_households();
     let root = SimRng::new(7);
     let years = (LAST_YEAR - FIRST_YEAR) as usize;
     let year_of = |k: usize| FIRST_YEAR + k as u32;
     let cut_draw = |year: u32, h: &Household, rng: &mut SimRng| {
-        sampler
+        table
             .sample_income(year, h.race, rng)
             .expect("year in range")
     };
@@ -545,6 +547,190 @@ fn sweep_ns(
         .sum();
     criterion::black_box(sum);
     start.elapsed().as_nanos() as f64 / households.len() as f64
+}
+
+/// The paper-scale credit loop as its lender retrained it, one trial: each
+/// step's feedback package in step order (a `StepSink` sees the buffers
+/// the delay line later hands `retrain`), and the model each retrain
+/// left, as the lender's checkpoint records `ScorecardLender::model()`.
+#[derive(Default)]
+struct RetrainCapture {
+    packages: Vec<Feedback>,
+    models: Vec<Option<LogisticModel>>,
+}
+
+impl StepSink for RetrainCapture {
+    fn on_step(
+        &mut self,
+        k: usize,
+        visible: &FeatureMatrix,
+        signals: &[f64],
+        actions: &[f64],
+        filtered: &[f64],
+    ) {
+        self.packages.push(Feedback {
+            step: k,
+            per_user: filtered.to_vec(),
+            // The learner does not read the aggregate.
+            aggregate: 0.0,
+            visible: visible.clone(),
+            signals: signals.to_vec(),
+            actions: actions.to_vec(),
+        });
+    }
+
+    fn wants_checkpoints(&self) -> bool {
+        true
+    }
+
+    fn on_checkpoint(&mut self, _k: usize, checkpoint: &ModelCheckpoint) {
+        let model = checkpoint
+            .scalar("model.intercept")
+            .map(|intercept| LogisticModel {
+                intercept,
+                coefficients: checkpoint
+                    .field("model.coefficients")
+                    .expect("a checkpointed model has coefficients")
+                    .to_vec(),
+                iterations: checkpoint
+                    .scalar("model.iterations")
+                    .expect("a checkpointed model has iterations")
+                    as usize,
+                converged: checkpoint.scalar("model.converged") == Some(1.0),
+            });
+        self.models.push(model);
+    }
+}
+
+/// A model's intercept, coefficients, iterations and convergence as bits.
+fn fitted_bits(model: Option<&LogisticModel>) -> Option<Vec<u64>> {
+    model.map(|m| {
+        let mut bits = vec![m.intercept.to_bits()];
+        bits.extend(m.coefficients.iter().map(|c| c.to_bits()));
+        bits.extend([m.iterations as u64, u64::from(m.converged)]);
+        bits
+    })
+}
+
+/// The rows `RetrainedLogistic::retrain` pushes for each retrained
+/// package of a trial, in push order: `(h_i, c_i) → y_i` for every user
+/// the signal reached, `h_i` being the previous package's filter output
+/// (the prior, 0, before the first) and `c_i` the income code.
+fn retrain_rows(packages: &[Feedback], retrains: usize) -> Vec<Vec<([f64; 2], f64)>> {
+    let mut history = vec![0.0; packages.first().map_or(0, |p| p.actions.len())];
+    packages[..retrains]
+        .iter()
+        .map(|p| {
+            let code = p.visible.col(VISIBLE_INCOME_CODE);
+            let rows = (0..p.actions.len())
+                .filter(|&i| p.signals[i] > 0.0)
+                .map(|i| ([history[i], code[i]], p.actions[i]))
+                .collect();
+            history.clone_from(&p.per_user);
+            rows
+        })
+        .collect()
+}
+
+/// The learner's retrain on the paper-scale credit loop's own feedback.
+/// Every trial's packages are captured once with a `StepSink`, so each
+/// retrain pushes its rows in row order, as in the loop. The first pass
+/// replays them through `RetrainedLogistic::retrain`, and through a
+/// `GroupedTable` fed the learner's rows, and asserts that every fit
+/// equals, bit for bit, the model the lender held after that retrain.
+/// Prints ns per pushed row and µs per fit (the table's `push` and `fit`
+/// timed apart), and µs per `retrain` call. Writes no file.
+fn bench_retrain(_c: &mut Criterion) {
+    let config = eqimpact_credit::scenario::trial_config(&ScenarioConfig::new(Scale::Paper));
+    let captures: Vec<RetrainCapture> = (0..config.trials)
+        .map(|trial| {
+            let mut capture = RetrainCapture::default();
+            eqimpact_credit::sim::run_trial_sunk(&config, trial, &mut capture);
+            assert_eq!(
+                capture.models.len() + config.delay,
+                capture.packages.len(),
+                "one checkpoint per retrain"
+            );
+            capture
+        })
+        .collect();
+    let rows: Vec<_> = captures
+        .iter()
+        .map(|c| retrain_rows(&c.packages, c.models.len()))
+        .collect();
+    let fitter = LogisticRegression::default();
+    for (capture, rows) in captures.iter().zip(&rows) {
+        let mut learner = RetrainedLogistic::new("prev_adr", 0.0);
+        let mut table = GroupedTable::new();
+        for ((package, want), round) in capture.packages.iter().zip(&capture.models).zip(rows) {
+            learner.retrain(package);
+            for (x, y) in round {
+                table.push(x, *y).expect("the loop's rows are well formed");
+            }
+            let want = fitted_bits(want.as_ref());
+            assert!(
+                fitted_bits(learner.model()) == want,
+                "step {}: the replayed retrain differs from the loop's model",
+                package.step
+            );
+            assert!(
+                fitted_bits(table.fit(&fitter).ok().as_ref()) == want,
+                "step {}: the table fit differs from the loop's model",
+                package.step
+            );
+        }
+    }
+    let pushes: usize = rows.iter().flatten().map(Vec::len).sum();
+    let fits: usize = captures.iter().map(|c| c.models.len()).sum();
+    println!(
+        "\n-- group: perf/retrain (paper-scale credit: {} trials, {fits} fits, \
+         {pushes} pushed rows) --",
+        captures.len()
+    );
+    let reps = if criterion::is_quick() { 5 } else { 30 };
+    let (mut push_ns, mut fit_us, mut retrain_us) = (Vec::new(), Vec::new(), Vec::new());
+    // The first pass warms up and is not counted.
+    for rep in 0..=reps {
+        let (mut push_s, mut fit_s) = (0.0, 0.0);
+        for trial in &rows {
+            let mut table = GroupedTable::new();
+            for round in trial {
+                let start = Instant::now();
+                for (x, y) in round {
+                    criterion::black_box(table.push(x, *y)).expect("well formed");
+                }
+                push_s += start.elapsed().as_secs_f64();
+                let start = Instant::now();
+                criterion::black_box(table.fit(&fitter)).expect("fits");
+                fit_s += start.elapsed().as_secs_f64();
+            }
+        }
+        let start = Instant::now();
+        for capture in &captures {
+            let mut learner = RetrainedLogistic::new("prev_adr", 0.0);
+            for package in &capture.packages[..capture.models.len()] {
+                learner.retrain(package);
+            }
+            criterion::black_box(learner.model());
+        }
+        let retrain_s = start.elapsed().as_secs_f64();
+        if rep > 0 {
+            push_ns.push(push_s * 1e9 / pushes as f64);
+            fit_us.push(fit_s * 1e6 / fits as f64);
+            retrain_us.push(retrain_s * 1e6 / fits as f64);
+        }
+    }
+    for (name, unit, samples) in [
+        ("push", "ns/row", &mut push_ns),
+        ("fit", "us/fit", &mut fit_us),
+        ("retrain", "us/retrain", &mut retrain_us),
+    ] {
+        let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
+        let per = median(samples);
+        println!(
+            "perf/retrain/{name:<38} median {per:>8.2} {unit}, min {min:>8.2} ({reps} passes)"
+        );
+    }
 }
 
 /// Every hiring loop at `scale` (each trial, both screeners) recorded
@@ -904,6 +1090,7 @@ criterion_group!(
     bench_loop_step,
     bench_credit_render,
     bench_census_income,
+    bench_retrain,
     bench_trace_codec,
     bench_sweep,
     bench_irls,

@@ -18,7 +18,7 @@
 //! keeps the cut points of its shares, so an income draw counts the cuts
 //! at or below 53 random bits instead of walking the nine brackets, with
 //! the bits of `SimRng::weighted_index` (see
-//! [`HouseholdSampler::sample_income`]).
+//! [`IncomeTable::sample_income`]).
 //!
 //! # Example
 //!
@@ -27,10 +27,9 @@
 //! use eqimpact_stats::SimRng;
 //!
 //! let table: &'static IncomeTable = IncomeTable::embedded();
-//! let sampler = HouseholdSampler::new(table);
 //! let mut rng = SimRng::new(1);
-//! let race = sampler.sample_race(&mut rng);
-//! let income = sampler.sample_income(2020, race, &mut rng).unwrap();
+//! let race = HouseholdSampler::new().sample_race(&mut rng);
+//! let income = table.sample_income(2020, race, &mut rng).unwrap();
 //! assert!(income > 0.0);
 //! ```
 

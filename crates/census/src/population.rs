@@ -21,19 +21,15 @@ pub struct Population {
 }
 
 impl Population {
-    /// Generates `n` households: races from the 2002 shares, incomes from
-    /// the given starting year.
-    pub fn generate(
-        table: &IncomeTable,
-        n: usize,
-        start_year: u32,
-        rng: &mut SimRng,
-    ) -> Result<Self, TableError> {
-        let sampler = HouseholdSampler::new(table);
+    /// Generates `n` households: races from the 2002 shares, incomes drawn
+    /// from the embedded table for `start_year`.
+    pub fn generate(n: usize, start_year: u32, rng: &mut SimRng) -> Result<Self, TableError> {
+        let sampler = HouseholdSampler::new();
+        let table = IncomeTable::embedded();
         let mut households = Vec::with_capacity(n);
         for _ in 0..n {
             let race = sampler.sample_race(rng);
-            let income = sampler.sample_income(start_year, race, rng)?;
+            let income = table.sample_income(start_year, race, rng)?;
             households.push(Household { race, income });
         }
         Ok(Population { households })
@@ -88,9 +84,8 @@ mod tests {
 
     #[test]
     fn generation_respects_size_and_incomes() {
-        let table = IncomeTable::embedded();
         let mut rng = SimRng::new(1);
-        let pop = Population::generate(table, 500, 2002, &mut rng).unwrap();
+        let pop = Population::generate(500, 2002, &mut rng).unwrap();
         assert_eq!(pop.len(), 500);
         assert!(!pop.is_empty());
         assert!(pop.households().iter().all(|h| h.income > 0.0));
@@ -98,9 +93,8 @@ mod tests {
 
     #[test]
     fn race_counts_roughly_match_shares() {
-        let table = IncomeTable::embedded();
         let mut rng = SimRng::new(2);
-        let pop = Population::generate(table, 10_000, 2002, &mut rng).unwrap();
+        let pop = Population::generate(10_000, 2002, &mut rng).unwrap();
         let counts = pop.race_counts();
         assert!((counts[1] as f64 / 10_000.0 - 0.8406).abs() < 0.02);
         assert_eq!(counts.iter().sum::<usize>(), 10_000);
@@ -113,8 +107,7 @@ mod tests {
 
     #[test]
     fn bad_year_propagates() {
-        let table = IncomeTable::embedded();
         let mut rng = SimRng::new(4);
-        assert!(Population::generate(table, 10, 2050, &mut rng).is_err());
+        assert!(Population::generate(10, 2050, &mut rng).is_err());
     }
 }

@@ -1,23 +1,22 @@
-//! Sampling households from the embedded tables.
+//! Sampling households: races from the 2002 shares here, incomes from
+//! the embedded table ([`crate::IncomeTable::sample_income`]).
 
-use crate::brackets::BRACKETS;
-use crate::tables::{IncomeTable, Race, TableError, RACE_SHARE_2002};
+use crate::tables::{Race, RACE_SHARE_2002};
 use eqimpact_stats::{Categorical, SimRng};
 
-/// Samples races and incomes following the paper's protocol: races from
-/// the 2002 share vector once at time 0, incomes resampled per year from
-/// the (year, race) bracket distribution, uniform within the bracket.
+/// Samples races following the paper's protocol: from the 2002 share
+/// vector, once at time 0. Incomes are resampled per year from the
+/// (year, race) bracket distribution by
+/// [`IncomeTable::sample_income`](crate::IncomeTable::sample_income).
 #[derive(Debug, Clone)]
-pub struct HouseholdSampler<'a> {
-    table: &'a IncomeTable,
+pub struct HouseholdSampler {
     race_dist: Categorical,
 }
 
-impl<'a> HouseholdSampler<'a> {
-    /// Creates a sampler over a table.
-    pub fn new(table: &'a IncomeTable) -> Self {
+impl HouseholdSampler {
+    /// Creates a sampler over the 2002 race shares.
+    pub fn new() -> Self {
         HouseholdSampler {
-            table,
             race_dist: Categorical::new(&RACE_SHARE_2002),
         }
     }
@@ -26,39 +25,23 @@ impl<'a> HouseholdSampler<'a> {
     pub fn sample_race(&self, rng: &mut SimRng) -> Race {
         Race::ALL[self.race_dist.sample_index(rng)]
     }
+}
 
-    /// Samples an income ($K) for a `(year, race)` pair: bracket by table
-    /// share, then uniform within the bracket.
-    ///
-    /// The draw is `rng.weighted_index(shares)` followed by
-    /// `rng.uniform_in(lo, hi)`, bit for bit, without their per-draw
-    /// checks or the bracket walk: the table checks each row once and
-    /// stores its cut points (`stats::rng::weighted_cuts`), the bracket is
-    /// the number of cuts at or below the draw's 53 bits, counted without
-    /// a branch, and `brackets.rs` checks every bracket at compile time.
-    #[inline]
-    pub fn sample_income(
-        &self,
-        year: u32,
-        race: Race,
-        rng: &mut SimRng,
-    ) -> Result<f64, TableError> {
-        let cuts = self.table.cuts(year, race)?;
-        let bracket = &BRACKETS[rng.weighted_index_by_cuts(cuts)];
-        Ok(bracket.lo + (bracket.hi - bracket.lo) * rng.uniform())
+impl Default for HouseholdSampler {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brackets::bracket_of;
-    use crate::tables::{FIRST_YEAR, LAST_YEAR};
+    use crate::brackets::{bracket_of, BRACKETS};
+    use crate::tables::{IncomeTable, FIRST_YEAR, LAST_YEAR};
 
     #[test]
     fn race_frequencies_match_2002_shares() {
-        let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(table);
+        let s = HouseholdSampler::new();
         let mut rng = SimRng::new(1);
         let n = 100_000;
         let mut counts = [0usize; 3];
@@ -77,12 +60,11 @@ mod tests {
     #[test]
     fn income_samples_respect_bracket_shares() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(table);
         let mut rng = SimRng::new(2);
         let n = 100_000;
         let mut counts = [0usize; crate::brackets::BRACKET_COUNT];
         for _ in 0..n {
-            let income = s.sample_income(2020, Race::Asian, &mut rng).unwrap();
+            let income = table.sample_income(2020, Race::Asian, &mut rng).unwrap();
             counts[bracket_of(income)] += 1;
         }
         let shares = table.shares(2020, Race::Asian).unwrap();
@@ -98,12 +80,11 @@ mod tests {
     #[test]
     fn incomes_positive_and_below_cap() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(table);
         let mut rng = SimRng::new(3);
         for year in [2002, 2010, 2020] {
             for race in Race::ALL {
                 for _ in 0..100 {
-                    let income = s.sample_income(year, race, &mut rng).unwrap();
+                    let income = table.sample_income(year, race, &mut rng).unwrap();
                     assert!((1.0..500.0).contains(&income));
                 }
             }
@@ -113,7 +94,6 @@ mod tests {
     #[test]
     fn income_draws_match_weighted_index_then_uniform_in() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(table);
         for seed in 0..64 {
             let mut fast = SimRng::new(seed);
             let mut checked = fast.clone();
@@ -123,7 +103,7 @@ mod tests {
                     for _ in 0..8 {
                         let bracket = &BRACKETS[checked.weighted_index(shares)];
                         let want = checked.uniform_in(bracket.lo, bracket.hi);
-                        let got = s.sample_income(year, race, &mut fast).unwrap();
+                        let got = table.sample_income(year, race, &mut fast).unwrap();
                         assert_eq!(got.to_bits(), want.to_bits(), "{race} {year} seed {seed}");
                     }
                 }
@@ -139,20 +119,18 @@ mod tests {
     #[test]
     fn invalid_year_propagates() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(table);
         let mut rng = SimRng::new(4);
-        assert!(s.sample_income(1990, Race::White, &mut rng).is_err());
+        assert!(table.sample_income(1990, Race::White, &mut rng).is_err());
     }
 
     #[test]
     fn race_income_gap_visible_in_samples() {
         let table = IncomeTable::embedded();
-        let s = HouseholdSampler::new(table);
         let mut rng = SimRng::new(5);
         let n = 20_000;
         let mean = |race: Race, rng: &mut SimRng| -> f64 {
             (0..n)
-                .map(|_| s.sample_income(2020, race, rng).unwrap())
+                .map(|_| table.sample_income(2020, race, rng).unwrap())
                 .sum::<f64>()
                 / n as f64
         };

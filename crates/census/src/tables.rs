@@ -1,7 +1,8 @@
 //! The embedded income-distribution tables.
 
-use crate::brackets::BRACKET_COUNT;
+use crate::brackets::{BRACKETS, BRACKET_COUNT};
 use eqimpact_stats::rng::weighted_cuts;
+use eqimpact_stats::SimRng;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -170,14 +171,25 @@ impl IncomeTable {
         self.row(year, race).map(|row| &row.shares)
     }
 
-    /// The cut points of a `(year, race)` pair's shares, as
-    /// `SimRng::weighted_index_by_cuts` takes them.
-    pub(crate) fn cuts(
+    /// Samples an income ($K) for a `(year, race)` pair: bracket by table
+    /// share, then uniform within the bracket.
+    ///
+    /// The draw is `rng.weighted_index(shares)` followed by
+    /// `rng.uniform_in(lo, hi)`, bit for bit, without their per-draw
+    /// checks or the bracket walk: the table checks each row once and
+    /// stores its cut points (`stats::rng::weighted_cuts`), the bracket is
+    /// the number of cuts at or below the draw's 53 bits, counted without
+    /// a branch, and `brackets.rs` checks every bracket at compile time.
+    #[inline]
+    pub fn sample_income(
         &self,
         year: u32,
         race: Race,
-    ) -> Result<&[u64; BRACKET_COUNT - 1], TableError> {
-        self.row(year, race).map(|row| &row.cuts)
+        rng: &mut SimRng,
+    ) -> Result<f64, TableError> {
+        let row = self.row(year, race)?;
+        let bracket = &BRACKETS[rng.weighted_index_by_cuts(&row.cuts)];
+        Ok(bracket.lo + (bracket.hi - bracket.lo) * rng.uniform())
     }
 
     /// Mean income ($K) for a `(year, race)` pair, using bracket midpoints.

@@ -1,6 +1,6 @@
 //! Property-based tests for the census substrate.
 
-use eqimpact_census::{HouseholdSampler, IncomeTable, Population, Race, FIRST_YEAR, LAST_YEAR};
+use eqimpact_census::{IncomeTable, Population, Race, FIRST_YEAR, LAST_YEAR};
 use eqimpact_stats::SimRng;
 use proptest::prelude::*;
 
@@ -19,26 +19,23 @@ proptest! {
     #[test]
     fn sampled_incomes_in_valid_range(seed in 0u64..200, year in FIRST_YEAR..=LAST_YEAR) {
         let t = IncomeTable::embedded();
-        let s = HouseholdSampler::new(t);
         let mut rng = SimRng::new(seed);
         for race in Race::ALL {
-            let income = s.sample_income(year, race, &mut rng).unwrap();
+            let income = t.sample_income(year, race, &mut rng).unwrap();
             prop_assert!((1.0..500.0).contains(&income));
         }
     }
 
     #[test]
     fn population_generation_is_deterministic(seed in 0u64..100, n in 1usize..100) {
-        let t = IncomeTable::embedded();
-        let a = Population::generate(t, n, 2002, &mut SimRng::new(seed)).unwrap();
-        let b = Population::generate(t, n, 2002, &mut SimRng::new(seed)).unwrap();
+        let a = Population::generate(n, 2002, &mut SimRng::new(seed)).unwrap();
+        let b = Population::generate(n, 2002, &mut SimRng::new(seed)).unwrap();
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn race_partition_is_exact(seed in 0u64..50, n in 1usize..200) {
-        let t = IncomeTable::embedded();
-        let pop = Population::generate(t, n, 2002, &mut SimRng::new(seed)).unwrap();
+        let pop = Population::generate(n, 2002, &mut SimRng::new(seed)).unwrap();
         let counts = pop.race_counts();
         prop_assert_eq!(counts.iter().sum::<usize>(), n);
         for race in Race::ALL {

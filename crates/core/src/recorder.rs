@@ -222,7 +222,13 @@ impl LoopRecord {
         self.full_slice(&self.filtered, k, "filtered")
     }
 
-    fn user_series(&self, channel: &[f64], i: usize, what: &str) -> Vec<f64> {
+    /// User `i`'s value of `channel` at each step, read in place.
+    fn user_series<'a>(
+        &self,
+        channel: &'a [f64],
+        i: usize,
+        what: &str,
+    ) -> impl Iterator<Item = f64> + 'a {
         assert_eq!(
             self.policy,
             RecordPolicy::Full,
@@ -233,18 +239,17 @@ impl LoopRecord {
             "{what}: user {i} out of {}",
             self.user_count
         );
-        (0..self.steps)
-            .map(|k| channel[k * self.user_count + i])
-            .collect()
+        channel.iter().skip(i).step_by(self.user_count).copied()
     }
 
     /// The action time series of user `i`.
     pub fn user_actions(&self, i: usize) -> Vec<f64> {
-        self.user_series(&self.actions, i, "user_actions")
+        self.user_series(&self.actions, i, "user_actions").collect()
     }
 
-    /// The filtered time series of user `i` (e.g. `{ADR_i(k)}_k`).
-    pub fn user_filtered(&self, i: usize) -> Vec<f64> {
+    /// The filtered time series of user `i` (e.g. `{ADR_i(k)}_k`), step
+    /// by step, read in place.
+    pub fn user_filtered(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
         self.user_series(&self.filtered, i, "user_filtered")
     }
 
@@ -364,7 +369,8 @@ mod tests {
     fn per_user_series() {
         let r = sample_record();
         assert_eq!(r.user_actions(0), vec![1.0, 0.0, 1.0]);
-        assert_eq!(r.user_filtered(0), vec![1.0, 0.5, 2.0 / 3.0]);
+        let filtered: Vec<f64> = r.user_filtered(0).collect();
+        assert_eq!(filtered, vec![1.0, 0.5, 2.0 / 3.0]);
     }
 
     #[test]

@@ -179,14 +179,14 @@ mod tests {
     fn repayment_draws_equal_bernoulli_of_the_probability_on_census_rows() {
         // Households in row order, as the respond sweep meets them: a
         // census race and income per row, and the paper's L = 3.5 z.
-        let sampler = HouseholdSampler::new(IncomeTable::embedded());
+        let (sampler, table) = (HouseholdSampler::new(), IncomeTable::embedded());
         let mut census = SimRng::new(2002);
         let mut stream = SimRng::new(11);
         let (mut drawn, mut exact) = (0, 0);
         for i in 0..1_000_000u32 {
             let year = FIRST_YEAR + i % (LAST_YEAR - FIRST_YEAR + 1);
             let race = sampler.sample_race(&mut census);
-            let income = sampler.sample_income(year, race, &mut census).unwrap();
+            let income = table.sample_income(year, race, &mut census).unwrap();
             let loan = income_multiple_loan(income);
             let mut oracle = stream.clone();
             let got = sample_repayment(income, loan, &mut stream);

@@ -107,18 +107,6 @@ pub fn fig3_race_adr(outcomes: &[CreditOutcome]) -> Vec<RaceAdrSummary> {
         .collect()
 }
 
-/// Fig. 4 data: every `{ADR_i(k)}` trajectory across all trials, tagged
-/// with its race label (the paper's 5 x 1000 coloured curves).
-pub fn fig4_user_adr(outcomes: &[CreditOutcome]) -> Vec<(&'static str, Vec<f64>)> {
-    let mut out = Vec::new();
-    for o in outcomes {
-        for i in 0..o.record.user_count() {
-            out.push((o.races[i].label(), o.user_adr_series(i)));
-        }
-    }
-    out
-}
-
 /// Fig. 5 data: the (step x ADR) density histogram over all users and
 /// trials, race information erased.
 pub fn fig5_density(outcomes: &[CreditOutcome], adr_bins: usize) -> Histogram2D {
@@ -135,9 +123,10 @@ pub fn fig5_density(outcomes: &[CreditOutcome], adr_bins: usize) -> Histogram2D 
     hist
 }
 
-/// Fig. 2 data: the income distribution of a year by race, as
-/// `(bracket label, [share per race in Race::ALL order])` rows.
-pub fn fig2_income_distribution(table: &IncomeTable, year: u32) -> Vec<(String, [f64; 3])> {
+/// Fig. 2 data: the embedded table's income distribution of a year by
+/// race, as `(bracket label, [share per race in Race::ALL order])` rows.
+pub fn fig2_income_distribution(year: u32) -> Vec<(String, [f64; 3])> {
+    let table = IncomeTable::embedded();
     BRACKETS
         .iter()
         .enumerate()
@@ -169,7 +158,11 @@ pub fn fig3_csv(summaries: &[RaceAdrSummary], first_year: u32) -> String {
     csv
 }
 
-/// Renders the Fig. 4 trajectories as CSV: `series_id,race,year,adr`.
+/// Renders Fig. 4 as CSV, `series_id,race,year,adr`: every `{ADR_i(k)}`
+/// trajectory across all trials, tagged with its race label (the
+/// paper's 5 x 1000 coloured curves). The series are the users of each
+/// outcome in turn, each read in place from the record's filtered
+/// channel.
 ///
 /// Each row is `"{id},{race},{year},{adr:.6}"`, assembled from pieces
 /// formatted once: a series' `"{id},{race},"` prefix once per series, a
@@ -178,12 +171,19 @@ pub fn fig3_csv(summaries: &[RaceAdrSummary], first_year: u32) -> String {
 /// a year, so over 19 years it takes at most 121 distinct values (the
 /// fractions in [0, 1] with a denominator up to 19), however many rows
 /// there are.
-pub fn fig4_csv(series: &[(&str, Vec<f64>)], first_year: u32) -> String {
+///
+/// # Panics
+/// Panics for a [`RecordPolicy::Thin`](eqimpact_core::recorder::RecordPolicy::Thin)
+/// record, or an outcome with fewer races than users.
+pub fn fig4_csv(outcomes: &[CreditOutcome], first_year: u32) -> String {
     const HEADER: &str = "series_id,race,year,adr\n";
     // A paper-scale row is 27 bytes plus the id's digits.
     const ROW_BYTES: usize = 32;
-    let rows: usize = series.iter().map(|(_, traj)| traj.len()).sum();
-    let steps = series.iter().map(|(_, traj)| traj.len()).max().unwrap_or(0);
+    let rows: usize = outcomes
+        .iter()
+        .map(|o| o.record.user_count() * o.record.steps())
+        .sum();
+    let steps = outcomes.iter().map(|o| o.record.steps()).max().unwrap_or(0);
     let years: Vec<String> = (0..steps)
         .map(|k| format!("{},", first_year + k as u32))
         .collect();
@@ -194,10 +194,13 @@ pub fn fig4_csv(series: &[(&str, Vec<f64>)], first_year: u32) -> String {
     let mut prefix = String::new();
     let mut csv = String::with_capacity(HEADER.len() + rows * ROW_BYTES);
     csv.push_str(HEADER);
-    for (id, (race, traj)) in series.iter().enumerate() {
+    let series = outcomes
+        .iter()
+        .flat_map(|o| (0..o.record.user_count()).map(move |i| (o.races[i].label(), o, i)));
+    for (id, (race, o, i)) in series.enumerate() {
         prefix.clear();
         let _ = write!(prefix, "{id},{race},");
-        for (year, &adr) in years.iter().zip(traj) {
+        for (year, adr) in years.iter().zip(o.record.user_filtered(i)) {
             let bits = adr.to_bits();
             if last_bits != Some(bits) {
                 last_bits = Some(bits);
@@ -289,6 +292,7 @@ pub fn approval_csv(rates: &[Vec<f64>], first_year: u32) -> String {
 mod tests {
     use super::*;
     use crate::sim::{run_trials_protocol, CreditConfig, LenderKind};
+    use eqimpact_core::recorder::LoopRecord;
     use eqimpact_stats::SimRng;
     use std::collections::BTreeSet;
 
@@ -324,24 +328,45 @@ mod tests {
     #[test]
     fn fig4_has_all_trajectories() {
         let o = outcomes();
-        let series = fig4_user_adr(&o);
-        assert_eq!(series.len(), 2 * 150);
-        assert!(series.iter().all(|(_, t)| t.len() == 19));
-        let csv = fig4_csv(&series, 2002);
+        let csv = fig4_csv(&o, 2002);
         assert_eq!(csv.lines().count(), 2 * 150 * 19 + 1);
-        assert_eq!(csv, fig4_csv_oracle(&series, 2002));
+        assert!(csv.lines().last().unwrap().starts_with("299,"));
+        assert_eq!(csv, fig4_csv_oracle(&o, 2002));
     }
 
-    /// The reference rendering of `fig4_csv`: one `writeln!` per row.
-    fn fig4_csv_oracle(series: &[(&str, Vec<f64>)], first_year: u32) -> String {
+    /// The reference rendering of `fig4_csv`: user by user, one
+    /// `writeln!` per step.
+    fn fig4_csv_oracle(outcomes: &[CreditOutcome], first_year: u32) -> String {
         let mut csv = String::from("series_id,race,year,adr\n");
-        for (id, (race, traj)) in series.iter().enumerate() {
-            for (k, adr) in traj.iter().enumerate() {
-                let year = first_year + k as u32;
-                let _ = writeln!(csv, "{id},{race},{year},{adr:.6}");
+        let mut id = 0;
+        for o in outcomes {
+            for (i, race) in o.races.iter().enumerate() {
+                for k in 0..o.record.steps() {
+                    let year = first_year + k as u32;
+                    let adr = o.record.filtered(k)[i];
+                    let _ = writeln!(csv, "{id},{race},{year},{adr:.6}");
+                }
+                id += 1;
             }
         }
         csv
+    }
+
+    /// An outcome whose record holds `series[i]` as user `i`'s filtered
+    /// values (the series are of equal length).
+    fn outcome_of(races: &[Race], series: &[Vec<f64>]) -> CreditOutcome {
+        let steps = series.first().map_or(0, Vec::len);
+        let zeros = vec![0.0; races.len()];
+        let mut record = LoopRecord::new(races.len());
+        for k in 0..steps {
+            let filtered: Vec<f64> = series.iter().map(|s| s[k]).collect();
+            record.push_step(&zeros, &zeros, &filtered);
+        }
+        CreditOutcome {
+            record,
+            races: races.to_vec(),
+            scorecard: None,
+        }
     }
 
     #[test]
@@ -368,20 +393,26 @@ mod tests {
         let random: Vec<f64> = (0..10_000).map(|_| rng.uniform_in(-2.0, 2.0)).collect();
         let distinct: BTreeSet<u64> = random.iter().map(|x| x.to_bits()).collect();
         assert_eq!(distinct.len(), random.len());
-        // Repeats through the memo, trajectories of unequal length and an
-        // empty one.
-        let series = vec![
-            ("BLACK ALONE", special.clone()),
-            ("WHITE ALONE", random[..4_000].to_vec()),
-            ("ASIAN ALONE", Vec::new()),
-            ("ASIAN ALONE", random[4_000..].to_vec()),
-            ("", special.iter().rev().copied().collect()),
-            ("BLACK ALONE", vec![0.5; 19]),
+        // Repeats through the memo, records of unequal length, one with
+        // users but no steps (its series are numbered, with no rows) and
+        // one with no users.
+        let outcomes = [
+            outcome_of(
+                &[Race::Black, Race::White],
+                &[special.clone(), special.iter().rev().copied().collect()],
+            ),
+            outcome_of(&[Race::Asian, Race::Asian], &[Vec::new(), Vec::new()]),
+            outcome_of(
+                &[Race::White, Race::Asian],
+                &[random[..5_000].to_vec(), random[5_000..].to_vec()],
+            ),
+            outcome_of(&[], &[]),
+            outcome_of(&[Race::Black], &[vec![0.5; 19]]),
         ];
         for first_year in [2002, 0] {
             assert_eq!(
-                fig4_csv(&series, first_year),
-                fig4_csv_oracle(&series, first_year)
+                fig4_csv(&outcomes, first_year),
+                fig4_csv_oracle(&outcomes, first_year)
             );
         }
         assert_eq!(fig4_csv(&[], 2002), fig4_csv_oracle(&[], 2002));
@@ -423,7 +454,7 @@ mod tests {
 
     #[test]
     fn fig2_rows_cover_brackets() {
-        let rows = fig2_income_distribution(IncomeTable::embedded(), 2020);
+        let rows = fig2_income_distribution(2020);
         assert_eq!(rows.len(), 9);
         assert_eq!(rows[0].0, "under 15");
         // Shares per race sum to ~1 down the column.

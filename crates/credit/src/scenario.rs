@@ -9,7 +9,7 @@
 
 use crate::report;
 use crate::sim::{run_trial, run_trial_sunk, CreditConfig, CreditOutcome, LenderKind};
-use eqimpact_census::{IncomeTable, FIRST_YEAR};
+use eqimpact_census::FIRST_YEAR;
 use eqimpact_core::scenario::{
     Artifact, ArtifactSpec, Scale, Scenario, ScenarioConfig, ScenarioReport, TraceMeta,
 };
@@ -171,7 +171,7 @@ fn render_table1(outcomes: &[CreditOutcome], out: &mut ScenarioReport) {
 }
 
 fn render_fig2(out: &mut ScenarioReport) {
-    let rows = report::fig2_income_distribution(IncomeTable::embedded(), 2020);
+    let rows = report::fig2_income_distribution(2020);
     out.summary
         .push(format!("Fig. 2 — {} income brackets by race", rows.len()));
     out.artifacts.push(Artifact {
@@ -208,15 +208,13 @@ fn render_fig3(outcomes: &[CreditOutcome], out: &mut ScenarioReport) {
 }
 
 fn render_fig4(outcomes: &[CreditOutcome], out: &mut ScenarioReport) {
-    let series = report::fig4_user_adr(outcomes);
-    out.summary.push(format!(
-        "Fig. 4 — {} user ADR trajectories recorded",
-        series.len()
-    ));
+    let series: usize = outcomes.iter().map(|o| o.record.user_count()).sum();
+    out.summary
+        .push(format!("Fig. 4 — {series} user ADR trajectories recorded"));
     out.artifacts.push(Artifact {
         name: "fig4",
         file: "fig4_user_adr.csv".to_string(),
-        contents: report::fig4_csv(&series, FIRST_YEAR),
+        contents: report::fig4_csv(outcomes, FIRST_YEAR),
     });
 }
 

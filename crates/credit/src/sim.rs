@@ -103,8 +103,9 @@ impl CreditOutcome {
     }
 
     /// The individual series `{ADR_i(k)}_k`.
+    #[cfg(test)]
     pub fn user_adr_series(&self, i: usize) -> Vec<f64> {
-        self.record.user_filtered(i)
+        self.record.user_filtered(i).collect()
     }
 
     /// Approval rate at step `k` (fraction of positive loan signals).

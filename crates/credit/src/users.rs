@@ -11,9 +11,7 @@
 
 use crate::lender::{VISIBLE_INCOME_CODE, VISIBLE_INCOME_K};
 use crate::model;
-use eqimpact_census::{
-    Household, HouseholdSampler, IncomeTable, Population, Race, FIRST_YEAR, LAST_YEAR,
-};
+use eqimpact_census::{Household, IncomeTable, Population, Race, FIRST_YEAR, LAST_YEAR};
 use eqimpact_core::closed_loop::UserPopulation;
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::shard::{
@@ -38,8 +36,8 @@ pub struct CreditPopulation {
 impl CreditPopulation {
     /// Generates a population of `n` users with a deterministic stream.
     pub fn generate(n: usize, rng: &mut SimRng) -> Self {
-        let population = Population::generate(IncomeTable::embedded(), n, FIRST_YEAR, rng)
-            .expect("FIRST_YEAR is always in range");
+        let population =
+            Population::generate(n, FIRST_YEAR, rng).expect("FIRST_YEAR is always in range");
         CreditPopulation {
             population,
             start_year: FIRST_YEAR,
@@ -79,7 +77,7 @@ fn observe_household_cols(
     streams: &RowStreams,
     out: &mut ColsMut<'_>,
 ) {
-    let sampler = HouseholdSampler::new(IncomeTable::embedded());
+    let table = IncomeTable::embedded();
     let (code_col, income_col) = out.cols_pair_mut(VISIBLE_INCOME_CODE, VISIBLE_INCOME_K);
     for (j, h) in households.iter_mut().enumerate() {
         let i = start_row + j;
@@ -87,7 +85,7 @@ fn observe_household_cols(
         // from that year's distribution (the paper's yearly `z_i(k)`).
         if k > 0 {
             let mut rng = streams.for_row(i);
-            h.income = sampler
+            h.income = table
                 .sample_income(year, h.race, &mut rng)
                 .expect("year clamped into range");
         }

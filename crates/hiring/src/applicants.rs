@@ -57,11 +57,12 @@ pub struct ApplicantPool {
 impl ApplicantPool {
     /// Generates a pool of `n` applicants with a deterministic stream.
     pub fn generate(n: usize, rng: &mut SimRng) -> Self {
-        let sampler = HouseholdSampler::new(IncomeTable::embedded());
+        let sampler = HouseholdSampler::new();
+        let table = IncomeTable::embedded();
         let mut applicants = Vec::with_capacity(n);
         for _ in 0..n {
             let race = sampler.sample_race(rng);
-            let resources = sampler
+            let resources = table
                 .sample_income(FIRST_YEAR, race, rng)
                 .expect("FIRST_YEAR is always in range");
             applicants.push(Applicant {
@@ -105,7 +106,7 @@ fn observe_applicant_cols(
     streams: &RowStreams,
     out: &mut ColsMut<'_>,
 ) {
-    let sampler = HouseholdSampler::new(IncomeTable::embedded());
+    let table = IncomeTable::embedded();
     let (cred_col, exp_col) = out.cols_pair_mut(VISIBLE_CREDENTIAL, VISIBLE_EXPERIENCE);
     for (j, a) in applicants.iter_mut().enumerate() {
         let i = start_row + j;
@@ -113,7 +114,7 @@ fn observe_applicant_cols(
         // resample from that year's distribution.
         if k > 0 {
             let mut rng = streams.for_row(i);
-            a.resources = sampler
+            a.resources = table
                 .sample_income(year, a.race, &mut rng)
                 .expect("year clamped into range");
         }

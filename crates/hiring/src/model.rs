@@ -155,14 +155,14 @@ mod tests {
     fn performance_draws_equal_bernoulli_of_the_probability_on_census_rows() {
         // Hired applicants in row order, as the respond sweep meets them:
         // census resources per row and 0 to 12 years of experience.
-        let sampler = HouseholdSampler::new(IncomeTable::embedded());
+        let (sampler, table) = (HouseholdSampler::new(), IncomeTable::embedded());
         let mut census = SimRng::new(2002);
         let mut stream = SimRng::new(13);
         let (mut drawn, mut exact) = (0, 0);
         for i in 0..1_000_000u32 {
             let year = FIRST_YEAR + i % (LAST_YEAR - FIRST_YEAR + 1);
             let race = sampler.sample_race(&mut census);
-            let resources = sampler.sample_income(year, race, &mut census).unwrap();
+            let resources = table.sample_income(year, race, &mut census).unwrap();
             let experience = f64::from(i % 13);
             let mut oracle = stream.clone();
             let got = sample_performance(resources, experience, 1.0, &mut stream);

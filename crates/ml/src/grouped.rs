@@ -9,29 +9,64 @@
 //! cell, and the table grows with the number of distinct feature vectors
 //! rather than with the rows pushed.
 //!
-//! Cells are keyed by the exact bit pattern of the feature vector in a
-//! `BTreeMap`, and counts are integers, so the fitted model is a function
-//! of the table's contents alone: arrival order never changes a bit.
+//! Cells are keyed by the exact bit pattern of the feature vector and
+//! kept in key order (lexicographic over the features' `f64::to_bits`),
+//! and counts are integers, so the fitted model is a function of the
+//! table's contents alone: arrival order never changes a bit. The cells
+//! are stored flat, as the columns a fit reads: one `f64` column per
+//! feature, then the observation and positive counts (exact in `f64`
+//! below 2^53), so [`GroupedTable::fit`] hands them to IRLS as they are.
+//! A push finds its cell through a small direct-mapped index of cell
+//! positions, checked by one key compare, and falls back to a binary
+//! search over the ordered keys; a new cell is inserted at its key's
+//! position.
 
 use crate::dataset::DatasetError;
 use crate::logistic::{LogisticModel, LogisticRegression, TrainError};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
-/// Observations sharing one feature vector, and how many were positive.
-#[derive(Debug, Clone)]
-struct Cell {
-    observations: u64,
-    positives: u64,
-}
+#[cfg(test)]
+mod oracle;
+
+/// Slots of the direct-mapped cell index (a power of two).
+const SLOTS: usize = 64;
 
 /// Binary-labeled observations pooled by feature vector.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GroupedTable {
-    cells: BTreeMap<Vec<u64>, Cell>,
+    /// `cols[j][c]`: feature `j` of cell `c`, cells in key order. Empty
+    /// until the first cell, then as wide as the first accepted row.
+    cols: Vec<Vec<f64>>,
+    /// Observations per cell.
+    counts: Vec<f64>,
+    /// Positive observations per cell.
+    positives: Vec<f64>,
     observations: usize,
-    /// Key scratch, reused so that a push to an existing cell does not
-    /// allocate.
-    key: Vec<u64>,
+    /// The position of a cell whose key hashes to each slot. A slot may
+    /// name a cell of another key (or none yet), so a probe is only a
+    /// hit when the key compares equal.
+    slots: [usize; SLOTS],
+}
+
+impl Default for GroupedTable {
+    fn default() -> Self {
+        GroupedTable {
+            cols: Vec::new(),
+            counts: Vec::new(),
+            positives: Vec::new(),
+            observations: 0,
+            slots: [0; SLOTS],
+        }
+    }
+}
+
+/// The index slot of a key: a multiplicative hash of its bits.
+fn slot_of(x: &[f64]) -> usize {
+    let mut h = 0u64;
+    for v in x {
+        h = (h ^ v.to_bits()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    (h >> (64 - SLOTS.trailing_zeros())) as usize
 }
 
 impl GroupedTable {
@@ -47,10 +82,8 @@ impl GroupedTable {
     /// other than 0 or 1. Error positions count accepted observations: a
     /// rejected row is reported at index [`Self::len`].
     pub fn push(&mut self, x: &[f64], y: f64) -> Result<(), DatasetError> {
-        if let Some((first, _)) = self.cells.first_key_value() {
-            if first.len() != x.len() {
-                return Err(DatasetError::RaggedRows);
-            }
+        if !self.counts.is_empty() && self.cols.len() != x.len() {
+            return Err(DatasetError::RaggedRows);
         }
         if let Some(col) = x.iter().position(|v| !v.is_finite()) {
             return Err(DatasetError::NonFiniteFeature {
@@ -63,21 +96,67 @@ impl GroupedTable {
                 index: self.observations,
             });
         }
-        let positive = u64::from(y == 1.0);
-        self.key.clear();
-        self.key.extend(x.iter().map(|v| v.to_bits()));
-        if let Some(cell) = self.cells.get_mut(self.key.as_slice()) {
-            cell.observations += 1;
-            cell.positives += positive;
+        let positive = if y == 1.0 { 1.0 } else { 0.0 };
+        let slot = slot_of(x);
+        let probe = self.slots[slot];
+        let cell = if probe < self.counts.len() && self.compare(probe, x) == Ordering::Equal {
+            probe
         } else {
-            let cell = Cell {
-                observations: 1,
-                positives: positive,
-            };
-            self.cells.insert(self.key.clone(), cell);
-        }
+            let cell = self.search(x).unwrap_or_else(|at| {
+                self.insert(at, x);
+                at
+            });
+            self.slots[slot] = cell;
+            cell
+        };
+        self.counts[cell] += 1.0;
+        self.positives[cell] += positive;
         self.observations += 1;
         Ok(())
+    }
+
+    /// The order of cell `c`'s key against `x`, feature by feature on
+    /// the bits.
+    fn compare(&self, c: usize, x: &[f64]) -> Ordering {
+        for (col, v) in self.cols.iter().zip(x) {
+            match col[c].to_bits().cmp(&v.to_bits()) {
+                Ordering::Equal => {}
+                unequal => return unequal,
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// The cell of key `x`, or the position its cell would take.
+    fn search(&self, x: &[f64]) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.counts.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.compare(mid, x) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
+    }
+
+    /// Inserts an empty cell of key `x` at position `at`, moving the
+    /// index past the cells it shifts.
+    fn insert(&mut self, at: usize, x: &[f64]) {
+        if self.counts.is_empty() {
+            self.cols = vec![Vec::new(); x.len()];
+        }
+        for (col, &v) in self.cols.iter_mut().zip(x) {
+            col.insert(at, v);
+        }
+        self.counts.insert(at, 0.0);
+        self.positives.insert(at, 0.0);
+        for cell in &mut self.slots {
+            if *cell >= at {
+                *cell += 1;
+            }
+        }
     }
 
     /// Observations accepted so far.
@@ -93,7 +172,19 @@ impl GroupedTable {
     /// Distinct feature vectors seen so far: the rows a fit sweeps.
     #[cfg(test)]
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.counts.len()
+    }
+
+    /// Every cell in key order: its key's bits, observations and
+    /// positives.
+    #[cfg(test)]
+    fn cells(&self) -> Vec<(Vec<u64>, u64, u64)> {
+        (0..self.counts.len())
+            .map(|c| {
+                let key = self.cols.iter().map(|col| col[c].to_bits()).collect();
+                (key, self.counts[c] as u64, self.positives[c] as u64)
+            })
+            .collect()
     }
 
     /// Fits `fitter`'s logistic model to every accepted observation, one
@@ -102,20 +193,8 @@ impl GroupedTable {
     /// Returns [`TrainError::Empty`] for an empty table, and otherwise
     /// the errors of [`LogisticRegression::fit`].
     pub fn fit(&self, fitter: &LogisticRegression) -> Result<LogisticModel, TrainError> {
-        let width = self.cells.first_key_value().map_or(0, |(k, _)| k.len());
-        let n = self.cells.len();
-        let mut cols = vec![Vec::with_capacity(n); width];
-        let mut positives = Vec::with_capacity(n);
-        let mut counts = Vec::with_capacity(n);
-        for (key, cell) in &self.cells {
-            for (col, &bits) in cols.iter_mut().zip(key) {
-                col.push(f64::from_bits(bits));
-            }
-            positives.push(cell.positives as f64);
-            counts.push(cell.observations as f64);
-        }
-        let cols: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
-        fitter.fit_grouped(&cols, &positives, &counts)
+        let cols: Vec<&[f64]> = self.cols.iter().map(Vec::as_slice).collect();
+        fitter.fit_grouped(&cols, &self.positives, &self.counts)
     }
 }
 
@@ -123,9 +202,11 @@ impl GroupedTable {
 // `tests/properties.rs`.
 #[cfg(test)]
 mod tests {
+    use super::oracle::TreeTable;
     use super::*;
     use crate::logistic::sigmoid;
     use eqimpact_stats::SimRng;
+    use proptest::prelude::*;
 
     #[test]
     fn push_pools_repeated_rows_into_cells() {
@@ -217,5 +298,76 @@ mod tests {
         assert_eq!(t.fit(&unpenalized), Err(TrainError::DegenerateLabels));
         // With the default ridge the penalized MLE exists.
         assert!(t.fit(&fitter).unwrap().predict_proba(&[1.5]) > 0.9);
+    }
+
+    /// Keys from a small set, so rows repeat and collide in the index:
+    /// both zeros, negatives, subnormals and the extremes of the finite
+    /// range.
+    const KEYS: [f64; 10] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.5,
+        -0.25,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 2.0,
+        f64::MAX,
+        f64::MIN,
+    ];
+
+    /// One push of a random sequence: mostly rows of width 2 from
+    /// [`KEYS`] with a 0/1 label, sometimes another width, a NaN or
+    /// infinite feature, or a label other than 0 and 1.
+    fn random_push(rng: &mut SimRng) -> (Vec<f64>, f64) {
+        let width = match rng.index(20) {
+            0 => 0,
+            1 => 1,
+            2 => 3,
+            _ => 2,
+        };
+        let mut x: Vec<f64> = (0..width).map(|_| KEYS[rng.index(KEYS.len())]).collect();
+        if width > 0 && rng.index(20) == 0 {
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            x[rng.index(width)] = bad[rng.index(bad.len())];
+        }
+        let y = match rng.index(25) {
+            0 => 0.5,
+            1 => f64::NAN,
+            2 => -0.0,
+            n => f64::from(u8::from(n % 2 == 0)),
+        };
+        (x, y)
+    }
+
+    fn model_bits(fit: &Result<LogisticModel, TrainError>) -> Result<Vec<u64>, TrainError> {
+        fit.clone().map(|m| {
+            let mut bits = vec![m.intercept.to_bits()];
+            bits.extend(m.coefficients.iter().map(|c| c.to_bits()));
+            bits.extend([m.iterations as u64, u64::from(m.converged)]);
+            bits
+        })
+    }
+
+    proptest! {
+        /// The flat table is the `BTreeMap` table it replaced: the same
+        /// result for every push, the same length, the same cells in the
+        /// same order, and bit-equal fits.
+        #[test]
+        fn flat_table_matches_the_tree_table(seed in 0u64..1_000_000, n in 0usize..300) {
+            let mut rng = SimRng::new(seed);
+            let (mut flat, mut tree) = (GroupedTable::new(), TreeTable::default());
+            let fitter = LogisticRegression::default();
+            for i in 0..n {
+                let (x, y) = random_push(&mut rng);
+                prop_assert_eq!(flat.push(&x, y), tree.push(&x, y), "push {} of {:?}, {}", i, x, y);
+                prop_assert_eq!(flat.len(), tree.len());
+                if i % 50 == 49 {
+                    prop_assert_eq!(model_bits(&flat.fit(&fitter)), model_bits(&tree.fit(&fitter)));
+                }
+            }
+            prop_assert_eq!(flat.cells(), tree.cells());
+            prop_assert_eq!(model_bits(&flat.fit(&fitter)), model_bits(&tree.fit(&fitter)));
+        }
     }
 }

@@ -23,6 +23,10 @@ pub const SCORED_COLUMN: usize = 0;
 /// Steps during which nothing is scored: the paper's two warmup years.
 pub const WARMUP_STEPS: usize = 2;
 
+/// Features of every row the learner fits and scores: the history and
+/// the visible column [`SCORED_COLUMN`].
+const FEATURES: usize = 2;
+
 /// The per-user history, the accumulated training table and the current
 /// model of a retrained logistic learner.
 pub struct RetrainedLogistic {
@@ -113,27 +117,31 @@ impl RetrainedLogistic {
         }
     }
 
-    /// Restores what [`Self::checkpoint_into`] captured; `false` when the
-    /// checkpoint carries no history.
+    /// Restores what [`Self::checkpoint_into`] captured. Returns `false`,
+    /// changing nothing, when the checkpoint carries no history, or a
+    /// model whose coefficients are missing or not one per scored
+    /// feature (a model [`Self::scores`] could not apply).
     pub fn restore_checkpoint(&mut self, checkpoint: &ModelCheckpoint) -> bool {
         let Some(history) = checkpoint.field(self.history_name) else {
             return false;
         };
+        // The model is present exactly when its intercept was captured.
+        let model = match checkpoint.scalar("model.intercept") {
+            None => None,
+            Some(intercept) => match checkpoint.field("model.coefficients") {
+                Some(coefficients) if coefficients.len() == FEATURES => Some(LogisticModel {
+                    intercept,
+                    coefficients: coefficients.to_vec(),
+                    iterations: checkpoint.scalar("model.iterations").unwrap_or(0.0) as usize,
+                    converged: checkpoint.scalar("model.converged") == Some(1.0),
+                }),
+                _ => return false,
+            },
+        };
         self.history.clear();
         self.history.extend_from_slice(history);
-        // The model is present exactly when its intercept was captured;
-        // the training set stays untouched — decisions never read it.
-        self.model = checkpoint
-            .scalar("model.intercept")
-            .map(|intercept| LogisticModel {
-                intercept,
-                coefficients: checkpoint
-                    .field("model.coefficients")
-                    .unwrap_or(&[])
-                    .to_vec(),
-                iterations: checkpoint.scalar("model.iterations").unwrap_or(0.0) as usize,
-                converged: checkpoint.scalar("model.converged") == Some(1.0),
-            });
+        // The training set stays untouched: decisions never read it.
+        self.model = model;
         true
     }
 
@@ -160,6 +168,7 @@ mod tests {
     use super::*;
     use crate::Dataset;
     use eqimpact_core::features::FeatureMatrix;
+    use eqimpact_core::shard::full_cols;
 
     /// The two scenarios' histories: credit's clean ADR of 0 and hiring's
     /// clean track record of 1.
@@ -201,6 +210,47 @@ mod tests {
             for (a, b) in model.coefficients.iter().zip(&by_rows.coefficients) {
                 assert!((a - b).abs() < 1e-9, "{name}: pooled {a} vs rows {b}");
             }
+        }
+    }
+
+    #[test]
+    fn a_model_that_cannot_score_is_not_restored() {
+        let codes = [0.0, 1.0, 0.0, 1.0];
+        let visible = FeatureMatrix::from_nested(&[vec![0.0, 0.0], vec![1.0, 0.0]]);
+        let view = full_cols(&visible);
+        for (name, prior) in CONFIGS {
+            let mut learner = RetrainedLogistic::new(name, prior);
+            learner.retrain(&feedback(
+                &codes,
+                vec![prior, 1.0 - prior, prior, prior],
+                vec![0.0, 1.0, 0.0, 1.0],
+            ));
+            let (history, model) = (learner.history.clone(), learner.model.clone());
+            let scores = learner.scores(WARMUP_STEPS, &view);
+            assert!(scores.is_some(), "{name}");
+            // Coefficients one short, one over, and missing beside an
+            // intercept: scoring such a model would panic.
+            for coefficients in [Some(&[0.5][..]), Some(&[0.5, 1.0, 2.0]), None] {
+                let mut checkpoint = ModelCheckpoint::new();
+                checkpoint.push_field(name, &[0.25, 0.75]);
+                checkpoint.push_scalar("model.intercept", 0.5);
+                if let Some(coefficients) = coefficients {
+                    checkpoint.push_field("model.coefficients", coefficients);
+                }
+                assert!(!learner.restore_checkpoint(&checkpoint), "{name}");
+                assert_eq!(learner.history, history, "{name}");
+                assert_eq!(learner.model, model, "{name}");
+                assert_eq!(learner.scores(WARMUP_STEPS, &view), scores, "{name}");
+            }
+            // The same checkpoint with one coefficient per feature restores.
+            let mut checkpoint = ModelCheckpoint::new();
+            checkpoint.push_field(name, &[0.25, 0.75]);
+            checkpoint.push_scalar("model.intercept", 0.5);
+            checkpoint.push_field("model.coefficients", &[1.0, 2.0]);
+            assert!(learner.restore_checkpoint(&checkpoint), "{name}");
+            assert_eq!(learner.history, [0.25, 0.75], "{name}");
+            let restored = learner.scores(WARMUP_STEPS, &view).unwrap();
+            assert_eq!(restored, [0.5 + 0.25, 0.5 + 0.75 + 2.0], "{name}");
         }
     }
 

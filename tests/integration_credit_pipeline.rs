@@ -131,18 +131,22 @@ fn figures_are_mutually_consistent() {
     // Fig. 4 trajectories aggregated per race at the final year must match
     // Fig. 3's final means.
     let f3 = report::fig3_race_adr(&outcomes);
-    let f4 = report::fig4_user_adr(&outcomes);
+    let f4 = report::fig4_csv(&outcomes, 2002);
+    let last_year = (2002 + outcomes[0].record.steps() - 1).to_string();
     for summary in &f3 {
-        let members: Vec<&(&str, Vec<f64>)> = f4
-            .iter()
-            .filter(|(race, _)| race == &summary.race)
+        // The final-year ADR of every series of the race, as rendered.
+        let finals: Vec<f64> = f4
+            .lines()
+            .skip(1)
+            .map(|row| row.split(',').collect::<Vec<_>>())
+            .filter(|cells| cells[1] == summary.race && cells[2] == last_year)
+            .map(|cells| cells[3].parse::<f64>().unwrap())
             .collect();
         // Mean over trials of per-trial race means == grand mean here only
         // when race counts are equal across trials; they are, because each
         // trial uses an independent batch but the mean-of-means matches
         // within a small tolerance for equal-sized populations.
-        let grand: f64 =
-            members.iter().map(|(_, t)| *t.last().unwrap()).sum::<f64>() / members.len() as f64;
+        let grand: f64 = finals.iter().sum::<f64>() / finals.len() as f64;
         let f3_final = *summary.mean.last().unwrap();
         assert!(
             (grand - f3_final).abs() < 0.02,
